@@ -105,26 +105,27 @@ pub struct Anomaly {
 struct Track {
     running: bool,
     finished: bool,
-    start_s: f64,
     last_seen_s: f64,
     /// Arrival times of heartbeat/shard-done events.
     beats: Vec<f64>,
-    /// (arrival time, cumulative done) heartbeat samples.
+    /// (worker-clock time, cumulative done) heartbeat and shard-done
+    /// samples. The worker's own clock times its work exactly; arrival
+    /// times would add spawn latency and the coordinator's poll lag,
+    /// which dominate a worker that finishes in a few polls.
     samples: Vec<(f64, u64)>,
     flagged: [bool; 3],
 }
 
 impl Track {
-    /// Overall eval rate: done per active second, from spawn to the
-    /// last sample. Meaningful for finished workers too, so completed
-    /// shards anchor the fleet's rate distribution.
+    /// Overall eval rate: done per active second, from the worker's
+    /// start to the last sample. Meaningful for finished workers too, so
+    /// completed shards anchor the fleet's rate distribution.
     fn rate(&self) -> Option<f64> {
         let &(t, done) = self.samples.last()?;
-        let elapsed = t - self.start_s;
-        if done == 0 || elapsed < 1e-3 {
+        if done == 0 || t < 1e-3 {
             return None;
         }
-        Some(done as f64 / elapsed)
+        Some(done as f64 / t)
     }
 
     /// Rate over the trailing `window` samples.
@@ -204,7 +205,6 @@ impl AnomalyDetector {
         if let Some(t) = self.tracks.get_mut(index) {
             *t = Track {
                 running: true,
-                start_s: now_s,
                 last_seen_s: now_s,
                 ..Track::default()
             };
@@ -232,10 +232,16 @@ impl AnomalyDetector {
             "heartbeat" => {
                 t.beats.push(ev.seen_s);
                 let done = ev.field_u64("done").unwrap_or(0);
-                t.samples.push((ev.seen_s, done));
+                t.samples.push((ev.t_s, done));
             }
             "shard-done" => {
                 t.beats.push(ev.seen_s);
+                // The final count is a rate sample too: a worker that
+                // finishes before its first heartbeat still anchors the
+                // fleet's rate distribution.
+                if let Some(records) = ev.field_u64("records") {
+                    t.samples.push((ev.t_s, records));
+                }
                 t.finished = true;
             }
             _ => {}
@@ -295,7 +301,11 @@ impl AnomalyDetector {
     /// statistic in small fleets: with three workers, the MAD of all
     /// three rates is the healthy pair's spread, and ordinary timing
     /// noise between two fast workers then widens the band until a
-    /// genuine crawler sits inside it.
+    /// genuine crawler sits inside it. A MAD band also needs at least
+    /// three rates: with two it is half their spread, and it falls below
+    /// zero whenever timing noise separates a fast pair by more than
+    /// `2 / noise_k` of their median, which short shards on a loaded host
+    /// do. With two other workers the ratio test alone decides.
     fn straggler(&self, index: usize, now_s: f64) -> Option<Anomaly> {
         let t = &self.tracks[index];
         if t.beats.len() >= self.cfg.min_beats {
@@ -333,7 +343,13 @@ impl AnomalyDetector {
             let my_rate = t.rate()?;
             let med = median(&mut others);
             let band = med - self.cfg.noise_k * mad(&others, med);
-            if my_rate < band && my_rate * self.cfg.straggler_ratio < med {
+            let banded = others.len() >= 3;
+            if (!banded || my_rate < band) && my_rate * self.cfg.straggler_ratio < med {
+                let by_mad = if banded {
+                    format!("{:.0}·MAD and ", self.cfg.noise_k)
+                } else {
+                    String::new()
+                };
                 return Some(Anomaly {
                     worker: index,
                     kind: AnomalyKind::Straggler,
@@ -342,8 +358,8 @@ impl AnomalyDetector {
                     threshold: med / self.cfg.straggler_ratio,
                     detail: format!(
                         "worker {index}: eval rate {my_rate:.1}/s is under the fleet \
-                         median {med:.1}/s by more than {:.0}·MAD and {:.0}x",
-                        self.cfg.noise_k, self.cfg.straggler_ratio
+                         median {med:.1}/s by more than {by_mad}{:.0}x",
+                        self.cfg.straggler_ratio
                     ),
                 });
             }
@@ -475,6 +491,28 @@ mod tests {
         assert_eq!(found[0].worker, 2);
         assert_eq!(found[0].kind, AnomalyKind::Straggler);
         assert_eq!(found[0].metric, "eval_rate");
+    }
+
+    #[test]
+    fn two_reference_workers_decide_by_ratio_alone() {
+        // Short shards on a loaded host: the fast pair's rates differ by
+        // 1.8x, which would put a two-sample MAD band below zero.
+        let mut det = AnomalyDetector::new(3, AnomalyConfig::default());
+        for w in 0..3 {
+            det.note_spawn(w, 0.0);
+        }
+        det.observe(&beat(0, 0.026, 100)); // ~3900/s
+        det.observe(&done_event(0, 0.026));
+        det.note_exit(0);
+        det.observe(&beat(1, 0.045, 100)); // ~2200/s
+        det.observe(&done_event(1, 0.045));
+        det.note_exit(1);
+        det.observe(&beat(2, 0.95, 16)); // ~17/s
+        let found = det.scan(1.0);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].worker, 2);
+        assert_eq!(found[0].metric, "eval_rate");
+        assert!(!found[0].detail.contains("MAD"), "{}", found[0].detail);
     }
 
     #[test]

@@ -43,12 +43,10 @@ where
 /// is position-keyed and the `(measurement, sample)` noise cells are
 /// shared across traversals, so the per-seed noise-factor tables built
 /// for one schedule replay for every sibling — the Box-Muller draws that
-/// dominate short executions are computed once per cell. On programs
-/// long enough to clear the memo's snapshot floor, executor snapshots
-/// taken at checkpoint boundaries additionally let sibling schedules
-/// re-simulate only their suffix. Results are a pure function of
-/// `(traversal, workload, platform, cfg)`: the `seed` argument is
-/// ignored, the memo can only change wall time, never measurements.
+/// dominate short executions are computed once per cell. Results are a
+/// pure function of `(traversal, workload, platform, cfg)`: the `seed`
+/// argument is ignored, the memo can only change wall time, never
+/// measurements.
 pub struct SimEvaluator<'a, W: Workload> {
     space: &'a DecisionSpace,
     workload: &'a W,
@@ -80,14 +78,6 @@ impl<'a, W: Workload> SimEvaluator<'a, W> {
     /// traversal.
     pub fn stats(&self) -> &SimStats {
         &self.stats
-    }
-
-    /// `(hits, misses)` of the prefix-checkpoint memo: how many
-    /// executions resumed from a cached snapshot vs ran cold. Both stay
-    /// zero on programs below the memo's snapshot floor, where only the
-    /// noise tables are in play.
-    pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
     }
 
     /// Number of per-seed noise-factor tables the memo has built — one
@@ -194,10 +184,8 @@ mod tests {
             .iter()
             .map(|t| forward.evaluate(t, 1).unwrap())
             .collect();
-        // Small programs sit below the snapshot floor (no state clones);
-        // the shared work is the per-cell noise tables, reused by every
+        // The shared work is the per-cell noise tables, reused by every
         // sibling schedule.
-        assert_eq!(forward.memo_stats(), (0, 0), "snapshot floor engaged");
         assert!(
             forward.noise_tables() > 0,
             "noise cells must be tabulated and shared across schedules"

@@ -15,10 +15,7 @@
 //!   where a poisoned evaluation must not take down the exploration;
 //! * [`StripedCache`] — a lock-striped concurrent memo table keyed by a
 //!   caller-supplied canonical hash, so repeated rollouts across workers
-//!   never re-simulate the same traversal;
-//! * [`LruCache`] — a fixed-capacity single-owner LRU (index-linked, no
-//!   allocation churn at steady state), used per worker for the
-//!   simulator's prefix-checkpoint memo.
+//!   never re-simulate the same traversal.
 //!
 //! Determinism policy: parallel callers must make each item's result a
 //! pure function of the item itself (e.g. derive per-traversal evaluation
@@ -29,11 +26,9 @@
 #![forbid(unsafe_code)]
 
 mod cache;
-mod lru;
 mod pool;
 
 pub use cache::{CacheStats, StripedCache};
-pub use lru::LruCache;
 pub use pool::{
     par_map_stream, par_map_stream_isolated, par_map_stream_observed, par_map_stream_with,
     par_map_stream_with_traced, resolve_threads, split_budget, ItemOutcome, PoolObserver,

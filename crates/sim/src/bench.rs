@@ -9,12 +9,12 @@
 //! each explored sequence and used for rule generation.
 
 use crate::compile::{CompiledProgram, SimError};
-use crate::exec::{execute, execute_instrumented};
-use crate::memo::{execute_memo, SimMemo};
+use crate::exec::{Noise, Tape};
+use crate::memo::SimMemo;
 use crate::platform::Platform;
 use crate::stats::SimStats;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Domain constant separating the memoized protocol's noise cells from
 /// every other seed stream in the workspace.
@@ -22,9 +22,9 @@ const NOISE_DOMAIN: u64 = 0xD1CE_BA5E_0FC0_FFEE;
 
 /// The noise seed of sample `s` of measurement `m` under the memoized
 /// protocol: a pure avalanche of the cell coordinates, independent of
-/// which schedule is being measured and of any master seed — so two
-/// schedules sharing an instruction prefix revisit the *same* noise cells
-/// and the prefix snapshots cached by one are usable by the other.
+/// which schedule is being measured and of any master seed — so every
+/// schedule revisits the *same* noise cells and the noise tables built
+/// for one are replayed for all the others.
 fn cell_seed(m: usize, s: usize) -> u64 {
     let mut z = NOISE_DOMAIN ^ ((m as u64) << 32) ^ s as u64;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -123,7 +123,8 @@ pub fn benchmark(
     cfg: &BenchConfig,
     seed: u64,
 ) -> Result<BenchResult, SimError> {
-    run_protocol(prog, platform, cfg, seed, None)
+    let seeds = SampleSeeds::Sequential(SmallRng::seed_from_u64(seed));
+    protocol(prog, platform, cfg, seeds, None)
 }
 
 /// Like [`benchmark`], additionally folding every sample's [`SimStats`]
@@ -138,7 +139,8 @@ pub fn benchmark_instrumented(
     seed: u64,
 ) -> Result<(BenchResult, SimStats), SimError> {
     let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-    let result = run_protocol(prog, platform, cfg, seed, Some(&mut stats))?;
+    let seeds = SampleSeeds::Sequential(SmallRng::seed_from_u64(seed));
+    let result = protocol(prog, platform, cfg, seeds, Some(&mut stats))?;
     Ok((result, stats))
 }
 
@@ -167,14 +169,13 @@ pub fn benchmark_traced(
     out
 }
 
-/// The measurement protocol with prefix-memoized execution.
+/// The measurement protocol with memoized noise.
 ///
 /// Differs from [`benchmark`] in how per-sample noise seeds are chosen:
 /// instead of a sequential generator seeded per evaluation, each
 /// `(measurement, sample)` cell has a fixed seed shared by *every*
-/// schedule (see [`cell_seed`]). That makes checkpoint snapshots in
-/// `memo` reusable across the whole exploration — schedules sharing an
-/// instruction prefix re-simulate only their suffix — while keeping the
+/// schedule (see [`cell_seed`]). That makes the noise-factor tables in
+/// `memo` reusable across the whole exploration while keeping the
 /// protocol deterministic: the result is a pure function of the program
 /// and platform, bit-identical warm or cold.
 pub fn benchmark_memo(
@@ -183,7 +184,7 @@ pub fn benchmark_memo(
     cfg: &BenchConfig,
     memo: &mut SimMemo,
 ) -> Result<BenchResult, SimError> {
-    run_protocol_memo(prog, platform, cfg, memo, None)
+    protocol(prog, platform, cfg, SampleSeeds::Cells(memo), None)
 }
 
 /// Like [`benchmark_memo`], additionally folding every sample's
@@ -195,85 +196,52 @@ pub fn benchmark_memo_instrumented(
     memo: &mut SimMemo,
 ) -> Result<(BenchResult, SimStats), SimError> {
     let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-    let result = run_protocol_memo(prog, platform, cfg, memo, Some(&mut stats))?;
+    let result = protocol(
+        prog,
+        platform,
+        cfg,
+        SampleSeeds::Cells(memo),
+        Some(&mut stats),
+    )?;
     Ok((result, stats))
 }
 
-fn run_protocol_memo(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    cfg: &BenchConfig,
-    memo: &mut SimMemo,
-    mut stats: Option<&mut SimStats>,
-) -> Result<BenchResult, SimError> {
-    let mut measurements = Vec::with_capacity(cfg.num_measurements);
-    for m in 0..cfg.num_measurements {
-        let mut accum = vec![0.0f64; prog.num_ranks];
-        let mut samples = 0usize;
-        loop {
-            let (outcome, sample_stats) =
-                execute_memo(prog, platform, cell_seed(m, samples), memo)?;
-            if let Some(stats) = stats.as_deref_mut() {
-                stats.merge(&sample_stats);
-            }
-            for (a, t) in accum.iter_mut().zip(&outcome.rank_times) {
-                *a += t;
-            }
-            samples += 1;
-            let elapsed = accum.iter().copied().fold(0.0, f64::max);
-            if elapsed >= cfg.t_measure || samples >= cfg.max_samples {
-                break;
-            }
-        }
-        let mut est = accum.iter().map(|a| a / samples as f64).fold(0.0, f64::max);
-        if let Some(plan) = &platform.faults {
-            let factor = plan.outlier(measurements.len());
-            if factor != 1.0 {
-                est *= factor;
-                if let Some(stats) = stats.as_deref_mut() {
-                    stats.faults.outliers += 1;
-                }
-            }
-        }
-        measurements.push(est);
-    }
-    let mut sorted = measurements.clone();
-    sorted.sort_by(f64::total_cmp);
-    let percentiles = Percentiles {
-        p01: percentile(&sorted, 1.0),
-        p10: percentile(&sorted, 10.0),
-        p50: percentile(&sorted, 50.0),
-        p90: percentile(&sorted, 90.0),
-        p99: percentile(&sorted, 99.0),
-    };
-    Ok(BenchResult {
-        measurements,
-        percentiles,
-    })
+/// Where the protocol's per-sample noise seeds come from.
+enum SampleSeeds<'m> {
+    /// One generator seeded per evaluation, drawn once per sample.
+    Sequential(SmallRng),
+    /// The fixed per-cell seeds, with their noise tables in the memo.
+    Cells(&'m mut SimMemo),
 }
 
-fn run_protocol(
+/// The protocol: lowers `prog` once, then replays it once per sample.
+fn protocol(
     prog: &CompiledProgram,
     platform: &Platform,
     cfg: &BenchConfig,
-    seed: u64,
+    mut seeds: SampleSeeds<'_>,
     mut stats: Option<&mut SimStats>,
 ) -> Result<BenchResult, SimError> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut tape = Tape::lower(prog, platform);
     let mut measurements = Vec::with_capacity(cfg.num_measurements);
-    for _ in 0..cfg.num_measurements {
-        // Per-rank accumulated busy time across samples of this measurement.
-        let mut accum = vec![0.0f64; prog.num_ranks];
+    // Per-rank accumulated busy time across samples of one measurement.
+    let mut accum = vec![0.0f64; prog.num_ranks];
+    for m in 0..cfg.num_measurements {
+        accum.fill(0.0);
         let mut samples = 0usize;
         loop {
-            let outcome = if let Some(stats) = stats.as_deref_mut() {
-                let (outcome, sample_stats) = execute_instrumented(prog, platform, &mut rng)?;
-                stats.merge(&sample_stats);
-                outcome
-            } else {
-                execute(prog, platform, &mut rng)?
+            let noise = match &mut seeds {
+                SampleSeeds::Sequential(rng) => Noise::new(platform, rng.next_u64(), None),
+                SampleSeeds::Cells(memo) => {
+                    let seed = cell_seed(m, samples);
+                    Noise::new(platform, seed, memo.table(platform, prog, seed))
+                }
             };
-            for (a, t) in accum.iter_mut().zip(&outcome.rank_times) {
+            tape.run(noise, None)?;
+            if let Some(stats) = stats.as_deref_mut() {
+                tape.fold_stats(stats);
+            }
+            for (a, t) in accum.iter_mut().zip(tape.rank_times()) {
                 *a += t;
             }
             samples += 1;

@@ -227,12 +227,6 @@ pub struct CompiledProgram {
     pub names: Vec<String>,
     /// Resolved communication tables.
     pub comms: Vec<CommTable>,
-    /// `prefix_hashes[i]` identifies the executable prefix `instrs[..][..i]`
-    /// — every rank's first `i` instructions plus the full table of every
-    /// comm first referenced there. Two programs with equal hashes at `i`
-    /// execute that prefix identically, which is what keys simulator
-    /// checkpoints in the prefix memo. Length `names.len() + 1`.
-    pub prefix_hashes: Vec<u64>,
 }
 
 impl CompiledProgram {
@@ -405,7 +399,6 @@ impl CompiledProgram {
             });
         }
 
-        let prefix_hashes = prefix_hashes(num_ranks, &instrs, &comms);
         Ok(CompiledProgram {
             num_ranks,
             num_streams: schedule.num_streams,
@@ -413,116 +406,8 @@ impl CompiledProgram {
             instrs,
             names,
             comms,
-            prefix_hashes,
         })
     }
-
-    /// Instruction indices at which the prefix memo snapshots executor
-    /// state: quartiles of the program, each strictly inside `(0, n)`.
-    /// Empty for programs too short to be worth checkpointing.
-    pub fn checkpoint_boundaries(&self) -> Vec<usize> {
-        let n = self.names.len();
-        let mut out = Vec::with_capacity(3);
-        for b in [n / 4, n / 2, 3 * n / 4] {
-            if b > 0 && b < n && out.last() != Some(&b) {
-                out.push(b);
-            }
-        }
-        out
-    }
-}
-
-/// Rolling prefix hashes: FNV-1a-style folding over a stable encoding of
-/// each instruction (all ranks at index `i`, durations bit-exact) plus
-/// each comm table at its first reference, finished with a splitmix64
-/// avalanche per prefix length.
-fn prefix_hashes(num_ranks: usize, instrs: &[Vec<Instr>], comms: &[CommTable]) -> Vec<u64> {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    let n = instrs.first().map_or(0, Vec::len);
-    let mut hashes = Vec::with_capacity(n + 1);
-    let mut h = fold(OFFSET, num_ranks as u64);
-    hashes.push(finish(h));
-    let mut comm_hashed = vec![false; comms.len()];
-    for i in 0..n {
-        for list in instrs {
-            h = fold_instr(h, &list[i]);
-        }
-        if let Some(&c) = comm_of(&instrs[0][i]) {
-            if !std::mem::replace(&mut comm_hashed[c], true) {
-                h = fold_comm(h, &comms[c]);
-            }
-        }
-        hashes.push(finish(h));
-    }
-    hashes
-}
-
-fn comm_of(instr: &Instr) -> Option<&usize> {
-    match instr {
-        Instr::PostSends { comm }
-        | Instr::PostRecvs { comm }
-        | Instr::WaitSends { comm }
-        | Instr::WaitRecvs { comm }
-        | Instr::AllReduce { comm } => Some(comm),
-        _ => None,
-    }
-}
-
-fn fold(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-fn finish(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn fold_instr(h: u64, instr: &Instr) -> u64 {
-    match instr {
-        Instr::CpuWork { dur } => fold(fold(h, 1), dur.to_bits()),
-        Instr::KernelLaunch { stream, dur } => {
-            fold(fold(fold(h, 2), *stream as u64), dur.to_bits())
-        }
-        Instr::PostSends { comm } => fold(fold(h, 3), *comm as u64),
-        Instr::PostRecvs { comm } => fold(fold(h, 4), *comm as u64),
-        Instr::WaitSends { comm } => fold(fold(h, 5), *comm as u64),
-        Instr::WaitRecvs { comm } => fold(fold(h, 6), *comm as u64),
-        Instr::AllReduce { comm } => fold(fold(h, 7), *comm as u64),
-        Instr::EventRecord { event, stream } => {
-            fold(fold(fold(h, 8), *event as u64), *stream as u64)
-        }
-        Instr::EventSync { events } => {
-            let mut h = fold(fold(h, 9), events.len() as u64);
-            for &e in events.iter() {
-                h = fold(h, e as u64);
-            }
-            h
-        }
-        Instr::StreamWaitEvent { stream, event } => {
-            fold(fold(fold(h, 10), *stream as u64), *event as u64)
-        }
-        Instr::DeviceSync => fold(h, 11),
-    }
-}
-
-fn fold_comm(mut h: u64, table: &CommTable) -> u64 {
-    // The key's identity matters: the fault plan addresses messages by a
-    // hash of the key string, so two prefixes identical except for a comm
-    // key must not share checkpoints under a fault plan.
-    h = fold(h, table.key.0.len() as u64);
-    for b in table.key.0.bytes() {
-        h = fold(h, b as u64);
-    }
-    for side in [&table.sends, &table.recvs] {
-        for per_rank in side {
-            h = fold(h, per_rank.len() as u64);
-            for &(peer, bytes) in per_rank {
-                h = fold(fold(h, peer as u64), bytes);
-            }
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -6,14 +6,33 @@
 //! program deadlocks (e.g. all ranks waiting on receives before any rank
 //! has posted its sends) and the executor reports it instead of hanging.
 //!
+//! Execution runs in two passes:
+//!
+//! * **Lowering** ([`Tape::lower`]) plays that round-robin control flow
+//!   once per program and platform. None of it depends on a timing: the
+//!   retirement order, every blocking decision, the eager/rendezvous
+//!   split, every fault-plan decision (stragglers and spikes are keyed by
+//!   rank and pc, delays and drops by message), every integer
+//!   [`SimStats`] count and the `WaitBeforePost`, `Deadlock` and
+//!   step-budget errors are functions of the program alone. The pass
+//!   records the retirement order as a flat tape of ops with pre-resolved
+//!   rank, stream, event and message slots and constant durations, wire
+//!   times and fault factors.
+//! * **Replay** ([`Tape::replay`]) is one simulated invocation: it walks
+//!   the tape over flat per-rank state that is reset in place, so a
+//!   multi-sample protocol lowers once and then replays without
+//!   allocating.
+//!
 //! Noise is *position-keyed*: one `sample_seed` is drawn per invocation
 //! (from the caller's RNG) and every noisy quantity is a pure function of
 //! `(sample_seed, position)` — `(rank, pc)` for instruction durations,
-//! `(comm, src, dst)` for wire times. Because no sequential generator
-//! threads through the run, the executor's state after retiring a prefix
-//! of the program is independent of rank interleaving, which is what lets
-//! [`run_to`](Executor::run_to) stop at an instruction boundary, snapshot
-//! the state, and later resume bit-identically to a cold run.
+//! `(comm, src, dst)` for wire times. Replay therefore draws the same
+//! factors in tape order as the round-robin interleaving would, and it
+//! performs the same floating-point operations in the same order, so a
+//! replay is bit-identical to executing the ranks round-robin. The
+//! virtual-time watchdog is the one check that needs times: the tape
+//! marks the end of every round-robin sweep, and replay checks the
+//! watchdog exactly there.
 
 use crate::compile::{CompiledProgram, Instr, SimError};
 use crate::platform::{NoiseModel, Platform};
@@ -21,6 +40,7 @@ use crate::stats::SimStats;
 use crate::trace::{Resource, Trace, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::RngCore;
+use std::ops::Range;
 
 /// Domain tag for instruction-duration noise keys.
 const NK_INSTR: u64 = 1 << 62;
@@ -49,19 +69,20 @@ fn wire_key(comm: usize, src: usize, dst: usize) -> u64 {
 /// never returns NaN: its `u1` uniform is clamped above zero, so the
 /// Box-Muller draw is always finite).
 ///
-/// Instruction factors are indexed `[rank][pc]` and wire factors
-/// `[(comm * ranks + src) * ranks + dst]` (the same layout as the
-/// executor's arrival cache). The factor for a given `(rank, pc)` cell
-/// depends only on the key, not the instruction occupying it, so tables
-/// are shared across sibling schedules of one decision space — including
-/// schedules of *different lengths* (stream-binding choices change how
-/// many sync instructions lowering inserts), which is why [`fit`] grows
-/// tables in place instead of resetting them.
+/// Instruction factors are indexed `rank * stride + pc` and wire factors
+/// `(comm * ranks + src) * ranks + dst`. The factor for a given
+/// `(rank, pc)` cell depends only on the key, not the instruction
+/// occupying it, so tables are shared across sibling schedules of one
+/// decision space — including schedules of *different lengths*
+/// (stream-binding choices change how many sync instructions lowering
+/// inserts), which is why [`fit`] grows tables in place instead of
+/// resetting them.
 ///
 /// [`fit`]: NoiseTable::fit
 #[derive(Debug, Default)]
 pub(crate) struct NoiseTable {
-    instr: Vec<Vec<f64>>,
+    instr: Vec<f64>,
+    stride: usize,
     wire: Vec<f64>,
     wire_ranks: usize,
 }
@@ -73,54 +94,71 @@ impl NoiseTable {
     /// rank-count change — which never happens within one exploration —
     /// invalidates the wire layout and resets that half.
     pub(crate) fn fit(&mut self, prog: &CompiledProgram) {
-        let n = prog.names.len();
-        if self.instr.len() < prog.num_ranks {
-            self.instr.resize(prog.num_ranks, Vec::new());
-        }
-        for row in &mut self.instr[..prog.num_ranks] {
-            if row.len() < n {
-                row.resize(n, f64::NAN);
+        let (ranks, n) = (prog.num_ranks, prog.names.len());
+        let rows = self.instr.len() / self.stride.max(1);
+        if rows < ranks || self.stride < n {
+            let stride = self.stride.max(n);
+            let mut instr = vec![f64::NAN; rows.max(ranks) * stride];
+            for (r, row) in self.instr.chunks(self.stride.max(1)).enumerate() {
+                instr[r * stride..][..row.len()].copy_from_slice(row);
             }
+            self.instr = instr;
+            self.stride = stride;
         }
-        let wire_len = prog.comms.len() * prog.num_ranks * prog.num_ranks;
-        if self.wire_ranks != prog.num_ranks {
-            self.wire_ranks = prog.num_ranks;
+        let wire_len = prog.comms.len() * ranks * ranks;
+        if self.wire_ranks != ranks {
+            self.wire_ranks = ranks;
             self.wire = vec![f64::NAN; wire_len];
         } else if self.wire.len() < wire_len {
             self.wire.resize(wire_len, f64::NAN);
         }
     }
+}
 
-    #[inline]
-    fn instr_factor(&mut self, noise: &NoiseModel, seed: u64, r: usize, pc: usize) -> f64 {
-        let cached = self.instr[r][pc];
-        if cached.is_nan() {
-            let f = noise.factor_keyed(seed, instr_key(r, pc));
-            self.instr[r][pc] = f;
-            f
-        } else {
-            cached
+/// The noise source of one invocation: the sample seed, plus the memo's
+/// table for that seed when there is one. The table is purely a fast
+/// path — it replays exactly what `factor_keyed` would return.
+pub(crate) struct Noise<'n> {
+    model: NoiseModel,
+    seed: u64,
+    table: Option<&'n mut NoiseTable>,
+}
+
+impl<'n> Noise<'n> {
+    /// Noise for `seed` on `platform`, looked up in `table` if given.
+    pub(crate) fn new(platform: &Platform, seed: u64, table: Option<&'n mut NoiseTable>) -> Self {
+        Noise {
+            model: platform.noise,
+            seed,
+            table,
         }
     }
 
+    /// Factor of the instruction at `(rank, pc)`.
     #[inline]
-    fn wire_factor(
-        &mut self,
-        noise: &NoiseModel,
-        seed: u64,
-        comm: usize,
-        src: usize,
-        dst: usize,
-    ) -> f64 {
-        let slot = (comm * self.wire_ranks + src) * self.wire_ranks + dst;
-        let cached = self.wire[slot];
-        if cached.is_nan() {
-            let f = noise.factor_keyed(seed, wire_key(comm, src, dst));
-            self.wire[slot] = f;
-            f
-        } else {
-            cached
+    fn instr(&mut self, r: usize, pc: usize) -> f64 {
+        let Some(tab) = self.table.as_deref_mut() else {
+            return self.model.factor_keyed(self.seed, instr_key(r, pc));
+        };
+        let cell = &mut tab.instr[r * tab.stride + pc];
+        if cell.is_nan() {
+            *cell = self.model.factor_keyed(self.seed, instr_key(r, pc));
         }
+        *cell
+    }
+
+    /// Factor of the wire `src → dst` under `comm`.
+    #[inline]
+    fn wire(&mut self, comm: usize, src: usize, dst: usize) -> f64 {
+        let Some(tab) = self.table.as_deref_mut() else {
+            return self.model.factor_keyed(self.seed, wire_key(comm, src, dst));
+        };
+        let slot = (comm * tab.wire_ranks + src) * tab.wire_ranks + dst;
+        let cell = &mut tab.wire[slot];
+        if cell.is_nan() {
+            *cell = self.model.factor_keyed(self.seed, wire_key(comm, src, dst));
+        }
+        *cell
     }
 }
 
@@ -135,75 +173,6 @@ impl ExecOutcome {
     /// Program time: the slowest rank.
     pub fn time(&self) -> f64 {
         self.rank_times.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Step {
-    Advanced,
-    Blocked,
-    /// The rank reached the run limit (but not the end of its program).
-    Capped,
-    Done,
-}
-
-/// How a bounded run ended (errors are reported separately).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum RunEnd {
-    /// Every rank retired its whole program.
-    Done,
-    /// Every rank is either done or stopped at the instruction limit; the
-    /// run can be resumed from here.
-    Capped,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct RankState {
-    pc: usize,
-    cpu: f64,
-    stream_tail: Vec<f64>,
-    /// Kernel execution intervals per stream, for the contention model.
-    kernel_intervals: Vec<Vec<(f64, f64)>>,
-    event_time: Vec<Option<f64>>,
-    event_stream: Vec<Option<usize>>,
-    /// Per comm index: the time this rank entered a collective (set on
-    /// first arrival, consumed when all ranks have entered).
-    collective_entry: Vec<Option<f64>>,
-    /// Per comm index: post time of each send `(peer, bytes, t)`.
-    send_posts: Vec<Option<Vec<(usize, u64, f64)>>>,
-    /// Per comm index: post time of each receive `(peer, bytes, t)`.
-    recv_posts: Vec<Option<Vec<(usize, u64, f64)>>>,
-}
-
-impl RankState {
-    fn new(prog: &CompiledProgram) -> Self {
-        RankState {
-            pc: 0,
-            cpu: 0.0,
-            stream_tail: vec![0.0; prog.num_streams],
-            kernel_intervals: vec![Vec::new(); prog.num_streams],
-            event_time: vec![None; prog.num_events],
-            event_stream: vec![None; prog.num_events],
-            collective_entry: vec![None; prog.comms.len()],
-            send_posts: vec![None; prog.comms.len()],
-            recv_posts: vec![None; prog.comms.len()],
-        }
-    }
-
-    /// Resizes per-dimension vectors to `prog`'s shape. Sound when `prog`
-    /// shares the retired instruction prefix: indices the prefix touched
-    /// are identical in both programs (the prefix hash covers them), and
-    /// everything else is still at its default, so growing adds defaults
-    /// and shrinking drops only defaults.
-    fn fitted(mut self, prog: &CompiledProgram) -> Self {
-        self.stream_tail.resize(prog.num_streams, 0.0);
-        self.kernel_intervals.resize(prog.num_streams, Vec::new());
-        self.event_time.resize(prog.num_events, None);
-        self.event_stream.resize(prog.num_events, None);
-        self.collective_entry.resize(prog.comms.len(), None);
-        self.send_posts.resize(prog.comms.len(), None);
-        self.recv_posts.resize(prog.comms.len(), None);
-        self
     }
 }
 
@@ -224,10 +193,9 @@ pub fn execute_traced(
     platform: &Platform,
     rng: &mut SmallRng,
 ) -> Result<(ExecOutcome, Trace), SimError> {
-    let mut ex = Executor::new(prog, platform, true, rng.next_u64());
-    ex.run_to(usize::MAX)?;
-    let (o, t, _) = ex.into_result();
-    Ok((o, t.expect("tracing was enabled")))
+    let mut trace = Trace::default();
+    let (outcome, _) = Tape::lower(prog, platform).replay(rng.next_u64(), Some(&mut trace))?;
+    Ok((outcome, trace))
 }
 
 /// Like [`execute`], additionally returning the invocation's
@@ -243,528 +211,706 @@ pub fn execute_instrumented(
 
 /// The position-keyed execution primitive: one invocation whose noise is
 /// entirely determined by `sample_seed`. [`execute`] and friends draw the
-/// seed from their RNG and delegate here; checkpoint-resumed runs (see
-/// [`execute_memo`](crate::memo::execute_memo)) are bit-identical to this
-/// function for the same seed.
+/// seed from their RNG and delegate here.
 pub fn execute_seeded(
     prog: &CompiledProgram,
     platform: &Platform,
     sample_seed: u64,
 ) -> Result<(ExecOutcome, SimStats), SimError> {
-    let mut ex = Executor::new(prog, platform, false, sample_seed);
-    ex.run_to(usize::MAX)?;
-    let (o, _, s) = ex.into_result();
-    Ok((o, s))
+    Tape::lower(prog, platform).replay(sample_seed, None)
 }
 
-/// A sparse arrival-cache entry: `(comm, src, dst)` endpoint indices
-/// mapped to `(arrival, send_complete)` times.
-type ArrivalEntry = ((usize, usize, usize), (f64, f64));
-
-/// A snapshot of executor state after retiring a program prefix: enough
-/// to resume the run later — or on a *different* compiled program sharing
-/// the same instruction prefix — bit-identically to a cold run.
-///
-/// Arrival times are stored sparsely (a prefix touches few transfers);
-/// per-rank vectors are resized to the resuming program's dimensions on
-/// restore. Entries beyond the prefix's reach are provably still at their
-/// defaults, so resizing loses nothing.
+/// One tape entry. Instruction ops retire the instruction at `pc` of
+/// `rank`; `Transfer`, `Enter` and `SweepEnd` are bookkeeping.
 #[derive(Debug, Clone)]
-pub(crate) struct ExecSnapshot {
-    ranks: Vec<RankState>,
-    arrivals: Vec<ArrivalEntry>,
-    stats: SimStats,
-    steps: u64,
+struct Op {
+    rank: usize,
+    pc: usize,
+    kind: Kind,
 }
 
-pub(crate) struct Executor<'a> {
+/// Flat slots: `tail` and stream-busy slots are `rank * streams +
+/// stream`, event slots `rank * events + event`, collective-entry slots
+/// `comm * ranks + rank`; post-time, message and kernel slots are
+/// numbered by lowering. `Range`s index [`Tape::idx`].
+#[derive(Debug, Clone)]
+enum Kind {
+    /// Synchronous CPU work.
+    Cpu { dur: f64, straggle: f64 },
+    /// A kernel launch; `contenders` are the kernel slots of earlier
+    /// launches on other streams of the same GPU, in the order the
+    /// contention sum visits them.
+    Kernel {
+        stream: usize,
+        tail: usize,
+        slot: usize,
+        dur: f64,
+        straggle: f64,
+        spike: f64,
+        contenders: Range<usize>,
+    },
+    /// `cudaEventRecord`.
+    Record { event: usize, tail: usize },
+    /// `cudaEventSynchronize` over event slots.
+    Sync { events: Range<usize> },
+    /// `cudaStreamWaitEvent`.
+    StreamWait {
+        event: usize,
+        tail: usize,
+        cross_gpu: bool,
+    },
+    /// Posts of one pattern: each costs `overhead` and stamps a post-time
+    /// slot (repeated peers stamp a sink slot nobody reads).
+    Post { overhead: f64, slots: Range<usize> },
+    /// Waits for the arrivals of messages.
+    WaitRecvs { msgs: Range<usize> },
+    /// Waits for the send completions of messages.
+    WaitSends { msgs: Range<usize> },
+    /// Blocking collective over its entry slots.
+    AllReduce { entries: Range<usize>, time: f64 },
+    /// Device-wide synchronization over the rank's tail slots.
+    DeviceSync { tails: Range<usize> },
+    /// Computes a message's arrival and send completion, once, before the
+    /// first wait that needs them.
+    Transfer { msg: usize },
+    /// The rank entered a collective: its entry time is its current time.
+    Enter { slot: usize },
+    /// A round-robin sweep ended with `steps` instructions retired.
+    SweepEnd { steps: u64 },
+}
+
+/// One point-to-point message `(comm, src, dst)`.
+#[derive(Debug, Clone)]
+struct Msg {
+    comm: usize,
+    src: usize,
+    dst: usize,
+    /// Post-time slots of the send and the receive.
+    send: usize,
+    recv: usize,
+    bytes: u64,
+    /// Noiseless wire time.
+    wire: f64,
+    /// Extra wire seconds from the fault plan.
+    delay: Option<f64>,
+    eager: bool,
+}
+
+/// Per-sample state. `cpu`, `tail` and the busy counters accumulate and
+/// are reset by every replay; every other slot is written before it is
+/// read within one replay, which the lowering guarantees.
+#[derive(Debug, Clone)]
+struct State {
+    cpu: Vec<f64>,
+    tail: Vec<f64>,
+    events: Vec<f64>,
+    posts: Vec<f64>,
+    /// `(arrival, send_complete)` per message.
+    xfer: Vec<(f64, f64)>,
+    entries: Vec<f64>,
+    /// Execution interval per kernel slot.
+    kernels: Vec<(f64, f64)>,
+    cpu_busy: Vec<f64>,
+    stream_busy: Vec<f64>,
+}
+
+/// A compiled program lowered for one platform: the structural half of
+/// execution, recorded once and replayed once per sample (see the module
+/// docs). The replay state lives in the tape and is reset in place, so
+/// replaying sample `k` gives the same result whatever was replayed
+/// before it.
+pub struct Tape<'a> {
     prog: &'a CompiledProgram,
     platform: &'a Platform,
-    /// Seed of this invocation's position-keyed noise.
-    sample_seed: u64,
-    ranks: Vec<RankState>,
-    /// Cached transfer arrival / send-completion times, flat-indexed by
-    /// `(comm * R + src) * R + dst`, so both endpoints observe identical
-    /// times without recomputing the (pure) wire time per wait.
-    arrivals: Vec<Option<(f64, f64)>>,
-    trace: Option<Trace>,
-    stats: SimStats,
-    /// Set when a blocked step still made observable progress (e.g. a
-    /// rank registering its entry into a collective) so the deadlock
-    /// detector does not fire spuriously.
-    noted_progress: bool,
-    /// Per-rank straggler compute multipliers from the fault plan
-    /// (all 1.0 without a plan).
-    rank_factors: Vec<f64>,
-    /// Messages the fault plan drops, flat-indexed like `arrivals`: the
-    /// send is lost, so the receiver (and a rendezvous sender) blocks
-    /// forever — surfaced as a structured deadlock, never a hang.
-    dropped: Vec<bool>,
-    /// Instructions retired, for the watchdog budget.
-    steps: u64,
-    /// Shared noise-factor table for this invocation's `sample_seed`
-    /// (memoized path); `None` computes factors directly.
-    noise_tab: Option<&'a mut NoiseTable>,
+    ops: Vec<Op>,
+    /// Index lists the ops' ranges point into.
+    idx: Vec<usize>,
+    msgs: Vec<Msg>,
+    /// One run's counters (busy vectors empty, `runs` = 1).
+    counts: SimStats,
+    /// How the run ends once the tape is replayed.
+    end: Result<(), SimError>,
+    state: State,
 }
 
-impl<'a> Executor<'a> {
-    pub(crate) fn new(
-        prog: &'a CompiledProgram,
-        platform: &'a Platform,
-        traced: bool,
-        sample_seed: u64,
-    ) -> Self {
-        let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-        let rank_factors: Vec<f64> = match &platform.faults {
-            Some(plan) => (0..prog.num_ranks).map(|r| plan.rank_factor(r)).collect(),
-            None => vec![1.0; prog.num_ranks],
+impl<'a> Tape<'a> {
+    /// Plays the round-robin control flow of `prog` on `platform` and
+    /// records it.
+    pub fn lower(prog: &'a CompiledProgram, platform: &'a Platform) -> Self {
+        let (nr, ns, ne) = (prog.num_ranks, prog.num_streams, prog.num_events);
+        let nc = prog.comms.len();
+        let plan = platform.faults.as_ref();
+        let mut counts = SimStats {
+            runs: 1,
+            ..SimStats::default()
         };
-        let nranks = prog.num_ranks;
-        let mut dropped = vec![false; prog.comms.len() * nranks * nranks];
-        let mut drops = 0u64;
-        if let Some(plan) = &platform.faults {
-            for (c, table) in prog.comms.iter().enumerate() {
-                let key = dr_fault::key_hash(&table.key.0);
-                for (src, sends) in table.sends.iter().enumerate() {
-                    for &(dst, _) in sends {
-                        if plan.message(key, src, dst) == Some(dr_fault::MessageFault::Drop)
-                            && !std::mem::replace(
-                                &mut dropped[(c * nranks + src) * nranks + dst],
-                                true,
-                            )
-                        {
-                            drops += 1;
-                        }
+
+        // One message per (comm, src, dst), first send entry wins; the
+        // fault plan's drops are counted over every table entry.
+        let pair = |c: usize, src: usize, dst: usize| (c * nr + src) * nr + dst;
+        let mut msg_of = vec![usize::MAX; nc * nr * nr];
+        let mut dropped = vec![false; nc * nr * nr];
+        let mut msgs: Vec<Msg> = Vec::new();
+        for (c, table) in prog.comms.iter().enumerate() {
+            let key = dr_fault::key_hash(&table.key.0);
+            for (src, sends) in table.sends.iter().enumerate() {
+                for &(dst, bytes) in sends {
+                    let fault = plan.and_then(|p| p.message(key, src, dst));
+                    let p = pair(c, src, dst);
+                    if fault == Some(dr_fault::MessageFault::Drop)
+                        && !std::mem::replace(&mut dropped[p], true)
+                    {
+                        counts.faults.drops += 1;
+                    }
+                    if msg_of[p] == usize::MAX {
+                        msg_of[p] = msgs.len();
+                        msgs.push(Msg {
+                            comm: c,
+                            src,
+                            dst,
+                            send: 2 * msgs.len(),
+                            recv: 2 * msgs.len() + 1,
+                            bytes,
+                            wire: platform.wire_time(bytes),
+                            delay: match fault {
+                                Some(dr_fault::MessageFault::Delay(extra)) => Some(extra),
+                                _ => None,
+                            },
+                            eager: platform.is_eager(bytes),
+                        });
                     }
                 }
             }
         }
-        stats.faults.drops = drops;
-        Executor {
-            prog,
-            platform,
-            sample_seed,
-            ranks: (0..prog.num_ranks).map(|_| RankState::new(prog)).collect(),
-            arrivals: vec![None; prog.comms.len() * nranks * nranks],
-            trace: traced.then(Trace::default),
-            stats,
-            noted_progress: false,
-            rank_factors,
-            dropped,
-            steps: 0,
-            noise_tab: None,
-        }
-    }
+        let sink = 2 * msgs.len();
 
-    /// Attaches a noise-factor table (see [`NoiseTable`]); factors are
-    /// then looked up before being computed. Purely a fast path — the
-    /// table replays exactly what `factor_keyed` would return.
-    pub(crate) fn with_noise(mut self, tab: Option<&'a mut NoiseTable>) -> Self {
-        self.noise_tab = tab;
-        self
-    }
+        let mut ops: Vec<Op> = Vec::new();
+        let mut idx: Vec<usize> = Vec::new();
+        let mut pcs = vec![0usize; nr];
+        let mut sent = vec![false; nr * nc];
+        let mut received = vec![false; nr * nc];
+        let mut entered = vec![false; nc * nr];
+        let mut recorded: Vec<Option<usize>> = vec![None; nr * ne];
+        let mut moved = vec![false; msgs.len()];
+        let mut launched: Vec<Vec<usize>> = vec![Vec::new(); nr * ns];
+        let mut kernels = 0usize;
+        let mut steps = 0u64;
+        let mut noted_progress = false;
 
-    /// Rebuilds an executor mid-run from a snapshot, fitted to `prog`'s
-    /// dimensions. `prog` must share the instruction prefix the snapshot
-    /// was taken at (the memo layer keys snapshots by prefix hash).
-    pub(crate) fn resume(
-        prog: &'a CompiledProgram,
-        platform: &'a Platform,
-        sample_seed: u64,
-        snap: &ExecSnapshot,
-    ) -> Self {
-        let mut ex = Executor::new(prog, platform, false, sample_seed);
-        ex.ranks = snap
-            .ranks
-            .iter()
-            .map(|rs| rs.clone().fitted(prog))
-            .collect();
-        let nranks = prog.num_ranks;
-        for &((comm, src, dst), times) in &snap.arrivals {
-            debug_assert!(comm < prog.comms.len(), "snapshot comm beyond prefix");
-            ex.arrivals[(comm * nranks + src) * nranks + dst] = Some(times);
-        }
-        ex.stats = snap.stats.clone();
-        // Per-stream busy counters carry the donor program's stream count;
-        // refit them like `RankState::fitted` (prefix-untouched entries are
-        // provably still 0.0, so resizing loses nothing).
-        ex.stats.cpu_busy.resize(prog.num_ranks, 0.0);
-        for sb in &mut ex.stats.stream_busy {
-            sb.resize(prog.num_streams, 0.0);
-        }
-        ex.stats
-            .stream_busy
-            .resize(prog.num_ranks, vec![0.0; prog.num_streams]);
-        ex.steps = snap.steps;
-        ex
-    }
-
-    /// Captures the current state for a later [`resume`](Executor::resume).
-    pub(crate) fn snapshot(&self) -> ExecSnapshot {
-        let nranks = self.prog.num_ranks;
-        let arrivals = self
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| {
-                a.map(|times| {
-                    let dst = i % nranks;
-                    let src = (i / nranks) % nranks;
-                    let comm = i / (nranks * nranks);
-                    ((comm, src, dst), times)
-                })
-            })
-            .collect();
-        ExecSnapshot {
-            ranks: self.ranks.clone(),
-            arrivals,
-            stats: self.stats.clone(),
-            steps: self.steps,
-        }
-    }
-
-    /// Advances every rank as far as possible, retiring no instruction at
-    /// index `>= limit`. Returns [`RunEnd::Done`] when all ranks finished,
-    /// [`RunEnd::Capped`] when at least one rank stopped at the limit and
-    /// nothing else can advance. Deadlock is only reported when no rank is
-    /// capped (a capped run cannot distinguish "blocked on the suffix"
-    /// from deadlock — the resumed full run detects it identically).
-    pub(crate) fn run_to(&mut self, limit: usize) -> Result<RunEnd, SimError> {
-        loop {
+        let end = 'run: loop {
             let mut progressed = false;
             let mut all_done = true;
-            let mut any_capped = false;
-            for r in 0..self.prog.num_ranks {
-                loop {
-                    match self.step(r, limit)? {
-                        Step::Advanced => progressed = true,
-                        Step::Blocked => {
-                            all_done = false;
-                            break;
-                        }
-                        Step::Capped => {
-                            all_done = false;
-                            any_capped = true;
-                            break;
-                        }
-                        Step::Done => break,
+            for r in 0..nr {
+                while pcs[r] < prog.instrs[r].len() {
+                    let pc = pcs[r];
+                    if platform.max_steps > 0 && steps >= platform.max_steps {
+                        break 'run Err(SimError::Budget {
+                            steps,
+                            detail: format!("step limit {} reached", platform.max_steps),
+                        });
                     }
+                    let instr = &prog.instrs[r][pc];
+                    // Blocking checks first (nothing retires on a blocked
+                    // step).
+                    let blocked = match *instr {
+                        Instr::WaitRecvs { comm } => {
+                            if !received[r * nc + comm] {
+                                break 'run Err(SimError::WaitBeforePost {
+                                    rank: r,
+                                    name: prog.names[pc].clone(),
+                                });
+                            }
+                            // A dropped send never arrives: the receiver
+                            // blocks forever and the deadlock detector
+                            // reports it.
+                            prog.comms[comm].recvs[r].iter().any(|&(peer, _)| {
+                                !sent[peer * nc + comm] || dropped[pair(comm, peer, r)]
+                            })
+                        }
+                        Instr::WaitSends { comm } => {
+                            if !sent[r * nc + comm] {
+                                break 'run Err(SimError::WaitBeforePost {
+                                    rank: r,
+                                    name: prog.names[pc].clone(),
+                                });
+                            }
+                            // A rendezvous send whose message is dropped
+                            // can never complete its handshake; eager
+                            // sends are buffered and complete locally
+                            // even when lost.
+                            prog.comms[comm].sends[r].iter().any(|&(peer, bytes)| {
+                                !platform.is_eager(bytes)
+                                    && (!received[peer * nc + comm] || dropped[pair(comm, r, peer)])
+                            })
+                        }
+                        Instr::AllReduce { comm } => {
+                            // Register this rank's entry once; complete
+                            // only when all ranks have entered.
+                            if !std::mem::replace(&mut entered[comm * nr + r], true) {
+                                ops.push(Op {
+                                    rank: r,
+                                    pc,
+                                    kind: Kind::Enter {
+                                        slot: comm * nr + r,
+                                    },
+                                });
+                                noted_progress = true;
+                            }
+                            entered[comm * nr..(comm + 1) * nr].contains(&false)
+                        }
+                        _ => false,
+                    };
+                    if blocked {
+                        all_done = false;
+                        break;
+                    }
+
+                    let kind = match *instr {
+                        Instr::CpuWork { dur } => {
+                            let straggle = plan.map_or(1.0, |p| p.rank_factor(r));
+                            if straggle != 1.0 {
+                                counts.faults.stragglers += 1;
+                            }
+                            Kind::Cpu { dur, straggle }
+                        }
+                        Instr::KernelLaunch { stream, dur } => {
+                            let straggle = plan.map_or(1.0, |p| p.rank_factor(r));
+                            if straggle != 1.0 {
+                                counts.faults.stragglers += 1;
+                            }
+                            let spike = plan.map_or(1.0, |p| p.kernel_spike(r, pc));
+                            if spike != 1.0 {
+                                counts.faults.spikes += 1;
+                            }
+                            // Kernels already placed in other streams of
+                            // the same GPU, stream by stream.
+                            let from = idx.len();
+                            if platform.gpu_contention != 0.0 {
+                                let gpu = platform.gpu_of(stream);
+                                for s in
+                                    (0..ns).filter(|&s| s != stream && platform.gpu_of(s) == gpu)
+                                {
+                                    idx.extend_from_slice(&launched[r * ns + s]);
+                                }
+                            }
+                            launched[r * ns + stream].push(kernels);
+                            kernels += 1;
+                            Kind::Kernel {
+                                stream,
+                                tail: r * ns + stream,
+                                slot: kernels - 1,
+                                dur,
+                                straggle,
+                                spike,
+                                contenders: from..idx.len(),
+                            }
+                        }
+                        Instr::EventRecord { event, stream } => {
+                            counts.sync_cer += 1;
+                            recorded[r * ne + event] = Some(stream);
+                            Kind::Record {
+                                event: r * ne + event,
+                                tail: r * ns + stream,
+                            }
+                        }
+                        Instr::EventSync { ref events } => {
+                            counts.sync_ces += 1;
+                            let from = idx.len();
+                            for &e in events.iter() {
+                                recorded[r * ne + e].expect("schedule orders records before syncs");
+                                idx.push(r * ne + e);
+                            }
+                            Kind::Sync {
+                                events: from..idx.len(),
+                            }
+                        }
+                        Instr::StreamWaitEvent { stream, event } => {
+                            counts.sync_cswe += 1;
+                            let src_stream = recorded[r * ne + event]
+                                .expect("schedule orders records before stream waits");
+                            Kind::StreamWait {
+                                event: r * ne + event,
+                                tail: r * ns + stream,
+                                // Peer synchronization crosses the GPU
+                                // interconnect.
+                                cross_gpu: platform.gpu_of(src_stream) != platform.gpu_of(stream),
+                            }
+                        }
+                        Instr::PostSends { comm } => {
+                            sent[r * nc + comm] = true;
+                            let list = &prog.comms[comm].sends[r];
+                            let from = idx.len();
+                            for (i, &(peer, _)) in list.iter().enumerate() {
+                                let first = !list[..i].iter().any(|&(p, _)| p == peer);
+                                idx.push(if first {
+                                    msgs[msg_of[pair(comm, r, peer)]].send
+                                } else {
+                                    sink
+                                });
+                            }
+                            Kind::Post {
+                                overhead: platform.isend_overhead,
+                                slots: from..idx.len(),
+                            }
+                        }
+                        Instr::PostRecvs { comm } => {
+                            received[r * nc + comm] = true;
+                            let list = &prog.comms[comm].recvs[r];
+                            let from = idx.len();
+                            for (i, &(peer, _)) in list.iter().enumerate() {
+                                let first = !list[..i].iter().any(|&(p, _)| p == peer);
+                                idx.push(if first {
+                                    msgs[msg_of[pair(comm, peer, r)]].recv
+                                } else {
+                                    sink
+                                });
+                            }
+                            Kind::Post {
+                                overhead: platform.irecv_overhead,
+                                slots: from..idx.len(),
+                            }
+                        }
+                        Instr::WaitRecvs { comm } | Instr::WaitSends { comm } => {
+                            let recvs = matches!(instr, Instr::WaitRecvs { .. });
+                            let table = &prog.comms[comm];
+                            let list = if recvs {
+                                &table.recvs[r]
+                            } else {
+                                &table.sends[r]
+                            };
+                            let from = idx.len();
+                            for &(peer, _) in list {
+                                let m = if recvs {
+                                    msg_of[pair(comm, peer, r)]
+                                } else {
+                                    msg_of[pair(comm, r, peer)]
+                                };
+                                if !std::mem::replace(&mut moved[m], true) {
+                                    counts.bytes_moved += msgs[m].bytes;
+                                    if msgs[m].eager {
+                                        counts.eager_msgs += 1;
+                                    } else {
+                                        counts.rendezvous_msgs += 1;
+                                    }
+                                    if msgs[m].delay.is_some() {
+                                        counts.faults.delays += 1;
+                                    }
+                                    ops.push(Op {
+                                        rank: r,
+                                        pc,
+                                        kind: Kind::Transfer { msg: m },
+                                    });
+                                }
+                                idx.push(m);
+                            }
+                            let msgs = from..idx.len();
+                            if recvs {
+                                Kind::WaitRecvs { msgs }
+                            } else {
+                                Kind::WaitSends { msgs }
+                            }
+                        }
+                        Instr::AllReduce { comm } => {
+                            let bytes = prog.comms[comm].sends[r]
+                                .first()
+                                .map(|&(_, b)| b)
+                                .expect("collective pattern validated at compile time");
+                            counts.collective_ops += 1;
+                            counts.bytes_moved += bytes;
+                            Kind::AllReduce {
+                                entries: comm * nr..(comm + 1) * nr,
+                                time: platform.collective_time(nr, bytes),
+                            }
+                        }
+                        Instr::DeviceSync => Kind::DeviceSync {
+                            tails: r * ns..(r + 1) * ns,
+                        },
+                    };
+                    ops.push(Op { rank: r, pc, kind });
+                    steps += 1;
+                    counts.instructions += 1;
+                    pcs[r] += 1;
+                    progressed = true;
                 }
             }
             if all_done {
-                return Ok(RunEnd::Done);
+                break Ok(());
             }
-            if self.platform.max_virtual_time > 0.0 {
-                let vt = self.ranks.iter().map(|r| r.cpu).fold(0.0, f64::max);
-                if vt > self.platform.max_virtual_time {
-                    return Err(SimError::Budget {
-                        steps: self.steps,
-                        detail: format!(
-                            "virtual time {vt:.6}s exceeds limit {:.6}s",
-                            self.platform.max_virtual_time
-                        ),
-                    });
-                }
-            }
-            progressed |= std::mem::take(&mut self.noted_progress);
+            ops.push(Op {
+                rank: 0,
+                pc: 0,
+                kind: Kind::SweepEnd { steps },
+            });
+            progressed |= std::mem::take(&mut noted_progress);
             if !progressed {
-                if any_capped {
-                    return Ok(RunEnd::Capped);
-                }
-                let blocked: Vec<String> = (0..self.prog.num_ranks)
-                    .filter(|&r| self.ranks[r].pc < self.prog.instrs[r].len())
-                    .map(|r| format!("rank {r} at {}", self.prog.names[self.ranks[r].pc]))
+                let blocked: Vec<String> = (0..nr)
+                    .filter(|&r| pcs[r] < prog.instrs[r].len())
+                    .map(|r| format!("rank {r} at {}", prog.names[pcs[r]]))
                     .collect();
-                return Err(SimError::Deadlock {
+                break Err(SimError::Deadlock {
                     detail: blocked.join("; "),
                 });
             }
+        };
+
+        let state = State {
+            cpu: vec![0.0; nr],
+            tail: vec![0.0; nr * ns],
+            events: vec![0.0; nr * ne],
+            posts: vec![0.0; sink + 1],
+            xfer: vec![(0.0, 0.0); msgs.len()],
+            entries: vec![0.0; nc * nr],
+            kernels: vec![(0.0, 0.0); kernels],
+            cpu_busy: vec![0.0; nr],
+            stream_busy: vec![0.0; nr * ns],
+        };
+        Tape {
+            prog,
+            platform,
+            ops,
+            idx,
+            msgs,
+            counts,
+            end,
+            state,
         }
     }
 
-    /// Consumes a [`RunEnd::Done`] executor into its outcome.
-    pub(crate) fn into_result(mut self) -> (ExecOutcome, Option<Trace>, SimStats) {
-        self.stats.runs = 1;
-        (
-            ExecOutcome {
-                rank_times: self.ranks.iter().map(|r| r.cpu).collect(),
-            },
-            self.trace,
-            self.stats,
-        )
+    /// One invocation whose noise is entirely determined by
+    /// `sample_seed`, returning its outcome and statistics and pushing a
+    /// span per retired instruction (and per kernel) into `trace` if
+    /// given.
+    pub fn replay(
+        &mut self,
+        sample_seed: u64,
+        trace: Option<&mut Trace>,
+    ) -> Result<(ExecOutcome, SimStats), SimError> {
+        self.run(Noise::new(self.platform, sample_seed, None), trace)?;
+        let mut stats = SimStats::for_shape(self.prog.num_ranks, self.prog.num_streams);
+        self.fold_stats(&mut stats);
+        Ok((self.outcome(), stats))
     }
 
-    /// Noise factor for the instruction at `(rank, pc)`.
-    #[inline]
-    fn instr_noise(&mut self, r: usize, pc: usize) -> f64 {
-        match self.noise_tab.as_deref_mut() {
-            Some(tab) => tab.instr_factor(&self.platform.noise, self.sample_seed, r, pc),
-            None => self
-                .platform
-                .noise
-                .factor_keyed(self.sample_seed, instr_key(r, pc)),
-        }
-    }
-
-    /// Noise factor for the wire `src → dst` under `comm`.
-    #[inline]
-    fn wire_noise(&mut self, comm: usize, src: usize, dst: usize) -> f64 {
-        match self.noise_tab.as_deref_mut() {
-            Some(tab) => tab.wire_factor(&self.platform.noise, self.sample_seed, comm, src, dst),
-            None => self
-                .platform
-                .noise
-                .factor_keyed(self.sample_seed, wire_key(comm, src, dst)),
-        }
-    }
-
-    fn step(&mut self, r: usize, limit: usize) -> Result<Step, SimError> {
-        let prog = self.prog;
-        let pc = self.ranks[r].pc;
-        if pc >= prog.instrs[r].len() {
-            return Ok(Step::Done);
-        }
-        if pc >= limit {
-            return Ok(Step::Capped);
-        }
-        if self.platform.max_steps > 0 && self.steps >= self.platform.max_steps {
-            return Err(SimError::Budget {
-                steps: self.steps,
-                detail: format!("step limit {} reached", self.platform.max_steps),
-            });
-        }
-        // Blocking checks first (no state mutation on a blocked step).
-        match &prog.instrs[r][pc] {
-            Instr::WaitRecvs { comm } => {
-                if self.ranks[r].recv_posts[*comm].is_none() {
-                    return Err(SimError::WaitBeforePost {
-                        rank: r,
-                        name: prog.names[pc].clone(),
-                    });
+    /// The allocation-free core of [`replay`](Tape::replay): one
+    /// invocation under `noise`, leaving its results in the tape's state.
+    pub(crate) fn run(
+        &mut self,
+        mut noise: Noise<'_>,
+        mut trace: Option<&mut Trace>,
+    ) -> Result<(), SimError> {
+        let p = self.platform;
+        let idx = &self.idx;
+        let st = &mut self.state;
+        st.cpu.fill(0.0);
+        st.tail.fill(0.0);
+        st.cpu_busy.fill(0.0);
+        st.stream_busy.fill(0.0);
+        for op in &self.ops {
+            let r = op.rank;
+            let cpu_before = st.cpu[r];
+            let mut kernel_span: Option<(usize, usize, f64, f64)> = None;
+            match op.kind {
+                Kind::Cpu { dur, straggle } => {
+                    st.cpu[r] += dur * noise.instr(r, op.pc) * straggle;
                 }
-                for &(peer, _) in &prog.comms[*comm].recvs[r] {
-                    // A dropped send never arrives: the receiver blocks
-                    // forever and the deadlock detector reports it.
-                    if self.ranks[peer].send_posts[*comm].is_none()
-                        || self.is_dropped(*comm, peer, r)
-                    {
-                        return Ok(Step::Blocked);
+                Kind::Kernel {
+                    stream,
+                    tail,
+                    slot,
+                    dur,
+                    straggle,
+                    spike,
+                    ref contenders,
+                } => {
+                    let f = noise.instr(r, op.pc);
+                    st.cpu[r] += p.kernel_launch_overhead;
+                    let start = st.cpu[r].max(st.tail[tail]);
+                    let end = st.contended_end(
+                        p.gpu_contention,
+                        &idx[contenders.clone()],
+                        start,
+                        dur * f * straggle * spike,
+                    );
+                    st.tail[tail] = end;
+                    st.kernels[slot] = (start, end);
+                    kernel_span = Some((stream, tail, start, end));
+                }
+                Kind::Record { event, tail } => {
+                    st.cpu[r] += p.event_record_overhead;
+                    // The record is an in-stream marker: it completes when
+                    // everything enqueued in the stream so far has
+                    // completed.
+                    st.events[event] = st.tail[tail].max(st.cpu[r]);
+                }
+                Kind::Sync { ref events } => {
+                    let mut t = st.cpu[r] + p.event_sync_overhead;
+                    for &e in &idx[events.clone()] {
+                        t = t.max(st.events[e]);
+                    }
+                    st.cpu[r] = t;
+                }
+                Kind::StreamWait {
+                    event,
+                    tail,
+                    cross_gpu,
+                } => {
+                    st.cpu[r] += p.stream_wait_overhead;
+                    let mut et = st.events[event];
+                    if cross_gpu {
+                        et += p.cross_gpu_sync_latency;
+                    }
+                    st.tail[tail] = st.tail[tail].max(et);
+                }
+                Kind::Post {
+                    overhead,
+                    ref slots,
+                } => {
+                    for &s in &idx[slots.clone()] {
+                        st.cpu[r] += overhead;
+                        st.posts[s] = st.cpu[r];
                     }
                 }
-            }
-            Instr::WaitSends { comm } => {
-                if self.ranks[r].send_posts[*comm].is_none() {
-                    return Err(SimError::WaitBeforePost {
-                        rank: r,
-                        name: prog.names[pc].clone(),
-                    });
-                }
-                for &(peer, bytes) in &prog.comms[*comm].sends[r] {
-                    // A rendezvous send whose message is dropped can
-                    // never complete its handshake; eager sends are
-                    // buffered and complete locally even when lost.
-                    if !self.platform.is_eager(bytes)
-                        && (self.ranks[peer].recv_posts[*comm].is_none()
-                            || self.is_dropped(*comm, r, peer))
-                    {
-                        return Ok(Step::Blocked);
+                Kind::WaitRecvs { ref msgs } => {
+                    let mut t = st.cpu[r] + p.wait_overhead;
+                    for &m in &idx[msgs.clone()] {
+                        t = t.max(st.xfer[m].0);
                     }
+                    st.cpu[r] = t;
+                }
+                Kind::WaitSends { ref msgs } => {
+                    let mut t = st.cpu[r] + p.wait_overhead;
+                    for &m in &idx[msgs.clone()] {
+                        t = t.max(st.xfer[m].1);
+                    }
+                    st.cpu[r] = t;
+                }
+                Kind::AllReduce { ref entries, time } => {
+                    let entered = st.entries[entries.clone()]
+                        .iter()
+                        .copied()
+                        .fold(0.0, f64::max);
+                    let dur = time * noise.instr(r, op.pc);
+                    st.cpu[r] = entered.max(st.cpu[r]) + p.wait_overhead + dur;
+                }
+                Kind::DeviceSync { ref tails } => {
+                    let tail_max = st.tail[tails.clone()]
+                        .iter()
+                        .copied()
+                        .fold(0.0f64, f64::max);
+                    st.cpu[r] = st.cpu[r].max(tail_max);
+                }
+                Kind::Transfer { msg } => {
+                    let m = &self.msgs[msg];
+                    let send_post = st.posts[m.send];
+                    let mut wire = m.wire * noise.wire(m.comm, m.src, m.dst);
+                    if let Some(extra) = m.delay {
+                        wire += extra;
+                    }
+                    st.xfer[msg] = if m.eager {
+                        // Eager: payload leaves immediately and the send
+                        // completes at once (buffered). The receiver's
+                        // wait clamps the arrival to its own timeline,
+                        // which is already past its receive post.
+                        (send_post + wire, send_post)
+                    } else {
+                        // Rendezvous: the transfer starts once both sides
+                        // have posted.
+                        let arrival = send_post.max(st.posts[m.recv]) + wire;
+                        (arrival, arrival)
+                    };
+                    continue;
+                }
+                Kind::Enter { slot } => {
+                    st.entries[slot] = st.cpu[r];
+                    continue;
+                }
+                Kind::SweepEnd { steps } => {
+                    if p.max_virtual_time > 0.0 {
+                        let vt = st.cpu.iter().copied().fold(0.0, f64::max);
+                        if vt > p.max_virtual_time {
+                            return Err(SimError::Budget {
+                                steps,
+                                detail: format!(
+                                    "virtual time {vt:.6}s exceeds limit {:.6}s",
+                                    p.max_virtual_time
+                                ),
+                            });
+                        }
+                    }
+                    continue;
                 }
             }
-            Instr::AllReduce { comm } => {
-                // Register this rank's entry once; complete only when all
-                // ranks have entered (blocking collective semantics).
-                if self.ranks[r].collective_entry[*comm].is_none() {
-                    self.ranks[r].collective_entry[*comm] = Some(self.ranks[r].cpu);
-                    self.noted_progress = true;
-                }
-                let comm = *comm;
-                if (0..prog.num_ranks).any(|p| self.ranks[p].collective_entry[comm].is_none()) {
-                    return Ok(Step::Blocked);
-                }
+            st.cpu_busy[r] += st.cpu[r] - cpu_before;
+            if let Some((_, slot, start, end)) = kernel_span {
+                st.stream_busy[slot] += end - start;
             }
-            _ => {}
-        }
-
-        let cpu_before = self.ranks[r].cpu;
-        let mut kernel_span: Option<(usize, f64, f64)> = None;
-        match &prog.instrs[r][pc] {
-            Instr::CpuWork { dur } => {
-                let f = self.instr_noise(r, pc);
-                let straggle = self.rank_factors[r];
-                if straggle != 1.0 {
-                    self.stats.faults.stragglers += 1;
-                }
-                self.ranks[r].cpu += dur * f * straggle;
-            }
-            Instr::KernelLaunch { stream, dur } => {
-                let (stream, dur) = (*stream, *dur);
-                let f = self.instr_noise(r, pc);
-                let straggle = self.rank_factors[r];
-                if straggle != 1.0 {
-                    self.stats.faults.stragglers += 1;
-                }
-                let spike = match &self.platform.faults {
-                    Some(plan) => plan.kernel_spike(r, pc),
-                    None => 1.0,
-                };
-                if spike != 1.0 {
-                    self.stats.faults.spikes += 1;
-                }
-                self.ranks[r].cpu += self.platform.kernel_launch_overhead;
-                let start = self.ranks[r].cpu.max(self.ranks[r].stream_tail[stream]);
-                let end = self.contended_end(r, stream, start, dur * f * straggle * spike);
-                self.ranks[r].stream_tail[stream] = end;
-                self.ranks[r].kernel_intervals[stream].push((start, end));
-                kernel_span = Some((stream, start, end));
-            }
-            Instr::EventRecord { event, stream } => {
-                self.stats.sync_cer += 1;
-                self.ranks[r].cpu += self.platform.event_record_overhead;
-                // The record is an in-stream marker: it completes when
-                // everything enqueued in the stream so far has completed.
-                self.ranks[r].event_time[*event] =
-                    Some(self.ranks[r].stream_tail[*stream].max(self.ranks[r].cpu));
-                self.ranks[r].event_stream[*event] = Some(*stream);
-            }
-            Instr::EventSync { events } => {
-                self.stats.sync_ces += 1;
-                let mut t = self.ranks[r].cpu + self.platform.event_sync_overhead;
-                for &e in events.iter() {
-                    let et =
-                        self.ranks[r].event_time[e].expect("schedule orders records before syncs");
-                    t = t.max(et);
-                }
-                self.ranks[r].cpu = t;
-            }
-            Instr::StreamWaitEvent { stream, event } => {
-                self.stats.sync_cswe += 1;
-                self.ranks[r].cpu += self.platform.stream_wait_overhead;
-                let mut et = self.ranks[r].event_time[*event]
-                    .expect("schedule orders records before stream waits");
-                let src_stream =
-                    self.ranks[r].event_stream[*event].expect("recorded events know their stream");
-                if self.platform.gpu_of(src_stream) != self.platform.gpu_of(*stream) {
-                    // Peer synchronization crosses the GPU interconnect.
-                    et += self.platform.cross_gpu_sync_latency;
-                }
-                let tail = &mut self.ranks[r].stream_tail[*stream];
-                *tail = tail.max(et);
-            }
-            Instr::PostSends { comm } => {
-                let mut posts = Vec::with_capacity(prog.comms[*comm].sends[r].len());
-                for &(peer, bytes) in &prog.comms[*comm].sends[r] {
-                    self.ranks[r].cpu += self.platform.isend_overhead;
-                    posts.push((peer, bytes, self.ranks[r].cpu));
-                }
-                self.ranks[r].send_posts[*comm] = Some(posts);
-            }
-            Instr::PostRecvs { comm } => {
-                let mut posts = Vec::with_capacity(prog.comms[*comm].recvs[r].len());
-                for &(peer, bytes) in &prog.comms[*comm].recvs[r] {
-                    self.ranks[r].cpu += self.platform.irecv_overhead;
-                    posts.push((peer, bytes, self.ranks[r].cpu));
-                }
-                self.ranks[r].recv_posts[*comm] = Some(posts);
-            }
-            Instr::WaitRecvs { comm } => {
-                let mut t = self.ranks[r].cpu + self.platform.wait_overhead;
-                for &(peer, _) in &prog.comms[*comm].recvs[r] {
-                    let (arrival, _) = self.transfer(*comm, peer, r);
-                    t = t.max(arrival);
-                }
-                self.ranks[r].cpu = t;
-            }
-            Instr::WaitSends { comm } => {
-                let mut t = self.ranks[r].cpu + self.platform.wait_overhead;
-                for &(peer, _) in &prog.comms[*comm].sends[r] {
-                    let (_, send_complete) = self.transfer(*comm, r, peer);
-                    t = t.max(send_complete);
-                }
-                self.ranks[r].cpu = t;
-            }
-            Instr::AllReduce { comm } => {
-                let entries: f64 = (0..prog.num_ranks)
-                    .map(|p| {
-                        self.ranks[p].collective_entry[*comm]
-                            .expect("blocking logic ensures all ranks entered")
-                    })
-                    .fold(0.0, f64::max);
-                let bytes = prog.comms[*comm].sends[r]
-                    .first()
-                    .map(|&(_, b)| b)
-                    .expect("collective pattern validated at compile time");
-                let dur =
-                    self.platform.collective_time(prog.num_ranks, bytes) * self.instr_noise(r, pc);
-                self.ranks[r].cpu =
-                    entries.max(self.ranks[r].cpu) + self.platform.wait_overhead + dur;
-                self.stats.collective_ops += 1;
-                self.stats.bytes_moved += bytes;
-            }
-            Instr::DeviceSync => {
-                let tail_max = self.ranks[r]
-                    .stream_tail
-                    .iter()
-                    .copied()
-                    .fold(0.0f64, f64::max);
-                self.ranks[r].cpu = self.ranks[r].cpu.max(tail_max);
-            }
-        }
-        self.steps += 1;
-        self.stats.instructions += 1;
-        self.stats.cpu_busy[r] += self.ranks[r].cpu - cpu_before;
-        if let Some((stream, start, end)) = kernel_span {
-            self.stats.stream_busy[r][stream] += end - start;
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.events.push(TraceEvent {
-                rank: r,
-                name: prog.names[pc].clone(),
-                resource: Resource::Cpu,
-                start: cpu_before,
-                end: self.ranks[r].cpu,
-            });
-            if let Some((stream, start, end)) = kernel_span {
+            if let Some(trace) = trace.as_deref_mut() {
+                let name = &self.prog.names[op.pc];
                 trace.events.push(TraceEvent {
                     rank: r,
-                    name: prog.names[pc].clone(),
-                    resource: Resource::Stream(stream),
-                    start,
-                    end,
+                    name: name.clone(),
+                    resource: Resource::Cpu,
+                    start: cpu_before,
+                    end: st.cpu[r],
                 });
+                if let Some((stream, _, start, end)) = kernel_span {
+                    trace.events.push(TraceEvent {
+                        rank: r,
+                        name: name.clone(),
+                        resource: Resource::Stream(stream),
+                        start,
+                        end,
+                    });
+                }
             }
         }
-        self.ranks[r].pc += 1;
-        Ok(Step::Advanced)
+        self.end.clone()
     }
 
-    #[inline]
-    fn is_dropped(&self, comm: usize, src: usize, dst: usize) -> bool {
-        let n = self.prog.num_ranks;
-        self.dropped[(comm * n + src) * n + dst]
+    /// The last replay's per-rank finish times.
+    pub(crate) fn rank_times(&self) -> &[f64] {
+        &self.state.cpu
     }
 
+    /// The last replay's outcome.
+    fn outcome(&self) -> ExecOutcome {
+        ExecOutcome {
+            rank_times: self.state.cpu.clone(),
+        }
+    }
+
+    /// Folds the last replay's statistics into `stats`, which must be
+    /// shaped for this program.
+    pub(crate) fn fold_stats(&self, stats: &mut SimStats) {
+        stats.merge(&self.counts);
+        for (a, b) in stats.cpu_busy.iter_mut().zip(&self.state.cpu_busy) {
+            *a += b;
+        }
+        let ns = self.prog.num_streams;
+        for (r, per_rank) in stats.stream_busy.iter_mut().enumerate() {
+            for (a, b) in per_rank.iter_mut().zip(&self.state.stream_busy[r * ns..]) {
+                *a += b;
+            }
+        }
+    }
+}
+
+impl State {
     /// Kernel end time under the inter-stream contention model: a kernel
-    /// accrues `gpu_contention` extra seconds per second of overlap with
-    /// kernels already placed in *other streams of the same GPU*. Solved
-    /// by a short fixed point: extending the kernel can only add bounded
-    /// overlap.
-    fn contended_end(&self, r: usize, stream: usize, start: f64, dur: f64) -> f64 {
-        let c = self.platform.gpu_contention;
+    /// accrues `c` extra seconds per second of overlap with the
+    /// `contenders` (kernels already placed in other streams of the same
+    /// GPU). Solved by a short fixed point: extending the kernel can only
+    /// add bounded overlap.
+    fn contended_end(&self, c: f64, contenders: &[usize], start: f64, dur: f64) -> f64 {
         if c == 0.0 {
             return start + dur;
         }
-        let gpu = self.platform.gpu_of(stream);
         let mut end = start + dur;
         for _ in 0..8 {
             let mut overlap = 0.0;
-            for (s, intervals) in self.ranks[r].kernel_intervals.iter().enumerate() {
-                if s == stream || self.platform.gpu_of(s) != gpu {
-                    continue;
-                }
-                for &(a, b) in intervals {
-                    overlap += (end.min(b) - start.max(a)).max(0.0);
-                }
+            for &k in contenders {
+                let (a, b) = self.kernels[k];
+                overlap += (end.min(b) - start.max(a)).max(0.0);
             }
             let new_end = start + dur + c * overlap;
             if (new_end - end).abs() < 1e-12 {
@@ -773,68 +919,6 @@ impl<'a> Executor<'a> {
             end = new_end;
         }
         end
-    }
-
-    /// Arrival time at `dst` and completion time at `src` of the message
-    /// `src → dst` under `comm`, computed once and cached. Both post times
-    /// must already be known for rendezvous messages (the step() blocking
-    /// logic guarantees it); eager messages need only the send post. The
-    /// wire-time noise is keyed by `(comm, src, dst)`, so the cache is
-    /// purely a fast path — recomputation would yield the same times.
-    fn transfer(&mut self, comm: usize, src: usize, dst: usize) -> (f64, f64) {
-        let n = self.prog.num_ranks;
-        let slot = (comm * n + src) * n + dst;
-        if let Some(cached) = self.arrivals[slot] {
-            return cached;
-        }
-        let bytes = self.prog.comms[comm].sends[src]
-            .iter()
-            .find(|&&(p, _)| p == dst)
-            .map(|&(_, b)| b)
-            .expect("comm table validated pairwise at compile time");
-        let send_post = self.ranks[src].send_posts[comm]
-            .as_ref()
-            .expect("blocking logic ensures sender posted")
-            .iter()
-            .find(|&&(p, _, _)| p == dst)
-            .map(|&(_, _, t)| t)
-            .expect("validated pairwise");
-        let recv_post = self.ranks[dst].recv_posts[comm].as_ref().map(|posts| {
-            posts
-                .iter()
-                .find(|&&(p, _, _)| p == src)
-                .map(|&(_, _, t)| t)
-                .expect("validated pairwise")
-        });
-        let mut wire = self.platform.wire_time(bytes) * self.wire_noise(comm, src, dst);
-        if let Some(plan) = &self.platform.faults {
-            let key = dr_fault::key_hash(&self.prog.comms[comm].key.0);
-            if let Some(dr_fault::MessageFault::Delay(extra)) = plan.message(key, src, dst) {
-                wire += extra;
-                self.stats.faults.delays += 1;
-            }
-        }
-        self.stats.bytes_moved += bytes;
-        if self.platform.is_eager(bytes) {
-            self.stats.eager_msgs += 1;
-        } else {
-            self.stats.rendezvous_msgs += 1;
-        }
-        let result = if self.platform.is_eager(bytes) {
-            // Eager: payload leaves immediately and the send completes at
-            // once (buffered). The receiver's wait clamps the arrival to
-            // its own timeline, which is already past its receive post,
-            // so no recv_post term is needed here.
-            (send_post + wire, send_post)
-        } else {
-            // Rendezvous: the transfer starts once both sides have posted.
-            let rp = recv_post.expect("blocking logic ensures receiver posted");
-            let start = send_post.max(rp);
-            let arrival = start + wire;
-            (arrival, arrival)
-        };
-        self.arrivals[slot] = Some(result);
-        result
     }
 }
 

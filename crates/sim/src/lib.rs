@@ -14,7 +14,7 @@
 //!   program DAG for a concrete problem instance;
 //! * [`CompiledProgram`] — a schedule resolved against a workload;
 //! * [`execute`] — one simulated invocation across all ranks, with
-//!   deadlock detection;
+//!   deadlock detection, replayed from a tape lowered once per program;
 //! * [`benchmark`] — the paper's measurement protocol (samples until
 //!   `t_measure`, percentile records, max-over-ranks reduction).
 
@@ -36,8 +36,8 @@ pub use bench::{
 };
 pub use compile::{CommTable, CompiledProgram, Instr, SimError};
 pub use dr_fault::{FaultConfig, FaultCounters, FaultPlan, MessageFault};
-pub use exec::{execute, execute_instrumented, execute_seeded, execute_traced, ExecOutcome};
-pub use memo::{execute_checkpointed, execute_memo, SimMemo};
+pub use exec::{execute, execute_instrumented, execute_seeded, execute_traced, ExecOutcome, Tape};
+pub use memo::SimMemo;
 pub use platform::{NoiseModel, Platform};
 pub use stats::SimStats;
 pub use trace::{Resource, ResourceUtilization, Trace, TraceEvent};

@@ -1,68 +1,59 @@
-//! Prefix-memoized execution: checkpoint/resume over shared schedule
-//! prefixes, plus tabulated position-keyed noise.
+//! Tabulated position-keyed noise, shared across an exploration.
 //!
-//! MCTS explores schedules tree-wise, so consecutive evaluations share
-//! long instruction prefixes. Because execution noise is position-keyed
-//! (see [`crate::exec`]), the executor's state after retiring a prefix is
-//! a pure function of `(prefix, sample_seed)` — independent of rank
-//! interleaving and of whatever suffix follows. [`execute_memo`] exploits
-//! this two ways:
-//!
-//! * **Noise tables.** Every noise factor is a pure function of
-//!   `(sample_seed, position key)`, and the memoized bench protocol reuses
-//!   the same per-cell sample seeds for every schedule (see
-//!   [`crate::bench::benchmark_memo`]). The Box-Muller draw behind each
-//!   factor (`ln`/`sqrt`/`cos`/`exp`) dominates short executions, so the
-//!   memo tabulates factors per seed and replays them bit-identically.
-//!   This wins at every program size and is always on.
-//!
-//! * **Checkpoint snapshots.** Executor state at a few instruction
-//!   boundaries is cached in an LRU keyed by `(prefix_hash, sample_seed)`,
-//!   so a later schedule sharing the prefix re-simulates only its suffix.
-//!   Snapshots clone per-rank state, which costs more than re-running the
-//!   prefix when executions are only microseconds long — so
-//!   [`execute_memo`] engages them only for programs of at least
-//!   [`SimMemo::DEFAULT_SNAPSHOT_FLOOR`] instructions.
-//!   [`execute_checkpointed`] with explicit boundaries always snapshots.
-//!
-//! Scope: results (`ExecOutcome`, `SimStats`) and error *classification*
-//! are bit-identical to [`execute_seeded`](crate::exec::execute_seeded)
-//! for the same seed. The one documented edge is platforms with
-//! virtual-time budgets: a budget trip's diagnostic detail (the reported
-//! overshoot) can differ between the memoized and cold paths because the
-//! check runs once per sweep and bounded sweeps stop earlier. The
-//! pipeline only enables the memo path on budget-free platforms.
+//! Every noise factor is a pure function of `(sample_seed, position
+//! key)` (see [`crate::exec`]), and the memoized bench protocol reuses
+//! the same per-cell sample seeds for every schedule (see
+//! [`crate::bench::benchmark_memo`]). The Box-Muller draw behind each
+//! factor (`ln`/`sqrt`/`cos`/`exp`) dominates short executions, so the
+//! memo tabulates factors per seed and replays them bit-identically.
 
-use crate::compile::{CompiledProgram, SimError};
-use crate::exec::{ExecOutcome, ExecSnapshot, Executor, NoiseTable, RunEnd};
+use crate::compile::CompiledProgram;
+use crate::exec::NoiseTable;
 use crate::platform::Platform;
-use crate::stats::SimStats;
-use dr_par::LruCache;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a sample seed as itself: cell seeds are already avalanched.
+#[derive(Debug, Default)]
+struct SeedHasher(u64);
+
+impl Hasher for SeedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 seeds are hashed")
+    }
+
+    fn write_u64(&mut self, seed: u64) {
+        self.0 = seed;
+    }
+}
 
 /// Per-`sample_seed` noise-factor tables. A pure lookup cache: tables
 /// replay exactly what `factor_keyed` would compute, so they can never
 /// change results — only wall time. Keyed by seed because the memoized
 /// protocol cycles through a fixed set of per-cell seeds; flushed
 /// whenever the platform's noise sigma changes (one memo may serve
-/// differently-configured platforms across tests).
-struct NoiseMemo {
+/// differently-configured platforms across tests). One per worker
+/// thread, so it never needs locking.
+#[derive(Debug, Default)]
+pub struct SimMemo {
     sigma: f64,
-    tables: HashMap<u64, NoiseTable>,
+    tables: HashMap<u64, NoiseTable, BuildHasherDefault<SeedHasher>>,
 }
 
-impl NoiseMemo {
-    fn new() -> Self {
-        NoiseMemo {
-            sigma: 0.0,
-            tables: HashMap::new(),
-        }
+impl SimMemo {
+    /// Number of per-seed noise-factor tables currently held.
+    pub fn noise_tables(&self) -> usize {
+        self.tables.len()
     }
 
     /// The table for `sample_seed` on `platform`, fitted to `prog`'s
     /// shape; `None` when the platform is noiseless (every factor is 1.0
     /// — a table would only add work).
-    fn resolve(
+    pub(crate) fn table(
         &mut self,
         platform: &Platform,
         prog: &CompiledProgram,
@@ -82,170 +73,14 @@ impl NoiseMemo {
     }
 }
 
-/// A single-owner cache of executor snapshots keyed by
-/// `(prefix_hash, sample_seed)` plus per-seed noise-factor tables. One
-/// per worker thread — snapshots are plain values, so the cache never
-/// needs locking.
-pub struct SimMemo {
-    cache: LruCache<(u64, u64), ExecSnapshot>,
-    noise: NoiseMemo,
-    snapshot_floor: usize,
-}
-
-impl SimMemo {
-    /// Default snapshot capacity: comfortably covers one bench protocol's
-    /// worth of `(boundary, sample)` cells across many sibling schedules.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Programs shorter than this many instructions run without
-    /// snapshotting under [`execute_memo`]: cloning per-rank state costs
-    /// more than re-executing a microsecond-scale prefix, so below this
-    /// floor the snapshot path is a net loss and only the noise tables
-    /// are worth keeping.
-    pub const DEFAULT_SNAPSHOT_FLOOR: usize = 256;
-
-    /// An empty memo holding at most `capacity` snapshots.
-    pub fn new(capacity: usize) -> Self {
-        SimMemo {
-            cache: LruCache::new(capacity),
-            noise: NoiseMemo::new(),
-            snapshot_floor: SimMemo::DEFAULT_SNAPSHOT_FLOOR,
-        }
-    }
-
-    /// Overrides the instruction-count floor below which [`execute_memo`]
-    /// skips snapshotting (tests pin it to 0 to exercise checkpoint
-    /// resume on small programs).
-    pub fn with_snapshot_floor(mut self, min_instrs: usize) -> Self {
-        self.snapshot_floor = min_instrs;
-        self
-    }
-
-    /// Number of cached snapshots.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the memo holds no snapshots.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Executions that resumed from a cached snapshot.
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Executions that ran cold (no usable snapshot).
-    pub fn misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Number of per-seed noise-factor tables currently held.
-    pub fn noise_tables(&self) -> usize {
-        self.noise.tables.len()
-    }
-}
-
-impl Default for SimMemo {
-    fn default() -> Self {
-        SimMemo::new(SimMemo::DEFAULT_CAPACITY)
-    }
-}
-
-/// [`execute_seeded`](crate::exec::execute_seeded) with the noise-factor
-/// tables always on and prefix snapshots at the program's standard
-/// checkpoint boundaries (quartiles) when the program is at least
-/// `memo.snapshot_floor` instructions long (below that, state cloning
-/// costs more than re-running the prefix). Resumes from the deepest
-/// boundary whose `(prefix_hash, sample_seed)` snapshot is cached and
-/// snapshots every boundary it passes, then runs the suffix.
-pub fn execute_memo(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    sample_seed: u64,
-    memo: &mut SimMemo,
-) -> Result<(ExecOutcome, SimStats), SimError> {
-    let boundaries = if prog.names.len() >= memo.snapshot_floor {
-        prog.checkpoint_boundaries()
-    } else {
-        Vec::new()
-    };
-    execute_checkpointed(prog, platform, sample_seed, &boundaries, memo)
-}
-
-/// [`execute_memo`] with explicit checkpoint `boundaries` (instruction
-/// indices; out-of-range entries are ignored, order and duplicates do not
-/// matter). Exposed for tests that pin exact split points.
-pub fn execute_checkpointed(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    sample_seed: u64,
-    boundaries: &[usize],
-    memo: &mut SimMemo,
-) -> Result<(ExecOutcome, SimStats), SimError> {
-    let n = prog.names.len();
-    let mut bounds: Vec<usize> = boundaries
-        .iter()
-        .copied()
-        .filter(|&b| b > 0 && b < n)
-        .collect();
-    bounds.sort_unstable();
-    bounds.dedup();
-
-    // Field-split the memo: the executor holds the noise table mutably
-    // for the whole run while the snapshot cache is consulted alongside.
-    let SimMemo { cache, noise, .. } = memo;
-
-    // Resume from the deepest cached boundary; count one hit or miss per
-    // execution (probes use `contains`, which counts nothing).
-    let mut resume_at = None;
-    for (i, &b) in bounds.iter().enumerate().rev() {
-        if cache.contains(&(prog.prefix_hashes[b], sample_seed)) {
-            resume_at = Some((i, b));
-            break;
-        }
-    }
-    let (ex, first_uncached) = match resume_at {
-        Some((i, b)) => {
-            let snap = cache
-                .get(&(prog.prefix_hashes[b], sample_seed))
-                .expect("probed above");
-            (Executor::resume(prog, platform, sample_seed, snap), i + 1)
-        }
-        None => {
-            if let Some(&deepest) = bounds.last() {
-                let _ = cache.get(&(prog.prefix_hashes[deepest], sample_seed));
-            }
-            (Executor::new(prog, platform, false, sample_seed), 0)
-        }
-    };
-    let mut ex = ex.with_noise(noise.resolve(platform, prog, sample_seed));
-
-    for &b in &bounds[first_uncached..] {
-        match ex.run_to(b)? {
-            RunEnd::Capped => {
-                cache.insert((prog.prefix_hashes[b], sample_seed), ex.snapshot());
-            }
-            // Unreachable while `b < n`, but harmless: the final run below
-            // re-observes completion immediately.
-            RunEnd::Done => break,
-        }
-    }
-    ex.run_to(usize::MAX)?;
-    let (outcome, _, stats) = ex.into_result();
-    Ok((outcome, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_seeded;
+    use crate::exec::{execute_seeded, Noise, Tape};
     use crate::workload::TableWorkload;
     use dr_dag::{build_schedule, CommKey, CostKey, DagBuilder, DecisionSpace, OpSpec};
 
-    /// A 3-rank program with kernels and a halo exchange: enough
-    /// structure that quartile boundaries land mid-communication.
+    /// A 3-rank program with kernels and a halo exchange.
     fn halo_program() -> CompiledProgram {
         let mut b = DagBuilder::new();
         let key = CommKey::new("halo");
@@ -277,42 +112,30 @@ mod tests {
         CompiledProgram::compile(&s, &w).unwrap()
     }
 
-    #[test]
-    fn memoized_run_is_bit_identical_to_cold() {
-        let prog = halo_program();
-        let platform = Platform::perlmutter_like(); // noisy
-        assert!(
-            !prog.checkpoint_boundaries().is_empty(),
-            "program large enough to checkpoint"
-        );
-        for seed in [0u64, 1, 42, u64::MAX] {
-            let cold = execute_seeded(&prog, &platform, seed).unwrap();
-            let mut memo = SimMemo::default().with_snapshot_floor(0);
-            let first = execute_memo(&prog, &platform, seed, &mut memo).unwrap();
-            assert_eq!(first, cold, "cold-memo run diverged (seed {seed})");
-            assert!(!memo.is_empty(), "boundaries were snapshotted");
-            let warm = execute_memo(&prog, &platform, seed, &mut memo).unwrap();
-            assert_eq!(warm, cold, "warm-memo run diverged (seed {seed})");
-        }
+    /// One replay of `prog` at `seed` with noise from `memo`'s table.
+    fn tabled(
+        prog: &CompiledProgram,
+        platform: &Platform,
+        seed: u64,
+        memo: &mut SimMemo,
+    ) -> Vec<f64> {
+        let mut tape = Tape::lower(prog, platform);
+        let noise = Noise::new(platform, seed, memo.table(platform, prog, seed));
+        tape.run(noise, None).unwrap();
+        tape.rank_times().to_vec()
     }
 
     #[test]
-    fn snapshot_floor_skips_snapshots_but_keeps_noise_tables() {
-        // Under the default floor, a small program runs without snapshots
-        // (no clones, no hit/miss accounting) yet stays bit-identical to
-        // cold — the per-seed noise tables replay the same factors.
+    fn tabled_noise_is_bit_identical_to_direct_draws() {
         let prog = halo_program();
-        assert!(prog.names.len() < SimMemo::DEFAULT_SNAPSHOT_FLOOR);
         let platform = Platform::perlmutter_like(); // noisy
         let mut memo = SimMemo::default();
-        for seed in [3u64, 4, 3] {
-            let cold = execute_seeded(&prog, &platform, seed).unwrap();
-            let memoed = execute_memo(&prog, &platform, seed, &mut memo).unwrap();
-            assert_eq!(memoed, cold, "gated run diverged (seed {seed})");
+        for seed in [3u64, 4, 3, u64::MAX] {
+            let (direct, _) = execute_seeded(&prog, &platform, seed).unwrap();
+            let memoed = tabled(&prog, &platform, seed, &mut memo);
+            assert_eq!(memoed, direct.rank_times, "seed {seed} diverged");
         }
-        assert!(memo.is_empty(), "floor must suppress snapshots");
-        assert_eq!((memo.hits(), memo.misses()), (0, 0));
-        assert_eq!(memo.noise_tables(), 2, "one table per distinct seed");
+        assert_eq!(memo.noise_tables(), 3, "one table per distinct seed");
     }
 
     #[test]
@@ -325,92 +148,22 @@ mod tests {
         louder.noise.sigma *= 3.0;
         let mut memo = SimMemo::default();
         for platform in [&noisy, &louder, &noisy] {
-            let cold = execute_seeded(&prog, platform, 11).unwrap();
-            let memoed = execute_memo(&prog, platform, 11, &mut memo).unwrap();
-            assert_eq!(memoed, cold, "sigma change leaked stale factors");
+            let (direct, _) = execute_seeded(&prog, platform, 11).unwrap();
+            let memoed = tabled(&prog, platform, 11, &mut memo);
+            assert_eq!(
+                memoed, direct.rank_times,
+                "sigma change leaked stale factors"
+            );
         }
     }
 
     #[test]
-    fn warm_runs_hit_the_deepest_boundary() {
+    fn noiseless_platforms_build_no_tables() {
         let prog = halo_program();
         let platform = Platform::perlmutter_like().noiseless();
-        let mut memo = SimMemo::default().with_snapshot_floor(0);
-        let _ = execute_memo(&prog, &platform, 7, &mut memo).unwrap();
-        assert_eq!((memo.hits(), memo.misses()), (0, 1));
-        let _ = execute_memo(&prog, &platform, 7, &mut memo).unwrap();
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        // A different seed is a different noise cell: miss again.
-        let _ = execute_memo(&prog, &platform, 8, &mut memo).unwrap();
-        assert_eq!((memo.hits(), memo.misses()), (1, 2));
-    }
-
-    #[test]
-    fn explicit_boundaries_match_cold_at_every_split_point() {
-        let prog = halo_program();
-        let platform = Platform::perlmutter_like();
-        let n = prog.names.len();
-        let cold = execute_seeded(&prog, &platform, 3).unwrap();
-        for split in 0..=n + 1 {
-            let mut memo = SimMemo::default();
-            let once = execute_checkpointed(&prog, &platform, 3, &[split], &mut memo).unwrap();
-            assert_eq!(once, cold, "split {split} diverged cold");
-            let again = execute_checkpointed(&prog, &platform, 3, &[split], &mut memo).unwrap();
-            assert_eq!(again, cold, "split {split} diverged warm");
-        }
-    }
-
-    #[test]
-    fn sibling_schedules_share_prefix_snapshots() {
-        // Two traversals of the same space agree on a schedule prefix, so
-        // the second benefits from the first's snapshots.
-        let mut b = DagBuilder::new();
-        let pre = b.add("pre", OpSpec::CpuWork(CostKey::new("pre")));
-        let k1 = b.add("k1", OpSpec::GpuKernel(CostKey::new("k1")));
-        let k2 = b.add("k2", OpSpec::GpuKernel(CostKey::new("k2")));
-        let k3 = b.add("k3", OpSpec::GpuKernel(CostKey::new("k3")));
-        b.edge(pre, k1);
-        b.edge(k1, k2);
-        b.edge(k1, k3);
-        let sp = DecisionSpace::new(b.build().unwrap(), 2).unwrap();
-        let mut w = TableWorkload::new(2);
-        for (k, d) in [("pre", 4e-5), ("k1", 8e-5), ("k2", 6e-5), ("k3", 5e-5)] {
-            w.cost_all(k, d);
-        }
-        let progs: Vec<CompiledProgram> = sp
-            .enumerate()
-            .map(|t| CompiledProgram::compile(&build_schedule(&sp, &t), &w).unwrap())
-            .collect();
-        assert!(progs.len() >= 2);
-        let platform = Platform::perlmutter_like();
-        let mut memo = SimMemo::default().with_snapshot_floor(0);
-        let mut shared_any = false;
-        for (i, prog) in progs.iter().enumerate() {
-            let cold = execute_seeded(prog, &platform, 9).unwrap();
-            let memoed = execute_memo(prog, &platform, 9, &mut memo).unwrap();
-            assert_eq!(memoed, cold, "schedule {i} diverged");
-            shared_any |= memo.hits() > 0;
-        }
-        assert!(shared_any, "no schedule pair shared a prefix snapshot");
-    }
-
-    #[test]
-    fn empty_boundary_list_runs_cold() {
-        let mut b = DagBuilder::new();
-        b.add("c", OpSpec::CpuWork(CostKey::new("c")));
-        let sp = DecisionSpace::new(b.build().unwrap(), 1).unwrap();
-        let t = sp.enumerate().next().unwrap();
-        let mut w = TableWorkload::new(2);
-        w.cost_all("c", 1e-5);
-        let prog = CompiledProgram::compile(&build_schedule(&sp, &t), &w).unwrap();
-        let platform = Platform::perlmutter_like();
         let mut memo = SimMemo::default();
-        let cold = execute_seeded(&prog, &platform, 5).unwrap();
-        // No usable boundaries: 0 and >= len are filtered out.
-        let n = prog.names.len();
-        let memoed = execute_checkpointed(&prog, &platform, 5, &[0, n, n + 3], &mut memo).unwrap();
-        assert_eq!(memoed, cold);
-        assert!(memo.is_empty(), "no in-range boundary, nothing cached");
-        assert_eq!((memo.hits(), memo.misses()), (0, 0));
+        let (direct, _) = execute_seeded(&prog, &platform, 5).unwrap();
+        assert_eq!(tabled(&prog, &platform, 5, &mut memo), direct.rank_times);
+        assert_eq!(memo.noise_tables(), 0);
     }
 }

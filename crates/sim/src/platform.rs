@@ -46,8 +46,9 @@ impl NoiseModel {
     /// log-normal factor, but derived purely from `(seed, key)` with a
     /// splitmix64 avalanche instead of a sequential generator. Because
     /// the draw is a pure function of its position key, it is independent
-    /// of execution interleaving — the property that makes resuming a run
-    /// from a mid-execution checkpoint bit-identical to a cold run.
+    /// of execution interleaving — the property that lets a replay tape
+    /// draw factors in its own order and still reproduce round-robin
+    /// execution bit for bit.
     pub fn factor_keyed(&self, seed: u64, key: u64) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;

@@ -1,0 +1,137 @@
+//! Property tests for the replay tape: a tape keeps its per-sample state
+//! and resets it in place, so replaying sample `k` after arbitrary
+//! earlier samples must equal a fresh tape's replay of `k` — outcome,
+//! statistics, fault counters and error alike — and recording a trace
+//! must not change any of them. Schedules are arbitrary traversals of a
+//! halo-exchange decision space; platforms are noiseless, noisy, under
+//! the `light` and `heavy` fault presets, or under a watchdog budget
+//! tight enough that some samples trip it and others do not.
+
+use dr_dag::{build_schedule, CommKey, CostKey, DagBuilder, DecisionSpace, OpSpec};
+use dr_sim::{
+    execute_seeded, CompiledProgram, FaultConfig, FaultPlan, Platform, Resource, TableWorkload,
+    Tape, Trace,
+};
+use proptest::prelude::*;
+
+/// The halo-exchange space the schedules are drawn from: two kernels
+/// feeding a send/recv/wait quad plus post-processing, on two streams.
+fn halo_space() -> (DecisionSpace, TableWorkload) {
+    let mut b = DagBuilder::new();
+    let key = CommKey::new("halo");
+    let pre = b.add("pre", OpSpec::CpuWork(CostKey::new("pre")));
+    let k1 = b.add("k1", OpSpec::GpuKernel(CostKey::new("k1")));
+    let k2 = b.add("k2", OpSpec::GpuKernel(CostKey::new("k2")));
+    let ps = b.add("PostSends", OpSpec::PostSends(key.clone()));
+    let pr = b.add("PostRecvs", OpSpec::PostRecvs(key.clone()));
+    let ws = b.add("WaitSends", OpSpec::WaitSends(key.clone()));
+    let wr = b.add("WaitRecvs", OpSpec::WaitRecvs(key));
+    let post = b.add("post", OpSpec::CpuWork(CostKey::new("post")));
+    b.edge(pre, k1);
+    b.edge(pre, k2);
+    b.edge(k1, ps);
+    b.edge(k2, ps);
+    b.edge(ps, ws);
+    b.edge(pr, wr);
+    b.edge(ps, wr);
+    // Every rank runs the same schedule, so a traversal that waits on
+    // sends before posting recvs deadlocks all ranks symmetrically.
+    // Pin PostRecvs before WaitSends to keep the whole space runnable.
+    b.edge(pr, ws);
+    b.edge(wr, post);
+    let sp = DecisionSpace::new(b.build().unwrap(), 2).unwrap();
+    let mut w = TableWorkload::new(3);
+    w.cost_all("pre", 4e-5);
+    w.cost_all("k1", 8e-5);
+    w.cost_all("k2", 6e-5);
+    w.cost_all("post", 3e-5);
+    w.comm_all_to_all("halo", 1 << 16);
+    (sp, w)
+}
+
+/// Compiles the `pick`-th enumerated traversal (modulo the space size).
+fn program(pick: usize) -> CompiledProgram {
+    let (sp, w) = halo_space();
+    let all: Vec<_> = sp.enumerate().collect();
+    let t = &all[pick % all.len()];
+    CompiledProgram::compile(&build_schedule(&sp, t), &w).unwrap()
+}
+
+/// Platform `kind` for `prog`, with the fault plan keyed by `eval_seed`
+/// as the pipeline derives it. The budget platform's virtual-time limit
+/// is 98–107% of the noiseless run time, so noise decides which samples
+/// trip it; half of the budget platforms also cap steps.
+fn platform(kind: usize, eval_seed: u64, prog: &CompiledProgram) -> Platform {
+    let noisy = Platform::perlmutter_like();
+    match kind {
+        0 => noisy.noiseless(),
+        1 => noisy,
+        2 => noisy.with_faults(FaultPlan::derive(&FaultConfig::light(), eval_seed)),
+        3 => noisy.with_faults(FaultPlan::derive(&FaultConfig::heavy(), eval_seed)),
+        _ => {
+            let (clean, stats) = execute_seeded(prog, &noisy.clone().noiseless(), 0).unwrap();
+            let vt = clean.time() * (98 + eval_seed % 10) as f64 / 100.0;
+            let steps = match eval_seed % 2 {
+                0 => 0,
+                _ => (eval_seed >> 8) % (stats.instructions + 4),
+            };
+            noisy.with_budget(steps, vt)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_reused_tape_replays_sample_k_like_a_fresh_tape(
+        pick in 0usize..64,
+        kind in 0usize..5,
+        eval_seed in any::<u64>(),
+        earlier in proptest::collection::vec(any::<u64>(), 0..8),
+        k in any::<u64>(),
+    ) {
+        let prog = program(pick);
+        let platform = platform(kind, eval_seed, &prog);
+        let mut reused = Tape::lower(&prog, &platform);
+        for &seed in &earlier {
+            let _ = reused.replay(seed, None);
+        }
+        let fresh = Tape::lower(&prog, &platform).replay(k, None);
+        prop_assert_eq!(reused.replay(k, None), fresh.clone());
+        prop_assert_eq!(execute_seeded(&prog, &platform, k), fresh);
+    }
+
+    #[test]
+    fn traced_replay_equals_untraced_replay(
+        pick in 0usize..64,
+        kind in 0usize..5,
+        eval_seed in any::<u64>(),
+        earlier in proptest::collection::vec(any::<u64>(), 0..8),
+        k in any::<u64>(),
+    ) {
+        let prog = program(pick);
+        let platform = platform(kind, eval_seed, &prog);
+        let mut tape = Tape::lower(&prog, &platform);
+        for &seed in &earlier {
+            let _ = tape.replay(seed, Some(&mut Trace::default()));
+        }
+        let plain = tape.replay(k, None);
+        let mut trace = Trace::default();
+        let traced = tape.replay(k, Some(&mut trace));
+        prop_assert_eq!(&traced, &plain);
+        let mut fresh = Trace::default();
+        let _ = Tape::lower(&prog, &platform).replay(k, Some(&mut fresh));
+        prop_assert_eq!(&trace, &fresh);
+        if let Ok((outcome, stats)) = plain {
+            // One host span per retired instruction, and the last span
+            // of every rank ends at its finish time.
+            let cpu = trace.events.iter().filter(|e| e.resource == Resource::Cpu);
+            prop_assert_eq!(cpu.count() as u64, stats.instructions);
+            for (r, &t) in outcome.rank_times.iter().enumerate() {
+                let last = trace.rank(r).filter(|e| e.resource == Resource::Cpu).last();
+                prop_assert_eq!(last.map(|e| e.end), Some(t));
+            }
+        }
+    }
+}

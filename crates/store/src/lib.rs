@@ -9,7 +9,9 @@
 //! * **torn-tail recovery** — a partially written final record
 //!   (interrupted append, `SIGKILL`, power loss) is detected by its
 //!   length prefix/checksum on open, truncated away, and never
-//!   propagated to readers; everything before it is recovered exactly;
+//!   propagated to readers; everything before it is recovered exactly.
+//!   Damage a crash cannot explain (a bad record with committed data
+//!   after it, a foreign magic) is refused, never truncated;
 //! * **atomic segment rotation** — [`ResultStore::compact`] rewrites
 //!   the segment via write-to-temp + `rename`, so readers always see
 //!   either the old or the new segment, never a half-written one;
@@ -244,14 +246,61 @@ fn fold_fingerprint(h: &mut u64, hash: u64, time_bits: u64) {
     }
 }
 
+/// One frame of a segment, as recovery sees it.
+enum Frame {
+    /// A complete, checksum-valid, well-formed record ending at `end`.
+    Valid {
+        end: usize,
+        hash: u64,
+        rec: StoredRecord,
+    },
+    /// The header or payload runs past the end of the file.
+    Short,
+    /// A complete frame ending at `end` whose checksum or payload is bad.
+    Bad { end: usize },
+}
+
+/// Reads the frame starting at `pos`.
+fn read_frame(bytes: &[u8], pos: usize) -> Frame {
+    let mut cursor = pos;
+    let (Some(len), Some(checksum)) = (take_u32(bytes, &mut cursor), take_u64(bytes, &mut cursor))
+    else {
+        return Frame::Short;
+    };
+    let end = cursor + len as usize;
+    let Some(payload) = bytes.get(cursor..end) else {
+        return Frame::Short;
+    };
+    if fnv1a(payload) != checksum {
+        return Frame::Bad { end };
+    }
+    match decode_payload(payload) {
+        Some((hash, rec)) => Frame::Valid { end, hash, rec },
+        None => Frame::Bad { end },
+    }
+}
+
+/// Whether a valid frame starts anywhere after `pos`: a short frame is a
+/// torn tail only if no committed record follows it (a flipped length
+/// bit can make a mid-file frame look short).
+fn valid_frame_after(bytes: &[u8], pos: usize) -> bool {
+    (pos + 1..bytes.len()).any(|p| matches!(read_frame(bytes, p), Frame::Valid { .. }))
+}
+
 impl ResultStore {
     /// Opens (creating if absent) the store in `dir`, recovering the
-    /// committed record prefix from its segment. A torn tail — any
-    /// suffix that is not a complete, checksum-valid, well-formed
-    /// record — is truncated in place and reported via
+    /// committed record prefix from its segment. A torn tail — a final
+    /// frame that is short (cut off by an interrupted append) or that
+    /// ends exactly at end of file but fails its checksum or decoding —
+    /// is truncated in place and reported via
     /// [`StoreStats::truncated_bytes`]; everything before it is loaded
-    /// into the in-memory read path. A stale rotation temp file (crash
-    /// between write and rename) is removed.
+    /// into the in-memory read path. Damage that a crash cannot explain
+    /// is refused with [`io::ErrorKind::InvalidData`] naming the byte
+    /// offset, and the segment is left untouched: a bad frame followed
+    /// by more bytes (or a short frame followed by a valid one), and a
+    /// non-empty segment that does not start with [`STORE_MAGIC`]. A
+    /// stale rotation temp file (crash between write and rename) is
+    /// removed.
     pub fn open(dir: &Path) -> io::Result<ResultStore> {
         std::fs::create_dir_all(dir)?;
         let seg = dir.join(SEGMENT_FILE);
@@ -263,40 +312,41 @@ impl ResultStore {
         if seg.exists() {
             File::open(&seg)?.read_to_end(&mut bytes)?;
         }
-        // A file too short for (or not matching) the magic is treated
-        // as fully torn: recovery keeps zero records.
-        let mut committed = if bytes.len() >= STORE_MAGIC.len() && bytes[..8] == STORE_MAGIC[..] {
+        let refuse = |offset: usize, what: &str| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {what} at byte {offset}", seg.display()),
+            )
+        };
+        // Only a prefix of the magic (a segment torn while being created)
+        // recovers to empty; anything else that lacks it is foreign.
+        let mut committed = if bytes.starts_with(STORE_MAGIC) {
             STORE_MAGIC.len()
-        } else {
+        } else if STORE_MAGIC.starts_with(&bytes) {
             0
+        } else {
+            return Err(refuse(0, "not a result-store segment (bad magic)"));
         };
         let cache = StripedCache::new(64);
         let mut log = Vec::new();
         let mut fingerprint = FNV_OFFSET;
-        if committed > 0 {
-            let mut pos = committed;
-            loop {
-                let mut cursor = pos;
-                let Some(len) = take_u32(&bytes, &mut cursor) else {
-                    break;
-                };
-                let Some(checksum) = take_u64(&bytes, &mut cursor) else {
-                    break;
-                };
-                let Some(payload) = bytes.get(cursor..cursor + len as usize) else {
-                    break;
-                };
-                if fnv1a(payload) != checksum {
-                    break;
+        while committed > 0 && committed < bytes.len() {
+            match read_frame(&bytes, committed) {
+                Frame::Valid { end, hash, rec } => {
+                    fold_fingerprint(&mut fingerprint, hash, rec.result.time().to_bits());
+                    cache.preload(hash, hash, rec);
+                    log.push(hash);
+                    committed = end;
                 }
-                let Some((hash, rec)) = decode_payload(payload) else {
-                    break;
-                };
-                fold_fingerprint(&mut fingerprint, hash, rec.result.time().to_bits());
-                cache.preload(hash, hash, rec);
-                log.push(hash);
-                pos = cursor + len as usize;
-                committed = pos;
+                // A torn tail: nothing committed can follow it.
+                Frame::Short if !valid_frame_after(&bytes, committed) => break,
+                Frame::Bad { end } if end == bytes.len() => break,
+                Frame::Short | Frame::Bad { .. } => {
+                    return Err(refuse(
+                        committed,
+                        "corrupt record with committed data after it",
+                    ));
+                }
             }
         }
         let truncated_bytes = (bytes.len() - committed) as u64;
@@ -604,16 +654,54 @@ mod tests {
     }
 
     #[test]
-    fn garbage_file_recovers_to_empty() {
+    fn foreign_file_is_refused_not_truncated() {
         let dir = tmp_dir("garbage");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(SEGMENT_FILE), b"not a segment").unwrap();
+        let seg = dir.join(SEGMENT_FILE);
+        std::fs::write(&seg, b"not a segment").unwrap();
+        let err = ResultStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().ends_with("(bad magic) at byte 0"), "{err}");
+        assert_eq!(std::fs::read(&seg).unwrap(), b"not a segment");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_magic_recovers_to_empty() {
+        let dir = tmp_dir("torn-magic");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(SEGMENT_FILE), &STORE_MAGIC[..3]).unwrap();
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.is_empty());
-        assert_eq!(store.stats().truncated_bytes, 13);
+        assert_eq!(store.stats().truncated_bytes, 3);
         store.append(&traversal(0), &bench(1e-3)).unwrap();
         drop(store);
         assert_eq!(ResultStore::open(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mid_file_corruption_is_refused_not_truncated() {
+        let dir = tmp_dir("mid-corrupt");
+        let store = ResultStore::open(&dir).unwrap();
+        for k in 0..3 {
+            store.append(&traversal(k), &bench(1e-3)).unwrap();
+        }
+        drop(store);
+        let seg = dir.join(SEGMENT_FILE);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        // Flip a payload bit of the first record: two committed records
+        // follow it.
+        bytes[STORE_MAGIC.len() + 12] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        let err = ResultStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("at byte 8"), "{err}");
+        assert_eq!(
+            std::fs::read(&seg).unwrap(),
+            bytes,
+            "segment left untouched"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

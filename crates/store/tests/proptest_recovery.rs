@@ -4,14 +4,17 @@
 //! record count, same lookups, same ledger-style fingerprint — and
 //! report the torn bytes. This is the byte-level half of the kill-resume
 //! chaos proof (the process-level half lives in `tests/swarm_chaos.rs`
-//! at the workspace root).
+//! at the workspace root). A flipped bit anywhere else must never
+//! silently cost a committed record: open refuses the segment with
+//! `InvalidData` and leaves it untouched, unless the flip is confined
+//! to the final record, which is then dropped like a torn tail.
 
 use dr_dag::{Placement, Traversal};
 use dr_sim::{BenchResult, Percentiles};
 use dr_store::{ResultStore, StoredRecord, SEGMENT_FILE};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ledger-style record-set fingerprint (same constants and fold as
@@ -78,6 +81,30 @@ fn arb_record() -> impl Strategy<Value = StoredRecord> {
             },
         }
     })
+}
+
+/// Appends `records` to a fresh store in `dir`, returning the segment
+/// bytes and the offset where each record's frame starts (magic is 8
+/// bytes, frame header 12).
+fn write_segment(dir: &Path, records: &[StoredRecord]) -> (Vec<u8>, Vec<usize>) {
+    let store = ResultStore::open(dir).unwrap();
+    for rec in records {
+        store.append(&rec.traversal, &rec.result).unwrap();
+    }
+    drop(store);
+    let full = std::fs::read(dir.join(SEGMENT_FILE)).unwrap();
+    let mut starts = vec![8usize];
+    for _ in 0..records.len() {
+        let pos = *starts.last().unwrap();
+        let len = u32::from_le_bytes(full[pos..pos + 4].try_into().unwrap()) as usize;
+        starts.push(pos + 12 + len);
+    }
+    assert_eq!(
+        starts.pop(),
+        Some(full.len()),
+        "frame walk must cover the segment"
+    );
+    (full, starts)
 }
 
 proptest! {
@@ -147,6 +174,49 @@ proptest! {
         prop_assert_eq!(store.len(), records.len());
         prop_assert_eq!(store.fingerprint(), reference_fingerprint(&records));
         prop_assert_eq!(store.stats().truncated_bytes, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_bit_is_refused_unless_it_hits_the_final_record(
+        records in vec(arb_record(), 1..6),
+        flips in vec((any::<u64>(), 0u32..8), 24),
+    ) {
+        let dir = case_dir();
+        let (full, starts) = write_segment(&dir, &records);
+        let seg = dir.join(SEGMENT_FILE);
+        let last_start = *starts.last().unwrap();
+        for (at, bit) in flips {
+            let at = (at % full.len() as u64) as usize;
+            let mut flipped = full.clone();
+            flipped[at] ^= 1 << bit;
+            std::fs::write(&seg, &flipped).unwrap();
+            match ResultStore::open(&dir) {
+                Err(e) => {
+                    prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "flip at {}", at);
+                    // The error names the damaged frame (or the magic),
+                    // at or before the flipped byte.
+                    let named = starts.iter().copied().chain([0]).filter(|&s| s <= at);
+                    prop_assert!(
+                        named.into_iter().any(|s| e.to_string().ends_with(&format!("at byte {s}"))),
+                        "flip at {}: {}", at, e
+                    );
+                    prop_assert_eq!(std::fs::read(&seg).unwrap(), flipped, "segment modified");
+                }
+                Ok(store) => {
+                    // Only the final record may go, exactly as a torn tail.
+                    prop_assert!(at >= last_start, "flip at {} lost committed records", at);
+                    let committed = &records[..records.len() - 1];
+                    prop_assert_eq!(store.len(), committed.len(), "flip at {}", at);
+                    prop_assert_eq!(store.fingerprint(), reference_fingerprint(committed));
+                    prop_assert_eq!(
+                        store.stats().truncated_bytes,
+                        (full.len() - last_start) as u64,
+                        "flip at {}", at
+                    );
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

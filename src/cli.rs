@@ -620,7 +620,9 @@ fn preflight_artifact_paths(opts: &CliOptions) -> Result<(), String> {
     for dir in [ledger.as_ref(), opts.store.as_ref()].into_iter().flatten() {
         let probe = || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
-            let p = Path::new(dir).join(".dr-preflight");
+            // Per process: swarm workers probe their shared store root
+            // concurrently, and one's remove must not race another's.
+            let p = Path::new(dir).join(format!(".dr-preflight-{}", std::process::id()));
             std::fs::write(&p, b"ok")?;
             std::fs::remove_file(&p)
         };
