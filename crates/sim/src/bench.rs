@@ -196,13 +196,8 @@ pub fn benchmark_memo_instrumented(
     memo: &mut SimMemo,
 ) -> Result<(BenchResult, SimStats), SimError> {
     let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-    let result = protocol(
-        prog,
-        platform,
-        cfg,
-        SampleSeeds::Cells(memo),
-        Some(&mut stats),
-    )?;
+    let seeds = SampleSeeds::Cells(memo);
+    let result = protocol(prog, platform, cfg, seeds, Some(&mut stats))?;
     Ok((result, stats))
 }
 

@@ -222,7 +222,7 @@ pub fn execute_seeded(
 
 /// One tape entry. Instruction ops retire the instruction at `pc` of
 /// `rank`; `Transfer`, `Enter` and `SweepEnd` are bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Op {
     rank: usize,
     pc: usize,
@@ -233,7 +233,7 @@ struct Op {
 /// stream`, event slots `rank * events + event`, collective-entry slots
 /// `comm * ranks + rank`; post-time, message and kernel slots are
 /// numbered by lowering. `Range`s index [`Tape::idx`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Kind {
     /// Synchronous CPU work.
     Cpu { dur: f64, straggle: f64 },
@@ -280,7 +280,7 @@ enum Kind {
 }
 
 /// One point-to-point message `(comm, src, dst)`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Msg {
     comm: usize,
     src: usize,
@@ -299,7 +299,7 @@ struct Msg {
 /// Per-sample state. `cpu`, `tail` and the busy counters accumulate and
 /// are reset by every replay; every other slot is written before it is
 /// read within one replay, which the lowering guarantees.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct State {
     cpu: Vec<f64>,
     tail: Vec<f64>,

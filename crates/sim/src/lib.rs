@@ -13,8 +13,10 @@
 //! * [`Workload`] — resolves the symbolic cost/communication keys of a
 //!   program DAG for a concrete problem instance;
 //! * [`CompiledProgram`] — a schedule resolved against a workload;
+//! * [`Tape`] — a compiled program lowered once for a platform and
+//!   replayed per sample without allocating;
 //! * [`execute`] — one simulated invocation across all ranks, with
-//!   deadlock detection, replayed from a tape lowered once per program;
+//!   deadlock detection;
 //! * [`benchmark`] — the paper's measurement protocol (samples until
 //!   `t_measure`, percentile records, max-over-ranks reduction).
 
