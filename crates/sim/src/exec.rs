@@ -536,37 +536,33 @@ impl<'a> Tape<'a> {
                                 cross_gpu: platform.gpu_of(src_stream) != platform.gpu_of(stream),
                             }
                         }
-                        Instr::PostSends { comm } => {
-                            sent[r * nc + comm] = true;
-                            let list = &prog.comms[comm].sends[r];
+                        Instr::PostSends { comm } | Instr::PostRecvs { comm } => {
+                            let sends = matches!(instr, Instr::PostSends { .. });
+                            let (posted, list, overhead) = if sends {
+                                (
+                                    &mut sent,
+                                    &prog.comms[comm].sends[r],
+                                    platform.isend_overhead,
+                                )
+                            } else {
+                                (
+                                    &mut received,
+                                    &prog.comms[comm].recvs[r],
+                                    platform.irecv_overhead,
+                                )
+                            };
+                            posted[r * nc + comm] = true;
                             let from = idx.len();
                             for (i, &(peer, _)) in list.iter().enumerate() {
                                 let first = !list[..i].iter().any(|&(p, _)| p == peer);
-                                idx.push(if first {
-                                    msgs[msg_of[pair(comm, r, peer)]].send
-                                } else {
-                                    sink
+                                idx.push(match (first, sends) {
+                                    (false, _) => sink,
+                                    (true, true) => msgs[msg_of[pair(comm, r, peer)]].send,
+                                    (true, false) => msgs[msg_of[pair(comm, peer, r)]].recv,
                                 });
                             }
                             Kind::Post {
-                                overhead: platform.isend_overhead,
-                                slots: from..idx.len(),
-                            }
-                        }
-                        Instr::PostRecvs { comm } => {
-                            received[r * nc + comm] = true;
-                            let list = &prog.comms[comm].recvs[r];
-                            let from = idx.len();
-                            for (i, &(peer, _)) in list.iter().enumerate() {
-                                let first = !list[..i].iter().any(|&(p, _)| p == peer);
-                                idx.push(if first {
-                                    msgs[msg_of[pair(comm, peer, r)]].recv
-                                } else {
-                                    sink
-                                });
-                            }
-                            Kind::Post {
-                                overhead: platform.irecv_overhead,
+                                overhead,
                                 slots: from..idx.len(),
                             }
                         }
