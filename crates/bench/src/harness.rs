@@ -9,8 +9,8 @@
 //! history with [`crate::append_history`].
 
 use dr_core::{
-    explore_parallel, run_pipeline_instrumented, ExploreOutput, InstrumentedRun, PipelineConfig,
-    Strategy,
+    explore_parallel, run_pipeline_instrumented, ExploreCtx, ExploreOutput, InstrumentedRun,
+    PipelineConfig, Strategy,
 };
 use dr_mcts::{MctsConfig, SimEvaluator};
 use dr_obs::json;
@@ -142,7 +142,7 @@ fn scaling_leg(
         &sc.space,
         || SimEvaluator::new(&sc.space, &sc.workload, &sc.platform, cfg),
         strategy,
-        threads,
+        &ExploreCtx::new(threads),
     )?;
     let wall_s = start.elapsed().as_secs_f64();
     let leg = ScalingLeg {
@@ -167,8 +167,8 @@ fn record_set(out: &ExploreOutput) -> Vec<(u64, u64)> {
 }
 
 /// Thread-scaling benchmark of the parallel exploration engine:
-/// exhaustive sweeps at 1/2/4/8 worker threads plus a root-parallel
-/// MCTS leg, verifying every leg reproduces the serial record set.
+/// exhaustive sweeps at 1/2/4/8 worker threads plus a 4-thread
+/// shared-tree MCTS leg, verifying every leg reproduces the serial record set.
 /// Renders a progress table to `out` and returns the validated report
 /// JSON (one history entry).
 pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<String, BoxError> {
@@ -213,8 +213,9 @@ pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<Str
         legs.push(leg);
     }
 
-    // Root-parallel MCTS leg: workers share one result cache, so its hit
-    // rate measures how much re-simulation the cache absorbed.
+    // Shared-tree MCTS leg: its "cache" counters are the tree's repeat
+    // accounting, so the hit rate is the share of rollouts that landed on
+    // an already-measured traversal (and were not re-simulated).
     let mcts = Strategy::Mcts {
         iterations: MCTS_BUDGET,
         config: MctsConfig {

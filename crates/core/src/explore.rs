@@ -1,38 +1,37 @@
 //! Exploration strategies: how the `(sequence, time)` sample set is
 //! collected before rule mining.
 //!
-//! Every strategy has a serial backend ([`explore_instrumented`]) and a
-//! parallel one ([`explore_parallel`]). The parallel engine is built so
-//! that the *record set* — which traversals were measured, and what each
-//! measurement returned — is a pure function of the strategy and its
-//! seed, independent of the thread count. The enabling invariant is that
-//! each evaluation is seeded by [`dr_dag::eval_seed`], a function of the
-//! traversal being measured rather than of when, where, or by which
-//! worker it is discovered.
+//! There is one serial reference backend ([`explore_instrumented`]) and
+//! one parallel engine ([`explore_parallel`]). Everything that varies
+//! between parallel runs — worker threads, tracing, the event stream,
+//! the MCTS [`SearchBackend`], a static-prune hook, and what a failed
+//! evaluation does ([`FailurePolicy`]) — travels in one [`ExploreCtx`].
+//! The engine is built so that the *record set* — which traversals were
+//! measured, and what each measurement returned — is a pure function of
+//! the strategy and its seed, independent of the thread count and of
+//! observation. The enabling invariant is that each evaluation is seeded
+//! by [`dr_dag::eval_seed`], a function of the traversal being measured
+//! rather than of when, where, or by which worker it is discovered.
 
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{
-    CachingEvaluator, Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry,
-    SharedMcts, TelemetryRow, TreeStats,
+    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, SharedMcts,
+    TelemetryRow, TreeStats,
 };
 use dr_obs::events::EventSink;
 use dr_par::{
-    par_map_stream_isolated, par_map_stream_observed, split_budget, CacheStats, ItemOutcome,
-    PoolObserver, StripedCache,
+    panic_text, par_map_stream, CacheStats, FailurePolicy, ItemOutcome, PoolConfig, PoolObserver,
 };
 use dr_sim::{BenchResult, SimError, SimStats};
-use dr_trace::{SpanId, Tracer};
+use dr_trace::{Lane, SpanId, Tracer};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Master seed of the exhaustive strategy's evaluation seeds (the
 /// strategy has no user-facing seed of its own). Shared with the shard
 /// runner so a shard's measurements are bit-identical to the unsharded
 /// run's.
 pub(crate) const EXHAUSTIVE_MASTER_SEED: u64 = 0xE0E0_0000;
-
-/// Per-worker search-seed decorrelator for root-parallel MCTS
-/// (worker 0 keeps the configured seed unchanged).
-const WORKER_SEED_MIX: u64 = 0xA076_1D64_78BD_642F;
 
 /// MCTS iteration-span sampling rate: record one `mcts-iter` span every
 /// N iterations (`DR_TRACE_MCTS_RATE`, default 16, minimum 1). Sampling
@@ -58,27 +57,6 @@ pub fn events_rate() -> usize {
         .max(1)
 }
 
-/// Attaches a sampled event lane to a search when a live sink is
-/// present. The record set is unaffected: evaluation seeds are a pure
-/// function of the traversal.
-fn attach_mcts_events<E: Evaluator>(mcts: &mut Mcts<'_, E>, events: Option<&EventSink>) {
-    if let Some(sink) = events {
-        if sink.is_enabled() {
-            mcts.set_events(sink.clone(), events_rate());
-        }
-    }
-}
-
-/// Attaches a static-prune hook to a serial search when one is
-/// configured. Pruning cuts provably-doomed subtrees before any rollout
-/// enters them; it never affects which traversals *outside* the pruned
-/// subtrees are measured or what those measurements return.
-fn attach_mcts_prune<E: Evaluator>(mcts: &mut Mcts<'_, E>, prune: Option<&PruneHook>) {
-    if let Some(hook) = prune {
-        mcts.set_prune(hook.clone());
-    }
-}
-
 /// Forwards pool worker lifecycle callbacks to the event stream as
 /// `worker-start` / `worker-end` events.
 struct SinkPoolObserver {
@@ -96,27 +74,6 @@ impl PoolObserver for SinkPoolObserver {
             &[("worker", worker.into()), ("items", items.into())],
         );
     }
-}
-
-/// Attaches a sampled iteration-span lane named `mcts-{worker}` to a
-/// search, with a zero-length `mcts-dispatch` marker span carrying the
-/// causal edge from the pipeline's explore span.
-fn attach_mcts_lane<E: Evaluator>(
-    mcts: &mut Mcts<'_, E>,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    worker: usize,
-) {
-    if !tracer.is_enabled() {
-        return;
-    }
-    let mut lane = tracer.lane(&format!("mcts-{worker}"));
-    if let Some(d) = dispatch {
-        lane.enter("mcts-dispatch");
-        lane.follows_from(d);
-        lane.exit();
-    }
-    mcts.set_trace(lane, mcts_trace_every());
 }
 
 /// How to collect the sample set.
@@ -154,8 +111,8 @@ impl Strategy {
     }
 }
 
-/// Which parallel engine backs [`Strategy::Mcts`]. Non-MCTS strategies
-/// ignore the backend (they have a single parallel engine each).
+/// Which tree backs [`Strategy::Mcts`]. Non-MCTS strategies ignore the
+/// backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchBackend {
     /// Serial tree at one thread (keeping the single-thread hot path
@@ -165,21 +122,16 @@ pub enum SearchBackend {
     /// One shared tree with virtual-loss batch assembly at every thread
     /// count (batch width = thread count).
     Shared,
-    /// Legacy root parallelism: one tree per worker with decorrelated
-    /// search seeds, merged afterwards.
-    Root,
 }
 
 impl SearchBackend {
     /// Resolves the backend from the `DR_SEARCH` environment variable:
-    /// `shared` / `root` select explicitly, anything else (or unset)
-    /// means [`SearchBackend::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("DR_SEARCH").as_deref().map(str::trim) {
-            Ok("shared") => SearchBackend::Shared,
-            Ok("root") => SearchBackend::Root,
-            _ => SearchBackend::Auto,
-        }
+    /// unset or empty means [`SearchBackend::Auto`]; any other value must
+    /// name a backend (see the [`std::str::FromStr`] impl).
+    pub fn from_env() -> Result<Self, String> {
+        std::env::var("DR_SEARCH")
+            .map_or(Ok(SearchBackend::Auto), |v| v.parse())
+            .map_err(|e| format!("invalid DR_SEARCH: {e}"))
     }
 
     /// The backend's short name, used in reports.
@@ -187,7 +139,22 @@ impl SearchBackend {
         match self {
             SearchBackend::Auto => "auto",
             SearchBackend::Shared => "shared",
-            SearchBackend::Root => "root",
+        }
+    }
+}
+
+impl std::str::FromStr for SearchBackend {
+    type Err = String;
+
+    /// Parses `auto` or `shared` (surrounding whitespace ignored; the
+    /// empty string means `auto`).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.trim() {
+            "" | "auto" => Ok(SearchBackend::Auto),
+            "shared" => Ok(SearchBackend::Shared),
+            other => Err(format!(
+                "unknown search backend {other:?} (expected auto|shared)"
+            )),
         }
     }
 }
@@ -244,449 +211,157 @@ pub fn explore_instrumented<E: Evaluator>(
 pub struct ExploreOutput {
     /// Distinct explored implementations with their measurements.
     pub records: Vec<ExploredRecord>,
-    /// One row per search iteration (renumbered globally when merged
-    /// from several workers).
+    /// One row per search iteration (for `Exhaustive`, one per record).
     pub telemetry: SearchTelemetry,
     /// Simulator statistics merged across workers (`None` when the
     /// evaluators do not run the simulator). The `u64` counters equal
     /// the serial run's exactly; floating-point aggregates may differ
     /// in the last bits because summation order differs.
     pub sim: Option<SimStats>,
-    /// Hit/miss counters of the shared result cache (all zero for
-    /// strategies that never re-visit a traversal).
+    /// Repeat accounting of the shared MCTS tree: `hits` are rollouts
+    /// that landed on an already-measured traversal, `misses` the
+    /// distinct traversals measured (all zero for the other engines).
     pub cache: CacheStats,
     /// Number of worker threads actually used.
     pub threads: usize,
-    /// Traversals quarantined by the resilient backends, with the error
-    /// that killed their final attempt (always empty on the fault-free
-    /// paths; root-parallel MCTS reports counts only, via
+    /// Traversals quarantined under [`FailurePolicy::Quarantine`] by the
+    /// `Exhaustive` and `Random` strategies, with the error that killed
+    /// them, in input order (MCTS reports counts only, via
     /// [`ExploreOutput::quarantined`]).
     pub failures: Vec<(Traversal, SimError)>,
     /// Total traversals dropped instead of measured (≥ `failures.len()`;
     /// the difference is MCTS-internal quarantines).
     pub quarantined: u64,
     /// Subtrees retired by a static-prune hook before any rollout
-    /// entered them (summed across workers; zero without a hook or for
-    /// non-MCTS strategies).
+    /// entered them (zero without a hook or for non-MCTS strategies).
     pub pruned: u64,
     /// Final search-tree statistics (`None` for non-MCTS strategies).
-    /// For root-parallel runs the per-worker trees are merged: node,
-    /// rollout and fully-explored counts are summed, depth and time
-    /// bounds take the extremes.
     pub tree: Option<TreeStats>,
     /// Whether the run provably covered the whole space: always `true`
-    /// for `Exhaustive`, `true` for MCTS iff (any worker's) tree
-    /// exhausted, always `false` for `Random`.
+    /// for `Exhaustive`, `true` for MCTS iff the tree exhausted, always
+    /// `false` for `Random`.
     pub exhausted: bool,
 }
 
-/// Parallel [`explore_instrumented`]: evaluates with `threads` workers,
-/// each owning an evaluator built by `make_eval`.
+/// Everything a parallel exploration run needs besides the space, the
+/// evaluators, and the strategy.
+#[derive(Clone)]
+pub struct ExploreCtx {
+    /// Worker threads (`0` is treated as `1`).
+    pub threads: usize,
+    /// Causal tracing: worker and chunk spans on the pool paths, sampled
+    /// per-iteration spans on the MCTS paths. A disabled tracer makes
+    /// every span call a no-op.
+    pub tracer: Tracer,
+    /// The caller's span (usually the pipeline's explore phase) every
+    /// worker and search lane `follows_from`.
+    pub dispatch: Option<SpanId>,
+    /// Live event stream: sampled `mcts-iter` events and
+    /// `worker-start` / `worker-end` lifecycle events. `None` or a
+    /// disabled sink emits nothing.
+    pub events: Option<EventSink>,
+    /// Which tree backs [`Strategy::Mcts`].
+    pub backend: SearchBackend,
+    /// Static-prune hook (MCTS only; see [`dr_mcts::PruneHook`]).
+    pub prune: Option<PruneHook>,
+    /// What a failed evaluation does. Under [`FailurePolicy::Abort`] the
+    /// run returns the first failure's error. Under
+    /// [`FailurePolicy::Quarantine`] failed traversals are dropped and
+    /// reported in [`ExploreOutput::failures`] /
+    /// [`ExploreOutput::quarantined`]; for MCTS this tolerates up to the
+    /// whole budget unless [`MctsConfig::max_failures`] is already set.
+    pub policy: FailurePolicy,
+}
+
+impl ExploreCtx {
+    /// A silent, aborting context at `threads` workers with the default
+    /// backend and no prune hook.
+    pub fn new(threads: usize) -> Self {
+        ExploreCtx {
+            threads,
+            tracer: Tracer::disabled(),
+            dispatch: None,
+            events: None,
+            backend: SearchBackend::Auto,
+            prune: None,
+            policy: FailurePolicy::Abort,
+        }
+    }
+
+    /// The event sink, when present and enabled.
+    fn live_events(&self) -> Option<&EventSink> {
+        self.events.as_ref().filter(|s| s.is_enabled())
+    }
+
+    /// A sampled iteration-span lane named `name`, opened with a
+    /// zero-length `mcts-dispatch` marker span carrying the causal edge
+    /// from the dispatch span (`None` when tracing is off).
+    fn mcts_lane(&self, name: &str) -> Option<Lane> {
+        if !self.tracer.is_enabled() {
+            return None;
+        }
+        let mut lane = self.tracer.lane(name);
+        if let Some(d) = self.dispatch {
+            lane.enter("mcts-dispatch");
+            lane.follows_from(d);
+            lane.exit();
+        }
+        Some(lane)
+    }
+}
+
+/// The parallel engine: explores `space` under `strategy` with
+/// `ctx.threads` workers, each owning an evaluator built by `make_eval`.
 ///
 /// For a fixed strategy/seed the returned record *set* — traversal and
-/// measurement pairs — is identical for every thread count (for
-/// [`Strategy::Mcts`] this holds whenever the budget exhausts the space;
-/// under a partial budget different worker trajectories may surface
-/// different subsets, though every measurement that does appear is still
-/// thread-count-invariant). `threads <= 1` delegates to the serial path.
+/// measurement pairs — is identical for every thread count and with or
+/// without observation (for [`Strategy::Mcts`] this holds whenever the
+/// budget exhausts the space; under a partial budget different batch
+/// widths may surface different subsets, though every measurement that
+/// does appear is still thread-count-invariant).
 ///
-/// * `Exhaustive` streams the lazy enumeration through a chunked worker
-///   pool and restores canonical order afterwards, so even the record
+/// * `Exhaustive` streams the lazy enumeration through the chunked
+///   worker pool, which restores canonical order, so even the record
 ///   *order* matches the serial backend bit for bit.
 /// * `Random` generates the rollout sequence serially (each iteration's
 ///   rollout is a pure function of `(seed, iteration)`), deduplicates,
-///   and fans out only the expensive evaluations.
-/// * `Mcts` runs root-parallel: one tree per worker with a decorrelated
-///   search seed, sharing one [`StripedCache`] so no worker re-simulates
-///   a traversal another has measured. Records are merged worker-major
-///   and deduplicated.
+///   and fans out only the expensive evaluations; telemetry keeps one row
+///   per iteration under either policy.
+/// * `Mcts` runs the serial tree at one thread under
+///   [`SearchBackend::Auto`], and otherwise one shared tree whose
+///   evaluation batches fan out over `threads` persistent evaluators.
+///
+/// Every evaluation runs under `catch_unwind`: a panic becomes
+/// [`SimError::Panicked`], which `ctx.policy` then aborts on or
+/// quarantines like any other failure.
 pub fn explore_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: F,
     strategy: Strategy,
-    threads: usize,
+    ctx: &ExploreCtx,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
     F: Fn() -> E + Sync,
 {
-    explore_parallel_traced(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-    )
-}
-
-/// [`explore_parallel`] with causal tracing: worker and chunk spans on
-/// the pool paths, sampled per-iteration spans on the MCTS paths, each
-/// lane linked back to the pipeline's `dispatch` span (usually the
-/// explore-phase span) via a `follows_from` edge. A disabled tracer
-/// makes this identical to [`explore_parallel`].
-///
-/// Tracing never perturbs results: evaluation seeds are a pure function
-/// of the traversal, so the record set with tracing on equals the record
-/// set with tracing off, bit for bit.
-pub fn explore_parallel_traced<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched(space, make_eval, strategy, threads, tracer, dispatch, None)
-}
-
-/// [`explore_parallel_traced`] with a live event stream: sampled
-/// `mcts-iter` events from the searches and `worker-start` /
-/// `worker-end` lifecycle events from the pool paths, all sharing the
-/// sink's monotone sequence. A `None` or disabled sink makes this
-/// identical to [`explore_parallel_traced`]; either way the record set
-/// is bit-identical to the unobserved run.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_watched<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        tracer,
-        dispatch,
-        events,
-        SearchBackend::Auto,
-        None,
-    )
-}
-
-/// [`explore_parallel`] with an explicit MCTS [`SearchBackend`] (tests
-/// pin backends through this instead of mutating `DR_SEARCH`).
-pub fn explore_parallel_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    backend: SearchBackend,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-        None,
-        backend,
-        None,
-    )
-}
-
-/// The fully-parameterized parallel engine: tracing, events, an explicit
-/// MCTS [`SearchBackend`], and an optional static-prune hook (MCTS
-/// only; see [`dr_mcts::PruneHook`]).
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_watched_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    backend: SearchBackend,
-    prune: Option<PruneHook>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 && backend != SearchBackend::Shared {
-        // The serial MCTS path keeps its tree in-process (no shared
-        // cache, no batch assembly), so it is traced here rather than
-        // via the parallel backends; the pool strategies reach their
-        // traced serial paths below.
-        if let Strategy::Mcts { iterations, config } = strategy {
-            let mut mcts = Mcts::new(space, make_eval(), config);
-            attach_mcts_lane(&mut mcts, tracer, dispatch, 0);
-            attach_mcts_events(&mut mcts, events);
-            attach_mcts_prune(&mut mcts, prune.as_ref());
-            mcts.run(iterations)?;
-            let tree = mcts.stats();
-            let exhausted = mcts.is_exhausted();
-            let pruned = mcts.pruned();
-            let (records, telemetry, eval) = mcts.into_parts();
-            let sim = eval.sim_stats().cloned();
-            return Ok(ExploreOutput {
-                records,
-                telemetry,
-                sim,
-                cache: CacheStats::default(),
-                threads: 1,
-                failures: Vec::new(),
-                quarantined: 0,
-                pruned,
-                tree: Some(tree),
-                exhausted,
-            });
-        }
-    }
     match strategy {
-        Strategy::Exhaustive => {
-            exhaustive_parallel(space, &make_eval, threads, tracer, dispatch, events)
-        }
-        Strategy::Random { iterations, seed } => random_parallel(
-            space, &make_eval, iterations, seed, threads, tracer, dispatch, events,
-        ),
-        Strategy::Mcts { iterations, config } => match backend {
-            SearchBackend::Root => mcts_root_parallel(
-                space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-            ),
-            SearchBackend::Auto | SearchBackend::Shared => mcts_shared_parallel(
-                space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-            ),
-        },
-    }
-}
-
-/// Quarantine-not-abort [`explore_parallel`] for chaos runs: every
-/// evaluation is panic-isolated, failing traversals are collected in
-/// [`ExploreOutput::failures`] instead of aborting the exploration, and
-/// the surviving records keep the fault-free engine's determinism
-/// guarantees (outcomes are a pure function of strategy, seed, and each
-/// traversal — never of the thread count).
-///
-/// * `Exhaustive` and `Random` stream through the isolated worker pool
-///   ([`dr_par::par_map_stream_isolated`]); telemetry rows count the
-///   surviving measurements.
-/// * `Mcts` relies on [`dr_mcts::MctsConfig::max_failures`] for in-tree
-///   quarantine (set it before calling, e.g. to the iteration budget)
-///   plus a worker-level `catch_unwind`; quarantined counts are summed
-///   into [`ExploreOutput::quarantined`].
-pub fn explore_parallel_resilient<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_resilient_traced(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-    )
-}
-
-/// [`explore_parallel_resilient`] with causal tracing (see
-/// [`explore_parallel_traced`]). The isolated pool paths trace at the
-/// evaluator level only (wrap the evaluator stack, e.g. in
-/// `TracingEvaluator`); the MCTS paths additionally record sampled
-/// per-iteration spans.
-pub fn explore_parallel_resilient_traced<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_resilient_watched(space, make_eval, strategy, threads, tracer, dispatch, None)
-}
-
-/// [`explore_parallel_resilient_traced`] with a live event stream (see
-/// [`explore_parallel_watched`]). The isolated pool paths emit no
-/// worker events of their own — their observability lives at the
-/// evaluator level — while the MCTS paths emit sampled `mcts-iter` and
-/// (root-parallel) `worker-start`/`worker-end` events.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_resilient_watched<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_resilient_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        tracer,
-        dispatch,
-        events,
-        SearchBackend::Auto,
-        None,
-    )
-}
-
-/// [`explore_parallel_resilient_watched`] with an explicit MCTS
-/// [`SearchBackend`]. The shared backend needs no extra resilience
-/// scaffolding: its evaluation spawns already contain panics as
-/// structured errors, and in-tree quarantine is governed by
-/// [`dr_mcts::MctsConfig::max_failures`] exactly as on the fault-free
-/// path.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_resilient_watched_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    backend: SearchBackend,
-    prune: Option<PruneHook>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    let threads = threads.max(1);
-    match strategy {
-        Strategy::Exhaustive => {
-            let traversals: Vec<Traversal> = space.enumerate().collect();
-            let out = par_map_stream_isolated(
-                traversals.iter(),
-                threads,
-                |_worker| make_eval(),
-                |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(EXHAUSTIVE_MASTER_SEED, t)),
-            );
-            Ok(resilient_output(traversals, out, threads, true))
-        }
+        Strategy::Exhaustive => exhaustive_parallel(space, &make_eval, ctx),
         Strategy::Random { iterations, seed } => {
-            let mut uniques: Vec<Traversal> = Vec::new();
-            let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-            for iter in 0..iterations {
-                let t = dr_mcts::random_rollout(space, seed, iter as u64);
-                let hash = t.canonical_hash();
-                let known = by_hash
-                    .get(&hash)
-                    .into_iter()
-                    .flatten()
-                    .any(|&u| uniques[u] == t);
-                if !known {
-                    by_hash.entry(hash).or_default().push(uniques.len());
-                    uniques.push(t);
-                }
-            }
-            let out = par_map_stream_isolated(
-                uniques.iter(),
-                threads,
-                |_worker| make_eval(),
-                |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(seed, t)),
-            );
-            Ok(resilient_output(uniques, out, threads, false))
+            random_parallel(space, &make_eval, iterations, seed, ctx)
         }
-        Strategy::Mcts { iterations, config } => {
-            if threads == 1 && backend != SearchBackend::Shared {
-                let mut mcts = Mcts::new(space, make_eval(), config);
-                attach_mcts_lane(&mut mcts, tracer, dispatch, 0);
-                attach_mcts_events(&mut mcts, events);
-                attach_mcts_prune(&mut mcts, prune.as_ref());
-                mcts.run(iterations)?;
-                let quarantined = mcts.failures() as u64;
-                let tree = mcts.stats();
-                let exhausted = mcts.is_exhausted();
-                let pruned = mcts.pruned();
-                let (records, telemetry, eval) = mcts.into_parts();
-                let sim = eval.sim_stats().cloned();
-                Ok(ExploreOutput {
-                    records,
-                    telemetry,
-                    sim,
-                    cache: CacheStats::default(),
-                    threads: 1,
-                    failures: Vec::new(),
-                    quarantined,
-                    pruned,
-                    tree: Some(tree),
-                    exhausted,
-                })
-            } else if backend == SearchBackend::Root {
-                mcts_root_parallel(
-                    space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-                )
+        Strategy::Mcts {
+            iterations,
+            mut config,
+        } => {
+            if ctx.policy == FailurePolicy::Quarantine && config.max_failures == 0 {
+                config.max_failures = iterations;
+            }
+            if ctx.threads <= 1 && ctx.backend == SearchBackend::Auto {
+                mcts_serial(space, make_eval(), iterations, config, ctx)
             } else {
-                mcts_shared_parallel(
-                    space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-                )
+                mcts_shared_parallel(space, &make_eval, iterations, config, ctx)
             }
         }
-    }
-}
-
-/// Folds the isolated pool's per-item outcomes (parallel to
-/// `traversals`) into an [`ExploreOutput`]: survivors become records in
-/// input order, quarantined items keep their traversal and error.
-fn resilient_output<E: Evaluator>(
-    traversals: Vec<Traversal>,
-    out: dr_par::PoolOutcome<BenchResult, E, SimError>,
-    threads: usize,
-    exhausted: bool,
-) -> ExploreOutput {
-    let sim = merge_worker_stats(&out.states);
-    let mut pairs: Vec<(Traversal, BenchResult)> = Vec::new();
-    let mut failures: Vec<(Traversal, SimError)> = Vec::new();
-    for (t, item) in traversals.into_iter().zip(out.items) {
-        match item {
-            ItemOutcome::Ok(result) => pairs.push((t, result)),
-            ItemOutcome::Failed(e) => failures.push((t, e)),
-            ItemOutcome::Panicked(detail) => {
-                failures.push((t, SimError::Panicked { detail }));
-            }
-        }
-    }
-    let quarantined = failures.len() as u64;
-    let (records, telemetry) = exhaustive_records(pairs);
-    ExploreOutput {
-        records,
-        telemetry,
-        sim,
-        cache: CacheStats::default(),
-        threads,
-        failures,
-        quarantined,
-        pruned: 0,
-        tree: None,
-        exhausted,
     }
 }
 
@@ -697,29 +372,68 @@ fn resilient_output<E: Evaluator>(
 fn exhaustive_records(
     pairs: Vec<(Traversal, BenchResult)>,
 ) -> (Vec<ExploredRecord>, SearchTelemetry) {
-    let mut records = Vec::with_capacity(pairs.len());
+    let records: Vec<ExploredRecord> = pairs
+        .into_iter()
+        .map(|(traversal, result)| ExploredRecord { traversal, result })
+        .collect();
+    let telemetry = records_telemetry(&records);
+    (records, telemetry)
+}
+
+/// Per-record search telemetry for a record sequence (one iteration per
+/// record, running best/worst) — the exhaustive strategy's telemetry
+/// shape, also synthesized for merged shard records.
+pub fn records_telemetry(records: &[ExploredRecord]) -> SearchTelemetry {
     let mut telemetry = SearchTelemetry::new();
     let mut best = f64::INFINITY;
     let mut worst = f64::NEG_INFINITY;
-    for (i, (t, result)) in pairs.into_iter().enumerate() {
-        best = best.min(result.time());
-        worst = worst.max(result.time());
-        let rollout_len = t.steps.len();
-        records.push(ExploredRecord {
-            traversal: t,
-            result,
-        });
+    for (i, r) in records.iter().enumerate() {
+        best = best.min(r.result.time());
+        worst = worst.max(r.result.time());
         telemetry.push(TelemetryRow {
             iteration: i as u64 + 1,
-            unique_traversals: records.len(),
+            unique_traversals: i + 1,
             best_time: best,
             worst_time: worst,
             tree_nodes: 0,
             max_depth: 0,
-            rollout_len,
+            rollout_len: r.traversal.steps.len(),
         });
     }
-    (records, telemetry)
+    telemetry
+}
+
+/// The random strategy's rollout sequence, deduplicated: the unique
+/// traversals in discovery order, and for each iteration the unique
+/// index it first discovered (if any) with its rollout length. Rollout
+/// `iter` is a pure function of `(seed, iter)`, so this is cheap to
+/// replay without simulating.
+pub(crate) fn random_rollouts(
+    space: &DecisionSpace,
+    iterations: usize,
+    seed: u64,
+) -> (Vec<Traversal>, Vec<(Option<usize>, usize)>) {
+    let mut uniques: Vec<Traversal> = Vec::new();
+    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut per_iteration = Vec::with_capacity(iterations);
+    for iter in 0..iterations {
+        let t = dr_mcts::random_rollout(space, seed, iter as u64);
+        let rollout_len = t.steps.len();
+        let hash = t.canonical_hash();
+        let known = by_hash
+            .get(&hash)
+            .into_iter()
+            .flatten()
+            .any(|&u| uniques[u] == t);
+        if known {
+            per_iteration.push((None, rollout_len));
+        } else {
+            by_hash.entry(hash).or_default().push(uniques.len());
+            per_iteration.push((Some(uniques.len()), rollout_len));
+            uniques.push(t);
+        }
+    }
+    (uniques, per_iteration)
 }
 
 /// Merges the simulator statistics of per-worker evaluators in worker
@@ -734,21 +448,61 @@ fn merge_worker_stats<E: Evaluator>(states: &[E]) -> Option<SimStats> {
     total
 }
 
-/// Builds a pool observer from a live sink (`None` when there is no
-/// sink or it is disabled, so the pool takes its unobserved path).
-fn pool_observer(events: Option<&EventSink>) -> Option<SinkPoolObserver> {
-    events
-        .filter(|s| s.is_enabled())
-        .map(|s| SinkPoolObserver { sink: s.clone() })
+/// Each evaluated traversal with its outcome, in input order.
+type Evaluated = Vec<(Traversal, Result<BenchResult, SimError>)>;
+
+/// Evaluates `items` (seeded by `eval_seed(master, t)`) on the worker
+/// pool under `ctx`. Under [`FailurePolicy::Abort`] the lowest-index
+/// failure becomes the error; under [`FailurePolicy::Quarantine`] every
+/// item comes back with its outcome. Also returns the workers' merged
+/// simulator statistics.
+fn pool_evaluate<E, F, I>(
+    items: I,
+    make_eval: &F,
+    master: u64,
+    ctx: &ExploreCtx,
+) -> Result<(Evaluated, Option<SimStats>), SimError>
+where
+    E: Evaluator + Send,
+    F: Fn() -> E + Sync,
+    I: Iterator<Item = Traversal> + Send,
+{
+    let observer = ctx
+        .live_events()
+        .map(|sink| SinkPoolObserver { sink: sink.clone() });
+    let pool = PoolConfig {
+        threads: ctx.threads,
+        policy: ctx.policy,
+        tracer: &ctx.tracer,
+        dispatch: ctx.dispatch,
+        observer: observer.as_ref().map(|o| o as &dyn PoolObserver),
+    };
+    let out = par_map_stream(
+        items,
+        &pool,
+        |_worker| make_eval(),
+        |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(master, t)),
+    );
+    let sim = merge_worker_stats(&out.states);
+    let mut evaluated = Vec::with_capacity(out.items.len());
+    for (t, outcome) in out.items {
+        let result = match outcome {
+            ItemOutcome::Ok(r) => Ok(r),
+            ItemOutcome::Failed(e) => Err(e),
+            ItemOutcome::Panicked(detail) => Err(SimError::Panicked { detail }),
+        };
+        match result {
+            Err(e) if ctx.policy == FailurePolicy::Abort => return Err(e),
+            result => evaluated.push((t, result)),
+        }
+    }
+    Ok((evaluated, sim))
 }
 
 fn exhaustive_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: &F,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
+    ctx: &ExploreCtx,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
@@ -757,105 +511,71 @@ where
     // The lazy enumeration is the shared work queue; each worker owns an
     // evaluator. Seeds depend only on the traversal, and the pool
     // restores input order, so output matches the serial path exactly.
-    let observer = pool_observer(events);
-    let (pairs, states) = par_map_stream_observed(
-        space.enumerate(),
-        threads,
-        tracer,
-        dispatch,
-        observer.as_ref().map(|o| o as &dyn PoolObserver),
-        |_worker| make_eval(),
-        |eval, _i, t: Traversal| {
-            let result = eval.evaluate(&t, eval_seed(EXHAUSTIVE_MASTER_SEED, &t))?;
-            Ok((t, result))
-        },
-    )?;
-    let sim = merge_worker_stats(&states);
+    let (evaluated, sim) =
+        pool_evaluate(space.enumerate(), make_eval, EXHAUSTIVE_MASTER_SEED, ctx)?;
+    let mut pairs = Vec::with_capacity(evaluated.len());
+    let mut failures = Vec::new();
+    for (t, result) in evaluated {
+        match result {
+            Ok(r) => pairs.push((t, r)),
+            Err(e) => failures.push((t, e)),
+        }
+    }
     let (records, telemetry) = exhaustive_records(pairs);
     Ok(ExploreOutput {
         records,
         telemetry,
         sim,
         cache: CacheStats::default(),
-        threads,
-        failures: Vec::new(),
-        quarantined: 0,
+        threads: ctx.threads.max(1),
+        quarantined: failures.len() as u64,
+        failures,
         pruned: 0,
         tree: None,
         exhausted: true,
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn random_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: &F,
     iterations: usize,
     seed: u64,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
+    ctx: &ExploreCtx,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
     F: Fn() -> E + Sync,
 {
     // Rollout generation is cheap and strictly deterministic, so it runs
-    // serially; only the evaluations (the expensive part) fan out. Each
-    // rollout is a pure function of (seed, iteration), so this produces
-    // the very sequence the serial backend would.
-    let mut uniques: Vec<Traversal> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    // For iteration i: Some(u) iff it first discovered unique index u.
-    let mut first_discovery: Vec<Option<usize>> = Vec::with_capacity(iterations);
-    let mut rollout_lens: Vec<usize> = Vec::with_capacity(iterations);
-    for iter in 0..iterations {
-        let t = dr_mcts::random_rollout(space, seed, iter as u64);
-        rollout_lens.push(t.steps.len());
-        let hash = t.canonical_hash();
-        let existing = by_hash
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .copied()
-            .find(|&u| uniques[u] == t);
-        match existing {
-            Some(_) => first_discovery.push(None),
-            None => {
-                let u = uniques.len();
-                by_hash.entry(hash).or_default().push(u);
-                uniques.push(t);
-                first_discovery.push(Some(u));
+    // serially; only the evaluations (the expensive part) fan out. This
+    // produces the very sequence the serial backend would.
+    let (uniques, per_iteration) = random_rollouts(space, iterations, seed);
+    let (evaluated, sim) = pool_evaluate(uniques.into_iter(), make_eval, seed, ctx)?;
+    // For unique u: Some(k) iff it survived as record k.
+    let mut record_of: Vec<Option<usize>> = Vec::with_capacity(evaluated.len());
+    let mut records: Vec<ExploredRecord> = Vec::with_capacity(evaluated.len());
+    let mut failures = Vec::new();
+    for (traversal, result) in evaluated {
+        match result {
+            Ok(result) => {
+                record_of.push(Some(records.len()));
+                records.push(ExploredRecord { traversal, result });
+            }
+            Err(e) => {
+                record_of.push(None);
+                failures.push((traversal, e));
             }
         }
     }
-    let observer = pool_observer(events);
-    let (pairs, states) = par_map_stream_observed(
-        uniques.into_iter(),
-        threads,
-        tracer,
-        dispatch,
-        observer.as_ref().map(|o| o as &dyn PoolObserver),
-        |_worker| make_eval(),
-        |eval, _i, t: Traversal| {
-            let result = eval.evaluate(&t, eval_seed(seed, &t))?;
-            Ok((t, result))
-        },
-    )?;
-    let sim = merge_worker_stats(&states);
-    let records: Vec<ExploredRecord> = pairs
-        .into_iter()
-        .map(|(traversal, result)| ExploredRecord { traversal, result })
-        .collect();
     let mut telemetry = SearchTelemetry::new();
     let mut best = f64::INFINITY;
     let mut worst = f64::NEG_INFINITY;
     let mut count = 0usize;
-    for iter in 0..iterations {
-        if let Some(u) = first_discovery[iter] {
-            count = u + 1;
-            let time = records[u].result.time();
+    for (iter, (first, rollout_len)) in per_iteration.into_iter().enumerate() {
+        if let Some(k) = first.and_then(|u| record_of[u]) {
+            count = k + 1;
+            let time = records[k].result.time();
             best = best.min(time);
             worst = worst.max(time);
         }
@@ -866,7 +586,7 @@ where
             worst_time: worst,
             tree_nodes: 0,
             max_depth: 0,
-            rollout_len: rollout_lens[iter],
+            rollout_len,
         });
     }
     Ok(ExploreOutput {
@@ -874,220 +594,66 @@ where
         telemetry,
         sim,
         cache: CacheStats::default(),
-        threads,
-        failures: Vec::new(),
-        quarantined: 0,
+        threads: ctx.threads.max(1),
+        quarantined: failures.len() as u64,
+        failures,
         pruned: 0,
         tree: None,
         exhausted: false,
     })
 }
 
-/// Pins evaluation seeds to `eval_seed(master, t)` regardless of the
-/// seed the search supplies. Root-parallel workers search with different
-/// seeds but must *measure* identically — whichever worker computes a
-/// traversal first stores in the shared cache exactly the result every
-/// other worker (and the serial run) would have produced, making the
-/// cache race-free in values.
-struct MasterSeeded<E> {
-    inner: E,
-    master: u64,
-}
+/// Runs each evaluation under `catch_unwind`, so a panicking evaluation
+/// surfaces as [`SimError::Panicked`] — which the search aborts on or
+/// quarantines under [`MctsConfig::max_failures`] — instead of unwinding
+/// through the search.
+struct Contained<E>(E);
 
-impl<E: Evaluator> Evaluator for MasterSeeded<E> {
-    fn evaluate(&mut self, t: &Traversal, _seed: u64) -> Result<BenchResult, SimError> {
-        self.inner.evaluate(t, eval_seed(self.master, t))
+impl<E: Evaluator> Evaluator for Contained<E> {
+    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
+        catch_unwind(AssertUnwindSafe(|| self.0.evaluate(t, seed))).unwrap_or_else(|payload| {
+            Err(SimError::Panicked {
+                detail: panic_text(payload),
+            })
+        })
     }
 
     fn sim_stats(&self) -> Option<&SimStats> {
-        self.inner.sim_stats()
+        self.0.sim_stats()
     }
 }
 
-type WorkerOutcome = Result<
-    (
-        Vec<ExploredRecord>,
-        SearchTelemetry,
-        Option<SimStats>,
-        usize,
-        TreeStats,
-        bool,
-        u64,
-    ),
-    SimError,
->;
-
-#[allow(clippy::too_many_arguments)]
-fn mcts_root_parallel<E, F>(
+/// The serial tree on the calling thread: no batch assembly, no worker
+/// threads.
+fn mcts_serial<E: Evaluator>(
     space: &DecisionSpace,
-    make_eval: &F,
+    eval: E,
     iterations: usize,
     config: MctsConfig,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    prune: Option<PruneHook>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    let cache: StripedCache<Traversal, BenchResult> = StripedCache::new(64);
-    let budgets = split_budget(iterations, threads);
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|s| {
-        let cache = &cache;
-        let prune = &prune;
-        let handles: Vec<_> = budgets
-            .iter()
-            .enumerate()
-            .map(|(worker, &budget)| {
-                s.spawn(move || -> WorkerOutcome {
-                    // Contain worker panics: a poisoned evaluation that
-                    // slips past per-item isolation surfaces as a
-                    // structured error instead of aborting the process.
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> WorkerOutcome {
-                            if let Some(sink) = events {
-                                sink.emit(
-                                    "worker-start",
-                                    &[("worker", worker.into()), ("budget", budget.into())],
-                                );
-                            }
-                            let worker_cfg = MctsConfig {
-                                seed: config.seed ^ (worker as u64).wrapping_mul(WORKER_SEED_MIX),
-                                ..config
-                            };
-                            let eval = CachingEvaluator::new(
-                                MasterSeeded {
-                                    inner: make_eval(),
-                                    master: config.seed,
-                                },
-                                cache,
-                            );
-                            let mut mcts = Mcts::new(space, eval, worker_cfg);
-                            attach_mcts_lane(&mut mcts, tracer, dispatch, worker);
-                            attach_mcts_events(&mut mcts, events);
-                            attach_mcts_prune(&mut mcts, prune.as_ref());
-                            mcts.run(budget)?;
-                            let failures = mcts.failures();
-                            let tree = mcts.stats();
-                            let exhausted = mcts.is_exhausted();
-                            let pruned = mcts.pruned();
-                            let (records, telemetry, eval) = mcts.into_parts();
-                            let sim = eval.sim_stats().cloned();
-                            if let Some(sink) = events {
-                                sink.emit(
-                                    "worker-end",
-                                    &[("worker", worker.into()), ("items", records.len().into())],
-                                );
-                            }
-                            Ok((records, telemetry, sim, failures, tree, exhausted, pruned))
-                        },
-                    ));
-                    run.unwrap_or_else(|payload| {
-                        let detail = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        Err(SimError::Panicked { detail })
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("MCTS worker panicked"))
-            .collect()
-    });
-
-    // Merge worker-major: renumber iterations globally and deduplicate
-    // records across workers. Worker trajectories are independent, so
-    // tree_nodes/max_depth/rollout_len stay worker-local in each row;
-    // unique/best/worst are recomputed globally.
-    let mut records: Vec<ExploredRecord> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut telemetry = SearchTelemetry::new();
-    let mut sim: Option<SimStats> = None;
-    let mut best = f64::INFINITY;
-    let mut worst = f64::NEG_INFINITY;
-    let mut iteration = 0u64;
-    let insert = |records: &mut Vec<ExploredRecord>,
-                  by_hash: &mut HashMap<u64, Vec<usize>>,
-                  best: &mut f64,
-                  worst: &mut f64,
-                  rec: ExploredRecord| {
-        let hash = rec.traversal.canonical_hash();
-        let dup = by_hash
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .copied()
-            .any(|i| records[i].traversal == rec.traversal);
-        if !dup {
-            *best = best.min(rec.result.time());
-            *worst = worst.max(rec.result.time());
-            by_hash.entry(hash).or_default().push(records.len());
-            records.push(rec);
-        }
-    };
-    let mut quarantined = 0u64;
-    let mut tree = TreeStats {
-        nodes: 0,
-        max_depth: 0,
-        fully_explored: 0,
-        rollouts: 0,
-        t_min: f64::INFINITY,
-        t_max: f64::NEG_INFINITY,
-    };
-    let mut exhausted = false;
-    let mut pruned = 0u64;
-    for outcome in outcomes {
-        let (wrecords, wtelemetry, wsim, wfailures, wtree, wexhausted, wpruned) = outcome?;
-        quarantined += wfailures as u64;
-        pruned += wpruned;
-        tree.nodes += wtree.nodes;
-        tree.max_depth = tree.max_depth.max(wtree.max_depth);
-        tree.fully_explored += wtree.fully_explored;
-        tree.rollouts += wtree.rollouts;
-        tree.t_min = tree.t_min.min(wtree.t_min);
-        tree.t_max = tree.t_max.max(wtree.t_max);
-        exhausted |= wexhausted;
-        let mut recs = wrecords.into_iter();
-        let mut local_count = 0usize;
-        for row in wtelemetry.rows() {
-            iteration += 1;
-            if row.unique_traversals > local_count {
-                local_count = row.unique_traversals;
-                let rec = recs.next().expect("unique count tracks records");
-                insert(&mut records, &mut by_hash, &mut best, &mut worst, rec);
-            }
-            telemetry.push(TelemetryRow {
-                iteration,
-                unique_traversals: records.len(),
-                best_time: best,
-                worst_time: worst,
-                tree_nodes: row.tree_nodes,
-                max_depth: row.max_depth,
-                rollout_len: row.rollout_len,
-            });
-        }
-        // Records not claimed by a telemetry increment (none in
-        // practice) are still kept rather than silently dropped.
-        for rec in recs {
-            insert(&mut records, &mut by_hash, &mut best, &mut worst, rec);
-        }
-        if let Some(ws) = wsim {
-            sim.get_or_insert_with(SimStats::default).merge(&ws);
-        }
+    ctx: &ExploreCtx,
+) -> Result<ExploreOutput, SimError> {
+    let mut mcts = Mcts::new(space, Contained(eval), config);
+    if let Some(lane) = ctx.mcts_lane("mcts-0") {
+        mcts.set_trace(lane, mcts_trace_every());
     }
+    if let Some(sink) = ctx.live_events() {
+        mcts.set_events(sink.clone(), events_rate());
+    }
+    if let Some(hook) = &ctx.prune {
+        mcts.set_prune(hook.clone());
+    }
+    mcts.run(iterations)?;
+    let quarantined = mcts.failures() as u64;
+    let pruned = mcts.pruned();
+    let tree = mcts.stats();
+    let exhausted = mcts.is_exhausted();
+    let (records, telemetry, eval) = mcts.into_parts();
     Ok(ExploreOutput {
         records,
         telemetry,
-        sim,
-        cache: cache.stats(),
-        threads,
+        sim: eval.sim_stats().cloned(),
+        cache: CacheStats::default(),
+        threads: 1,
         failures: Vec::new(),
         quarantined,
         pruned,
@@ -1112,43 +678,34 @@ where
 /// by [`Traversal::canonical_hash`], which makes the record *list* (not
 /// just the set) thread-count-invariant once the budget exhausts the
 /// space.
-#[allow(clippy::too_many_arguments)]
 fn mcts_shared_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: &F,
     iterations: usize,
     config: MctsConfig,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    prune: Option<PruneHook>,
+    ctx: &ExploreCtx,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
     F: Fn() -> E + Sync,
 {
-    let mut evals: Vec<E> = (0..threads).map(|_| make_eval()).collect();
+    let threads = ctx.threads.max(1);
+    let events = ctx.live_events();
+    let mut evals: Vec<Contained<E>> = (0..threads).map(|_| Contained(make_eval())).collect();
     let mut items = vec![0usize; threads];
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         for worker in 0..threads {
             sink.emit("worker-start", &[("worker", worker.into())]);
         }
     }
     let mut mcts = SharedMcts::new(space, config);
-    if let Some(hook) = prune {
-        mcts.set_prune(hook);
+    if let Some(hook) = &ctx.prune {
+        mcts.set_prune(hook.clone());
     }
-    if tracer.is_enabled() {
-        let mut lane = tracer.lane("mcts-shared");
-        if let Some(d) = dispatch {
-            lane.enter("mcts-dispatch");
-            lane.follows_from(d);
-            lane.exit();
-        }
+    if let Some(lane) = ctx.mcts_lane("mcts-shared") {
         mcts.set_trace(lane, mcts_trace_every());
     }
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         mcts.set_events(sink.clone(), events_rate());
     }
 
@@ -1162,33 +719,30 @@ where
             }
             continue; // assembly resolved everything inline
         }
+        for n in items.iter_mut().take(batch.pending.len()) {
+            *n += 1;
+        }
         let results: Vec<Result<BenchResult, SimError>> = if threads == 1 {
             let pe = &batch.pending[0];
-            items[0] += 1;
-            vec![contained_eval(&mut evals[0], &pe.traversal, pe.eval_seed)]
+            vec![evals[0].evaluate(&pe.traversal, pe.eval_seed)]
         } else {
-            for n in items.iter_mut().take(batch.pending.len()) {
-                *n += 1;
-            }
             std::thread::scope(|s| {
                 let handles: Vec<_> = batch
                     .pending
                     .iter()
                     .zip(evals.iter_mut())
-                    .map(|(pe, eval)| {
-                        s.spawn(move || contained_eval(eval, &pe.traversal, pe.eval_seed))
-                    })
+                    .map(|(pe, eval)| s.spawn(move || eval.evaluate(&pe.traversal, pe.eval_seed)))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("shared MCTS evaluation thread panicked"))
+                    .map(|h| h.join().expect("evaluations are panic-contained"))
                     .collect()
             })
         };
         mcts.commit(batch, results)?;
     }
 
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         for (worker, &n) in items.iter().enumerate() {
             sink.emit(
                 "worker-end",
@@ -1230,25 +784,6 @@ where
         tree: Some(tree),
         exhausted,
     })
-}
-
-/// Runs one evaluation with panic containment: a poisoned evaluation
-/// surfaces as a structured error the search can quarantine instead of
-/// tearing down the batch.
-fn contained_eval<E: Evaluator>(
-    eval: &mut E,
-    t: &Traversal,
-    seed: u64,
-) -> Result<BenchResult, SimError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval.evaluate(t, seed)))
-        .unwrap_or_else(|payload| {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(SimError::Panicked { detail })
-        })
 }
 
 #[cfg(test)]
@@ -1316,15 +851,26 @@ mod tests {
 
     /// Runs `explore_parallel` over the shared setup with a fresh
     /// SimEvaluator per worker.
-    fn run_parallel(strategy: Strategy, threads: usize) -> ExploreOutput {
+    fn run(strategy: Strategy, ctx: &ExploreCtx) -> ExploreOutput {
         let (space, w, platform) = setup();
         explore_parallel(
             &space,
             || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
             strategy,
-            threads,
+            ctx,
         )
         .unwrap()
+    }
+
+    /// Like [`run`] with an explicitly pinned MCTS backend.
+    fn run_backend(strategy: Strategy, threads: usize, backend: SearchBackend) -> ExploreOutput {
+        run(
+            strategy,
+            &ExploreCtx {
+                backend,
+                ..ExploreCtx::new(threads)
+            },
+        )
     }
 
     fn record_set(records: &[ExploredRecord]) -> std::collections::HashSet<(Traversal, u64)> {
@@ -1332,82 +878,6 @@ mod tests {
             .iter()
             .map(|r| (r.traversal.clone(), r.result.time().to_bits()))
             .collect()
-    }
-
-    #[test]
-    fn parallel_exhaustive_matches_serial_bit_for_bit() {
-        let serial = run_parallel(Strategy::Exhaustive, 1);
-        for threads in [2, 3, 8] {
-            let par = run_parallel(Strategy::Exhaustive, threads);
-            assert_eq!(par.threads, threads);
-            assert_eq!(par.records.len(), serial.records.len());
-            // Same records in the same (canonical) order, same times.
-            for (a, b) in par.records.iter().zip(&serial.records) {
-                assert_eq!(a.traversal, b.traversal);
-                assert_eq!(a.result, b.result);
-            }
-            assert_eq!(par.telemetry.to_csv(), serial.telemetry.to_csv());
-            let (ps, ss) = (par.sim.unwrap(), serial.sim.clone().unwrap());
-            assert_eq!(ps.runs, ss.runs);
-            assert_eq!(ps.instructions, ss.instructions);
-        }
-    }
-
-    #[test]
-    fn parallel_random_matches_serial_bit_for_bit() {
-        let strategy = Strategy::Random {
-            iterations: 40,
-            seed: 9,
-        };
-        let serial = run_parallel(strategy, 1);
-        for threads in [2, 4] {
-            let par = run_parallel(strategy, threads);
-            for (a, b) in par.records.iter().zip(&serial.records) {
-                assert_eq!(a.traversal, b.traversal);
-                assert_eq!(a.result, b.result);
-            }
-            assert_eq!(par.records.len(), serial.records.len());
-            assert_eq!(par.telemetry.to_csv(), serial.telemetry.to_csv());
-        }
-    }
-
-    /// Like [`run_parallel`] with an explicitly pinned MCTS backend.
-    fn run_backend(strategy: Strategy, threads: usize, backend: SearchBackend) -> ExploreOutput {
-        let (space, w, platform) = setup();
-        explore_parallel_backend(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            threads,
-            backend,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn root_parallel_mcts_exhausts_to_the_serial_record_set() {
-        // A budget far above the space size exhausts every worker's
-        // tree, so the merged record set must be thread-count-invariant
-        // and identical to the serial search's. (Backend pinned to the
-        // legacy root-parallel engine; the default is the shared tree.)
-        let strategy = Strategy::Mcts {
-            iterations: 200,
-            config: MctsConfig::default(),
-        };
-        let serial = run_backend(strategy, 1, SearchBackend::Root);
-        let serial_set = record_set(&serial.records);
-        assert!(!serial_set.is_empty());
-        for threads in [2, 4] {
-            let par = run_backend(strategy, threads, SearchBackend::Root);
-            assert_eq!(record_set(&par.records), serial_set, "threads={threads}");
-            // Re-running is deterministic in full.
-            let again = run_backend(strategy, threads, SearchBackend::Root);
-            assert_eq!(record_set(&again.records), record_set(&par.records));
-            // Workers overlap on a tiny space, so the shared cache
-            // must have absorbed re-simulations.
-            assert!(par.cache.hits > 0, "expected cache hits: {:?}", par.cache);
-            assert_eq!(par.cache.misses as usize, par.records.len());
-        }
     }
 
     #[test]
@@ -1445,129 +915,20 @@ mod tests {
     }
 
     #[test]
-    fn search_backend_resolves_names() {
+    fn search_backend_parses_names_and_rejects_the_rest() {
         assert_eq!(SearchBackend::default(), SearchBackend::Auto);
-        assert_eq!(SearchBackend::Auto.name(), "auto");
-        assert_eq!(SearchBackend::Shared.name(), "shared");
-        assert_eq!(SearchBackend::Root.name(), "root");
-    }
-
-    /// An evaluator that deterministically fails traversals by hash
-    /// residue — and, when `panics` is set, panics on one residue to
-    /// exercise containment (only valid under the isolated pool; the
-    /// MCTS path expects its evaluator to return errors, as the real
-    /// `ResilientEvaluator` does after catching panics itself).
-    fn chaotic_eval<'a>(
-        space: &'a DecisionSpace,
-        w: &'a TableWorkload,
-        platform: &'a Platform,
-        panics: bool,
-    ) -> impl FnMut(&Traversal, u64) -> Result<dr_sim::BenchResult, SimError> + 'a {
-        let mut inner = SimEvaluator::new(space, w, platform, BenchConfig::quick());
-        move |t: &Traversal, seed: u64| match t.canonical_hash() % 4 {
-            0 | 2 => Err(SimError::Panicked {
-                detail: "injected failure".into(),
-            }),
-            1 if panics => panic!("injected panic"),
-            1 => Err(SimError::Panicked {
-                detail: "injected failure".into(),
-            }),
-            _ => Evaluator::evaluate(&mut inner, t, seed),
+        for b in [SearchBackend::Auto, SearchBackend::Shared] {
+            assert_eq!(b.name().parse::<SearchBackend>(), Ok(b));
         }
-    }
-
-    #[test]
-    fn resilient_exhaustive_quarantines_and_keeps_the_rest() {
-        let (space, w, platform) = setup();
-        let total = space.count_traversals() as usize;
-        let run = |threads| {
-            explore_parallel_resilient(
-                &space,
-                || chaotic_eval(&space, &w, &platform, true),
-                Strategy::Exhaustive,
-                threads,
-            )
-            .unwrap()
-        };
-        let serial = run(1);
+        assert_eq!("".parse::<SearchBackend>(), Ok(SearchBackend::Auto));
         assert_eq!(
-            serial.records.len() + serial.failures.len(),
-            total,
-            "every traversal is either measured or quarantined"
+            " shared ".parse::<SearchBackend>(),
+            Ok(SearchBackend::Shared)
         );
-        assert!(!serial.failures.is_empty(), "chaos must bite this space");
-        assert!(!serial.records.is_empty(), "survivors must remain");
-        assert_eq!(serial.quarantined as usize, serial.failures.len());
-        // Panics were contained as structured errors.
-        assert!(serial
-            .failures
-            .iter()
-            .all(|(_, e)| matches!(e, SimError::Panicked { .. })));
-        for threads in [2, 4] {
-            let par = run(threads);
-            assert_eq!(par.records.len(), serial.records.len(), "threads={threads}");
-            for (a, b) in par.records.iter().zip(&serial.records) {
-                assert_eq!(a.traversal, b.traversal);
-                assert_eq!(a.result, b.result);
-            }
-            assert_eq!(
-                par.failures.iter().map(|(t, _)| t).collect::<Vec<_>>(),
-                serial.failures.iter().map(|(t, _)| t).collect::<Vec<_>>()
-            );
+        for bad in ["shraed", "root", "Shared"] {
+            let err = bad.parse::<SearchBackend>().unwrap_err();
+            assert!(err.contains("auto|shared"), "{err}");
         }
-    }
-
-    #[test]
-    fn resilient_random_matches_the_plain_engine_when_clean() {
-        let (space, w, platform) = setup();
-        let strategy = Strategy::Random {
-            iterations: 30,
-            seed: 5,
-        };
-        let plain = explore_parallel(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            2,
-        )
-        .unwrap();
-        let resilient = explore_parallel_resilient(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            2,
-        )
-        .unwrap();
-        assert_eq!(resilient.records.len(), plain.records.len());
-        for (a, b) in resilient.records.iter().zip(&plain.records) {
-            assert_eq!(a.traversal, b.traversal);
-            assert_eq!(a.result, b.result);
-        }
-        assert!(resilient.failures.is_empty());
-        assert_eq!(resilient.quarantined, 0);
-    }
-
-    #[test]
-    fn resilient_mcts_quarantines_in_tree() {
-        let (space, w, platform) = setup();
-        let total = space.count_traversals() as usize;
-        let strategy = Strategy::Mcts {
-            iterations: 400,
-            config: MctsConfig {
-                max_failures: total,
-                ..MctsConfig::default()
-            },
-        };
-        let out = explore_parallel_resilient(
-            &space,
-            || chaotic_eval(&space, &w, &platform, false),
-            strategy,
-            1,
-        )
-        .unwrap();
-        assert!(out.quarantined > 0, "chaos must bite");
-        assert!(!out.records.is_empty());
-        assert_eq!(out.records.len() + out.quarantined as usize, total);
     }
 
     #[test]
@@ -1576,7 +937,7 @@ mod tests {
             iterations: 60,
             config: MctsConfig::default(),
         };
-        let par = run_parallel(strategy, 3);
+        let par = run(strategy, &ExploreCtx::new(3));
         let rows = par.telemetry.rows();
         assert!(!rows.is_empty());
         for (i, row) in rows.iter().enumerate() {
@@ -1591,5 +952,28 @@ mod tests {
             par.records.len(),
             "final row counts all merged records"
         );
+    }
+
+    #[test]
+    fn serial_mcts_contains_panicking_evaluations() {
+        let (space, _, _) = setup();
+        let strategy = Strategy::Mcts {
+            iterations: 50,
+            config: MctsConfig::default(),
+        };
+        let panicking = || {
+            |_: &Traversal, _: u64| -> Result<BenchResult, SimError> { panic!("injected panic") }
+        };
+        // Abort surfaces the panic as a structured error...
+        let err = explore_parallel(&space, panicking, strategy, &ExploreCtx::new(1)).unwrap_err();
+        assert!(matches!(err, SimError::Panicked { .. }), "{err}");
+        // ...and Quarantine drops every traversal instead of unwinding.
+        let ctx = ExploreCtx {
+            policy: FailurePolicy::Quarantine,
+            ..ExploreCtx::new(1)
+        };
+        let out = explore_parallel(&space, panicking, strategy, &ctx).unwrap();
+        assert!(out.records.is_empty());
+        assert_eq!(out.quarantined as u128, space.count_traversals());
     }
 }

@@ -49,12 +49,10 @@ pub use compare::{
     compare_bench, compare_fleet, compare_ledgers, is_bench_file, is_fleet_file, load_bench,
     load_fleet, load_ledger, CompareOptions, CompareReport, BENCH_SCHEMA,
 };
+pub use dr_par::FailurePolicy;
 pub use evaluate::{labeling_accuracy, AccuracyReport};
 pub use explore::{
-    events_rate, explore, explore_instrumented, explore_parallel, explore_parallel_backend,
-    explore_parallel_resilient, explore_parallel_resilient_traced,
-    explore_parallel_resilient_watched, explore_parallel_resilient_watched_backend,
-    explore_parallel_traced, explore_parallel_watched, explore_parallel_watched_backend,
+    events_rate, explore, explore_instrumented, explore_parallel, records_telemetry, ExploreCtx,
     ExploreOutput, SearchBackend, Strategy,
 };
 pub use ledger::{
@@ -68,7 +66,7 @@ pub use lintstage::{
 pub use multi_input::{mine_rules_multi, InputFeature, InputRun, MultiInputResult};
 pub use pipeline::{
     mine_rules, mine_rules_timed, run_pipeline, run_pipeline_instrumented, run_pipeline_stored,
-    run_pipeline_traced, run_pipeline_watched, InstrumentedRun, PipelineConfig, PipelineResult,
+    InstrumentedRun, PipelineConfig, PipelineResult,
 };
 pub use report::{
     LintSummary, MiningSummary, Provenance, ResilienceSummary, RunReport, SearchSummary,
@@ -81,9 +79,9 @@ pub use runs::{
     diff_entries, find_entry, select, show_entry, summary_line, trend_lines, RunFilter,
 };
 pub use shard::{
-    heartbeat_interval_ms, merge_shards, records_telemetry, run_shard, shard_manifest_path,
-    shard_store_dir, shard_work, strategy_identity, MergeOutcome, ShardManifest, ShardRunOutcome,
-    ShardSpec, SHARD_SCHEMA,
+    heartbeat_interval_ms, merge_shards, run_shard, shard_manifest_path, shard_store_dir,
+    shard_work, strategy_identity, MergeOutcome, ShardManifest, ShardRunOutcome, ShardSpec,
+    SHARD_SCHEMA,
 };
 pub use storestage::StoredEvaluator;
 pub use synthesize::{satisfies, synthesize};

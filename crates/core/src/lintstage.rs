@@ -93,38 +93,34 @@ impl LintTotals {
 }
 
 /// Evaluator wrapper that lints each traversal before the inner evaluator
-/// measures it. Placed *inside* the exploration cache, so each distinct
-/// traversal is linted exactly once per run.
+/// measures it. Placed *outside* the durable store, so each distinct
+/// traversal is linted exactly once per run, cold or warm. With lint off
+/// (`None`) the wrapper is a pass-through, so one stack serves both.
 pub struct LintingEvaluator<'a, E> {
     inner: E,
     space: &'a DecisionSpace,
-    topo: &'a CommTopology,
-    totals: Arc<LintTotals>,
+    lint: Option<(&'a CommTopology, Arc<LintTotals>)>,
 }
 
 impl<'a, E> LintingEvaluator<'a, E> {
-    /// Wraps `inner`, accumulating findings into the shared `totals`.
+    /// Wraps `inner`, checking each schedule against the topology and
+    /// accumulating findings into the shared totals; `None` disables it.
     pub fn new(
         inner: E,
         space: &'a DecisionSpace,
-        topo: &'a CommTopology,
-        totals: Arc<LintTotals>,
+        lint: Option<(&'a CommTopology, Arc<LintTotals>)>,
     ) -> Self {
-        LintingEvaluator {
-            inner,
-            space,
-            topo,
-            totals,
-        }
+        LintingEvaluator { inner, space, lint }
     }
 }
 
 impl<E: Evaluator> Evaluator for LintingEvaluator<'_, E> {
     fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        let start = std::time::Instant::now();
-        let report = lint_traversal(self.space, t, Some(self.topo));
-        self.totals
-            .absorb(&report, start.elapsed().as_nanos() as u64);
+        if let Some((topo, totals)) = &self.lint {
+            let start = std::time::Instant::now();
+            let report = lint_traversal(self.space, t, Some(topo));
+            totals.absorb(&report, start.elapsed().as_nanos() as u64);
+        }
         self.inner.evaluate(t, seed)
     }
 
@@ -433,7 +429,7 @@ mod tests {
         let topo = topology_from_workload(&space, &w, &platform);
         let totals = Arc::new(LintTotals::default());
         let inner = dr_mcts::SimEvaluator::new(&space, &w, &platform, dr_sim::BenchConfig::quick());
-        let mut eval = LintingEvaluator::new(inner, &space, &topo, totals.clone());
+        let mut eval = LintingEvaluator::new(inner, &space, Some((&topo, totals.clone())));
         let t = space.enumerate().next().unwrap();
         let res = eval.evaluate(&t, 7).unwrap();
         assert!(res.time() >= 1e-4);

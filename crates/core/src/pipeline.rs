@@ -1,26 +1,24 @@
 //! The end-to-end design-rule pipeline (paper Fig. 2): explore → label →
 //! featurize → train → extract rules.
 
-use crate::explore::{
-    events_rate, explore_parallel_resilient_watched_backend, explore_parallel_watched_backend,
-    SearchBackend, Strategy,
-};
+use crate::explore::{events_rate, explore_parallel, ExploreCtx, SearchBackend, Strategy};
 use crate::lintstage::{lint_space_watched, topology_from_workload, LintTotals, LintingEvaluator};
 use crate::report::{RunReport, SearchSummary};
-use crate::resilient::{ResilienceTotals, ResilientEvaluator};
+use crate::resilient::{Chaos, Measure};
 use crate::storestage::StoredEvaluator;
 use crate::tracestage::TracingEvaluator;
 use crate::watch::{EvalWatch, WatchedEvaluator};
 use dr_dag::{DecisionSpace, Traversal};
 use dr_fault::FaultConfig;
-use dr_mcts::{ExploredRecord, PruneHook, SearchTelemetry, SimEvaluator};
+use dr_lint::CommTopology;
+use dr_mcts::{ExploredRecord, PruneHook, SearchTelemetry};
 use dr_ml::{
     algorithm1, extract_rulesets, featurize, label_times, FeatureSet, HyperSearch, Labeling,
     LabelingConfig, RuleSet, TrainConfig,
 };
 use dr_obs::events::{EventSink, Field};
 use dr_obs::{Phases, Stopwatch};
-use dr_par::{resolve_threads, CacheStats};
+use dr_par::{resolve_threads, CacheStats, FailurePolicy};
 use dr_sim::{BenchConfig, Platform, SimError, Workload};
 use dr_trace::{Lane, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,12 +44,12 @@ pub struct PipelineConfig {
     /// Deterministic fault injection (chaos mode). Inactive (clean) by
     /// default; when inactive, the `DR_FAULTS` environment variable is
     /// consulted (`clean`/`light`/`heavy`/`drops` or `key=value`
-    /// overrides). An active config routes exploration through the
-    /// resilient engine: retry-with-reseed evaluation under a watchdog
-    /// budget, panic isolation, quarantine instead of abort, and robust
-    /// (MAD-screened) labeling.
+    /// overrides). An active config measures with the resilient
+    /// evaluator (retry-with-reseed under a watchdog budget, panic
+    /// isolation), explores under [`FailurePolicy::Quarantine`] instead
+    /// of aborting, and labels robustly (MAD-screened).
     pub faults: FaultConfig,
-    /// Which parallel engine backs MCTS exploration. The default
+    /// Which tree backs MCTS exploration. The default
     /// ([`SearchBackend::Auto`]) keeps the serial tree at one thread and
     /// uses the shared tree above; the CLI resolves `DR_SEARCH` into
     /// this field.
@@ -121,8 +119,8 @@ pub struct InstrumentedRun {
     /// Per-iteration search telemetry (one row per exploration
     /// iteration).
     pub telemetry: SearchTelemetry,
-    /// Hit/miss counters of the shared evaluation cache (all zero for
-    /// serial runs and strategies that never re-visit a traversal).
+    /// Repeat accounting of the shared MCTS tree (all zero for the
+    /// serial tree and the non-MCTS strategies).
     pub cache: CacheStats,
     /// Number of exploration worker threads actually used.
     pub threads: usize,
@@ -139,34 +137,16 @@ pub fn run_pipeline_instrumented<W: Workload + Sync>(
     strategy: Strategy,
     cfg: &PipelineConfig,
 ) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_traced(
+    run_pipeline_stored(
         space,
         workload,
         platform,
         strategy,
         cfg,
         &Tracer::disabled(),
+        None,
+        None,
     )
-}
-
-/// [`run_pipeline_instrumented`] with causal span tracing: a root
-/// `pipeline` span covers the run, each phase (`explore`, `label`,
-/// `featurize`, `train`, `rules`) becomes a child span, every worker's
-/// evaluator stack is wrapped in a [`TracingEvaluator`] recording one
-/// `evaluate` span per benchmark call, and the exploration backends add
-/// worker/chunk/iteration spans linked to the explore span via
-/// `follows_from` edges. With a disabled tracer this is exactly
-/// [`run_pipeline_instrumented`]; tracing never changes the mined
-/// result.
-pub fn run_pipeline_traced<W: Workload + Sync>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
-) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_watched(space, workload, platform, strategy, cfg, tracer, None)
 }
 
 /// Builds the optional MCTS static-prune hook from `DR_LINT_PRUNE`:
@@ -202,6 +182,56 @@ fn space_lint_cap() -> usize {
         .unwrap_or(4096)
 }
 
+/// One worker's evaluator stack, outermost first: watch → trace → lint
+/// → store → measure. The watch layer's wall time covers the whole
+/// stack; the trace layer's `evaluate` span covers store lookups, lint,
+/// fault retries, and the simulator run.
+pub(crate) type EvalStack<'a, W> =
+    WatchedEvaluator<TracingEvaluator<LintingEvaluator<'a, StoredEvaluator<Measure<'a, W>>>>>;
+
+/// What every worker's [`EvalStack`] is built from. Each optional part
+/// switches its layer off when absent, leaving a pass-through.
+pub(crate) struct StackParts<'a, W: Workload> {
+    pub space: &'a DecisionSpace,
+    pub workload: &'a W,
+    pub platform: &'a Platform,
+    pub bench: BenchConfig,
+    /// Fault injection: selects the resilient measuring layer.
+    pub chaos: Option<Chaos>,
+    /// Per-evaluation lint against this topology, into these totals.
+    pub lint: Option<(CommTopology, Arc<LintTotals>)>,
+    pub store: Option<Arc<dr_store::ResultStore>>,
+    pub watch: Option<EvalWatch>,
+}
+
+impl<W: Workload> StackParts<'_, W> {
+    /// Builds one worker's stack, recording `evaluate` spans on `lane`.
+    pub fn build(&self, lane: Lane) -> EvalStack<'_, W> {
+        let measure = Measure::new(
+            self.space,
+            self.workload,
+            self.platform,
+            self.bench,
+            self.chaos.as_ref(),
+        );
+        let lint = self
+            .lint
+            .as_ref()
+            .map(|(topo, totals)| (topo, totals.clone()));
+        WatchedEvaluator::new(
+            TracingEvaluator::new(
+                LintingEvaluator::new(
+                    StoredEvaluator::new(measure, self.store.clone()),
+                    self.space,
+                    lint,
+                ),
+                lane,
+            ),
+            self.watch.clone(),
+        )
+    }
+}
+
 /// Emits an event when a live sink is present (the pipeline's phase and
 /// run lifecycle events all go through here).
 fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
@@ -210,39 +240,33 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
     }
 }
 
-/// [`run_pipeline_traced`] with a structured event stream (schema
-/// `dr-events/v1`): `run-start`/`run-end` bracket the run,
-/// `phase-start`/`phase-end` bracket each pipeline phase (the explore
-/// end event carries record, cache, and quarantine counters), workers
-/// emit lifecycle events, MCTS iterations and evaluations are sampled
-/// (`DR_EVENTS_RATE`, default 16). The report's provenance run id is
-/// taken from the sink so the event stream, report, and ledger entry
-/// all name the same run. A `None` or disabled sink makes this exactly
-/// [`run_pipeline_traced`]; either way the mined result is bit-identical
-/// to the unobserved run.
-pub fn run_pipeline_watched<W: Workload + Sync>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
-    events: Option<&EventSink>,
-) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_stored(
-        space, workload, platform, strategy, cfg, tracer, events, None,
-    )
-}
-
-/// [`run_pipeline_watched`] backed by a durable [`dr_store::ResultStore`]:
-/// every evaluator stack consults the store before simulating and commits
-/// each fresh measurement to disk before returning it, so a re-run over
-/// the same store answers every already-measured traversal from disk
-/// (`store.stats().hits` proves it) and a crash mid-run loses at most the
-/// in-flight record. The store sits *inside* the lint/trace/watch layers,
-/// so observability counters are identical between cold and warm runs;
-/// only the simulator is skipped. A `None` store makes this exactly
-/// [`run_pipeline_watched`].
+/// [`run_pipeline_instrumented`] with every observation channel and a
+/// durable store.
+///
+/// * **Tracing.** A root `pipeline` span covers the run, each phase
+///   (`explore`, `label`, `featurize`, `train`, `rules`) becomes a child
+///   span, every worker's evaluator stack records one `evaluate` span per
+///   benchmark call, and the exploration engine adds worker/chunk/
+///   iteration spans linked to the explore span via `follows_from`
+///   edges.
+/// * **Events** (schema `dr-events/v1`). `run-start`/`run-end` bracket
+///   the run, `phase-start`/`phase-end` bracket each pipeline phase (the
+///   explore end event carries record, cache, and quarantine counters),
+///   workers emit lifecycle events, and MCTS iterations and evaluations
+///   are sampled (`DR_EVENTS_RATE`, default 16). The report's provenance
+///   run id is taken from the sink so the event stream, report, and
+///   ledger entry all name the same run.
+/// * **Store.** Every evaluator stack consults the
+///   [`dr_store::ResultStore`] before simulating and commits each fresh
+///   measurement to disk before returning it, so a re-run over the same
+///   store answers every already-measured traversal from disk
+///   (`store.stats().hits` proves it) and a crash mid-run loses at most
+///   the in-flight record. The store sits *inside* the lint/trace/watch
+///   layers, so observability counters are identical between cold and
+///   warm runs; only the simulator is skipped.
+///
+/// A disabled tracer, a `None` or disabled sink, and a `None` store each
+/// switch their channel off; none of them ever changes the mined result.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pipeline_stored<W: Workload + Sync>(
     space: &DecisionSpace,
@@ -335,177 +359,61 @@ fn run_pipeline_spanned<W: Workload + Sync>(
 ) -> Result<InstrumentedRun, SimError> {
     let mut phases = Phases::new();
     let threads = resolve_threads((cfg.threads > 0).then_some(cfg.threads));
-    let faults = if cfg.faults.is_active() {
-        cfg.faults
+    let chaos = Chaos::resolve(cfg.faults, Chaos::DEFAULT_RETRY)?;
+    let resilience = chaos.as_ref().map(|c| c.totals.clone());
+    // With faults active, exploration quarantines instead of aborting.
+    let policy = if chaos.is_some() {
+        FailurePolicy::Quarantine
     } else {
-        match FaultConfig::from_env() {
-            Ok(Some(f)) => f,
-            Ok(None) => FaultConfig::clean(),
-            Err(msg) => {
-                return Err(SimError::Faulted {
-                    detail: format!("invalid DR_FAULTS: {msg}"),
-                })
-            }
-        }
+        FailurePolicy::Abort
     };
-    let resilience = faults
-        .is_active()
-        .then(|| Arc::new(ResilienceTotals::default()));
-    let lint_ctx = cfg.lint.then(|| {
-        (
-            Arc::new(LintTotals::default()),
-            topology_from_workload(space, workload, platform),
-        )
-    });
-    // With faults active, MCTS must quarantine instead of aborting:
-    // unless the caller chose a cap, tolerate up to the whole budget.
-    let strategy = match strategy {
-        Strategy::Mcts {
-            iterations,
-            mut config,
-        } if resilience.is_some() && config.max_failures == 0 => {
-            config.max_failures = iterations;
-            Strategy::Mcts { iterations, config }
-        }
-        s => s,
+    let parts = StackParts {
+        space,
+        workload,
+        platform,
+        bench: cfg.bench,
+        chaos,
+        lint: cfg.lint.then(|| {
+            (
+                topology_from_workload(space, workload, platform),
+                Arc::new(LintTotals::default()),
+            )
+        }),
+        store,
+        watch: events.map(|s| EvalWatch::new(s.clone(), events_rate())),
     };
     let prune = lint_prune_hook(space, workload, platform);
     main.annotate("threads", threads);
     main.annotate("lint", cfg.lint);
     main.annotate("lint_prune", prune.is_some());
-    main.annotate("faults_active", faults.is_active());
+    main.annotate("faults_active", resilience.is_some());
     main.enter("explore");
-    let dispatch = main.current();
+    let ctx = ExploreCtx {
+        tracer: tracer.clone(),
+        dispatch: main.current(),
+        events: events.cloned(),
+        backend: cfg.search,
+        prune,
+        policy,
+        ..ExploreCtx::new(threads)
+    };
     emit(
         events,
         "phase-start",
         &[("phase", "explore".into()), ("threads", threads.into())],
     );
-    // Each worker's evaluator stack gets its own `eval-{n}` lane; the
-    // wrapper is the stack's outermost layer so its span covers cache
-    // lookups, lint, fault retries, and the simulator run. The event
-    // watch wraps even that, so its wall time covers the whole stack.
+    // Each worker's evaluator stack gets its own `eval-{n}` lane.
     let eval_ix = AtomicUsize::new(0);
-    let eval_lane = || {
-        let n = eval_ix.fetch_add(1, Ordering::Relaxed);
-        tracer.lane(&format!("eval-{n}"))
-    };
-    let watch = events.map(|s| EvalWatch::new(s.clone(), events_rate()));
     let sw = Stopwatch::start();
-    let explored = match (&resilience, &lint_ctx) {
-        (Some(totals), Some((lint, topo))) => explore_parallel_resilient_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        LintingEvaluator::new(
-                            StoredEvaluator::new(
-                                ResilientEvaluator::new(
-                                    space,
-                                    workload,
-                                    platform,
-                                    cfg.bench,
-                                    faults,
-                                    totals.clone(),
-                                ),
-                                store.clone(),
-                            ),
-                            space,
-                            topo,
-                            lint.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (Some(totals), None) => explore_parallel_resilient_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        StoredEvaluator::new(
-                            ResilientEvaluator::new(
-                                space,
-                                workload,
-                                platform,
-                                cfg.bench,
-                                faults,
-                                totals.clone(),
-                            ),
-                            store.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (None, Some((lint, topo))) => explore_parallel_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        LintingEvaluator::new(
-                            StoredEvaluator::new(
-                                SimEvaluator::new(space, workload, platform, cfg.bench),
-                                store.clone(),
-                            ),
-                            space,
-                            topo,
-                            lint.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (None, None) => explore_parallel_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        StoredEvaluator::new(
-                            SimEvaluator::new(space, workload, platform, cfg.bench),
-                            store.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-    };
+    let explored = explore_parallel(
+        space,
+        || {
+            let n = eval_ix.fetch_add(1, Ordering::Relaxed);
+            parts.build(tracer.lane(&format!("eval-{n}")))
+        },
+        strategy,
+        &ctx,
+    );
     let explored = match explored {
         Ok(e) => {
             main.annotate("explored_records", e.records.len());
@@ -538,10 +446,13 @@ fn run_pipeline_spanned<W: Workload + Sync>(
                     .map_or(0, |t| t.summary().retries)
                     .into(),
             ),
-            ("evals", watch.as_ref().map_or(0, |w| w.count()).into()),
+            (
+                "evals",
+                parts.watch.as_ref().map_or(0, |w| w.count()).into(),
+            ),
         ],
     );
-    if let Some((totals, topo)) = &lint_ctx {
+    if let Some((topo, totals)) = &parts.lint {
         phases.add("lint", totals.seconds());
         // The space-level pass: incremental full-space verification with
         // checkpointed happens-before state, bounded by
@@ -606,7 +517,7 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     if let Some(sink) = events {
         report.provenance.run_id = sink.run_id().to_string();
     }
-    report.lint = lint_ctx.map(|(totals, _)| totals.summary());
+    report.lint = parts.lint.map(|(_, totals)| totals.summary());
     report.resilience = resilience.map(|totals| totals.summary());
     Ok(InstrumentedRun {
         result,
@@ -953,9 +864,17 @@ mod tests {
             ..PipelineConfig::quick()
         };
         let tracer = Tracer::new();
-        let traced =
-            run_pipeline_traced(&space, &w, &platform, Strategy::Exhaustive, &cfg, &tracer)
-                .unwrap();
+        let traced = run_pipeline_stored(
+            &space,
+            &w,
+            &platform,
+            Strategy::Exhaustive,
+            &cfg,
+            &tracer,
+            None,
+            None,
+        )
+        .unwrap();
         let plain =
             run_pipeline_instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap();
         // Tracing never perturbs the mined result.
@@ -1009,13 +928,15 @@ mod tests {
             config: dr_mcts::MctsConfig::default(),
         };
         let tracer = Tracer::new();
-        let run = run_pipeline_traced(
+        let run = run_pipeline_stored(
             &space,
             &w,
             &platform,
             strategy,
             &PipelineConfig::quick(),
             &tracer,
+            None,
+            None,
         )
         .unwrap();
         assert!(!run.result.records.is_empty());
@@ -1041,9 +962,17 @@ mod tests {
         let buf = dr_obs::SharedBuf::new();
         let sink = EventSink::new("run-test").with_writer(Box::new(buf.clone()));
         let tracer = Tracer::disabled();
-        let watched =
-            run_pipeline_watched(&space, &w, &platform, strategy, &cfg, &tracer, Some(&sink))
-                .unwrap();
+        let watched = run_pipeline_stored(
+            &space,
+            &w,
+            &platform,
+            strategy,
+            &cfg,
+            &tracer,
+            Some(&sink),
+            None,
+        )
+        .unwrap();
         let plain = run_pipeline_instrumented(&space, &w, &platform, strategy, &cfg).unwrap();
         // Observation never perturbs the record set.
         let set = |r: &[ExploredRecord]| {

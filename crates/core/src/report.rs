@@ -99,11 +99,10 @@ pub struct SearchSummary {
     pub tree_nodes: usize,
     /// Deepest materialized tree node.
     pub max_depth: usize,
-    /// Final tree statistics straight from the search engine, merged
-    /// across root-parallel workers (`None` for tree-less strategies).
-    /// Unlike `tree_nodes`/`max_depth` — which come from the last
-    /// telemetry row and are worker-local on parallel runs — these
-    /// cover every worker's tree.
+    /// Final tree statistics straight from the search engine (`None`
+    /// for tree-less strategies). Unlike `tree_nodes`/`max_depth` —
+    /// which come from the last telemetry row — these are taken after
+    /// the search finished.
     pub tree: Option<TreeStats>,
     /// Whether the run provably covered the whole design space.
     pub exhausted: bool,

@@ -16,7 +16,8 @@
 use crate::report::ResilienceSummary;
 use dr_dag::{build_schedule, DecisionSpace, Traversal};
 use dr_fault::{FaultConfig, FaultPlan};
-use dr_mcts::Evaluator;
+use dr_mcts::{Evaluator, SimEvaluator};
+use dr_par::panic_text;
 use dr_sim::{
     benchmark_instrumented, BenchConfig, BenchResult, CompiledProgram, Platform, SimError,
     SimStats, Workload,
@@ -150,17 +151,6 @@ impl ResilienceTotals {
     }
 }
 
-/// Turns a caught panic payload into displayable text.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The chaos-mode evaluator: compiles a traversal once, then benchmarks
 /// it under a seed-derived [`FaultPlan`] with a watchdog budget,
 /// retrying with a reseeded plan when the injected faults kill the run.
@@ -280,6 +270,103 @@ impl<W: Workload> Evaluator for ResilientEvaluator<'_, W> {
 
     fn sim_stats(&self) -> Option<&SimStats> {
         Some(&self.stats)
+    }
+}
+
+/// Fault injection for one run: the fault configuration, the retry
+/// schedule, and the counters every worker's resilient evaluator feeds.
+#[derive(Debug)]
+pub(crate) struct Chaos {
+    faults: FaultConfig,
+    /// `(max_retries, backoff_base_ms, backoff_cap_ms)`.
+    retry: (usize, u64, u64),
+    /// Shared resilience counters for the run report.
+    pub totals: Arc<ResilienceTotals>,
+}
+
+impl Chaos {
+    /// The compiled-default retry schedule.
+    pub const DEFAULT_RETRY: (usize, u64, u64) = (
+        DEFAULT_MAX_RETRIES,
+        DEFAULT_BACKOFF_BASE_MS,
+        DEFAULT_BACKOFF_CAP_MS,
+    );
+
+    /// Resolves a run's fault injection: an active `configured` config
+    /// wins, otherwise the `DR_FAULTS` environment variable is consulted.
+    /// `None` when neither is active (a clean run).
+    pub fn resolve(
+        configured: FaultConfig,
+        retry: (usize, u64, u64),
+    ) -> Result<Option<Chaos>, SimError> {
+        let faults = if configured.is_active() {
+            configured
+        } else {
+            FaultConfig::from_env()
+                .map_err(|msg| SimError::Faulted {
+                    detail: format!("invalid DR_FAULTS: {msg}"),
+                })?
+                .unwrap_or_else(FaultConfig::clean)
+        };
+        Ok(faults.is_active().then(|| Chaos {
+            faults,
+            retry,
+            totals: Arc::new(ResilienceTotals::default()),
+        }))
+    }
+}
+
+/// The measuring layer at the bottom of every evaluator stack: plain
+/// simulation, or the retry-with-reseed evaluator when fault injection is
+/// active.
+pub(crate) enum Measure<'a, W: Workload> {
+    Sim(SimEvaluator<'a, W>),
+    Resilient(ResilientEvaluator<'a, W>),
+}
+
+impl<'a, W: Workload> Measure<'a, W> {
+    /// Resilient when `chaos` is given, plain simulation otherwise.
+    pub fn new(
+        space: &'a DecisionSpace,
+        workload: &'a W,
+        platform: &'a Platform,
+        bench: BenchConfig,
+        chaos: Option<&Chaos>,
+    ) -> Self {
+        match chaos {
+            Some(c) => {
+                let (max_retries, base_ms, cap_ms) = c.retry;
+                Measure::Resilient(
+                    ResilientEvaluator::new(
+                        space,
+                        workload,
+                        platform,
+                        bench,
+                        c.faults,
+                        c.totals.clone(),
+                    )
+                    .with_max_retries(max_retries)
+                    .with_backoff(base_ms, cap_ms),
+                )
+            }
+            None => Measure::Sim(SimEvaluator::new(space, workload, platform, bench)),
+        }
+    }
+}
+
+impl<W: Workload> Evaluator for Measure<'_, W> {
+    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
+        match self {
+            Measure::Sim(e) => e.evaluate(t, seed),
+            Measure::Resilient(e) => e.evaluate(t, seed),
+        }
+    }
+
+    fn sim_stats(&self) -> Option<&SimStats> {
+        match self {
+            Measure::Sim(e) => e.sim_stats(),
+            Measure::Resilient(e) => e.sim_stats(),
+        }
     }
 }
 

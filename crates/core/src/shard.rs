@@ -34,22 +34,18 @@
 //! no manifest, so coordinators re-issue exactly the unfinished shards,
 //! and resumed shards answer already-simulated traversals from disk.
 
-use crate::explore::{Strategy, EXHAUSTIVE_MASTER_SEED};
+use crate::explore::{random_rollouts, Strategy, EXHAUSTIVE_MASTER_SEED};
 use crate::ledger::records_fingerprint;
-use crate::pipeline::PipelineConfig;
-use crate::resilient::{ResilienceTotals, ResilientEvaluator};
-use crate::storestage::StoredEvaluator;
+use crate::pipeline::{PipelineConfig, StackParts};
+use crate::resilient::Chaos;
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
-use dr_fault::FaultConfig;
-use dr_mcts::{
-    shard_root_seed, Evaluator, ExploredRecord, Mcts, MctsConfig, SearchTelemetry, SimEvaluator,
-    TelemetryRow,
-};
+use dr_mcts::{shard_root_seed, Evaluator, ExploredRecord, Mcts, MctsConfig};
 use dr_obs::events::EventSink;
 use dr_obs::{json, Stopwatch};
 use dr_par::split_budget;
-use dr_sim::{BenchResult, SimError, SimStats, Workload};
+use dr_sim::{SimError, Workload};
 use dr_store::{ResultStore, StoreStats};
+use dr_trace::Tracer;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -240,28 +236,6 @@ fn slice_bounds(total: usize, spec: ShardSpec) -> (usize, usize) {
     (((t * i) / n) as usize, ((t * (i + 1)) / n) as usize)
 }
 
-/// Replays the random strategy's global dedup loop without simulating:
-/// the unique-traversal sequence in rollout-discovery order — exactly
-/// the unsharded run's record order.
-fn random_uniques(space: &DecisionSpace, iterations: usize, seed: u64) -> Vec<Traversal> {
-    let mut uniques: Vec<Traversal> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    for iter in 0..iterations {
-        let t = dr_mcts::random_rollout(space, seed, iter as u64);
-        let hash = t.canonical_hash();
-        let known = by_hash
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .any(|&u| uniques[u] == t);
-        if !known {
-            by_hash.entry(hash).or_default().push(uniques.len());
-            uniques.push(t);
-        }
-    }
-    uniques
-}
-
 /// The deterministic work list shard `spec` owns under `strategy`:
 /// `None` for MCTS (which shards by search trajectory, not by a
 /// pre-enumerable list). Shard work lists partition the unsharded record
@@ -279,7 +253,8 @@ pub fn shard_work(
             Some(space.enumerate().skip(lo).take(hi - lo).collect())
         }
         Strategy::Random { iterations, seed } => {
-            let uniques = random_uniques(space, iterations, seed);
+            // The unsharded run's record order: rollout-discovery order.
+            let (uniques, _) = random_rollouts(space, iterations, seed);
             let (lo, hi) = slice_bounds(uniques.len(), spec);
             Some(uniques[lo..hi].to_vec())
         }
@@ -353,29 +328,6 @@ impl<'a> Heartbeat<'a> {
     }
 }
 
-/// Either evaluator stack a shard runs: plain simulation, or the
-/// resilient retry-with-reseed stack when fault injection is active.
-enum ShardEval<'a, W: Workload> {
-    Plain(SimEvaluator<'a, W>),
-    Resilient(ResilientEvaluator<'a, W>),
-}
-
-impl<W: Workload> Evaluator for ShardEval<'_, W> {
-    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        match self {
-            ShardEval::Plain(e) => e.evaluate(t, seed),
-            ShardEval::Resilient(e) => e.evaluate(t, seed),
-        }
-    }
-
-    fn sim_stats(&self) -> Option<&SimStats> {
-        match self {
-            ShardEval::Plain(e) => e.sim_stats(),
-            ShardEval::Resilient(e) => e.sim_stats(),
-        }
-    }
-}
-
 /// Everything one shard run produced.
 #[derive(Debug, Clone)]
 pub struct ShardRunOutcome {
@@ -415,35 +367,21 @@ pub fn run_shard<W: Workload + Sync>(
     let events = events.filter(|s| s.is_enabled());
     let store =
         Arc::new(ResultStore::open(&shard_store_dir(store_root, spec)).map_err(store_io_err)?);
-    let faults = if cfg.faults.is_active() {
-        cfg.faults
-    } else {
-        match FaultConfig::from_env() {
-            Ok(Some(f)) => f,
-            Ok(None) => FaultConfig::clean(),
-            Err(msg) => {
-                return Err(SimError::Faulted {
-                    detail: format!("invalid DR_FAULTS: {msg}"),
-                })
-            }
-        }
+    // DR_RETRY_* knobs let a coordinator (or a chaos test) stretch one
+    // worker's retry schedule without recompiling.
+    let chaos = Chaos::resolve(cfg.faults, crate::resilient::retry_knobs_from_env())?;
+    let resilient = chaos.is_some();
+    let parts = StackParts {
+        space,
+        workload,
+        platform,
+        bench: cfg.bench,
+        chaos,
+        lint: None,
+        store: Some(store.clone()),
+        watch: None,
     };
-    let totals = Arc::new(ResilienceTotals::default());
-    let resilient = faults.is_active();
-    let inner = if resilient {
-        // DR_RETRY_* knobs let a coordinator (or a chaos test) stretch
-        // one worker's retry schedule without recompiling.
-        let (max_retries, backoff_base_ms, backoff_cap_ms) =
-            crate::resilient::retry_knobs_from_env();
-        ShardEval::Resilient(
-            ResilientEvaluator::new(space, workload, platform, cfg.bench, faults, totals.clone())
-                .with_max_retries(max_retries)
-                .with_backoff(backoff_base_ms, backoff_cap_ms),
-        )
-    } else {
-        ShardEval::Plain(SimEvaluator::new(space, workload, platform, cfg.bench))
-    };
-    let mut eval = StoredEvaluator::new(inner, Some(store.clone()));
+    let mut eval = parts.build(Tracer::disabled().lane("shard"));
     let mut beat = Heartbeat::new(events, spec);
     let mut failures = 0u64;
     let records = match strategy {
@@ -496,7 +434,7 @@ pub fn run_shard<W: Workload + Sync>(
                         traversal: t.clone(),
                         result,
                     }),
-                    // Mirror the unsharded resilient engine: quarantine
+                    // Mirror the unsharded run's failure policy: quarantine
                     // instead of aborting when fault injection is active.
                     Err(_) if resilient => failures += 1,
                     Err(e) => return Err(e),
@@ -582,29 +520,6 @@ pub struct MergeOutcome {
     /// the merged run's "explore" phase cost comparable to an unsharded
     /// run's wall-clock.
     pub critical_seconds: f64,
-}
-
-/// Synthesizes per-record search telemetry for a merged record sequence
-/// (one iteration per record, running best/worst), mirroring the
-/// exhaustive strategy's telemetry shape.
-pub fn records_telemetry(records: &[ExploredRecord]) -> SearchTelemetry {
-    let mut telemetry = SearchTelemetry::new();
-    let mut best = f64::INFINITY;
-    let mut worst = f64::NEG_INFINITY;
-    for (i, r) in records.iter().enumerate() {
-        best = best.min(r.result.time());
-        worst = worst.max(r.result.time());
-        telemetry.push(TelemetryRow {
-            iteration: i as u64 + 1,
-            unique_traversals: i + 1,
-            best_time: best,
-            worst_time: worst,
-            tree_nodes: 0,
-            max_depth: 0,
-            rollout_len: r.traversal.steps.len(),
-        });
-    }
-    telemetry
 }
 
 /// Loads every `shard-*.manifest.json` under `store_root`.

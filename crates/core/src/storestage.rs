@@ -10,10 +10,9 @@
 //! every already-committed traversal from disk and only simulates the
 //! remainder, with the store's hit counters as the proof.
 //!
-//! In the pipeline's evaluator stack the store sits *inside* the lint
-//! stage (`Linting(Stored(Resilient|Sim))`), so static-analysis
-//! counters are identical between cold and warm runs; only simulator
-//! work is elided.
+//! In the evaluator stack (watch → trace → lint → store → measure) the
+//! store sits *inside* the lint stage, so static-analysis counters are
+//! identical between cold and warm runs; only simulator work is elided.
 
 use dr_dag::Traversal;
 use dr_mcts::Evaluator;

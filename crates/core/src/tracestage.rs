@@ -1,10 +1,10 @@
 //! Evaluation spans: a transparent [`Evaluator`] wrapper that records one
 //! `evaluate` span per benchmark call on its own tracer lane.
 //!
-//! The traced pipeline wraps every per-worker evaluator stack in a
-//! [`TracingEvaluator`] as its outermost layer, so the span covers the
-//! whole stack — cache lookups, lint, fault retries, and the simulator
-//! itself. With a disabled tracer the wrapper is a pure pass-through.
+//! Every per-worker evaluator stack carries a [`TracingEvaluator`] just
+//! inside the event watch, so the span covers the rest of the stack —
+//! store lookups, lint, fault retries, and the simulator itself. With a
+//! disabled tracer the wrapper is a pure pass-through.
 
 use dr_dag::Traversal;
 use dr_mcts::Evaluator;

@@ -2,7 +2,6 @@
 //! the (simulated) platform.
 
 use dr_dag::{build_schedule, DecisionSpace, Traversal};
-use dr_par::StripedCache;
 use dr_sim::{
     benchmark_memo_instrumented, BenchConfig, BenchResult, CompiledProgram, Platform, SimError,
     SimMemo, SimStats, Workload,
@@ -103,45 +102,6 @@ impl<W: Workload> Evaluator for SimEvaluator<'_, W> {
     }
 }
 
-/// Memoizing wrapper: consults a shared [`StripedCache`] before running
-/// the inner evaluator, so repeated rollouts of the same traversal —
-/// within one search or across parallel root-MCTS workers — are
-/// simulated exactly once.
-///
-/// Because the parallel exploration engine seeds every evaluation with
-/// [`dr_dag::eval_seed`] (a pure function of the traversal), the cached
-/// [`BenchResult`] is exactly what a fresh evaluation would return;
-/// caching changes wall time, never results. The cache key is the full
-/// traversal with [`Traversal::canonical_hash`] used only for stripe and
-/// bucket selection, so a hash collision costs a probe, never a wrong
-/// answer. `sim_stats` delegates to the inner evaluator and therefore
-/// counts only the simulations this worker actually ran — merging those
-/// per-worker stats recovers the global "work done" picture without
-/// double-counting cache hits.
-pub struct CachingEvaluator<'c, E> {
-    inner: E,
-    cache: &'c StripedCache<Traversal, BenchResult>,
-}
-
-impl<'c, E> CachingEvaluator<'c, E> {
-    /// Wraps `inner`, memoizing through the shared `cache`.
-    pub fn new(inner: E, cache: &'c StripedCache<Traversal, BenchResult>) -> Self {
-        CachingEvaluator { inner, cache }
-    }
-}
-
-impl<E: Evaluator> Evaluator for CachingEvaluator<'_, E> {
-    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        let inner = &mut self.inner;
-        self.cache
-            .get_or_try_insert(t.canonical_hash(), t, || inner.evaluate(t, seed))
-    }
-
-    fn sim_stats(&self) -> Option<&SimStats> {
-        self.inner.sim_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,42 +182,5 @@ mod tests {
             assert_eq!(Evaluator::evaluate(&mut eval, &t, 0).unwrap().time(), 1.0);
         }
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn caching_evaluator_simulates_each_traversal_once() {
-        let mut b = DagBuilder::new();
-        b.add("x", OpSpec::GpuKernel(CostKey::new("x")));
-        b.add("y", OpSpec::GpuKernel(CostKey::new("y")));
-        let space = DecisionSpace::new(b.build().unwrap(), 2).unwrap();
-        let mut w = TableWorkload::new(2);
-        w.cost_all("x", 1e-4).cost_all("y", 2e-4);
-        let platform = Platform::perlmutter_like().noiseless();
-        let all: Vec<Traversal> = space.enumerate().collect();
-        assert!(all.len() >= 2);
-
-        let cache = StripedCache::new(8);
-        let mut calls = 0usize;
-        {
-            let counting = |t: &Traversal, seed: u64| {
-                calls += 1;
-                let mut inner = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-                inner.evaluate(t, seed)
-            };
-            let mut eval = CachingEvaluator::new(counting, &cache);
-            let first: Vec<_> = all
-                .iter()
-                .map(|t| eval.evaluate(t, dr_dag::eval_seed(3, t)).unwrap())
-                .collect();
-            let second: Vec<_> = all
-                .iter()
-                .map(|t| eval.evaluate(t, dr_dag::eval_seed(3, t)).unwrap())
-                .collect();
-            assert_eq!(first, second, "cached results must equal fresh results");
-        }
-        assert_eq!(calls, all.len(), "each distinct traversal simulated once");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, all.len() as u64);
-        assert_eq!(stats.hits, all.len() as u64);
     }
 }

@@ -26,7 +26,7 @@ mod shared;
 mod telemetry;
 mod tree;
 
-pub use eval::{CachingEvaluator, Evaluator, SimEvaluator};
+pub use eval::{Evaluator, SimEvaluator};
 pub use random::{random_rollout, random_search, random_search_telemetry, shard_root_seed};
 pub use shared::{Batch, PendingEval, SharedMcts};
 pub use telemetry::{SearchTelemetry, TelemetryRow};

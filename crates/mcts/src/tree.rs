@@ -167,8 +167,8 @@ pub struct ExploredRecord {
 /// `true` when *every* completion of the prefix is provably worthless
 /// (e.g. statically deadlocked), and the search retires the subtree
 /// without spending a single evaluation in it. The hook owns its data
-/// (`'static`) so the same closure serves serial, root-parallel, and
-/// shared-tree searches.
+/// (`'static`) so the same closure serves serial and shared-tree
+/// searches.
 pub type PruneHook = std::sync::Arc<dyn Fn(&Prefix) -> bool + Send + Sync>;
 
 /// Outcome of one search iteration.
@@ -710,8 +710,8 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
                 // Seeded by the traversal's identity (not the discovery
                 // index): the measurement is the same wherever and
                 // whenever this traversal is rolled out, which is what
-                // makes root-parallel search merges and the shared
-                // evaluation cache coherent.
+                // keeps serial, shared-tree, and sharded searches
+                // measuring identically.
                 let outcome = self
                     .eval
                     .evaluate(&traversal, eval_seed(self.cfg.seed, &traversal));

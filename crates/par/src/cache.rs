@@ -37,7 +37,7 @@ impl CacheStats {
 ///
 /// The caller provides the hash (rather than the std `Hash` machinery)
 /// because stripe selection participates in the determinism contract:
-/// the exploration engine keys on [`Traversal::canonical_hash`]-style
+/// the durable result store keys on `Traversal::canonical_hash`-style
 /// stable hashes so the same build always shards the same way. Keys are
 /// still compared by full equality inside a stripe, so hash collisions
 /// cost a probe, never a wrong answer.

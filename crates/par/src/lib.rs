@@ -6,16 +6,16 @@
 //! exploration engine is made of, using only `std::thread` (the build
 //! environment is offline; no rayon):
 //!
-//! * [`par_map_stream`] / [`par_map_stream_with`] — a scoped worker pool
-//!   that streams items from a (possibly lazy) iterator through a chunked
-//!   work queue and returns results **in input order**, so the output is
-//!   bit-for-bit independent of the thread count and of scheduling;
-//! * [`par_map_stream_isolated`] — the same pool with per-item
-//!   `catch_unwind` panic isolation and error quarantine, for chaos runs
-//!   where a poisoned evaluation must not take down the exploration;
+//! * [`par_map_stream`] — a scoped worker pool that streams items from a
+//!   (possibly lazy) iterator through a chunked work queue and returns
+//!   every item's outcome **in input order**, so the output is
+//!   bit-for-bit independent of the thread count and of scheduling.
+//!   Each item runs under `catch_unwind`; a [`FailurePolicy`] picks
+//!   whether a failure stops the pool or is quarantined against its
+//!   item;
 //! * [`StripedCache`] — a lock-striped concurrent memo table keyed by a
-//!   caller-supplied canonical hash, so repeated rollouts across workers
-//!   never re-simulate the same traversal.
+//!   caller-supplied canonical hash (the durable result store's
+//!   in-memory index).
 //!
 //! Determinism policy: parallel callers must make each item's result a
 //! pure function of the item itself (e.g. derive per-traversal evaluation
@@ -30,7 +30,6 @@ mod pool;
 
 pub use cache::{CacheStats, StripedCache};
 pub use pool::{
-    par_map_stream, par_map_stream_isolated, par_map_stream_observed, par_map_stream_with,
-    par_map_stream_with_traced, resolve_threads, split_budget, ItemOutcome, PoolObserver,
-    PoolOutcome,
+    panic_text, par_map_stream, resolve_threads, split_budget, FailurePolicy, ItemOutcome,
+    PoolConfig, PoolObserver, PoolOutcome,
 };

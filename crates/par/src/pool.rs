@@ -1,13 +1,16 @@
 //! Scoped worker pool with a chunked work queue and order-restoring
 //! result merge.
 //!
-//! Two entry points share the machinery: [`par_map_stream_with`] stops
-//! the whole pool on the first error (the fast path for fault-free
-//! exploration), while [`par_map_stream_isolated`] quarantines failures
-//! — including panics, caught per item with `catch_unwind` — and keeps
-//! the remaining work alive, which is what a chaos run needs.
+//! [`par_map_stream`] is the one entry point. Every item runs under
+//! `catch_unwind`, so a panicking item becomes an [`ItemOutcome`] rather
+//! than an unwinding worker. The [`FailurePolicy`] decides what a failed
+//! item does to the rest of the run: [`FailurePolicy::Abort`] stops the
+//! pool handing out work (the fault-free exploration path), while
+//! [`FailurePolicy::Quarantine`] marks the item and keeps the remaining
+//! work alive, which is what a chaos run needs.
 
-use dr_trace::{SpanId, Tracer};
+use dr_trace::{Lane, SpanId, Tracer};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -28,6 +31,36 @@ pub trait PoolObserver: Sync {
     fn worker_start(&self, _worker: usize) {}
     /// A worker thread finished after mapping `items` items.
     fn worker_end(&self, _worker: usize, _items: usize) {}
+}
+
+/// What a failed item (an error or a caught panic) does to the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FailurePolicy {
+    /// Stop handing out work at the first failure; the caller reports
+    /// the lowest-index failure observed.
+    #[default]
+    Abort,
+    /// Record the failure against its item and keep going: every input
+    /// item is mapped.
+    Quarantine,
+}
+
+/// How [`par_map_stream`] runs: worker count, failure policy, and
+/// observation.
+#[derive(Clone, Copy)]
+pub struct PoolConfig<'a> {
+    /// Worker threads (`0` is treated as `1`).
+    pub threads: usize,
+    /// What a failed item does to the rest of the run.
+    pub policy: FailurePolicy,
+    /// Each worker records a `worker` span on lane `par-worker-{w}` and
+    /// one `chunk` span per batch pulled from the queue (no-ops when the
+    /// tracer is disabled).
+    pub tracer: &'a Tracer,
+    /// The caller's span every worker span `follows_from`, if any.
+    pub dispatch: Option<SpanId>,
+    /// Notified of worker start/end on the worker's own thread.
+    pub observer: Option<&'a dyn PoolObserver>,
 }
 
 /// Resolves the worker count: an explicit request wins, then the
@@ -53,248 +86,8 @@ pub fn split_budget(total: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|w| base + usize::from(w < rem)).collect()
 }
 
-/// [`par_map_stream_with`] without per-worker state.
-pub fn par_map_stream<T, R, Err, I, F>(items: I, threads: usize, f: F) -> Result<Vec<R>, Err>
-where
-    I: Iterator<Item = T> + Send,
-    T: Send,
-    R: Send,
-    Err: Send,
-    F: Fn(usize, T) -> Result<R, Err> + Sync,
-{
-    par_map_stream_with(items, threads, |_| (), |(), i, t| f(i, t)).map(|(out, _)| out)
-}
-
-/// Streams `items` through `threads` scoped workers, applying `f` to each
-/// and returning the results **in input order** together with every
-/// worker's final state (in worker-index order).
-///
-/// Each worker owns one state value built by `init(worker_index)` — this
-/// is how callers give every thread its own evaluator while the pool
-/// merges their accumulated statistics deterministically afterwards.
-/// Items are handed out in small chunks from the shared iterator, so a
-/// lazy enumeration is consumed as it is produced and never materialized
-/// wholesale. On an error the pool stops handing out work, finishes
-/// nothing further, and returns the error with the smallest input index
-/// among those observed.
-pub fn par_map_stream_with<T, R, S, Err, I, Init, F>(
-    items: I,
-    threads: usize,
-    init: Init,
-    f: F,
-) -> Result<(Vec<R>, Vec<S>), Err>
-where
-    I: Iterator<Item = T> + Send,
-    T: Send,
-    R: Send,
-    S: Send,
-    Err: Send,
-    Init: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, T) -> Result<R, Err> + Sync,
-{
-    par_map_stream_with_traced(items, threads, &Tracer::disabled(), None, init, f)
-}
-
-/// [`par_map_stream_with`] with causal tracing: each worker records a
-/// `worker` span on its own lane (linked `follows_from` the caller's
-/// `dispatch` span, when given) and one `chunk` span per batch pulled
-/// from the shared queue, annotated with the batch's first input index
-/// and length. With a disabled tracer this is exactly
-/// [`par_map_stream_with`] — the span calls are no-ops.
-pub fn par_map_stream_with_traced<T, R, S, Err, I, Init, F>(
-    items: I,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    init: Init,
-    f: F,
-) -> Result<(Vec<R>, Vec<S>), Err>
-where
-    I: Iterator<Item = T> + Send,
-    T: Send,
-    R: Send,
-    S: Send,
-    Err: Send,
-    Init: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, T) -> Result<R, Err> + Sync,
-{
-    par_map_stream_observed(items, threads, tracer, dispatch, None, init, f)
-}
-
-/// [`par_map_stream_with_traced`] plus an optional [`PoolObserver`]
-/// notified of worker start/end on the worker's own thread. `None`
-/// makes this identical to [`par_map_stream_with_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn par_map_stream_observed<T, R, S, Err, I, Init, F>(
-    items: I,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    observer: Option<&dyn PoolObserver>,
-    init: Init,
-    f: F,
-) -> Result<(Vec<R>, Vec<S>), Err>
-where
-    I: Iterator<Item = T> + Send,
-    T: Send,
-    R: Send,
-    S: Send,
-    Err: Send,
-    Init: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, T) -> Result<R, Err> + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        // Serial fast path: no queue, no locks — the reference semantics
-        // the parallel path must reproduce.
-        let mut lane = tracer.lane("par-worker-0");
-        lane.enter("worker");
-        if let Some(d) = dispatch {
-            lane.follows_from(d);
-        }
-        if let Some(o) = observer {
-            o.worker_start(0);
-        }
-        let mut state = init(0);
-        let mut out = Vec::new();
-        for (i, item) in items.enumerate() {
-            let r = f(&mut state, i, item);
-            match r {
-                Ok(r) => out.push(r),
-                Err(e) => {
-                    lane.annotate("items", out.len());
-                    lane.annotate("stopped_at", i);
-                    lane.exit();
-                    if let Some(o) = observer {
-                        o.worker_end(0, out.len());
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        lane.annotate("items", out.len());
-        lane.exit();
-        if let Some(o) = observer {
-            o.worker_end(0, out.len());
-        }
-        return Ok((out, vec![state]));
-    }
-
-    let queue = Mutex::new(items.enumerate());
-    let stop = AtomicBool::new(false);
-    let mut tagged: Vec<(usize, R)> = Vec::new();
-    let mut states: Vec<S> = Vec::new();
-    let mut first_err: Option<(usize, Err)> = None;
-
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let queue = &queue;
-                let stop = &stop;
-                let init = &init;
-                let f = &f;
-                let mut lane = tracer.lane(&format!("par-worker-{w}"));
-                scope.spawn(move || {
-                    lane.enter("worker");
-                    if let Some(d) = dispatch {
-                        lane.follows_from(d);
-                    }
-                    if let Some(o) = observer {
-                        o.worker_start(w);
-                    }
-                    let mut state = init(w);
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut err: Option<(usize, Err)> = None;
-                    'work: while !stop.load(Ordering::Relaxed) {
-                        let batch: Vec<(usize, T)> = {
-                            let mut q = queue.lock().expect("queue lock poisoned");
-                            q.by_ref().take(CHUNK).collect()
-                        };
-                        if batch.is_empty() {
-                            break;
-                        }
-                        lane.enter("chunk");
-                        lane.annotate("first", batch[0].0);
-                        lane.annotate("len", batch.len());
-                        for (i, item) in batch {
-                            match f(&mut state, i, item) {
-                                Ok(r) => out.push((i, r)),
-                                Err(e) => {
-                                    err = Some((i, e));
-                                    stop.store(true, Ordering::Relaxed);
-                                    lane.exit();
-                                    break 'work;
-                                }
-                            }
-                        }
-                        lane.exit();
-                    }
-                    lane.annotate("items", out.len());
-                    lane.exit();
-                    if let Some(o) = observer {
-                        o.worker_end(w, out.len());
-                    }
-                    (out, state, err)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (out, state, err) = h.join().expect("explore worker panicked");
-            tagged.extend(out);
-            states.push(state);
-            if let Some((i, e)) = err {
-                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_err = Some((i, e));
-                }
-            }
-        }
-    });
-
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    Ok((tagged.into_iter().map(|(_, r)| r).collect(), states))
-}
-
-/// What happened to one input item under [`par_map_stream_isolated`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ItemOutcome<R, Err> {
-    /// The item mapped successfully.
-    Ok(R),
-    /// The mapping function returned an error; the item is quarantined.
-    Failed(Err),
-    /// The mapping function panicked; the payload is preserved as text
-    /// and the item is quarantined.
-    Panicked(String),
-}
-
-impl<R, Err> ItemOutcome<R, Err> {
-    /// The successful result, if any.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            ItemOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// Aggregate result of [`par_map_stream_isolated`].
-#[derive(Debug)]
-pub struct PoolOutcome<R, S, Err> {
-    /// Per-item outcomes, **in input order**. Every pulled item appears
-    /// exactly once — quarantined items are marked, never silently lost.
-    pub items: Vec<ItemOutcome<R, Err>>,
-    /// Every worker's final state, in worker-index order.
-    pub states: Vec<S>,
-    /// Items whose mapping panicked (caught and quarantined).
-    pub panics: u64,
-    /// Items whose mapping returned an error.
-    pub failures: u64,
-}
-
 /// Turns a caught panic payload into displayable text.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_text(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -304,18 +97,52 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`par_map_stream_with`], but *panic-isolated and error-tolerant*:
-/// every item runs under `catch_unwind`, a panicking or failing item is
-/// quarantined as its own [`ItemOutcome`], and the pool always processes
-/// every input item. The serial (`threads == 1`) path applies the exact
-/// same per-item isolation, so outcomes are thread-count-invariant for a
-/// deterministic `f`.
-pub fn par_map_stream_isolated<T, R, S, Err, I, Init, F>(
+/// What happened to one input item under [`par_map_stream`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ItemOutcome<R, Err> {
+    /// The item mapped successfully.
+    Ok(R),
+    /// The mapping function returned an error.
+    Failed(Err),
+    /// The mapping function panicked; the payload is preserved as text.
+    Panicked(String),
+}
+
+/// Mapped items tagged with their input index, in completion order.
+type Tagged<T, R, Err> = Vec<(usize, T, ItemOutcome<R, Err>)>;
+
+/// Aggregate result of [`par_map_stream`].
+#[derive(Debug)]
+pub struct PoolOutcome<T, R, S, Err> {
+    /// Every mapped item with its outcome, **in input order**. Under
+    /// [`FailurePolicy::Quarantine`] every input item appears exactly
+    /// once. Under [`FailurePolicy::Abort`] a failure stops the pool
+    /// early, so later items may be missing; the first non-`Ok` entry is
+    /// then the lowest-index failure observed.
+    pub items: Vec<(T, ItemOutcome<R, Err>)>,
+    /// Every worker's final state, in worker-index order.
+    pub states: Vec<S>,
+}
+
+/// Streams `items` through `cfg.threads` scoped workers, applying `f` to
+/// each and returning every mapped item with its outcome **in input
+/// order**, together with every worker's final state (in worker-index
+/// order).
+///
+/// Each worker owns one state value built by `init(worker_index)` — this
+/// is how callers give every thread its own evaluator while the pool
+/// merges their accumulated statistics deterministically afterwards.
+/// Items are handed out in small chunks from the shared iterator, so a
+/// lazy enumeration is consumed as it is produced and never materialized
+/// wholesale. One worker runs on the calling thread; more are spawned.
+/// Either way each item runs under the same `catch_unwind`, so outcomes
+/// are thread-count-invariant for a deterministic `f`.
+pub fn par_map_stream<T, R, S, Err, I, Init, F>(
     items: I,
-    threads: usize,
+    cfg: &PoolConfig<'_>,
     init: Init,
     f: F,
-) -> PoolOutcome<R, S, Err>
+) -> PoolOutcome<T, R, S, Err>
 where
     I: Iterator<Item = T> + Send,
     T: Send,
@@ -323,80 +150,131 @@ where
     S: Send,
     Err: Send,
     Init: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize, T) -> Result<R, Err> + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, Err> + Sync,
 {
-    let threads = threads.max(1);
-    let run_one = |state: &mut S, i: usize, item: T| -> ItemOutcome<R, Err> {
-        match catch_unwind(AssertUnwindSafe(|| f(state, i, item))) {
-            Ok(Ok(r)) => ItemOutcome::Ok(r),
-            Ok(Err(e)) => ItemOutcome::Failed(e),
-            Err(payload) => ItemOutcome::Panicked(panic_text(payload)),
-        }
-    };
-
-    let mut tagged: Vec<(usize, ItemOutcome<R, Err>)> = Vec::new();
+    let threads = cfg.threads.max(1);
+    let queue = Mutex::new(items.enumerate());
+    let stop = AtomicBool::new(false);
+    let mut tagged: Tagged<T, R, Err> = Vec::new();
     let mut states: Vec<S> = Vec::new();
     if threads == 1 {
-        let mut state = init(0);
-        for (i, item) in items.enumerate() {
-            tagged.push((i, run_one(&mut state, i, item)));
-        }
+        let lane = cfg.tracer.lane("par-worker-0");
+        let (out, state) = work(0, lane, &queue, &stop, cfg, &init, &f);
+        tagged = out;
         states.push(state);
     } else {
-        let queue = Mutex::new(items.enumerate());
         thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    let queue = &queue;
-                    let init = &init;
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        let mut state = init(w);
-                        let mut out: Vec<(usize, ItemOutcome<R, Err>)> = Vec::new();
-                        loop {
-                            let batch: Vec<(usize, T)> = {
-                                let mut q = queue.lock().expect("queue lock poisoned");
-                                q.by_ref().take(CHUNK).collect()
-                            };
-                            if batch.is_empty() {
-                                break;
-                            }
-                            for (i, item) in batch {
-                                out.push((i, run_one(&mut state, i, item)));
-                            }
-                        }
-                        (out, state)
-                    })
+                    // Lanes are registered here, in worker order, so the
+                    // trace's lane layout does not depend on scheduling.
+                    let lane = cfg.tracer.lane(&format!("par-worker-{w}"));
+                    let (queue, stop, init, f) = (&queue, &stop, &init, &f);
+                    scope.spawn(move || work(w, lane, queue, stop, cfg, init, f))
                 })
                 .collect();
             for h in handles {
-                let (out, state) = h.join().expect("isolated worker panicked outside an item");
+                let (out, state) = h.join().expect("pool worker panicked outside an item");
                 tagged.extend(out);
                 states.push(state);
             }
         });
     }
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let items: Vec<ItemOutcome<R, Err>> = tagged.into_iter().map(|(_, o)| o).collect();
-    let panics = items
-        .iter()
-        .filter(|o| matches!(o, ItemOutcome::Panicked(_)))
-        .count() as u64;
-    let failures = items
-        .iter()
-        .filter(|o| matches!(o, ItemOutcome::Failed(_)))
-        .count() as u64;
+    tagged.sort_unstable_by_key(|&(i, _, _)| i);
     PoolOutcome {
-        items,
+        items: tagged.into_iter().map(|(_, t, o)| (t, o)).collect(),
         states,
-        panics,
-        failures,
     }
+}
+
+/// One worker: pulls chunks until the queue drains (or an aborting
+/// failure raises `stop`), mapping each item under `catch_unwind`.
+fn work<T, R, S, Err, I, Init, F>(
+    w: usize,
+    mut lane: Lane,
+    queue: &Mutex<std::iter::Enumerate<I>>,
+    stop: &AtomicBool,
+    cfg: &PoolConfig<'_>,
+    init: &Init,
+    f: &F,
+) -> (Tagged<T, R, Err>, S)
+where
+    I: Iterator<Item = T>,
+    Init: Fn(usize) -> S,
+    F: Fn(&mut S, usize, &T) -> Result<R, Err>,
+{
+    lane.enter("worker");
+    if let Some(d) = cfg.dispatch {
+        lane.follows_from(d);
+    }
+    if let Some(o) = cfg.observer {
+        o.worker_start(w);
+    }
+    let mut state = init(w);
+    let mut out: Tagged<T, R, Err> = Vec::new();
+    'work: while !stop.load(Ordering::Relaxed) {
+        let batch: Vec<(usize, T)> = {
+            let mut q = queue.lock().expect("queue lock poisoned");
+            q.by_ref().take(CHUNK).collect()
+        };
+        if batch.is_empty() {
+            break;
+        }
+        lane.enter("chunk");
+        lane.annotate("first", batch[0].0);
+        lane.annotate("len", batch.len());
+        for (i, item) in batch {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| f(&mut state, i, &item))) {
+                Ok(Ok(r)) => ItemOutcome::Ok(r),
+                Ok(Err(e)) => ItemOutcome::Failed(e),
+                Err(payload) => ItemOutcome::Panicked(panic_text(payload)),
+            };
+            let failed = !matches!(outcome, ItemOutcome::Ok(_));
+            out.push((i, item, outcome));
+            if failed && cfg.policy == FailurePolicy::Abort {
+                stop.store(true, Ordering::Relaxed);
+                lane.annotate("stopped_at", i);
+                lane.exit();
+                break 'work;
+            }
+        }
+        lane.exit();
+    }
+    lane.annotate("items", out.len());
+    lane.exit();
+    if let Some(o) = cfg.observer {
+        o.worker_end(w, out.len());
+    }
+    (out, state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A silent pool configuration at `threads` workers.
+    fn pool(tracer: &Tracer, threads: usize, policy: FailurePolicy) -> PoolConfig<'_> {
+        PoolConfig {
+            threads,
+            policy,
+            tracer,
+            dispatch: None,
+            observer: None,
+        }
+    }
+
+    /// The successful results, in input order (panics on any failure).
+    fn oks<T, R: std::fmt::Debug, S, Err: std::fmt::Debug>(
+        out: PoolOutcome<T, R, S, Err>,
+    ) -> Vec<R> {
+        out.items
+            .into_iter()
+            .map(|(_, o)| match o {
+                ItemOutcome::Ok(r) => r,
+                other => panic!("unexpected failure {other:?}"),
+            })
+            .collect()
+    }
 
     #[test]
     fn resolve_prefers_explicit_then_env_then_one() {
@@ -428,22 +306,33 @@ mod tests {
     }
 
     #[test]
+    fn panic_text_reads_str_and_string_payloads() {
+        assert_eq!(panic_text(Box::new("static")), "static");
+        assert_eq!(panic_text(Box::new(String::from("owned"))), "owned");
+        assert_eq!(panic_text(Box::new(7u8)), "non-string panic payload");
+    }
+
+    #[test]
     fn results_are_in_input_order_for_every_thread_count() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial: Vec<u64> = par_map_stream(items.clone().into_iter(), 1, |i, x| {
-            Ok::<_, ()>(x * 2 + i as u64)
-        })
-        .unwrap();
+        let tracer = Tracer::disabled();
+        let run = |threads| {
+            oks(par_map_stream(
+                0..100u64,
+                &pool(&tracer, threads, FailurePolicy::Abort),
+                |_| (),
+                |(), i, &x| {
+                    // Uneven per-item work so chunks finish out of order.
+                    if x % 7 == 0 {
+                        std::thread::yield_now();
+                    }
+                    Ok::<_, ()>(x * 2 + i as u64)
+                },
+            ))
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 100);
         for threads in [2, 3, 4, 8] {
-            let par = par_map_stream(items.clone().into_iter(), threads, |i, x| {
-                // Uneven per-item work so chunks finish out of order.
-                if x % 7 == 0 {
-                    std::thread::yield_now();
-                }
-                Ok::<_, ()>(x * 2 + i as u64)
-            })
-            .unwrap();
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
@@ -455,47 +344,90 @@ mod tests {
         let src = (0..57).inspect(|_| {
             pulled.fetch_add(1, Ordering::Relaxed);
         });
-        let out = par_map_stream(src, 4, |_, x| Ok::<_, ()>(x)).unwrap();
-        assert_eq!(out, (0..57).collect::<Vec<_>>());
+        let tracer = Tracer::disabled();
+        let out = par_map_stream(
+            src,
+            &pool(&tracer, 4, FailurePolicy::Abort),
+            |_| (),
+            |(), _, &x| Ok::<_, ()>(x),
+        );
+        assert_eq!(oks(out), (0..57).collect::<Vec<_>>());
         assert_eq!(pulled.load(Ordering::Relaxed), 57);
     }
 
     #[test]
-    fn errors_short_circuit_and_surface() {
+    fn abort_stops_early_and_surfaces_the_first_failure() {
+        let tracer = Tracer::disabled();
         for threads in [1, 4] {
-            let res: Result<Vec<u32>, String> =
-                par_map_stream((0..1000).map(Ok::<u32, String>), threads, |i, x| {
-                    let x = x?;
+            let out = par_map_stream(
+                0..1000u32,
+                &pool(&tracer, threads, FailurePolicy::Abort),
+                |_| (),
+                |(), i, &x| {
                     if i == 13 {
                         Err(format!("boom at {i}"))
                     } else {
                         Ok(x)
                     }
-                });
-            assert_eq!(res.unwrap_err(), "boom at 13", "threads={threads}");
+                },
+            );
+            let first = out
+                .items
+                .iter()
+                .find(|(_, o)| !matches!(o, ItemOutcome::Ok(_)));
+            assert_eq!(
+                first.map(|(x, o)| (*x, o.clone())),
+                Some((13, ItemOutcome::Failed("boom at 13".to_string()))),
+                "threads={threads}"
+            );
+            assert!(out.items.len() < 1000, "the pool stopped handing out work");
+        }
+    }
+
+    #[test]
+    fn abort_contains_panics_as_outcomes() {
+        let tracer = Tracer::disabled();
+        for threads in [1, 3] {
+            let out = par_map_stream(
+                0..50u32,
+                &pool(&tracer, threads, FailurePolicy::Abort),
+                |_| (),
+                |(), _, &x| {
+                    if x == 9 {
+                        panic!("injected panic at {x}");
+                    }
+                    Ok::<_, ()>(x)
+                },
+            );
+            let (x, o) = out
+                .items
+                .iter()
+                .find(|(_, o)| !matches!(o, ItemOutcome::Ok(_)))
+                .expect("the panic is reported");
+            assert_eq!(*x, 9);
+            assert_eq!(*o, ItemOutcome::Panicked("injected panic at 9".into()));
         }
     }
 
     #[test]
     fn worker_states_come_back_in_worker_order() {
-        let (out, states) = par_map_stream_with(
-            (0..40).collect::<Vec<_>>().into_iter(),
-            4,
+        let tracer = Tracer::disabled();
+        let out = par_map_stream(
+            0..40i32,
+            &pool(&tracer, 4, FailurePolicy::Abort),
             |w| (w, 0usize),
-            |state, _, x: i32| {
+            |state, _, &x| {
                 state.1 += 1;
                 Ok::<_, ()>(x)
             },
-        )
-        .unwrap();
-        assert_eq!(out.len(), 40);
-        assert_eq!(states.len(), 4);
+        );
+        assert_eq!(out.items.len(), 40);
         assert_eq!(
-            states.iter().map(|s| s.0).collect::<Vec<_>>(),
+            out.states.iter().map(|s| s.0).collect::<Vec<_>>(),
             vec![0, 1, 2, 3],
             "states are returned in worker-index order"
         );
-        assert_eq!(states.iter().map(|s| s.1).sum::<usize>(), 40);
+        assert_eq!(out.states.iter().map(|s| s.1).sum::<usize>(), 40);
     }
 
     #[test]
@@ -503,17 +435,17 @@ mod tests {
         let tracer = Tracer::new();
         let mut main = tracer.lane("main");
         let dispatch = main.enter("dispatch");
-        let (out, _) = par_map_stream_with_traced(
-            (0..40).collect::<Vec<_>>().into_iter(),
-            4,
-            &tracer,
-            dispatch,
+        let out = par_map_stream(
+            0..40i32,
+            &PoolConfig {
+                dispatch,
+                ..pool(&tracer, 4, FailurePolicy::Abort)
+            },
             |_| (),
-            |(), _, x: i32| Ok::<_, ()>(x * 2),
-        )
-        .unwrap();
+            |(), _, &x| Ok::<_, ()>(x * 2),
+        );
         main.exit();
-        assert_eq!(out.len(), 40);
+        assert_eq!(out.items.len(), 40);
         let snap = tracer.snapshot();
         let workers = snap.spans.iter().filter(|s| s.name == "worker").count();
         let chunks = snap.spans.iter().filter(|s| s.name == "chunk").count();
@@ -550,22 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_pool_with_disabled_tracer_matches_plain() {
-        let plain = par_map_stream((0..30).collect::<Vec<i32>>().into_iter(), 3, |_, x| {
-            Ok::<_, ()>(x + 1)
-        })
-        .unwrap();
+    fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let (traced, _) = par_map_stream_with_traced(
-            (0..30).collect::<Vec<i32>>().into_iter(),
-            3,
-            &tracer,
-            None,
+        let out = par_map_stream(
+            0..30i32,
+            &pool(&tracer, 3, FailurePolicy::Abort),
             |_| (),
-            |(), _, x| Ok::<_, ()>(x + 1),
-        )
-        .unwrap();
-        assert_eq!(traced, plain);
+            |(), _, &x| Ok::<_, ()>(x + 1),
+        );
+        assert_eq!(oks(out), (1..31).collect::<Vec<_>>());
         assert_eq!(tracer.span_count(), 0);
     }
 
@@ -587,19 +512,19 @@ mod tests {
                 self.items.fetch_add(items, Ordering::Relaxed);
             }
         }
+        let tracer = Tracer::disabled();
         for threads in [1, 4] {
             let tally = Tally::default();
-            let (out, _) = par_map_stream_observed(
-                (0..40).collect::<Vec<i32>>().into_iter(),
-                threads,
-                &Tracer::disabled(),
-                None,
-                Some(&tally),
+            let out = par_map_stream(
+                0..40i32,
+                &PoolConfig {
+                    observer: Some(&tally),
+                    ..pool(&tracer, threads, FailurePolicy::Quarantine)
+                },
                 |_| (),
-                |(), _, x| Ok::<_, ()>(x + 1),
-            )
-            .unwrap();
-            assert_eq!(out.len(), 40);
+                |(), _, &x| Ok::<_, ()>(x + 1),
+            );
+            assert_eq!(out.items.len(), 40);
             assert_eq!(tally.starts.load(Ordering::Relaxed), threads);
             assert_eq!(tally.ends.load(Ordering::Relaxed), threads);
             assert_eq!(tally.items.load(Ordering::Relaxed), 40, "threads={threads}");
@@ -608,21 +533,26 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out = par_map_stream(std::iter::empty::<u8>(), 4, |_, x| Ok::<_, ()>(x)).unwrap();
-        assert!(out.is_empty());
+        let tracer = Tracer::disabled();
+        let out = par_map_stream(
+            std::iter::empty::<u8>(),
+            &pool(&tracer, 4, FailurePolicy::Abort),
+            |_| (),
+            |(), _, &x| Ok::<_, ()>(x),
+        );
+        assert!(out.items.is_empty());
+        assert_eq!(out.states.len(), 4);
     }
 
-    /// Runs the isolated pool over 0..40 where item 7 panics and items
-    /// divisible by 10 fail.
-    fn chaos_outcome(threads: usize) -> PoolOutcome<i32, usize, String> {
-        // Quarantined panics print nothing here: the panic hook is per
-        // process, so keep the panicking branch silent via a plain
-        // panic! whose output the test harness captures.
-        par_map_stream_isolated(
-            (0..40).collect::<Vec<i32>>().into_iter(),
-            threads,
+    /// Runs the pool under quarantine over 0..40 where item 7 panics and
+    /// items divisible by 10 fail.
+    fn chaos_outcome(threads: usize) -> PoolOutcome<i32, i32, usize, String> {
+        let tracer = Tracer::disabled();
+        par_map_stream(
+            0..40i32,
+            &pool(&tracer, threads, FailurePolicy::Quarantine),
             |_| 0usize,
-            |count, _, x| {
+            |count, _, &x| {
                 *count += 1;
                 if x == 7 {
                     panic!("injected panic at {x}");
@@ -637,49 +567,42 @@ mod tests {
     }
 
     #[test]
-    fn isolated_pool_quarantines_panics_and_failures() {
+    fn quarantine_keeps_panics_and_failures_against_their_items() {
         for threads in [1, 4] {
             let out = chaos_outcome(threads);
             assert_eq!(out.items.len(), 40, "threads={threads}");
-            assert_eq!(out.panics, 1);
-            assert_eq!(out.failures, 4, "0, 10, 20, 30 fail");
+            let count = |want: fn(&ItemOutcome<i32, String>) -> bool| {
+                out.items.iter().filter(|(_, o)| want(o)).count()
+            };
+            assert_eq!(count(|o| matches!(o, ItemOutcome::Panicked(_))), 1);
+            assert_eq!(
+                count(|o| matches!(o, ItemOutcome::Failed(_))),
+                4,
+                "0, 10, 20, 30 fail"
+            );
             assert_eq!(
                 out.items[7],
-                ItemOutcome::Panicked("injected panic at 7".into())
+                (7, ItemOutcome::Panicked("injected panic at 7".into()))
             );
-            assert_eq!(out.items[10], ItemOutcome::Failed("failed at 10".into()));
-            assert_eq!(out.items[3], ItemOutcome::Ok(6));
+            assert_eq!(
+                out.items[10],
+                (10, ItemOutcome::Failed("failed at 10".into()))
+            );
+            assert_eq!(out.items[3], (3, ItemOutcome::Ok(6)));
             // Every item was pulled exactly once across all workers.
             assert_eq!(out.states.iter().sum::<usize>(), 40);
         }
     }
 
     #[test]
-    fn isolated_outcomes_are_thread_count_invariant() {
+    fn quarantine_outcomes_are_thread_count_invariant() {
         let serial = chaos_outcome(1);
         for threads in [2, 3, 8] {
-            let par = chaos_outcome(threads);
-            assert_eq!(par.items, serial.items, "threads={threads}");
-            assert_eq!(par.panics, serial.panics);
-            assert_eq!(par.failures, serial.failures);
+            assert_eq!(
+                chaos_outcome(threads).items,
+                serial.items,
+                "threads={threads}"
+            );
         }
-    }
-
-    #[test]
-    fn isolated_pool_matches_plain_pool_on_clean_input() {
-        let plain = par_map_stream((0..25).collect::<Vec<i32>>().into_iter(), 3, |_, x| {
-            Ok::<_, ()>(x + 1)
-        })
-        .unwrap();
-        let isolated = par_map_stream_isolated(
-            (0..25).collect::<Vec<i32>>().into_iter(),
-            3,
-            |_| (),
-            |(), _, x| Ok::<_, ()>(x + 1),
-        );
-        let recovered: Vec<i32> = isolated.items.into_iter().filter_map(|o| o.ok()).collect();
-        assert_eq!(recovered, plain);
-        assert_eq!(isolated.panics, 0);
-        assert_eq!(isolated.failures, 0);
     }
 }

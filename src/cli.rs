@@ -199,10 +199,12 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
              --random       (uniform sampling instead of MCTS)
              --threads N    (exploration worker threads; default: the
                              DR_THREADS environment variable, else 1;
-                             DR_SEARCH picks the parallel MCTS backend:
-                             shared = one arena-backed tree with virtual
-                             loss, root = per-worker trees, auto =
-                             shared above one thread)
+                             DR_SEARCH picks the MCTS tree: auto (the
+                             default) = serial tree at one thread, the
+                             shared tree above; shared = one
+                             arena-backed tree with virtual loss at
+                             every thread count; any other value is a
+                             usage error)
              --report PATH    (write a JSON run report, or lint counters
                                for the lint command)
              --telemetry PATH (write per-iteration search telemetry CSV)
@@ -444,24 +446,9 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             "--ledger" => {
                 opts.ledger = Some(it.next().ok_or("--ledger needs a directory")?.clone());
             }
-            "--threshold" => {
-                let v = it.next().ok_or("--threshold needs a value")?;
-                opts.threshold = v
-                    .parse()
-                    .map_err(|_| format!("bad --threshold value {v:?}"))?;
-            }
-            "--abs-floor-ms" => {
-                let v = it.next().ok_or("--abs-floor-ms needs a value")?;
-                opts.abs_floor_ms = v
-                    .parse()
-                    .map_err(|_| format!("bad --abs-floor-ms value {v:?}"))?;
-            }
-            "--noise-k" => {
-                let v = it.next().ok_or("--noise-k needs a value")?;
-                opts.noise_k = v
-                    .parse()
-                    .map_err(|_| format!("bad --noise-k value {v:?}"))?;
-            }
+            "--threshold" => opts.threshold = gate_knob(flag, it.next())?,
+            "--abs-floor-ms" => opts.abs_floor_ms = gate_knob(flag, it.next())?,
+            "--noise-k" => opts.noise_k = gate_knob(flag, it.next())?,
             "--progress" => opts.progress = true,
             "--events" => {
                 opts.events = Some(it.next().ok_or("--events needs a path")?.clone());
@@ -508,7 +495,23 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     if opts.fleet_events.is_some() && command != Command::Swarm {
         return Err("--fleet-events only applies to the swarm command".into());
     }
+    // A misspelled backend must not silently fall back to the default.
+    SearchBackend::from_env()?;
     Ok(opts)
+}
+
+/// Parses a `compare` gate knob. A NaN, infinite, or negative value
+/// would make every noise band infinite or every comparison false,
+/// silently disabling the gate, so only finite non-negative numbers
+/// pass.
+fn gate_knob(flag: &str, value: Option<&String>) -> Result<f64, String> {
+    let v = value.ok_or(format!("{flag} needs a value"))?;
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(format!(
+            "bad {flag} value {v:?}: expected a finite number >= 0"
+        )),
+    }
 }
 
 /// A scenario erased to the pieces the driver needs.
@@ -893,7 +896,7 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env(),
+            search: SearchBackend::from_env()?,
             ..PipelineConfig::quick()
         },
         &tracer,
@@ -1395,7 +1398,7 @@ fn run_explain(
         seed: opts.seed,
         ..Default::default()
     };
-    let backend = SearchBackend::from_env();
+    let backend = SearchBackend::from_env()?;
     let width = resolve_threads(opts.threads);
     let shared = backend == SearchBackend::Shared || (backend == SearchBackend::Auto && width > 1);
     let (snap, records) = if shared {
@@ -1756,7 +1759,7 @@ fn run_verify_rules(
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env(),
+            search: SearchBackend::from_env()?,
             ..PipelineConfig::quick()
         },
     )
@@ -1987,6 +1990,7 @@ fn run_chaos(
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
     let io = |e: std::io::Error| format!("write failed: {e}");
+    let search = SearchBackend::from_env()?;
     let run_once = |faults: FaultConfig| -> Result<InstrumentedRun, SimError> {
         run_pipeline_instrumented(
             &inst.space,
@@ -1996,7 +2000,7 @@ fn run_chaos(
             &PipelineConfig {
                 threads: opts.threads.unwrap_or(0),
                 faults,
-                search: SearchBackend::from_env(),
+                search,
                 ..PipelineConfig::quick()
             },
         )
@@ -2515,6 +2519,14 @@ mod tests {
         assert!(parse(&argv("spmv compare")).is_err());
         assert!(parse(&argv("spmv compare a")).is_err());
         assert!(parse(&argv("spmv compare --threshold 2")).is_err());
+        // Non-finite or negative gate knobs would disable the gate.
+        for flag in ["--threshold", "--abs-floor-ms", "--noise-k"] {
+            for bad in ["nan", "inf", "-inf", "-1", "x"] {
+                let err = parse(&argv(&format!("spmv compare a b {flag} {bad}"))).unwrap_err();
+                assert!(err.contains(flag), "{flag} {bad}: {err}");
+            }
+            assert!(parse(&argv(&format!("spmv compare a b {flag} 0"))).is_ok());
+        }
         assert!(parse(&argv("spmv explore --trace")).is_err());
         assert!(parse(&argv("spmv explore --ledger")).is_err());
     }

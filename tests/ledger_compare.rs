@@ -2,7 +2,8 @@
 //! gate through the real `dr-rules` binary: same-seed runs must compare
 //! clean (exit 0), while a fault-injected run must be flagged as
 //! resilience drift (exit nonzero). Also covers the acceptance
-//! invocation `dr-rules spmv --trace out.json`.
+//! invocation `dr-rules spmv --trace out.json` and the usage error for
+//! an unknown `DR_SEARCH` backend.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -146,4 +147,20 @@ fn omitted_command_with_trace_writes_merged_perfetto_json() {
     assert!(json.contains("\"rank 0\""));
     assert!(json.contains("\"stream0\""));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_search_backend_is_a_usage_error() {
+    // A misspelled or unsupported backend must not silently fall back to
+    // the default one.
+    for bad in ["shraed", "root"] {
+        let out = Command::new(bin())
+            .args(["spmv", "info"])
+            .env("DR_SEARCH", bad)
+            .output()
+            .expect("dr-rules spawns");
+        assert_eq!(out.status.code(), Some(2), "DR_SEARCH={bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("auto|shared"), "{stderr}");
+    }
 }

@@ -2,15 +2,26 @@
 //! strategy and thread count, `explore_parallel` must produce the same
 //! `(traversal, time)` set as the serial backend — on a *noisy* platform,
 //! where any seed drift (per-index seeds, worker-dependent seeds, cache
-//! races) would surface as differing measurement bits.
+//! races) would surface as differing measurement bits. One property test
+//! then draws the engine's whole configuration — strategy, threads,
+//! observation, failure policy — and checks every draw against the
+//! serial, silent, aborting run.
 
+mod common;
+
+use common::arb_small_space;
 use cuda_mpi_design_rules::dag::{CostKey, DagBuilder, DecisionSpace, OpSpec, Traversal};
-use cuda_mpi_design_rules::mcts::{MctsConfig, SimEvaluator};
+use cuda_mpi_design_rules::mcts::{Evaluator, ExploredRecord, MctsConfig, SimEvaluator};
+use cuda_mpi_design_rules::obs::{EventSink, SharedBuf};
 use cuda_mpi_design_rules::pipeline::{
-    explore_instrumented, explore_parallel, explore_parallel_backend, records_fingerprint,
-    SearchBackend, Strategy,
+    explore_instrumented, explore_parallel, records_fingerprint, ExploreCtx, ExploreOutput,
+    FailurePolicy, SearchBackend, Strategy,
 };
-use cuda_mpi_design_rules::sim::{BenchConfig, Platform, TableWorkload};
+use cuda_mpi_design_rules::sim::{
+    BenchConfig, BenchResult, Platform, SimError, SimStats, TableWorkload,
+};
+use cuda_mpi_design_rules::trace::Tracer;
+use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// A small space (12 traversals) whose every traversal any reasonable
@@ -48,7 +59,7 @@ fn parallel_set(strategy: Strategy, threads: usize) -> (RecordSet, u64) {
         &space,
         || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
         strategy,
-        threads,
+        &ExploreCtx::new(threads),
     )
     .unwrap();
     let sim_runs = out.sim.as_ref().map(|s| s.runs).unwrap_or(0);
@@ -119,12 +130,14 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
     };
     let (space, w, platform) = setup();
     let fingerprint = |threads: usize| {
-        let out = explore_parallel_backend(
+        let out = explore_parallel(
             &space,
             || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
             strategy,
-            threads,
-            SearchBackend::Shared,
+            &ExploreCtx {
+                backend: SearchBackend::Shared,
+                ..ExploreCtx::new(threads)
+            },
         )
         .unwrap();
         (records_fingerprint(&out.records), out.records.len())
@@ -140,12 +153,14 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
     // And the shared backend agrees with the serial tree's record set.
     let serial = serial_set(strategy);
     let shared: RecordSet = {
-        let out = explore_parallel_backend(
+        let out = explore_parallel(
             &space,
             || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
             strategy,
-            4,
-            SearchBackend::Shared,
+            &ExploreCtx {
+                backend: SearchBackend::Shared,
+                ..ExploreCtx::new(4)
+            },
         )
         .unwrap();
         out.records
@@ -158,8 +173,8 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
 
 #[test]
 fn parallel_runs_are_repeatable() {
-    // Same (seed, threads) twice → identical everything, including on
-    // the racy-by-construction root-parallel MCTS path.
+    // Same (seed, threads) twice → identical everything on the
+    // shared-tree MCTS path, whose evaluations race across threads.
     let strategy = Strategy::Mcts {
         iterations: 300,
         config: MctsConfig {
@@ -170,4 +185,206 @@ fn parallel_runs_are_repeatable() {
     let (a, _) = parallel_set(strategy, 4);
     let (b, _) = parallel_set(strategy, 4);
     assert_eq!(a, b);
+}
+
+/// Per-op costs for a generated space.
+fn workload_for(space: &DecisionSpace) -> TableWorkload {
+    let mut w = TableWorkload::new(1);
+    for (i, op) in space.ops().iter().enumerate() {
+        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
+    }
+    w
+}
+
+/// Fails traversals by canonical-hash residue — an error on 0 and 2, a
+/// panic on 1 — and measures the rest, so every run meets the same
+/// failures wherever and whenever it evaluates them.
+struct Chaotic<'a>(SimEvaluator<'a, TableWorkload>);
+
+impl Evaluator for Chaotic<'_> {
+    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
+        match t.canonical_hash() % 4 {
+            0 | 2 => Err(SimError::Faulted {
+                detail: "injected failure".into(),
+            }),
+            1 => panic!("injected panic"),
+            _ => self.0.evaluate(t, seed),
+        }
+    }
+
+    fn sim_stats(&self) -> Option<&SimStats> {
+        self.0.sim_stats()
+    }
+}
+
+/// The drawn strategy: exhaustive, random, or MCTS with a budget large
+/// enough to exhaust the space.
+fn drawn_strategy(kind: usize, seed: u64, space: &DecisionSpace) -> Strategy {
+    match kind {
+        0 => Strategy::Exhaustive,
+        1 => Strategy::Random {
+            iterations: 40,
+            seed,
+        },
+        _ => Strategy::Mcts {
+            iterations: 20 * space.count_traversals() as usize + 100,
+            config: MctsConfig {
+                seed,
+                ..Default::default()
+            },
+        },
+    }
+}
+
+/// An engine context; `observed` turns on a live tracer and event sink.
+fn drawn_ctx(threads: usize, observed: bool, policy: FailurePolicy) -> ExploreCtx {
+    let mut ctx = ExploreCtx {
+        policy,
+        ..ExploreCtx::new(threads)
+    };
+    if observed {
+        ctx.tracer = Tracer::new();
+        ctx.events = Some(EventSink::new("prop").with_writer(Box::new(SharedBuf::new())));
+    }
+    ctx
+}
+
+/// The record fingerprint, over the records in canonical-hash order for
+/// MCTS: the serial tree returns discovery order, the shared tree hash
+/// order, and both must cover the same set at exhaustion.
+fn fingerprint(strategy: Strategy, records: &[ExploredRecord]) -> u64 {
+    let mut records = records.to_vec();
+    if matches!(strategy, Strategy::Mcts { .. }) {
+        records.sort_by_key(|r| r.traversal.canonical_hash());
+    }
+    records_fingerprint(&records)
+}
+
+/// The simulator's `u64` counters (floating-point sums may differ in the
+/// last bits with summation order).
+fn counters(out: &ExploreOutput) -> Option<[u64; 6]> {
+    out.sim.as_ref().map(|s| {
+        [
+            s.runs,
+            s.instructions,
+            s.eager_msgs,
+            s.rendezvous_msgs,
+            s.bytes_moved,
+            s.collective_ops,
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Thread count, observation, and failure policy never change what a
+    /// clean exploration returns; under chaos, quarantine keeps the same
+    /// survivors and the same failed traversals for every thread count
+    /// and observation.
+    #[test]
+    fn engine_policy_draws_match_the_serial_silent_aborting_run(
+        space in arb_small_space(4, 200),
+        (kind, seed) in (0usize..3, 0u64..1_000),
+        three_threads in any::<bool>(),
+        observed in any::<bool>(),
+        quarantine in any::<bool>(),
+    ) {
+        let w = workload_for(&space);
+        let platform = Platform::perlmutter_like();
+        let strategy = drawn_strategy(kind, seed, &space);
+        let threads = if three_threads { 3 } else { 1 };
+        let policy = if quarantine { FailurePolicy::Quarantine } else { FailurePolicy::Abort };
+        let clean = |ctx: &ExploreCtx| {
+            explore_parallel(
+                &space,
+                || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
+                strategy,
+                ctx,
+            )
+            .unwrap()
+        };
+
+        let reference = clean(&drawn_ctx(1, false, FailurePolicy::Abort));
+        let ctx = drawn_ctx(threads, observed, policy);
+        let out = clean(&ctx);
+        prop_assert_eq!(out.threads, threads);
+        if observed {
+            prop_assert!(ctx.events.as_ref().unwrap().seq() > 0, "the sink saw the run");
+        }
+        prop_assert_eq!(
+            fingerprint(strategy, &out.records),
+            fingerprint(strategy, &reference.records)
+        );
+        prop_assert_eq!(counters(&out), counters(&reference));
+        prop_assert!(out.failures.is_empty() && out.quarantined == 0);
+        // Batch width follows the thread count, so an MCTS trajectory —
+        // and with it the telemetry — is only comparable at equal width.
+        let telemetry_reference = match strategy {
+            Strategy::Mcts { .. } if threads > 1 => {
+                let r = clean(&drawn_ctx(threads, false, FailurePolicy::Abort));
+                prop_assert!(r.exhausted && reference.exhausted);
+                r.telemetry
+            }
+            _ => reference.telemetry,
+        };
+        prop_assert_eq!(out.telemetry.to_csv(), telemetry_reference.to_csv());
+
+        if policy == FailurePolicy::Quarantine {
+            let chaotic = |ctx: &ExploreCtx| {
+                explore_parallel(
+                    &space,
+                    || Chaotic(SimEvaluator::new(&space, &w, &platform, BenchConfig::quick())),
+                    strategy,
+                    ctx,
+                )
+                .unwrap()
+            };
+            let reference = chaotic(&drawn_ctx(1, false, policy));
+            let ctx = drawn_ctx(threads, observed, policy);
+            let out = chaotic(&ctx);
+            if observed {
+                prop_assert!(ctx.events.as_ref().unwrap().seq() > 0, "the sink saw the run");
+            }
+            prop_assert_eq!(
+                fingerprint(strategy, &out.records),
+                fingerprint(strategy, &reference.records)
+            );
+            let failed = |o: &ExploreOutput| -> Vec<Traversal> {
+                o.failures.iter().map(|(t, _)| t.clone()).collect()
+            };
+            prop_assert_eq!(failed(&out), failed(&reference));
+            prop_assert_eq!(out.quarantined, reference.quarantined);
+            // Exactly the residue-3 traversals survive, and each failure
+            // carries its injected cause: panics were contained as
+            // structured errors.
+            let survives = |t: &Traversal| t.canonical_hash() % 4 == 3;
+            prop_assert!(out.records.iter().all(|r| survives(&r.traversal)));
+            for (t, e) in &out.failures {
+                if t.canonical_hash() % 4 == 1 {
+                    prop_assert!(matches!(e, SimError::Panicked { .. }), "{e}");
+                } else {
+                    prop_assert!(!survives(t) && matches!(e, SimError::Faulted { .. }), "{e}");
+                }
+            }
+            let total = space.count_traversals() as usize;
+            let survivors = space.enumerate().filter(survives).count();
+            match strategy {
+                Strategy::Exhaustive => {
+                    prop_assert_eq!(out.records.len(), survivors);
+                    prop_assert_eq!(out.failures.len(), total - survivors);
+                    prop_assert_eq!(out.quarantined as usize, out.failures.len());
+                }
+                Strategy::Random { iterations, .. } => {
+                    prop_assert_eq!(out.quarantined as usize, out.failures.len());
+                    prop_assert_eq!(out.telemetry.len(), iterations, "one row per iteration");
+                }
+                Strategy::Mcts { .. } => {
+                    prop_assert!(out.exhausted);
+                    prop_assert_eq!(out.records.len(), survivors);
+                    prop_assert_eq!(out.quarantined as usize, total - survivors);
+                }
+            }
+        }
+    }
 }

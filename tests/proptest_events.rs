@@ -13,7 +13,7 @@ use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::obs::json;
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf, EVENTS_SCHEMA};
 use cuda_mpi_design_rules::pipeline::{
-    run_pipeline, run_pipeline_watched, PipelineConfig, Strategy,
+    run_pipeline, run_pipeline_stored, PipelineConfig, Strategy,
 };
 use cuda_mpi_design_rules::sim::{Platform, TableWorkload};
 use cuda_mpi_design_rules::trace::Tracer;
@@ -54,8 +54,8 @@ proptest! {
         let buf = SharedBuf::new();
         let sink = EventSink::new("run-prop").with_writer(Box::new(buf.clone()));
         let tracer = Tracer::disabled();
-        let watched = run_pipeline_watched(
-            &space, &w, &platform, strategy, &cfg, &tracer, Some(&sink),
+        let watched = run_pipeline_stored(
+            &space, &w, &platform, strategy, &cfg, &tracer, Some(&sink), None,
         ).unwrap();
         let silent = run_pipeline(&space, &w, &platform, strategy, &cfg).unwrap();
 

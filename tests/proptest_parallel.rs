@@ -1,14 +1,15 @@
-//! Property tests on the parallel exploration substrate: the striped
-//! result cache is observationally transparent, and per-worker simulator
-//! statistics merge back to exactly what a serial accumulation yields.
+//! Property tests on the parallel exploration substrate: per-worker
+//! simulator statistics merge back to exactly what a serial accumulation
+//! yields.
 
 mod common;
 
 use common::arb_small_space;
 use cuda_mpi_design_rules::dag::eval_seed;
-use cuda_mpi_design_rules::mcts::{CachingEvaluator, Evaluator, SimEvaluator};
-use cuda_mpi_design_rules::par::{par_map_stream_with, StripedCache};
+use cuda_mpi_design_rules::mcts::{Evaluator, SimEvaluator};
+use cuda_mpi_design_rules::par::{par_map_stream, FailurePolicy, ItemOutcome, PoolConfig};
 use cuda_mpi_design_rules::sim::{BenchConfig, Platform, SimStats, TableWorkload};
+use cuda_mpi_design_rules::trace::Tracer;
 use proptest::prelude::*;
 
 fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkload {
@@ -21,37 +22,6 @@ fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkl
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The cache-wrapped evaluator returns bit-identical results to the
-    /// bare evaluator for every traversal, including repeats, and its
-    /// hit/miss counters account for exactly the repeats.
-    #[test]
-    fn cached_evaluation_equals_direct_evaluation(
-        space in arb_small_space(4, 200),
-        repeats in 1usize..4,
-    ) {
-        let w = workload_for(&space);
-        let platform = Platform::perlmutter_like();
-        let uniques: Vec<_> = space.enumerate().collect();
-
-        let mut direct = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let cache = StripedCache::new(8);
-        let inner = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let mut cached = CachingEvaluator::new(inner, &cache);
-
-        for _ in 0..repeats {
-            for t in &uniques {
-                let seed = eval_seed(7, t);
-                let a = direct.evaluate(t, seed).unwrap();
-                let b = cached.evaluate(t, seed).unwrap();
-                prop_assert_eq!(a, b);
-            }
-        }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.misses as usize, uniques.len());
-        prop_assert_eq!(stats.hits as usize, uniques.len() * (repeats - 1));
-        prop_assert_eq!(cache.len(), uniques.len());
-    }
 
     /// Evaluating a space partitioned across workers and merging the
     /// per-worker SimStats in worker order reproduces the serial
@@ -71,15 +41,23 @@ proptest! {
         }
         let serial_stats = serial.stats().clone();
 
-        let (_, states) = par_map_stream_with(
-            space.enumerate(),
+        let tracer = Tracer::disabled();
+        let pool = PoolConfig {
             threads,
+            policy: FailurePolicy::Abort,
+            tracer: &tracer,
+            dispatch: None,
+            observer: None,
+        };
+        let out = par_map_stream(
+            space.enumerate(),
+            &pool,
             |_worker| SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            |eval, _i, t| eval.evaluate(&t, eval_seed(11, &t)),
-        )
-        .unwrap();
+            |eval, _i, t| eval.evaluate(t, eval_seed(11, t)),
+        );
+        prop_assert!(out.items.iter().all(|(_, o)| matches!(o, ItemOutcome::Ok(_))));
         let mut merged = SimStats::default();
-        for s in &states {
+        for s in &out.states {
             merged.merge(s.stats());
         }
 
