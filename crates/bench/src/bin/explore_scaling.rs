@@ -1,6 +1,6 @@
 //! Thread-scaling benchmark of the parallel exploration engine: times
 //! the exhaustive sweep of the canonical SpMV space at 1/2/4/8 worker
-//! threads plus a 4-thread shared-tree MCTS leg (whose cache counters
+//! threads plus a 4-thread MCTS leg (whose cache counters
 //! are the tree's repeat accounting), verifies every leg reproduces the
 //! serial record set,
 //! and appends the measurements to the `BENCH_explore.json` history.

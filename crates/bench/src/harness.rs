@@ -167,8 +167,8 @@ fn record_set(out: &ExploreOutput) -> Vec<(u64, u64)> {
 }
 
 /// Thread-scaling benchmark of the parallel exploration engine:
-/// exhaustive sweeps at 1/2/4/8 worker threads plus a 4-thread
-/// shared-tree MCTS leg, verifying every leg reproduces the serial record set.
+/// exhaustive sweeps at 1/2/4/8 worker threads plus a 4-thread MCTS
+/// leg, verifying every leg reproduces the serial record set.
 /// Renders a progress table to `out` and returns the validated report
 /// JSON (one history entry).
 pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<String, BoxError> {
@@ -213,7 +213,7 @@ pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<Str
         legs.push(leg);
     }
 
-    // Shared-tree MCTS leg: its "cache" counters are the tree's repeat
+    // 4-thread MCTS leg: its "cache" counters are the tree's repeat
     // accounting, so the hit rate is the share of rollouts that landed on
     // an already-measured traversal (and were not re-simulated).
     let mcts = Strategy::Mcts {

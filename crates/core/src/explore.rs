@@ -4,8 +4,8 @@
 //! There is one serial reference backend ([`explore_instrumented`]) and
 //! one parallel engine ([`explore_parallel`]). Everything that varies
 //! between parallel runs — worker threads, tracing, the event stream,
-//! the MCTS [`SearchBackend`], a static-prune hook, and what a failed
-//! evaluation does ([`FailurePolicy`]) — travels in one [`ExploreCtx`].
+//! a static-prune hook, and what a failed evaluation does
+//! ([`FailurePolicy`]) — travels in one [`ExploreCtx`].
 //! The engine is built so that the *record set* — which traversals were
 //! measured, and what each measurement returned — is a pure function of
 //! the strategy and its seed, independent of the thread count and of
@@ -15,8 +15,8 @@
 
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{
-    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, SharedMcts,
-    TelemetryRow, TreeStats,
+    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, TelemetryRow,
+    TreeStats,
 };
 use dr_obs::events::EventSink;
 use dr_par::{
@@ -111,54 +111,6 @@ impl Strategy {
     }
 }
 
-/// Which tree backs [`Strategy::Mcts`]. Non-MCTS strategies ignore the
-/// backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchBackend {
-    /// Serial tree at one thread (keeping the single-thread hot path
-    /// free of batching overhead), shared tree above.
-    #[default]
-    Auto,
-    /// One shared tree with virtual-loss batch assembly at every thread
-    /// count (batch width = thread count).
-    Shared,
-}
-
-impl SearchBackend {
-    /// Resolves the backend from the `DR_SEARCH` environment variable:
-    /// unset or empty means [`SearchBackend::Auto`]; any other value must
-    /// name a backend (see the [`std::str::FromStr`] impl).
-    pub fn from_env() -> Result<Self, String> {
-        std::env::var("DR_SEARCH")
-            .map_or(Ok(SearchBackend::Auto), |v| v.parse())
-            .map_err(|e| format!("invalid DR_SEARCH: {e}"))
-    }
-
-    /// The backend's short name, used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchBackend::Auto => "auto",
-            SearchBackend::Shared => "shared",
-        }
-    }
-}
-
-impl std::str::FromStr for SearchBackend {
-    type Err = String;
-
-    /// Parses `auto` or `shared` (surrounding whitespace ignored; the
-    /// empty string means `auto`).
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.trim() {
-            "" | "auto" => Ok(SearchBackend::Auto),
-            "shared" => Ok(SearchBackend::Shared),
-            other => Err(format!(
-                "unknown search backend {other:?} (expected auto|shared)"
-            )),
-        }
-    }
-}
-
 /// Collects explored records under a strategy.
 pub fn explore<E: Evaluator>(
     space: &DecisionSpace,
@@ -218,9 +170,9 @@ pub struct ExploreOutput {
     /// the serial run's exactly; floating-point aggregates may differ
     /// in the last bits because summation order differs.
     pub sim: Option<SimStats>,
-    /// Repeat accounting of the shared MCTS tree: `hits` are rollouts
+    /// Repeat accounting of the MCTS tree: `hits` are rollouts
     /// that landed on an already-measured traversal, `misses` the
-    /// distinct traversals measured (all zero for the other engines).
+    /// distinct traversals measured (all zero for the other strategies).
     pub cache: CacheStats,
     /// Number of worker threads actually used.
     pub threads: usize,
@@ -260,8 +212,6 @@ pub struct ExploreCtx {
     /// `worker-start` / `worker-end` lifecycle events. `None` or a
     /// disabled sink emits nothing.
     pub events: Option<EventSink>,
-    /// Which tree backs [`Strategy::Mcts`].
-    pub backend: SearchBackend,
     /// Static-prune hook (MCTS only; see [`dr_mcts::PruneHook`]).
     pub prune: Option<PruneHook>,
     /// What a failed evaluation does. Under [`FailurePolicy::Abort`] the
@@ -274,15 +224,14 @@ pub struct ExploreCtx {
 }
 
 impl ExploreCtx {
-    /// A silent, aborting context at `threads` workers with the default
-    /// backend and no prune hook.
+    /// A silent, aborting context at `threads` workers with no prune
+    /// hook.
     pub fn new(threads: usize) -> Self {
         ExploreCtx {
             threads,
             tracer: Tracer::disabled(),
             dispatch: None,
             events: None,
-            backend: SearchBackend::Auto,
             prune: None,
             policy: FailurePolicy::Abort,
         }
@@ -327,9 +276,8 @@ impl ExploreCtx {
 ///   rollout is a pure function of `(seed, iteration)`), deduplicates,
 ///   and fans out only the expensive evaluations; telemetry keeps one row
 ///   per iteration under either policy.
-/// * `Mcts` runs the serial tree at one thread under
-///   [`SearchBackend::Auto`], and otherwise one shared tree whose
-///   evaluation batches fan out over `threads` persistent evaluators.
+/// * `Mcts` runs one tree whose evaluation batches (of up to `threads`
+///   rollouts) fan out over `threads` persistent evaluators.
 ///
 /// Every evaluation runs under `catch_unwind`: a panic becomes
 /// [`SimError::Panicked`], which `ctx.policy` then aborts on or
@@ -356,11 +304,7 @@ where
             if ctx.policy == FailurePolicy::Quarantine && config.max_failures == 0 {
                 config.max_failures = iterations;
             }
-            if ctx.threads <= 1 && ctx.backend == SearchBackend::Auto {
-                mcts_serial(space, make_eval(), iterations, config, ctx)
-            } else {
-                mcts_shared_parallel(space, &make_eval, iterations, config, ctx)
-            }
+            mcts_parallel(space, &make_eval, iterations, config, ctx)
         }
     }
 }
@@ -606,12 +550,17 @@ where
 /// Runs each evaluation under `catch_unwind`, so a panicking evaluation
 /// surfaces as [`SimError::Panicked`] — which the search aborts on or
 /// quarantines under [`MctsConfig::max_failures`] — instead of unwinding
-/// through the search.
-struct Contained<E>(E);
+/// through the search. Counts its evaluations for the `worker-end`
+/// event.
+struct Contained<E> {
+    eval: E,
+    items: usize,
+}
 
 impl<E: Evaluator> Evaluator for Contained<E> {
     fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        catch_unwind(AssertUnwindSafe(|| self.0.evaluate(t, seed))).unwrap_or_else(|payload| {
+        self.items += 1;
+        catch_unwind(AssertUnwindSafe(|| self.eval.evaluate(t, seed))).unwrap_or_else(|payload| {
             Err(SimError::Panicked {
                 detail: panic_text(payload),
             })
@@ -619,66 +568,23 @@ impl<E: Evaluator> Evaluator for Contained<E> {
     }
 
     fn sim_stats(&self) -> Option<&SimStats> {
-        self.0.sim_stats()
+        self.eval.sim_stats()
     }
 }
 
-/// The serial tree on the calling thread: no batch assembly, no worker
-/// threads.
-fn mcts_serial<E: Evaluator>(
-    space: &DecisionSpace,
-    eval: E,
-    iterations: usize,
-    config: MctsConfig,
-    ctx: &ExploreCtx,
-) -> Result<ExploreOutput, SimError> {
-    let mut mcts = Mcts::new(space, Contained(eval), config);
-    if let Some(lane) = ctx.mcts_lane("mcts-0") {
-        mcts.set_trace(lane, mcts_trace_every());
-    }
-    if let Some(sink) = ctx.live_events() {
-        mcts.set_events(sink.clone(), events_rate());
-    }
-    if let Some(hook) = &ctx.prune {
-        mcts.set_prune(hook.clone());
-    }
-    mcts.run(iterations)?;
-    let quarantined = mcts.failures() as u64;
-    let pruned = mcts.pruned();
-    let tree = mcts.stats();
-    let exhausted = mcts.is_exhausted();
-    let (records, telemetry, eval) = mcts.into_parts();
-    Ok(ExploreOutput {
-        records,
-        telemetry,
-        sim: eval.sim_stats().cloned(),
-        cache: CacheStats::default(),
-        threads: 1,
-        failures: Vec::new(),
-        quarantined,
-        pruned,
-        tree: Some(tree),
-        exhausted,
-    })
-}
-
-/// Shared-tree parallel MCTS: one arena-backed tree on the coordinating
-/// thread, batch assembly under virtual loss, and a fixed pool of
-/// `threads` persistent evaluators that measure each batch's pending
-/// traversals in parallel (entry `i` of a batch always runs on
-/// evaluator slot `i`, so per-evaluator memo state evolves
-/// deterministically).
+/// MCTS: one tree on the coordinating thread, batch assembly under
+/// virtual loss, and a fixed pool of `threads` persistent evaluators
+/// that measure each batch's pending traversals in parallel (entry `i`
+/// of a batch always runs on evaluator slot `i`, so per-evaluator memo
+/// state evolves deterministically).
 ///
 /// Determinism: assembly runs entirely on the coordinator (the worker
 /// threads never touch the tree), and every evaluation result is a pure
 /// function of its traversal, so the whole run — records, telemetry,
-/// tree — is a pure function of `(strategy, config, threads)`. Because
-/// batch width follows the thread count, different thread counts visit
-/// the space in different orders; records are therefore returned sorted
-/// by [`Traversal::canonical_hash`], which makes the record *list* (not
-/// just the set) thread-count-invariant once the budget exhausts the
-/// space.
-fn mcts_shared_parallel<E, F>(
+/// tree — is a pure function of `(strategy, config, threads)`. At one
+/// thread records come back in discovery order; above, in canonical-hash
+/// order (see [`Mcts::into_parts`]).
+fn mcts_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: &F,
     iterations: usize,
@@ -691,67 +597,38 @@ where
 {
     let threads = ctx.threads.max(1);
     let events = ctx.live_events();
-    let mut evals: Vec<Contained<E>> = (0..threads).map(|_| Contained(make_eval())).collect();
-    let mut items = vec![0usize; threads];
+    let evals = (0..threads)
+        .map(|_| Contained {
+            eval: make_eval(),
+            items: 0,
+        })
+        .collect();
     if let Some(sink) = events {
         for worker in 0..threads {
             sink.emit("worker-start", &[("worker", worker.into())]);
         }
     }
-    let mut mcts = SharedMcts::new(space, config);
+    let mut mcts = Mcts::batched(space, evals, config);
     if let Some(hook) = &ctx.prune {
         mcts.set_prune(hook.clone());
     }
-    if let Some(lane) = ctx.mcts_lane("mcts-shared") {
+    if let Some(lane) = ctx.mcts_lane("mcts-tree") {
         mcts.set_trace(lane, mcts_trace_every());
     }
     if let Some(sink) = events {
         mcts.set_events(sink.clone(), events_rate());
     }
-
-    let mut remaining = iterations as u64;
-    while remaining > 0 && !mcts.is_exhausted() {
-        let batch = mcts.select_batch(threads, remaining);
-        remaining = remaining.saturating_sub(batch.iterations as u64);
-        if batch.pending.is_empty() {
-            if batch.iterations == 0 {
-                break; // defensive: no progress possible
-            }
-            continue; // assembly resolved everything inline
-        }
-        for n in items.iter_mut().take(batch.pending.len()) {
-            *n += 1;
-        }
-        let results: Vec<Result<BenchResult, SimError>> = if threads == 1 {
-            let pe = &batch.pending[0];
-            vec![evals[0].evaluate(&pe.traversal, pe.eval_seed)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = batch
-                    .pending
-                    .iter()
-                    .zip(evals.iter_mut())
-                    .map(|(pe, eval)| s.spawn(move || eval.evaluate(&pe.traversal, pe.eval_seed)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("evaluations are panic-contained"))
-                    .collect()
-            })
-        };
-        mcts.commit(batch, results)?;
-    }
-
+    mcts.run_parallel(iterations)?;
     if let Some(sink) = events {
-        for (worker, &n) in items.iter().enumerate() {
+        for (worker, eval) in mcts.evaluators().iter().enumerate() {
             sink.emit(
                 "worker-end",
-                &[("worker", worker.into()), ("items", n.into())],
+                &[("worker", worker.into()), ("items", eval.items.into())],
             );
         }
     }
 
-    let sim = merge_worker_stats(&evals);
+    let sim = merge_worker_stats(mcts.evaluators());
     let cache = CacheStats {
         hits: mcts.repeats(),
         misses: mcts.records().len() as u64,
@@ -760,18 +637,7 @@ where
     let pruned = mcts.pruned();
     let tree = mcts.stats();
     let exhausted = mcts.is_exhausted();
-    let (mut records, raw_telemetry) = mcts.into_parts();
-    records.sort_by_key(|r| r.traversal.canonical_hash());
-    // Commit-time rows carry assembly iteration numbers, which are not
-    // monotone across batches; renumber in push (commit) order so the
-    // merged telemetry reads like the serial engine's.
-    let mut telemetry = SearchTelemetry::new();
-    for (i, row) in raw_telemetry.rows().iter().enumerate() {
-        telemetry.push(TelemetryRow {
-            iteration: i as u64 + 1,
-            ..*row
-        });
-    }
+    let (records, telemetry, _) = mcts.into_parts();
     Ok(ExploreOutput {
         records,
         telemetry,
@@ -862,17 +728,6 @@ mod tests {
         .unwrap()
     }
 
-    /// Like [`run`] with an explicitly pinned MCTS backend.
-    fn run_backend(strategy: Strategy, threads: usize, backend: SearchBackend) -> ExploreOutput {
-        run(
-            strategy,
-            &ExploreCtx {
-                backend,
-                ..ExploreCtx::new(threads)
-            },
-        )
-    }
-
     fn record_set(records: &[ExploredRecord]) -> std::collections::HashSet<(Traversal, u64)> {
         records
             .iter()
@@ -881,53 +736,33 @@ mod tests {
     }
 
     #[test]
-    fn shared_tree_mcts_is_thread_count_invariant_at_exhaustion() {
-        // The shared backend sorts records canonically, so at exhaustion
-        // not just the record set but the record *list* must be
-        // identical across thread counts — and across the Auto/Shared
-        // spellings — and must equal the serial engine's record set.
+    fn mcts_is_thread_count_invariant_at_exhaustion() {
+        // Above one thread records are sorted canonically, so at
+        // exhaustion not just the record set but the record *list* must
+        // be identical across thread counts, and the set must equal the
+        // one-thread (discovery-order) run's.
         let strategy = Strategy::Mcts {
             iterations: 200,
             config: MctsConfig::default(),
         };
-        let serial = run_backend(strategy, 1, SearchBackend::Auto);
+        let serial = run(strategy, &ExploreCtx::new(1));
         assert!(serial.exhausted, "budget must exhaust the test space");
         let serial_set = record_set(&serial.records);
-        let shared1 = run_backend(strategy, 1, SearchBackend::Shared);
-        assert!(shared1.exhausted);
-        assert_eq!(record_set(&shared1.records), serial_set);
-        for threads in [2, 4] {
-            let par = run_backend(strategy, threads, SearchBackend::Shared);
+        let two = run(strategy, &ExploreCtx::new(2));
+        assert_eq!(record_set(&two.records), serial_set);
+        for threads in [3, 4] {
+            let par = run(strategy, &ExploreCtx::new(threads));
             assert!(par.exhausted, "threads={threads}");
-            assert_eq!(par.records.len(), shared1.records.len());
-            for (a, b) in par.records.iter().zip(&shared1.records) {
+            assert_eq!(par.records.len(), two.records.len());
+            for (a, b) in par.records.iter().zip(&two.records) {
                 assert_eq!(a.traversal, b.traversal, "threads={threads}");
                 assert_eq!(a.result, b.result, "threads={threads}");
             }
-            let auto = run_backend(strategy, threads, SearchBackend::Auto);
-            assert_eq!(record_set(&auto.records), serial_set);
             // Cache counters mirror the tree's repeat accounting.
             assert_eq!(par.cache.misses as usize, par.records.len());
             assert!(par.tree.is_some());
             let (ps, ss) = (par.sim.clone().unwrap(), serial.sim.clone().unwrap());
             assert_eq!(ps.runs, ss.runs, "each traversal simulated once");
-        }
-    }
-
-    #[test]
-    fn search_backend_parses_names_and_rejects_the_rest() {
-        assert_eq!(SearchBackend::default(), SearchBackend::Auto);
-        for b in [SearchBackend::Auto, SearchBackend::Shared] {
-            assert_eq!(b.name().parse::<SearchBackend>(), Ok(b));
-        }
-        assert_eq!("".parse::<SearchBackend>(), Ok(SearchBackend::Auto));
-        assert_eq!(
-            " shared ".parse::<SearchBackend>(),
-            Ok(SearchBackend::Shared)
-        );
-        for bad in ["shraed", "root", "Shared"] {
-            let err = bad.parse::<SearchBackend>().unwrap_err();
-            assert!(err.contains("auto|shared"), "{err}");
         }
     }
 

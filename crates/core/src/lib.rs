@@ -53,7 +53,7 @@ pub use dr_par::FailurePolicy;
 pub use evaluate::{labeling_accuracy, AccuracyReport};
 pub use explore::{
     events_rate, explore, explore_instrumented, explore_parallel, records_telemetry, ExploreCtx,
-    ExploreOutput, SearchBackend, Strategy,
+    ExploreOutput, Strategy,
 };
 pub use ledger::{
     append_entry, ledger_dir_from_env, ledger_entry_json, records_fingerprint, LedgerContext,

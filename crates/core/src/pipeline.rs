@@ -1,7 +1,7 @@
 //! The end-to-end design-rule pipeline (paper Fig. 2): explore → label →
 //! featurize → train → extract rules.
 
-use crate::explore::{events_rate, explore_parallel, ExploreCtx, SearchBackend, Strategy};
+use crate::explore::{events_rate, explore_parallel, ExploreCtx, Strategy};
 use crate::lintstage::{lint_space_watched, topology_from_workload, LintTotals, LintingEvaluator};
 use crate::report::{RunReport, SearchSummary};
 use crate::resilient::{Chaos, Measure};
@@ -49,11 +49,6 @@ pub struct PipelineConfig {
     /// isolation), explores under [`FailurePolicy::Quarantine`] instead
     /// of aborting, and labels robustly (MAD-screened).
     pub faults: FaultConfig,
-    /// Which tree backs MCTS exploration. The default
-    /// ([`SearchBackend::Auto`]) keeps the serial tree at one thread and
-    /// uses the shared tree above; the CLI resolves `DR_SEARCH` into
-    /// this field.
-    pub search: SearchBackend,
 }
 
 impl PipelineConfig {
@@ -119,8 +114,8 @@ pub struct InstrumentedRun {
     /// Per-iteration search telemetry (one row per exploration
     /// iteration).
     pub telemetry: SearchTelemetry,
-    /// Repeat accounting of the shared MCTS tree (all zero for the
-    /// serial tree and the non-MCTS strategies).
+    /// Repeat accounting of the MCTS tree (all zero for the non-MCTS
+    /// strategies).
     pub cache: CacheStats,
     /// Number of exploration worker threads actually used.
     pub threads: usize,
@@ -267,6 +262,15 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 ///
 /// A disabled tracer, a `None` or disabled sink, and a `None` store each
 /// switch their channel off; none of them ever changes the mined result.
+///
+/// # Errors
+/// The first failed evaluation under [`FailurePolicy::Abort`], or
+/// [`SimError::Faulted`] when quarantine dropped every measurement.
+///
+/// # Panics
+/// When the exploration measured nothing without quarantining anything
+/// (a zero budget, or a prune hook that condemns the whole space): rules
+/// cannot be mined from zero records.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pipeline_stored<W: Workload + Sync>(
     space: &DecisionSpace,
@@ -392,7 +396,6 @@ fn run_pipeline_spanned<W: Workload + Sync>(
         tracer: tracer.clone(),
         dispatch: main.current(),
         events: events.cloned(),
-        backend: cfg.search,
         prune,
         policy,
         ..ExploreCtx::new(threads)
@@ -482,7 +485,7 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     if let Some(totals) = &resilience {
         totals.note_quarantined(explored.quarantined);
     }
-    if explored.records.is_empty() {
+    if explored.records.is_empty() && explored.quarantined > 0 {
         return Err(SimError::Faulted {
             detail: format!(
                 "no measurements survived: {} traversals quarantined",
@@ -640,6 +643,38 @@ mod tests {
             ..Platform::perlmutter_like().noiseless()
         };
         (space, w, platform)
+    }
+
+    #[test]
+    fn faulted_means_quarantine_dropped_every_measurement() {
+        // No cost for "c": every traversal fails, and the chaos config
+        // quarantines each failure instead of aborting.
+        let (space, _, platform) = setup();
+        let mut w = TableWorkload::new(1);
+        w.cost_all("a", 5e-4).cost_all("b", 5e-4);
+        let cfg = PipelineConfig {
+            faults: dr_fault::FaultConfig::light().with_seed(7),
+            ..PipelineConfig::quick()
+        };
+        let err = run_pipeline_instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg)
+            .unwrap_err();
+        let quarantined = format!("{} traversals quarantined", space.count_traversals());
+        assert!(
+            matches!(&err, SimError::Faulted { detail } if detail.contains(&quarantined)),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot mine rules from zero records")]
+    fn a_zero_budget_is_not_reported_as_fault_injection() {
+        let (space, w, platform) = setup();
+        let strategy = Strategy::Mcts {
+            iterations: 0,
+            config: dr_mcts::MctsConfig::default(),
+        };
+        let _ =
+            run_pipeline_instrumented(&space, &w, &platform, strategy, &PipelineConfig::quick());
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! gravitates toward regions where design decisions have a large impact,
 //! which is exactly the data the downstream rule-mining pipeline needs.
 //!
-//! * [`Mcts`] — the four-phase search (selection / expansion / rollout /
-//!   backpropagation) with exhaustion detection;
-//! * [`SharedMcts`] — the shared-tree variant: one arena-backed tree whose
-//!   leaf evaluations are batched for parallel workers, with virtual loss
-//!   steering concurrent descents apart;
+//! * [`Mcts`] — the search: one arena-backed tree whose iterations
+//!   (selection / expansion / rollout / backpropagation under the
+//!   paper's UCT rule) run in batches — one rollout at a time by default,
+//!   or several measured in parallel with virtual loss steering the
+//!   batch's descents apart — with exhaustion detection;
 //! * [`Evaluator`] / [`SimEvaluator`] — measurement of rollouts via the
 //!   platform simulator;
 //! * [`random_search`] — the uniform random-sampling baseline the paper's
@@ -28,9 +28,8 @@ mod tree;
 
 pub use eval::{Evaluator, SimEvaluator};
 pub use random::{random_rollout, random_search, random_search_telemetry, shard_root_seed};
-pub use shared::{Batch, PendingEval, SharedMcts};
 pub use telemetry::{SearchTelemetry, TelemetryRow};
 pub use tree::{
     Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PrincipalVariation, PruneHook,
-    StepOutcome, TreeSnapshot, TreeStats,
+    TreeSnapshot, TreeStats,
 };

@@ -1,54 +1,45 @@
-//! Shared-tree parallel MCTS with virtual loss (search v2).
+//! The search tree: one arena of nodes searched in batches (paper
+//! Section III-C).
 //!
-//! [`Mcts`](crate::Mcts) parallelizes by *root replication*: each worker
-//! owns a private tree and a decorrelated rollout seed, and the record
-//! sets are merged afterwards. This module instead keeps **one** tree in
-//! a flat arena and parallelizes the expensive part — evaluation — with
-//! batched leaf parallelism:
+//! The tree's nodes are placements; a node's ancestors form the prefix
+//! `P_k` taken to reach it. Nodes live in a flat arena (index links
+//! only). Every search — at any batch width — runs the same three steps,
+//! driven by [`Mcts`](crate::Mcts):
 //!
-//! 1. **Assembly** ([`SharedMcts::select_batch`]): the coordinator runs
-//!    selection/expansion/rollout sequentially, marking every node on a
-//!    chosen path with a *virtual loss*. Virtual loss makes a pending
-//!    path look recently-visited-and-slow, so consecutive descents
-//!    diverge toward different leaves without needing decorrelated
-//!    seeds. Rollouts that regenerate an already-measured traversal
-//!    backpropagate the cached time immediately; rollouts that hit a
-//!    quarantined traversal retire their subtree immediately; everything
-//!    else becomes a [`PendingEval`].
-//! 2. **Evaluation** (the caller): the pending traversals are measured in
-//!    parallel — each carries its deterministic `eval_seed`, so results
-//!    are identical no matter which worker measures them.
-//! 3. **Commit** ([`SharedMcts::commit`]): results are folded back in
-//!    batch order — records appended, statistics backpropagated, virtual
-//!    losses released, failures quarantined exactly like the serial
-//!    engine.
+//! 1. **Assembly** ([`Arena::select_batch`]): up to `width` descents,
+//!    each the paper's *selection* → *expansion* → *rollout*, run one
+//!    after another on the calling thread. Every node on a descent's
+//!    path gets a *virtual loss*: a pending path looks
+//!    recently-visited-and-unproductive, so the next descent of the same
+//!    batch diverges toward a different leaf. Rollouts that regenerate an
+//!    already-measured traversal backpropagate the cached time
+//!    immediately; rollouts that hit a quarantined traversal retire their
+//!    subtree immediately; everything else becomes a [`PendingEval`].
+//! 2. **Evaluation** (the driver): the pending traversals are measured —
+//!    each carries its deterministic `eval_seed`, so a result is the same
+//!    whichever evaluator slot or thread measures it.
+//! 3. **Commit** ([`Arena::commit`]): results are folded back in batch
+//!    order — records appended, statistics backpropagated (the paper's
+//!    *backpropagation* of `(n, t_min, t_max)`), virtual losses released,
+//!    failures quarantined under [`MctsConfig::max_failures`].
 //!
-//! Selection is PUCT-style: `Q_eff + c · prior · √N_parent / (1 + n_eff)`
-//! with `n_eff = n + virtual_loss`, `Q_eff = Q · n / n_eff` (so a node
-//! under pure virtual loss scores only its prior-weighted exploration
-//! term), and a uniform policy prior `1 / |eligible|` — the prior is a
-//! *slot*: a learned policy can replace the uniform distribution without
-//! touching the search. `Q` itself is the serial engine's exploitation
-//! signal (coverage range by default), so at batch width 1 with no
-//! pending evaluations the descent degenerates to the serial rule's
-//! shape.
+//! Selection is the paper's UCT rule with virtual loss folded into the
+//! visit counts: `Q·n/n_eff + c·√(ln N_eff / n_eff)` with
+//! `n_eff = n + virtual_loss` (−∞ for fully explored subtrees). `Q` is
+//! the [`Exploitation`] signal — by default the *coverage ratio*
+//! `V = (t_max^c − t_min^c)/(t_max^p − t_min^p)`, 1 until both sides have
+//! two observations. Selection stops at any node with a claimable
+//! child (unmaterialized, or with no visit, no pending rollout and no
+//! retired subtree), which expansion then claims. At batch width 1 no virtual
+//! loss is ever outstanding when a descent runs, so the rule is exactly
+//! `Q + c·√(ln N / n)` and the search is the paper's serial MCTS.
 //!
 //! **Determinism policy.** Evaluations are keyed by
 //! [`eval_seed`]`(cfg.seed, traversal)` — a pure function of the
 //! traversal — so although batch width changes *which* iteration
 //! discovers a traversal, it never changes the traversal's measurement.
 //! At exhaustion every non-quarantined traversal has been measured
-//! exactly once, hence the record *set* is identical across batch widths
-//! and equal to the serial engine's. Callers that need bit-identical
-//! record *lists* across thread counts sort by
-//! [`Traversal::canonical_hash`] (see `dr-core`'s shared explore
-//! backend).
-//!
-//! The arena recycles nodes through a free list: [`SharedMcts::rebase`]
-//! re-roots the tree at one of the root's children (the tree-reuse idiom
-//! of game-playing engines — keep the chosen subtree, recycle the rest),
-//! after which new allocations reuse the released slots instead of
-//! growing the arena.
+//! exactly once, hence the record *set* is identical across batch widths.
 
 use crate::telemetry::{SearchTelemetry, TelemetryRow};
 use crate::tree::{
@@ -65,18 +56,21 @@ use std::collections::HashMap;
 
 type NodeId = usize;
 
-/// One arena slot. Identical to the serial engine's node plus the
-/// virtual-loss counter; kept flat (no boxing, index links only) so
-/// recycling a node is a field reset, never an allocation.
+const ROOT: NodeId = 0;
+
 struct Node {
     children: Vec<(Placement, NodeId)>,
+    /// Number of eligible placements at this node's prefix.
     num_actions: usize,
+    /// Children whose subtrees are fully explored.
     fully_explored_children: usize,
     fully_explored: bool,
+    /// Whether this node's fully-explored state has been counted in its
+    /// parent's `fully_explored_children` (each child counts once).
     counted_in_parent: bool,
     n: u64,
     /// Outstanding virtual losses: rollouts through this node that have
-    /// been selected but not yet committed (or cleared).
+    /// been selected but not yet committed.
     vl: u32,
     t_min: f64,
     t_max: f64,
@@ -84,13 +78,12 @@ struct Node {
 }
 
 impl Node {
-    // Unlike the serial engine, a leaf is NOT born fully explored: the
-    // serial engine resolves every leaf in the same iteration that
-    // creates it, but here a leaf stays *pending* until its batch
-    // commits — were it marked explored at birth, a descent arriving
-    // while it is pending would find no selectable child. Leaves flip to
-    // fully explored at resolution time (commit or inline resolution).
-    fn fresh(num_actions: usize) -> Self {
+    // A leaf is NOT born fully explored: it stays *pending* until its
+    // batch commits — were it marked explored at birth, a descent
+    // arriving while it is pending would find no selectable child.
+    // Leaves flip to fully explored at resolution time (commit or inline
+    // resolution).
+    fn new(num_actions: usize) -> Self {
         Node {
             children: Vec::new(),
             num_actions,
@@ -105,25 +98,19 @@ impl Node {
         }
     }
 
-    /// Resets the slot for reuse, keeping the child vector's allocation.
-    fn clear(&mut self, num_actions: usize) {
-        self.children.clear();
-        self.num_actions = num_actions;
-        self.fully_explored_children = 0;
-        self.fully_explored = false;
-        self.counted_in_parent = false;
-        self.n = 0;
-        self.vl = 0;
-        self.t_min = f64::INFINITY;
-        self.t_max = f64::NEG_INFINITY;
-        self.t_sum = 0.0;
-    }
-
     fn child(&self, p: Placement) -> Option<NodeId> {
         self.children
             .iter()
             .find(|&&(q, _)| q == p)
             .map(|&(_, id)| id)
+    }
+
+    fn t_mean(&self) -> f64 {
+        if self.n > 0 {
+            self.t_sum / self.n as f64
+        } else {
+            f64::NAN
+        }
     }
 }
 
@@ -135,15 +122,15 @@ struct RolloutMeta {
     rollout_len: usize,
 }
 
-/// One traversal awaiting evaluation. The caller measures
+/// One traversal awaiting evaluation. The driver measures
 /// [`PendingEval::traversal`] with [`PendingEval::eval_seed`] and hands
-/// the result to [`SharedMcts::commit`] at the same batch position.
-#[derive(Debug, Clone)]
-pub struct PendingEval {
+/// the result to [`Arena::commit`] at the same batch position.
+#[derive(Debug)]
+pub(crate) struct PendingEval {
     /// The complete traversal to measure.
-    pub traversal: Traversal,
+    pub(crate) traversal: Traversal,
     /// Deterministic evaluation seed (`eval_seed(cfg.seed, traversal)`).
-    pub eval_seed: u64,
+    pub(crate) eval_seed: u64,
     hash: u64,
     /// The unique root-to-leaf node path of this traversal (children are
     /// keyed by placement, so equal traversals share one path).
@@ -157,64 +144,57 @@ pub struct PendingEval {
 /// The output of one assembly pass: traversals to evaluate plus the
 /// iterations already resolved inline.
 #[derive(Debug, Default)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// Distinct traversals awaiting evaluation, in selection order.
-    pub pending: Vec<PendingEval>,
-    /// Iterations resolved during assembly without an evaluation: cached
-    /// repeats (backpropagated immediately) and quarantined regenerations
-    /// (retired immediately).
-    pub immediates: usize,
-    /// Total iterations this assembly consumed (`immediates` plus one per
-    /// rollout behind every pending entry).
-    pub iterations: usize,
+    pub(crate) pending: Vec<PendingEval>,
+    /// Total iterations this assembly consumed: those resolved inline
+    /// (cached repeats, quarantined regenerations, pruned descents) plus
+    /// one per rollout behind every pending entry.
+    pub(crate) iterations: usize,
 }
 
-/// The shared-tree search state. One instance is owned by the
-/// coordinating thread; workers only ever see [`PendingEval`]s.
-pub struct SharedMcts<'a> {
+/// The search state. Owned by the coordinating thread; evaluators only
+/// ever see [`PendingEval`]s.
+pub(crate) struct Arena<'a> {
     space: &'a DecisionSpace,
     cfg: MctsConfig,
     nodes: Vec<Node>,
-    /// Recycled arena slots, reused LIFO by [`SharedMcts::alloc`].
-    free: Vec<NodeId>,
-    root: NodeId,
-    /// Placements fixed by [`SharedMcts::rebase`], applied before every
-    /// descent (empty in normal operation).
-    base: Vec<Placement>,
     records: Vec<ExploredRecord>,
-    /// Canonical-hash index into `records` (collision-tolerant: values
-    /// are candidates, equality is re-checked).
+    /// Canonical-hash index into `records` (values are candidate record
+    /// indices; equality is re-checked, so a hash collision costs a probe
+    /// and never a misattributed measurement).
     seen: HashMap<u64, Vec<usize>>,
-    /// Canonical-hash index of quarantined traversals.
+    /// Canonical-hash index of quarantined traversals (same layout):
+    /// re-rolling a known-failed traversal retires it without
+    /// re-evaluating it or consuming another failure credit.
     failed: HashMap<u64, Vec<Traversal>>,
     failures: usize,
     rng: SmallRng,
     iterations: u64,
     /// Rollouts that regenerated an already-measured traversal (seen-map
-    /// hits plus in-batch duplicates) — the shared-tree analogue of
-    /// evaluation-cache hits.
+    /// hits plus in-batch duplicates).
     repeats: u64,
     telemetry: SearchTelemetry,
+    /// Deepest backpropagated path, maintained incrementally so telemetry
+    /// rows avoid the full-tree walk [`Arena::stats`] performs.
     max_depth: usize,
+    /// Sampled per-iteration tracing: `(lane, every)`.
     trace: Option<(Lane, usize)>,
+    /// Sampled per-iteration event emission: `(sink, every)`.
     events: Option<(EventSink, usize)>,
-    /// Static prefix filter set by [`SharedMcts::set_prune`].
+    /// Static prefix filter.
     prune: Option<PruneHook>,
     /// Subtrees retired by the prune hook.
     pruned: u64,
 }
 
-impl<'a> SharedMcts<'a> {
-    /// Creates a shared-tree search over `space`.
-    pub fn new(space: &'a DecisionSpace, cfg: MctsConfig) -> Self {
+impl<'a> Arena<'a> {
+    pub(crate) fn new(space: &'a DecisionSpace, cfg: MctsConfig) -> Self {
         let root_actions = space.eligible(&space.empty_prefix()).len();
-        SharedMcts {
+        Arena {
             space,
             cfg,
-            nodes: vec![Node::fresh(root_actions)],
-            free: Vec::new(),
-            root: 0,
-            base: Vec::new(),
+            nodes: vec![Node::new(root_actions)],
             records: Vec::new(),
             seen: HashMap::new(),
             failed: HashMap::new(),
@@ -231,90 +211,62 @@ impl<'a> SharedMcts<'a> {
         }
     }
 
-    /// Enables sampled iteration tracing (same schedule as the serial
-    /// engine: iterations 1, 1+`every`, …). Pending iterations record
-    /// their span at commit time, so spans can appear out of iteration
-    /// order within a batch.
-    pub fn set_trace(&mut self, lane: Lane, every: usize) {
+    pub(crate) fn set_trace(&mut self, lane: Lane, every: usize) {
         self.trace = Some((lane, every.max(1)));
     }
 
-    /// Enables sampled `mcts-iter` event emission (same schedule and
-    /// fields as the serial engine; same ordering caveat as
-    /// [`SharedMcts::set_trace`]).
-    pub fn set_events(&mut self, sink: EventSink, every: usize) {
+    pub(crate) fn set_events(&mut self, sink: EventSink, every: usize) {
         self.events = Some((sink, every.max(1)));
     }
 
-    /// Installs a static prune hook (same contract as the serial
-    /// engine's `Mcts::set_prune`): descents whose expanded prefix the
-    /// hook rejects retire their subtree without an evaluation slot and
-    /// count as batch immediates.
-    pub fn set_prune(&mut self, hook: PruneHook) {
+    pub(crate) fn set_prune(&mut self, hook: PruneHook) {
         self.prune = Some(hook);
     }
 
-    /// Subtrees retired by the prune hook so far.
-    pub fn pruned(&self) -> u64 {
+    pub(crate) fn pruned(&self) -> u64 {
         self.pruned
     }
 
-    /// All explored implementations, in commit order.
-    pub fn records(&self) -> &[ExploredRecord] {
+    pub(crate) fn records(&self) -> &[ExploredRecord] {
         &self.records
     }
 
-    /// Consumes the search and returns the explored records.
-    pub fn into_records(self) -> Vec<ExploredRecord> {
-        self.records
-    }
-
-    /// Consumes the search, returning records and telemetry.
-    pub fn into_parts(self) -> (Vec<ExploredRecord>, SearchTelemetry) {
-        (self.records, self.telemetry)
-    }
-
-    /// Per-iteration telemetry rows (one per explored rollout; pending
-    /// rollouts append at commit, so rows can be out of iteration order
-    /// within a batch).
-    pub fn telemetry(&self) -> &SearchTelemetry {
+    pub(crate) fn telemetry(&self) -> &SearchTelemetry {
         &self.telemetry
     }
 
-    /// True when every traversal under the current root has been
-    /// benchmarked or quarantined.
-    pub fn is_exhausted(&self) -> bool {
-        self.nodes[self.root].fully_explored
+    pub(crate) fn into_parts(self) -> (Vec<ExploredRecord>, SearchTelemetry) {
+        (self.records, self.telemetry)
     }
 
-    /// Number of rollouts executed so far.
-    pub fn iterations(&self) -> u64 {
+    pub(crate) fn is_exhausted(&self) -> bool {
+        self.nodes[ROOT].fully_explored
+    }
+
+    pub(crate) fn iterations(&self) -> u64 {
         self.iterations
     }
 
-    /// Distinct traversals quarantined after evaluator errors.
-    pub fn failures(&self) -> usize {
+    pub(crate) fn failures(&self) -> usize {
         self.failures
     }
 
-    /// Rollouts that regenerated an already-measured traversal.
-    pub fn repeats(&self) -> u64 {
+    pub(crate) fn repeats(&self) -> u64 {
         self.repeats
     }
 
-    /// Live (non-recycled) arena nodes.
-    pub fn tree_size(&self) -> usize {
-        self.nodes.len() - self.free.len()
+    pub(crate) fn tree_size(&self) -> usize {
+        self.nodes.len()
     }
 
-    /// Assembles up to `width` distinct traversals for parallel
-    /// evaluation, consuming at most `budget` iterations. Rollouts that
-    /// need no evaluation (cached repeats, quarantined regenerations)
-    /// are resolved inline and counted in [`Batch::immediates`].
+    /// Assembles up to `width` distinct traversals for evaluation,
+    /// consuming at most `budget` iterations. Rollouts that need no
+    /// evaluation (cached repeats, quarantined regenerations, pruned
+    /// descents) are resolved inline.
     ///
     /// Every node on a pending path carries one virtual loss per rollout
-    /// until [`SharedMcts::commit`] releases it; the caller must commit
-    /// the batch (even an all-failure one) before assembling the next.
+    /// until [`Arena::commit`] releases it; the caller must commit the
+    /// batch (even an all-failure one) before assembling the next.
     ///
     /// Assembly consumes at most `4·width` iterations per call even when
     /// `budget` allows more: near exhaustion every descent funnels into
@@ -322,30 +274,24 @@ impl<'a> SharedMcts<'a> {
     /// *around* explored subtrees, not conjure unexplored ones), and the
     /// cap bounds that duplicate spinning instead of looping until the
     /// batch fills.
-    pub fn select_batch(&mut self, width: usize, budget: u64) -> Batch {
+    pub(crate) fn select_batch(&mut self, width: usize, budget: u64) -> Batch {
         let width = width.max(1);
         let cap = budget.min(4 * width as u64);
         let mut batch = Batch::default();
         while batch.pending.len() < width && (batch.iterations as u64) < cap && !self.is_exhausted()
         {
-            let Some((path, traversal, rollout_len)) = self.descend() else {
-                // Pruned descent: the subtree is retired; account for the
-                // iteration and move on without an evaluation slot.
-                self.iterations += 1;
-                batch.iterations += 1;
-                batch.immediates += 1;
-                let iteration = self.iterations;
-                self.observe(iteration, "pruned");
-                continue;
-            };
             self.iterations += 1;
             batch.iterations += 1;
             let iteration = self.iterations;
-            self.max_depth = self.max_depth.max(path.len() - 1);
+            let Some((path, traversal, rollout_len)) = self.descend() else {
+                // Pruned descent: the subtree is already retired.
+                self.observe(iteration, "pruned");
+                continue;
+            };
             let hash = traversal.canonical_hash();
 
-            // Known-failed traversal: retire its subtree immediately,
-            // exactly like the serial engine (no record, no stats).
+            // Known-failed traversal: retire its subtree (no record, no
+            // statistics).
             if self
                 .failed
                 .get(&hash)
@@ -355,7 +301,6 @@ impl<'a> SharedMcts<'a> {
             {
                 self.release_virtual_loss(&path, 1);
                 self.mark_fully_explored(&path);
-                batch.immediates += 1;
                 self.observe(iteration, "quarantined");
                 continue;
             }
@@ -375,7 +320,6 @@ impl<'a> SharedMcts<'a> {
                 self.backprop(&path, t, 1);
                 self.mark_fully_explored(&path);
                 self.repeats += 1;
-                batch.immediates += 1;
                 self.push_row(iteration, rollout_len);
                 self.observe(iteration, "repeat");
                 continue;
@@ -385,15 +329,16 @@ impl<'a> SharedMcts<'a> {
             // traversals descend the same child edges, so the node path
             // is identical — the extra rollout just deepens the virtual
             // loss and adds one backpropagation at commit.
+            let meta = RolloutMeta {
+                iteration,
+                rollout_len,
+            };
             if let Some(pe) = batch
                 .pending
                 .iter_mut()
                 .find(|pe| pe.hash == hash && pe.traversal == traversal)
             {
-                pe.rollouts.push(RolloutMeta {
-                    iteration,
-                    rollout_len,
-                });
+                pe.rollouts.push(meta);
                 continue;
             }
 
@@ -402,10 +347,7 @@ impl<'a> SharedMcts<'a> {
                 traversal,
                 hash,
                 path,
-                rollouts: vec![RolloutMeta {
-                    iteration,
-                    rollout_len,
-                }],
+                rollouts: vec![meta],
             });
         }
         batch
@@ -416,8 +358,8 @@ impl<'a> SharedMcts<'a> {
     /// statistics backpropagated once per rollout, virtual losses
     /// released, failures quarantined under [`MctsConfig::max_failures`].
     /// An error beyond the failure budget propagates immediately (the
-    /// search is then poisoned, matching the serial engine's fail-fast).
-    pub fn commit(
+    /// search is then poisoned).
+    pub(crate) fn commit(
         &mut self,
         batch: Batch,
         results: Vec<Result<BenchResult, SimError>>,
@@ -449,10 +391,15 @@ impl<'a> SharedMcts<'a> {
                 }
                 Err(e) => {
                     if self.failures >= self.cfg.max_failures {
+                        for meta in &pe.rollouts {
+                            self.observe(meta.iteration, "error");
+                        }
                         return Err(e);
                     }
                     self.failures += 1;
                     self.failed.entry(pe.hash).or_default().push(pe.traversal);
+                    // Retiring the poisoned leaf lets exhaustion
+                    // accounting still converge.
                     self.mark_fully_explored(&pe.path);
                     for meta in &pe.rollouts {
                         self.observe(meta.iteration, "quarantined");
@@ -463,51 +410,11 @@ impl<'a> SharedMcts<'a> {
         Ok(())
     }
 
-    /// Re-roots the tree at the root's child for `p`, recycling the old
-    /// root and every sibling subtree into the free list. Returns false
-    /// (and changes nothing) when no materialized child matches `p`.
-    ///
-    /// This is the tree-reuse idiom of game-playing engines: after
-    /// committing to an opening decision, the established subtree keeps
-    /// its statistics while the rest of the arena becomes reusable
-    /// capacity. Must not be called with a batch outstanding (pending
-    /// virtual losses reference nodes that would be recycled).
-    pub fn rebase(&mut self, p: Placement) -> bool {
-        debug_assert_eq!(
-            self.nodes[self.root].vl, 0,
-            "rebase with a batch outstanding"
-        );
-        let Some(new_root) = self.nodes[self.root].child(p) else {
-            return false;
-        };
-        let siblings: Vec<NodeId> = self.nodes[self.root]
-            .children
-            .iter()
-            .filter(|&&(q, _)| q != p)
-            .map(|&(_, id)| id)
-            .collect();
-        for s in siblings {
-            self.release_subtree(s);
-        }
-        let old_root = self.root;
-        self.nodes[old_root].children.clear();
-        self.free.push(old_root);
-        self.root = new_root;
-        self.nodes[new_root].counted_in_parent = false;
-        self.base.push(p);
-        true
-    }
-
-    /// The placements fixed by successive [`SharedMcts::rebase`] calls.
-    pub fn base(&self) -> &[Placement] {
-        &self.base
-    }
-
-    /// Aggregate statistics of the (live) search tree.
-    pub fn stats(&self) -> TreeStats {
+    /// Aggregate statistics of the search tree.
+    pub(crate) fn stats(&self) -> TreeStats {
         let mut max_depth = 0usize;
         let mut fully_explored = 0usize;
-        let mut stack = vec![(self.root, 0usize)];
+        let mut stack = vec![(ROOT, 0usize)];
         while let Some((id, depth)) = stack.pop() {
             max_depth = max_depth.max(depth);
             if self.nodes[id].fully_explored {
@@ -517,7 +424,7 @@ impl<'a> SharedMcts<'a> {
                 stack.push((c, depth + 1));
             }
         }
-        let root = &self.nodes[self.root];
+        let root = &self.nodes[ROOT];
         TreeStats {
             nodes: self.tree_size(),
             max_depth,
@@ -528,43 +435,40 @@ impl<'a> SharedMcts<'a> {
         }
     }
 
-    /// Exports an introspection snapshot with the same schema and ranking
-    /// rules as the serial engine's [`Mcts::snapshot`](crate::Mcts::snapshot):
-    /// depth profile, `max_nodes` most-visited nodes, top-`top_k`
-    /// principal variations, ties broken toward earlier arena slots.
-    pub fn snapshot(&self, top_k: usize, max_nodes: usize) -> TreeSnapshot {
-        let mut depth_of: HashMap<NodeId, usize> = HashMap::from([(self.root, 0)]);
+    /// See [`Mcts::snapshot`](crate::Mcts::snapshot).
+    pub(crate) fn snapshot(&self, top_k: usize, max_nodes: usize) -> TreeSnapshot {
+        // One BFS walk computes depths for the profile and the export.
+        let mut depth_of = vec![0usize; self.nodes.len()];
         let mut depth_profile: Vec<usize> = Vec::new();
-        let mut queue = std::collections::VecDeque::from([self.root]);
+        let mut queue = std::collections::VecDeque::from([ROOT]);
         let mut order: Vec<NodeId> = Vec::new();
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            let d = depth_of[&id];
+            let d = depth_of[id];
             if depth_profile.len() <= d {
                 depth_profile.resize(d + 1, 0);
             }
             depth_profile[d] += 1;
             for &(_, c) in &self.nodes[id].children {
-                depth_of.insert(c, d + 1);
+                depth_of[c] = d + 1;
                 queue.push_back(c);
             }
         }
 
         let action_of = |id: NodeId| -> Option<Placement> {
-            order.iter().find_map(|&p| {
-                self.nodes[p]
-                    .children
-                    .iter()
-                    .find(|&&(_, c)| c == id)
-                    .map(|&(q, _)| q)
-            })
+            // Parent links are not stored; recover the incoming edge by
+            // scanning (snapshotting is a once-per-run export, so the
+            // quadratic scan is confined to the exported node set).
+            self.nodes
+                .iter()
+                .find_map(|n| n.children.iter().find(|&&(_, c)| c == id).map(|&(p, _)| p))
         };
-        let mut ranked: Vec<NodeId> = order.clone();
+        let mut ranked: Vec<NodeId> = order;
         ranked.sort_by(|&a, &b| {
             self.nodes[b]
                 .n
                 .cmp(&self.nodes[a].n)
-                .then(depth_of[&a].cmp(&depth_of[&b]))
+                .then(depth_of[a].cmp(&depth_of[b]))
                 .then(a.cmp(&b))
         });
         let nodes: Vec<NodeStat> = ranked
@@ -573,23 +477,21 @@ impl<'a> SharedMcts<'a> {
             .map(|id| {
                 let n = &self.nodes[id];
                 NodeStat {
-                    depth: depth_of[&id],
-                    action: if id == self.root { None } else { action_of(id) },
+                    depth: depth_of[id],
+                    action: if id == ROOT { None } else { action_of(id) },
                     visits: n.n,
                     t_min: n.t_min,
                     t_max: n.t_max,
-                    t_mean: if n.n > 0 {
-                        n.t_sum / n.n as f64
-                    } else {
-                        f64::NAN
-                    },
+                    t_mean: n.t_mean(),
                     children: n.children.len(),
                     fully_explored: n.fully_explored,
                 }
             })
             .collect();
 
-        let mut openings: Vec<(Placement, NodeId)> = self.nodes[self.root].children.clone();
+        // Principal variations: top-k root children by visits, each
+        // greedily completed along most-visited children.
+        let mut openings: Vec<(Placement, NodeId)> = self.nodes[ROOT].children.clone();
         openings.sort_by(|&(_, a), &(_, b)| self.nodes[b].n.cmp(&self.nodes[a].n).then(a.cmp(&b)));
         let principal_variations: Vec<PrincipalVariation> = openings
             .into_iter()
@@ -598,31 +500,22 @@ impl<'a> SharedMcts<'a> {
             .map(|(p, id)| {
                 let mut steps = vec![p];
                 let mut node = id;
-                loop {
-                    let next = self.nodes[node]
-                        .children
-                        .iter()
-                        .filter(|&&(_, c)| self.nodes[c].n > 0)
-                        .max_by(|&&(_, a), &&(_, b)| {
-                            self.nodes[a].n.cmp(&self.nodes[b].n).then(b.cmp(&a))
-                        })
-                        .copied();
-                    match next {
-                        Some((q, c)) => {
-                            steps.push(q);
-                            node = c;
-                        }
-                        None => break,
-                    }
+                while let Some((q, c)) = self.nodes[node]
+                    .children
+                    .iter()
+                    .filter(|&&(_, c)| self.nodes[c].n > 0)
+                    .max_by(|&&(_, a), &&(_, b)| {
+                        self.nodes[a].n.cmp(&self.nodes[b].n).then(b.cmp(&a))
+                    })
+                    .copied()
+                {
+                    steps.push(q);
+                    node = c;
                 }
                 PrincipalVariation {
                     visits: self.nodes[id].n,
                     t_min: self.nodes[node].t_min,
-                    t_mean: if self.nodes[id].n > 0 {
-                        self.nodes[id].t_sum / self.nodes[id].n as f64
-                    } else {
-                        f64::NAN
-                    },
+                    t_mean: self.nodes[id].t_mean(),
                     steps,
                 }
             })
@@ -639,35 +532,26 @@ impl<'a> SharedMcts<'a> {
         }
     }
 
-    /// One selection → expansion → rollout descent. Applies one virtual
-    /// loss to every node on the returned path.
-    /// One selection → expansion → rollout descent. Returns `None` when
-    /// the prune hook rejected the freshly-expanded prefix: the subtree
-    /// is already retired and no virtual loss was applied.
+    /// One selection → expansion → rollout descent, applying one virtual
+    /// loss to every node on the returned path. Returns `None` when the
+    /// prune hook rejected the freshly-expanded prefix: the subtree is
+    /// then already retired and no virtual loss was applied.
     fn descend(&mut self) -> Option<(Vec<NodeId>, Traversal, usize)> {
         let mut prefix = self.space.empty_prefix();
-        for &p in &self.base {
-            self.space.apply(&mut prefix, p);
-        }
-        let mut path = vec![self.root];
-        let mut node = self.root;
+        let mut path = vec![ROOT];
+        let mut node = ROOT;
 
-        // Selection: descend while every eligible child exists, has a
-        // visit or a pending rollout, and at least one is selectable.
+        // Selection: descend while no eligible child is claimable.
         loop {
             let elig = self.space.eligible(&prefix);
             if elig.is_empty() {
                 break; // complete traversal
             }
-            let unvisited_exists = elig.iter().any(|&p| {
-                self.nodes[node].child(p).is_none_or(|c| {
-                    let ch = &self.nodes[c];
-                    ch.n == 0 && ch.vl == 0 && !ch.fully_explored
-                })
-            });
-            if unvisited_exists {
+            if elig.iter().any(|&p| self.claimable(node, p)) {
                 break;
             }
+            // A node on the selection path is never fully explored, so at
+            // least one selectable child exists.
             let best = self
                 .select_child(node, &elig)
                 .expect("non-fully-explored node has a selectable child");
@@ -677,47 +561,39 @@ impl<'a> SharedMcts<'a> {
             node = child;
         }
 
-        // Expansion: materialize (or claim) one untouched child. A child
-        // under virtual loss does not count as unvisited — that is what
-        // steers consecutive descents apart.
-        {
-            let elig = self.space.eligible(&prefix);
-            if !elig.is_empty() {
-                let candidates: Vec<Placement> = elig
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        self.nodes[node].child(p).is_none_or(|c| {
-                            let ch = &self.nodes[c];
-                            ch.n == 0 && ch.vl == 0 && !ch.fully_explored
-                        })
-                    })
-                    .collect();
-                let pick = candidates[self.rng.gen_range(0..candidates.len())];
-                let child = self.get_or_create_child(node, pick, &mut prefix);
-                path.push(child);
-                node = child;
-                // Static prune: a rejected prefix dooms every completion;
-                // retire the subtree before the rollout and before any
-                // virtual loss is applied.
-                if let Some(hook) = &self.prune {
-                    if hook(&prefix) {
-                        self.mark_fully_explored(&path);
-                        self.pruned += 1;
-                        return None;
-                    }
+        // Expansion: materialize (or claim) one claimable child. A child
+        // under virtual loss is not claimable — that is what steers
+        // consecutive descents apart.
+        let elig = self.space.eligible(&prefix);
+        if !elig.is_empty() {
+            let candidates: Vec<Placement> = elig
+                .iter()
+                .copied()
+                .filter(|&p| self.claimable(node, p))
+                .collect();
+            let pick = candidates[self.rng.gen_range(0..candidates.len())];
+            node = self.get_or_create_child(node, pick, &mut prefix);
+            path.push(node);
+            // Static prune: a rejected prefix dooms every completion;
+            // retire the subtree before the rollout and before any
+            // virtual loss is applied.
+            if let Some(hook) = &self.prune {
+                if hook(&prefix) {
+                    self.mark_fully_explored(&path);
+                    self.pruned += 1;
+                    return None;
                 }
             }
         }
 
-        // Rollout: randomly complete the prefix, materializing nodes.
+        // Rollout: randomly complete the prefix, materializing nodes so
+        // their performance information is retained.
         let mut rollout_len = 0usize;
         while prefix.len() < self.space.num_ops() {
             let elig = self.space.eligible(&prefix);
             let pick = elig[self.rng.gen_range(0..elig.len())];
-            let child = self.get_or_create_child(node, pick, &mut prefix);
-            path.push(child);
-            node = child;
+            node = self.get_or_create_child(node, pick, &mut prefix);
+            path.push(node);
             rollout_len += 1;
         }
 
@@ -730,16 +606,14 @@ impl<'a> SharedMcts<'a> {
         Some((path, traversal, rollout_len))
     }
 
-    /// PUCT selection over materialized children: `Q_eff + c · prior ·
-    /// √N_parent / (1 + n_eff)` with virtual loss folded into the visit
-    /// counts. The exploitation signal `Q` is the serial engine's
-    /// (coverage range by default); the uniform prior is the policy slot.
+    /// The paper's explore/exploit rule over materialized children, with
+    /// virtual loss folded into the visit counts:
+    /// `Q·n/n_eff + c·√(ln N_eff / n_eff)`. Fully explored children are
+    /// never selected. Ties break toward the first eligible placement.
     fn select_child(&self, parent: NodeId, elig: &[Placement]) -> Option<Placement> {
         let pn = &self.nodes[parent];
         let parent_range = pn.t_max - pn.t_min;
-        let parent_n_eff = pn.n + pn.vl as u64;
-        let prior = 1.0 / elig.len() as f64;
-        let sqrt_parent = (parent_n_eff as f64).sqrt();
+        let ln_parent = ((pn.n + pn.vl as u64) as f64).ln();
         let mut best: Option<(f64, Placement)> = None;
         for &p in elig {
             let c = pn
@@ -749,7 +623,6 @@ impl<'a> SharedMcts<'a> {
             if ch.fully_explored {
                 continue;
             }
-            let n_eff = ch.n + ch.vl as u64;
             let q = match self.cfg.exploitation {
                 Exploitation::CoverageRange => {
                     if ch.n >= 2 && pn.n >= 2 && parent_range > 0.0 {
@@ -759,31 +632,36 @@ impl<'a> SharedMcts<'a> {
                     }
                 }
                 Exploitation::MeanTime => {
-                    let root = &self.nodes[self.root];
+                    let root = &self.nodes[ROOT];
                     let root_range = root.t_max - root.t_min;
                     if ch.n >= 1 && root_range > 0.0 {
-                        let mean = ch.t_sum / ch.n as f64;
-                        ((root.t_max - mean) / root_range).clamp(0.0, 1.0)
+                        ((root.t_max - ch.t_mean()) / root_range).clamp(0.0, 1.0)
                     } else {
                         1.0
                     }
                 }
                 Exploitation::Constant => 1.0,
             };
-            // Virtual-loss discount: a node whose visits are all pending
-            // contributes no exploitation value until results commit.
-            let q_eff = if n_eff > 0 {
-                q * (ch.n as f64 / n_eff as f64)
-            } else {
-                q
-            };
-            let u = self.cfg.exploration_c * prior * sqrt_parent / (1.0 + n_eff as f64);
-            let value = q_eff + u;
+            // A child whose visits are all pending contributes no
+            // exploitation value until its results commit; with no
+            // virtual loss `n / n_eff` is exactly 1.
+            let n_eff = (ch.n + ch.vl as u64) as f64;
+            let explore = self.cfg.exploration_c * (ln_parent / n_eff).sqrt();
+            let value = explore + q * (ch.n as f64 / n_eff);
             if best.is_none_or(|(bv, _)| value > bv) {
                 best = Some((value, p));
             }
         }
         best.map(|(_, p)| p)
+    }
+
+    /// Whether expansion may claim `parent`'s child for `p`: not yet
+    /// materialized, or neither visited, nor pending, nor retired.
+    fn claimable(&self, parent: NodeId, p: Placement) -> bool {
+        self.nodes[parent].child(p).is_none_or(|c| {
+            let ch = &self.nodes[c];
+            ch.n == 0 && ch.vl == 0 && !ch.fully_explored
+        })
     }
 
     fn get_or_create_child(
@@ -792,41 +670,15 @@ impl<'a> SharedMcts<'a> {
         p: Placement,
         prefix: &mut dr_dag::Prefix,
     ) -> NodeId {
+        self.space.apply(prefix, p);
         if let Some(c) = self.nodes[parent].child(p) {
-            self.space.apply(prefix, p);
             return c;
         }
-        self.space.apply(prefix, p);
         let num_actions = self.space.eligible(prefix).len();
-        let id = self.alloc(num_actions);
+        let id = self.nodes.len();
+        self.nodes.push(Node::new(num_actions));
         self.nodes[parent].children.push((p, id));
         id
-    }
-
-    /// Takes a slot from the free list (clearing it) or grows the arena.
-    fn alloc(&mut self, num_actions: usize) -> NodeId {
-        match self.free.pop() {
-            Some(id) => {
-                self.nodes[id].clear(num_actions);
-                id
-            }
-            None => {
-                self.nodes.push(Node::fresh(num_actions));
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    /// Recycles `id` and every node below it.
-    fn release_subtree(&mut self, id: NodeId) {
-        let mut stack = vec![id];
-        while let Some(i) = stack.pop() {
-            for &(_, c) in &self.nodes[i].children {
-                stack.push(c);
-            }
-            self.nodes[i].children.clear();
-            self.free.push(i);
-        }
     }
 
     fn release_virtual_loss(&mut self, path: &[NodeId], count: u32) {
@@ -844,15 +696,16 @@ impl<'a> SharedMcts<'a> {
             n.t_max = n.t_max.max(t);
             n.t_sum += t * count as f64;
         }
+        self.max_depth = self.max_depth.max(path.len() - 1);
     }
 
-    /// Bottom-up fully-explored propagation. Called only at resolution
-    /// time with a complete root-to-leaf path, so the leaf itself is
-    /// retired here (in the serial engine leaves retire at creation; see
-    /// [`Node::fresh`] for why that is wrong under pending batches).
+    /// Bottom-up fully-explored propagation along a resolved root-to-leaf
+    /// (or pruned root-to-node) path: the path's last node is retired,
+    /// and a parent is fully explored once all `num_actions` children
+    /// exist and are fully explored.
     fn mark_fully_explored(&mut self, path: &[NodeId]) {
-        if let Some(&leaf) = path.last() {
-            self.nodes[leaf].fully_explored = true;
+        if let Some(&last) = path.last() {
+            self.nodes[last].fully_explored = true;
         }
         for i in (1..path.len()).rev() {
             let child = path[i];
@@ -872,7 +725,7 @@ impl<'a> SharedMcts<'a> {
     }
 
     fn push_row(&mut self, iteration: u64, rollout_len: usize) {
-        let root = &self.nodes[self.root];
+        let root = &self.nodes[ROOT];
         let row = TelemetryRow {
             iteration,
             unique_traversals: self.records.len(),
@@ -885,13 +738,15 @@ impl<'a> SharedMcts<'a> {
         self.telemetry.push(row);
     }
 
-    /// Sampled trace/event emission for one resolved rollout (same
-    /// schedule as the serial engine: iterations 1, 1+every, …).
+    /// Sampled trace/event emission for one resolved rollout: iterations
+    /// 1, 1+every, 1+2·every, … (tracing and events sample
+    /// independently). Emission only reads search state, so it cannot
+    /// perturb the search.
     fn observe(&mut self, iteration: u64, outcome: &str) {
         let unique = self.records.len();
         let tree_nodes = self.tree_size();
         let max_depth = self.max_depth;
-        let best_s = self.nodes[self.root].t_min;
+        let best_s = self.nodes[ROOT].t_min;
         if let Some((lane, every)) = &mut self.trace {
             if (iteration - 1).is_multiple_of(*every as u64) {
                 lane.enter("mcts-iter");
@@ -923,7 +778,7 @@ impl<'a> SharedMcts<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{Evaluator, SimEvaluator};
+    use crate::eval::SimEvaluator;
     use crate::tree::Mcts;
     use dr_dag::{CostKey, DagBuilder, OpSpec};
     use dr_sim::{BenchConfig, Percentiles, Platform, TableWorkload};
@@ -960,30 +815,10 @@ mod tests {
     }
 
     /// A pure-function evaluator: time derived from the traversal alone.
-    fn hash_time(t: &Traversal) -> f64 {
-        1e-4 + (t.canonical_hash() % 1009) as f64 * 1e-7
-    }
-
-    /// Drives a shared search to exhaustion with the given batch width.
-    fn run_to_exhaustion<E: Evaluator>(mcts: &mut SharedMcts, width: usize, eval: &mut E) {
-        let mut safety = 0usize;
-        loop {
-            let batch = mcts.select_batch(width, u64::MAX);
-            if batch.pending.is_empty() {
-                if mcts.is_exhausted() {
-                    break;
-                }
-                safety += 1;
-                assert!(safety < 100_000, "search failed to make progress");
-                continue;
-            }
-            let results: Vec<_> = batch
-                .pending
-                .iter()
-                .map(|pe| eval.evaluate(&pe.traversal, pe.eval_seed))
-                .collect();
-            mcts.commit(batch, results).unwrap();
-        }
+    fn hash_eval(t: &Traversal, _: u64) -> Result<BenchResult, SimError> {
+        Ok(fake_result(
+            1e-4 + (t.canonical_hash() % 1009) as f64 * 1e-7,
+        ))
     }
 
     fn record_set(records: &[ExploredRecord]) -> Vec<(u64, u64)> {
@@ -998,23 +833,23 @@ mod tests {
     #[test]
     fn prune_hook_retires_subtrees_before_any_evaluation() {
         let space = small_space();
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        mcts.set_prune(std::sync::Arc::new(|_: &dr_dag::Prefix| true));
-        let batch = mcts.select_batch(8, u64::MAX);
+        let mut tree = Arena::new(&space, MctsConfig::default());
+        tree.set_prune(std::sync::Arc::new(|_: &dr_dag::Prefix| true));
+        let batch = tree.select_batch(8, u64::MAX);
         assert!(
             batch.pending.is_empty(),
             "nothing reaches evaluation under a prune-everything hook"
         );
-        assert!(batch.immediates > 0, "pruned descents resolve inline");
-        assert!(mcts.is_exhausted());
+        assert!(batch.iterations > 0, "pruned descents resolve inline");
+        assert!(tree.is_exhausted());
         assert_eq!(
-            mcts.pruned(),
+            tree.pruned(),
             space.eligible(&space.empty_prefix()).len() as u64,
             "exactly one prune per root child"
         );
-        assert!(mcts.records().is_empty());
+        assert!(tree.records().is_empty());
         // No virtual loss may leak from the aborted descents.
-        for node in &mcts.nodes {
+        for node in &tree.nodes {
             assert_eq!(node.vl, 0);
         }
     }
@@ -1022,111 +857,106 @@ mod tests {
     #[test]
     fn virtual_loss_marks_pending_paths_and_commit_clears_it() {
         let space = small_space();
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        let batch = mcts.select_batch(1, u64::MAX);
+        let mut tree = Arena::new(&space, MctsConfig::default());
+        let batch = tree.select_batch(1, u64::MAX);
         assert_eq!(batch.pending.len(), 1);
         assert_eq!(batch.iterations, 1);
         let path = batch.pending[0].path.clone();
         assert!(path.len() > 1, "path spans root to leaf");
         for &id in &path {
-            assert_eq!(mcts.nodes[id].vl, 1, "pending path carries virtual loss");
-            assert_eq!(mcts.nodes[id].n, 0, "no real visits before commit");
+            assert_eq!(tree.nodes[id].vl, 1, "pending path carries virtual loss");
+            assert_eq!(tree.nodes[id].n, 0, "no real visits before commit");
         }
-        mcts.commit(batch, vec![Ok(fake_result(1e-4))]).unwrap();
+        tree.commit(batch, vec![Ok(fake_result(1e-4))]).unwrap();
         for &id in &path {
-            assert_eq!(mcts.nodes[id].vl, 0, "commit releases virtual loss");
-            assert_eq!(mcts.nodes[id].n, 1, "commit backpropagates the visit");
+            assert_eq!(tree.nodes[id].vl, 0, "commit releases virtual loss");
+            assert_eq!(tree.nodes[id].n, 1, "commit backpropagates the visit");
         }
-        assert_eq!(mcts.records().len(), 1);
-        assert_eq!(mcts.telemetry().len(), 1);
+        assert_eq!(tree.records().len(), 1);
+        assert_eq!(tree.telemetry().len(), 1);
     }
 
     #[test]
     fn virtual_loss_steers_batched_descents_apart() {
         // With the whole tree untouched, two consecutive descents must
         // diverge at the root: the first leaves virtual loss on its
-        // opening child, which then no longer counts as unvisited, so
+        // opening child, which then no longer counts as claimable, so
         // the second expansion picks a different opening.
         let space = small_space();
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        let batch = mcts.select_batch(2, u64::MAX);
+        let mut tree = Arena::new(&space, MctsConfig::default());
+        let batch = tree.select_batch(2, u64::MAX);
         assert_eq!(batch.pending.len(), 2);
         let a = &batch.pending[0];
         let b = &batch.pending[1];
         assert_ne!(
-            a.traversal, b.traversal,
-            "descents diverge under virtual loss"
-        );
-        assert_ne!(
             a.traversal.steps[0], b.traversal.steps[0],
             "divergence happens at the opening move"
         );
-        assert_eq!(
-            mcts.nodes[mcts.root].vl, 2,
-            "root carries one loss per rollout"
-        );
+        assert_eq!(tree.nodes[ROOT].vl, 2, "root carries one loss per rollout");
         let results = vec![Ok(fake_result(1e-4)), Ok(fake_result(2e-4))];
-        mcts.commit(batch, results).unwrap();
-        assert_eq!(mcts.nodes[mcts.root].vl, 0);
-        assert_eq!(mcts.nodes[mcts.root].n, 2);
+        tree.commit(batch, results).unwrap();
+        assert_eq!(tree.nodes[ROOT].vl, 0);
+        assert_eq!(tree.nodes[ROOT].n, 2);
     }
 
     #[test]
     fn a_node_under_virtual_loss_is_deprioritized_until_commit() {
-        // Directly exercise the PUCT discount: two siblings with
-        // identical statistics, one carrying a virtual loss. Selection
-        // must prefer the unencumbered sibling; after the loss clears,
-        // the tie is restored.
+        // Directly exercise the UCT rule with virtual loss: two siblings
+        // with identical statistics, one carrying a virtual loss.
+        // Selection must prefer the unencumbered sibling; after the loss
+        // clears, the tie is restored.
         let mut b = DagBuilder::new();
         b.add("x", OpSpec::GpuKernel(CostKey::new("x")));
         b.add("y", OpSpec::GpuKernel(CostKey::new("y")));
         let space = DecisionSpace::new(b.build().unwrap(), 1).unwrap();
         let elig = space.eligible(&space.empty_prefix());
         assert_eq!(elig.len(), 2, "two independent ops give two openings");
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
+        let mut tree = Arena::new(&space, MctsConfig::default());
         // Materialize both children with one committed visit each.
         for &p in &elig {
             let mut prefix = space.empty_prefix();
-            let id = mcts.get_or_create_child(mcts.root, p, &mut prefix);
-            mcts.backprop(&[mcts.root, id], 1e-4, 1);
+            let id = tree.get_or_create_child(ROOT, p, &mut prefix);
+            tree.backprop(&[ROOT, id], 1e-4, 1);
         }
-        let loaded = mcts.nodes[mcts.root].child(elig[0]).unwrap();
-        mcts.nodes[loaded].vl = 1;
-        let picked = mcts.select_child(mcts.root, &elig).unwrap();
+        let loaded = tree.nodes[ROOT].child(elig[0]).unwrap();
+        tree.nodes[loaded].vl = 1;
         assert_eq!(
-            picked, elig[1],
+            tree.select_child(ROOT, &elig),
+            Some(elig[1]),
             "virtual loss deprioritizes the pending child"
         );
-        mcts.nodes[loaded].vl = 0;
-        let repicked = mcts.select_child(mcts.root, &elig).unwrap();
+        tree.nodes[loaded].vl = 0;
         assert_eq!(
-            repicked, elig[0],
+            tree.select_child(ROOT, &elig),
+            Some(elig[0]),
             "ties break to the first child once cleared"
         );
     }
 
     #[test]
-    fn width_one_exhaustion_matches_the_serial_record_set() {
-        let space = small_space();
-        let total = space.count_traversals() as usize;
-        let w = small_workload();
-        let platform = Platform::perlmutter_like().noiseless();
-
-        let serial_eval = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let mut serial = Mcts::new(&space, serial_eval, MctsConfig::default());
-        serial.run(10_000).unwrap();
-        assert!(serial.is_exhausted());
-
-        let mut eval = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let mut shared = SharedMcts::new(&space, MctsConfig::default());
-        run_to_exhaustion(&mut shared, 1, &mut eval);
-        assert!(shared.is_exhausted());
-        assert_eq!(shared.records().len(), total);
-        assert_eq!(
-            record_set(shared.records()),
-            record_set(serial.records()),
-            "shared tree at width 1 must measure the serial record set"
-        );
+    fn width_one_selection_is_the_papers_uct_rule() {
+        // No virtual loss outstanding: the rule is exactly
+        // `Q + c·√(ln N / n)`. Child 0 spans the parent's whole time
+        // range (Q = 1) over 50 visits; child 1 is constant (Q = 0) over
+        // 4. With N = 54, UCT scores them 1 + √2·√(ln 54 / 50) ≈ 1.399
+        // and √2·√(ln 54 / 4) ≈ 1.412, so the rarely-visited child wins.
+        let mut b = DagBuilder::new();
+        b.add("x", OpSpec::GpuKernel(CostKey::new("x")));
+        b.add("y", OpSpec::GpuKernel(CostKey::new("y")));
+        let space = DecisionSpace::new(b.build().unwrap(), 1).unwrap();
+        let elig = space.eligible(&space.empty_prefix());
+        let mut tree = Arena::new(&space, MctsConfig::default());
+        let ids: Vec<NodeId> = elig
+            .iter()
+            .map(|&p| tree.get_or_create_child(ROOT, p, &mut space.empty_prefix()))
+            .collect();
+        tree.backprop(&[ROOT, ids[0]], 1e-4, 1);
+        tree.backprop(&[ROOT, ids[0]], 3e-4, 49);
+        tree.backprop(&[ROOT, ids[1]], 2e-4, 4);
+        let c = std::f64::consts::SQRT_2;
+        let uct = |q: f64, n: f64| q + c * (54f64.ln() / n).sqrt();
+        assert!(uct(0.0, 4.0) > uct(1.0, 50.0));
+        assert_eq!(tree.select_child(ROOT, &elig), Some(elig[1]));
     }
 
     #[test]
@@ -1135,11 +965,8 @@ mod tests {
         let total = space.count_traversals() as usize;
         let mut sets = Vec::new();
         for width in [1usize, 2, 4] {
-            let mut eval = |t: &Traversal, _: u64| -> Result<BenchResult, SimError> {
-                Ok(fake_result(hash_time(t)))
-            };
-            let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-            run_to_exhaustion(&mut mcts, width, &mut eval);
+            let mut mcts = Mcts::batched(&space, vec![hash_eval; width], MctsConfig::default());
+            mcts.run(usize::MAX).unwrap();
             assert!(mcts.is_exhausted());
             assert_eq!(
                 mcts.records().len(),
@@ -1154,20 +981,15 @@ mod tests {
     }
 
     #[test]
-    fn shared_search_is_seed_deterministic() {
+    fn batched_search_is_seed_deterministic() {
         let space = small_space();
         let run = |seed: u64| {
-            let mut eval = |t: &Traversal, _: u64| -> Result<BenchResult, SimError> {
-                Ok(fake_result(hash_time(t)))
+            let cfg = MctsConfig {
+                seed,
+                ..Default::default()
             };
-            let mut mcts = SharedMcts::new(
-                &space,
-                MctsConfig {
-                    seed,
-                    ..Default::default()
-                },
-            );
-            run_to_exhaustion(&mut mcts, 3, &mut eval);
+            let mut mcts = Mcts::batched(&space, vec![hash_eval; 3], cfg);
+            mcts.run(usize::MAX).unwrap();
             let telemetry_len = mcts.telemetry().len();
             let records: Vec<_> = mcts
                 .records()
@@ -1183,38 +1005,27 @@ mod tests {
     fn failures_quarantine_up_to_the_budget_then_propagate() {
         let space = small_space();
         let total = space.count_traversals() as usize;
-        let mut poisoned = SharedMcts::new(
-            &space,
-            MctsConfig {
-                max_failures: total,
-                ..Default::default()
-            },
-        );
-        let mut safety = 0;
-        while !poisoned.is_exhausted() {
-            let batch = poisoned.select_batch(2, u64::MAX);
-            let results: Vec<Result<BenchResult, SimError>> = batch
-                .pending
-                .iter()
-                .map(|_| {
-                    Err(SimError::Panicked {
-                        detail: "always".into(),
-                    })
-                })
-                .collect();
-            poisoned.commit(batch, results).unwrap();
-            safety += 1;
-            assert!(safety < 10_000);
-        }
+        let failing = |_: &Traversal, _: u64| -> Result<BenchResult, SimError> {
+            Err(SimError::Panicked {
+                detail: "always".into(),
+            })
+        };
+        let cfg = MctsConfig {
+            max_failures: total,
+            ..Default::default()
+        };
+        let mut poisoned = Mcts::batched(&space, vec![failing; 2], cfg);
+        poisoned.run(usize::MAX).unwrap();
+        assert!(poisoned.is_exhausted());
         assert_eq!(poisoned.failures(), total);
         assert!(poisoned.records().is_empty());
         assert!(
             poisoned.telemetry().is_empty(),
-            "quarantined rollouts leave no telemetry rows (serial parity)"
+            "quarantined rollouts leave no telemetry rows"
         );
 
         // Default budget (0): the first error is fatal.
-        let mut strict = SharedMcts::new(&space, MctsConfig::default());
+        let mut strict = Arena::new(&space, MctsConfig::default());
         let batch = strict.select_batch(1, u64::MAX);
         let results = vec![Err(SimError::Panicked {
             detail: "fatal".into(),
@@ -1223,51 +1034,15 @@ mod tests {
     }
 
     #[test]
-    fn rebase_recycles_sibling_subtrees_and_reuses_slots() {
-        let space = small_space();
-        let mut eval = |t: &Traversal, _: u64| -> Result<BenchResult, SimError> {
-            Ok(fake_result(hash_time(t)))
-        };
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        run_to_exhaustion(&mut mcts, 2, &mut eval);
-        let arena_before = mcts.nodes.len();
-        let size_before = mcts.tree_size();
-        assert_eq!(size_before, arena_before, "nothing recycled yet");
-
-        let openings = mcts.nodes[mcts.root].children.clone();
-        assert!(openings.len() >= 2, "exhaustion materializes every opening");
-        let keep = openings[0].0;
-        assert!(mcts.rebase(keep));
-        assert_eq!(mcts.base(), &[keep]);
-        assert!(mcts.tree_size() < size_before, "siblings were recycled");
-        assert_eq!(mcts.nodes.len(), arena_before, "arena capacity unchanged");
-        assert!(!mcts.free.is_empty());
-        assert!(
-            mcts.is_exhausted(),
-            "kept subtree was already fully explored"
-        );
-        let stats = mcts.stats();
-        assert_eq!(stats.nodes, mcts.tree_size(), "stats walk only live nodes");
-
-        // New allocations reuse recycled slots instead of growing.
-        let free_before = mcts.free.len();
-        let reused = mcts.alloc(1);
-        assert!(reused < arena_before, "allocation reuses a recycled slot");
-        assert_eq!(mcts.free.len(), free_before - 1);
-        assert_eq!(mcts.nodes.len(), arena_before);
-
-        // Rebasing to an unmaterialized placement is a no-op.
-        assert!(!mcts.rebase(keep));
-    }
-
-    #[test]
-    fn snapshot_has_the_serial_schema_and_sane_rankings() {
+    fn snapshot_ranks_nodes_and_principal_variations_of_a_batched_search() {
         let space = small_space();
         let w = small_workload();
         let platform = Platform::perlmutter_like().noiseless();
-        let mut eval = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        run_to_exhaustion(&mut mcts, 2, &mut eval);
+        let evals = (0..2)
+            .map(|_| SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()))
+            .collect();
+        let mut mcts = Mcts::batched(&space, evals, MctsConfig::default());
+        mcts.run(usize::MAX).unwrap();
 
         let snap = mcts.snapshot(5, 12);
         assert!(snap.exhausted);
@@ -1295,18 +1070,18 @@ mod tests {
         let mut b = DagBuilder::new();
         b.add("only", OpSpec::GpuKernel(CostKey::new("only")));
         let space = DecisionSpace::new(b.build().unwrap(), 1).unwrap();
-        let mut mcts = SharedMcts::new(&space, MctsConfig::default());
-        let batch = mcts.select_batch(4, u64::MAX);
+        let mut tree = Arena::new(&space, MctsConfig::default());
+        let batch = tree.select_batch(4, u64::MAX);
         assert_eq!(batch.pending.len(), 1, "one distinct traversal exists");
         let dup = batch.pending[0].rollouts.len();
         assert!(dup >= 2, "extra rollouts became duplicates");
         assert_eq!(batch.iterations, dup);
-        mcts.commit(batch, vec![Ok(fake_result(1e-4))]).unwrap();
-        assert_eq!(mcts.records().len(), 1);
-        assert_eq!(mcts.repeats(), dup as u64 - 1);
-        assert!(mcts.is_exhausted());
+        tree.commit(batch, vec![Ok(fake_result(1e-4))]).unwrap();
+        assert_eq!(tree.records().len(), 1);
+        assert_eq!(tree.repeats(), dup as u64 - 1);
+        assert!(tree.is_exhausted());
         assert_eq!(
-            mcts.telemetry().len(),
+            tree.telemetry().len(),
             dup,
             "each rollout (first + repeats) logs a telemetry row"
         );

@@ -1,36 +1,25 @@
-//! Monte-Carlo tree search over traversal prefixes (paper Section III-C).
+//! Monte-Carlo tree search over traversal prefixes (paper Section III-C):
+//! the public search types and the [`Mcts`] driver.
 //!
-//! The tree's nodes are placements; a node's ancestors form the prefix
-//! `P_k` taken to reach it. Each iteration runs four phases:
-//!
-//! 1. **Selection** — recursively pick the child maximizing
-//!    `exploration + exploitation`, where exploration is the UCT term
-//!    `c·sqrt(ln N / n)` (−∞ for fully explored subtrees) and exploitation
-//!    is the *coverage ratio* `V = (t_max^c − t_min^c)/(t_max^p − t_min^p)`
-//!    (1 until both sides have two observations). Selection stops at any
-//!    node with an unvisited child.
-//! 2. **Expansion** — materialize one zero-rollout child of the selected
-//!    node.
-//! 3. **Rollout** — randomly complete the prefix into a full traversal,
-//!    benchmark it, and record the measurement percentiles alongside the
-//!    sequence. The rollout's nodes are added to the tree to retain their
-//!    performance information.
-//! 4. **Backpropagation** — update `(n, t_min, t_max)` on every node along
-//!    the path.
+//! Each iteration is the paper's selection → expansion → rollout →
+//! backpropagation (the tree and its selection rule live in
+//! `shared.rs`). The driver runs iterations in batches: assemble up to `width`
+//! descents, measure them with one evaluator per batch slot, commit the
+//! results. At width 1 ([`Mcts::new`]) this is the paper's sequential
+//! loop; wider searches ([`Mcts::batched`]) measure a batch in parallel
+//! ([`Mcts::run_parallel`]).
 //!
 //! For MPI programs, the paper executes the search on a single rank with
 //! all ranks participating in measurements; here the "measurement" is the
-//! platform simulator, so the search is just a sequential loop.
+//! platform simulator.
 
 use crate::eval::Evaluator;
+use crate::shared::{Arena, PendingEval};
 use crate::telemetry::{SearchTelemetry, TelemetryRow};
-use dr_dag::{eval_seed, DecisionSpace, Placement, Prefix, Traversal};
+use dr_dag::{DecisionSpace, Placement, Prefix, Traversal};
 use dr_obs::events::EventSink;
 use dr_sim::{BenchResult, SimError};
 use dr_trace::Lane;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The exploitation term of the selection rule. The paper uses
 /// [`Exploitation::CoverageRange`]; the alternatives are the baselines its
@@ -167,239 +156,157 @@ pub struct ExploredRecord {
 /// `true` when *every* completion of the prefix is provably worthless
 /// (e.g. statically deadlocked), and the search retires the subtree
 /// without spending a single evaluation in it. The hook owns its data
-/// (`'static`) so the same closure serves serial and shared-tree
-/// searches.
+/// (`'static`) and is `Send + Sync` so one closure serves every search.
 pub type PruneHook = std::sync::Arc<dyn Fn(&Prefix) -> bool + Send + Sync>;
 
-/// Outcome of one search iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// A rollout completed; `record` indexes [`Mcts::records`], `new` is
-    /// false when the rollout regenerated an already-benchmarked
-    /// traversal (its cached measurement is reused).
-    Explored {
-        /// Index into the record list.
-        record: usize,
-        /// Whether this traversal was first seen this iteration.
-        new: bool,
-    },
-    /// Every traversal in the space has been benchmarked.
-    Exhausted,
-    /// The rollout's evaluation failed and the traversal was quarantined
-    /// (tolerated under [`MctsConfig::max_failures`]): no record was
-    /// added, no statistics were backpropagated, and the offending
-    /// subtree was marked fully explored so the search moves on.
-    Quarantined,
-    /// The expanded prefix was rejected by the [`PruneHook`]: its whole
-    /// subtree was retired without a rollout or an evaluation.
-    Pruned,
-}
-
-type NodeId = usize;
-
-struct Node {
-    children: Vec<(Placement, NodeId)>,
-    /// Number of eligible placements at this node's prefix.
-    num_actions: usize,
-    /// Children whose subtrees are fully explored.
-    fully_explored_children: usize,
-    fully_explored: bool,
-    /// Whether this node's fully-explored state has been counted in its
-    /// parent's `fully_explored_children` (each child counts once).
-    counted_in_parent: bool,
-    n: u64,
-    t_min: f64,
-    t_max: f64,
-    t_sum: f64,
-}
-
-impl Node {
-    fn new(num_actions: usize) -> Self {
-        Node {
-            children: Vec::new(),
-            num_actions,
-            fully_explored_children: 0,
-            fully_explored: num_actions == 0,
-            counted_in_parent: false,
-            n: 0,
-            t_min: f64::INFINITY,
-            t_max: f64::NEG_INFINITY,
-            t_sum: 0.0,
-        }
-    }
-
-    fn child(&self, p: Placement) -> Option<NodeId> {
-        self.children
-            .iter()
-            .find(|&&(q, _)| q == p)
-            .map(|&(_, id)| id)
-    }
-}
-
-/// The Monte-Carlo tree search state.
+/// The Monte-Carlo tree search: the tree plus one evaluator per batch
+/// slot.
 pub struct Mcts<'a, E: Evaluator> {
-    space: &'a DecisionSpace,
-    eval: E,
-    cfg: MctsConfig,
-    nodes: Vec<Node>,
-    records: Vec<ExploredRecord>,
-    /// Canonical-hash index into `records` (values are candidate record
-    /// indices; equality is re-checked, so a hash collision costs a probe
-    /// and never a misattributed measurement). Keyed by hash rather than
-    /// by owned `Traversal` so recording a rollout moves the traversal
-    /// into its record instead of cloning it.
-    seen: HashMap<u64, Vec<usize>>,
-    /// Canonical-hash index of quarantined traversals (same
-    /// collision-tolerant layout as `seen`): re-rolling a known-failed
-    /// traversal is skipped without re-evaluating it or consuming
-    /// another failure credit.
-    failed: HashMap<u64, Vec<Traversal>>,
-    failures: usize,
-    rng: SmallRng,
-    iterations: u64,
-    telemetry: SearchTelemetry,
-    /// Deepest materialized node, maintained incrementally so telemetry
-    /// rows avoid the full-tree walk [`Mcts::stats`] performs.
-    max_depth: usize,
-    /// Sampled per-iteration tracing: `(lane, every)` set by
-    /// [`Mcts::set_trace`]. `None` (the default) costs nothing.
-    trace: Option<(Lane, usize)>,
-    /// Sampled per-iteration event emission: `(sink, every)` set by
-    /// [`Mcts::set_events`]. `None` (the default) costs nothing.
-    events: Option<(EventSink, usize)>,
-    /// Static prefix filter set by [`Mcts::set_prune`]. `None` (the
-    /// default) costs nothing.
-    prune: Option<PruneHook>,
-    /// Subtrees retired by the prune hook.
-    pruned: u64,
+    tree: Arena<'a>,
+    /// Batch slot `i` is always measured by `evals[i]`, so per-evaluator
+    /// memo state evolves deterministically; the batch width is
+    /// `evals.len()`.
+    evals: Vec<E>,
 }
 
 impl<'a, E: Evaluator> Mcts<'a, E> {
-    /// Creates a search over `space` using `eval` to measure rollouts.
+    /// Creates a search over `space` using `eval` to measure rollouts,
+    /// one at a time.
     pub fn new(space: &'a DecisionSpace, eval: E, cfg: MctsConfig) -> Self {
-        let root_actions = space.eligible(&space.empty_prefix()).len();
+        Self::batched(space, vec![eval], cfg)
+    }
+
+    /// Creates a search that assembles batches of up to `evals.len()`
+    /// distinct rollouts under virtual loss and measures batch entry `i`
+    /// with `evals[i]`.
+    ///
+    /// # Panics
+    /// If `evals` is empty.
+    pub fn batched(space: &'a DecisionSpace, evals: Vec<E>, cfg: MctsConfig) -> Self {
+        assert!(!evals.is_empty(), "a search needs at least one evaluator");
         Mcts {
-            space,
-            eval,
-            cfg,
-            nodes: vec![Node::new(root_actions)],
-            records: Vec::new(),
-            seen: HashMap::new(),
-            failed: HashMap::new(),
-            failures: 0,
-            rng: SmallRng::seed_from_u64(cfg.seed),
-            iterations: 0,
-            telemetry: SearchTelemetry::new(),
-            max_depth: 0,
-            trace: None,
-            events: None,
-            prune: None,
-            pruned: 0,
+            tree: Arena::new(space, cfg),
+            evals,
         }
     }
 
     /// Enables sampled iteration tracing: every `every`-th iteration
-    /// (starting with the first) records an `mcts-iter` span on `lane`,
-    /// annotated with the iteration number, unique-traversal count, tree
-    /// size, and the iteration's outcome. Sampling keeps the span volume
-    /// proportional to `budget / every` so deep searches stay cheap to
-    /// trace; `every` is clamped to at least 1.
+    /// (starting with the first) records a zero-length `mcts-iter` span
+    /// on `lane` when it resolves, annotated with the iteration number,
+    /// unique-traversal count, tree size, and the iteration's outcome.
+    /// Sampling keeps the span volume proportional to `budget / every`;
+    /// `every` is clamped to at least 1. In a batched search, iterations
+    /// of one batch resolve at commit, so their spans can appear out of
+    /// iteration order.
     pub fn set_trace(&mut self, lane: Lane, every: usize) {
-        self.trace = Some((lane, every.max(1)));
+        self.tree.set_trace(lane, every);
     }
 
     /// Enables sampled iteration event emission (`mcts-iter` events on
-    /// `sink`): the same sampling schedule as [`Mcts::set_trace`] —
-    /// iterations 1, 1+`every`, 1+2·`every`, … — carrying the iteration
-    /// number, unique-traversal count, tree size/depth, best time, and
-    /// the iteration's outcome. Emission only reads search state, so it
-    /// cannot perturb the search.
+    /// `sink`): the same sampling schedule and ordering caveat as
+    /// [`Mcts::set_trace`], carrying the iteration number, unique-traversal
+    /// count, tree size/depth, best time, and the iteration's outcome.
+    /// Emission only reads search state, so it cannot perturb the search.
     pub fn set_events(&mut self, sink: EventSink, every: usize) {
-        self.events = Some((sink, every.max(1)));
+        self.tree.set_events(sink, every);
     }
 
     /// Installs a static prune hook: when expansion materializes a new
     /// child whose prefix the hook rejects, the child's subtree is
-    /// immediately marked fully explored — no rollout, no evaluation —
-    /// and the iteration reports [`StepOutcome::Pruned`]. The hook must
-    /// only reject prefixes whose *every* completion is worthless
-    /// (soundness is the caller's obligation; see
-    /// `dr-lint`'s `PrefixDeadlockOracle`).
+    /// immediately marked fully explored — no rollout, no evaluation. The
+    /// hook must only reject prefixes whose *every* completion is
+    /// worthless (soundness is the caller's obligation; see `dr-lint`'s
+    /// `PrefixDeadlockOracle`).
     pub fn set_prune(&mut self, hook: PruneHook) {
-        self.prune = Some(hook);
+        self.tree.set_prune(hook);
     }
 
     /// Subtrees retired by the prune hook so far.
     pub fn pruned(&self) -> u64 {
-        self.pruned
+        self.tree.pruned()
     }
 
-    /// All explored implementations, in discovery order.
+    /// All explored implementations, in discovery (commit) order.
     pub fn records(&self) -> &[ExploredRecord] {
-        &self.records
+        self.tree.records()
     }
 
-    /// Consumes the search and returns the explored records.
+    /// Consumes the search and returns the explored records (see
+    /// [`Mcts::into_parts`] for their order).
     pub fn into_records(self) -> Vec<ExploredRecord> {
-        self.records
+        self.into_parts().0
     }
 
-    /// Per-iteration telemetry rows (one per [`Mcts::step`] that ran a
-    /// rollout).
+    /// Per-iteration telemetry rows (one per rollout that was measured or
+    /// regenerated a measured traversal), in commit order.
     pub fn telemetry(&self) -> &SearchTelemetry {
-        &self.telemetry
+        self.tree.telemetry()
+    }
+
+    /// The evaluators, one per batch slot.
+    pub fn evaluators(&self) -> &[E] {
+        &self.evals
     }
 
     /// Consumes the search, returning the explored records together with
     /// the telemetry history and the evaluator (whose accumulated
-    /// simulator statistics outlive the search).
+    /// simulator statistics outlive the search; for a batched search,
+    /// slot 0's — read the others through [`Mcts::evaluators`] first).
+    ///
+    /// At width 1 the records are in discovery order and each row
+    /// carries its iteration number. A wider search commits in an order
+    /// that depends on the width, so its records come back sorted by
+    /// [`Traversal::canonical_hash`] — the record *list* is then
+    /// width-invariant once the budget exhausts the space — and its rows
+    /// are renumbered in commit order.
     pub fn into_parts(self) -> (Vec<ExploredRecord>, SearchTelemetry, E) {
-        (self.records, self.telemetry, self.eval)
+        let width = self.evals.len();
+        let eval = self.evals.into_iter().next().expect("one evaluator");
+        let (mut records, mut telemetry) = self.tree.into_parts();
+        if width > 1 {
+            records.sort_by_key(|r| r.traversal.canonical_hash());
+            let mut renumbered = SearchTelemetry::new();
+            for (i, row) in telemetry.rows().iter().enumerate() {
+                renumbered.push(TelemetryRow {
+                    iteration: i as u64 + 1,
+                    ..*row
+                });
+            }
+            telemetry = renumbered;
+        }
+        (records, telemetry, eval)
     }
 
-    /// True when every traversal of the space has been benchmarked.
+    /// True when every traversal of the space has been benchmarked (or
+    /// quarantined, or pruned).
     pub fn is_exhausted(&self) -> bool {
-        self.nodes[0].fully_explored
+        self.tree.is_exhausted()
     }
 
     /// Number of iterations executed so far.
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.tree.iterations()
     }
 
     /// Number of distinct traversals quarantined after evaluator errors
     /// (bounded by [`MctsConfig::max_failures`]).
     pub fn failures(&self) -> usize {
-        self.failures
+        self.tree.failures()
+    }
+
+    /// Rollouts that regenerated an already-measured traversal.
+    pub fn repeats(&self) -> u64 {
+        self.tree.repeats()
     }
 
     /// Number of tree nodes materialized.
     pub fn tree_size(&self) -> usize {
-        self.nodes.len()
+        self.tree.tree_size()
     }
 
     /// Aggregate statistics of the search tree.
     pub fn stats(&self) -> TreeStats {
-        let mut max_depth = 0usize;
-        let mut stack = vec![(0usize, 0usize)];
-        let mut fully_explored = 0usize;
-        while let Some((id, depth)) = stack.pop() {
-            max_depth = max_depth.max(depth);
-            if self.nodes[id].fully_explored {
-                fully_explored += 1;
-            }
-            for &(_, c) in &self.nodes[id].children {
-                stack.push((c, depth + 1));
-            }
-        }
-        TreeStats {
-            nodes: self.nodes.len(),
-            max_depth,
-            fully_explored,
-            rollouts: self.nodes[0].n,
-            t_min: self.nodes[0].t_min,
-            t_max: self.nodes[0].t_max,
-        }
+        self.tree.stats()
     }
 
     /// Exports an introspection snapshot of the search tree: aggregate
@@ -412,441 +319,64 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
     /// completion of that opening decision. Ties break toward the
     /// earlier-materialized child, so the export is deterministic.
     pub fn snapshot(&self, top_k: usize, max_nodes: usize) -> TreeSnapshot {
-        // One BFS walk computes depths for stats, profile, and export.
-        let mut depth_of = vec![0usize; self.nodes.len()];
-        let mut depth_profile: Vec<usize> = Vec::new();
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        let mut order: Vec<NodeId> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            let d = depth_of[id];
-            if depth_profile.len() <= d {
-                depth_profile.resize(d + 1, 0);
-            }
-            depth_profile[d] += 1;
-            for &(_, c) in &self.nodes[id].children {
-                depth_of[c] = d + 1;
-                queue.push_back(c);
-            }
-        }
-
-        let action_of = |id: NodeId| -> Option<Placement> {
-            // Parent links are not stored; recover the incoming edge by
-            // scanning (snapshotting is a once-per-run export, so the
-            // quadratic scan is confined to the exported node set).
-            self.nodes
-                .iter()
-                .find_map(|n| n.children.iter().find(|&&(_, c)| c == id).map(|&(p, _)| p))
-        };
-        let mut ranked: Vec<NodeId> = order.clone();
-        ranked.sort_by(|&a, &b| {
-            self.nodes[b]
-                .n
-                .cmp(&self.nodes[a].n)
-                .then(depth_of[a].cmp(&depth_of[b]))
-                .then(a.cmp(&b))
-        });
-        let nodes: Vec<NodeStat> = ranked
-            .into_iter()
-            .take(max_nodes)
-            .map(|id| {
-                let n = &self.nodes[id];
-                NodeStat {
-                    depth: depth_of[id],
-                    action: if id == 0 { None } else { action_of(id) },
-                    visits: n.n,
-                    t_min: n.t_min,
-                    t_max: n.t_max,
-                    t_mean: if n.n > 0 {
-                        n.t_sum / n.n as f64
-                    } else {
-                        f64::NAN
-                    },
-                    children: n.children.len(),
-                    fully_explored: n.fully_explored,
-                }
-            })
-            .collect();
-
-        // Principal variations: top-k root children by visits, each
-        // greedily completed along most-visited children.
-        let mut openings: Vec<(Placement, NodeId)> = self.nodes[0].children.clone();
-        openings.sort_by(|&(_, a), &(_, b)| self.nodes[b].n.cmp(&self.nodes[a].n).then(a.cmp(&b)));
-        let principal_variations: Vec<PrincipalVariation> = openings
-            .into_iter()
-            .take(top_k)
-            .filter(|&(_, id)| self.nodes[id].n > 0)
-            .map(|(p, id)| {
-                let mut steps = vec![p];
-                let mut node = id;
-                loop {
-                    let next = self.nodes[node]
-                        .children
-                        .iter()
-                        .filter(|&&(_, c)| self.nodes[c].n > 0)
-                        .max_by(|&&(_, a), &&(_, b)| {
-                            self.nodes[a].n.cmp(&self.nodes[b].n).then(b.cmp(&a))
-                        })
-                        .copied();
-                    match next {
-                        Some((q, c)) => {
-                            steps.push(q);
-                            node = c;
-                        }
-                        None => break,
-                    }
-                }
-                PrincipalVariation {
-                    visits: self.nodes[id].n,
-                    t_min: self.nodes[node].t_min,
-                    t_mean: if self.nodes[id].n > 0 {
-                        self.nodes[id].t_sum / self.nodes[id].n as f64
-                    } else {
-                        f64::NAN
-                    },
-                    steps,
-                }
-            })
-            .collect();
-
-        TreeSnapshot {
-            stats: self.stats(),
-            exhausted: self.is_exhausted(),
-            iterations: self.iterations,
-            failures: self.failures,
-            depth_profile,
-            nodes,
-            principal_variations,
-        }
+        self.tree.snapshot(top_k, max_nodes)
     }
 
     /// Runs up to `iterations` search iterations (stopping early if the
-    /// space is exhausted) and returns the number of *new* traversals
-    /// discovered.
+    /// space is exhausted), measuring each batch's entries one after
+    /// another on the calling thread, and returns the number of *new*
+    /// traversals discovered.
     pub fn run(&mut self, iterations: usize) -> Result<usize, SimError> {
-        let mut new = 0;
-        for _ in 0..iterations {
-            match self.step()? {
-                StepOutcome::Explored { new: true, .. } => new += 1,
-                StepOutcome::Explored { new: false, .. }
-                | StepOutcome::Quarantined
-                | StepOutcome::Pruned => {}
-                StepOutcome::Exhausted => break,
-            }
-        }
-        Ok(new)
-    }
-
-    /// Executes one selection → expansion → rollout → backpropagation
-    /// iteration.
-    pub fn step(&mut self) -> Result<StepOutcome, SimError> {
-        // `iterations` is pre-increment here, so iterations 1, 1+every,
-        // 1+2·every, … are the sampled ones (both for tracing and for
-        // event emission; the two samplers are independent).
-        let pre_iter = self.iterations;
-        let live = !self.is_exhausted();
-        let trace_sampled = match &self.trace {
-            Some((_, every)) => live && pre_iter.is_multiple_of(*every as u64),
-            None => false,
-        };
-        let events_sampled = match &self.events {
-            Some((sink, every)) => {
-                live && sink.is_enabled() && pre_iter.is_multiple_of(*every as u64)
-            }
-            None => false,
-        };
-        if trace_sampled {
-            if let Some((lane, _)) = &mut self.trace {
-                lane.enter("mcts-iter");
-            }
-        }
-        let out = self.step_impl();
-        let outcome_name = match &out {
-            Ok(StepOutcome::Explored { new: true, .. }) => "new",
-            Ok(StepOutcome::Explored { new: false, .. }) => "repeat",
-            Ok(StepOutcome::Exhausted) => "exhausted",
-            Ok(StepOutcome::Quarantined) => "quarantined",
-            Ok(StepOutcome::Pruned) => "pruned",
-            Err(_) => "error",
-        };
-        if trace_sampled {
-            if let Some((lane, _)) = &mut self.trace {
-                lane.annotate("iteration", self.iterations);
-                lane.annotate("unique", self.records.len());
-                lane.annotate("tree_nodes", self.nodes.len());
-                lane.annotate("outcome", outcome_name);
-                lane.exit();
-            }
-        }
-        if events_sampled {
-            if let Some((sink, _)) = &self.events {
-                sink.emit(
-                    "mcts-iter",
-                    &[
-                        ("iteration", self.iterations.into()),
-                        ("unique", self.records.len().into()),
-                        ("tree_nodes", self.nodes.len().into()),
-                        ("max_depth", self.max_depth.into()),
-                        ("best_s", self.nodes[0].t_min.into()),
-                        ("outcome", outcome_name.into()),
-                    ],
-                );
-            }
-        }
-        out
-    }
-
-    fn step_impl(&mut self) -> Result<StepOutcome, SimError> {
-        if self.is_exhausted() {
-            return Ok(StepOutcome::Exhausted);
-        }
-        self.iterations += 1;
-
-        let mut prefix = self.space.empty_prefix();
-        let mut path: Vec<NodeId> = vec![0];
-        let mut node: NodeId = 0;
-
-        // Selection: descend while every eligible child exists, has a
-        // rollout, and at least one is not fully explored.
-        loop {
-            let elig = self.space.eligible(&prefix);
-            if elig.is_empty() {
-                break; // reached a complete traversal
-            }
-            // Quarantined subtrees are fully explored with zero visits;
-            // they don't count as unvisited (nothing left to measure).
-            let unvisited_exists = elig.iter().any(|&p| {
-                self.nodes[node]
-                    .child(p)
-                    .is_none_or(|c| self.nodes[c].n == 0 && !self.nodes[c].fully_explored)
-            });
-            if unvisited_exists {
-                break;
-            }
-            // A node on the selection path is never fully explored (the
-            // rule below assigns −∞ to explored subtrees), so at least one
-            // selectable child exists.
-            let best = self
-                .select_child(node, &elig)
-                .expect("non-fully-explored node has a selectable child");
-            let child = self.nodes[node].child(best).expect("selected child exists");
-            self.space.apply(&mut prefix, best);
-            path.push(child);
-            node = child;
-        }
-
-        // Expansion: materialize one zero-rollout child (if the selected
-        // node is not itself a complete traversal).
-        {
-            let elig = self.space.eligible(&prefix);
-            if !elig.is_empty() {
-                let candidates: Vec<Placement> = elig
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        self.nodes[node]
-                            .child(p)
-                            .is_none_or(|c| self.nodes[c].n == 0 && !self.nodes[c].fully_explored)
-                    })
-                    .collect();
-                let pick = candidates[self.rng.gen_range(0..candidates.len())];
-                let child = self.get_or_create_child(node, pick, &mut prefix);
-                path.push(child);
-                node = child;
-                // Static prune: a rejected prefix dooms every completion,
-                // so retire the freshly-expanded subtree before spending a
-                // rollout on it. (The serial `mark_fully_explored` only
-                // propagates; the leaf flag is set explicitly.)
-                if let Some(hook) = &self.prune {
-                    if hook(&prefix) {
-                        self.nodes[node].fully_explored = true;
-                        self.mark_fully_explored(&path);
-                        self.pruned += 1;
-                        return Ok(StepOutcome::Pruned);
-                    }
-                }
-            }
-        }
-
-        // Rollout: randomly complete the prefix, materializing nodes.
-        let mut rollout_len = 0usize;
-        while prefix.len() < self.space.num_ops() {
-            let elig = self.space.eligible(&prefix);
-            let pick = elig[self.rng.gen_range(0..elig.len())];
-            let child = self.get_or_create_child(node, pick, &mut prefix);
-            path.push(child);
-            node = child;
-            rollout_len += 1;
-        }
-
-        let traversal = Traversal {
-            steps: prefix.steps().to_vec(),
-        };
-        let hash = traversal.canonical_hash();
-
-        // A rollout can regenerate a traversal that already failed; skip
-        // it without re-evaluating or consuming another failure credit.
-        if self
-            .failed
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .any(|t| *t == traversal)
-        {
-            self.mark_fully_explored(&path);
-            return Ok(StepOutcome::Quarantined);
-        }
-
-        let found = self
-            .seen
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .copied()
-            .find(|&idx| self.records[idx].traversal == traversal);
-        let (record_idx, new) = match found {
-            Some(idx) => (idx, false),
-            None => {
-                // Seeded by the traversal's identity (not the discovery
-                // index): the measurement is the same wherever and
-                // whenever this traversal is rolled out, which is what
-                // keeps serial, shared-tree, and sharded searches
-                // measuring identically.
-                let outcome = self
-                    .eval
-                    .evaluate(&traversal, eval_seed(self.cfg.seed, &traversal));
-                let result = match outcome {
-                    Ok(r) => r,
-                    Err(e) => {
-                        if self.failures >= self.cfg.max_failures {
-                            return Err(e);
-                        }
-                        self.failures += 1;
-                        self.failed.entry(hash).or_default().push(traversal);
-                        // The terminal node is fully explored at
-                        // creation; propagating that up retires the
-                        // poisoned subtree so exhaustion accounting
-                        // still converges.
-                        self.mark_fully_explored(&path);
-                        return Ok(StepOutcome::Quarantined);
-                    }
-                };
-                let idx = self.records.len();
-                self.records.push(ExploredRecord { traversal, result });
-                self.seen.entry(hash).or_default().push(idx);
-                (idx, true)
-            }
-        };
-        let t = self.records[record_idx].result.time();
-
-        // Backpropagation: stats on every node along the path, then
-        // fully-explored marking bottom-up.
-        for &id in &path {
-            let n = &mut self.nodes[id];
-            n.n += 1;
-            n.t_min = n.t_min.min(t);
-            n.t_max = n.t_max.max(t);
-            n.t_sum += t;
-        }
-        self.mark_fully_explored(&path);
-
-        self.max_depth = self.max_depth.max(path.len() - 1);
-        self.telemetry.push(TelemetryRow {
-            iteration: self.iterations,
-            unique_traversals: self.records.len(),
-            best_time: self.nodes[0].t_min,
-            worst_time: self.nodes[0].t_max,
-            tree_nodes: self.nodes.len(),
-            max_depth: self.max_depth,
-            rollout_len,
-        });
-
-        Ok(StepOutcome::Explored {
-            record: record_idx,
-            new,
+        self.drive(iterations, |evals, pending| {
+            pending
+                .iter()
+                .zip(evals)
+                .map(|(pe, eval)| eval.evaluate(&pe.traversal, pe.eval_seed))
+                .collect()
         })
     }
 
-    /// Bottom-up fully-explored propagation along the iteration path.
-    /// A node is fully explored once all `num_actions` children exist and
-    /// are fully explored; leaves are fully explored at creation.
-    fn mark_fully_explored(&mut self, path: &[NodeId]) {
-        for i in (1..path.len()).rev() {
-            let child = path[i];
-            let parent = path[i - 1];
-            if self.nodes[child].fully_explored && !self.nodes[child].counted_in_parent {
-                self.nodes[child].counted_in_parent = true;
-                self.nodes[parent].fully_explored_children += 1;
-            }
-            let p = &self.nodes[parent];
-            if !p.fully_explored
-                && p.children.len() == p.num_actions
-                && p.fully_explored_children == p.num_actions
-            {
-                self.nodes[parent].fully_explored = true;
-            }
-        }
-    }
-
-    /// The explore/exploit selection rule.
-    fn select_child(&self, parent: NodeId, elig: &[Placement]) -> Option<Placement> {
-        let pn = &self.nodes[parent];
-        let parent_range = pn.t_max - pn.t_min;
-        let mut best: Option<(f64, Placement)> = None;
-        for &p in elig {
-            let c = pn
-                .child(p)
-                .expect("selection only runs with all children visited");
-            let ch = &self.nodes[c];
-            let explore = if ch.fully_explored {
-                f64::NEG_INFINITY
-            } else {
-                self.cfg.exploration_c * ((pn.n as f64).ln() / ch.n as f64).sqrt()
-            };
-            let exploit = match self.cfg.exploitation {
-                Exploitation::CoverageRange => {
-                    if ch.n >= 2 && pn.n >= 2 && parent_range > 0.0 {
-                        ((ch.t_max - ch.t_min) / parent_range).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    }
-                }
-                Exploitation::MeanTime => {
-                    let root = &self.nodes[0];
-                    let root_range = root.t_max - root.t_min;
-                    if ch.n >= 1 && root_range > 0.0 {
-                        let mean = ch.t_sum / ch.n as f64;
-                        ((root.t_max - mean) / root_range).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    }
-                }
-                Exploitation::Constant => 1.0,
-            };
-            let value = explore + exploit;
-            if best.is_none_or(|(bv, _)| value > bv) && value > f64::NEG_INFINITY {
-                best = Some((value, p));
-            }
-        }
-        best.map(|(_, p)| p)
-    }
-
-    fn get_or_create_child(
+    /// The one batch loop: assemble, measure with `measure`, commit.
+    fn drive(
         &mut self,
-        parent: NodeId,
-        p: Placement,
-        prefix: &mut dr_dag::Prefix,
-    ) -> NodeId {
-        if let Some(c) = self.nodes[parent].child(p) {
-            self.space.apply(prefix, p);
-            return c;
+        iterations: usize,
+        mut measure: impl FnMut(&mut [E], &[PendingEval]) -> Vec<Result<BenchResult, SimError>>,
+    ) -> Result<usize, SimError> {
+        let before = self.tree.records().len();
+        let mut remaining = iterations as u64;
+        while remaining > 0 && !self.tree.is_exhausted() {
+            let batch = self.tree.select_batch(self.evals.len(), remaining);
+            remaining -= batch.iterations as u64;
+            if !batch.pending.is_empty() {
+                let results = measure(&mut self.evals, &batch.pending);
+                self.tree.commit(batch, results)?;
+            }
         }
-        self.space.apply(prefix, p);
-        let num_actions = self.space.eligible(prefix).len();
-        let id = self.nodes.len();
-        self.nodes.push(Node::new(num_actions));
-        self.nodes[parent].children.push((p, id));
-        id
+        Ok(self.tree.records().len() - before)
+    }
+}
+
+impl<E: Evaluator + Send> Mcts<'_, E> {
+    /// [`Mcts::run`], measuring each batch's entries in parallel on
+    /// scoped threads (one per entry; a single-entry batch runs on the
+    /// calling thread). Results are identical to [`Mcts::run`]'s.
+    pub fn run_parallel(&mut self, iterations: usize) -> Result<usize, SimError> {
+        self.drive(iterations, |evals, pending| {
+            if let [pe] = pending {
+                return vec![evals[0].evaluate(&pe.traversal, pe.eval_seed)];
+            }
+            std::thread::scope(|s| {
+                let handles: Vec<_> = pending
+                    .iter()
+                    .zip(evals.iter_mut())
+                    .map(|(pe, eval)| s.spawn(move || eval.evaluate(&pe.traversal, pe.eval_seed)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        })
     }
 }
 
@@ -888,7 +418,41 @@ mod tests {
         assert!(mcts.is_exhausted());
         assert_eq!(mcts.records().len(), total);
         // Exhausted searches are no-ops.
-        assert_eq!(mcts.step().unwrap(), StepOutcome::Exhausted);
+        let iterations = mcts.iterations();
+        assert_eq!(mcts.run(1).unwrap(), 0);
+        assert_eq!(mcts.iterations(), iterations);
+    }
+
+    #[test]
+    fn run_parallel_matches_run_and_wide_searches_sort_their_records() {
+        let space = small_space();
+        let w = small_workload();
+        let platform = Platform::perlmutter_like();
+        let search = |parallel: bool| {
+            let evals = (0..3)
+                .map(|_| SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()))
+                .collect();
+            let mut mcts = Mcts::batched(&space, evals, MctsConfig::default());
+            if parallel {
+                mcts.run_parallel(7).unwrap();
+            } else {
+                mcts.run(7).unwrap();
+            }
+            let (records, telemetry, _) = mcts.into_parts();
+            let records: Vec<(Traversal, u64)> = records
+                .into_iter()
+                .map(|r| (r.traversal, r.result.time().to_bits()))
+                .collect();
+            (records, telemetry)
+        };
+        let (seq, seq_rows) = search(false);
+        assert_eq!((seq.clone(), seq_rows.clone()), search(true));
+        assert!(seq
+            .windows(2)
+            .all(|p| p[0].0.canonical_hash() <= p[1].0.canonical_hash()));
+        for (i, row) in seq_rows.rows().iter().enumerate() {
+            assert_eq!(row.iteration, i as u64 + 1, "rows renumbered");
+        }
     }
 
     #[test]
@@ -1119,7 +683,7 @@ mod tests {
         let eval = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
         let mut mcts = Mcts::new(&space, eval, MctsConfig::default());
         for _ in 0..30 {
-            let _ = mcts.step().unwrap();
+            mcts.run(1).unwrap();
         }
         assert!(mcts.iterations() <= 30);
         assert!(mcts.records().len() <= 30);
@@ -1187,7 +751,7 @@ mod telemetry_tests {
         mcts.run(10_000).unwrap();
         assert!(mcts.is_exhausted());
         let rows_before = mcts.telemetry().len();
-        mcts.step().unwrap();
+        mcts.run(1).unwrap();
         assert_eq!(mcts.telemetry().len(), rows_before);
     }
 
@@ -1202,7 +766,7 @@ mod telemetry_tests {
         let eval = SimEvaluator::new(&sp, &w, &platform, BenchConfig::quick());
         let mut mcts = Mcts::new(&sp, eval, MctsConfig::default());
         mcts.run(10).unwrap();
-        assert!(Evaluator::sim_stats(&mcts.eval).is_some());
+        assert!(Evaluator::sim_stats(&mcts.evaluators()[0]).is_some());
         let (records, telemetry, eval) = mcts.into_parts();
         let stats = eval.stats();
         assert!(stats.runs > 0, "each evaluation runs simulator samples");

@@ -3,7 +3,7 @@
 //! without writing any Rust. Used by the `dr-rules` binary.
 
 use crate::dag::{build_schedule, DecisionSpace, Placement, Traversal};
-use crate::mcts::{Evaluator, Mcts, MctsConfig, SharedMcts, SimEvaluator, TreeSnapshot};
+use crate::mcts::{Mcts, MctsConfig, SimEvaluator};
 use crate::ml::{render_ruleset, rulesets_for_class, RuleSet};
 use crate::obs::TextExposition;
 use crate::obs::{json, EventSink, Phases};
@@ -16,7 +16,7 @@ use crate::pipeline::{
     run_pipeline_stored, run_shard, satisfies, select, show_entry, summary_line, synthesize,
     topology_from_workload, trend_lines, Certification, CompareOptions, InstrumentedRun,
     LedgerContext, PipelineConfig, Provenance, ResilienceSummary, RunFilter, RunReport,
-    SearchBackend, SearchSummary, ShardSpec, Strategy,
+    SearchSummary, ShardSpec, Strategy,
 };
 use crate::progress::ProgressRenderer;
 use crate::sim::{
@@ -194,17 +194,13 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
              chaos | compare | explain | bench | verify-rules |
              merge | swarm | runs
              (omitting the command runs explore)
-  options:   --iterations N (default 300)
+  options:   --iterations N (default 300; at least 1)
              --seed N       (default 0)
              --random       (uniform sampling instead of MCTS)
              --threads N    (exploration worker threads; default: the
                              DR_THREADS environment variable, else 1;
-                             DR_SEARCH picks the MCTS tree: auto (the
-                             default) = serial tree at one thread, the
-                             shared tree above; shared = one
-                             arena-backed tree with virtual loss at
-                             every thread count; any other value is a
-                             usage error)
+                             MCTS measures batches of up to N rollouts,
+                             steered apart by virtual loss)
              --report PATH    (write a JSON run report, or lint counters
                                for the lint command)
              --telemetry PATH (write per-iteration search telemetry CSV)
@@ -248,8 +244,7 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
   kinds is an error; last entry of B vs history of A for ledgers).
   explain always searches with MCTS (it explains the MCTS tree) and
   honors --iterations/--seed; --report writes dr-explain/v1 JSON.
-  explain renders the shared arena when DR_SEARCH=shared (or auto
-  resolves to more than one thread), the serial tree otherwise.
+  explain searches in batches of --threads rollouts, like explore.
   bench appends to BENCH_pipeline.json and BENCH_explore.json in the
   working directory; the scenario picks the scale (spmv = small,
   spmv-paper = paper) and DR_SEED picks the seed, so entries stay
@@ -403,6 +398,9 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
                 opts.iterations = v
                     .parse()
                     .map_err(|_| format!("bad --iterations value {v:?}"))?;
+                if opts.iterations == 0 {
+                    return Err("--iterations must be at least 1".into());
+                }
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -495,8 +493,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     if opts.fleet_events.is_some() && command != Command::Swarm {
         return Err("--fleet-events only applies to the swarm command".into());
     }
-    // A misspelled backend must not silently fall back to the default.
-    SearchBackend::from_env()?;
     Ok(opts)
 }
 
@@ -896,7 +892,6 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env()?,
             ..PipelineConfig::quick()
         },
         &tracer,
@@ -1369,8 +1364,7 @@ fn ruleset_support(
 }
 
 /// The `explain` command: run a standalone MCTS at the requested budget
-/// (the serial tree by default; the shared arena when `DR_SEARCH=shared`
-/// or when `Auto` resolves to more than one thread), export per-node
+/// (batches of `--threads` rollouts, as in explore), export per-node
 /// visit/value statistics and the top-k principal variations, then mine
 /// rules from the explored records and attach per-rule provenance —
 /// decision-path predicates, supporting record indices by class, leaf
@@ -1388,36 +1382,24 @@ fn run_explain(
     const RULESETS_PER_CLASS: usize = 3;
     const INDICES_SHOWN: usize = 8;
 
-    let eval = SimEvaluator::new(
-        &inst.space,
-        &inst.workload,
-        &inst.platform,
-        BenchConfig::quick(),
-    );
+    let evals = (0..resolve_threads(opts.threads))
+        .map(|_| {
+            SimEvaluator::new(
+                &inst.space,
+                &inst.workload,
+                &inst.platform,
+                BenchConfig::quick(),
+            )
+        })
+        .collect();
     let cfg = MctsConfig {
         seed: opts.seed,
         ..Default::default()
     };
-    let backend = SearchBackend::from_env()?;
-    let width = resolve_threads(opts.threads);
-    let shared = backend == SearchBackend::Shared || (backend == SearchBackend::Auto && width > 1);
-    let (snap, records) = if shared {
-        explain_shared(
-            &inst.space,
-            eval,
-            cfg,
-            width,
-            opts.iterations,
-            TOP_K,
-            MAX_NODES,
-        )
-        .map_err(fail)?
-    } else {
-        let mut mcts = Mcts::new(&inst.space, eval, cfg);
-        mcts.run(opts.iterations).map_err(fail)?;
-        let snap = mcts.snapshot(TOP_K, MAX_NODES);
-        (snap, mcts.into_records())
-    };
+    let mut mcts = Mcts::batched(&inst.space, evals, cfg);
+    mcts.run_parallel(opts.iterations).map_err(fail)?;
+    let snap = mcts.snapshot(TOP_K, MAX_NODES);
+    let records = mcts.into_records();
     if records.is_empty() {
         return Err("search explored no implementations (try more iterations)".into());
     }
@@ -1565,46 +1547,6 @@ fn run_explain(
         writeln!(out, "wrote explain report to {path}").map_err(io)?;
     }
     Ok(())
-}
-
-/// Drives the shared-tree search for `explain`: batches of up to
-/// `width` distinct leaves are assembled under virtual loss and
-/// evaluated in place (the arena statistics, not wall-clock speed, are
-/// what `explain` reports), then the snapshot is taken from the shared
-/// arena. Records are sorted by canonical hash so the report is
-/// width-invariant at exhaustion, matching the parallel pipeline
-/// driver.
-fn explain_shared<E: Evaluator>(
-    space: &DecisionSpace,
-    mut eval: E,
-    cfg: MctsConfig,
-    width: usize,
-    iterations: usize,
-    top_k: usize,
-    max_nodes: usize,
-) -> Result<(TreeSnapshot, Vec<crate::mcts::ExploredRecord>), SimError> {
-    let mut mcts = SharedMcts::new(space, cfg);
-    let mut remaining = iterations as u64;
-    while remaining > 0 && !mcts.is_exhausted() {
-        let batch = mcts.select_batch(width, remaining);
-        remaining = remaining.saturating_sub(batch.iterations as u64);
-        if batch.pending.is_empty() {
-            if batch.iterations == 0 {
-                break;
-            }
-            continue;
-        }
-        let results: Vec<_> = batch
-            .pending
-            .iter()
-            .map(|p| eval.evaluate(&p.traversal, p.eval_seed))
-            .collect();
-        mcts.commit(batch, results)?;
-    }
-    let snap = mcts.snapshot(top_k, max_nodes);
-    let mut records = mcts.into_records();
-    records.sort_by_key(|r| r.traversal.canonical_hash());
-    Ok((snap, records))
 }
 
 /// Serializes the `explain` command's output as one `dr-explain/v1`
@@ -1759,7 +1701,6 @@ fn run_verify_rules(
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env()?,
             ..PipelineConfig::quick()
         },
     )
@@ -1990,7 +1931,6 @@ fn run_chaos(
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
     let io = |e: std::io::Error| format!("write failed: {e}");
-    let search = SearchBackend::from_env()?;
     let run_once = |faults: FaultConfig| -> Result<InstrumentedRun, SimError> {
         run_pipeline_instrumented(
             &inst.space,
@@ -2000,7 +1940,6 @@ fn run_chaos(
             &PipelineConfig {
                 threads: opts.threads.unwrap_or(0),
                 faults,
-                search,
                 ..PipelineConfig::quick()
             },
         )
@@ -2263,6 +2202,22 @@ mod tests {
         assert!(parse(&argv("spmv info --threads")).is_err());
         assert!(parse(&argv("spmv info --threads 0")).is_err());
         assert!(parse(&argv("spmv info --threads some")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_zero_iteration_budget() {
+        // A zero budget explores nothing; refusing it here keeps it from
+        // surfacing later as a fault-injection failure.
+        for command in ["explore", "explore --random", "rules", "explain"] {
+            let err = parse(&argv(&format!("spmv {command} --iterations 0"))).unwrap_err();
+            assert!(err.contains("--iterations must be at least 1"), "{err}");
+        }
+        assert_eq!(
+            parse(&argv("spmv explore --iterations 1"))
+                .unwrap()
+                .iterations,
+            1
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! clean (exit 0), while a fault-injected run must be flagged as
 //! resilience drift (exit nonzero). Also covers the acceptance
 //! invocation `dr-rules spmv --trace out.json` and the usage error for
-//! an unknown `DR_SEARCH` backend.
+//! a zero iteration budget.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -150,17 +150,22 @@ fn omitted_command_with_trace_writes_merged_perfetto_json() {
 }
 
 #[test]
-fn unknown_search_backend_is_a_usage_error() {
-    // A misspelled or unsupported backend must not silently fall back to
-    // the default one.
-    for bad in ["shraed", "root"] {
+fn zero_iterations_is_a_usage_error() {
+    // A zero budget explores nothing; it must be refused up front (exit
+    // 2), not reported as a fault-injected run that lost every
+    // measurement (exit 1).
+    for command in ["explore", "rules"] {
         let out = Command::new(bin())
-            .args(["spmv", "info"])
-            .env("DR_SEARCH", bad)
+            .args(["spmv", command, "--iterations", "0"])
+            .env_remove("DR_FAULTS")
             .output()
             .expect("dr-rules spawns");
-        assert_eq!(out.status.code(), Some(2), "DR_SEARCH={bad}");
+        assert_eq!(out.status.code(), Some(2), "{command}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("auto|shared"), "{stderr}");
+        assert!(
+            stderr.contains("--iterations must be at least 1"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("fault injection"), "{stderr}");
     }
 }

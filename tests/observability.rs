@@ -29,7 +29,6 @@ fn run_ok(args: &[&str], envs: &[(&str, &str)], cwd: &Path) -> Output {
         .env_remove("DR_FAULTS")
         .env_remove("DR_LEDGER")
         .env_remove("DR_THREADS")
-        .env_remove("DR_SEARCH")
         .env_remove("DR_SCALE")
         .env_remove("DR_SEED")
         .env_remove("DR_EVENTS_RATE")
@@ -255,10 +254,10 @@ fn explain_renders_tree_and_rule_provenance_on_spmv() {
 
 #[test]
 fn explain_renders_identical_stats_from_the_shared_arena() {
-    // `DR_SEARCH=shared` routes `explain` through the shared-tree arena;
-    // the rendered statistics must keep the exact serial-tree shape
-    // (same needles, same `dr-explain/v1` schema) and be bit-identical
-    // across repeated runs regardless of the worker count.
+    // `--threads 4` makes `explain` search in batches of four rollouts
+    // measured in parallel; the rendered statistics must keep the
+    // one-thread shape (same needles, same `dr-explain/v1` schema) and be
+    // bit-identical across repeated runs despite the racing workers.
     let dir = scratch("explain-shared");
     let report = dir.join("explain-shared.json");
     let args = [
@@ -268,11 +267,12 @@ fn explain_renders_identical_stats_from_the_shared_arena() {
         "60",
         "--seed",
         "2",
+        "--threads",
+        "4",
         "--report",
         &report.display().to_string(),
     ];
-    let envs = [("DR_SEARCH", "shared"), ("DR_THREADS", "4")];
-    let first = run_ok(&args, &envs, &dir);
+    let first = run_ok(&args, &[], &dir);
     let first_stdout = String::from_utf8_lossy(&first.stdout).to_string();
     let first_json = std::fs::read_to_string(&report).unwrap();
     for needle in [
@@ -300,16 +300,16 @@ fn explain_renders_identical_stats_from_the_shared_arena() {
             > 0
     );
 
-    let again = run_ok(&args, &envs, &dir);
+    let again = run_ok(&args, &[], &dir);
     assert_eq!(
         first_stdout,
         String::from_utf8_lossy(&again.stdout),
-        "shared-arena explain must be deterministic"
+        "batched explain must be deterministic"
     );
     assert_eq!(
         first_json,
         std::fs::read_to_string(&report).unwrap(),
-        "shared-arena explain JSON must be deterministic"
+        "batched explain JSON must be deterministic"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

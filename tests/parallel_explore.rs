@@ -15,7 +15,7 @@ use cuda_mpi_design_rules::mcts::{Evaluator, ExploredRecord, MctsConfig, SimEval
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf};
 use cuda_mpi_design_rules::pipeline::{
     explore_instrumented, explore_parallel, records_fingerprint, ExploreCtx, ExploreOutput,
-    FailurePolicy, SearchBackend, Strategy,
+    FailurePolicy, Strategy,
 };
 use cuda_mpi_design_rules::sim::{
     BenchConfig, BenchResult, Platform, SimError, SimStats, TableWorkload,
@@ -118,9 +118,11 @@ fn mcts_at_exhaustion_is_thread_count_invariant() {
 #[test]
 fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
     // The run ledger's record fingerprint hashes the record *list* in
-    // order, so this is stricter than set equality: the shared-tree
-    // backend must hand back the identical sequence of (traversal, time)
-    // bits at one and at four workers once the space exhausts.
+    // order, so this is stricter than set equality: above one thread the
+    // engine sorts records canonically and must hand back the identical
+    // sequence of (traversal, time) bits at two and at four workers once
+    // the space exhausts — and the one-thread run, whose list keeps
+    // discovery order, must fingerprint the same once sorted.
     let strategy = Strategy::Mcts {
         iterations: 300,
         config: MctsConfig {
@@ -130,51 +132,35 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
     };
     let (space, w, platform) = setup();
     let fingerprint = |threads: usize| {
-        let out = explore_parallel(
+        let mut records = explore_parallel(
             &space,
             || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
             strategy,
-            &ExploreCtx {
-                backend: SearchBackend::Shared,
-                ..ExploreCtx::new(threads)
-            },
+            &ExploreCtx::new(threads),
         )
-        .unwrap();
-        (records_fingerprint(&out.records), out.records.len())
+        .unwrap()
+        .records;
+        let listed = records_fingerprint(&records);
+        records.sort_by_key(|r| r.traversal.canonical_hash());
+        (listed, records_fingerprint(&records), records.len())
     };
-    let (serial_fp, serial_len) = fingerprint(1);
+    let (_, serial_fp, serial_len) = fingerprint(1);
     assert_eq!(serial_len, 12, "budget must exhaust the 12-traversal space");
-    let (par_fp, par_len) = fingerprint(4);
-    assert_eq!(par_len, serial_len);
-    assert_eq!(
-        par_fp, serial_fp,
-        "shared-tree record fingerprint drifted between 1 and 4 workers"
-    );
-    // And the shared backend agrees with the serial tree's record set.
-    let serial = serial_set(strategy);
-    let shared: RecordSet = {
-        let out = explore_parallel(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            &ExploreCtx {
-                backend: SearchBackend::Shared,
-                ..ExploreCtx::new(4)
-            },
-        )
-        .unwrap();
-        out.records
-            .into_iter()
-            .map(|r| (r.traversal, r.result.time().to_bits()))
-            .collect()
-    };
-    assert_eq!(shared, serial);
+    for threads in [2, 4] {
+        let (listed, sorted, len) = fingerprint(threads);
+        assert_eq!(len, serial_len);
+        assert_eq!(listed, sorted, "{threads} workers return sorted records");
+        assert_eq!(
+            listed, serial_fp,
+            "record fingerprint drifted between 1 and {threads} workers"
+        );
+    }
 }
 
 #[test]
 fn parallel_runs_are_repeatable() {
     // Same (seed, threads) twice → identical everything on the
-    // shared-tree MCTS path, whose evaluations race across threads.
+    // 4-thread MCTS path, whose evaluations race across threads.
     let strategy = Strategy::Mcts {
         iterations: 300,
         config: MctsConfig {
@@ -250,8 +236,8 @@ fn drawn_ctx(threads: usize, observed: bool, policy: FailurePolicy) -> ExploreCt
 }
 
 /// The record fingerprint, over the records in canonical-hash order for
-/// MCTS: the serial tree returns discovery order, the shared tree hash
-/// order, and both must cover the same set at exhaustion.
+/// MCTS: one thread returns discovery order, more threads hash order,
+/// and both must cover the same set at exhaustion.
 fn fingerprint(strategy: Strategy, records: &[ExploredRecord]) -> u64 {
     let mut records = records.to_vec();
     if matches!(strategy, Strategy::Mcts { .. }) {

@@ -3,9 +3,9 @@
 //! any change to the execution engine must reproduce the reference
 //! interpreter's outputs bit for bit.
 //!
-//! The exploration pins drive `explore` directly with a `SimEvaluator`
-//! (no pipeline), so no environment variable (`DR_FAULTS`, `DR_THREADS`)
-//! can change them. The fault and budget pins cover paths the benchmark
+//! The exploration pins drive the explore engine directly with a
+//! `SimEvaluator` (no pipeline), so no environment variable
+//! (`DR_FAULTS`, `DR_THREADS`) can change them. The fault and budget pins cover paths the benchmark
 //! workloads never exercise.
 
 use cuda_mpi_design_rules::dag::{
@@ -14,7 +14,8 @@ use cuda_mpi_design_rules::dag::{
 use cuda_mpi_design_rules::halo::HaloScenario;
 use cuda_mpi_design_rules::mcts::{MctsConfig, SimEvaluator};
 use cuda_mpi_design_rules::pipeline::{
-    explore_instrumented, records_fingerprint, PipelineConfig, Strategy,
+    explore_instrumented, explore_parallel, records_fingerprint, ExploreCtx, PipelineConfig,
+    Strategy,
 };
 use cuda_mpi_design_rules::sim::{
     benchmark_instrumented, benchmark_memo_instrumented, execute, execute_traced, BenchConfig,
@@ -108,6 +109,33 @@ fn halo_mcts_record_set_is_pinned() {
         stats_pin(&stats.unwrap()),
         "5768 runs, 1384880 instructions, json b0d606b68fb8214b"
     );
+}
+
+#[test]
+fn halo_four_thread_mcts_record_set_is_pinned() {
+    // A partial budget at batch width 4: the trajectory depends on the
+    // selection rule under virtual loss, so this pins the rule itself.
+    let h = HaloScenario::cube2(1);
+    let strategy = Strategy::Mcts {
+        iterations: 300,
+        config: MctsConfig {
+            seed: 1,
+            ..Default::default()
+        },
+    };
+    let out = explore_parallel(
+        &h.space,
+        || SimEvaluator::new(&h.space, &h.workload, &h.platform, bench()),
+        strategy,
+        &ExploreCtx::new(4),
+    )
+    .unwrap();
+    assert_eq!(out.records.len(), 300);
+    assert_eq!(
+        format!("{:016x}", records_fingerprint(&out.records)),
+        "bef9343aaec36e8b"
+    );
+    assert_eq!(out.cache.hits, 0);
 }
 
 #[test]
