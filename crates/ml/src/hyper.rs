@@ -5,11 +5,19 @@
 //! nodes, the leaf budget is increased (probing up to five steps ahead)
 //! until the training error stops shrinking; `max_depth` is always one
 //! less than the leaf budget.
+//!
+//! All probes read one resumable best-first growth instead of refitting.
+//! The depth cap never binds: a node at depth m − 1 exists only after
+//! m − 1 splits, which already make the budget's m leaves. Growth splits
+//! the best frontier leaf under a total order (improvement, then lower
+//! node id) and budgets only increase, so probe m is exactly the first
+//! m − 1 splits of the uncapped tree. Each probe costs one
+//! [`DecisionTree::error`] pass; only accepted probes clone the tree.
 
 use crate::bitrow::BitRow;
-use crate::tree::{DecisionTree, TrainConfig};
+use crate::tree::{DecisionTree, Grower, TrainConfig};
 
-/// One `train()` invocation during the search, for Fig. 5.
+/// One probe of the search, for Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchStep {
     /// `max_leaf_nodes` used.
@@ -39,62 +47,51 @@ pub struct HyperSearch {
 
 /// Runs Algorithm 1: iteratively grow the leaf budget while training
 /// error shrinks. `base` supplies criterion/weighting; its
-/// `max_leaf_nodes`/`max_depth` are overridden by the search.
+/// `max_leaf_nodes`/`max_depth` are ignored (see the module doc).
 pub fn algorithm1(
     x: &[BitRow],
     y: &[usize],
     num_classes: usize,
     base: &TrainConfig,
 ) -> HyperSearch {
-    let train = |mln: usize| -> (f64, DecisionTree, usize, usize) {
-        let cfg = TrainConfig {
-            max_leaf_nodes: Some(mln),
-            max_depth: Some(mln.saturating_sub(1).max(1)),
-            ..*base
-        };
-        let t = DecisionTree::fit(x, y, num_classes, &cfg);
-        let e = t.error(x, y);
-        let d = t.depth();
-        let l = t.num_leaves();
-        (e, t, d, l)
+    let uncapped = TrainConfig {
+        max_leaf_nodes: None,
+        max_depth: None,
+        ..*base
+    };
+    let mut grower = Grower::new(x, y, num_classes, uncapped);
+    let mut history = Vec::new();
+    // Probe budget `mln`: its error, and a snapshot if it beats `best`.
+    let mut probe = |mln: usize, best: f64| {
+        let t = grower.grow_to(Some(mln));
+        let error = t.error(x, y);
+        let accepted = error < best;
+        history.push(SearchStep {
+            max_leaf_nodes: mln,
+            error,
+            depth: t.depth(),
+            leaves: t.num_leaves(),
+            accepted,
+        });
+        (error, accepted.then(|| t.clone()))
     };
 
-    let mut history = Vec::new();
     let mut mln = 2usize;
-    let mut err = f64::INFINITY;
-    let (mut cur, mut clf, d0, l0) = train(mln);
-    history.push(SearchStep {
-        max_leaf_nodes: mln,
-        error: cur,
-        depth: d0,
-        leaves: l0,
-        accepted: true,
-    });
-    while cur < err {
-        err = cur;
+    let (mut err, first) = probe(mln, f64::INFINITY);
+    let mut clf = first.expect("a finite error beats infinity");
+    'search: loop {
         for i in 1..=5 {
-            let (e, t, d, l) = train(mln + i);
-            let accepted = e < err;
-            history.push(SearchStep {
-                max_leaf_nodes: mln + i,
-                error: e,
-                depth: d,
-                leaves: l,
-                accepted,
-            });
-            if accepted {
-                clf = t;
-                mln += i;
-                cur = e;
-                break;
+            if let (e, Some(t)) = probe(mln + i, err) {
+                (clf, mln, err) = (t, mln + i, e);
+                continue 'search;
             }
         }
-        // If no probe improved, `cur` still equals `err` and the loop ends.
+        break; // no probe improved
     }
     HyperSearch {
         tree: clf,
         max_leaf_nodes: mln,
-        error: err.min(cur),
+        error: err,
         history,
     }
 }

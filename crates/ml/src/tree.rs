@@ -137,24 +137,43 @@ pub struct LeafPath {
     pub node: usize,
 }
 
-impl DecisionTree {
-    /// Fits a tree on binary features `x` (row-major) with labels `y` in
-    /// `0..num_classes`.
-    pub fn fit(x: &[BitRow], y: &[usize], num_classes: usize, cfg: &TrainConfig) -> Self {
+/// A frontier leaf and its best split.
+struct Candidate {
+    node: usize,
+    mask: BitRow,
+    feature: usize,
+    improvement: f64,
+}
+
+/// Resumable best-first growth. The column and class masks are built
+/// once and the frontier persists between [`Grower::grow_to`] calls, so
+/// growing to `m` leaves and then on to `m + k` gives exactly the tree
+/// of one growth to `m + k`: each split takes the frontier leaf with the
+/// largest weighted impurity decrease (ties: lower node id), and a cap
+/// only decides when to stop.
+pub(crate) struct Grower {
+    cfg: TrainConfig,
+    cols: Vec<BitRow>,
+    class_masks: Vec<BitRow>,
+    frontier: Vec<Candidate>,
+    tree: DecisionTree,
+}
+
+impl Grower {
+    /// A one-leaf tree over `x`/`y`; `cfg.max_leaf_nodes` is not read
+    /// (the cap is [`Grower::grow_to`]'s argument).
+    pub(crate) fn new(x: &[BitRow], y: &[usize], num_classes: usize, cfg: TrainConfig) -> Self {
         assert_eq!(x.len(), y.len(), "sample/label length mismatch");
         assert!(!x.is_empty(), "cannot fit on an empty sample set");
         assert!(y.iter().all(|&c| c < num_classes), "label out of range");
         let n = x.len();
-        let num_features = x[0].len();
 
         // Transpose once: column masks over samples (bit s of `cols[f]`
         // is sample s's feature f) and class-membership masks.
-        let mut cols = vec![BitRow::zeros(n); num_features];
+        let mut cols = vec![BitRow::zeros(n); x[0].len()];
         for (s, row) in x.iter().enumerate() {
             for (f, col) in cols.iter_mut().enumerate() {
-                if row.get(f) {
-                    col.set(s, true);
-                }
+                col.set(s, row.get(f));
             }
         }
         let mut class_masks = vec![BitRow::zeros(n); num_classes];
@@ -163,105 +182,89 @@ impl DecisionTree {
         }
 
         // class_weight="balanced": w_c = n / (k * count_c).
-        let mut raw = vec![0usize; num_classes];
-        for &c in y {
-            raw[c] += 1;
+        let class_weights = class_masks
+            .iter()
+            .map(|cm| match cm.count_ones() {
+                _ if !cfg.balanced => 1.0,
+                0 => 0.0,
+                c => n as f64 / (num_classes as f64 * c as f64),
+            })
+            .collect();
+        let mut grower = Grower {
+            cfg,
+            cols,
+            class_masks,
+            frontier: Vec::new(),
+            tree: DecisionTree {
+                nodes: Vec::new(),
+                num_classes,
+                class_weights,
+            },
+        };
+        grower.add_leaf(BitRow::ones(n), 0);
+        grower
+    }
+
+    /// Appends a leaf over the sample subset `mask` and queues it for
+    /// splitting unless it is pure, at the depth cap, or inseparable.
+    fn add_leaf(&mut self, mask: BitRow, depth: usize) -> usize {
+        let node = self.tree.nodes.len();
+        let leaf = self.tree.make_node(&mask, &self.class_masks, depth);
+        let open = !leaf.is_pure() && self.cfg.max_depth.is_none_or(|d| depth < d);
+        self.tree.nodes.push(leaf);
+        let split = open.then(|| {
+            self.tree
+                .best_split(&mask, &self.cols, &self.class_masks, &self.cfg)
+        });
+        if let Some((feature, improvement)) = split.flatten() {
+            self.frontier.push(Candidate {
+                node,
+                mask,
+                feature,
+                improvement,
+            });
         }
-        let class_weights: Vec<f64> = if cfg.balanced {
-            raw.iter()
-                .map(|&c| {
-                    if c == 0 {
-                        0.0
-                    } else {
-                        n as f64 / (num_classes as f64 * c as f64)
-                    }
-                })
-                .collect()
-        } else {
-            vec![1.0; num_classes]
-        };
+        node
+    }
 
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            num_classes,
-            class_weights,
-        };
-        let all = BitRow::ones(n);
-        let root = tree.make_node(&all, &class_masks, 0);
-        tree.nodes.push(root);
-
-        // Best-first growth: always split the frontier leaf with the
-        // largest weighted impurity decrease. A node's sample subset is
-        // a mask over the samples.
-        struct Candidate {
-            node: usize,
-            mask: BitRow,
-            feature: usize,
-            improvement: f64,
-        }
-        let mut frontier: Vec<Candidate> = Vec::new();
-        let push_candidate = |tree: &DecisionTree,
-                              node: usize,
-                              mask: BitRow,
-                              frontier: &mut Vec<Candidate>| {
-            if tree.nodes[node].is_pure() {
-                return;
-            }
-            if let Some(d) = cfg.max_depth {
-                if tree.nodes[node].depth >= d {
-                    return;
-                }
-            }
-            if let Some((feature, improvement)) = tree.best_split(&mask, &cols, &class_masks, cfg) {
-                frontier.push(Candidate {
-                    node,
-                    mask,
-                    feature,
-                    improvement,
-                });
-            }
-        };
-        push_candidate(&tree, 0, all, &mut frontier);
-
-        let mut num_leaves = 1usize;
-        while !frontier.is_empty() {
-            if let Some(cap) = cfg.max_leaf_nodes {
-                if num_leaves >= cap {
-                    break;
-                }
-            }
+    /// Splits until the tree has `cap` leaves (`None` = no cap) or no
+    /// leaf can be split, and returns the tree so far.
+    pub(crate) fn grow_to(&mut self, cap: Option<usize>) -> &DecisionTree {
+        // s splits make 2s + 1 nodes and s + 1 leaves.
+        while !self.frontier.is_empty() && cap.is_none_or(|c| self.tree.nodes.len() / 2 + 1 < c) {
             // Extract the best candidate (frontiers are tiny; linear scan).
-            let best = frontier
-                .iter()
-                .enumerate()
-                .max_by(|a, b| {
-                    a.1.improvement
-                        .partial_cmp(&b.1.improvement)
+            let best = (0..self.frontier.len())
+                .max_by(|&a, &b| {
+                    let (a, b) = (&self.frontier[a], &self.frontier[b]);
+                    a.improvement
+                        .partial_cmp(&b.improvement)
                         .expect("improvements are finite")
                         // Deterministic tie-break: earlier node id wins.
-                        .then(b.1.node.cmp(&a.1.node))
+                        .then(b.node.cmp(&a.node))
                 })
-                .map(|(i, _)| i)
                 .expect("frontier non-empty");
-            let cand = frontier.swap_remove(best);
+            let cand = self.frontier.swap_remove(best);
 
-            let ls = cand.mask.and_not(&cols[cand.feature]);
-            let rs = cand.mask.and(&cols[cand.feature]);
-            let left = tree.nodes.len();
-            let lnode = tree.make_node(&ls, &class_masks, tree.nodes[cand.node].depth + 1);
-            tree.nodes.push(lnode);
-            let right = tree.nodes.len();
-            let rnode = tree.make_node(&rs, &class_masks, tree.nodes[cand.node].depth + 1);
-            tree.nodes.push(rnode);
-            tree.nodes[cand.node].feature = Some(cand.feature);
-            tree.nodes[cand.node].left = left;
-            tree.nodes[cand.node].right = right;
-            num_leaves += 1;
-
-            push_candidate(&tree, left, ls, &mut frontier);
-            push_candidate(&tree, right, rs, &mut frontier);
+            let col = &self.cols[cand.feature];
+            let (ls, rs) = (cand.mask.and_not(col), cand.mask.and(col));
+            let depth = self.tree.nodes[cand.node].depth + 1;
+            let left = self.add_leaf(ls, depth);
+            let right = self.add_leaf(rs, depth);
+            let parent = &mut self.tree.nodes[cand.node];
+            parent.feature = Some(cand.feature);
+            (parent.left, parent.right) = (left, right);
         }
-        tree
+        &self.tree
+    }
+}
+
+impl DecisionTree {
+    /// Fits a tree on binary features `x` (row-major) with labels `y` in
+    /// `0..num_classes`.
+    pub fn fit(x: &[BitRow], y: &[usize], num_classes: usize, cfg: &TrainConfig) -> Self {
+        let mut grower = Grower::new(x, y, num_classes, *cfg);
+        grower.grow_to(cfg.max_leaf_nodes);
+        grower.tree
     }
 
     fn make_node(&self, mask: &BitRow, class_masks: &[BitRow], depth: usize) -> Node {
