@@ -6,9 +6,105 @@ mod common;
 use common::arb_small_space;
 use cuda_mpi_design_rules::dag::Traversal;
 use cuda_mpi_design_rules::ml::{
-    featurize, label_times, signal, BitRow, DecisionTree, LabelingConfig, TrainConfig,
+    algorithm1, featurize, label_times, signal, BitRow, Criterion, DecisionTree, HyperSearch,
+    LabelingConfig, TrainConfig,
 };
 use proptest::prelude::*;
+
+/// Up to 200 binary rows of up to 8 features with 2–4 classes. Rows are
+/// drawn from a small pool, so duplicates (often with different labels)
+/// make impure leaves and tied split improvements common.
+fn arb_training_set() -> impl Strategy<Value = (Vec<BitRow>, Vec<usize>, usize)> {
+    (2usize..=4, 1usize..=8)
+        .prop_flat_map(|(k, width)| {
+            let pool =
+                proptest::collection::vec(proptest::collection::vec(any::<bool>(), width), 1..16);
+            let picks = proptest::collection::vec((0usize..64, 0usize..k), 2..200);
+            (Just(k), pool, picks)
+        })
+        .prop_map(|(k, pool, picks)| {
+            let x = picks
+                .iter()
+                .map(|&(i, _)| BitRow::from_bools(&pool[i % pool.len()]))
+                .collect();
+            let y = picks.iter().map(|&(_, c)| c).collect();
+            (x, y, k)
+        })
+}
+
+/// A training configuration over both criteria, weighted or not.
+fn arb_train_config() -> impl Strategy<Value = TrainConfig> {
+    (any::<bool>(), any::<bool>()).prop_map(|(gini, balanced)| TrainConfig {
+        criterion: if gini {
+            Criterion::Gini
+        } else {
+            Criterion::Entropy
+        },
+        balanced,
+        ..TrainConfig::default()
+    })
+}
+
+/// Algorithm 1 as the paper states it: every probe refits a fresh tree
+/// with `max_leaf_nodes = m` and `max_depth = m - 1`.
+fn refit_every_probe(x: &[BitRow], y: &[usize], k: usize, base: &TrainConfig) -> String {
+    let train = |mln: usize| {
+        let cfg = TrainConfig {
+            max_leaf_nodes: Some(mln),
+            max_depth: Some(mln - 1),
+            ..*base
+        };
+        let t = DecisionTree::fit(x, y, k, &cfg);
+        (t.error(x, y), t)
+    };
+    let mut history = Vec::new();
+    let mut mln = 2;
+    let mut err = f64::INFINITY;
+    let (mut cur, mut clf) = train(mln);
+    history.push((mln, cur.to_bits(), clf.depth(), clf.num_leaves(), true));
+    while cur < err {
+        err = cur;
+        for i in 1..=5 {
+            let (e, t) = train(mln + i);
+            let accepted = e < err;
+            history.push((mln + i, e.to_bits(), t.depth(), t.num_leaves(), accepted));
+            if accepted {
+                clf = t;
+                mln += i;
+                cur = e;
+                break;
+            }
+        }
+    }
+    format!(
+        "{clf:?}\n{mln} {:016x}\n{history:?}",
+        err.min(cur).to_bits()
+    )
+}
+
+/// `refit_every_probe`'s rendering of a search: `Debug` prints floats in
+/// shortest round-trip form, so equal strings mean bit-equal trees.
+fn render(s: &HyperSearch) -> String {
+    let history: Vec<_> = s
+        .history
+        .iter()
+        .map(|h| {
+            (
+                h.max_leaf_nodes,
+                h.error.to_bits(),
+                h.depth,
+                h.leaves,
+                h.accepted,
+            )
+        })
+        .collect();
+    format!(
+        "{:?}\n{} {:016x}\n{history:?}",
+        s.tree,
+        s.max_leaf_nodes,
+        s.error.to_bits()
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -130,6 +226,29 @@ proptest! {
         // vector_of round-trips every sample.
         for (s, t) in all.iter().enumerate() {
             prop_assert_eq!(&fs.vector_of(&space, t), &fs.matrix[s]);
+        }
+    }
+
+    #[test]
+    fn algorithm1_equals_a_refit_at_every_probe(
+        (x, y, k) in arb_training_set(),
+        cfg in arb_train_config(),
+    ) {
+        prop_assert_eq!(render(&algorithm1(&x, &y, k, &cfg)), refit_every_probe(&x, &y, k, &cfg));
+    }
+
+    #[test]
+    fn a_depth_cap_of_leaves_minus_one_never_binds(
+        (x, y, k) in arb_training_set(),
+        cfg in arb_train_config(),
+    ) {
+        for m in 2..=12 {
+            let capped = TrainConfig { max_leaf_nodes: Some(m), max_depth: Some(m - 1), ..cfg };
+            let free = TrainConfig { max_leaf_nodes: Some(m), max_depth: None, ..cfg };
+            prop_assert_eq!(
+                format!("{:?}", DecisionTree::fit(&x, &y, k, &capped)),
+                format!("{:?}", DecisionTree::fit(&x, &y, k, &free))
+            );
         }
     }
 }
