@@ -55,7 +55,6 @@ pub fn algorithm1(
     base: &TrainConfig,
 ) -> HyperSearch {
     let uncapped = TrainConfig {
-        max_leaf_nodes: None,
         max_depth: None,
         ..*base
     };
