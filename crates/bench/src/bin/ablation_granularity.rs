@@ -10,7 +10,7 @@ use dr_mcts::MctsConfig;
 use dr_spmv::SpmvScenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let small = std::env::var("DR_SCALE").as_deref() == Ok("small");
+    let small = dr_bench::scale() == "small";
     let seed = dr_bench::seed();
     let (coarse, fine) = if small {
         (SpmvScenario::small(seed), {

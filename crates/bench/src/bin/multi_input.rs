@@ -10,7 +10,7 @@ use dr_spmv::{banded_matrix, BandedSpec, DistributedSpmv, GpuModel, SpmvDagConfi
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed = dr_bench::seed();
-    let small = std::env::var("DR_SCALE").as_deref() == Ok("small");
+    let small = dr_bench::scale() == "small";
     let base = if small {
         BandedSpec::small(seed)
     } else {

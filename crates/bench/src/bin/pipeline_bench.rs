@@ -15,6 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = dr_bench::harness::pipeline_report(
         dr_bench::scale(),
         dr_bench::seed(),
+        &dr_core::PipelineConfig::quick(),
         &mut std::io::stdout(),
     )?;
     let entries = dr_bench::append_history(

@@ -37,9 +37,15 @@ type BoxError = Box<dyn std::error::Error>;
 
 /// End-to-end pipeline benchmark: one full explore→label→featurize→
 /// train run per search strategy (exhaustive, MCTS, random), per-phase
-/// wall-clock times, exploration throughput. Renders a progress table
+/// wall-clock times, exploration throughput, under `cfg`'s threads and
+/// faults on the quick measurement protocol. Renders a progress table
 /// to `out` and returns the validated report JSON (one history entry).
-pub fn pipeline_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<String, BoxError> {
+pub fn pipeline_report(
+    scale: &str,
+    seed: u64,
+    cfg: &PipelineConfig,
+    out: &mut dyn Write,
+) -> Result<String, BoxError> {
     let sc = scenario_for(scale, seed);
     writeln!(out, "== Pipeline phase benchmark ==")?;
     writeln!(out, "space: {} traversals", sc.space.count_traversals())?;
@@ -74,7 +80,10 @@ pub fn pipeline_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<St
             &sc.workload,
             &sc.platform,
             strategy,
-            &PipelineConfig::quick(),
+            &PipelineConfig {
+                bench: PipelineConfig::quick().bench,
+                ..*cfg
+            },
         )?;
         let explore_s = run.report.phases.get("explore").unwrap_or(0.0);
         writeln!(

@@ -25,6 +25,10 @@ use dr_spmv::SpmvScenario;
 pub const DEFAULT_SEED: u64 = 0xD5;
 
 /// Reads the harness seed from `DR_SEED` (default [`DEFAULT_SEED`]).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a harness knob; it goes with the harness"
+)]
 pub fn seed() -> u64 {
     std::env::var("DR_SEED")
         .ok()
@@ -34,6 +38,10 @@ pub fn seed() -> u64 {
 
 /// The harness scale name from `DR_SCALE`: `"small"` for the fast
 /// variant, `"paper"` (the default) otherwise.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a harness knob; it goes with the harness"
+)]
 pub fn scale() -> &'static str {
     match std::env::var("DR_SCALE").as_deref() {
         Ok("small") => "small",
@@ -66,6 +74,10 @@ pub fn pipeline_config() -> PipelineConfig {
 /// Writes an observability artifact (run report, telemetry CSV) into the
 /// `DR_ARTIFACTS` directory, creating it if necessary. A no-op when the
 /// variable is unset; returns the path written to, if any.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a harness knob; it goes with the harness"
+)]
 pub fn write_artifact(name: &str, contents: &str) -> Option<std::path::PathBuf> {
     let dir = std::path::PathBuf::from(std::env::var_os("DR_ARTIFACTS")?);
     if let Err(e) = std::fs::create_dir_all(&dir) {

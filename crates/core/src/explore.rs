@@ -3,8 +3,8 @@
 //!
 //! There is one serial reference backend ([`explore_instrumented`]) and
 //! one parallel engine ([`explore_parallel`]). Everything that varies
-//! between parallel runs — worker threads, tracing, the event stream,
-//! a static-prune hook, and what a failed evaluation does
+//! between parallel runs — worker threads, tracing, the event stream
+//! and its sampling rate, and what a failed evaluation does
 //! ([`FailurePolicy`]) — travels in one [`ExploreCtx`].
 //! The engine is built so that the *record set* — which traversals were
 //! measured, and what each measurement returned — is a pure function of
@@ -15,8 +15,7 @@
 
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{
-    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, TelemetryRow,
-    TreeStats,
+    Evaluator, ExploredRecord, Mcts, MctsConfig, SearchTelemetry, TelemetryRow, TreeStats,
 };
 use dr_obs::events::EventSink;
 use dr_par::{
@@ -34,28 +33,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub(crate) const EXHAUSTIVE_MASTER_SEED: u64 = 0xE0E0_0000;
 
 /// MCTS iteration-span sampling rate: record one `mcts-iter` span every
-/// N iterations (`DR_TRACE_MCTS_RATE`, default 16, minimum 1). Sampling
-/// keeps traces of long searches bounded without losing the shape of the
-/// search.
-fn mcts_trace_every() -> usize {
-    std::env::var("DR_TRACE_MCTS_RATE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(16)
-        .max(1)
-}
+/// N iterations. Sampling keeps traces of long searches bounded without
+/// losing the shape of the search.
+const MCTS_TRACE_EVERY: usize = 16;
 
-/// Event-stream sampling rate: emit one sampled `mcts-iter` / `eval`
-/// event every N occurrences (`DR_EVENTS_RATE`, default 16, minimum 1).
-/// Sampling bounds the event stream's overhead on long runs the same
-/// way `DR_TRACE_MCTS_RATE` bounds the trace.
-pub fn events_rate() -> usize {
-    std::env::var("DR_EVENTS_RATE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(16)
-        .max(1)
-}
+/// Default event-stream sampling rate ([`ExploreCtx::events_rate`]).
+pub(crate) const DEFAULT_EVENTS_RATE: usize = 16;
 
 /// Forwards pool worker lifecycle callbacks to the event stream as
 /// `worker-start` / `worker-end` events.
@@ -184,9 +167,6 @@ pub struct ExploreOutput {
     /// Total traversals dropped instead of measured (≥ `failures.len()`;
     /// the difference is MCTS-internal quarantines).
     pub quarantined: u64,
-    /// Subtrees retired by a static-prune hook before any rollout
-    /// entered them (zero without a hook or for non-MCTS strategies).
-    pub pruned: u64,
     /// Final search-tree statistics (`None` for non-MCTS strategies).
     pub tree: Option<TreeStats>,
     /// Whether the run provably covered the whole space: always `true`
@@ -212,8 +192,10 @@ pub struct ExploreCtx {
     /// `worker-start` / `worker-end` lifecycle events. `None` or a
     /// disabled sink emits nothing.
     pub events: Option<EventSink>,
-    /// Static-prune hook (MCTS only; see [`dr_mcts::PruneHook`]).
-    pub prune: Option<PruneHook>,
+    /// Event sampling: one `mcts-iter` event every `events_rate`
+    /// iterations (minimum 1). Sampling bounds the stream's overhead on
+    /// long runs.
+    pub events_rate: usize,
     /// What a failed evaluation does. Under [`FailurePolicy::Abort`] the
     /// run returns the first failure's error. Under
     /// [`FailurePolicy::Quarantine`] failed traversals are dropped and
@@ -224,15 +206,14 @@ pub struct ExploreCtx {
 }
 
 impl ExploreCtx {
-    /// A silent, aborting context at `threads` workers with no prune
-    /// hook.
+    /// A silent, aborting context at `threads` workers.
     pub fn new(threads: usize) -> Self {
         ExploreCtx {
             threads,
             tracer: Tracer::disabled(),
             dispatch: None,
             events: None,
-            prune: None,
+            events_rate: DEFAULT_EVENTS_RATE,
             policy: FailurePolicy::Abort,
         }
     }
@@ -474,7 +455,6 @@ where
         threads: ctx.threads.max(1),
         quarantined: failures.len() as u64,
         failures,
-        pruned: 0,
         tree: None,
         exhausted: true,
     })
@@ -541,7 +521,6 @@ where
         threads: ctx.threads.max(1),
         quarantined: failures.len() as u64,
         failures,
-        pruned: 0,
         tree: None,
         exhausted: false,
     })
@@ -609,14 +588,11 @@ where
         }
     }
     let mut mcts = Mcts::batched(space, evals, config);
-    if let Some(hook) = &ctx.prune {
-        mcts.set_prune(hook.clone());
-    }
     if let Some(lane) = ctx.mcts_lane("mcts-tree") {
-        mcts.set_trace(lane, mcts_trace_every());
+        mcts.set_trace(lane, MCTS_TRACE_EVERY);
     }
     if let Some(sink) = events {
-        mcts.set_events(sink.clone(), events_rate());
+        mcts.set_events(sink.clone(), ctx.events_rate);
     }
     mcts.run_parallel(iterations)?;
     if let Some(sink) = events {
@@ -634,7 +610,6 @@ where
         misses: mcts.records().len() as u64,
     };
     let quarantined = mcts.failures() as u64;
-    let pruned = mcts.pruned();
     let tree = mcts.stats();
     let exhausted = mcts.is_exhausted();
     let (records, telemetry, _) = mcts.into_parts();
@@ -646,7 +621,6 @@ where
         threads,
         failures: Vec::new(),
         quarantined,
-        pruned,
         tree: Some(tree),
         exhausted,
     })

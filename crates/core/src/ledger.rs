@@ -6,7 +6,7 @@
 //! record set, and the mined rule set with per-rule provenance (which
 //! explored implementations support each ruleset, split by class).
 //! Lines append to `ledger.jsonl` inside the directory named by the
-//! `DR_LEDGER` environment variable (or a `--ledger` flag), so a ledger
+//! `--ledger` flag (or the `DR_LEDGER` variable), so a ledger
 //! accumulates history across runs and machines; the `compare` command
 //! ([`crate::compare_ledgers`]) diffs two such histories for
 //! regressions.
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 /// Version tag of the ledger line format.
 pub const LEDGER_SCHEMA: &str = "dr-ledger/v1";
 
-/// File name of the ledger inside a `DR_LEDGER` directory.
+/// File name of the ledger inside a ledger directory.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
 
 /// The run identity a ledger entry is filed under (everything that must
@@ -41,15 +41,6 @@ pub struct LedgerContext<'a> {
     pub seed: u64,
     /// The iteration budget (0 for exhaustive).
     pub iterations: u64,
-}
-
-/// The ledger directory named by the `DR_LEDGER` environment variable,
-/// if set and non-empty.
-pub fn ledger_dir_from_env() -> Option<PathBuf> {
-    std::env::var("DR_LEDGER")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
 }
 
 /// Order-sensitive FNV-1a fingerprint of the record set: folds each
@@ -94,11 +85,7 @@ pub fn ledger_entry_json(
         ctx.iterations,
         run.threads,
     ));
-    out.push_str(&format!(
-        ",\"config\":{{\"lint\":{},\"faults_active\":{}}}",
-        report.lint.is_some(),
-        report.resilience.is_some()
-    ));
+    out.push_str(&format!(",\"config\":{}", report.config_json()));
     out.push_str(&format!(",\"phases\":{}", report.phases.to_json()));
     out.push_str(&format!(",\"search\":{}", report.search.to_json()));
     out.push_str(&format!(

@@ -52,12 +52,11 @@ pub use compare::{
 pub use dr_par::FailurePolicy;
 pub use evaluate::{labeling_accuracy, AccuracyReport};
 pub use explore::{
-    events_rate, explore, explore_instrumented, explore_parallel, records_telemetry, ExploreCtx,
-    ExploreOutput, Strategy,
+    explore, explore_instrumented, explore_parallel, records_telemetry, ExploreCtx, ExploreOutput,
+    Strategy,
 };
 pub use ledger::{
-    append_entry, ledger_dir_from_env, ledger_entry_json, records_fingerprint, LedgerContext,
-    LEDGER_FILE, LEDGER_SCHEMA,
+    append_entry, ledger_entry_json, records_fingerprint, LedgerContext, LEDGER_FILE, LEDGER_SCHEMA,
 };
 pub use lintstage::{
     apply_fault_plan, lint_space, lint_space_watched, topology_from_workload, LintTotals,
@@ -66,22 +65,21 @@ pub use lintstage::{
 pub use multi_input::{mine_rules_multi, InputFeature, InputRun, MultiInputResult};
 pub use pipeline::{
     mine_rules, mine_rules_timed, run_pipeline, run_pipeline_instrumented, run_pipeline_stored,
-    InstrumentedRun, PipelineConfig, PipelineResult,
+    InstrumentedRun, PipelineConfig, PipelineResult, RunCtx,
 };
 pub use report::{
     LintSummary, MiningSummary, Provenance, ResilienceSummary, RunReport, SearchSummary,
 };
 pub use resilient::{
-    backoff_delay_ms, retry_knobs_from_env, retry_seed, ResilienceTotals, ResilientEvaluator,
+    backoff_delay_ms, retry_seed, ResilienceTotals, ResilientEvaluator, RetrySchedule,
     DEFAULT_BACKOFF_BASE_MS, DEFAULT_BACKOFF_CAP_MS, DEFAULT_MAX_RETRIES, WATCHDOG_MAX_STEPS,
 };
 pub use runs::{
     diff_entries, find_entry, select, show_entry, summary_line, trend_lines, RunFilter,
 };
 pub use shard::{
-    heartbeat_interval_ms, merge_shards, run_shard, shard_manifest_path, shard_store_dir,
-    shard_work, strategy_identity, MergeOutcome, ShardManifest, ShardRunOutcome, ShardSpec,
-    SHARD_SCHEMA,
+    merge_shards, run_shard, shard_manifest_path, shard_store_dir, shard_work, strategy_identity,
+    MergeOutcome, ShardManifest, ShardRunOutcome, ShardSpec, ShardTarget, SHARD_SCHEMA,
 };
 pub use storestage::StoredEvaluator;
 pub use synthesize::{satisfies, synthesize};

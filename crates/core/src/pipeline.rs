@@ -1,31 +1,34 @@
 //! The end-to-end design-rule pipeline (paper Fig. 2): explore → label →
 //! featurize → train → extract rules.
 
-use crate::explore::{events_rate, explore_parallel, ExploreCtx, Strategy};
+use crate::explore::{explore_parallel, ExploreCtx, Strategy, DEFAULT_EVENTS_RATE};
 use crate::lintstage::{lint_space_watched, topology_from_workload, LintTotals, LintingEvaluator};
 use crate::report::{RunReport, SearchSummary};
-use crate::resilient::{Chaos, Measure};
+use crate::resilient::{Chaos, Measure, RetrySchedule};
+use crate::shard::DEFAULT_HEARTBEAT_MS;
 use crate::storestage::StoredEvaluator;
 use crate::tracestage::TracingEvaluator;
 use crate::watch::{EvalWatch, WatchedEvaluator};
 use dr_dag::{DecisionSpace, Traversal};
 use dr_fault::FaultConfig;
 use dr_lint::CommTopology;
-use dr_mcts::{ExploredRecord, PruneHook, SearchTelemetry};
+use dr_mcts::{ExploredRecord, SearchTelemetry};
 use dr_ml::{
     algorithm1, extract_rulesets, featurize, label_times, FeatureSet, HyperSearch, Labeling,
     LabelingConfig, RuleSet, TrainConfig,
 };
 use dr_obs::events::{EventSink, Field};
 use dr_obs::{Phases, Stopwatch};
-use dr_par::{resolve_threads, CacheStats, FailurePolicy};
+use dr_par::{CacheStats, FailurePolicy};
 use dr_sim::{BenchConfig, Platform, SimError, Workload};
 use dr_trace::{Lane, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Pipeline parameters (defaults mirror the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Pipeline parameters (defaults mirror the paper). A config arrives
+/// resolved: the pipeline reads no environment, so every knob that
+/// changes a run is a field here.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Class-labeling parameters (Section IV-A).
     pub labeling: LabelingConfig,
@@ -34,21 +37,43 @@ pub struct PipelineConfig {
     pub train: TrainConfig,
     /// Measurement protocol (Section III-C-3).
     pub bench: BenchConfig,
-    /// Exploration worker threads. `0` (the default) resolves via the
-    /// `DR_THREADS` environment variable, falling back to serial.
+    /// Exploration worker threads (default 1; `0` is treated as `1`).
     pub threads: usize,
     /// Statically lint every evaluated schedule before simulating it,
     /// surfacing counters in the run report. Findings never fail an
     /// evaluation; off by default.
     pub lint: bool,
     /// Deterministic fault injection (chaos mode). Inactive (clean) by
-    /// default; when inactive, the `DR_FAULTS` environment variable is
-    /// consulted (`clean`/`light`/`heavy`/`drops` or `key=value`
-    /// overrides). An active config measures with the resilient
-    /// evaluator (retry-with-reseed under a watchdog budget, panic
-    /// isolation), explores under [`FailurePolicy::Quarantine`] instead
-    /// of aborting, and labels robustly (MAD-screened).
+    /// default. An active config measures with the resilient evaluator
+    /// (retry-with-reseed under a watchdog budget, panic isolation),
+    /// explores under [`FailurePolicy::Quarantine`] instead of aborting,
+    /// and labels robustly (MAD-screened).
     pub faults: FaultConfig,
+    /// How the resilient evaluator retries a fault-killed evaluation
+    /// (unused on clean runs).
+    pub retry: RetrySchedule,
+    /// Event sampling: one `mcts-iter` / `eval` event every
+    /// `events_rate` occurrences (default 16, minimum 1).
+    pub events_rate: usize,
+    /// Shard workers emit a `heartbeat` event at least this often
+    /// (milliseconds, default 200).
+    pub heartbeat_ms: u64,
+}
+
+impl Default for PipelineConfig {
+    fn default() -> Self {
+        PipelineConfig {
+            labeling: LabelingConfig::default(),
+            train: TrainConfig::default(),
+            bench: BenchConfig::default(),
+            threads: 1,
+            lint: false,
+            faults: FaultConfig::clean(),
+            retry: RetrySchedule::default(),
+            events_rate: DEFAULT_EVENTS_RATE,
+            heartbeat_ms: DEFAULT_HEARTBEAT_MS,
+        }
+    }
 }
 
 impl PipelineConfig {
@@ -123,8 +148,7 @@ pub struct InstrumentedRun {
 
 /// Like [`run_pipeline`], additionally producing a [`RunReport`] and the
 /// per-iteration [`SearchTelemetry`]. Exploration uses
-/// [`PipelineConfig::threads`] workers (resolved through `DR_THREADS`
-/// when zero); mining is always serial.
+/// [`PipelineConfig::threads`] workers; mining is always serial.
 pub fn run_pipeline_instrumented<W: Workload + Sync>(
     space: &DecisionSpace,
     workload: &W,
@@ -132,49 +156,44 @@ pub fn run_pipeline_instrumented<W: Workload + Sync>(
     strategy: Strategy,
     cfg: &PipelineConfig,
 ) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_stored(
-        space,
-        workload,
-        platform,
-        strategy,
-        cfg,
-        &Tracer::disabled(),
-        None,
-        None,
-    )
+    run_pipeline_stored(space, workload, platform, strategy, &RunCtx::new(*cfg))
 }
 
-/// Builds the optional MCTS static-prune hook from `DR_LINT_PRUNE`:
-/// when the variable is set to anything but `0`/`off`/`false`, a
-/// [`dr_lint::PrefixDeadlockOracle`] condemns search prefixes whose
-/// every completion provably deadlocks, and MCTS retires those subtrees
-/// before a single rollout enters them. The oracle is sound, so pruning
-/// never removes a deadlock-free implementation from the record set; it
-/// only stops the search from measuring implementations lint would
-/// reject anyway.
-fn lint_prune_hook<W: Workload>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-) -> Option<PruneHook> {
-    let v = std::env::var("DR_LINT_PRUNE").ok()?;
-    if matches!(v.trim(), "" | "0" | "off" | "false") {
-        return None;
+/// Schedule cap of the pipeline's space-level lint pass.
+const LINT_SPACE_CAP: usize = 4096;
+
+/// Everything a run needs besides the problem and the strategy: the
+/// resolved configuration plus the run's observation and persistence
+/// channels. A disabled tracer, a `None` or disabled sink, and a `None`
+/// store each switch their channel off; none of them ever changes the
+/// mined result.
+#[derive(Clone)]
+pub struct RunCtx {
+    /// The resolved configuration.
+    pub cfg: PipelineConfig,
+    /// Causal tracing.
+    pub tracer: Tracer,
+    /// Live `dr-events/v1` stream.
+    pub events: Option<EventSink>,
+    /// Durable result store.
+    pub store: Option<Arc<dr_store::ResultStore>>,
+}
+
+impl RunCtx {
+    /// A silent run without a store under `cfg`.
+    pub fn new(cfg: PipelineConfig) -> Self {
+        RunCtx {
+            cfg,
+            tracer: Tracer::disabled(),
+            events: None,
+            store: None,
+        }
     }
-    let topo = topology_from_workload(space, workload, platform);
-    let oracle = dr_lint::PrefixDeadlockOracle::new(space, topo);
-    Some(Arc::new(move |prefix: &dr_dag::Prefix| {
-        oracle.provably_deadlocked(prefix)
-    }))
-}
 
-/// Schedule cap of the pipeline's space-level lint pass
-/// (`DR_LINT_SPACE_CAP`, default 4096; `0` lints the whole space).
-fn space_lint_cap() -> usize {
-    std::env::var("DR_LINT_SPACE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(4096)
+    /// The event sink, when present and enabled.
+    pub(crate) fn live_events(&self) -> Option<&EventSink> {
+        self.events.as_ref().filter(|s| s.is_enabled())
+    }
 }
 
 /// One worker's evaluator stack, outermost first: watch → trace → lint
@@ -236,7 +255,7 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 }
 
 /// [`run_pipeline_instrumented`] with every observation channel and a
-/// durable store.
+/// durable store, as `ctx` selects them.
 ///
 /// * **Tracing.** A root `pipeline` span covers the run, each phase
 ///   (`explore`, `label`, `featurize`, `train`, `rules`) becomes a child
@@ -248,7 +267,7 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 ///   the run, `phase-start`/`phase-end` bracket each pipeline phase (the
 ///   explore end event carries record, cache, and quarantine counters),
 ///   workers emit lifecycle events, and MCTS iterations and evaluations
-///   are sampled (`DR_EVENTS_RATE`, default 16). The report's provenance
+///   are sampled ([`PipelineConfig::events_rate`]). The report's provenance
 ///   run id is taken from the sink so the event stream, report, and
 ///   ledger entry all name the same run.
 /// * **Store.** Every evaluator stack consults the
@@ -260,30 +279,22 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 ///   layers, so observability counters are identical between cold and
 ///   warm runs; only the simulator is skipped.
 ///
-/// A disabled tracer, a `None` or disabled sink, and a `None` store each
-/// switch their channel off; none of them ever changes the mined result.
-///
 /// # Errors
 /// The first failed evaluation under [`FailurePolicy::Abort`], or
 /// [`SimError::Faulted`] when quarantine dropped every measurement.
 ///
 /// # Panics
 /// When the exploration measured nothing without quarantining anything
-/// (a zero budget, or a prune hook that condemns the whole space): rules
-/// cannot be mined from zero records.
-#[allow(clippy::too_many_arguments)]
+/// (a zero budget): rules cannot be mined from zero records.
 pub fn run_pipeline_stored<W: Workload + Sync>(
     space: &DecisionSpace,
     workload: &W,
     platform: &Platform,
     strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
-    events: Option<&EventSink>,
-    store: Option<Arc<dr_store::ResultStore>>,
+    ctx: &RunCtx,
 ) -> Result<InstrumentedRun, SimError> {
-    let events = events.filter(|s| s.is_enabled());
-    let mut main = tracer.lane("pipeline");
+    let events = ctx.live_events();
+    let mut main = ctx.tracer.lane("pipeline");
     main.enter("pipeline");
     main.annotate("strategy", strategy.name());
     let sw = Stopwatch::start();
@@ -298,9 +309,7 @@ pub fn run_pipeline_stored<W: Workload + Sync>(
             ),
         ],
     );
-    let out = run_pipeline_spanned(
-        space, workload, platform, strategy, cfg, tracer, &mut main, events, store,
-    );
+    let out = run_pipeline_spanned(space, workload, platform, strategy, ctx, &mut main);
     match &out {
         Ok(run) => emit(
             events,
@@ -347,23 +356,21 @@ pub fn run_pipeline_stored<W: Workload + Sync>(
     out
 }
 
-/// The traced pipeline's body; `main` carries the open root span and
-/// `events` the (already enabled-filtered) event sink, if any.
-#[allow(clippy::too_many_arguments)]
+/// The traced pipeline's body; `main` carries the open root span.
 fn run_pipeline_spanned<W: Workload + Sync>(
     space: &DecisionSpace,
     workload: &W,
     platform: &Platform,
     strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
+    ctx: &RunCtx,
     main: &mut Lane,
-    events: Option<&EventSink>,
-    store: Option<Arc<dr_store::ResultStore>>,
 ) -> Result<InstrumentedRun, SimError> {
+    let cfg = &ctx.cfg;
+    let tracer = &ctx.tracer;
+    let events = ctx.live_events();
     let mut phases = Phases::new();
-    let threads = resolve_threads((cfg.threads > 0).then_some(cfg.threads));
-    let chaos = Chaos::resolve(cfg.faults, Chaos::DEFAULT_RETRY)?;
+    let threads = cfg.threads.max(1);
+    let chaos = Chaos::new(cfg.faults, cfg.retry);
     let resilience = chaos.as_ref().map(|c| c.totals.clone());
     // With faults active, exploration quarantines instead of aborting.
     let policy = if chaos.is_some() {
@@ -383,20 +390,18 @@ fn run_pipeline_spanned<W: Workload + Sync>(
                 Arc::new(LintTotals::default()),
             )
         }),
-        store,
-        watch: events.map(|s| EvalWatch::new(s.clone(), events_rate())),
+        store: ctx.store.clone(),
+        watch: events.map(|s| EvalWatch::new(s.clone(), cfg.events_rate)),
     };
-    let prune = lint_prune_hook(space, workload, platform);
     main.annotate("threads", threads);
     main.annotate("lint", cfg.lint);
-    main.annotate("lint_prune", prune.is_some());
     main.annotate("faults_active", resilience.is_some());
     main.enter("explore");
     let ctx = ExploreCtx {
         tracer: tracer.clone(),
         dispatch: main.current(),
         events: events.cloned(),
-        prune,
+        events_rate: cfg.events_rate,
         policy,
         ..ExploreCtx::new(threads)
     };
@@ -441,7 +446,6 @@ fn run_pipeline_spanned<W: Workload + Sync>(
             ("cache_hits", explored.cache.hits.into()),
             ("cache_misses", explored.cache.misses.into()),
             ("quarantined", explored.quarantined.into()),
-            ("pruned", explored.pruned.into()),
             (
                 "retries",
                 resilience
@@ -458,13 +462,12 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     if let Some((topo, totals)) = &parts.lint {
         phases.add("lint", totals.seconds());
         // The space-level pass: incremental full-space verification with
-        // checkpointed happens-before state, bounded by
-        // `DR_LINT_SPACE_CAP` (default 4096 schedules, 0 = unlimited).
-        let cap = space_lint_cap();
+        // checkpointed happens-before state, bounded by LINT_SPACE_CAP
+        // schedules.
         main.enter("lint-space");
         emit(events, "phase-start", &[("phase", "lint-space".into())]);
         let sw = Stopwatch::start();
-        let sl = lint_space_watched(space, Some(topo), cap, events);
+        let sl = lint_space_watched(space, Some(topo), LINT_SPACE_CAP, events);
         phases.add("lint-space", sw.elapsed());
         main.annotate("space_schedules", sl.stats.schedules);
         main.annotate("hb_expansions", sl.stats.hb_expansions);
@@ -514,7 +517,7 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     );
     let search = SearchSummary::from_telemetry(strategy.name(), &explored.telemetry)
         .with_tree(explored.tree, explored.exhausted);
-    let mut report = RunReport::new(phases, explored.sim, search, &result);
+    let mut report = RunReport::new(phases, explored.sim, search, &result, cfg);
     // The event stream, report, and ledger entry must all name the same
     // run.
     if let Some(sink) = events {
@@ -844,9 +847,7 @@ mod tests {
         dr_obs::json::validate(&json).unwrap();
         assert!(json.contains("\"resilience\":{\"evaluations\":"));
         assert!(a.report.render_text().contains("resilience:"));
-        // Fault-free runs keep the pre-chaos shape — unless the test
-        // suite itself runs under DR_FAULTS, in which case the inactive
-        // config defers to the environment by design.
+        // Fault-free runs keep the pre-chaos shape.
         let clean = run_pipeline_instrumented(
             &space,
             &w,
@@ -855,13 +856,8 @@ mod tests {
             &PipelineConfig::quick(),
         )
         .unwrap();
-        let env_faults = dr_fault::FaultConfig::from_env().unwrap();
-        if env_faults.is_none_or(|f| !f.is_active()) {
-            assert!(clean.report.resilience.is_none());
-            assert!(clean.report.to_json().contains("\"resilience\":null"));
-        } else {
-            assert!(clean.report.resilience.is_some());
-        }
+        assert!(clean.report.resilience.is_none());
+        assert!(clean.report.to_json().contains("\"resilience\":null"));
     }
 
     #[test]
@@ -899,17 +895,12 @@ mod tests {
             ..PipelineConfig::quick()
         };
         let tracer = Tracer::new();
-        let traced = run_pipeline_stored(
-            &space,
-            &w,
-            &platform,
-            Strategy::Exhaustive,
-            &cfg,
-            &tracer,
-            None,
-            None,
-        )
-        .unwrap();
+        let ctx = RunCtx {
+            tracer: tracer.clone(),
+            ..RunCtx::new(cfg)
+        };
+        let traced =
+            run_pipeline_stored(&space, &w, &platform, Strategy::Exhaustive, &ctx).unwrap();
         let plain =
             run_pipeline_instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap();
         // Tracing never perturbs the mined result.
@@ -963,17 +954,11 @@ mod tests {
             config: dr_mcts::MctsConfig::default(),
         };
         let tracer = Tracer::new();
-        let run = run_pipeline_stored(
-            &space,
-            &w,
-            &platform,
-            strategy,
-            &PipelineConfig::quick(),
-            &tracer,
-            None,
-            None,
-        )
-        .unwrap();
+        let ctx = RunCtx {
+            tracer: tracer.clone(),
+            ..RunCtx::new(PipelineConfig::quick())
+        };
+        let run = run_pipeline_stored(&space, &w, &platform, strategy, &ctx).unwrap();
         assert!(!run.result.records.is_empty());
         let snap = tracer.snapshot();
         assert!(
@@ -996,18 +981,11 @@ mod tests {
         };
         let buf = dr_obs::SharedBuf::new();
         let sink = EventSink::new("run-test").with_writer(Box::new(buf.clone()));
-        let tracer = Tracer::disabled();
-        let watched = run_pipeline_stored(
-            &space,
-            &w,
-            &platform,
-            strategy,
-            &cfg,
-            &tracer,
-            Some(&sink),
-            None,
-        )
-        .unwrap();
+        let ctx = RunCtx {
+            events: Some(sink),
+            ..RunCtx::new(cfg)
+        };
+        let watched = run_pipeline_stored(&space, &w, &platform, strategy, &ctx).unwrap();
         let plain = run_pipeline_instrumented(&space, &w, &platform, strategy, &cfg).unwrap();
         // Observation never perturbs the record set.
         let set = |r: &[ExploredRecord]| {
@@ -1066,19 +1044,12 @@ mod tests {
         let cfg = PipelineConfig::quick();
         let dir = std::env::temp_dir().join(format!("dr-pipe-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tracer = Tracer::disabled();
         let run_with = |store: Option<Arc<dr_store::ResultStore>>| {
-            run_pipeline_stored(
-                &space,
-                &w,
-                &platform,
-                Strategy::Exhaustive,
-                &cfg,
-                &tracer,
-                None,
+            let ctx = RunCtx {
                 store,
-            )
-            .unwrap()
+                ..RunCtx::new(cfg)
+            };
+            run_pipeline_stored(&space, &w, &platform, Strategy::Exhaustive, &ctx).unwrap()
         };
         let plain = run_with(None);
         let cold_store = Arc::new(dr_store::ResultStore::open(&dir).unwrap());

@@ -7,7 +7,7 @@
 //! human-readable text or as a single JSON object for downstream
 //! tooling.
 
-use crate::pipeline::PipelineResult;
+use crate::pipeline::{PipelineConfig, PipelineResult};
 use dr_mcts::{SearchTelemetry, TreeStats};
 use dr_obs::{json, Phases};
 use dr_sim::SimStats;
@@ -18,8 +18,8 @@ use std::sync::OnceLock;
 /// can be compared across machines and commits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Provenance {
-    /// Run identifier: the `DR_RUN_ID` environment variable when set,
-    /// otherwise a generated `run-<unix>-<nanos>-<pid>` value.
+    /// Run identifier: the caller's (the CLI resolves `DR_RUN_ID`), or a
+    /// generated `run-<unix>-<nanos>-<pid>` value.
     pub run_id: String,
     /// `git describe --always --dirty` of the working tree (`unknown`
     /// when git or the repository is unavailable).
@@ -29,24 +29,21 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// Captures the current run's identity. The git description is
-    /// resolved once per process (it forks `git`); the run id is read
-    /// fresh so tests can scope `DR_RUN_ID` per run.
-    pub fn capture() -> Self {
+    /// Captures the current run's identity under `run_id`, generating one
+    /// when `None`. The git description is resolved once per process (it
+    /// forks `git`).
+    pub fn capture(run_id: Option<&str>) -> Self {
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .unwrap_or_default();
         let created_unix = now.as_secs();
-        let run_id = std::env::var("DR_RUN_ID")
-            .ok()
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| {
-                format!(
-                    "run-{created_unix}-{}-{}",
-                    now.subsec_nanos(),
-                    std::process::id()
-                )
-            });
+        let run_id = run_id.map(str::to_string).unwrap_or_else(|| {
+            format!(
+                "run-{created_unix}-{}-{}",
+                now.subsec_nanos(),
+                std::process::id()
+            )
+        });
         Provenance {
             run_id,
             git: git_describe(),
@@ -281,6 +278,8 @@ pub struct MiningSummary {
 pub struct RunReport {
     /// Identity of the run (run id, git description, capture time).
     pub provenance: Provenance,
+    /// The resolved configuration the run executed under.
+    pub config: PipelineConfig,
     /// Wall-clock seconds per pipeline phase.
     pub phases: Phases,
     /// Simulator statistics summed across every benchmark sample of the
@@ -304,9 +303,11 @@ impl RunReport {
         sim: Option<SimStats>,
         search: SearchSummary,
         result: &PipelineResult,
+        config: &PipelineConfig,
     ) -> Self {
         RunReport {
-            provenance: Provenance::capture(),
+            provenance: Provenance::capture(None),
+            config: *config,
             phases,
             sim,
             search,
@@ -320,11 +321,33 @@ impl RunReport {
         }
     }
 
+    /// The run's configuration block (also a ledger entry's `config`):
+    /// whether lint and fault injection engaged, then the resolved
+    /// settings that can change the run.
+    pub fn config_json(&self) -> String {
+        let c = &self.config;
+        format!(
+            "{{\"lint\":{},\"faults_active\":{},\"threads\":{},\"faults\":\"{}\",\
+             \"retry\":{{\"max_retries\":{},\"backoff_base_ms\":{},\"backoff_cap_ms\":{}}},\
+             \"events_rate\":{},\"heartbeat_ms\":{}}}",
+            self.lint.is_some(),
+            self.resilience.is_some(),
+            c.threads.max(1),
+            json::escape(&c.faults.to_string()),
+            c.retry.max_retries,
+            c.retry.backoff_base_ms,
+            c.retry.backoff_cap_ms(),
+            c.events_rate,
+            c.heartbeat_ms
+        )
+    }
+
     /// Renders the report as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"provenance\":{},\"phases\":{},\"sim\":{},\"search\":{},\"mining\":{{\"num_classes\":{},\"tree_error\":{},\"num_rulesets\":{}}},\"lint\":{},\"resilience\":{}}}",
+            "{{\"provenance\":{},\"config\":{},\"phases\":{},\"sim\":{},\"search\":{},\"mining\":{{\"num_classes\":{},\"tree_error\":{},\"num_rulesets\":{}}},\"lint\":{},\"resilience\":{}}}",
             self.provenance.to_json(),
+            self.config_json(),
             self.phases.to_json(),
             self.sim.as_ref().map_or("null".to_string(), |s| s.to_json()),
             self.search.to_json(),
@@ -461,8 +484,9 @@ mod tests {
 
     #[test]
     fn provenance_is_valid_json_with_a_run_id() {
-        let p = Provenance::capture();
+        let p = Provenance::capture(None);
         assert!(!p.run_id.is_empty());
+        assert_eq!(Provenance::capture(Some("ci-7")).run_id, "ci-7");
         assert!(!p.git.is_empty());
         let js = p.to_json();
         json::validate(&js).expect("provenance JSON validates");

@@ -7,7 +7,7 @@
 //! derives a [`FaultPlan`] from a pure function of the evaluation seed
 //! and the attempt number, runs the benchmark under a watchdog budget,
 //! and absorbs fault-induced deadlocks, budget kills, and panics by
-//! retrying with a reseeded plan. Only after [`DEFAULT_MAX_RETRIES`]
+//! retrying with a reseeded plan. Only after the [`RetrySchedule`]'s
 //! extra attempts does the error propagate — at which point the
 //! exploration layer quarantines the traversal rather than aborting the
 //! run. Every decision is a pure function of `(traversal, fault config,
@@ -82,36 +82,36 @@ pub fn backoff_delay_ms(base_ms: u64, cap_ms: u64, attempt: usize, eval_seed: u6
     half + splitmix(retry_seed(eval_seed, attempt)) % (exp - half + 1)
 }
 
-/// Retry knobs from the environment: `DR_RETRY_MAX` overrides the
-/// bounded retry budget (extra attempts after the first failure),
-/// `DR_RETRY_BACKOFF_MS` the backoff base, and
-/// `DR_RETRY_BACKOFF_CAP_MS` the ceiling (defaulting to the larger of
-/// the base and [`DEFAULT_BACKOFF_CAP_MS`], so raising the base alone
-/// still takes effect). Unset or unparseable variables fall back to the
-/// compiled defaults. Shard workers honor these, which gives chaos
-/// tests a wall-clock lever: injected drops plus a large retry budget
-/// and slow backoff turn one worker into a genuine straggler.
-pub fn retry_knobs_from_env() -> (usize, u64, u64) {
-    parse_retry_knobs(
-        std::env::var("DR_RETRY_MAX").ok(),
-        std::env::var("DR_RETRY_BACKOFF_MS").ok(),
-        std::env::var("DR_RETRY_BACKOFF_CAP_MS").ok(),
-    )
+/// The retry schedule of a fault-injected run: how many reseeded
+/// attempts follow a failed evaluation, and the backoff before each.
+/// A large budget with a slow backoff is a chaos test's wall-clock
+/// lever: injected drops then turn one shard worker into a genuine
+/// straggler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetrySchedule {
+    /// Extra attempts after the first failure.
+    pub max_retries: usize,
+    /// First-retry backoff delay in milliseconds (`0` disables delays
+    /// while keeping the retry semantics).
+    pub backoff_base_ms: u64,
 }
 
-fn parse_retry_knobs(
-    max: Option<String>,
-    base: Option<String>,
-    cap: Option<String>,
-) -> (usize, u64, u64) {
-    let parse_u64 =
-        |v: Option<String>, dflt: u64| v.and_then(|s| s.trim().parse::<u64>().ok()).unwrap_or(dflt);
-    let max_retries = max
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_MAX_RETRIES);
-    let base_ms = parse_u64(base, DEFAULT_BACKOFF_BASE_MS);
-    let cap_ms = parse_u64(cap, DEFAULT_BACKOFF_CAP_MS.max(base_ms));
-    (max_retries, base_ms, cap_ms)
+impl Default for RetrySchedule {
+    fn default() -> Self {
+        RetrySchedule {
+            max_retries: DEFAULT_MAX_RETRIES,
+            backoff_base_ms: DEFAULT_BACKOFF_BASE_MS,
+        }
+    }
+}
+
+impl RetrySchedule {
+    /// The backoff ceiling: the larger of the base and
+    /// [`DEFAULT_BACKOFF_CAP_MS`], so raising the base alone still takes
+    /// effect.
+    pub fn backoff_cap_ms(&self) -> u64 {
+        self.backoff_base_ms.max(DEFAULT_BACKOFF_CAP_MS)
+    }
 }
 
 /// Thread-safe resilience counters shared by every exploration worker.
@@ -160,16 +160,15 @@ pub struct ResilientEvaluator<'a, W: Workload> {
     platform: &'a Platform,
     bench: BenchConfig,
     faults: FaultConfig,
-    max_retries: usize,
-    backoff_base_ms: u64,
-    backoff_cap_ms: u64,
+    retry: RetrySchedule,
     totals: Arc<ResilienceTotals>,
     stats: SimStats,
 }
 
 impl<'a, W: Workload> ResilientEvaluator<'a, W> {
     /// Creates an evaluator injecting `faults` into every measurement,
-    /// accumulating counters into the shared `totals`.
+    /// retrying under the default [`RetrySchedule`] and accumulating
+    /// counters into the shared `totals`.
     pub fn new(
         space: &'a DecisionSpace,
         workload: &'a W,
@@ -184,26 +183,15 @@ impl<'a, W: Workload> ResilientEvaluator<'a, W> {
             platform,
             bench,
             faults,
-            max_retries: DEFAULT_MAX_RETRIES,
-            backoff_base_ms: DEFAULT_BACKOFF_BASE_MS,
-            backoff_cap_ms: DEFAULT_BACKOFF_CAP_MS,
+            retry: RetrySchedule::default(),
             totals,
             stats: SimStats::default(),
         }
     }
 
-    /// Overrides the bounded-retry budget (extra attempts after the
-    /// first failure; [`DEFAULT_MAX_RETRIES`] by default).
-    pub fn with_max_retries(mut self, max_retries: usize) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Overrides the retry backoff schedule (`base_ms = 0` disables
-    /// delays entirely while keeping the retry semantics).
-    pub fn with_backoff(mut self, base_ms: u64, cap_ms: u64) -> Self {
-        self.backoff_base_ms = base_ms;
-        self.backoff_cap_ms = cap_ms;
+    /// Overrides the retry schedule.
+    pub fn with_retry(mut self, retry: RetrySchedule) -> Self {
+        self.retry = retry;
         self
     }
 
@@ -219,15 +207,19 @@ impl<W: Workload> Evaluator for ResilientEvaluator<'_, W> {
         let schedule = build_schedule(self.space, t);
         let prog = CompiledProgram::compile(&schedule, self.workload)?;
         let mut last: Option<SimError> = None;
-        for attempt in 0..=self.max_retries {
+        for attempt in 0..=self.retry.max_retries {
             ResilienceTotals::add(&self.totals.evaluations, 1);
             if attempt > 0 {
                 ResilienceTotals::add(&self.totals.retries, 1);
                 // Capped exponential backoff with seed-derived jitter:
                 // the delay is a pure function of (seed, attempt), so
                 // the reported totals are deterministic too.
-                let delay =
-                    backoff_delay_ms(self.backoff_base_ms, self.backoff_cap_ms, attempt, seed);
+                let delay = backoff_delay_ms(
+                    self.retry.backoff_base_ms,
+                    self.retry.backoff_cap_ms(),
+                    attempt,
+                    seed,
+                );
                 if delay > 0 {
                     ResilienceTotals::add(&self.totals.retry_delay_ms, delay);
                     std::thread::sleep(std::time::Duration::from_millis(delay));
@@ -278,41 +270,20 @@ impl<W: Workload> Evaluator for ResilientEvaluator<'_, W> {
 #[derive(Debug)]
 pub(crate) struct Chaos {
     faults: FaultConfig,
-    /// `(max_retries, backoff_base_ms, backoff_cap_ms)`.
-    retry: (usize, u64, u64),
+    retry: RetrySchedule,
     /// Shared resilience counters for the run report.
     pub totals: Arc<ResilienceTotals>,
 }
 
 impl Chaos {
-    /// The compiled-default retry schedule.
-    pub const DEFAULT_RETRY: (usize, u64, u64) = (
-        DEFAULT_MAX_RETRIES,
-        DEFAULT_BACKOFF_BASE_MS,
-        DEFAULT_BACKOFF_CAP_MS,
-    );
-
-    /// Resolves a run's fault injection: an active `configured` config
-    /// wins, otherwise the `DR_FAULTS` environment variable is consulted.
-    /// `None` when neither is active (a clean run).
-    pub fn resolve(
-        configured: FaultConfig,
-        retry: (usize, u64, u64),
-    ) -> Result<Option<Chaos>, SimError> {
-        let faults = if configured.is_active() {
-            configured
-        } else {
-            FaultConfig::from_env()
-                .map_err(|msg| SimError::Faulted {
-                    detail: format!("invalid DR_FAULTS: {msg}"),
-                })?
-                .unwrap_or_else(FaultConfig::clean)
-        };
-        Ok(faults.is_active().then(|| Chaos {
+    /// A run's fault injection: `None` when `faults` is inactive (a clean
+    /// run).
+    pub fn new(faults: FaultConfig, retry: RetrySchedule) -> Option<Chaos> {
+        faults.is_active().then(|| Chaos {
             faults,
             retry,
             totals: Arc::new(ResilienceTotals::default()),
-        }))
+        })
     }
 }
 
@@ -334,21 +305,17 @@ impl<'a, W: Workload> Measure<'a, W> {
         chaos: Option<&Chaos>,
     ) -> Self {
         match chaos {
-            Some(c) => {
-                let (max_retries, base_ms, cap_ms) = c.retry;
-                Measure::Resilient(
-                    ResilientEvaluator::new(
-                        space,
-                        workload,
-                        platform,
-                        bench,
-                        c.faults,
-                        c.totals.clone(),
-                    )
-                    .with_max_retries(max_retries)
-                    .with_backoff(base_ms, cap_ms),
+            Some(c) => Measure::Resilient(
+                ResilientEvaluator::new(
+                    space,
+                    workload,
+                    platform,
+                    bench,
+                    c.faults,
+                    c.totals.clone(),
                 )
-            }
+                .with_retry(c.retry),
+            ),
             None => Measure::Sim(SimEvaluator::new(space, workload, platform, bench)),
         }
     }
@@ -443,8 +410,7 @@ mod tests {
                 BenchConfig::quick(),
                 FaultConfig::light(),
                 totals.clone(),
-            )
-            .with_backoff(1, 25);
+            );
             let _ = eval.evaluate(&t, eval_seed(3, &t));
             totals.summary()
         };
@@ -537,31 +503,17 @@ mod tests {
         assert_eq!(s.retries as usize, DEFAULT_MAX_RETRIES);
         assert_eq!(s.budget_kills as usize, 1 + DEFAULT_MAX_RETRIES);
     }
+
     #[test]
-    fn retry_knobs_parse_with_defaults_and_cap_tracking() {
-        let some = |s: &str| Some(s.to_string());
+    fn retry_cap_tracks_a_raised_base() {
         assert_eq!(
-            parse_retry_knobs(None, None, None),
-            (
-                DEFAULT_MAX_RETRIES,
-                DEFAULT_BACKOFF_BASE_MS,
-                DEFAULT_BACKOFF_CAP_MS
-            )
+            RetrySchedule::default().backoff_cap_ms(),
+            DEFAULT_BACKOFF_CAP_MS
         );
-        assert_eq!(
-            parse_retry_knobs(some("10"), some("50"), some("200")),
-            (10, 50, 200)
-        );
-        // Raising the base alone lifts the default cap with it.
-        assert_eq!(parse_retry_knobs(None, some("100"), None).2, 100);
-        // Garbage falls back to defaults instead of failing the run.
-        assert_eq!(
-            parse_retry_knobs(some("lots"), some(""), None),
-            (
-                DEFAULT_MAX_RETRIES,
-                DEFAULT_BACKOFF_BASE_MS,
-                DEFAULT_BACKOFF_CAP_MS
-            )
-        );
+        let slow = RetrySchedule {
+            max_retries: 4,
+            backoff_base_ms: 100,
+        };
+        assert_eq!(slow.backoff_cap_ms(), 100);
     }
 }

@@ -36,7 +36,7 @@
 
 use crate::explore::{random_rollouts, Strategy, EXHAUSTIVE_MASTER_SEED};
 use crate::ledger::records_fingerprint;
-use crate::pipeline::{PipelineConfig, StackParts};
+use crate::pipeline::{RunCtx, StackParts};
 use crate::resilient::Chaos;
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{shard_root_seed, Evaluator, ExploredRecord, Mcts, MctsConfig};
@@ -45,7 +45,6 @@ use dr_obs::{json, Stopwatch};
 use dr_par::split_budget;
 use dr_sim::{SimError, Workload};
 use dr_store::{ResultStore, StoreStats};
-use dr_trace::Tracer;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -272,18 +271,12 @@ fn work_master_seed(strategy: Strategy) -> u64 {
     }
 }
 
-/// Heartbeat cadence in milliseconds (`DR_HEARTBEAT_MS`, default 200,
-/// minimum 10). Shard workers emit a `heartbeat` event on their
-/// `dr-events/v1` stream at least this often while evaluating, and the
-/// swarm coordinator declares a worker stalled when its stream goes
-/// quiet for much longer than this.
-pub fn heartbeat_interval_ms() -> u64 {
-    std::env::var("DR_HEARTBEAT_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(200)
-        .max(10)
-}
+/// Default heartbeat cadence in milliseconds
+/// ([`PipelineConfig::heartbeat_ms`](crate::PipelineConfig)). Shard
+/// workers emit a `heartbeat` event on their `dr-events/v1` stream at
+/// least this often while evaluating, and the swarm coordinator declares
+/// a worker stalled when its stream goes quiet for much longer than this.
+pub(crate) const DEFAULT_HEARTBEAT_MS: u64 = 200;
 
 /// Time-gated heartbeat emitter over a shard's event stream. Each beat
 /// is flushed immediately — a heartbeat that sits in a buffer while the
@@ -296,12 +289,12 @@ struct Heartbeat<'a> {
 }
 
 impl<'a> Heartbeat<'a> {
-    fn new(sink: Option<&'a EventSink>, spec: ShardSpec) -> Self {
+    fn new(sink: Option<&'a EventSink>, spec: ShardSpec, interval_ms: u64) -> Self {
         Heartbeat {
             sink,
             spec,
             last: std::time::Instant::now(),
-            interval: std::time::Duration::from_millis(heartbeat_interval_ms()),
+            interval: std::time::Duration::from_millis(interval_ms),
         }
     }
 
@@ -345,31 +338,42 @@ fn store_io_err(e: std::io::Error) -> SimError {
     }
 }
 
-/// Runs one shard to completion: opens (or resumes) its durable store,
-/// evaluates exactly its deterministic share of the strategy — answering
-/// already-committed traversals from disk — compacts the store (the
-/// atomic-rotation path), and atomically publishes the manifest. The
-/// `scenario` string only labels the manifest; all determinism flows
-/// from `space`/`strategy`.
-#[allow(clippy::too_many_arguments)]
+/// Where one shard runs: its coordinates, the shard-set directory it
+/// publishes under, and the scenario name its manifest records.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardTarget<'a> {
+    /// Labels the manifest; all determinism flows from the space and
+    /// the strategy.
+    pub scenario: &'a str,
+    /// This shard's coordinates.
+    pub spec: ShardSpec,
+    /// The shard-set directory: the shard's store and manifest live
+    /// under it, where [`merge_shards`] reads them back.
+    pub root: &'a Path,
+}
+
+/// Runs one shard to completion: opens (or resumes) its durable store
+/// under `target.root`, evaluates exactly its deterministic share of the
+/// strategy — answering already-committed traversals from disk —
+/// compacts the store (the atomic-rotation path), and atomically
+/// publishes the manifest. Heartbeats and the completion event go to
+/// `ctx.events`. `ctx.store` is unused: a shard's store location is
+/// fixed by its target, so that [`merge_shards`] finds it.
 pub fn run_shard<W: Workload + Sync>(
-    scenario: &str,
     space: &DecisionSpace,
     workload: &W,
     platform: &dr_sim::Platform,
     strategy: Strategy,
-    spec: ShardSpec,
-    cfg: &PipelineConfig,
-    store_root: &Path,
-    events: Option<&EventSink>,
+    target: &ShardTarget<'_>,
+    ctx: &RunCtx,
 ) -> Result<ShardRunOutcome, SimError> {
     let sw = Stopwatch::start();
-    let events = events.filter(|s| s.is_enabled());
+    let cfg = &ctx.cfg;
+    let spec = target.spec;
+    let events = ctx.live_events();
     let store =
-        Arc::new(ResultStore::open(&shard_store_dir(store_root, spec)).map_err(store_io_err)?);
-    // DR_RETRY_* knobs let a coordinator (or a chaos test) stretch one
-    // worker's retry schedule without recompiling.
-    let chaos = Chaos::resolve(cfg.faults, crate::resilient::retry_knobs_from_env())?;
+        Arc::new(ResultStore::open(&shard_store_dir(target.root, spec)).map_err(store_io_err)?);
+    let chaos = Chaos::new(cfg.faults, cfg.retry);
     let resilient = chaos.is_some();
     let parts = StackParts {
         space,
@@ -381,8 +385,8 @@ pub fn run_shard<W: Workload + Sync>(
         store: Some(store.clone()),
         watch: None,
     };
-    let mut eval = parts.build(Tracer::disabled().lane("shard"));
-    let mut beat = Heartbeat::new(events, spec);
+    let mut eval = parts.build(ctx.tracer.lane("shard"));
+    let mut beat = Heartbeat::new(events, spec, cfg.heartbeat_ms);
     let mut failures = 0u64;
     let records = match strategy {
         Strategy::Mcts { iterations, config } => {
@@ -447,7 +451,7 @@ pub fn run_shard<W: Workload + Sync>(
     store.compact().map_err(store_io_err)?;
     let (strategy_name, seed, iterations) = strategy_identity(&strategy);
     let manifest = ShardManifest {
-        scenario: scenario.to_string(),
+        scenario: target.scenario.to_string(),
         strategy: strategy_name.to_string(),
         seed,
         iterations,
@@ -459,7 +463,7 @@ pub fn run_shard<W: Workload + Sync>(
         store: store.stats(),
         seconds: sw.elapsed(),
     };
-    let manifest_path = shard_manifest_path(store_root, spec);
+    let manifest_path = shard_manifest_path(target.root, spec);
     write_atomic(&manifest_path, manifest.to_json().as_bytes()).map_err(store_io_err)?;
     if let Some(sink) = events {
         sink.emit(
@@ -757,6 +761,19 @@ mod tests {
         (space, w, platform)
     }
 
+    /// Runs shard `index/count` of `strategy` over the shared setup
+    /// into `root`.
+    fn shard(root: &Path, strategy: Strategy, index: usize, count: usize) -> ShardRunOutcome {
+        let (space, w, platform) = setup();
+        let target = ShardTarget {
+            scenario: "test",
+            spec: ShardSpec { index, count },
+            root,
+        };
+        let ctx = RunCtx::new(crate::PipelineConfig::quick());
+        run_shard(&space, &w, &platform, strategy, &target, &ctx).unwrap()
+    }
+
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dr-shard-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -829,41 +846,18 @@ mod tests {
 
     #[test]
     fn sharded_run_merges_bit_identical_to_the_single_shard_run() {
-        let (space, w, platform) = setup();
-        let cfg = PipelineConfig::quick();
+        let (space, _, _) = setup();
         let strategy = Strategy::Random {
             iterations: 30,
             seed: 4,
         };
         // Unsharded reference: one shard covering everything.
         let ref_dir = scratch("merge-ref");
-        let reference = run_shard(
-            "test",
-            &space,
-            &w,
-            &platform,
-            strategy,
-            ShardSpec { index: 0, count: 1 },
-            &cfg,
-            &ref_dir,
-            None,
-        )
-        .unwrap();
+        let reference = shard(&ref_dir, strategy, 0, 1);
         // Three shards, run in arbitrary order, then merged.
         let dir = scratch("merge-3");
         for index in [2usize, 0, 1] {
-            run_shard(
-                "test",
-                &space,
-                &w,
-                &platform,
-                strategy,
-                ShardSpec { index, count: 3 },
-                &cfg,
-                &dir,
-                None,
-            )
-            .unwrap();
+            shard(&dir, strategy, index, 3);
         }
         let merged = merge_shards(&dir, "test", &space, strategy).unwrap();
         assert_eq!(merged.shards, 3);
@@ -879,22 +873,14 @@ mod tests {
 
     #[test]
     fn rerun_answers_from_the_store_and_merge_detects_gaps() {
-        let (space, w, platform) = setup();
-        let cfg = PipelineConfig::quick();
+        let (space, _, _) = setup();
         let strategy = Strategy::Exhaustive;
         let dir = scratch("resume");
-        let spec = ShardSpec { index: 0, count: 2 };
-        let cold = run_shard(
-            "test", &space, &w, &platform, strategy, spec, &cfg, &dir, None,
-        )
-        .unwrap();
+        let cold = shard(&dir, strategy, 0, 2);
         assert_eq!(cold.manifest.store.hits, 0);
         assert!(cold.manifest.store.appended > 0);
         // Re-running the same shard simulates nothing.
-        let warm = run_shard(
-            "test", &space, &w, &platform, strategy, spec, &cfg, &dir, None,
-        )
-        .unwrap();
+        let warm = shard(&dir, strategy, 0, 2);
         assert_eq!(warm.manifest.fingerprint, cold.manifest.fingerprint);
         assert_eq!(warm.manifest.store.appended, 0);
         assert_eq!(warm.manifest.store.hits as usize, warm.records.len());
@@ -906,26 +892,14 @@ mod tests {
 
     #[test]
     fn merge_rejects_identity_mismatches() {
-        let (space, w, platform) = setup();
-        let cfg = PipelineConfig::quick();
+        let (space, _, _) = setup();
         let strategy = Strategy::Random {
             iterations: 20,
             seed: 1,
         };
         let dir = scratch("identity");
         for index in 0..2 {
-            run_shard(
-                "test",
-                &space,
-                &w,
-                &platform,
-                strategy,
-                ShardSpec { index, count: 2 },
-                &cfg,
-                &dir,
-                None,
-            )
-            .unwrap();
+            shard(&dir, strategy, index, 2);
         }
         // Wrong seed.
         let err = merge_shards(
@@ -947,23 +921,11 @@ mod tests {
 
     #[test]
     fn merge_detects_torn_then_incomplete_stores() {
-        let (space, w, platform) = setup();
-        let cfg = PipelineConfig::quick();
+        let (space, _, _) = setup();
         let strategy = Strategy::Exhaustive;
         let dir = scratch("torn");
         for index in 0..2 {
-            run_shard(
-                "test",
-                &space,
-                &w,
-                &platform,
-                strategy,
-                ShardSpec { index, count: 2 },
-                &cfg,
-                &dir,
-                None,
-            )
-            .unwrap();
+            shard(&dir, strategy, index, 2);
         }
         // Tear the tail off shard 1's segment: recovery drops its final
         // record, so the merge reports the shard as incomplete.
@@ -977,44 +939,21 @@ mod tests {
         assert!(err.contains("incomplete"), "{err}");
         // Resuming the shard repairs it (only the torn record re-runs),
         // and the merge then succeeds.
-        let resumed = run_shard(
-            "test",
-            &space,
-            &w,
-            &platform,
-            strategy,
-            ShardSpec { index: 1, count: 2 },
-            &cfg,
-            &dir,
-            None,
-        )
-        .unwrap();
+        let resumed = shard(&dir, strategy, 1, 2);
         assert!(resumed.manifest.store.hits > 0, "resume reuses the store");
         assert_eq!(
             resumed.manifest.store.appended, 1,
             "only the torn record re-ran"
         );
         let merged = merge_shards(&dir, "test", &space, strategy).unwrap();
-        let full = run_shard(
-            "test",
-            &space,
-            &w,
-            &platform,
-            strategy,
-            ShardSpec { index: 0, count: 1 },
-            &cfg,
-            &scratch("torn-ref"),
-            None,
-        )
-        .unwrap();
+        let full = shard(&scratch("torn-ref"), strategy, 0, 1);
         assert_eq!(merged.fingerprint, full.manifest.fingerprint);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mcts_shards_merge_deterministically() {
-        let (space, w, platform) = setup();
-        let cfg = PipelineConfig::quick();
+        let (space, _, _) = setup();
         let strategy = Strategy::Mcts {
             iterations: 24,
             config: MctsConfig::default(),
@@ -1023,18 +962,7 @@ mod tests {
         let dir_b = scratch("mcts-b");
         for dir in [&dir_a, &dir_b] {
             for index in 0..2 {
-                run_shard(
-                    "test",
-                    &space,
-                    &w,
-                    &platform,
-                    strategy,
-                    ShardSpec { index, count: 2 },
-                    &cfg,
-                    dir,
-                    None,
-                )
-                .unwrap();
+                shard(dir, strategy, index, 2);
             }
         }
         let a = merge_shards(&dir_a, "test", &space, strategy).unwrap();

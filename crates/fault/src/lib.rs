@@ -176,17 +176,6 @@ impl FaultConfig {
         self
     }
 
-    /// Reads the `DR_FAULTS` environment variable. Unset or empty means
-    /// no configuration (`None`); otherwise the value is parsed with
-    /// [`FaultConfig::parse`], and a malformed value reports its error.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var("DR_FAULTS") {
-            Ok(v) if v.trim().is_empty() => Ok(None),
-            Ok(v) => FaultConfig::parse(&v).map(Some),
-            Err(_) => Ok(None),
-        }
-    }
-
     /// Parses a fault spec: a preset name (`clean`, `light`, `heavy`,
     /// `drops`), `key=value` overrides, or both, comma-separated — e.g.
     /// `"heavy,seed=7"` or `"drop_prob=0.3,delay_prob=0.1"`. Overrides
@@ -221,18 +210,11 @@ impl FaultConfig {
                     if !num.is_finite() || num < 0.0 {
                         return Err(format!("fault value for {key} must be finite and >= 0"));
                     }
-                    match key {
-                        "straggler_prob" => cfg.straggler_prob = num,
-                        "straggler_factor" => cfg.straggler_factor = num,
-                        "delay_prob" => cfg.delay_prob = num,
-                        "delay_seconds" => cfg.delay_seconds = num,
-                        "drop_prob" => cfg.drop_prob = num,
-                        "spike_prob" => cfg.spike_prob = num,
-                        "spike_factor" => cfg.spike_factor = num,
-                        "outlier_prob" => cfg.outlier_prob = num,
-                        "outlier_factor" => cfg.outlier_factor = num,
-                        _ => return Err(format!("unknown fault key {key:?}")),
-                    }
+                    let (_, field) = FIELDS
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .ok_or_else(|| format!("unknown fault key {key:?}"))?;
+                    *field(&mut cfg) = num;
                 }
             }
         }
@@ -381,6 +363,45 @@ impl FaultCounters {
     }
 }
 
+/// A [`FaultConfig`] rate or magnitude, by its spec key.
+type Field = fn(&mut FaultConfig) -> &mut f64;
+
+/// Every rate and magnitude by spec key ([`FaultConfig::parse`]).
+const FIELDS: [(&str, Field); 9] = [
+    ("straggler_prob", |c| &mut c.straggler_prob),
+    ("straggler_factor", |c| &mut c.straggler_factor),
+    ("delay_prob", |c| &mut c.delay_prob),
+    ("delay_seconds", |c| &mut c.delay_seconds),
+    ("drop_prob", |c| &mut c.drop_prob),
+    ("spike_prob", |c| &mut c.spike_prob),
+    ("spike_factor", |c| &mut c.spike_factor),
+    ("outlier_prob", |c| &mut c.outlier_prob),
+    ("outlier_factor", |c| &mut c.outlier_factor),
+];
+
+/// Renders the config as a spec [`FaultConfig::parse`] reads back:
+/// `clean`, or the `key=value` overrides of the clean preset.
+impl fmt::Display for FaultConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (mut this, mut clean) = (*self, FaultConfig::clean());
+        let mut parts: Vec<String> = FIELDS
+            .iter()
+            .filter_map(|(k, field)| {
+                let v = *field(&mut this);
+                (v != *field(&mut clean)).then(|| format!("{k}={v}"))
+            })
+            .collect();
+        if self.seed != 0 {
+            parts.push(format!("seed={}", self.seed));
+        }
+        if parts.is_empty() {
+            f.write_str("clean")
+        } else {
+            f.write_str(&parts.join(","))
+        }
+    }
+}
+
 impl fmt::Display for FaultCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -481,6 +502,23 @@ mod tests {
         assert!(FaultConfig::parse("drop_prob=minus").is_err());
         assert!(FaultConfig::parse("drop_prob=-1").is_err());
         assert!(FaultConfig::parse("drop_prob=inf").is_err());
+    }
+
+    #[test]
+    fn display_round_trips_through_parse() {
+        assert_eq!(FaultConfig::clean().to_string(), "clean");
+        assert_eq!(
+            FaultConfig::light().to_string(),
+            "outlier_prob=0.02,outlier_factor=10"
+        );
+        for cfg in [
+            FaultConfig::clean(),
+            FaultConfig::light(),
+            FaultConfig::heavy().with_seed(11),
+            FaultConfig::drops().with_seed(u64::MAX),
+        ] {
+            assert_eq!(FaultConfig::parse(&cfg.to_string()).unwrap(), cfg);
+        }
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub use eval::{Evaluator, SimEvaluator};
 pub use random::{random_rollout, random_search, random_search_telemetry, shard_root_seed};
 pub use telemetry::{SearchTelemetry, TelemetryRow};
 pub use tree::{
-    Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PrincipalVariation, PruneHook,
-    TreeSnapshot, TreeStats,
+    Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PrincipalVariation, TreeSnapshot,
+    TreeStats,
 };

@@ -43,8 +43,7 @@
 
 use crate::telemetry::{SearchTelemetry, TelemetryRow};
 use crate::tree::{
-    Exploitation, ExploredRecord, MctsConfig, NodeStat, PrincipalVariation, PruneHook,
-    TreeSnapshot, TreeStats,
+    Exploitation, ExploredRecord, MctsConfig, NodeStat, PrincipalVariation, TreeSnapshot, TreeStats,
 };
 use dr_dag::{eval_seed, DecisionSpace, Placement, Traversal};
 use dr_obs::events::EventSink;
@@ -148,7 +147,7 @@ pub(crate) struct Batch {
     /// Distinct traversals awaiting evaluation, in selection order.
     pub(crate) pending: Vec<PendingEval>,
     /// Total iterations this assembly consumed: those resolved inline
-    /// (cached repeats, quarantined regenerations, pruned descents) plus
+    /// (cached repeats, quarantined regenerations) plus
     /// one per rollout behind every pending entry.
     pub(crate) iterations: usize,
 }
@@ -182,10 +181,6 @@ pub(crate) struct Arena<'a> {
     trace: Option<(Lane, usize)>,
     /// Sampled per-iteration event emission: `(sink, every)`.
     events: Option<(EventSink, usize)>,
-    /// Static prefix filter.
-    prune: Option<PruneHook>,
-    /// Subtrees retired by the prune hook.
-    pruned: u64,
 }
 
 impl<'a> Arena<'a> {
@@ -206,8 +201,6 @@ impl<'a> Arena<'a> {
             max_depth: 0,
             trace: None,
             events: None,
-            prune: None,
-            pruned: 0,
         }
     }
 
@@ -217,14 +210,6 @@ impl<'a> Arena<'a> {
 
     pub(crate) fn set_events(&mut self, sink: EventSink, every: usize) {
         self.events = Some((sink, every.max(1)));
-    }
-
-    pub(crate) fn set_prune(&mut self, hook: PruneHook) {
-        self.prune = Some(hook);
-    }
-
-    pub(crate) fn pruned(&self) -> u64 {
-        self.pruned
     }
 
     pub(crate) fn records(&self) -> &[ExploredRecord] {
@@ -261,8 +246,8 @@ impl<'a> Arena<'a> {
 
     /// Assembles up to `width` distinct traversals for evaluation,
     /// consuming at most `budget` iterations. Rollouts that need no
-    /// evaluation (cached repeats, quarantined regenerations, pruned
-    /// descents) are resolved inline.
+    /// evaluation (cached repeats, quarantined regenerations) are resolved
+    /// inline.
     ///
     /// Every node on a pending path carries one virtual loss per rollout
     /// until [`Arena::commit`] releases it; the caller must commit the
@@ -283,11 +268,7 @@ impl<'a> Arena<'a> {
             self.iterations += 1;
             batch.iterations += 1;
             let iteration = self.iterations;
-            let Some((path, traversal, rollout_len)) = self.descend() else {
-                // Pruned descent: the subtree is already retired.
-                self.observe(iteration, "pruned");
-                continue;
-            };
+            let (path, traversal, rollout_len) = self.descend();
             let hash = traversal.canonical_hash();
 
             // Known-failed traversal: retire its subtree (no record, no
@@ -533,10 +514,8 @@ impl<'a> Arena<'a> {
     }
 
     /// One selection → expansion → rollout descent, applying one virtual
-    /// loss to every node on the returned path. Returns `None` when the
-    /// prune hook rejected the freshly-expanded prefix: the subtree is
-    /// then already retired and no virtual loss was applied.
-    fn descend(&mut self) -> Option<(Vec<NodeId>, Traversal, usize)> {
+    /// loss to every node on the returned path.
+    fn descend(&mut self) -> (Vec<NodeId>, Traversal, usize) {
         let mut prefix = self.space.empty_prefix();
         let mut path = vec![ROOT];
         let mut node = ROOT;
@@ -574,16 +553,6 @@ impl<'a> Arena<'a> {
             let pick = candidates[self.rng.gen_range(0..candidates.len())];
             node = self.get_or_create_child(node, pick, &mut prefix);
             path.push(node);
-            // Static prune: a rejected prefix dooms every completion;
-            // retire the subtree before the rollout and before any
-            // virtual loss is applied.
-            if let Some(hook) = &self.prune {
-                if hook(&prefix) {
-                    self.mark_fully_explored(&path);
-                    self.pruned += 1;
-                    return None;
-                }
-            }
         }
 
         // Rollout: randomly complete the prefix, materializing nodes so
@@ -603,7 +572,7 @@ impl<'a> Arena<'a> {
         let traversal = Traversal {
             steps: prefix.steps().to_vec(),
         };
-        Some((path, traversal, rollout_len))
+        (path, traversal, rollout_len)
     }
 
     /// The paper's explore/exploit rule over materialized children, with
@@ -700,7 +669,7 @@ impl<'a> Arena<'a> {
     }
 
     /// Bottom-up fully-explored propagation along a resolved root-to-leaf
-    /// (or pruned root-to-node) path: the path's last node is retired,
+    /// path: the path's last node is retired,
     /// and a parent is fully explored once all `num_actions` children
     /// exist and are fully explored.
     fn mark_fully_explored(&mut self, path: &[NodeId]) {
@@ -828,30 +797,6 @@ mod tests {
             .collect();
         set.sort_unstable();
         set
-    }
-
-    #[test]
-    fn prune_hook_retires_subtrees_before_any_evaluation() {
-        let space = small_space();
-        let mut tree = Arena::new(&space, MctsConfig::default());
-        tree.set_prune(std::sync::Arc::new(|_: &dr_dag::Prefix| true));
-        let batch = tree.select_batch(8, u64::MAX);
-        assert!(
-            batch.pending.is_empty(),
-            "nothing reaches evaluation under a prune-everything hook"
-        );
-        assert!(batch.iterations > 0, "pruned descents resolve inline");
-        assert!(tree.is_exhausted());
-        assert_eq!(
-            tree.pruned(),
-            space.eligible(&space.empty_prefix()).len() as u64,
-            "exactly one prune per root child"
-        );
-        assert!(tree.records().is_empty());
-        // No virtual loss may leak from the aborted descents.
-        for node in &tree.nodes {
-            assert_eq!(node.vl, 0);
-        }
     }
 
     #[test]

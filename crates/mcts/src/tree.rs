@@ -16,7 +16,7 @@
 use crate::eval::Evaluator;
 use crate::shared::{Arena, PendingEval};
 use crate::telemetry::{SearchTelemetry, TelemetryRow};
-use dr_dag::{DecisionSpace, Placement, Prefix, Traversal};
+use dr_dag::{DecisionSpace, Placement, Traversal};
 use dr_obs::events::EventSink;
 use dr_sim::{BenchResult, SimError};
 use dr_trace::Lane;
@@ -152,13 +152,6 @@ pub struct ExploredRecord {
     pub result: BenchResult,
 }
 
-/// A static prefix filter installed via [`Mcts::set_prune`]: return
-/// `true` when *every* completion of the prefix is provably worthless
-/// (e.g. statically deadlocked), and the search retires the subtree
-/// without spending a single evaluation in it. The hook owns its data
-/// (`'static`) and is `Send + Sync` so one closure serves every search.
-pub type PruneHook = std::sync::Arc<dyn Fn(&Prefix) -> bool + Send + Sync>;
-
 /// The Monte-Carlo tree search: the tree plus one evaluator per batch
 /// slot.
 pub struct Mcts<'a, E: Evaluator> {
@@ -209,21 +202,6 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
     /// Emission only reads search state, so it cannot perturb the search.
     pub fn set_events(&mut self, sink: EventSink, every: usize) {
         self.tree.set_events(sink, every);
-    }
-
-    /// Installs a static prune hook: when expansion materializes a new
-    /// child whose prefix the hook rejects, the child's subtree is
-    /// immediately marked fully explored — no rollout, no evaluation. The
-    /// hook must only reject prefixes whose *every* completion is
-    /// worthless (soundness is the caller's obligation; see `dr-lint`'s
-    /// `PrefixDeadlockOracle`).
-    pub fn set_prune(&mut self, hook: PruneHook) {
-        self.tree.set_prune(hook);
-    }
-
-    /// Subtrees retired by the prune hook so far.
-    pub fn pruned(&self) -> u64 {
-        self.tree.pruned()
     }
 
     /// All explored implementations, in discovery (commit) order.
@@ -278,7 +256,7 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
     }
 
     /// True when every traversal of the space has been benchmarked (or
-    /// quarantined, or pruned).
+    /// quarantined).
     pub fn is_exhausted(&self) -> bool {
         self.tree.is_exhausted()
     }
@@ -513,56 +491,6 @@ mod tests {
                 p90: t,
                 p99: t,
             },
-        }
-    }
-
-    #[test]
-    fn prune_everything_retires_the_root_without_evaluating() {
-        // A hook that condemns every prefix prunes each root child at its
-        // first expansion: the search exhausts with zero records and zero
-        // evaluator calls.
-        let space = small_space();
-        let calls = std::cell::Cell::new(0usize);
-        let eval = |t: &Traversal, _seed: u64| -> Result<BenchResult, SimError> {
-            calls.set(calls.get() + 1);
-            Ok(fake_result(1.0 + t.canonical_hash() as f64 * 1e-20))
-        };
-        let mut mcts = Mcts::new(&space, eval, MctsConfig::default());
-        mcts.set_prune(std::sync::Arc::new(|_: &Prefix| true));
-        let new = mcts.run(1_000).unwrap();
-        assert_eq!(new, 0, "no traversal survives a prune-everything hook");
-        assert!(mcts.is_exhausted());
-        assert_eq!(
-            mcts.pruned(),
-            space.eligible(&space.empty_prefix()).len() as u64,
-            "exactly one prune per root child"
-        );
-        assert!(mcts.records().is_empty());
-        assert_eq!(calls.get(), 0, "pruned subtrees are never evaluated");
-    }
-
-    #[test]
-    fn selective_prune_still_exhausts_the_remainder() {
-        let space = small_space();
-        let first = space.eligible(&space.empty_prefix())[0];
-        let eval = |t: &Traversal, _seed: u64| -> Result<BenchResult, SimError> {
-            Ok(fake_result(1.0 + t.canonical_hash() as f64 * 1e-20))
-        };
-        let mut mcts = Mcts::new(&space, eval, MctsConfig::default());
-        mcts.set_prune(std::sync::Arc::new(move |prefix: &Prefix| {
-            prefix.steps().first() == Some(&first)
-        }));
-        mcts.run(10_000).unwrap();
-        assert!(mcts.is_exhausted());
-        assert_eq!(mcts.pruned(), 1, "only the condemned opening is cut");
-        let total = space.count_traversals() as usize;
-        assert!(!mcts.records().is_empty());
-        assert!(
-            mcts.records().len() < total,
-            "the pruned subtree's traversals stay unexplored"
-        );
-        for r in mcts.records() {
-            assert_ne!(r.traversal.steps[0], first);
         }
     }
 

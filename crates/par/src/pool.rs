@@ -63,20 +63,6 @@ pub struct PoolConfig<'a> {
     pub observer: Option<&'a dyn PoolObserver>,
 }
 
-/// Resolves the worker count: an explicit request wins, then the
-/// `DR_THREADS` environment variable, then 1 (fully serial — the safe,
-/// reproducible-latency default; parallel results are identical anyway).
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    std::env::var("DR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Splits an iteration budget into `parts` per-worker budgets that sum to
 /// `total`, earlier workers taking the remainder (deterministic).
 pub fn split_budget(total: usize, parts: usize) -> Vec<usize> {
@@ -274,21 +260,6 @@ mod tests {
                 other => panic!("unexpected failure {other:?}"),
             })
             .collect()
-    }
-
-    #[test]
-    fn resolve_prefers_explicit_then_env_then_one() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(0)), 1);
-        // Env handling: this test owns the variable (no other test in
-        // this binary touches it) and restores the unset state.
-        std::env::set_var("DR_THREADS", "5");
-        assert_eq!(resolve_threads(None), 5);
-        assert_eq!(resolve_threads(Some(2)), 2, "explicit beats env");
-        std::env::set_var("DR_THREADS", "zero");
-        assert_eq!(resolve_threads(None), 1, "garbage env ignored");
-        std::env::remove_var("DR_THREADS");
-        assert_eq!(resolve_threads(None), 1);
     }
 
     #[test]

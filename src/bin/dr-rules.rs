@@ -8,7 +8,8 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match cuda_mpi_design_rules::cli::parse(&args) {
+    let env = cuda_mpi_design_rules::config::process_env();
+    let opts = match cuda_mpi_design_rules::cli::parse_env(&args, &env) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");

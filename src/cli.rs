@@ -2,21 +2,22 @@
 //! synthesize a rule-following implementation, or inspect timelines —
 //! without writing any Rust. Used by the `dr-rules` binary.
 
+use crate::config::{resolve, Env, Settings};
 use crate::dag::{build_schedule, DecisionSpace, Placement, Traversal};
 use crate::mcts::{Mcts, MctsConfig, SimEvaluator};
 use crate::ml::{render_ruleset, rulesets_for_class, RuleSet};
 use crate::obs::TextExposition;
 use crate::obs::{json, EventSink, Phases};
-use crate::par::{resolve_threads, CacheStats};
+use crate::par::CacheStats;
 use crate::pipeline::{
     append_entry, apply_fault_plan, certify_rulesets, compare_bench, compare_fleet,
-    compare_ledgers, diff_entries, find_entry, is_bench_file, is_fleet_file, ledger_dir_from_env,
-    ledger_entry_json, lint_space_watched, load_bench, load_fleet, load_ledger, merge_shards,
-    mine_rules, mine_rules_timed, records_telemetry, run_pipeline, run_pipeline_instrumented,
+    compare_ledgers, diff_entries, find_entry, is_bench_file, is_fleet_file, ledger_entry_json,
+    lint_space_watched, load_bench, load_fleet, load_ledger, merge_shards, mine_rules,
+    mine_rules_timed, records_telemetry, run_pipeline, run_pipeline_instrumented,
     run_pipeline_stored, run_shard, satisfies, select, show_entry, summary_line, synthesize,
     topology_from_workload, trend_lines, Certification, CompareOptions, InstrumentedRun,
-    LedgerContext, PipelineConfig, Provenance, ResilienceSummary, RunFilter, RunReport,
-    SearchSummary, ShardSpec, Strategy,
+    LedgerContext, PipelineConfig, Provenance, ResilienceSummary, RunCtx, RunFilter, RunReport,
+    SearchSummary, ShardSpec, ShardTarget, Strategy,
 };
 use crate::progress::ProgressRenderer;
 use crate::sim::{
@@ -129,8 +130,8 @@ pub struct CliOptions {
     pub seed: u64,
     /// Use the random-sampling baseline instead of MCTS.
     pub random: bool,
-    /// Exploration worker threads (`None` = honor `DR_THREADS`, else
-    /// serial).
+    /// Exploration worker threads from `--threads` (`None` defers to
+    /// `DR_THREADS` in [`CliOptions::settings`]).
     pub threads: Option<usize>,
     /// Write a JSON run report (phase timings, sim stats, summaries) here.
     pub report: Option<String>,
@@ -143,8 +144,8 @@ pub struct CliOptions {
     /// Write a merged Perfetto/Chrome trace (pipeline spans + the best
     /// implementation's simulated rank/stream timelines) here.
     pub trace: Option<String>,
-    /// Append a run-ledger entry to this directory (`None` = honor the
-    /// `DR_LEDGER` environment variable, else skip).
+    /// Ledger directory from `--ledger` (`None` defers to `DR_LEDGER` in
+    /// [`CliOptions::settings`]).
     pub ledger: Option<String>,
     /// `compare`: the two ledger paths (file or directory) to diff.
     pub compare: Option<(String, String)>,
@@ -182,10 +183,127 @@ pub struct CliOptions {
     /// `runs list`: keep only entries with this exact seed (set by an
     /// explicit `--seed`).
     pub seed_filter: Option<u64>,
+    /// The run's resolved configuration: the flags above over the `DR_*`
+    /// environment over the defaults.
+    pub settings: Settings,
 }
 
-/// Usage text printed on parse errors.
-pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
+/// A flag's raw value, parsed by its table row.
+struct Value<'a> {
+    flag: &'a str,
+    raw: &'a str,
+}
+
+impl Value<'_> {
+    fn number<T: std::str::FromStr>(&self) -> Result<T, String> {
+        self.raw
+            .parse()
+            .map_err(|_| format!("bad {} value {:?}", self.flag, self.raw))
+    }
+
+    fn at_least(&self, min: usize, why: &str) -> Result<usize, String> {
+        let n = self.number()?;
+        if n < min {
+            return Err(format!("{} must be at least {min}{why}", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// A `compare` gate knob. A NaN, infinite, or negative value would
+    /// make every noise band infinite or every comparison false,
+    /// silently disabling the gate, so only finite non-negative numbers
+    /// pass.
+    fn knob(&self) -> Result<f64, String> {
+        match self.raw.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            _ => Err(format!(
+                "bad {} value {:?}: expected a finite number >= 0",
+                self.flag, self.raw
+            )),
+        }
+    }
+
+    fn text(&self) -> Result<Option<String>, String> {
+        Ok(Some(self.raw.to_string()))
+    }
+}
+
+/// Stores a parsed flag value in its options field.
+fn put<T>(field: &mut T, value: Result<T, String>) -> Result<(), String> {
+    *field = value?;
+    Ok(())
+}
+
+/// One command-line flag: the flag with its value's placeholder as the
+/// usage shows them (`--seed N`; a switch has none), how the value lands
+/// in the options, and its help text.
+struct Flag {
+    usage: &'static str,
+    set: fn(&mut CliOptions, &Value) -> Result<(), String>,
+    help: &'static str,
+}
+
+/// Builds the flag table from `"usage" => setter, "help";` rows.
+macro_rules! flags {
+    ($($usage:literal => $set:expr, $help:literal;)*) => {
+        &[$(Flag { usage: $usage, set: $set, help: $help }),*]
+    };
+}
+
+/// Every flag, in the order the usage text lists them.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = flags! {
+    "--iterations N" => |o, v| put(&mut o.iterations, v.at_least(1, "")),
+        "exploration budget (default 300; at least 1)";
+    "--seed N" => |o, v| { o.seed = v.number()?; o.seed_filter = Some(o.seed); Ok(()) },
+        "master seed (default 0)";
+    "--random" => |o, _| put(&mut o.random, Ok(true)),
+        "uniform sampling instead of MCTS";
+    "--threads N" => |o, v| put(&mut o.threads, v.at_least(1, "").map(Some)),
+        "exploration worker threads (default: DR_THREADS, else 1); MCTS measures batches \
+         of up to N rollouts, steered apart by virtual loss";
+    "--report PATH" => |o, v| put(&mut o.report, v.text()),
+        "write a JSON run report (lint counters for lint)";
+    "--telemetry PATH" => |o, v| put(&mut o.telemetry, v.text()),
+        "write per-iteration search telemetry CSV";
+    "--max-schedules N" => |o, v| put(&mut o.max_schedules, v.number()),
+        "lint and verify-rules: stop after N schedules (0 = whole space; default 2048)";
+    "--plans N" => |o, v| put(&mut o.plans, v.at_least(2, " (plan 0 is the clean control)")),
+        "chaos: seeded fault plans to sweep (default 24, minimum 2)";
+    "--trace PATH" => |o, v| put(&mut o.trace, v.text()),
+        "write a merged Perfetto/Chrome trace: pipeline spans + the best implementation's \
+         simulated rank/stream timelines";
+    "--ledger DIR" => |o, v| put(&mut o.ledger, v.text()),
+        "append a run-ledger entry to DIR/ledger.jsonl (default: DR_LEDGER)";
+    "--threshold R" => |o, v| put(&mut o.threshold, v.knob()),
+        "compare: relative phase-time regression threshold (default 3.0)";
+    "--abs-floor-ms M" => |o, v| put(&mut o.abs_floor_ms, v.knob()),
+        "compare: absolute phase-time noise floor (default 25)";
+    "--noise-k K" => |o, v| put(&mut o.noise_k, v.knob()),
+        "compare: MAD noise-band multiplier (default 5)";
+    "--progress" => |o, _| put(&mut o.progress, Ok(true)),
+        "live progress line on stderr; repaints in place on a TTY, plain lines otherwise";
+    "--events PATH" => |o, v| put(&mut o.events, v.text()),
+        "stream structured dr-events/v1 NDJSON to PATH; joinable with the ledger via run id";
+    "--store DIR" => |o, v| put(&mut o.store, v.text()),
+        "durable result store: explore answers already-measured traversals from DIR and \
+         commits fresh measurements before returning them; crash-safe, checksummed, resumable";
+    "--shard i/N" => |o, v| { ShardSpec::parse(v.raw)?; put(&mut o.shard, v.text()) },
+        "run exactly shard i of N of the exploration serially; requires --store; publishes \
+         DIR/shard-i-of-N.manifest.json";
+    "--workers K" => |o, v| put(&mut o.workers, v.at_least(1, "")),
+        "swarm: shard worker processes = shard count (default 3)";
+    "--fleet-events PATH" => |o, v| put(&mut o.fleet_events, v.text()),
+        "swarm: write the merged dr-fleet/v1 NDJSON stream (every worker event plus the \
+         coordinator's own, globally sequenced)";
+    "--metrics-text PATH" => |o, v| put(&mut o.metrics_text, v.text()),
+        "write a Prometheus text-format metrics snapshot at run end (explore and swarm)";
+    "--git SUBSTR" => |o, v| put(&mut o.git_filter, v.text()),
+        "runs list: keep entries whose git describe contains SUBSTR";
+};
+
+/// Usage text head: invocation forms, scenarios and commands.
+const USAGE_HEAD: &str = "usage: dr-rules <scenario> <command> [options]
        dr-rules <scenario> compare <a> <b> [options]
        dr-rules <scenario> merge <dir> [options]
        dr-rules <scenario> runs list|show <run>|diff <a> <b> [options]
@@ -194,51 +312,11 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
              chaos | compare | explain | bench | verify-rules |
              merge | swarm | runs
              (omitting the command runs explore)
-  options:   --iterations N (default 300; at least 1)
-             --seed N       (default 0)
-             --random       (uniform sampling instead of MCTS)
-             --threads N    (exploration worker threads; default: the
-                             DR_THREADS environment variable, else 1;
-                             MCTS measures batches of up to N rollouts,
-                             steered apart by virtual loss)
-             --report PATH    (write a JSON run report, or lint counters
-                               for the lint command)
-             --telemetry PATH (write per-iteration search telemetry CSV)
-             --max-schedules N (lint: stop after N schedules;
-                                0 = whole space; default 2048)
-             --plans N      (chaos: seeded fault plans to sweep;
-                             default 24, minimum 2)
-             --trace PATH   (write a merged Perfetto/Chrome trace:
-                             pipeline spans + the best implementation's
-                             simulated rank/stream timelines)
-             --ledger DIR   (append a run-ledger entry to DIR/ledger.jsonl;
-                             default: the DR_LEDGER environment variable)
-             --threshold R    (compare: relative phase-time regression
-                               threshold; default 3.0)
-             --abs-floor-ms M (compare: absolute phase-time noise floor;
-                               default 25)
-             --noise-k K      (compare: MAD noise-band multiplier;
-                               default 5)
-             --progress     (live progress line on stderr; repaints in
-                             place on a TTY, plain lines otherwise)
-             --events PATH  (stream structured dr-events/v1 NDJSON to
-                             PATH; joinable with the ledger via run id)
-             --store DIR    (durable result store: explore answers
-                             already-measured traversals from DIR and
-                             commits fresh measurements before returning
-                             them; crash-safe, checksummed, resumable)
-             --shard i/N    (run exactly shard i of N of the exploration
-                             serially; requires --store; publishes
-                             DIR/shard-i-of-N.manifest.json on success)
-             --workers K    (swarm: shard worker processes = shard
-                             count; default 3)
-             --fleet-events PATH (swarm: write the merged dr-fleet/v1
-                             NDJSON stream — every worker event plus the
-                             coordinator's own, globally sequenced)
-             --metrics-text PATH (write a Prometheus text-format metrics
-                             snapshot at run end; explore and swarm)
-             --git SUBSTR   (runs list: keep entries whose git describe
-                             contains SUBSTR)
+  options:";
+
+/// Usage text tail: per-command notes.
+const USAGE_TAIL: &str = "  DR_* environment variables (listed in the README) fill in what the
+  flags leave unset; a malformed one is a usage error.
   compare accepts two run-ledger paths, two BENCH_*.json benchmark
   histories, or two dr-fleet/v1 merged streams (auto-detected; mixing
   kinds is an error; last entry of B vs history of A for ledgers).
@@ -283,16 +361,50 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
   any fastest-class ruleset is refuted by a counterexample (a capped,
   counterexample-free walk reports inconclusive without failing).";
 
-/// Parses command-line arguments (excluding `argv[0]`).
+/// The usage text printed on parse errors; its `options:` block is
+/// rendered from [`FLAGS`].
+fn usage() -> String {
+    const INDENT: usize = 13;
+    const WIDTH: usize = 72;
+    let mut out = String::from(USAGE_HEAD);
+    out.push('\n');
+    for flag in FLAGS {
+        let mut line = format!("{:INDENT$}{:<20}", "", flag.usage);
+        for word in flag.help.split_whitespace() {
+            if line.len() + 1 + word.len() > WIDTH {
+                out.push_str(line.trim_end());
+                out.push('\n');
+                line = format!("{:1$}", "", INDENT + 20);
+            } else if !line.ends_with(' ') {
+                line.push(' ');
+            }
+            line.push_str(word);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str(USAGE_TAIL);
+    out
+}
+
+/// Parses command-line arguments (excluding `argv[0]`) against an empty
+/// environment: every setting not given by a flag takes its default.
 pub fn parse(args: &[String]) -> Result<CliOptions, String> {
+    parse_env(args, &Env::new())
+}
+
+/// Parses command-line arguments (excluding `argv[0]`) and resolves the
+/// run's [`Settings`] from the flags over the `DR_*` variables in `env`.
+pub fn parse_env(args: &[String], env: &Env) -> Result<CliOptions, String> {
+    let usage_err = |what: String| format!("{what}\n{}", usage());
     let mut it = args.iter().peekable();
     let scenario = match it.next().map(String::as_str) {
         Some("spmv") => Scenario::Spmv,
         Some("spmv-paper") => Scenario::SpmvPaper,
         Some("spmv-fine") => Scenario::SpmvFine,
         Some("halo") => Scenario::Halo,
-        Some(other) => return Err(format!("unknown scenario {other:?}\n{USAGE}")),
-        None => return Err(format!("missing scenario\n{USAGE}")),
+        Some(other) => return Err(usage_err(format!("unknown scenario {other:?}"))),
+        None => return Err(usage_err("missing scenario".into())),
     };
     // A flag right after the scenario means the command was omitted:
     // default to `explore` (so `dr-rules spmv --trace out.json` works).
@@ -313,8 +425,8 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             Some("merge") => Command::Merge,
             Some("swarm") => Command::Swarm,
             Some("runs") => Command::Runs,
-            Some(other) => return Err(format!("unknown command {other:?}\n{USAGE}")),
-            None => return Err(format!("missing command\n{USAGE}")),
+            Some(other) => return Err(usage_err(format!("unknown command {other:?}"))),
+            None => return Err(usage_err("missing command".into())),
         },
     };
     let mut opts = CliOptions {
@@ -345,141 +457,51 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
         runs_cmd: None,
         git_filter: None,
         seed_filter: None,
+        settings: Settings::default(),
     };
-    if command == Command::Runs {
-        let sub = it.next().ok_or(format!(
-            "runs needs a subcommand: list | show | diff\n{USAGE}"
-        ))?;
-        opts.runs_cmd = Some(match sub.as_str() {
-            "list" => RunsCommand::List,
-            "show" => {
-                let sel = it
-                    .next()
-                    .ok_or(format!("runs show needs a run index or id prefix\n{USAGE}"))?;
-                RunsCommand::Show(sel.clone())
-            }
-            "diff" => {
-                let a = it
-                    .next()
-                    .ok_or(format!("runs diff needs two run selectors\n{USAGE}"))?;
-                let b = it
-                    .next()
-                    .ok_or(format!("runs diff needs two run selectors\n{USAGE}"))?;
-                RunsCommand::Diff(a.clone(), b.clone())
-            }
-            other => return Err(format!("unknown runs subcommand {other:?}\n{USAGE}")),
-        });
-    }
-    if command == Command::Merge {
-        let dir = it
-            .next()
-            .ok_or(format!("merge needs the shard directory\n{USAGE}"))?;
-        if dir.starts_with("--") {
-            return Err(format!("merge needs the shard directory first\n{USAGE}"));
+    // Positional operands: up to two, refused when a flag stands in for
+    // one.
+    let mut operand = |what: &str| match it.next() {
+        Some(a) if !a.starts_with("--") => Ok(a.clone()),
+        _ => Err(usage_err(what.to_string())),
+    };
+    match command {
+        Command::Runs => {
+            opts.runs_cmd = Some(
+                match operand("runs needs a subcommand: list | show | diff")?.as_str() {
+                    "list" => RunsCommand::List,
+                    "show" => {
+                        RunsCommand::Show(operand("runs show needs a run index or id prefix")?)
+                    }
+                    "diff" => RunsCommand::Diff(
+                        operand("runs diff needs two run selectors")?,
+                        operand("runs diff needs two run selectors")?,
+                    ),
+                    other => return Err(usage_err(format!("unknown runs subcommand {other:?}"))),
+                },
+            );
         }
-        opts.merge_dir = Some(dir.clone());
-    }
-    if command == Command::Compare {
-        let a = it
-            .next()
-            .ok_or(format!("compare needs two ledger paths\n{USAGE}"))?;
-        let b = it
-            .next()
-            .ok_or(format!("compare needs two ledger paths\n{USAGE}"))?;
-        if a.starts_with("--") || b.starts_with("--") {
-            return Err(format!("compare needs two ledger paths first\n{USAGE}"));
+        Command::Merge => opts.merge_dir = Some(operand("merge needs the shard directory")?),
+        Command::Compare => {
+            opts.compare = Some((
+                operand("compare needs two ledger paths")?,
+                operand("compare needs two ledger paths")?,
+            ));
         }
-        opts.compare = Some((a.clone(), b.clone()));
+        _ => {}
     }
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--iterations" => {
-                let v = it.next().ok_or("--iterations needs a value")?;
-                opts.iterations = v
-                    .parse()
-                    .map_err(|_| format!("bad --iterations value {v:?}"))?;
-                if opts.iterations == 0 {
-                    return Err("--iterations must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed value {v:?}"))?;
-                opts.seed_filter = Some(opts.seed);
-            }
-            "--random" => opts.random = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads value {v:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                opts.threads = Some(n);
-            }
-            "--report" => {
-                opts.report = Some(it.next().ok_or("--report needs a path")?.clone());
-            }
-            "--telemetry" => {
-                opts.telemetry = Some(it.next().ok_or("--telemetry needs a path")?.clone());
-            }
-            "--max-schedules" => {
-                let v = it.next().ok_or("--max-schedules needs a value")?;
-                opts.max_schedules = v
-                    .parse()
-                    .map_err(|_| format!("bad --max-schedules value {v:?}"))?;
-            }
-            "--plans" => {
-                let v = it.next().ok_or("--plans needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --plans value {v:?}"))?;
-                if n < 2 {
-                    return Err("--plans must be at least 2 (plan 0 is the clean control)".into());
-                }
-                opts.plans = n;
-            }
-            "--trace" => {
-                opts.trace = Some(it.next().ok_or("--trace needs a path")?.clone());
-            }
-            "--ledger" => {
-                opts.ledger = Some(it.next().ok_or("--ledger needs a directory")?.clone());
-            }
-            "--threshold" => opts.threshold = gate_knob(flag, it.next())?,
-            "--abs-floor-ms" => opts.abs_floor_ms = gate_knob(flag, it.next())?,
-            "--noise-k" => opts.noise_k = gate_knob(flag, it.next())?,
-            "--progress" => opts.progress = true,
-            "--events" => {
-                opts.events = Some(it.next().ok_or("--events needs a path")?.clone());
-            }
-            "--store" => {
-                opts.store = Some(it.next().ok_or("--store needs a directory")?.clone());
-            }
-            "--shard" => {
-                let v = it.next().ok_or("--shard needs i/N (e.g. 0/3)")?;
-                ShardSpec::parse(v)?;
-                opts.shard = Some(v.clone());
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --workers value {v:?}"))?;
-                if n == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                opts.workers = n;
-            }
-            "--fleet-events" => {
-                opts.fleet_events = Some(it.next().ok_or("--fleet-events needs a path")?.clone());
-            }
-            "--metrics-text" => {
-                opts.metrics_text = Some(it.next().ok_or("--metrics-text needs a path")?.clone());
-            }
-            "--git" => {
-                opts.git_filter = Some(it.next().ok_or("--git needs a substring")?.clone());
-            }
-            other => return Err(format!("unknown option {other:?}\n{USAGE}")),
-        }
+    while let Some(name) = it.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.usage.split(' ').next() == Some(name.as_str()))
+            .ok_or_else(|| usage_err(format!("unknown option {name:?}")))?;
+        let raw = match flag.usage.split_once(' ') {
+            Some((_, placeholder)) => it
+                .next()
+                .ok_or(format!("{name} needs a value ({placeholder})"))?,
+            None => "",
+        };
+        (flag.set)(&mut opts, &Value { flag: name, raw })?;
     }
     if opts.shard.is_some() && opts.store.is_none() {
         return Err("--shard requires --store DIR (the shard's durable result store)".into());
@@ -493,21 +515,18 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
     if opts.fleet_events.is_some() && command != Command::Swarm {
         return Err("--fleet-events only applies to the swarm command".into());
     }
+    opts.settings = resolve(env, opts.threads, opts.ledger.as_deref())?;
     Ok(opts)
 }
 
-/// Parses a `compare` gate knob. A NaN, infinite, or negative value
-/// would make every noise band infinite or every comparison false,
-/// silently disabling the gate, so only finite non-negative numbers
-/// pass.
-fn gate_knob(flag: &str, value: Option<&String>) -> Result<f64, String> {
-    let v = value.ok_or(format!("{flag} needs a value"))?;
-    match v.parse::<f64>() {
-        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
-        _ => Err(format!(
-            "bad {flag} value {v:?}: expected a finite number >= 0"
-        )),
-    }
+/// Maps an output failure to the driver's error.
+fn io(e: std::io::Error) -> String {
+    format!("write failed: {e}")
+}
+
+/// Maps a simulation failure to the driver's error.
+fn fail(e: SimError) -> String {
+    format!("simulation failed: {e}")
 }
 
 /// A scenario erased to the pieces the driver needs.
@@ -517,50 +536,41 @@ struct Instance {
     platform: Platform,
 }
 
+impl Instance {
+    fn erase(
+        space: DecisionSpace,
+        workload: impl Workload + Sync + 'static,
+        platform: Platform,
+    ) -> Self {
+        Instance {
+            space,
+            workload: Box::new(workload),
+            platform,
+        }
+    }
+}
+
 fn instance(opts: &CliOptions) -> Instance {
+    use crate::spmv::{BandedSpec, GpuModel, Granularity, SpmvDagConfig, SpmvScenario};
+    let seed = opts.seed;
+    let spmv = |sc: SpmvScenario| Instance::erase(sc.space, sc.workload, sc.platform);
     match opts.scenario {
-        Scenario::Spmv => {
-            let sc = crate::spmv::SpmvScenario::small(opts.seed);
-            Instance {
-                space: sc.space,
-                workload: Box::new(sc.workload),
-                platform: sc.platform,
-            }
-        }
-        Scenario::SpmvPaper => {
-            let sc = crate::spmv::SpmvScenario::paper(opts.seed);
-            Instance {
-                space: sc.space,
-                workload: Box::new(sc.workload),
-                platform: sc.platform,
-            }
-        }
-        Scenario::SpmvFine => {
-            use crate::spmv::{BandedSpec, GpuModel, Granularity, SpmvDagConfig, SpmvScenario};
-            let sc = SpmvScenario::build(
-                &BandedSpec::small(opts.seed),
-                4,
-                2,
-                &SpmvDagConfig {
-                    with_unpack: true,
-                    granularity: Granularity::PerNeighbor,
-                },
-                &GpuModel::default(),
-                Platform::perlmutter_like(),
-            );
-            Instance {
-                space: sc.space,
-                workload: Box::new(sc.workload),
-                platform: sc.platform,
-            }
-        }
+        Scenario::Spmv => spmv(SpmvScenario::small(seed)),
+        Scenario::SpmvPaper => spmv(SpmvScenario::paper(seed)),
+        Scenario::SpmvFine => spmv(SpmvScenario::build(
+            &BandedSpec::small(seed),
+            4,
+            2,
+            &SpmvDagConfig {
+                with_unpack: true,
+                granularity: Granularity::PerNeighbor,
+            },
+            &GpuModel::default(),
+            Platform::perlmutter_like(),
+        )),
         Scenario::Halo => {
-            let sc = crate::halo::HaloScenario::cube2(opts.seed);
-            Instance {
-                space: sc.space,
-                workload: Box::new(sc.workload),
-                platform: sc.platform,
-            }
+            let sc = crate::halo::HaloScenario::cube2(seed);
+            Instance::erase(sc.space, sc.workload, sc.platform)
         }
     }
 }
@@ -590,7 +600,8 @@ fn event_sink(opts: &CliOptions) -> Result<Option<EventSink>, String> {
     if !opts.progress && opts.events.is_none() {
         return Ok(None);
     }
-    let mut sink = EventSink::new(&Provenance::capture().run_id);
+    let run_id = Provenance::capture(opts.settings.run_id.as_deref()).run_id;
+    let mut sink = EventSink::new(&run_id);
     if let Some(path) = &opts.events {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("cannot create events file {path:?}: {e}"))?;
@@ -612,11 +623,11 @@ fn event_sink(opts: &CliOptions) -> Result<Option<EventSink>, String> {
 /// path fails fast, named.
 fn preflight_artifact_paths(opts: &CliOptions) -> Result<(), String> {
     let bad = |path: &str, e: std::io::Error| format!("artifact path not writable: {path}: {e}");
-    let ledger = opts
-        .ledger
-        .clone()
-        .or_else(|| ledger_dir_from_env().map(|p| p.display().to_string()));
-    for dir in [ledger.as_ref(), opts.store.as_ref()].into_iter().flatten() {
+    let ledger = opts.settings.ledger.as_deref().map(Path::to_string_lossy);
+    for dir in [ledger.as_deref(), opts.store.as_deref()]
+        .into_iter()
+        .flatten()
+    {
         let probe = || -> std::io::Result<()> {
             std::fs::create_dir_all(dir)?;
             // Per process: swarm workers probe their shared store root
@@ -657,9 +668,6 @@ fn preflight_artifact_paths(opts: &CliOptions) -> Result<(), String> {
 /// Returns `Err` — a nonzero process exit — when `compare` finds a
 /// regression beyond threshold, in addition to ordinary failures.
 pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), String> {
-    let fail = |e: SimError| format!("simulation failed: {e}");
-    let io = |e: std::io::Error| format!("write failed: {e}");
-
     preflight_artifact_paths(opts)?;
 
     if opts.command == Command::Compare {
@@ -762,16 +770,7 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
             )
             .map_err(io)?;
         }
-        if let (Some(sink), Some(path)) = (&sink, &opts.events) {
-            sink.flush();
-            writeln!(
-                out,
-                "wrote {} events to {path} (run {})",
-                sink.seq(),
-                sink.run_id()
-            )
-            .map_err(io)?;
-        }
+        note_events(opts, sink.as_ref(), out)?;
         if let Some(path) = &opts.report {
             std::fs::write(path, lint.counters.to_json())
                 .map_err(|e| format!("cannot write report {path:?}: {e}"))?;
@@ -836,16 +835,22 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         let spec = ShardSpec::parse(shard)?;
         let store_root = opts.store.as_ref().ok_or("--shard requires --store")?;
         let sink = event_sink(opts)?;
+        let target = ShardTarget {
+            scenario: opts.scenario.name(),
+            spec,
+            root: Path::new(store_root),
+        };
+        let ctx = RunCtx {
+            events: sink.clone(),
+            ..RunCtx::new(opts.settings.pipeline)
+        };
         let outcome = run_shard(
-            opts.scenario.name(),
             &inst.space,
             &inst.workload,
             &inst.platform,
             strategy(opts),
-            spec,
-            &PipelineConfig::quick(),
-            Path::new(store_root),
-            sink.as_ref(),
+            &target,
+            &ctx,
         )
         .map_err(fail)?;
         let m = &outcome.manifest;
@@ -857,16 +862,7 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         )
         .map_err(io)?;
         writeln!(out, "wrote manifest {}", outcome.manifest_path.display()).map_err(io)?;
-        if let (Some(sink), Some(path)) = (&sink, &opts.events) {
-            sink.flush();
-            writeln!(
-                out,
-                "wrote {} events to {path} (run {})",
-                sink.seq(),
-                sink.run_id()
-            )
-            .map_err(io)?;
-        }
+        note_events(opts, sink.as_ref(), out)?;
         return Ok(());
     }
 
@@ -885,18 +881,18 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         )),
         None => None,
     };
-    let run = run_pipeline_stored(
+    let ctx = RunCtx {
+        cfg: opts.settings.pipeline,
+        tracer: tracer.clone(),
+        events: sink.clone(),
+        store: store.clone(),
+    };
+    let mut run = run_pipeline_stored(
         &inst.space,
         &inst.workload,
         &inst.platform,
         strategy(opts),
-        &PipelineConfig {
-            threads: opts.threads.unwrap_or(0),
-            ..PipelineConfig::quick()
-        },
-        &tracer,
-        sink.as_ref(),
-        store.clone(),
+        &ctx,
     )
     .map_err(fail)?;
 
@@ -913,16 +909,7 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         )
         .map_err(io)?;
     }
-    if let (Some(sink), Some(path)) = (&sink, &opts.events) {
-        sink.flush();
-        writeln!(
-            out,
-            "wrote {} events to {path} (run {})",
-            sink.seq(),
-            sink.run_id()
-        )
-        .map_err(io)?;
-    }
+    note_events(opts, sink.as_ref(), out)?;
     if let Some(path) = &opts.trace {
         let merged = merged_trace(&inst, &run, &tracer, opts.seed).map_err(fail)?;
         std::fs::write(path, merged).map_err(|e| format!("cannot write trace {path:?}: {e}"))?;
@@ -933,38 +920,13 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         )
         .map_err(io)?;
     }
-    if let Some(dir) = opts
-        .ledger
-        .clone()
-        .map(std::path::PathBuf::from)
-        .or_else(ledger_dir_from_env)
-    {
-        let ctx = LedgerContext {
-            scenario: opts.scenario.name(),
-            strategy: strategy(opts).name(),
-            seed: opts.seed,
-            iterations: opts.iterations as u64,
-        };
-        let entry = ledger_entry_json(&ctx, &run, &inst.space);
-        let path = append_entry(&dir, &entry)
-            .map_err(|e| format!("cannot append ledger entry to {}: {e}", dir.display()))?;
-        writeln!(out, "appended ledger entry to {}", path.display()).map_err(io)?;
-    }
-    if let Some(path) = &opts.report {
-        std::fs::write(path, run.report.to_json())
-            .map_err(|e| format!("cannot write report {path:?}: {e}"))?;
-        writeln!(out, "wrote run report to {path}").map_err(io)?;
-    }
-    if let Some(path) = &opts.telemetry {
-        std::fs::write(path, run.telemetry.to_csv())
-            .map_err(|e| format!("cannot write telemetry {path:?}: {e}"))?;
-        writeln!(
-            out,
-            "wrote {} telemetry rows to {path}",
-            run.telemetry.len()
-        )
-        .map_err(io)?;
-    }
+    write_run_artifacts(
+        opts,
+        &inst.space,
+        &mut run,
+        opts.settings.ledger.as_deref(),
+        out,
+    )?;
     if let Some(path) = &opts.metrics_text {
         let text = run_metrics_text(opts, &run, store.as_deref());
         std::fs::write(path, text)
@@ -1081,14 +1043,12 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
 /// against entry `a` through exactly the `compare` statistics, so its
 /// exit status matches what `compare` would say about the same pair.
 fn run_runs(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("write failed: {e}");
     let dir = opts
+        .settings
         .ledger
-        .clone()
-        .map(std::path::PathBuf::from)
-        .or_else(ledger_dir_from_env)
+        .as_ref()
         .ok_or("runs needs --ledger DIR (or DR_LEDGER) naming the ledger")?;
-    let entries = load_ledger(&dir)?;
+    let entries = load_ledger(dir)?;
     match opts.runs_cmd.as_ref().ok_or("runs needs a subcommand")? {
         RunsCommand::List => {
             let filter = RunFilter {
@@ -1293,34 +1253,29 @@ fn run_metrics_text(
 /// the scale and `DR_SEED` the seed so CLI-appended entries stay
 /// comparable with entries appended by the standalone binaries.
 fn run_bench(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("write failed: {e}");
     let scale = match opts.scenario {
         Scenario::Spmv => "small",
         Scenario::SpmvPaper => "paper",
         _ => return Err("bench supports the spmv (small scale) and spmv-paper scenarios".into()),
     };
     let seed = dr_bench::seed();
-    type Harness =
-        fn(&str, u64, &mut dyn std::io::Write) -> Result<String, Box<dyn std::error::Error>>;
-    let runs: [(&str, &str, Harness); 2] = [
-        (
-            "pipeline",
-            "BENCH_pipeline.json",
-            dr_bench::harness::pipeline_report,
-        ),
-        (
-            "explore",
-            "BENCH_explore.json",
-            dr_bench::harness::explore_report,
-        ),
-    ];
-    for (kind, file, harness) in runs {
-        let report = harness(scale, seed, out).map_err(|e| format!("{kind} bench failed: {e}"))?;
-        let entries = dr_bench::append_history(Path::new(file), kind, &report)
-            .map_err(|e| format!("cannot append to {file}: {e}"))?;
-        writeln!(out, "appended to {file} ({entries} entries)").map_err(io)?;
-    }
-    Ok(())
+    let pipeline = dr_bench::harness::pipeline_report(scale, seed, &opts.settings.pipeline, out);
+    append_bench("pipeline", pipeline, out)?;
+    let explore = dr_bench::harness::explore_report(scale, seed, out);
+    append_bench("explore", explore, out)
+}
+
+/// Appends one harness report to its `BENCH_<kind>.json` history.
+fn append_bench(
+    kind: &str,
+    report: Result<String, Box<dyn std::error::Error>>,
+    out: &mut impl std::io::Write,
+) -> Result<(), String> {
+    let report = report.map_err(|e| format!("{kind} bench failed: {e}"))?;
+    let file = format!("BENCH_{kind}.json");
+    let entries = dr_bench::append_history(Path::new(&file), kind, &report)
+        .map_err(|e| format!("cannot append to {file}: {e}"))?;
+    writeln!(out, "appended to {file} ({entries} entries)").map_err(io)
 }
 
 /// Renders a placement as `<op-name>` or `<op-name>@s<stream>`.
@@ -1375,14 +1330,12 @@ fn run_explain(
     inst: &Instance,
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
-    let fail = |e: SimError| format!("simulation failed: {e}");
-    let io = |e: std::io::Error| format!("write failed: {e}");
     const TOP_K: usize = 5;
     const MAX_NODES: usize = 12;
     const RULESETS_PER_CLASS: usize = 3;
     const INDICES_SHOWN: usize = 8;
 
-    let evals = (0..resolve_threads(opts.threads))
+    let evals = (0..opts.settings.pipeline.threads)
         .map(|_| {
             SimEvaluator::new(
                 &inst.space,
@@ -1692,17 +1645,12 @@ fn run_verify_rules(
     inst: &Instance,
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
-    let fail = |e: SimError| format!("simulation failed: {e}");
-    let io = |e: std::io::Error| format!("write failed: {e}");
     let result = run_pipeline(
         &inst.space,
         &inst.workload,
         &inst.platform,
         strategy(opts),
-        &PipelineConfig {
-            threads: opts.threads.unwrap_or(0),
-            ..PipelineConfig::quick()
-        },
+        &opts.settings.pipeline,
     )
     .map_err(fail)?;
     let topo = topology_from_workload(&inst.space, &inst.workload, &inst.platform);
@@ -1842,7 +1790,6 @@ fn run_merge(
     dir: &Path,
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("write failed: {e}");
     let strategy = strategy(opts);
     let merged = merge_shards(dir, opts.scenario.name(), &inst.space, strategy)?;
     writeln!(
@@ -1865,16 +1812,12 @@ fn run_merge(
     // run's wall-clock — not the summed compute.
     let mut phases = Phases::new();
     phases.add("explore", merged.critical_seconds);
-    let result = mine_rules_timed(
-        &inst.space,
-        merged.records,
-        &PipelineConfig::quick(),
-        &mut phases,
-    );
+    let cfg = PipelineConfig::quick();
+    let result = mine_rules_timed(&inst.space, merged.records, &cfg, &mut phases);
     let telemetry = records_telemetry(&result.records);
     let search = SearchSummary::from_telemetry(strategy.name(), &telemetry);
-    let report = RunReport::new(phases, None, search, &result);
-    let run = InstrumentedRun {
+    let report = RunReport::new(phases, None, search, &result, &cfg);
+    let mut run = InstrumentedRun {
         result,
         report,
         telemetry,
@@ -1888,25 +1831,48 @@ fn run_merge(
         run.result.rulesets.len()
     )
     .map_err(io)?;
-    let ledger_dir = opts
-        .ledger
-        .clone()
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| dir.to_path_buf());
-    let ctx = LedgerContext {
-        scenario: opts.scenario.name(),
-        strategy: strategy.name(),
-        seed: opts.seed,
-        iterations: opts.iterations as u64,
-    };
-    let entry = ledger_entry_json(&ctx, &run, &inst.space);
-    let path = append_entry(&ledger_dir, &entry).map_err(|e| {
-        format!(
-            "cannot append ledger entry to {}: {e}",
-            ledger_dir.display()
-        )
-    })?;
-    writeln!(out, "appended ledger entry to {}", path.display()).map_err(io)?;
+    let ledger = opts.settings.ledger.as_deref().unwrap_or(dir);
+    write_run_artifacts(opts, &inst.space, &mut run, Some(ledger), out)
+}
+
+/// Reports the event stream written to `--events`, if any.
+fn note_events(
+    opts: &CliOptions,
+    sink: Option<&EventSink>,
+    out: &mut impl std::io::Write,
+) -> Result<(), String> {
+    if let (Some(sink), Some(path)) = (sink, &opts.events) {
+        sink.flush();
+        let (n, run) = (sink.seq(), sink.run_id());
+        writeln!(out, "wrote {n} events to {path} (run {run})").map_err(io)?;
+    }
+    Ok(())
+}
+
+/// Pins `DR_RUN_ID` into a finished run's provenance, then appends its
+/// ledger entry to `ledger` (if any) and writes `--report` and
+/// `--telemetry`.
+fn write_run_artifacts(
+    opts: &CliOptions,
+    space: &DecisionSpace,
+    run: &mut InstrumentedRun,
+    ledger: Option<&Path>,
+    out: &mut impl std::io::Write,
+) -> Result<(), String> {
+    if let Some(id) = &opts.settings.run_id {
+        run.report.provenance.run_id = id.clone();
+    }
+    if let Some(dir) = ledger {
+        let ctx = LedgerContext {
+            scenario: opts.scenario.name(),
+            strategy: strategy(opts).name(),
+            seed: opts.seed,
+            iterations: opts.iterations as u64,
+        };
+        let path = append_entry(dir, &ledger_entry_json(&ctx, run, space))
+            .map_err(|e| format!("cannot append ledger entry to {}: {e}", dir.display()))?;
+        writeln!(out, "appended ledger entry to {}", path.display()).map_err(io)?;
+    }
     if let Some(path) = &opts.report {
         std::fs::write(path, run.report.to_json())
             .map_err(|e| format!("cannot write report {path:?}: {e}"))?;
@@ -1915,12 +1881,8 @@ fn run_merge(
     if let Some(path) = &opts.telemetry {
         std::fs::write(path, run.telemetry.to_csv())
             .map_err(|e| format!("cannot write telemetry {path:?}: {e}"))?;
-        writeln!(
-            out,
-            "wrote {} telemetry rows to {path}",
-            run.telemetry.len()
-        )
-        .map_err(io)?;
+        let rows = run.telemetry.len();
+        writeln!(out, "wrote {rows} telemetry rows to {path}").map_err(io)?;
     }
     Ok(())
 }
@@ -1930,7 +1892,6 @@ fn run_chaos(
     inst: &Instance,
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
-    let io = |e: std::io::Error| format!("write failed: {e}");
     let run_once = |faults: FaultConfig| -> Result<InstrumentedRun, SimError> {
         run_pipeline_instrumented(
             &inst.space,
@@ -1938,27 +1899,24 @@ fn run_chaos(
             &inst.platform,
             strategy(opts),
             &PipelineConfig {
-                threads: opts.threads.unwrap_or(0),
                 faults,
-                ..PipelineConfig::quick()
+                ..opts.settings.pipeline
             },
         )
     };
 
-    // With an inactive config the pipeline consults DR_FAULTS, so an
-    // inherited environment changes what "clean" means here.
-    let env_faults = FaultConfig::from_env().map_err(|m| format!("invalid DR_FAULTS: {m}"))?;
-    if env_faults.is_some() {
+    // Plan 0 runs under the resolved faults, so DR_FAULTS changes what
+    // "clean" means here.
+    let control = opts.settings.pipeline.faults;
+    if control.is_active() {
         writeln!(out, "note: DR_FAULTS is set; plan 0 runs under it").map_err(io)?;
     }
 
     // Plan 0, the clean control: with faults disabled the pipeline must
     // behave exactly as if the chaos machinery did not exist, and two
     // runs must agree bit for bit.
-    let baseline =
-        run_once(FaultConfig::clean()).map_err(|e| format!("clean control run failed: {e}"))?;
-    let replay =
-        run_once(FaultConfig::clean()).map_err(|e| format!("clean control replay failed: {e}"))?;
+    let baseline = run_once(control).map_err(|e| format!("clean control run failed: {e}"))?;
+    let replay = run_once(control).map_err(|e| format!("clean control replay failed: {e}"))?;
     let identical = baseline.result.times() == replay.result.times()
         && baseline.result.labeling.labels == replay.result.labeling.labels;
     writeln!(
@@ -1972,7 +1930,7 @@ fn run_chaos(
     if !identical {
         return Err("clean control plan is not deterministic".into());
     }
-    if env_faults.is_none() && baseline.report.resilience.is_some() {
+    if !control.is_active() && baseline.report.resilience.is_some() {
         return Err("clean control plan must not report resilience counters".into());
     }
 
@@ -2174,6 +2132,13 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Parses `s` under this process's `DR_*` environment, so CI's
+    /// thread, chaos and live-ledger legs reach the commands these tests
+    /// run.
+    fn cli(s: &str) -> CliOptions {
+        parse_env(&argv(s), &crate::config::process_env()).unwrap()
+    }
+
     #[test]
     fn parse_happy_paths() {
         let o = parse(&argv("spmv rules --iterations 50 --seed 9")).unwrap();
@@ -2205,6 +2170,32 @@ mod tests {
     }
 
     #[test]
+    fn parse_env_resolves_settings_under_the_flags() {
+        let env: Env = [("DR_THREADS", "3"), ("DR_LEDGER", "runs")]
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let o = parse_env(&argv("spmv explore"), &env).unwrap();
+        assert_eq!(o.threads, None);
+        assert_eq!(o.settings.pipeline.threads, 3);
+        assert_eq!(o.settings.ledger.as_deref(), Some(Path::new("runs")));
+        let o = parse_env(&argv("spmv explore --threads 2 --ledger x"), &env).unwrap();
+        assert_eq!(o.settings.pipeline.threads, 2);
+        assert_eq!(o.settings.ledger.as_deref(), Some(Path::new("x")));
+        let bad: Env = [("DR_RETRY_MAX".to_string(), "abc".to_string())].into();
+        let err = parse_env(&argv("spmv explore"), &bad).unwrap_err();
+        assert!(err.contains("DR_RETRY_MAX"), "{err}");
+    }
+
+    #[test]
+    fn usage_lists_every_flag() {
+        let text = usage();
+        for flag in FLAGS {
+            assert!(text.contains(flag.usage), "{}", flag.usage);
+        }
+    }
+
+    #[test]
     fn parse_rejects_a_zero_iteration_budget() {
         // A zero budget explores nothing; refusing it here keeps it from
         // surfacing later as a fault-injection failure.
@@ -2222,7 +2213,7 @@ mod tests {
 
     #[test]
     fn info_command_prints_space_summary() {
-        let opts = parse(&argv("spmv info")).unwrap();
+        let opts = cli("spmv info");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2232,7 +2223,7 @@ mod tests {
 
     #[test]
     fn explore_command_reports_classes() {
-        let opts = parse(&argv("spmv explore --iterations 40 --seed 2")).unwrap();
+        let opts = cli("spmv explore --iterations 40 --seed 2");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2242,7 +2233,7 @@ mod tests {
 
     #[test]
     fn rules_command_prints_rulesets() {
-        let opts = parse(&argv("spmv rules --iterations 60 --seed 2")).unwrap();
+        let opts = cli("spmv rules --iterations 60 --seed 2");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2252,7 +2243,7 @@ mod tests {
 
     #[test]
     fn synthesize_command_round_trips() {
-        let opts = parse(&argv("spmv synthesize --iterations 80 --seed 3")).unwrap();
+        let opts = cli("spmv synthesize --iterations 80 --seed 3");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2265,12 +2256,11 @@ mod tests {
         let report = dir.join(format!("dr-rules-report-{}.json", std::process::id()));
         let telem = dir.join(format!("dr-rules-telem-{}.csv", std::process::id()));
         let iterations = 40;
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv explore --iterations {iterations} --seed 2 --report {} --telemetry {}",
             report.display(),
             telem.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2322,7 +2312,7 @@ mod tests {
     fn lint_command_verifies_the_whole_spmv_space() {
         // The full small-SpMV space has 1600 traversals; every schedule
         // `build_schedule` emits must verify clean of errors.
-        let opts = parse(&argv("spmv lint --max-schedules 0")).unwrap();
+        let opts = cli("spmv lint --max-schedules 0");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2334,11 +2324,10 @@ mod tests {
     fn lint_command_honors_cap_and_writes_counters() {
         let dir = std::env::temp_dir();
         let report = dir.join(format!("dr-rules-lint-{}.json", std::process::id()));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv lint --max-schedules 5 --report {}",
             report.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2357,11 +2346,10 @@ mod tests {
             "dr-rules-lint-events-{}.ndjson",
             std::process::id()
         ));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv lint --max-schedules 8 --events {}",
             events.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2393,11 +2381,10 @@ mod tests {
     fn verify_rules_command_certifies_spmv_and_writes_report() {
         let dir = std::env::temp_dir();
         let report = dir.join(format!("dr-rules-certify-{}.json", std::process::id()));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv verify-rules --iterations 60 --seed 2 --max-schedules 0 --report {}",
             report.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2429,11 +2416,10 @@ mod tests {
     fn chaos_command_sweeps_plans_and_cross_checks_the_oracle() {
         let dir = std::env::temp_dir();
         let report = dir.join(format!("dr-rules-chaos-{}.json", std::process::id()));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv chaos --iterations 12 --plans 21 --seed 2 --threads 2 --report {}",
             report.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2490,11 +2476,10 @@ mod tests {
     fn trace_flag_writes_a_merged_perfetto_json() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("dr-rules-trace-{}.json", std::process::id()));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv explore --iterations 30 --seed 2 --threads 2 --trace {}",
             path.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2516,11 +2501,10 @@ mod tests {
     fn report_includes_provenance() {
         let dir = std::env::temp_dir();
         let report = dir.join(format!("dr-rules-prov-{}.json", std::process::id()));
-        let opts = parse(&argv(&format!(
+        let opts = cli(&format!(
             "spmv explore --iterations 30 --seed 2 --report {}",
             report.display()
-        )))
-        .unwrap();
+        ));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let json = std::fs::read_to_string(&report).unwrap();
@@ -2542,23 +2526,17 @@ mod tests {
         let (la, lb, lc) = (base.join("a"), base.join("b"), base.join("c"));
         let _ = std::fs::remove_dir_all(&base);
         for ledger in [&la, &lb] {
-            let opts = parse(&argv(&format!(
+            let opts = cli(&format!(
                 "spmv explore --iterations 30 --seed 2 --ledger {}",
                 ledger.display()
-            )))
-            .unwrap();
+            ));
             let mut buf = Vec::new();
             run(&opts, &mut buf).unwrap();
             assert!(String::from_utf8(buf).unwrap().contains("appended ledger"));
         }
 
         // Same seed, same config: identical records, no regression.
-        let opts = parse(&argv(&format!(
-            "spmv compare {} {}",
-            la.display(),
-            lb.display()
-        )))
-        .unwrap();
+        let opts = cli(&format!("spmv compare {} {}", la.display(), lb.display()));
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -2582,12 +2560,7 @@ mod tests {
         assert_ne!(forged, line, "forgery must change the entry");
         std::fs::create_dir_all(&lc).unwrap();
         std::fs::write(lc.join(super::super::pipeline::LEDGER_FILE), forged).unwrap();
-        let opts = parse(&argv(&format!(
-            "spmv compare {} {}",
-            la.display(),
-            lc.display()
-        )))
-        .unwrap();
+        let opts = cli(&format!("spmv compare {} {}", la.display(), lc.display()));
         let mut buf = Vec::new();
         let err = run(&opts, &mut buf).unwrap_err();
         assert!(err.contains("regression"), "{err}");
@@ -2598,7 +2571,7 @@ mod tests {
 
     #[test]
     fn timeline_command_draws_gantt_rows() {
-        let opts = parse(&argv("spmv timeline --iterations 30 --seed 4")).unwrap();
+        let opts = cli("spmv timeline --iterations 30 --seed 4");
         let mut buf = Vec::new();
         run(&opts, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();

@@ -5,6 +5,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod config;
 pub mod progress;
 pub mod swarm;
 

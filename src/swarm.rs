@@ -25,9 +25,9 @@
 //! Perfetto export and the `--metrics-text` snapshot.
 //!
 //! Failure policy: a dead or stalled shard is re-spawned after capped
-//! exponential backoff (`DR_SWARM_BACKOFF_MS`, default 200 ms base,
-//! doubling, capped at 3 s) and quarantined after
-//! `DR_SWARM_MAX_ATTEMPTS` (default 3) failures; a quarantined shard
+//! exponential backoff (200 ms base, doubling, capped at 3 s) and
+//! quarantined after `DR_SWARM_MAX_ATTEMPTS` (default 3) failures; a
+//! quarantined shard
 //! fails the swarm, naming the shard and its worker log. The shard
 //! manifest is the commit marker — a worker that exits zero without
 //! publishing a valid manifest still counts as dead.
@@ -36,7 +36,9 @@
 //! inject a `DR_FAULTS` spec into exactly one worker (all other workers
 //! run clean), which combined with the `DR_RETRY_*` knobs turns a
 //! single shard into a reproducible straggler for anomaly-detection
-//! tests.
+//! tests. All of these arrive resolved in the coordinator's
+//! [`Settings`](crate::config::Settings); workers inherit the
+//! environment and resolve their own.
 
 use crate::cli::CliOptions;
 use crate::pipeline::{shard_manifest_path, ShardManifest, ShardSpec};
@@ -61,35 +63,13 @@ pub struct FleetOutcome {
     pub run_id: String,
 }
 
-/// Reads a millisecond knob from the environment with a default.
-fn env_ms(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
-/// Heartbeat-silence window after which a worker is declared stalled
-/// and SIGKILLed (`DR_SWARM_STALL_MS`, default 10 s).
-fn stall_timeout() -> Duration {
-    Duration::from_millis(env_ms("DR_SWARM_STALL_MS", 10_000).max(100))
-}
-
-/// Spawn attempts per shard before quarantine
-/// (`DR_SWARM_MAX_ATTEMPTS`, default 3, minimum 1).
-fn max_attempts() -> usize {
-    std::env::var("DR_SWARM_MAX_ATTEMPTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+/// Base of the re-spawn backoff, in milliseconds.
+const BACKOFF_BASE_MS: u64 = 200;
 
 /// Capped exponential re-spawn backoff: `base · 2^(failures-1)`,
-/// capped at 3 s (`DR_SWARM_BACKOFF_MS` sets the base).
+/// capped at 3 s.
 fn backoff(failures: usize) -> Duration {
-    let base = env_ms("DR_SWARM_BACKOFF_MS", 200);
-    let exp = base.saturating_mul(1u64 << (failures.saturating_sub(1)).min(10));
+    let exp = BACKOFF_BASE_MS.saturating_mul(1u64 << (failures.saturating_sub(1)).min(10));
     Duration::from_millis(exp.min(3_000))
 }
 
@@ -101,21 +81,6 @@ fn worker_events_path(store_root: &Path, spec: ShardSpec) -> PathBuf {
 /// The per-worker captured stdout+stderr log.
 fn worker_log_path(store_root: &Path, spec: ShardSpec) -> PathBuf {
     store_root.join(format!("shard-{}.log", spec.label()))
-}
-
-/// The `DR_FAULTS` spec for shard `index`, honoring the single-shard
-/// chaos targeting knobs: with `DR_SWARM_FAULT_SHARD` set, only that
-/// shard receives `DR_SWARM_FAULTS`; every other worker runs clean.
-fn targeted_faults(index: usize) -> Option<String> {
-    let target = std::env::var("DR_SWARM_FAULT_SHARD")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())?;
-    if target != index {
-        return None;
-    }
-    std::env::var("DR_SWARM_FAULTS")
-        .ok()
-        .filter(|s| !s.is_empty())
 }
 
 /// One shard's lifecycle inside the coordinator.
@@ -177,7 +142,9 @@ fn manifest_matches(
 /// file, stdout+stderr captured to a log. The worker's `DR_RUN_ID` is
 /// pinned to `run_id` so the aggregator can validate its stream, and
 /// its eager events `File::create` truncates the previous attempt's
-/// stream (the aggregator re-tails from zero on `expect_worker`).
+/// stream (the aggregator re-tails from zero on `expect_worker`). Only
+/// the shard the swarm's fault targeting names receives a `DR_FAULTS`
+/// spec; every other worker runs clean.
 fn spawn_worker(
     opts: &CliOptions,
     store_root: &Path,
@@ -211,8 +178,12 @@ fn spawn_worker(
         .stdin(Stdio::null())
         .stdout(Stdio::from(log))
         .stderr(Stdio::from(log_err));
-    if let Some(spec_str) = targeted_faults(spec.index) {
-        cmd.env("DR_FAULTS", spec_str);
+    if let Some((_, faults)) = opts
+        .settings
+        .swarm_fault_shard
+        .filter(|&(target, _)| target == spec.index)
+    {
+        cmd.env("DR_FAULTS", faults.to_string());
     }
     if opts.random {
         cmd.arg("--random");
@@ -259,8 +230,8 @@ pub fn coordinate(
 ) -> Result<FleetOutcome, String> {
     let io = |e: std::io::Error| format!("write failed: {e}");
     let count = opts.workers;
-    let stall = stall_timeout();
-    let attempts_cap = max_attempts();
+    let stall = Duration::from_millis(opts.settings.swarm_stall_ms);
+    let attempts_cap = opts.settings.swarm_max_attempts;
     let coord_run = format!("swarm-{}", std::process::id());
 
     let mut agg = Aggregator::new(store_root, count);

@@ -1,7 +1,30 @@
-//! Shared proptest generators for the integration-level property tests.
+//! Shared helpers for the integration tests: proptest generators, and
+//! the pipeline configuration the process environment selects. Each
+//! test binary uses a different subset.
+#![allow(dead_code)]
 
+use cuda_mpi_design_rules::config::{resolve, Env};
 use cuda_mpi_design_rules::dag::{CostKey, DagBuilder, DecisionSpace, OpSpec, ProgramDag};
+use cuda_mpi_design_rules::pipeline::PipelineConfig;
 use proptest::prelude::*;
+
+/// The pipeline configuration this process's `DR_*` variables select
+/// (`DR_THREADS`, `DR_FAULTS`, `DR_RETRY_*`, ...), resolved by the CLI's
+/// own resolver. This is how CI's thread and chaos legs reach the
+/// in-process tests that opt in.
+///
+/// # Panics
+/// When a `DR_*` variable is malformed.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "CI's thread and chaos legs set DR_*"
+)]
+pub fn env_config() -> PipelineConfig {
+    let env: Env = std::env::vars().collect();
+    resolve(&env, None, None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .pipeline
+}
 
 /// A random DAG of up to `max_n` CPU/GPU compute vertices. Edges only go
 /// from lower to higher vertex ids, so the graph is acyclic by

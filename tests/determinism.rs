@@ -1,6 +1,8 @@
 //! Reproducibility: every stochastic component is seed-deterministic, so
 //! the whole pipeline is bit-for-bit repeatable.
 
+mod common;
+
 use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::pipeline::{run_pipeline, PipelineConfig, Strategy};
 use cuda_mpi_design_rules::sim::BenchConfig;
@@ -13,7 +15,7 @@ fn fast_config() -> PipelineConfig {
             num_measurements: 3,
             max_samples: 3,
         },
-        ..Default::default()
+        ..common::env_config()
     }
 }
 

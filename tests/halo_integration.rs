@@ -2,6 +2,8 @@
 //! of the scheduled algorithm plus end-to-end rule mining on a space far
 //! too large to enumerate.
 
+mod common;
+
 use cuda_mpi_design_rules::halo::{jacobi_step, DistributedGrid, Grid3, HaloScenario, RankGrid};
 use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::pipeline::{run_pipeline, PipelineConfig, Strategy};
@@ -14,7 +16,7 @@ fn fast_config() -> PipelineConfig {
             num_measurements: 2,
             max_samples: 2,
         },
-        ..Default::default()
+        ..common::env_config()
     }
 }
 

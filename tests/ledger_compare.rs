@@ -1,10 +1,14 @@
 //! End-to-end exercise of the run ledger and the `compare` regression
 //! gate through the real `dr-rules` binary: same-seed runs must compare
 //! clean (exit 0), while a fault-injected run must be flagged as
-//! resilience drift (exit nonzero). Also covers the acceptance
-//! invocation `dr-rules spmv --trace out.json` and the usage error for
-//! a zero iteration budget.
+//! resilience drift (exit nonzero), and each entry's `config` block
+//! records the settings the binary resolved from its environment. Also
+//! covers the acceptance invocation `dr-rules spmv --trace out.json`
+//! and the usage errors for a zero iteration budget and a malformed
+//! `DR_*` variable.
 
+use cuda_mpi_design_rules::obs::json;
+use cuda_mpi_design_rules::sim::FaultConfig;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -96,15 +100,55 @@ fn ledger_env_var_is_honored() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `config` block of the last entry in the ledger under `dir`.
+fn ledger_config(dir: &Path) -> json::Value {
+    let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    let entry = json::parse(text.lines().last().unwrap()).unwrap();
+    entry.get("config").expect("config block").clone()
+}
+
 #[test]
 fn faulted_run_is_flagged_as_regression_with_nonzero_exit() {
     let dir = scratch("faulted");
     let (clean, faulted) = (dir.join("clean"), dir.join("faulted"));
-    explore_into(&clean, 2, &[]);
+    explore_into(&clean, 2, &[("DR_THREADS", "2")]);
     // The same run under light fault injection: resilience counters
     // appear where the baseline had none — the compare gate must flag
     // the drift and exit nonzero.
-    explore_into(&faulted, 2, &[("DR_FAULTS", "light")]);
+    explore_into(
+        &faulted,
+        2,
+        &[
+            ("DR_FAULTS", "light"),
+            ("DR_THREADS", "2"),
+            ("DR_RETRY_MAX", "5"),
+            ("DR_RETRY_BACKOFF_MS", "40"),
+        ],
+    );
+
+    // Provenance: each entry records what the binary resolved.
+    let clean_cfg = ledger_config(&clean);
+    let faulted_cfg = ledger_config(&faulted);
+    let text =
+        |c: &json::Value, key: &str| c.get(key).and_then(json::Value::as_str).map(str::to_string);
+    let num = |c: &json::Value, path: &[&str]| c.path(path).and_then(json::Value::as_u64);
+    let flag = |c: &json::Value, key: &str| c.get(key).and_then(json::Value::as_bool);
+    assert_eq!(text(&clean_cfg, "faults").as_deref(), Some("clean"));
+    assert_eq!(flag(&clean_cfg, "faults_active"), Some(false));
+    assert_eq!(num(&clean_cfg, &["retry", "max_retries"]), Some(2));
+    let spec = text(&faulted_cfg, "faults").unwrap();
+    assert_eq!(FaultConfig::parse(&spec), Ok(FaultConfig::light()));
+    assert_eq!(flag(&faulted_cfg, "faults_active"), Some(true));
+    for cfg in [&clean_cfg, &faulted_cfg] {
+        assert_eq!(num(cfg, &["threads"]), Some(2));
+    }
+    for (key, want) in [
+        ("max_retries", 5),
+        ("backoff_base_ms", 40),
+        ("backoff_cap_ms", 40),
+    ] {
+        assert_eq!(num(&faulted_cfg, &["retry", key]), Some(want), "{key}");
+    }
 
     let out = compare(&clean, &faulted);
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -167,5 +211,25 @@ fn zero_iterations_is_a_usage_error() {
             "{stderr}"
         );
         assert!(!stderr.contains("fault injection"), "{stderr}");
+    }
+}
+
+#[test]
+fn malformed_variables_are_usage_errors_naming_the_variable() {
+    for (name, bad) in [
+        ("DR_THREADS", "zero"),
+        ("DR_THREADS", "0"),
+        ("DR_RETRY_MAX", "abc"),
+        ("DR_HEARTBEAT_MS", "abc"),
+        ("DR_FAULTS", "bogus"),
+    ] {
+        let out = Command::new(bin())
+            .args(["spmv", "info"])
+            .env(name, bad)
+            .output()
+            .expect("dr-rules spawns");
+        assert_eq!(out.status.code(), Some(2), "{name}={bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(name), "{name}={bad}: {stderr}");
     }
 }

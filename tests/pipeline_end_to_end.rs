@@ -1,6 +1,8 @@
 //! End-to-end integration: the full Fig.-2 pipeline on the SpMV
 //! demonstration workload, spanning every crate in the workspace.
 
+mod common;
+
 use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::ml::FeatureKind;
 use cuda_mpi_design_rules::pipeline::{labeling_accuracy, run_pipeline, PipelineConfig, Strategy};
@@ -14,7 +16,7 @@ fn fast_config() -> PipelineConfig {
             num_measurements: 3,
             max_samples: 3,
         },
-        ..Default::default()
+        ..common::env_config()
     }
 }
 

@@ -13,10 +13,9 @@ use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::obs::json;
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf, EVENTS_SCHEMA};
 use cuda_mpi_design_rules::pipeline::{
-    run_pipeline, run_pipeline_stored, PipelineConfig, Strategy,
+    run_pipeline, run_pipeline_stored, PipelineConfig, RunCtx, Strategy,
 };
 use cuda_mpi_design_rules::sim::{Platform, TableWorkload};
-use cuda_mpi_design_rules::trace::Tracer;
 use proptest::prelude::*;
 
 fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkload {
@@ -53,10 +52,8 @@ proptest! {
 
         let buf = SharedBuf::new();
         let sink = EventSink::new("run-prop").with_writer(Box::new(buf.clone()));
-        let tracer = Tracer::disabled();
-        let watched = run_pipeline_stored(
-            &space, &w, &platform, strategy, &cfg, &tracer, Some(&sink), None,
-        ).unwrap();
+        let ctx = RunCtx { events: Some(sink.clone()), ..RunCtx::new(cfg) };
+        let watched = run_pipeline_stored(&space, &w, &platform, strategy, &ctx).unwrap();
         let silent = run_pipeline(&space, &w, &platform, strategy, &cfg).unwrap();
 
         // Bit-identity: observation must not perturb the search.
