@@ -9,6 +9,7 @@
 
 use cuda_mpi_design_rules::obs::json;
 use cuda_mpi_design_rules::sim::FaultConfig;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -177,6 +178,8 @@ fn omitted_command_with_trace_writes_merged_perfetto_json() {
             "25",
             "--seed",
             "2",
+            "--threads",
+            "1",
         ],
         &[],
     );
@@ -190,6 +193,63 @@ fn omitted_command_with_trace_writes_merged_perfetto_json() {
     assert!(json.contains("\"pipeline\""));
     assert!(json.contains("\"rank 0\""));
     assert!(json.contains("\"stream0\""));
+    // The exact record set, as (pid, ph, name) with multiplicity: each of
+    // the four simulated ranks, then the pipeline's own spans (one
+    // `evaluate` per evaluation, `mcts-iter` at iterations 1 and 17).
+    let mut expected: BTreeMap<(u64, String, String), usize> = BTreeMap::new();
+    let mut pin = |pid: u64, ph: &str, name: &str, n: usize| {
+        expected.insert((pid, ph.to_string(), name.to_string()), n);
+    };
+    for rank in 0..4 {
+        pin(rank, "M", "process_name", 1);
+        pin(rank, "M", "thread_name", 3);
+        pin(rank, "C", "active", 15);
+        for (name, n) in [
+            ("CER-after-Pack", 1),
+            ("CES-b4-PostSend", 1),
+            ("End", 1),
+            ("Pack", 2),
+            ("PostRecv", 1),
+            ("PostSend", 1),
+            ("Unpack", 2),
+            ("WaitRecv", 1),
+            ("WaitSend", 1),
+            ("yl", 2),
+            ("yr", 2),
+        ] {
+            pin(rank, "X", name, n);
+        }
+    }
+    let pipeline = 1_000_000;
+    pin(pipeline, "M", "process_name", 1);
+    pin(pipeline, "M", "thread_name", 3);
+    for (name, n) in [
+        ("evaluate", 25),
+        ("explore", 1),
+        ("featurize", 1),
+        ("label", 1),
+        ("mcts-dispatch", 1),
+        ("mcts-iter", 2),
+        ("pipeline", 1),
+        ("rules", 1),
+        ("train", 1),
+    ] {
+        pin(pipeline, "X", name, n);
+    }
+    pin(pipeline, "s", "follows", 1);
+    pin(pipeline, "f", "follows", 1);
+    let parsed = json::parse(&json).unwrap();
+    let mut actual: BTreeMap<(u64, String, String), usize> = BTreeMap::new();
+    for rec in parsed.as_arr().expect("a trace-event array") {
+        let field = |k: &str| rec.get(k).unwrap_or_else(|| panic!("{k} missing"));
+        let key = (
+            field("pid").as_u64().expect("integer pid"),
+            field("ph").as_str().expect("string ph").to_string(),
+            field("name").as_str().expect("string name").to_string(),
+        );
+        *actual.entry(key).or_default() += 1;
+    }
+    assert_eq!(actual, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
