@@ -20,6 +20,7 @@
 //! incomparable, new/removed phases).
 
 use dr_obs::json::{self, Value};
+use dr_obs::{mad, median};
 use std::path::Path;
 
 use crate::ledger::{LEDGER_FILE, LEDGER_SCHEMA};
@@ -444,25 +445,6 @@ fn phases_of(e: &Value) -> Vec<(String, f64)> {
             .collect(),
         _ => Vec::new(),
     }
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-/// Median absolute deviation around `med`.
-fn mad(xs: &[f64], med: f64) -> f64 {
-    let mut devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&mut devs)
 }
 
 /// A counter block (`lint` or `resilience`) flattened to `(key, value)`

@@ -19,7 +19,8 @@ use dr_mcts::{
 };
 use dr_obs::events::EventSink;
 use dr_par::{
-    panic_text, par_map_stream, CacheStats, FailurePolicy, ItemOutcome, PoolConfig, PoolObserver,
+    panic_text, par_map_stream, worker_end, worker_start, CacheStats, FailurePolicy, ItemOutcome,
+    PoolConfig,
 };
 use dr_sim::{BenchResult, SimError, SimStats};
 use dr_trace::{Lane, SpanId, Tracer};
@@ -32,32 +33,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// run's.
 pub(crate) const EXHAUSTIVE_MASTER_SEED: u64 = 0xE0E0_0000;
 
-/// MCTS iteration-span sampling rate: record one `mcts-iter` span every
-/// N iterations. Sampling keeps traces of long searches bounded without
-/// losing the shape of the search.
-const MCTS_TRACE_EVERY: usize = 16;
-
 /// Default event-stream sampling rate ([`ExploreCtx::events_rate`]).
 pub(crate) const DEFAULT_EVENTS_RATE: usize = 16;
-
-/// Forwards pool worker lifecycle callbacks to the event stream as
-/// `worker-start` / `worker-end` events.
-struct SinkPoolObserver {
-    sink: EventSink,
-}
-
-impl PoolObserver for SinkPoolObserver {
-    fn worker_start(&self, worker: usize) {
-        self.sink.emit("worker-start", &[("worker", worker.into())]);
-    }
-
-    fn worker_end(&self, worker: usize, items: usize) {
-        self.sink.emit(
-            "worker-end",
-            &[("worker", worker.into()), ("items", items.into())],
-        );
-    }
-}
 
 /// How to collect the sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,8 +159,8 @@ pub struct ExploreCtx {
     /// Worker threads (`0` is treated as `1`).
     pub threads: usize,
     /// Causal tracing: worker and chunk spans on the pool paths, sampled
-    /// per-iteration spans on the MCTS paths. A disabled tracer makes
-    /// every span call a no-op.
+    /// per-iteration spans on the MCTS paths (at `events_rate`). A
+    /// disabled tracer makes every span call a no-op.
     pub tracer: Tracer,
     /// The caller's span (usually the pipeline's explore phase) every
     /// worker and search lane `follows_from`.
@@ -192,9 +169,10 @@ pub struct ExploreCtx {
     /// `worker-start` / `worker-end` lifecycle events. `None` or a
     /// disabled sink emits nothing.
     pub events: Option<EventSink>,
-    /// Event sampling: one `mcts-iter` event every `events_rate`
-    /// iterations (minimum 1). Sampling bounds the stream's overhead on
-    /// long runs.
+    /// Iteration sampling: one `mcts-iter` event and span every
+    /// `events_rate` iterations (minimum 1). Sampling bounds the stream's
+    /// and the trace's overhead on long runs without losing the shape of
+    /// the search.
     pub events_rate: usize,
     /// What a failed evaluation does. Under [`FailurePolicy::Abort`] the
     /// run returns the first failure's error. Under
@@ -392,15 +370,12 @@ where
     F: Fn() -> E + Sync,
     I: Iterator<Item = Traversal> + Send,
 {
-    let observer = ctx
-        .live_events()
-        .map(|sink| SinkPoolObserver { sink: sink.clone() });
     let pool = PoolConfig {
         threads: ctx.threads,
         policy: ctx.policy,
         tracer: &ctx.tracer,
         dispatch: ctx.dispatch,
-        observer: observer.as_ref().map(|o| o as &dyn PoolObserver),
+        events: ctx.live_events(),
     };
     let out = par_map_stream(
         items,
@@ -582,27 +557,17 @@ where
             items: 0,
         })
         .collect();
-    if let Some(sink) = events {
-        for worker in 0..threads {
-            sink.emit("worker-start", &[("worker", worker.into())]);
-        }
+    for worker in 0..threads {
+        worker_start(events, worker);
     }
     let mut mcts = Mcts::batched(space, evals, config);
-    if let Some(lane) = ctx.mcts_lane("mcts-tree") {
-        mcts.set_trace(lane, MCTS_TRACE_EVERY);
+    mcts.observe(ctx.mcts_lane("mcts-tree"), events.cloned(), ctx.events_rate);
+    // Every started worker ends, also when the search fails.
+    let run = mcts.run_parallel(iterations);
+    for (worker, eval) in mcts.evaluators().iter().enumerate() {
+        worker_end(events, worker, eval.items);
     }
-    if let Some(sink) = events {
-        mcts.set_events(sink.clone(), ctx.events_rate);
-    }
-    mcts.run_parallel(iterations)?;
-    if let Some(sink) = events {
-        for (worker, eval) in mcts.evaluators().iter().enumerate() {
-            sink.emit(
-                "worker-end",
-                &[("worker", worker.into()), ("items", eval.items.into())],
-            );
-        }
-    }
+    run?;
 
     let sim = merge_worker_stats(mcts.evaluators());
     let cache = CacheStats {
@@ -761,6 +726,44 @@ mod tests {
             par.records.len(),
             "final row counts all merged records"
         );
+    }
+
+    #[test]
+    fn aborted_mcts_ends_every_worker_it_started() {
+        use dr_obs::{json, SharedBuf};
+        let (space, _, _) = setup();
+        let strategy = Strategy::Mcts {
+            iterations: 50,
+            config: MctsConfig::default(),
+        };
+        let failing = || {
+            |_: &Traversal, _: u64| -> Result<BenchResult, SimError> {
+                Err(SimError::Panicked {
+                    detail: "injected failure".into(),
+                })
+            }
+        };
+        for threads in [1, 3] {
+            let buf = SharedBuf::new();
+            let ctx = ExploreCtx {
+                events: Some(EventSink::new("abort").with_writer(Box::new(buf.clone()))),
+                ..ExploreCtx::new(threads)
+            };
+            assert!(explore_parallel(&space, failing, strategy, &ctx).is_err());
+            let mut started = Vec::new();
+            let mut ended = Vec::new();
+            for line in buf.contents().lines() {
+                let v = json::parse(line).unwrap();
+                let worker = v.get("worker").and_then(json::Value::as_u64);
+                match v.get("kind").and_then(json::Value::as_str) {
+                    Some("worker-start") => started.push(worker.unwrap()),
+                    Some("worker-end") => ended.push(worker.unwrap()),
+                    _ => {}
+                }
+            }
+            assert_eq!(started, (0..threads as u64).collect::<Vec<_>>());
+            assert_eq!(ended, started, "threads={threads}");
+        }
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod runs;
 mod shard;
 mod storestage;
 mod synthesize;
-mod tracestage;
 mod watch;
 
 pub use certify::{certify_rulesets, Certification, RulesetCertificate};
@@ -83,5 +82,4 @@ pub use shard::{
 };
 pub use storestage::StoredEvaluator;
 pub use synthesize::{satisfies, synthesize};
-pub use tracestage::TracingEvaluator;
 pub use watch::{EvalWatch, WatchedEvaluator};

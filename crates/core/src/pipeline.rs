@@ -7,7 +7,6 @@ use crate::report::{RunReport, SearchSummary};
 use crate::resilient::{Chaos, Measure, RetrySchedule};
 use crate::shard::DEFAULT_HEARTBEAT_MS;
 use crate::storestage::StoredEvaluator;
-use crate::tracestage::TracingEvaluator;
 use crate::watch::{EvalWatch, WatchedEvaluator};
 use dr_dag::{DecisionSpace, Traversal};
 use dr_fault::FaultConfig;
@@ -196,12 +195,11 @@ impl RunCtx {
     }
 }
 
-/// One worker's evaluator stack, outermost first: watch → trace → lint
-/// → store → measure. The watch layer's wall time covers the whole
-/// stack; the trace layer's `evaluate` span covers store lookups, lint,
-/// fault retries, and the simulator run.
+/// One worker's evaluator stack, outermost first: watch → lint → store
+/// → measure. The watch layer's `evaluate` span and `eval` wall time
+/// cover store lookups, lint, fault retries, and the simulator run.
 pub(crate) type EvalStack<'a, W> =
-    WatchedEvaluator<TracingEvaluator<LintingEvaluator<'a, StoredEvaluator<Measure<'a, W>>>>>;
+    WatchedEvaluator<LintingEvaluator<'a, StoredEvaluator<Measure<'a, W>>>>;
 
 /// What every worker's [`EvalStack`] is built from. Each optional part
 /// switches its layer off when absent, leaving a pass-through.
@@ -233,14 +231,12 @@ impl<W: Workload> StackParts<'_, W> {
             .as_ref()
             .map(|(topo, totals)| (topo, totals.clone()));
         WatchedEvaluator::new(
-            TracingEvaluator::new(
-                LintingEvaluator::new(
-                    StoredEvaluator::new(measure, self.store.clone()),
-                    self.space,
-                    lint,
-                ),
-                lane,
+            LintingEvaluator::new(
+                StoredEvaluator::new(measure, self.store.clone()),
+                self.space,
+                lint,
             ),
+            lane,
             self.watch.clone(),
         )
     }
@@ -275,7 +271,7 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 ///   measurement to disk before returning it, so a re-run over the same
 ///   store answers every already-measured traversal from disk
 ///   (`store.stats().hits` proves it) and a crash mid-run loses at most
-///   the in-flight record. The store sits *inside* the lint/trace/watch
+///   the in-flight record. The store sits *inside* the lint and watch
 ///   layers, so observability counters are identical between cold and
 ///   warm runs; only the simulator is skipped.
 ///

@@ -12,6 +12,7 @@
 
 use crate::compare::{compare_ledgers, CompareOptions, CompareReport};
 use dr_obs::json::Value;
+use dr_obs::{mad, median};
 
 /// Predicate over ledger entries; empty filter matches everything.
 #[derive(Debug, Clone, Default)]
@@ -174,24 +175,6 @@ pub fn show_entry(index: usize, e: &Value) -> String {
         }
     }
     out
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n == 0 {
-        return f64::NAN;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-fn mad(xs: &[f64], med: f64) -> f64 {
-    let mut devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&mut devs)
 }
 
 /// Phase / cache / resilience trends across a selected history, for the

@@ -10,7 +10,7 @@
 //! every already-committed traversal from disk and only simulates the
 //! remainder, with the store's hit counters as the proof.
 //!
-//! In the evaluator stack (watch → trace → lint → store → measure) the
+//! In the evaluator stack (watch → lint → store → measure) the
 //! store sits *inside* the lint stage, so static-analysis counters are
 //! identical between cold and warm runs; only simulator work is elided.
 

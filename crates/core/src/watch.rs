@@ -1,17 +1,21 @@
-//! Event-stream instrumentation of evaluator stacks.
+//! Observation of evaluator stacks: the one layer every evaluation
+//! passes through on its way to being instrumented.
 //!
-//! [`WatchedEvaluator`] is the event-stream analogue of
-//! `TracingEvaluator`: it wraps any [`Evaluator`] and emits a sampled
-//! `eval` event per measurement, carrying a global evaluation counter
-//! shared across all workers (so `records/sec` style rates can be
-//! derived from any worker's events). Observation never perturbs
-//! results — evaluation seeds are a pure function of the traversal —
-//! and with no live sink the wrapper is a plain pass-through.
+//! [`WatchedEvaluator`] wraps any [`Evaluator`] and, per call, records an
+//! `evaluate` span (annotated with the evaluation seed and outcome) on
+//! its tracer lane and emits a sampled `eval` event carrying a global
+//! evaluation counter shared across all workers (so `records/sec` style
+//! rates can be derived from any worker's events). One clock read at
+//! each end feeds both the span and the event's wall time. Observation
+//! never perturbs results — evaluation seeds are a pure function of the
+//! traversal — and with a disabled lane and no live sink the wrapper is
+//! a plain pass-through.
 
 use dr_dag::Traversal;
 use dr_mcts::Evaluator;
 use dr_obs::events::{sampled, EventSink};
 use dr_sim::{BenchResult, SimError, SimStats};
+use dr_trace::Lane;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,46 +47,69 @@ impl EvalWatch {
     }
 }
 
-/// An [`Evaluator`] adapter that emits sampled `eval` events. Place it
-/// outermost in the stack so the measured wall time covers the whole
-/// stack (tracing, linting, resilience retries, and the simulation).
+/// An [`Evaluator`] adapter that records `evaluate` spans and emits
+/// sampled `eval` events. Place it outermost in the stack so the span
+/// and the measured wall time cover the whole stack (store lookups,
+/// linting, resilience retries, and the simulation).
 #[derive(Debug)]
 pub struct WatchedEvaluator<E> {
     inner: E,
+    lane: Lane,
     watch: Option<EvalWatch>,
 }
 
 impl<E> WatchedEvaluator<E> {
-    /// Wraps `inner`; `None` (or a disabled sink) makes this a
-    /// pass-through with a single branch of overhead per evaluation.
-    pub fn new(inner: E, watch: Option<EvalWatch>) -> Self {
+    /// Wraps `inner`, recording spans on `lane`; a disabled lane and a
+    /// `None` watch (or a disabled sink) make this a pass-through with a
+    /// single branch of overhead per evaluation.
+    pub fn new(inner: E, lane: Lane, watch: Option<EvalWatch>) -> Self {
         let watch = watch.filter(|w| w.sink.is_enabled());
-        WatchedEvaluator { inner, watch }
+        WatchedEvaluator { inner, lane, watch }
     }
 }
 
 impl<E: Evaluator> Evaluator for WatchedEvaluator<E> {
     fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        let Some(watch) = &self.watch else {
+        if self.watch.is_none() && !self.lane.is_enabled() {
             return self.inner.evaluate(t, seed);
-        };
-        let n = watch.counter.fetch_add(1, Ordering::Relaxed) + 1;
+        }
+        let n = self
+            .watch
+            .as_ref()
+            .map(|w| w.counter.fetch_add(1, Ordering::Relaxed) + 1);
+        let traced = self.lane.is_enabled();
         let start = Instant::now();
+        if traced {
+            self.lane.enter_at("evaluate", start);
+            self.lane.annotate("eval_seed", seed);
+        }
         let result = self.inner.evaluate(t, seed);
-        if sampled(n as usize, watch.every) {
-            // A failed evaluation reports NaN, which the JSON encoder
-            // renders as null.
-            let time_s = result.as_ref().map(|r| r.time()).unwrap_or(f64::NAN);
-            watch.sink.emit(
-                "eval",
-                &[
-                    ("eval", n.into()),
-                    ("traversal", format!("{:016x}", t.canonical_hash()).into()),
-                    ("time_s", time_s.into()),
-                    ("wall_s", start.elapsed().as_secs_f64().into()),
-                    ("ok", result.is_ok().into()),
-                ],
-            );
+        let end = Instant::now();
+        if traced {
+            match &result {
+                Ok(r) => self
+                    .lane
+                    .annotate("t_median_s", dr_obs::json::number(r.time())),
+                Err(e) => self.lane.annotate("error", e),
+            }
+            self.lane.exit_at(end);
+        }
+        if let (Some(watch), Some(n)) = (&self.watch, n) {
+            if sampled(n as usize, watch.every) {
+                // A failed evaluation reports NaN, which the JSON encoder
+                // renders as null.
+                let time_s = result.as_ref().map(|r| r.time()).unwrap_or(f64::NAN);
+                watch.sink.emit(
+                    "eval",
+                    &[
+                        ("eval", n.into()),
+                        ("traversal", format!("{:016x}", t.canonical_hash()).into()),
+                        ("time_s", time_s.into()),
+                        ("wall_s", (end - start).as_secs_f64().into()),
+                        ("ok", result.is_ok().into()),
+                    ],
+                );
+            }
         }
         result
     }
@@ -97,6 +124,7 @@ mod tests {
     use super::*;
     use dr_obs::SharedBuf;
     use dr_sim::Percentiles;
+    use dr_trace::Tracer;
 
     struct Fixed;
     impl Evaluator for Fixed {
@@ -122,10 +150,41 @@ mod tests {
         Traversal { steps: Vec::new() }
     }
 
+    fn silent_lane() -> Lane {
+        Tracer::disabled().lane("eval-0")
+    }
+
     #[test]
     fn pass_through_without_a_watch() {
-        let mut eval = WatchedEvaluator::new(Fixed, None);
+        let mut eval = WatchedEvaluator::new(Fixed, silent_lane(), None);
         assert!(eval.evaluate(&traversal(), 0).is_ok());
+    }
+
+    #[test]
+    fn one_clock_read_feeds_the_span_and_the_event() {
+        let tracer = Tracer::new();
+        let buf = SharedBuf::new();
+        let sink = EventSink::new("run-s").with_writer(Box::new(buf.clone()));
+        let watch = EvalWatch::new(sink, 1);
+        let mut eval = WatchedEvaluator::new(Fixed, tracer.lane("eval-0"), Some(watch));
+        let out = eval.evaluate(&traversal(), 7).expect("evaluation succeeds");
+        assert_eq!(out.time(), 1.0, "observation is transparent");
+        let snap = tracer.snapshot();
+        assert_eq!(snap.spans.len(), 1);
+        let span = &snap.spans[0];
+        assert_eq!(span.name, "evaluate");
+        assert!(span.notes.iter().any(|(k, v)| k == "eval_seed" && v == "7"));
+        assert!(span
+            .notes
+            .iter()
+            .any(|(k, v)| k == "t_median_s" && v == "1"));
+        let event = dr_obs::json::parse(buf.contents().trim()).unwrap();
+        let wall_s = event.get("wall_s").unwrap().as_f64().unwrap();
+        let dur_s = span.end_s.unwrap() - span.start_s;
+        assert!(
+            (dur_s - wall_s).abs() < 1e-9,
+            "span {dur_s} vs event {wall_s}"
+        );
     }
 
     #[test]
@@ -133,8 +192,8 @@ mod tests {
         let buf = SharedBuf::new();
         let sink = EventSink::new("run-w").with_writer(Box::new(buf.clone()));
         let watch = EvalWatch::new(sink, 3);
-        let mut a = WatchedEvaluator::new(Fixed, Some(watch.clone()));
-        let mut b = WatchedEvaluator::new(Fixed, Some(watch.clone()));
+        let mut a = WatchedEvaluator::new(Fixed, silent_lane(), Some(watch.clone()));
+        let mut b = WatchedEvaluator::new(Fixed, silent_lane(), Some(watch.clone()));
         for _ in 0..4 {
             a.evaluate(&traversal(), 0).unwrap();
             b.evaluate(&traversal(), 0).unwrap();

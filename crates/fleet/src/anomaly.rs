@@ -28,6 +28,7 @@
 //! [`scan`]: AnomalyDetector::scan
 
 use crate::aggregate::MergedEvent;
+use dr_obs::{mad, median};
 
 /// Detector thresholds. The defaults mirror `compare`'s noise
 /// multiplier; the coordinator overrides `silent_after_s` from its
@@ -160,23 +161,6 @@ impl Track {
         }
         peak
     }
-}
-
-/// Median of a non-empty slice (even length: mean of the middle pair).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Median absolute deviation around `med`.
-fn mad(xs: &[f64], med: f64) -> f64 {
-    let mut dev: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&mut dev)
 }
 
 /// Per-worker anomaly tracking over the merged stream.

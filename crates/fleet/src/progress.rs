@@ -15,13 +15,7 @@
 //! events.
 
 use crate::aggregate::MergedEvent;
-use std::io::Write;
-use std::time::{Duration, Instant};
-
-/// Minimum interval between in-place repaints on a TTY.
-const TTY_INTERVAL: Duration = Duration::from_millis(100);
-/// Minimum interval between plain progress lines off-TTY.
-const PLAIN_INTERVAL: Duration = Duration::from_secs(2);
+use dr_obs::LinePainter;
 
 #[derive(Debug, Clone, Default)]
 struct ShardState {
@@ -34,38 +28,36 @@ struct ShardState {
 }
 
 /// Folds merged fleet events into one fleet-wide status line and paints
-/// it on stderr (repainted in place on a TTY, periodic plain lines
-/// otherwise).
+/// it on stderr through a [`LinePainter`].
 #[derive(Debug)]
 pub struct FleetProgress {
     shards: Vec<ShardState>,
     anomalies: u64,
     max_seen_s: f64,
     finished: bool,
-    tty: bool,
-    last_paint: Option<Instant>,
-    painted_tty_line: bool,
+    painter: LinePainter,
 }
 
 impl FleetProgress {
     /// A rollup for `count` shards, auto-detecting whether stderr is a
     /// TTY.
     pub fn new(count: usize) -> Self {
-        use std::io::IsTerminal;
-        Self::with_tty(count, std::io::stderr().is_terminal())
+        Self::painting(count, LinePainter::stderr())
     }
 
     /// A rollup with the paint mode pinned (tests exercise both paths
     /// deterministically).
     pub fn with_tty(count: usize, tty: bool) -> Self {
+        Self::painting(count, LinePainter::with_tty(tty))
+    }
+
+    fn painting(count: usize, painter: LinePainter) -> Self {
         FleetProgress {
             shards: vec![ShardState::default(); count],
             anomalies: 0,
             max_seen_s: 0.0,
             finished: false,
-            tty,
-            last_paint: None,
-            painted_tty_line: false,
+            painter,
         }
     }
 
@@ -179,34 +171,9 @@ impl FleetProgress {
     }
 
     /// Paints the current line if an interval elapsed (or `force`).
-    pub fn paint(&mut self, force: bool) {
-        let interval = if self.tty {
-            TTY_INTERVAL
-        } else {
-            PLAIN_INTERVAL
-        };
-        let due = match self.last_paint {
-            Some(t) => t.elapsed() >= interval,
-            None => true,
-        };
-        if !force && !due {
-            return;
-        }
-        self.last_paint = Some(Instant::now());
-        let line = self.snapshot_line();
-        let mut err = std::io::stderr().lock();
-        if self.tty {
-            let _ = write!(err, "\r\x1b[2K{line}");
-            if self.finished {
-                let _ = writeln!(err);
-                self.painted_tty_line = false;
-            } else {
-                self.painted_tty_line = true;
-            }
-            let _ = err.flush();
-        } else {
-            let _ = writeln!(err, "{line}");
-        }
+    pub fn paint(&self, force: bool) {
+        self.painter
+            .paint(force, self.finished, || self.snapshot_line());
     }
 
     /// Final paint: forces one last line and, on a TTY, terminates the

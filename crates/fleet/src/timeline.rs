@@ -9,31 +9,19 @@
 //! every stream on one timeline while preserving the worker's own
 //! high-resolution spacing between events.
 //!
-//! The export builds one trace-event fragment per process and splices
-//! them with [`dr_trace::merge_chrome_json`], the same path the
-//! pipeline uses to join its own spans with simulated-program
-//! timelines.
+//! The export builds one trace-event fragment per process from
+//! [`dr_trace::chrome::Record`]s and splices them with
+//! [`dr_trace::merge_chrome_json`], the same path the pipeline uses to
+//! join its own spans with simulated-program timelines.
 
 use crate::aggregate::MergedEvent;
-use dr_obs::json;
+use dr_trace::chrome::{render, Record};
 
 /// Process id for the swarm coordinator's event lane, far above both
 /// simulated MPI ranks (`pid = rank`) and the pipeline's own spans
 /// (`dr_trace::PIPELINE_PID`). Worker `i` exports as
 /// `FLEET_COORDINATOR_PID + 1 + i`.
 pub const FLEET_COORDINATOR_PID: u64 = 3_000_000;
-
-fn ts_us(seconds: f64) -> String {
-    json::number(seconds * 1e6)
-}
-
-fn meta(pid: u64, tid: u64, which: &str, name: &str) -> String {
-    format!(
-        "{{\"name\": \"{which}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-         \"args\": {{\"name\": \"{}\"}}}}",
-        json::escape(name)
-    )
-}
 
 /// One worker attempt, rebased onto the coordinator clock.
 struct Attempt<'a> {
@@ -69,30 +57,26 @@ fn attempts_of<'a>(events: &[&'a MergedEvent]) -> Vec<Attempt<'a>> {
 fn coordinator_fragment(events: &[&MergedEvent]) -> String {
     let pid = FLEET_COORDINATOR_PID;
     let mut recs = vec![
-        meta(pid, 0, "process_name", "swarm coordinator"),
-        meta(pid, 0, "thread_name", "events"),
+        Record::process_name(pid, "swarm coordinator").tid(0),
+        Record::thread_name(pid, 0, "events"),
     ];
     for ev in events {
-        let args = match ev.field_u64("shard") {
-            Some(s) => format!("{{\"shard\": \"{s}\"}}"),
-            None => "{}".to_string(),
-        };
-        recs.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"fleet\", \"ph\": \"i\", \"s\": \"p\", \
-             \"pid\": {pid}, \"tid\": 0, \"ts\": {}, \"args\": {args}}}",
-            json::escape(&ev.kind),
-            ts_us(ev.seen_s),
-        ));
+        let shard = ev.field_u64("shard").map(|s| ("shard", s.to_string()));
+        recs.push(
+            Record::instant(&ev.kind, "p", pid, 0, ev.seen_s)
+                .cat("fleet")
+                .args(shard.as_slice()),
+        );
     }
-    format!("[{}]", recs.join(",\n "))
+    render(&recs)
 }
 
 fn worker_fragment(index: usize, count: usize, events: &[&MergedEvent]) -> String {
     let pid = FLEET_COORDINATOR_PID + 1 + index as u64;
     let mut recs = vec![
-        meta(pid, 0, "process_name", &format!("shard {index}/{count}")),
-        meta(pid, 0, "thread_name", "shard"),
-        meta(pid, 1, "thread_name", "beats"),
+        Record::process_name(pid, &format!("shard {index}/{count}")).tid(0),
+        Record::thread_name(pid, 0, "shard"),
+        Record::thread_name(pid, 1, "beats"),
     ];
     for (k, attempt) in attempts_of(events).iter().enumerate() {
         let (Some(first), Some(last)) = (attempt.events.first(), attempt.events.last()) else {
@@ -106,44 +90,37 @@ fn worker_fragment(index: usize, count: usize, events: &[&MergedEvent]) -> Strin
             .rev()
             .find(|e| e.kind == "shard-done")
             .and_then(|e| e.field_u64("records"));
-        let mut args = format!("\"attempt\": \"{}\"", k + 1);
-        if let Some(r) = records {
-            args.push_str(&format!(", \"records\": \"{r}\""));
-        }
-        recs.push(format!(
-            "{{\"name\": \"shard {index} attempt {}\", \"cat\": \"fleet\", \"ph\": \"X\", \
-             \"pid\": {pid}, \"tid\": 0, \"ts\": {}, \"dur\": {}, \"args\": {{{args}}}}}",
-            k + 1,
-            ts_us(start),
-            ts_us(end - start),
-        ));
+        let mut args = vec![("attempt", (k + 1).to_string())];
+        args.extend(records.map(|r| ("records", r.to_string())));
+        let name = format!("shard {index} attempt {}", k + 1);
+        recs.push(
+            Record::span(&name, pid, 0, start, end - start)
+                .cat("fleet")
+                .args(&args),
+        );
         for ev in &attempt.events {
             if ev.kind != "heartbeat" {
                 continue;
             }
             let done = ev.field_u64("done").unwrap_or(0);
             let total = ev.field_u64("total").unwrap_or(0);
-            recs.push(format!(
-                "{{\"name\": \"beat\", \"cat\": \"fleet\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"pid\": {pid}, \"tid\": 1, \"ts\": {}, \
-                 \"args\": {{\"done\": \"{done}\", \"total\": \"{total}\"}}}}",
-                ts_us(attempt.place(ev)),
-            ));
-            recs.push(format!(
-                "{{\"name\": \"evals done\", \"ph\": \"C\", \"pid\": {pid}, \"tid\": 0, \
-                 \"ts\": {}, \"args\": {{\"done\": {done}}}}}",
-                ts_us(attempt.place(ev)),
-            ));
+            let at = attempt.place(ev);
+            recs.push(
+                Record::instant("beat", "t", pid, 1, at)
+                    .cat("fleet")
+                    .args(&[("done", done.to_string()), ("total", total.to_string())]),
+            );
+            recs.push(Record::counter("evals done", pid, at, &[("done", done as i64)]).tid(0));
         }
     }
-    format!("[{}]", recs.join(",\n "))
+    render(&recs)
 }
 
 /// Flow arrows: each completed shard gets an arrow from the
 /// coordinator's issuing `worker-spawn` event to the worker's
 /// `shard-done`, both placed on the shared coordinator clock.
 fn flow_fragment(events: &[MergedEvent]) -> String {
-    let mut recs: Vec<String> = Vec::new();
+    let mut recs: Vec<Record> = Vec::new();
     let mut flow_id = 0u64;
     for done in events.iter().filter(|e| e.kind == "shard-done") {
         let Some(worker) = done.worker else { continue };
@@ -167,19 +144,18 @@ fn flow_fragment(events: &[MergedEvent]) -> String {
             })
             .unwrap_or(done.seen_s);
         let pid = FLEET_COORDINATOR_PID + 1 + worker as u64;
-        recs.push(format!(
-            "{{\"name\": \"issue\", \"cat\": \"fleet-flow\", \"ph\": \"s\", \"id\": {flow_id}, \
-             \"pid\": {FLEET_COORDINATOR_PID}, \"tid\": 0, \"ts\": {}}}",
-            ts_us(spawn.seen_s),
-        ));
-        recs.push(format!(
-            "{{\"name\": \"issue\", \"cat\": \"fleet-flow\", \"ph\": \"f\", \"bp\": \"e\", \
-             \"id\": {flow_id}, \"pid\": {pid}, \"tid\": 0, \"ts\": {}}}",
-            ts_us(landed),
-        ));
+        let arrow = Record::flow(
+            "issue",
+            flow_id,
+            (FLEET_COORDINATOR_PID, 0),
+            spawn.seen_s,
+            (pid, 0),
+            landed,
+        );
+        recs.extend(arrow.map(|r| r.cat("fleet-flow")));
         flow_id += 1;
     }
-    format!("[{}]", recs.join(",\n "))
+    render(&recs)
 }
 
 /// Renders the merged fleet stream as one Chrome trace-event JSON
@@ -201,6 +177,23 @@ pub fn swarm_chrome_json(events: &[MergedEvent], workers: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dr_obs::json::{self, Value};
+
+    /// The exported records, parsed.
+    fn records(out: &str) -> Vec<Value> {
+        let v = json::parse(out).expect("valid chrome json");
+        v.as_arr().expect("a record array").to_vec()
+    }
+
+    fn has(recs: &[Value], key: &str, value: &str) -> bool {
+        recs.iter()
+            .any(|r| r.get(key).and_then(Value::as_str) == Some(value))
+    }
+
+    fn has_pid(recs: &[Value], pid: u64) -> bool {
+        recs.iter()
+            .any(|r| r.get("pid").and_then(Value::as_u64) == Some(pid))
+    }
 
     fn ev(
         worker: Option<usize>,
@@ -266,25 +259,28 @@ mod tests {
     #[test]
     fn export_is_valid_json_with_flows_and_processes() {
         let out = swarm_chrome_json(&sample(), 1);
-        json::validate(&out).expect("valid chrome json");
+        let recs = records(&out);
         assert!(out.contains("\"swarm coordinator\""), "{out}");
         assert!(out.contains("\"shard 0/1\""), "{out}");
-        assert!(out.contains("\"ph\": \"X\""), "{out}");
-        assert!(out.contains("\"ph\": \"s\""), "{out}");
-        assert!(out.contains("\"ph\": \"f\""), "{out}");
-        assert!(out.contains("\"ph\": \"C\""), "{out}");
-        assert!(out.contains(&format!("\"pid\": {FLEET_COORDINATOR_PID}")));
-        assert!(out.contains(&format!("\"pid\": {}", FLEET_COORDINATOR_PID + 1)));
+        for ph in ["X", "s", "f", "C"] {
+            assert!(has(&recs, "ph", ph), "no {ph} record: {out}");
+        }
+        assert!(has_pid(&recs, FLEET_COORDINATOR_PID), "{out}");
+        assert!(has_pid(&recs, FLEET_COORDINATOR_PID + 1), "{out}");
     }
 
     #[test]
     fn worker_events_are_rebased_onto_the_coordinator_clock() {
         let out = swarm_chrome_json(&sample(), 1);
+        let ts: Vec<f64> = records(&out)
+            .iter()
+            .filter_map(|r| r.get("ts").and_then(Value::as_f64))
+            .collect();
         // First worker event: offset = 0.35 − 0.2 = 0.15, so the span
         // starts at 0.35s = 350000µs on the shared clock, not at the
         // worker-local 200000µs.
-        assert!(out.contains("\"ts\": 350000"), "{out}");
-        assert!(!out.contains("\"ts\": 200000"), "{out}");
+        assert!(ts.contains(&350000.0), "{out}");
+        assert!(!ts.contains(&200000.0), "{out}");
     }
 
     #[test]
@@ -301,7 +297,7 @@ mod tests {
             &[("shard", 0), ("of", 1), ("done", 2), ("total", 10)],
         ));
         let out = swarm_chrome_json(&events, 1);
-        json::validate(&out).expect("valid chrome json");
+        records(&out);
         assert!(out.contains("shard 0 attempt 1"), "{out}");
         assert!(out.contains("shard 0 attempt 2"), "{out}");
     }

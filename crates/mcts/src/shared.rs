@@ -57,6 +57,15 @@ type NodeId = usize;
 
 const ROOT: NodeId = 0;
 
+/// Sampled per-iteration observation: a zero-length `mcts-iter` span on
+/// the lane and an `mcts-iter` event on the sink, at iterations 1,
+/// 1+every, 1+2·every, ….
+struct IterWatch {
+    lane: Option<Lane>,
+    events: Option<EventSink>,
+    every: u64,
+}
+
 struct Node {
     children: Vec<(Placement, NodeId)>,
     /// Number of eligible placements at this node's prefix.
@@ -177,10 +186,7 @@ pub(crate) struct Arena<'a> {
     /// Deepest backpropagated path, maintained incrementally so telemetry
     /// rows avoid the full-tree walk [`Arena::stats`] performs.
     max_depth: usize,
-    /// Sampled per-iteration tracing: `(lane, every)`.
-    trace: Option<(Lane, usize)>,
-    /// Sampled per-iteration event emission: `(sink, every)`.
-    events: Option<(EventSink, usize)>,
+    watch: Option<IterWatch>,
 }
 
 impl<'a> Arena<'a> {
@@ -199,17 +205,23 @@ impl<'a> Arena<'a> {
             repeats: 0,
             telemetry: SearchTelemetry::new(),
             max_depth: 0,
-            trace: None,
-            events: None,
+            watch: None,
         }
     }
 
-    pub(crate) fn set_trace(&mut self, lane: Lane, every: usize) {
-        self.trace = Some((lane, every.max(1)));
-    }
-
-    pub(crate) fn set_events(&mut self, sink: EventSink, every: usize) {
-        self.events = Some((sink, every.max(1)));
+    pub(crate) fn set_observer(
+        &mut self,
+        lane: Option<Lane>,
+        events: Option<EventSink>,
+        every: usize,
+    ) {
+        let lane = lane.filter(Lane::is_enabled);
+        let events = events.filter(EventSink::is_enabled);
+        self.watch = (lane.is_some() || events.is_some()).then(|| IterWatch {
+            lane,
+            events,
+            every: every.max(1) as u64,
+        });
     }
 
     pub(crate) fn records(&self) -> &[ExploredRecord] {
@@ -707,39 +719,40 @@ impl<'a> Arena<'a> {
         self.telemetry.push(row);
     }
 
-    /// Sampled trace/event emission for one resolved rollout: iterations
-    /// 1, 1+every, 1+2·every, … (tracing and events sample
-    /// independently). Emission only reads search state, so it cannot
+    /// Sampled span/event emission for one resolved rollout (see
+    /// [`IterWatch`]). Emission only reads search state, so it cannot
     /// perturb the search.
     fn observe(&mut self, iteration: u64, outcome: &str) {
         let unique = self.records.len();
         let tree_nodes = self.tree_size();
         let max_depth = self.max_depth;
         let best_s = self.nodes[ROOT].t_min;
-        if let Some((lane, every)) = &mut self.trace {
-            if (iteration - 1).is_multiple_of(*every as u64) {
-                lane.enter("mcts-iter");
-                lane.annotate("iteration", iteration);
-                lane.annotate("unique", unique);
-                lane.annotate("tree_nodes", tree_nodes);
-                lane.annotate("outcome", outcome);
-                lane.exit();
-            }
+        let Some(watch) = &mut self.watch else {
+            return;
+        };
+        if !(iteration - 1).is_multiple_of(watch.every) {
+            return;
         }
-        if let Some((sink, every)) = &self.events {
-            if sink.is_enabled() && (iteration - 1).is_multiple_of(*every as u64) {
-                sink.emit(
-                    "mcts-iter",
-                    &[
-                        ("iteration", iteration.into()),
-                        ("unique", unique.into()),
-                        ("tree_nodes", tree_nodes.into()),
-                        ("max_depth", max_depth.into()),
-                        ("best_s", best_s.into()),
-                        ("outcome", outcome.into()),
-                    ],
-                );
-            }
+        if let Some(lane) = &mut watch.lane {
+            lane.enter("mcts-iter");
+            lane.annotate("iteration", iteration);
+            lane.annotate("unique", unique);
+            lane.annotate("tree_nodes", tree_nodes);
+            lane.annotate("outcome", outcome);
+            lane.exit();
+        }
+        if let Some(sink) = &watch.events {
+            sink.emit(
+                "mcts-iter",
+                &[
+                    ("iteration", iteration.into()),
+                    ("unique", unique.into()),
+                    ("tree_nodes", tree_nodes.into()),
+                    ("max_depth", max_depth.into()),
+                    ("best_s", best_s.into()),
+                    ("outcome", outcome.into()),
+                ],
+            );
         }
     }
 }

@@ -183,25 +183,18 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
         }
     }
 
-    /// Enables sampled iteration tracing: every `every`-th iteration
+    /// Enables sampled iteration observation: every `every`-th iteration
     /// (starting with the first) records a zero-length `mcts-iter` span
-    /// on `lane` when it resolves, annotated with the iteration number,
-    /// unique-traversal count, tree size, and the iteration's outcome.
-    /// Sampling keeps the span volume proportional to `budget / every`;
-    /// `every` is clamped to at least 1. In a batched search, iterations
-    /// of one batch resolve at commit, so their spans can appear out of
-    /// iteration order.
-    pub fn set_trace(&mut self, lane: Lane, every: usize) {
-        self.tree.set_trace(lane, every);
-    }
-
-    /// Enables sampled iteration event emission (`mcts-iter` events on
-    /// `sink`): the same sampling schedule and ordering caveat as
-    /// [`Mcts::set_trace`], carrying the iteration number, unique-traversal
-    /// count, tree size/depth, best time, and the iteration's outcome.
-    /// Emission only reads search state, so it cannot perturb the search.
-    pub fn set_events(&mut self, sink: EventSink, every: usize) {
-        self.tree.set_events(sink, every);
+    /// on `lane` and emits an `mcts-iter` event on `events` when it
+    /// resolves. Both carry the iteration number, unique-traversal count,
+    /// tree size, and the iteration's outcome; the event adds the tree
+    /// depth and best time. Sampling keeps the volume proportional to
+    /// `budget / every`; `every` is clamped to at least 1. In a batched
+    /// search, iterations of one batch resolve at commit, so their spans
+    /// and events can appear out of iteration order. Observation only
+    /// reads search state, so it cannot perturb the search.
+    pub fn observe(&mut self, lane: Option<Lane>, events: Option<EventSink>, every: usize) {
+        self.tree.set_observer(lane, events, every);
     }
 
     /// All explored implementations, in discovery (commit) order.
@@ -570,7 +563,7 @@ mod tests {
             let eval = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
             let mut mcts = Mcts::new(&space, eval, MctsConfig::default());
             if let Some((tracer, every)) = trace {
-                mcts.set_trace(tracer.lane("mcts-0"), every);
+                mcts.observe(Some(tracer.lane("mcts-0")), None, every);
             }
             mcts.run(9).unwrap();
             mcts.into_records()
@@ -916,7 +909,7 @@ mod event_tests {
             let eval = SimEvaluator::new(&sp, &w, &platform, BenchConfig::quick());
             let mut mcts = Mcts::new(&sp, eval, MctsConfig::default());
             if let Some(s) = sink {
-                mcts.set_events(s, 4);
+                mcts.observe(None, Some(s), 4);
             }
             mcts.run(9).unwrap();
             mcts.into_records()

@@ -6,9 +6,10 @@
 //! named phase timers), [`json`] (hand-rolled JSON formatting plus
 //! a syntax validator used by tests that assert artifacts are
 //! well-formed), [`events`] (the `dr-events/v1` structured NDJSON
-//! event stream behind `--progress`/`--events`), and [`expose`]
-//! (Prometheus-style text exposition of metric snapshots, the
-//! `--metrics-text` surface).
+//! event stream behind `--progress`/`--events`), [`paint`] (the
+//! throttled stderr status line both `--progress` renderers paint
+//! through), and [`expose`] (Prometheus-style text exposition of metric
+//! snapshots, the `--metrics-text` surface).
 //!
 //! The metrics primitives are single-threaded by design, matching the
 //! simulator and the search loop: plain structs mutated through
@@ -24,11 +25,13 @@ pub mod events;
 pub mod expose;
 pub mod json;
 pub mod metrics;
+pub mod paint;
 pub mod timer;
 
 pub use events::{Event, EventObserver, EventSink, Field, SharedBuf, EVENTS_SCHEMA};
 pub use expose::TextExposition;
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{mad, median, Counter, Gauge, Histogram};
+pub use paint::LinePainter;
 pub use timer::{Phases, Stopwatch};
 
 /// Writes one CSV row, quoting fields that contain commas, quotes, or

@@ -30,6 +30,6 @@ mod pool;
 
 pub use cache::{CacheStats, StripedCache};
 pub use pool::{
-    panic_text, par_map_stream, split_budget, FailurePolicy, ItemOutcome, PoolConfig, PoolObserver,
-    PoolOutcome,
+    panic_text, par_map_stream, split_budget, worker_end, worker_start, FailurePolicy, ItemOutcome,
+    PoolConfig, PoolOutcome,
 };

@@ -9,6 +9,7 @@
 //! [`FailurePolicy::Quarantine`] marks the item and keeps the remaining
 //! work alive, which is what a chaos run needs.
 
+use dr_obs::EventSink;
 use dr_trace::{Lane, SpanId, Tracer};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,16 +22,23 @@ use std::thread;
 /// an uneven workload balanced.
 const CHUNK: usize = 8;
 
-/// Callbacks observing pool worker lifecycle, for live progress
-/// displays. The pool stays observability-agnostic: implementors adapt
-/// these calls to whatever sink they use (the core crate forwards them
-/// to the `dr-events/v1` stream). Callbacks run on the worker's thread
-/// and must not panic; default implementations do nothing.
-pub trait PoolObserver: Sync {
-    /// A worker thread started (workers are indexed `0..threads`).
-    fn worker_start(&self, _worker: usize) {}
-    /// A worker thread finished after mapping `items` items.
-    fn worker_end(&self, _worker: usize, _items: usize) {}
+/// Emits the `worker-start` event of worker `worker` (workers are
+/// indexed `0..threads`). Shared by the pool and by every other engine
+/// that runs a fixed set of workers, so the lifecycle events look alike.
+pub fn worker_start(events: Option<&EventSink>, worker: usize) {
+    if let Some(sink) = events {
+        sink.emit("worker-start", &[("worker", worker.into())]);
+    }
+}
+
+/// Emits the `worker-end` event of a worker that mapped `items` items.
+pub fn worker_end(events: Option<&EventSink>, worker: usize, items: usize) {
+    if let Some(sink) = events {
+        sink.emit(
+            "worker-end",
+            &[("worker", worker.into()), ("items", items.into())],
+        );
+    }
 }
 
 /// What a failed item (an error or a caught panic) does to the run.
@@ -59,8 +67,9 @@ pub struct PoolConfig<'a> {
     pub tracer: &'a Tracer,
     /// The caller's span every worker span `follows_from`, if any.
     pub dispatch: Option<SpanId>,
-    /// Notified of worker start/end on the worker's own thread.
-    pub observer: Option<&'a dyn PoolObserver>,
+    /// Each worker emits [`worker_start`] and [`worker_end`] events here,
+    /// on its own thread, next to its `worker` span.
+    pub events: Option<&'a EventSink>,
 }
 
 /// Splits an iteration budget into `parts` per-worker budgets that sum to
@@ -193,9 +202,7 @@ where
     if let Some(d) = cfg.dispatch {
         lane.follows_from(d);
     }
-    if let Some(o) = cfg.observer {
-        o.worker_start(w);
-    }
+    worker_start(cfg.events, w);
     let mut state = init(w);
     let mut out: Tagged<T, R, Err> = Vec::new();
     'work: while !stop.load(Ordering::Relaxed) {
@@ -228,9 +235,7 @@ where
     }
     lane.annotate("items", out.len());
     lane.exit();
-    if let Some(o) = cfg.observer {
-        o.worker_end(w, out.len());
-    }
+    worker_end(cfg.events, w, out.len());
     (out, state)
 }
 
@@ -245,7 +250,7 @@ mod tests {
             policy,
             tracer,
             dispatch: None,
-            observer: None,
+            events: None,
         }
     }
 
@@ -466,39 +471,36 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_worker_and_all_items() {
-        use std::sync::atomic::AtomicUsize;
-        #[derive(Default)]
-        struct Tally {
-            starts: AtomicUsize,
-            ends: AtomicUsize,
-            items: AtomicUsize,
-        }
-        impl PoolObserver for Tally {
-            fn worker_start(&self, _worker: usize) {
-                self.starts.fetch_add(1, Ordering::Relaxed);
-            }
-            fn worker_end(&self, _worker: usize, items: usize) {
-                self.ends.fetch_add(1, Ordering::Relaxed);
-                self.items.fetch_add(items, Ordering::Relaxed);
-            }
-        }
+    fn workers_emit_paired_lifecycle_events_covering_all_items() {
+        use dr_obs::{json, SharedBuf};
         let tracer = Tracer::disabled();
         for threads in [1, 4] {
-            let tally = Tally::default();
+            let buf = SharedBuf::new();
+            let sink = EventSink::new("pool").with_writer(Box::new(buf.clone()));
             let out = par_map_stream(
                 0..40i32,
                 &PoolConfig {
-                    observer: Some(&tally),
+                    events: Some(&sink),
                     ..pool(&tracer, threads, FailurePolicy::Quarantine)
                 },
                 |_| (),
                 |(), _, &x| Ok::<_, ()>(x + 1),
             );
             assert_eq!(out.items.len(), 40);
-            assert_eq!(tally.starts.load(Ordering::Relaxed), threads);
-            assert_eq!(tally.ends.load(Ordering::Relaxed), threads);
-            assert_eq!(tally.items.load(Ordering::Relaxed), 40, "threads={threads}");
+            let (mut starts, mut ends, mut items) = (0, 0, 0);
+            for line in buf.contents().lines() {
+                let v = json::parse(line).unwrap();
+                match v.get("kind").and_then(json::Value::as_str) {
+                    Some("worker-start") => starts += 1,
+                    Some("worker-end") => {
+                        ends += 1;
+                        items += v.get("items").and_then(json::Value::as_u64).unwrap();
+                    }
+                    other => panic!("unexpected event {other:?}"),
+                }
+            }
+            assert_eq!((starts, ends), (threads, threads));
+            assert_eq!(items, 40, "threads={threads}");
         }
     }
 

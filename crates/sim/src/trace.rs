@@ -5,6 +5,8 @@
 //! overlapped across streams, when messages actually moved. Traces are
 //! the simulator's analogue of an Nsight/`mpiP` timeline.
 
+use dr_trace::chrome::Record;
+
 /// Where an operation executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
@@ -221,31 +223,26 @@ mod tests {
     }
 }
 
-fn tid_of(resource: Resource) -> usize {
+fn tid_of(resource: Resource) -> u64 {
     match resource {
         Resource::Cpu => 0,
-        Resource::Stream(s) => s + 1,
+        Resource::Stream(s) => s as u64 + 1,
     }
 }
 
 impl Trace {
     /// Serializes the trace in Chrome trace-event format (the JSON array
-    /// flavour readable by `chrome://tracing` and Perfetto). Each rank
-    /// maps to a process, each resource to a thread; timestamps are in
-    /// microseconds as the format requires. Hand-rolled JSON: names are
-    /// instruction identifiers (letters, digits, `-`, `(`, `)`), so only
-    /// quotes/backslashes need escaping.
+    /// flavour readable by `chrome://tracing` and Perfetto), through
+    /// [`dr_trace::chrome::Record`]. Each rank maps to a process, each
+    /// resource to a thread.
     ///
-    /// Beyond the `"ph":"X"` duration spans, the stream carries
-    /// `"ph":"M"` metadata naming each process (`rank R`) and thread
-    /// (`cpu`, `streamN`) so Perfetto labels tracks, and a per-rank
-    /// `"ph":"C"` counter track (`active`) sampling how many resources
-    /// are busy at each span boundary.
+    /// Beyond the `"X"` duration spans, the stream carries `"M"`
+    /// metadata naming each process (`rank R`) and thread (`cpu`,
+    /// `streamN`) so Perfetto labels tracks, and a per-rank `"C"` counter
+    /// track (`active`) sampling how many resources are busy at each span
+    /// boundary.
     pub fn to_chrome_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut records: Vec<String> = Vec::with_capacity(self.events.len() * 2);
+        let mut records: Vec<Record> = Vec::with_capacity(self.events.len() * 2);
         // Metadata: one process_name per rank, one thread_name per
         // (rank, resource) seen in the trace.
         let mut threads: Vec<(usize, Resource)> =
@@ -255,25 +252,23 @@ impl Trace {
         let mut last_rank = usize::MAX;
         for &(rank, res) in &threads {
             if rank != last_rank {
-                records.push(format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{rank},\"args\":{{\"name\":\"rank {rank}\"}}}}"
-                ));
+                records.push(Record::process_name(rank as u64, &format!("rank {rank}")));
                 last_rank = rank;
             }
-            records.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{rank},\"tid\":{},\"args\":{{\"name\":\"{res}\"}}}}",
-                tid_of(res)
+            records.push(Record::thread_name(
+                rank as u64,
+                tid_of(res),
+                &res.to_string(),
             ));
         }
         // Duration spans.
         for e in &self.events {
-            records.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}}}",
-                esc(&e.name),
-                e.rank,
+            records.push(Record::span(
+                &e.name,
+                e.rank as u64,
                 tid_of(e.resource),
-                e.start * 1e6,
-                e.duration() * 1e6
+                e.start,
+                e.duration(),
             ));
         }
         // Counter track: busy resources per rank, sampled at span
@@ -296,19 +291,40 @@ impl Trace {
                     active += deltas[i].1;
                     i += 1;
                 }
-                records.push(format!(
-                    "{{\"name\":\"active\",\"ph\":\"C\",\"pid\":{rank},\"ts\":{:.3},\"args\":{{\"busy\":{active}}}}}",
-                    t * 1e6
+                records.push(Record::counter(
+                    "active",
+                    rank as u64,
+                    t,
+                    &[("busy", active)],
                 ));
             }
         }
-        format!("[{}]", records.join(","))
+        dr_trace::chrome::render(&records)
     }
 }
 
 #[cfg(test)]
 mod chrome_tests {
     use super::*;
+    use dr_obs::json::{self, Value};
+
+    /// The exported records, parsed.
+    fn records(t: &Trace) -> Vec<Value> {
+        let out = json::parse(&t.to_chrome_json()).expect("valid chrome json");
+        out.as_arr().expect("a record array").to_vec()
+    }
+
+    fn str_of<'a>(r: &'a Value, key: &str) -> &'a str {
+        r.get(key).and_then(Value::as_str).unwrap_or_default()
+    }
+
+    fn num_of(r: &Value, key: &str) -> f64 {
+        r.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN)
+    }
+
+    fn phase<'a>(recs: &'a [Value], ph: &str) -> Vec<&'a Value> {
+        recs.iter().filter(|r| str_of(r, "ph") == ph).collect()
+    }
 
     #[test]
     fn chrome_json_is_wellformed_and_complete() {
@@ -330,14 +346,18 @@ mod chrome_tests {
                 },
             ],
         };
-        let json = t.to_chrome_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(json.contains("\"pid\":2"));
-        assert!(json.contains("\"tid\":2"), "stream 1 -> tid 2");
-        assert!(json.contains("\\\"x\\\""), "quotes escaped");
-        assert!(json.contains("\"ts\":1.000"));
-        assert!(json.contains("\"dur\":2.000"));
+        let recs = records(&t);
+        let spans = phase(&recs, "X");
+        assert_eq!(spans.len(), 2);
+        let pack = spans[0];
+        assert_eq!(str_of(pack, "name"), "Pack");
+        assert_eq!(num_of(pack, "pid"), 0.0);
+        assert_eq!(num_of(pack, "tid"), 2.0, "stream 1 -> tid 2");
+        assert!((num_of(pack, "ts") - 1.0).abs() < 1e-9, "µs timestamps");
+        assert!((num_of(pack, "dur") - 2.0).abs() < 1e-9);
+        let ces = spans[1];
+        assert_eq!(num_of(ces, "pid"), 2.0);
+        assert_eq!(str_of(ces, "name"), "CES-b4-\"x\"", "quotes escaped");
     }
 
     #[test]
@@ -365,18 +385,17 @@ mod chrome_tests {
                 },
             ],
         };
-        let json = t.to_chrome_json();
-        dr_obs::json::validate(&json).unwrap();
-        assert_eq!(
-            json.matches("\"ph\":\"M\"").count(),
-            3,
-            "1 process + 2 threads"
-        );
-        assert!(json.contains("\"name\":\"rank 1\""));
-        assert!(json.contains("\"name\":\"cpu\""));
-        assert!(json.contains("\"name\":\"stream0\""));
+        let recs = records(&t);
+        let meta = phase(&recs, "M");
+        assert_eq!(meta.len(), 3, "1 process + 2 threads");
+        let labels: Vec<&str> = meta
+            .iter()
+            .map(|r| r.path(&["args", "name"]).and_then(Value::as_str).unwrap())
+            .collect();
+        assert_eq!(labels, ["rank 1", "cpu", "stream0"]);
         // Metadata precedes the spans.
-        assert!(json.find("\"ph\":\"M\"").unwrap() < json.find("\"ph\":\"X\"").unwrap());
+        let first = |ph: &str| recs.iter().position(|r| str_of(r, "ph") == ph).unwrap();
+        assert!(first("M") < first("X"));
     }
 
     #[test]
@@ -400,12 +419,15 @@ mod chrome_tests {
                 },
             ],
         };
-        let json = t.to_chrome_json();
-        dr_obs::json::validate(&json).unwrap();
-        assert_eq!(json.matches("\"ph\":\"C\"").count(), 4);
-        assert!(json.contains("\"busy\":2"));
+        let recs = records(&t);
+        let busy: Vec<f64> = phase(&recs, "C")
+            .iter()
+            .map(|r| r.path(&["args", "busy"]).and_then(Value::as_f64).unwrap())
+            .collect();
+        assert_eq!(busy.len(), 4);
+        assert!(busy.contains(&2.0));
         // The final boundary returns to zero.
-        assert!(json.contains("\"busy\":0"));
+        assert!(busy.contains(&0.0));
     }
 }
 

@@ -18,8 +18,10 @@
 //! * Spans carry ordered key/value annotations (cache hits, eval seeds,
 //!   lint verdicts, fault counters) attached via [`Lane::annotate`].
 //!
-//! Two exporters live in [`chrome`]: a Chrome/Perfetto trace-event JSON
-//! writer ([`Tracer::to_chrome_json`]) and [`chrome::merge_chrome_json`],
+//! [`chrome`] holds the workspace's one Chrome/Perfetto trace-event
+//! writer ([`chrome::Record`], which the simulator's and the fleet's
+//! exporters also build on), the span exporter
+//! ([`Tracer::to_chrome_json`]), and [`chrome::merge_chrome_json`],
 //! which splices several trace-event fragments (the pipeline's own spans
 //! plus `dr_sim::Trace::to_chrome_json` rank/stream timelines) into one
 //! file so "the search" and "what it searched" share a timeline.

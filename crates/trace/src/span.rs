@@ -32,6 +32,13 @@ struct Inner {
     state: Mutex<State>,
 }
 
+impl Inner {
+    /// Seconds from the epoch to the clock reading `at`.
+    fn seconds_at(&self, at: Instant) -> f64 {
+        at.saturating_duration_since(self.epoch).as_secs_f64()
+    }
+}
+
 /// Shared handle to a span store. Clones share the same store; a tracer
 /// built with [`Tracer::disabled`] makes every tracing call a no-op.
 #[derive(Clone, Debug)]
@@ -200,8 +207,19 @@ impl Lane {
     /// Open a span named `name` as a child of the current span. Returns
     /// `None` when the tracer is disabled.
     pub fn enter(&mut self, name: &str) -> Option<SpanId> {
+        let start_s = self.tracer.inner.as_ref()?.epoch.elapsed().as_secs_f64();
+        self.open(name, start_s)
+    }
+
+    /// [`Lane::enter`] with the span starting at `at`, a clock reading
+    /// the caller also uses for something else.
+    pub fn enter_at(&mut self, name: &str, at: Instant) -> Option<SpanId> {
+        let start_s = self.tracer.inner.as_ref()?.seconds_at(at);
+        self.open(name, start_s)
+    }
+
+    fn open(&mut self, name: &str, start_s: f64) -> Option<SpanId> {
         let inner = self.tracer.inner.as_ref()?;
-        let start_s = inner.epoch.elapsed().as_secs_f64();
         let mut st = inner.state.lock().expect("tracer lock");
         let id = SpanId(st.spans.len() as u64);
         st.spans.push(SpanData {
@@ -220,9 +238,16 @@ impl Lane {
     /// stack is empty or the tracer is disabled, so arbitrary enter/exit
     /// interleavings can never corrupt the store.
     pub fn exit(&mut self) -> Option<SpanId> {
+        // No clock read on a disabled tracer.
+        self.tracer.inner.as_ref()?;
+        self.exit_at(Instant::now())
+    }
+
+    /// [`Lane::exit`] with the span ending at `at`.
+    pub fn exit_at(&mut self, at: Instant) -> Option<SpanId> {
         let inner = self.tracer.inner.as_ref()?;
         let id = self.stack.pop()?;
-        let end_s = inner.epoch.elapsed().as_secs_f64();
+        let end_s = inner.seconds_at(at);
         let mut st = inner.state.lock().expect("tracer lock");
         st.spans[id.0 as usize].end_s = Some(end_s);
         Some(id)

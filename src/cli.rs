@@ -7,7 +7,7 @@ use crate::dag::{build_schedule, DecisionSpace, Placement, Traversal};
 use crate::mcts::{Mcts, MctsConfig, SimEvaluator};
 use crate::ml::{render_ruleset, rulesets_for_class, RuleSet};
 use crate::obs::TextExposition;
-use crate::obs::{json, EventSink, Phases};
+use crate::obs::{json, median, EventSink, Phases};
 use crate::par::CacheStats;
 use crate::pipeline::{
     append_entry, apply_fault_plan, certify_rulesets, compare_bench, compare_fleet,
@@ -1286,19 +1286,6 @@ fn placement_str(space: &DecisionSpace, p: &Placement) -> String {
     }
 }
 
-/// Median of an unsorted, non-empty slice (even length: mean of the two
-/// middle values).
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 /// Per-ruleset provenance: the indices (into the explored record set)
 /// of the records satisfying the ruleset's predicates, grouped by the
 /// records' performance class.
@@ -1471,7 +1458,7 @@ fn run_explain(
                 )
                 .map_err(io)?;
             }
-            let times: Vec<f64> = support
+            let mut times: Vec<f64> = support
                 .iter()
                 .flatten()
                 .map(|&i| records[i].result.time())
@@ -1486,7 +1473,7 @@ fn run_explain(
                     times.len(),
                     min * 1e6,
                     max * 1e6,
-                    median(&times) * 1e6
+                    median(&mut times) * 1e6
                 )
                 .map_err(io)?;
             }
@@ -1564,7 +1551,7 @@ fn explain_json(
                     format!("[{}]", v.join(","))
                 })
                 .collect();
-            let times: Vec<f64> = support
+            let mut times: Vec<f64> = support
                 .iter()
                 .flatten()
                 .map(|&i| records[i].result.time())
@@ -1576,7 +1563,7 @@ fn explain_json(
                     "{{\"count\":{},\"min\":{},\"median\":{},\"max\":{}}}",
                     times.len(),
                     json::number(times.iter().copied().fold(f64::INFINITY, f64::min)),
-                    json::number(median(&times)),
+                    json::number(median(&mut times)),
                     json::number(times.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
                 )
             };

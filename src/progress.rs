@@ -7,22 +7,14 @@
 //! retry counts, the best simulated time seen so far (with its
 //! traversal hash), and the MCTS tree size/depth.
 //!
-//! Output goes to **stderr** so stdout stays machine-parsable. On a TTY
-//! the renderer repaints a single line in place (`\r` + erase-line) at
-//! most every 100 ms; when stderr is redirected it degrades to plain
-//! one-per-~2 s log lines. Rendering only *reads* event payloads — it
-//! can never perturb the search, which is what makes `--progress` runs
+//! Output goes to **stderr** through a [`LinePainter`], so stdout stays
+//! machine-parsable. Rendering only *reads* event payloads — it can
+//! never perturb the search, which is what makes `--progress` runs
 //! bit-identical to silent ones.
 
-use dr_obs::{Event, EventObserver, Field};
-use std::io::{IsTerminal, Write};
+use dr_obs::{Event, EventObserver, Field, LinePainter};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Minimum interval between in-place repaints on a TTY.
-const TTY_INTERVAL: Duration = Duration::from_millis(100);
-/// Minimum interval between plain log lines when stderr is not a TTY.
-const PLAIN_INTERVAL: Duration = Duration::from_secs(2);
+use std::time::Instant;
 
 #[derive(Default)]
 struct State {
@@ -46,15 +38,13 @@ struct State {
     lint_warnings: u64,
     lint_diags: u64,
     anomalies: u64,
-    last_paint: Option<Instant>,
-    painted_tty_line: bool,
     finished: bool,
 }
 
 /// Event observer that renders a live status line on stderr.
 pub struct ProgressRenderer {
-    state: Mutex<State>,
-    tty: bool,
+    /// The fold, and the painter that paints it.
+    state: Mutex<(State, LinePainter)>,
     start: Instant,
 }
 
@@ -67,18 +57,22 @@ impl Default for ProgressRenderer {
 impl ProgressRenderer {
     /// A renderer writing to stderr, auto-detecting whether it is a TTY.
     pub fn new() -> Self {
-        Self::with_tty(std::io::stderr().is_terminal())
+        Self::painting(LinePainter::stderr())
     }
 
     /// A renderer with the TTY mode forced (tests use this to exercise
     /// both paint paths deterministically).
     pub fn with_tty(tty: bool) -> Self {
+        Self::painting(LinePainter::with_tty(tty))
+    }
+
+    fn painting(painter: LinePainter) -> Self {
+        let fold = State {
+            best_s: f64::INFINITY,
+            ..State::default()
+        };
         ProgressRenderer {
-            state: Mutex::new(State {
-                best_s: f64::INFINITY,
-                ..State::default()
-            }),
-            tty,
+            state: Mutex::new((fold, painter)),
             start: Instant::now(),
         }
     }
@@ -88,7 +82,7 @@ impl ProgressRenderer {
     /// scraping stderr.
     pub fn snapshot_line(&self) -> String {
         let st = self.state.lock().expect("progress state poisoned");
-        self.line(&st)
+        self.line(&st.0)
     }
 
     fn line(&self, st: &State) -> String {
@@ -154,38 +148,6 @@ impl ProgressRenderer {
         }
         line
     }
-
-    fn paint(&self, st: &mut State, force: bool) {
-        let interval = if self.tty {
-            TTY_INTERVAL
-        } else {
-            PLAIN_INTERVAL
-        };
-        let due = match st.last_paint {
-            Some(t) => t.elapsed() >= interval,
-            None => true,
-        };
-        if !force && !due {
-            return;
-        }
-        st.last_paint = Some(Instant::now());
-        let line = self.line(st);
-        let mut err = std::io::stderr().lock();
-        if self.tty {
-            // Repaint one line in place; erase leftovers from a longer
-            // previous paint.
-            let _ = write!(err, "\r\x1b[2K{line}");
-            if st.finished {
-                let _ = writeln!(err);
-                st.painted_tty_line = false;
-            } else {
-                st.painted_tty_line = true;
-            }
-            let _ = err.flush();
-        } else {
-            let _ = writeln!(err, "{line}");
-        }
-    }
 }
 
 fn u64_field(event: &Event, name: &str) -> Option<u64> {
@@ -212,7 +174,8 @@ fn str_field<'e>(event: &'e Event, name: &str) -> Option<&'e str> {
 
 impl EventObserver for ProgressRenderer {
     fn on_event(&self, event: &Event) {
-        let mut st = self.state.lock().expect("progress state poisoned");
+        let mut guard = self.state.lock().expect("progress state poisoned");
+        let (st, painter) = &mut *guard;
         let mut force = false;
         match event.kind.as_str() {
             "run-start" => {
@@ -358,7 +321,7 @@ impl EventObserver for ProgressRenderer {
             }
             _ => {}
         }
-        self.paint(&mut st, force);
+        painter.paint(force, st.finished, || self.line(st));
     }
 }
 

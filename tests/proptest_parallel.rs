@@ -47,7 +47,7 @@ proptest! {
             policy: FailurePolicy::Abort,
             tracer: &tracer,
             dispatch: None,
-            observer: None,
+            events: None,
         };
         let out = par_map_stream(
             space.enumerate(),
