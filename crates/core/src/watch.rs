@@ -70,14 +70,14 @@ impl<E> WatchedEvaluator<E> {
 
 impl<E: Evaluator> Evaluator for WatchedEvaluator<E> {
     fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        if self.watch.is_none() && !self.lane.is_enabled() {
+        let traced = self.lane.is_enabled();
+        if self.watch.is_none() && !traced {
             return self.inner.evaluate(t, seed);
         }
         let n = self
             .watch
             .as_ref()
             .map(|w| w.counter.fetch_add(1, Ordering::Relaxed) + 1);
-        let traced = self.lane.is_enabled();
         let start = Instant::now();
         if traced {
             self.lane.enter_at("evaluate", start);

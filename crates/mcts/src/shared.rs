@@ -215,9 +215,7 @@ impl<'a> Arena<'a> {
         events: Option<EventSink>,
         every: usize,
     ) {
-        let lane = lane.filter(Lane::is_enabled);
-        let events = events.filter(EventSink::is_enabled);
-        self.watch = (lane.is_some() || events.is_some()).then(|| IterWatch {
+        self.watch = Some(IterWatch {
             lane,
             events,
             every: every.max(1) as u64,

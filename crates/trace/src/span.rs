@@ -207,19 +207,16 @@ impl Lane {
     /// Open a span named `name` as a child of the current span. Returns
     /// `None` when the tracer is disabled.
     pub fn enter(&mut self, name: &str) -> Option<SpanId> {
-        let start_s = self.tracer.inner.as_ref()?.epoch.elapsed().as_secs_f64();
-        self.open(name, start_s)
+        // No clock read on a disabled tracer.
+        self.tracer.inner.as_ref()?;
+        self.enter_at(name, Instant::now())
     }
 
     /// [`Lane::enter`] with the span starting at `at`, a clock reading
     /// the caller also uses for something else.
     pub fn enter_at(&mut self, name: &str, at: Instant) -> Option<SpanId> {
-        let start_s = self.tracer.inner.as_ref()?.seconds_at(at);
-        self.open(name, start_s)
-    }
-
-    fn open(&mut self, name: &str, start_s: f64) -> Option<SpanId> {
         let inner = self.tracer.inner.as_ref()?;
+        let start_s = inner.seconds_at(at);
         let mut st = inner.state.lock().expect("tracer lock");
         let id = SpanId(st.spans.len() as u64);
         st.spans.push(SpanData {
@@ -238,7 +235,6 @@ impl Lane {
     /// stack is empty or the tracer is disabled, so arbitrary enter/exit
     /// interleavings can never corrupt the store.
     pub fn exit(&mut self) -> Option<SpanId> {
-        // No clock read on a disabled tracer.
         self.tracer.inner.as_ref()?;
         self.exit_at(Instant::now())
     }
