@@ -27,7 +27,7 @@ pub const PIPELINE_PID: u64 = 1_000_000;
 /// required members; [`Record::cat`], [`Record::tid`] and
 /// [`Record::args`] add optional ones. Times are given in seconds and
 /// written in the format's microseconds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Record {
     /// The rendered members, without the enclosing braces.
     members: String,
