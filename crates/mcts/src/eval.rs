@@ -40,7 +40,7 @@ where
 ///
 /// Uses the *memoized* protocol ([`benchmark_memo_instrumented`]): noise
 /// is position-keyed and the `(measurement, sample)` noise cells are
-/// shared across traversals, so the per-seed noise-factor tables built
+/// shared across traversals, so the noise-factor tables built
 /// for one schedule replay for every sibling — the Box-Muller draws that
 /// dominate short executions are computed once per cell. Results are a
 /// pure function of `(traversal, workload, platform, cfg)`: the `seed`
@@ -79,9 +79,10 @@ impl<'a, W: Workload> SimEvaluator<'a, W> {
         &self.stats
     }
 
-    /// Number of per-seed noise-factor tables the memo has built — one
-    /// per distinct `(measurement, sample)` cell seed the protocol has
-    /// touched, shared across every traversal evaluated so far.
+    /// Number of distinct `(measurement, sample)` cell seeds whose noise
+    /// factors the memo holds: eight per block table, one table per block
+    /// of eight consecutive cells the protocol has touched, shared across
+    /// every traversal evaluated so far.
     pub fn noise_tables(&self) -> usize {
         self.memo.noise_tables()
     }

@@ -9,7 +9,7 @@
 //! each explored sequence and used for rule generation.
 
 use crate::compile::{CompiledProgram, SimError};
-use crate::exec::{Noise, Tape};
+use crate::exec::{Noise, Tape, LANES};
 use crate::memo::SimMemo;
 use crate::platform::Platform;
 use crate::stats::SimStats;
@@ -144,32 +144,8 @@ pub fn benchmark_instrumented(
     Ok((result, stats))
 }
 
-/// [`benchmark_instrumented`] wrapped in a `benchmark` span on `lane`,
-/// annotated with the evaluation seed, sample count, and the resulting
-/// median time (or the error). The measurement itself is untouched: with
-/// a disabled tracer this is exactly [`benchmark_instrumented`].
-pub fn benchmark_traced(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    cfg: &BenchConfig,
-    seed: u64,
-    lane: &mut dr_trace::Lane,
-) -> Result<(BenchResult, SimStats), SimError> {
-    lane.enter("benchmark");
-    lane.annotate("eval_seed", seed);
-    let out = benchmark_instrumented(prog, platform, cfg, seed);
-    match &out {
-        Ok((result, stats)) => {
-            lane.annotate("samples", stats.runs);
-            lane.annotate("t_median_s", dr_obs::json::number(result.time()));
-        }
-        Err(e) => lane.annotate("error", e),
-    }
-    lane.exit();
-    out
-}
-
-/// The measurement protocol with memoized noise.
+/// The measurement protocol with memoized noise, folding every sample's
+/// [`SimStats`] into one aggregate (`stats.runs` counts the samples).
 ///
 /// Differs from [`benchmark`] in how per-sample noise seeds are chosen:
 /// instead of a sequential generator seeded per evaluation, each
@@ -178,38 +154,129 @@ pub fn benchmark_traced(
 /// `memo` reusable across the whole exploration while keeping the
 /// protocol deterministic: the result is a pure function of the program
 /// and platform, bit-identical warm or cold.
-pub fn benchmark_memo(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    cfg: &BenchConfig,
-    memo: &mut SimMemo,
-) -> Result<BenchResult, SimError> {
-    protocol(prog, platform, cfg, SampleSeeds::Cells(memo), None)
-}
-
-/// Like [`benchmark_memo`], additionally folding every sample's
-/// [`SimStats`] into one aggregate (`stats.runs` counts the samples).
+///
+/// Because a cell's seed does not depend on earlier samples, the protocol
+/// replays up to eight samples of a measurement in one tape pass (see
+/// [`lane_width`]). Lanes past the sample that completes the measurement
+/// are discarded, so the pass width changes wall time, never results.
 pub fn benchmark_memo_instrumented(
     prog: &CompiledProgram,
     platform: &Platform,
     cfg: &BenchConfig,
     memo: &mut SimMemo,
 ) -> Result<(BenchResult, SimStats), SimError> {
+    benchmark_memo_with(prog, platform, cfg, memo, lane_width)
+}
+
+/// A pass-width rule: the width of the pass that starts at a sample,
+/// given the samples the measurement is predicted to take. It must
+/// return 1, 2, 4 or 8 and keep every pass inside one block of [`LANES`]
+/// cells.
+type Widths = fn(usize, usize) -> usize;
+
+/// [`benchmark_memo_instrumented`] with the pass widths chosen by
+/// `widths`.
+fn benchmark_memo_with(
+    prog: &CompiledProgram,
+    platform: &Platform,
+    cfg: &BenchConfig,
+    memo: &mut SimMemo,
+    widths: Widths,
+) -> Result<(BenchResult, SimStats), SimError> {
     let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-    let seeds = SampleSeeds::Cells(memo);
+    let seeds = SampleSeeds::Cells(memo, widths);
     let result = protocol(prog, platform, cfg, seeds, Some(&mut stats))?;
     Ok((result, stats))
 }
 
-/// Where the protocol's per-sample noise seeds come from.
-enum SampleSeeds<'m> {
-    /// One generator seeded per evaluation, drawn once per sample.
-    Sequential(SmallRng),
-    /// The fixed per-cell seeds, with their noise tables in the memo.
-    Cells(&'m mut SimMemo),
+/// The width of the memoized protocol's pass that starts at sample `s`
+/// when the measurement is predicted to take `predicted` samples: the
+/// widest of 8, 4, 2 and 1 lanes that fits in the predicted remainder and
+/// that `s` is a multiple of, so no pass crosses a block of [`LANES`]
+/// cells.
+fn lane_width(s: usize, predicted: usize) -> usize {
+    let room = predicted.saturating_sub(s).max(1);
+    let mut w = LANES;
+    while w > room || !s.is_multiple_of(w) {
+        w /= 2;
+    }
+    w
 }
 
-/// The protocol: lowers `prog` once, then replays it once per sample.
+/// Where the protocol's per-sample noise seeds come from.
+enum SampleSeeds<'m> {
+    /// One generator seeded per evaluation, drawn once per sample; passes
+    /// are one lane wide, so no draw is made past the last sample.
+    Sequential(SmallRng),
+    /// The fixed per-cell seeds, with their noise tables in the memo, and
+    /// the pass-width rule.
+    Cells(&'m mut SimMemo, Widths),
+}
+
+impl SampleSeeds<'_> {
+    /// The noise of the `W`-lane pass over samples `s..s + W` of
+    /// measurement `m`.
+    fn noise<const W: usize>(
+        &mut self,
+        platform: &Platform,
+        prog: &CompiledProgram,
+        m: usize,
+        s: usize,
+    ) -> Noise<'_, W> {
+        match self {
+            SampleSeeds::Sequential(rng) => {
+                Noise::new(platform, std::array::from_fn(|_| rng.next_u64()), None)
+            }
+            SampleSeeds::Cells(memo, _) => {
+                let first = s % LANES;
+                let table = memo.table(platform, prog, cell_seed(m, s - first));
+                let seeds = std::array::from_fn(|l| cell_seed(m, s + l));
+                Noise::new(platform, seeds, table.map(|t| (t, first)))
+            }
+        }
+    }
+}
+
+/// One measurement in progress.
+struct Measurement {
+    /// Per-rank accumulated busy time across its samples.
+    accum: Vec<f64>,
+    samples: usize,
+    /// The slowest rank's accumulated time.
+    elapsed: f64,
+}
+
+impl Measurement {
+    /// Replays one pass and folds its lanes in sample order, stopping at
+    /// the sample that completes the measurement: later lanes are
+    /// discarded with their errors and stats. Returns whether the
+    /// measurement is complete.
+    fn pass<const W: usize>(
+        &mut self,
+        tape: &mut Tape<'_>,
+        noise: Noise<'_, W>,
+        cfg: &BenchConfig,
+        mut stats: Option<&mut SimStats>,
+    ) -> Result<bool, SimError> {
+        for (l, end) in tape.run(noise, None).into_iter().enumerate() {
+            end?;
+            if let Some(stats) = stats.as_deref_mut() {
+                tape.fold_stats(l, stats);
+            }
+            for (a, t) in self.accum.iter_mut().zip(tape.rank_times(l)) {
+                *a += t;
+            }
+            self.samples += 1;
+            self.elapsed = self.accum.iter().copied().fold(0.0, f64::max);
+            if self.elapsed >= cfg.t_measure || self.samples >= cfg.max_samples {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// The protocol: lowers `prog` once, then replays it pass by pass.
 fn protocol(
     prog: &CompiledProgram,
     platform: &Platform,
@@ -219,34 +286,43 @@ fn protocol(
 ) -> Result<BenchResult, SimError> {
     let mut tape = Tape::lower(prog, platform);
     let mut measurements = Vec::with_capacity(cfg.num_measurements);
-    // Per-rank accumulated busy time across samples of one measurement.
-    let mut accum = vec![0.0f64; prog.num_ranks];
+    let mut meas = Measurement {
+        accum: vec![0.0; prog.num_ranks],
+        samples: 0,
+        elapsed: 0.0,
+    };
     for m in 0..cfg.num_measurements {
-        accum.fill(0.0);
-        let mut samples = 0usize;
+        // Before its first sample, a measurement is predicted to take as
+        // many samples as the previous one.
+        let mut predicted = meas.samples;
+        meas.accum.fill(0.0);
+        meas.samples = 0;
         loop {
-            let noise = match &mut seeds {
-                SampleSeeds::Sequential(rng) => Noise::new(platform, rng.next_u64(), None),
-                SampleSeeds::Cells(memo) => {
-                    let seed = cell_seed(m, samples);
-                    Noise::new(platform, seed, memo.table(platform, prog, seed))
-                }
+            let s = meas.samples;
+            let width = match &seeds {
+                SampleSeeds::Sequential(_) => 1,
+                SampleSeeds::Cells(_, widths) => widths(s, predicted),
             };
-            tape.run(noise, None)?;
-            if let Some(stats) = stats.as_deref_mut() {
-                tape.fold_stats(stats);
-            }
-            for (a, t) in accum.iter_mut().zip(tape.rank_times()) {
-                *a += t;
-            }
-            samples += 1;
-            let elapsed = accum.iter().copied().fold(0.0, f64::max);
-            if elapsed >= cfg.t_measure || samples >= cfg.max_samples {
+            let stats = stats.as_deref_mut();
+            let done = match width {
+                1 => meas.pass::<1>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
+                2 => meas.pass::<2>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
+                4 => meas.pass::<4>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
+                8 => meas.pass::<8>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
+                _ => unreachable!("pass widths are 1, 2, 4 or 8"),
+            }?;
+            if done {
                 break;
             }
+            let rate = cfg.t_measure * meas.samples as f64 / meas.elapsed;
+            predicted = (rate.ceil() as usize).min(cfg.max_samples);
         }
         // Estimate: max over ranks of (elapsed on that rank / n_samples).
-        let mut est = accum.iter().map(|a| a / samples as f64).fold(0.0, f64::max);
+        let mut est = meas
+            .accum
+            .iter()
+            .map(|a| a / meas.samples as f64)
+            .fold(0.0, f64::max);
         // Heavy-tailed timer contamination from the fault plan: the
         // whole measurement (not an individual sample) reads high, which
         // is how wall-clock outliers present in real benchmark output.
@@ -280,7 +356,8 @@ fn protocol(
 mod tests {
     use super::*;
     use crate::workload::TableWorkload;
-    use dr_dag::{build_schedule, CostKey, DagBuilder, DecisionSpace, OpSpec};
+    use dr_dag::{build_schedule, CommKey, CostKey, DagBuilder, DecisionSpace, OpSpec};
+    use dr_fault::{FaultConfig, FaultPlan};
 
     fn one_op_program(dur: f64) -> CompiledProgram {
         let mut b = DagBuilder::new();
@@ -376,52 +453,20 @@ mod tests {
     }
 
     #[test]
-    fn traced_benchmark_matches_instrumented_and_records_a_span() {
-        let prog = one_op_program(1e-4);
-        let platform = Platform::perlmutter_like();
-        let (plain, _) =
-            benchmark_instrumented(&prog, &platform, &BenchConfig::quick(), 5).unwrap();
-        let tracer = dr_trace::Tracer::new();
-        let mut lane = tracer.lane("eval-0");
-        let (traced, stats) =
-            benchmark_traced(&prog, &platform, &BenchConfig::quick(), 5, &mut lane).unwrap();
-        assert_eq!(plain, traced, "tracing must not change measurements");
-        let snap = tracer.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        let s = &snap.spans[0];
-        assert_eq!(s.name, "benchmark");
-        assert!(s.end_s.is_some());
-        let note = |k: &str| s.notes.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
-        assert_eq!(note("eval_seed").as_deref(), Some("5"));
-        assert_eq!(note("samples").as_deref(), Some(&*stats.runs.to_string()));
-        assert!(note("t_median_s").is_some());
-        // Disabled tracer: identical results, zero spans.
-        let off = dr_trace::Tracer::disabled();
-        let mut off_lane = off.lane("eval-0");
-        let (quiet, _) =
-            benchmark_traced(&prog, &platform, &BenchConfig::quick(), 5, &mut off_lane).unwrap();
-        assert_eq!(quiet, plain);
-        assert_eq!(off.span_count(), 0);
-    }
-
-    #[test]
     fn memo_benchmark_is_deterministic() {
         let prog = one_op_program(1e-4);
         let platform = Platform::perlmutter_like(); // noisy
         let mut memo = SimMemo::default();
-        let a = benchmark_memo(&prog, &platform, &BenchConfig::quick(), &mut memo).unwrap();
-        let b = benchmark_memo(&prog, &platform, &BenchConfig::quick(), &mut memo).unwrap();
+        let cfg = BenchConfig::quick();
+        let a = benchmark_memo_instrumented(&prog, &platform, &cfg, &mut memo).unwrap();
+        let b = benchmark_memo_instrumented(&prog, &platform, &cfg, &mut memo).unwrap();
         assert_eq!(a, b, "warm rerun must be bit-identical");
+        let (a, stats) = a;
         assert!(
             a.percentiles.p99 > a.percentiles.p01,
             "noise must spread measurements"
         );
         assert!((a.time() - 1e-4).abs() / 1e-4 < 0.05);
-        let mut fresh = SimMemo::default();
-        let (inst, stats) =
-            benchmark_memo_instrumented(&prog, &platform, &BenchConfig::quick(), &mut fresh)
-                .unwrap();
-        assert_eq!(inst, a, "instrumentation must not change measurements");
         assert!(stats.runs > 0);
     }
 
@@ -430,7 +475,9 @@ mod tests {
         let prog = one_op_program(2.5e-4);
         let platform = Platform::perlmutter_like().noiseless();
         let mut memo = SimMemo::default();
-        let res = benchmark_memo(&prog, &platform, &BenchConfig::quick(), &mut memo).unwrap();
+        let (res, _) =
+            benchmark_memo_instrumented(&prog, &platform, &BenchConfig::quick(), &mut memo)
+                .unwrap();
         assert!((res.time() - 2.5e-4).abs() < 1e-9, "{}", res.time());
         assert_eq!(res.percentiles.p01, res.percentiles.p99);
     }
@@ -448,5 +495,140 @@ mod tests {
         );
         // Median stays near the true duration.
         assert!((a.time() - 1e-4).abs() / 1e-4 < 0.05);
+    }
+
+    /// Three ranks: two contending kernels of `d1` and `d2` seconds on
+    /// two streams feeding a halo exchange.
+    fn kernel_exchange_program(d1: f64, d2: f64) -> CompiledProgram {
+        let mut b = DagBuilder::new();
+        let key = CommKey::new("halo");
+        let k1 = b.add("k1", OpSpec::GpuKernel(CostKey::new("k1")));
+        let k2 = b.add("k2", OpSpec::GpuKernel(CostKey::new("k2")));
+        let ps = b.add("PostSends", OpSpec::PostSends(key.clone()));
+        let pr = b.add("PostRecvs", OpSpec::PostRecvs(key.clone()));
+        let ws = b.add("WaitSends", OpSpec::WaitSends(key.clone()));
+        let wr = b.add("WaitRecvs", OpSpec::WaitRecvs(key));
+        b.edge(k1, ps);
+        b.edge(k2, ps);
+        b.edge(ps, ws);
+        b.edge(pr, ws);
+        b.edge(pr, wr);
+        let sp = DecisionSpace::new(b.build().unwrap(), 2).unwrap();
+        let t = sp
+            .traversal_from_names(&[
+                ("k1", Some(0)),
+                ("k2", Some(1)),
+                ("PostRecvs", None),
+                ("CER-after-k1", None),
+                ("CER-after-k2", None),
+                ("CES-b4-PostSends", None),
+                ("PostSends", None),
+                ("WaitSends", None),
+                ("WaitRecvs", None),
+            ])
+            .unwrap();
+        let mut w = TableWorkload::new(3);
+        w.cost_all("k1", d1).cost_all("k2", d2);
+        w.comm_all_to_all("halo", 1 << 16);
+        CompiledProgram::compile(&build_schedule(&sp, &t), &w).unwrap()
+    }
+
+    /// The tightest virtual-time limit, to a femtosecond, under which
+    /// the one-lane schedule of `cfg` completes on `platform`: just above
+    /// the slowest kept sample, so only discarded lanes can trip it.
+    fn tightest_limit(prog: &CompiledProgram, platform: &Platform, cfg: &BenchConfig) -> f64 {
+        let (mut lo, mut hi) = (0.0, 1.0);
+        while hi - lo > 1e-15 {
+            let mid = (lo + hi) / 2.0;
+            let budget = platform.clone().with_budget(0, mid);
+            let mut memo = SimMemo::default();
+            match benchmark_memo_with(prog, &budget, cfg, &mut memo, |_, _| 1) {
+                Ok(_) => hi = mid,
+                Err(_) => lo = mid,
+            }
+        }
+        hi
+    }
+
+    #[test]
+    fn pass_widths_never_change_results() {
+        // Lanes are pure functions of their cell seed and lanes past the
+        // stopping sample are discarded, so every width schedule gives
+        // the one-lane schedule's measurements, stats and errors.
+        let schedules: [(&str, Widths); 3] = [
+            ("all-8", |_, _| 8),
+            ("alternating", |s, _| [8, 1, 4, 2][s / LANES % 4]),
+            ("production", lane_width),
+        ];
+        let capped = BenchConfig {
+            t_measure: 1e-3,
+            num_measurements: 5,
+            max_samples: 13,
+        };
+        // About two samples per measurement of the exchange programs.
+        let short = BenchConfig {
+            t_measure: 2e-4,
+            ..BenchConfig::quick()
+        };
+        let noisy = Platform::perlmutter_like();
+        let programs = [
+            one_op_program(1e-4),
+            one_op_program(3.3e-5),
+            one_op_program(1e-6),
+            kernel_exchange_program(8e-5, 6e-5),
+            kernel_exchange_program(2e-5, 9e-5),
+            kernel_exchange_program(5e-5, 5e-5),
+        ];
+        let (mut errors, mut oks) = (0, 0);
+        for prog in &programs {
+            for cfg in [BenchConfig::quick(), capped, short] {
+                // Watchdog limits at and just under the tightest one the
+                // kept samples pass: noise decides which samples trip.
+                let tightest = tightest_limit(prog, &noisy, &cfg);
+                let platforms = [
+                    noisy.clone().noiseless(),
+                    noisy.clone(),
+                    noisy
+                        .clone()
+                        .with_faults(FaultPlan::derive(&FaultConfig::light(), 3)),
+                    noisy
+                        .clone()
+                        .with_faults(FaultPlan::derive(&FaultConfig::heavy(), 3)),
+                    noisy.clone().with_budget(0, tightest),
+                    noisy.clone().with_budget(0, tightest * 0.999),
+                ];
+                for platform in &platforms {
+                    // One memo per case, shared by every schedule, so
+                    // tables filled at one width are read at another.
+                    let mut memo = SimMemo::default();
+                    let mut run = |widths| {
+                        benchmark_memo_with(prog, platform, &cfg, &mut memo, widths)
+                            .map(|(result, stats)| (result, stats.to_json()))
+                    };
+                    let scalar = run(|_, _| 1);
+                    for (name, widths) in schedules {
+                        assert_eq!(run(widths), scalar, "{name} schedule diverged");
+                    }
+                    if scalar.is_ok() {
+                        oks += 1;
+                    } else {
+                        errors += 1;
+                    }
+                }
+            }
+        }
+        assert!(oks > 0 && errors > 0, "{oks} ok, {errors} watchdog kills");
+    }
+
+    #[test]
+    fn lane_width_fits_the_prediction_and_stays_aligned() {
+        assert_eq!(lane_width(0, 0), 1, "no prediction: one lane");
+        assert_eq!(lane_width(0, 28), 8);
+        assert_eq!(lane_width(24, 28), 4);
+        assert_eq!(lane_width(28, 28), 1, "past the prediction: one lane");
+        assert_eq!(lane_width(0, 2), 2);
+        assert_eq!(lane_width(2, 3), 1);
+        assert_eq!(lane_width(6, 50), 2, "aligned to its own width");
+        assert_eq!(lane_width(12, 50), 4);
     }
 }

@@ -21,7 +21,10 @@
 //! * **Replay** ([`Tape::replay`]) is one simulated invocation: it walks
 //!   the tape over flat per-rank state that is reset in place, so a
 //!   multi-sample protocol lowers once and then replays without
-//!   allocating.
+//!   allocating. One pass can replay up to [`LANES`] invocations at once
+//!   ([`Tape::replay_lanes`]): every state slot holds one value per lane
+//!   and each lane performs exactly the operations a one-lane pass
+//!   would, so lane `l` of a pass equals a replay of its seed alone.
 //!
 //! Noise is *position-keyed*: one `sample_seed` is drawn per invocation
 //! (from the caller's RNG) and every noisy quantity is a pure function of
@@ -32,7 +35,7 @@
 //! replay is bit-identical to executing the ranks round-robin. The
 //! virtual-time watchdog is the one check that needs times: the tape
 //! marks the end of every round-robin sweep, and replay checks the
-//! watchdog exactly there.
+//! watchdog exactly there, lane by lane.
 
 use crate::compile::{CompiledProgram, Instr, SimError};
 use crate::platform::{NoiseModel, Platform};
@@ -59,7 +62,12 @@ fn wire_key(comm: usize, src: usize, dst: usize) -> u64 {
     NK_WIRE | ((comm as u64) << 32) | ((src as u64) << 16) | dst as u64
 }
 
-/// A dense cache of position-keyed noise factors for one `sample_seed`.
+/// The widest replay pass, and the number of consecutive sample seeds one
+/// [`NoiseTable`] block holds.
+pub(crate) const LANES: usize = 8;
+
+/// A dense cache of position-keyed noise factors for one block of
+/// [`LANES`] sample seeds.
 ///
 /// [`NoiseModel::factor_keyed`] is a pure function of `(seed, key)`, so
 /// its draws can be tabulated once and replayed bit-identically — and the
@@ -69,14 +77,15 @@ fn wire_key(comm: usize, src: usize, dst: usize) -> u64 {
 /// never returns NaN: its `u1` uniform is clamped above zero, so the
 /// Box-Muller draw is always finite).
 ///
-/// Instruction factors are indexed `rank * stride + pc` and wire factors
-/// `(comm * ranks + src) * ranks + dst`. The factor for a given
-/// `(rank, pc)` cell depends only on the key, not the instruction
-/// occupying it, so tables are shared across sibling schedules of one
-/// decision space — including schedules of *different lengths*
-/// (stream-binding choices change how many sync instructions lowering
-/// inserts), which is why [`fit`] grows tables in place instead of
-/// resetting them.
+/// Cells are lane-interleaved: instruction cell `rank * stride + pc` and
+/// wire cell `(comm * ranks + src) * ranks + dst` each hold the factors
+/// of the block's [`LANES`] seeds contiguously, so a pass reads one slice
+/// per op. The factor for a given `(rank, pc)` cell depends only on the
+/// key, not the instruction occupying it, so tables are shared across
+/// sibling schedules of one decision space — including schedules of
+/// *different lengths* (stream-binding choices change how many sync
+/// instructions lowering inserts), which is why [`fit`] grows tables in
+/// place instead of resetting them.
 ///
 /// [`fit`]: NoiseTable::fit
 #[derive(Debug, Default)]
@@ -95,17 +104,18 @@ impl NoiseTable {
     /// invalidates the wire layout and resets that half.
     pub(crate) fn fit(&mut self, prog: &CompiledProgram) {
         let (ranks, n) = (prog.num_ranks, prog.names.len());
-        let rows = self.instr.len() / self.stride.max(1);
+        let row = (self.stride * LANES).max(1);
+        let rows = self.instr.len() / row;
         if rows < ranks || self.stride < n {
             let stride = self.stride.max(n);
-            let mut instr = vec![f64::NAN; rows.max(ranks) * stride];
-            for (r, row) in self.instr.chunks(self.stride.max(1)).enumerate() {
-                instr[r * stride..][..row.len()].copy_from_slice(row);
+            let mut instr = vec![f64::NAN; rows.max(ranks) * stride * LANES];
+            for (r, cells) in self.instr.chunks(row).enumerate() {
+                instr[r * stride * LANES..][..cells.len()].copy_from_slice(cells);
             }
             self.instr = instr;
             self.stride = stride;
         }
-        let wire_len = prog.comms.len() * ranks * ranks;
+        let wire_len = prog.comms.len() * ranks * ranks * LANES;
         if self.wire_ranks != ranks {
             self.wire_ranks = ranks;
             self.wire = vec![f64::NAN; wire_len];
@@ -115,51 +125,84 @@ impl NoiseTable {
     }
 }
 
-/// The noise source of one invocation: the sample seed, plus the memo's
-/// table for that seed when there is one. The table is purely a fast
-/// path — it replays exactly what `factor_keyed` would return.
-pub(crate) struct Noise<'n> {
+/// The noise source of one `W`-lane pass: each lane's sample seed, plus
+/// the memo's block table and the block lane of `seeds[0]` when there is
+/// one. The table is purely a fast path — it replays exactly what
+/// `factor_keyed` would return.
+pub(crate) struct Noise<'n, const W: usize> {
     model: NoiseModel,
-    seed: u64,
-    table: Option<&'n mut NoiseTable>,
+    seeds: [u64; W],
+    table: Option<(&'n mut NoiseTable, usize)>,
 }
 
-impl<'n> Noise<'n> {
-    /// Noise for `seed` on `platform`, looked up in `table` if given.
-    pub(crate) fn new(platform: &Platform, seed: u64, table: Option<&'n mut NoiseTable>) -> Self {
+impl<'n, const W: usize> Noise<'n, W> {
+    /// Noise for `seeds` on `platform`, looked up in the block table from
+    /// lane `first` on if given.
+    pub(crate) fn new(
+        platform: &Platform,
+        seeds: [u64; W],
+        table: Option<(&'n mut NoiseTable, usize)>,
+    ) -> Self {
+        if let Some((_, first)) = table {
+            assert!(first + W <= LANES, "a pass stays inside its block");
+        }
         Noise {
             model: platform.noise,
-            seed,
+            seeds,
             table,
         }
     }
 
-    /// Factor of the instruction at `(rank, pc)`.
+    /// Per-lane factors of the instruction at `(rank, pc)`.
     #[inline]
-    fn instr(&mut self, r: usize, pc: usize) -> f64 {
-        let Some(tab) = self.table.as_deref_mut() else {
-            return self.model.factor_keyed(self.seed, instr_key(r, pc));
-        };
-        let cell = &mut tab.instr[r * tab.stride + pc];
-        if cell.is_nan() {
-            *cell = self.model.factor_keyed(self.seed, instr_key(r, pc));
+    fn instr(&mut self, r: usize, pc: usize) -> [f64; W] {
+        let key = instr_key(r, pc);
+        match self.table.as_mut() {
+            None => draw(self.model, &self.seeds, key),
+            Some((tab, first)) => {
+                let at = (r * tab.stride + pc) * LANES + *first;
+                cached(&mut tab.instr[at..at + W], self.model, &self.seeds, key)
+            }
         }
-        *cell
     }
 
-    /// Factor of the wire `src → dst` under `comm`.
+    /// Per-lane factors of the wire `src → dst` under `comm`.
     #[inline]
-    fn wire(&mut self, comm: usize, src: usize, dst: usize) -> f64 {
-        let Some(tab) = self.table.as_deref_mut() else {
-            return self.model.factor_keyed(self.seed, wire_key(comm, src, dst));
-        };
-        let slot = (comm * tab.wire_ranks + src) * tab.wire_ranks + dst;
-        let cell = &mut tab.wire[slot];
-        if cell.is_nan() {
-            *cell = self.model.factor_keyed(self.seed, wire_key(comm, src, dst));
+    fn wire(&mut self, comm: usize, src: usize, dst: usize) -> [f64; W] {
+        let key = wire_key(comm, src, dst);
+        match self.table.as_mut() {
+            None => draw(self.model, &self.seeds, key),
+            Some((tab, first)) => {
+                let cell = (comm * tab.wire_ranks + src) * tab.wire_ranks + dst;
+                let at = cell * LANES + *first;
+                cached(&mut tab.wire[at..at + W], self.model, &self.seeds, key)
+            }
         }
-        *cell
     }
+}
+
+/// Draws the factor of `key` for every lane's seed.
+#[inline]
+fn draw<const W: usize>(model: NoiseModel, seeds: &[u64; W], key: u64) -> [f64; W] {
+    std::array::from_fn(|l| model.factor_keyed(seeds[l], key))
+}
+
+/// The factors of `key` from a table slice, drawing the lanes not yet
+/// tabulated.
+#[inline]
+fn cached<const W: usize>(
+    cells: &mut [f64],
+    model: NoiseModel,
+    seeds: &[u64; W],
+    key: u64,
+) -> [f64; W] {
+    let cells: &mut [f64; W] = cells.try_into().expect("one cell per lane");
+    for (cell, &seed) in cells.iter_mut().zip(seeds) {
+        if cell.is_nan() {
+            *cell = model.factor_keyed(seed, key);
+        }
+    }
+    *cells
 }
 
 /// Completion times of one simulated program invocation.
@@ -198,20 +241,11 @@ pub fn execute_traced(
     Ok((outcome, trace))
 }
 
-/// Like [`execute`], additionally returning the invocation's
-/// [`SimStats`] (instruction counts, message protocol split, bytes
-/// moved, sync-op counts per kind, per-resource busy time).
-pub fn execute_instrumented(
-    prog: &CompiledProgram,
-    platform: &Platform,
-    rng: &mut SmallRng,
-) -> Result<(ExecOutcome, SimStats), SimError> {
-    execute_seeded(prog, platform, rng.next_u64())
-}
-
 /// The position-keyed execution primitive: one invocation whose noise is
-/// entirely determined by `sample_seed`. [`execute`] and friends draw the
-/// seed from their RNG and delegate here.
+/// entirely determined by `sample_seed`, with its [`SimStats`]
+/// (instruction counts, message protocol split, bytes moved, sync-op
+/// counts per kind, per-resource busy time). [`execute`] and
+/// [`execute_traced`] draw the seed from their RNG.
 pub fn execute_seeded(
     prog: &CompiledProgram,
     platform: &Platform,
@@ -296,29 +330,110 @@ struct Msg {
     eager: bool,
 }
 
-/// Per-sample state. `cpu`, `tail` and the busy counters accumulate and
-/// are reset by every replay; every other slot is written before it is
-/// read within one replay, which the lowering guarantees.
+/// Per-pass state in one buffer. Each slot holds one value per lane: at
+/// pass width `W`, slot `i` of a region is `[i * W, (i + 1) * W)` of it,
+/// and the regions follow each other in [`Slots`] order. The buffer grows
+/// to the widest pass run so far. `cpu`, `tail` and the busy counters
+/// accumulate and are reset by every pass; every other slot is written
+/// before it is read within one pass, which the lowering guarantees.
 #[derive(Debug)]
 struct State {
-    cpu: Vec<f64>,
-    tail: Vec<f64>,
-    events: Vec<f64>,
-    posts: Vec<f64>,
-    /// `(arrival, send_complete)` per message.
-    xfer: Vec<(f64, f64)>,
-    entries: Vec<f64>,
+    /// Slots per region.
+    slots: [usize; 11],
+    /// Width of the last pass.
+    width: usize,
+    buf: Vec<f64>,
+}
+
+/// Positions in [`Slots`] of the regions read back after a pass.
+const CPU: usize = 0;
+const CPU_BUSY: usize = 9;
+const STREAM_BUSY: usize = 10;
+
+/// One pass's view of the state regions.
+struct Slots<'s> {
+    cpu: &'s mut [f64],
+    tail: &'s mut [f64],
+    events: &'s mut [f64],
+    posts: &'s mut [f64],
+    /// Arrival and send completion per message.
+    arrival: &'s mut [f64],
+    sent: &'s mut [f64],
+    entries: &'s mut [f64],
     /// Execution interval per kernel slot.
-    kernels: Vec<(f64, f64)>,
-    cpu_busy: Vec<f64>,
-    stream_busy: Vec<f64>,
+    kstart: &'s mut [f64],
+    kend: &'s mut [f64],
+    cpu_busy: &'s mut [f64],
+    stream_busy: &'s mut [f64],
+}
+
+impl State {
+    /// The regions of a `W`-lane pass; accumulators are left unreset.
+    fn pass<const W: usize>(&mut self) -> Slots<'_> {
+        let need = self.slots.iter().sum::<usize>() * W;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0.0);
+        }
+        self.width = W;
+        let mut rest = &mut self.buf[..];
+        let mut region = |k: usize| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(self.slots[k] * W);
+            rest = tail;
+            head
+        };
+        Slots {
+            cpu: region(CPU),
+            tail: region(1),
+            events: region(2),
+            posts: region(3),
+            arrival: region(4),
+            sent: region(5),
+            entries: region(6),
+            kstart: region(7),
+            kend: region(8),
+            cpu_busy: region(CPU_BUSY),
+            stream_busy: region(STREAM_BUSY),
+        }
+    }
+
+    /// Region `k` (its position in [`Slots`]) of the last pass.
+    fn region(&self, k: usize) -> &[f64] {
+        let start = self.slots[..k].iter().sum::<usize>() * self.width;
+        &self.buf[start..][..self.slots[k] * self.width]
+    }
+}
+
+/// The `W` lanes of slot `i`.
+#[inline]
+fn get<const W: usize>(v: &[f64], i: usize) -> [f64; W] {
+    v[i * W..][..W].try_into().expect("W lanes")
+}
+
+/// The `W` lanes of slot `i`, mutably.
+#[inline]
+fn lanes<const W: usize>(v: &mut [f64], i: usize) -> &mut [f64; W] {
+    (&mut v[i * W..][..W]).try_into().expect("W lanes")
+}
+
+/// Adds `x` to every lane.
+#[inline]
+fn add<const W: usize>(v: &mut [f64; W], x: f64) {
+    for lane in v {
+        *lane += x;
+    }
+}
+
+/// Lane-wise maximum of two slots' values.
+#[inline]
+fn max<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    std::array::from_fn(|l| a[l].max(b[l]))
 }
 
 /// A compiled program lowered for one platform: the structural half of
-/// execution, recorded once and replayed once per sample (see the module
-/// docs). The replay state lives in the tape and is reset in place, so
-/// replaying sample `k` gives the same result whatever was replayed
-/// before it.
+/// execution, recorded once and replayed for every sample, up to eight
+/// per pass (see the module docs). The replay state lives in the tape
+/// and is reset in place, so replaying sample `k` gives the same result
+/// whatever was replayed before it, and at whatever width.
 pub struct Tape<'a> {
     prog: &'a CompiledProgram,
     platform: &'a Platform,
@@ -649,16 +764,23 @@ impl<'a> Tape<'a> {
             }
         };
 
+        let slots = [
+            nr,
+            nr * ns,
+            nr * ne,
+            sink + 1,
+            msgs.len(),
+            msgs.len(),
+            nc * nr,
+            kernels,
+            kernels,
+            nr,
+            nr * ns,
+        ];
         let state = State {
-            cpu: vec![0.0; nr],
-            tail: vec![0.0; nr * ns],
-            events: vec![0.0; nr * ne],
-            posts: vec![0.0; sink + 1],
-            xfer: vec![(0.0, 0.0); msgs.len()],
-            entries: vec![0.0; nc * nr],
-            kernels: vec![(0.0, 0.0); kernels],
-            cpu_busy: vec![0.0; nr],
-            stream_busy: vec![0.0; nr * ns],
+            slots,
+            width: 1,
+            buf: vec![0.0; slots.iter().sum()],
         };
         Tape {
             prog,
@@ -681,33 +803,63 @@ impl<'a> Tape<'a> {
         sample_seed: u64,
         trace: Option<&mut Trace>,
     ) -> Result<(ExecOutcome, SimStats), SimError> {
-        self.run(Noise::new(self.platform, sample_seed, None), trace)?;
-        let mut stats = SimStats::for_shape(self.prog.num_ranks, self.prog.num_streams);
-        self.fold_stats(&mut stats);
-        Ok((self.outcome(), stats))
+        let [end] = self.run(Noise::new(self.platform, [sample_seed], None), trace);
+        end.map(|()| self.lane(0))
     }
 
-    /// The allocation-free core of [`replay`](Tape::replay): one
-    /// invocation under `noise`, leaving its results in the tape's state.
-    pub(crate) fn run(
+    /// `W` invocations in one pass, lane `l` under `sample_seeds[l]`:
+    /// lane `l` of the result equals `replay(sample_seeds[l], None)`.
+    pub fn replay_lanes<const W: usize>(
         &mut self,
-        mut noise: Noise<'_>,
+        sample_seeds: [u64; W],
+    ) -> [Result<(ExecOutcome, SimStats), SimError>; W] {
+        let ends = self.run(Noise::new(self.platform, sample_seeds, None), None);
+        let mut l = 0;
+        ends.map(|end| {
+            l += 1;
+            end.map(|()| self.lane(l - 1))
+        })
+    }
+
+    /// Lane `l` of the last pass: its outcome and statistics.
+    fn lane(&self, l: usize) -> (ExecOutcome, SimStats) {
+        let mut stats = SimStats::for_shape(self.prog.num_ranks, self.prog.num_streams);
+        self.fold_stats(l, &mut stats);
+        let rank_times = self.rank_times(l).collect();
+        (ExecOutcome { rank_times }, stats)
+    }
+
+    /// The allocation-free core of [`replay`](Tape::replay): one pass of
+    /// `W` invocations under `noise`, leaving their results in the tape's
+    /// state and returning how each lane ended. Only a one-lane pass
+    /// records a trace.
+    pub(crate) fn run<const W: usize>(
+        &mut self,
+        mut noise: Noise<'_, W>,
         mut trace: Option<&mut Trace>,
-    ) -> Result<(), SimError> {
+    ) -> [Result<(), SimError>; W] {
+        assert!(W == 1 || trace.is_none(), "a trace records one lane");
         let p = self.platform;
         let idx = &self.idx;
-        let st = &mut self.state;
+        let nr = self.prog.num_ranks;
+        let st = self.state.pass::<W>();
         st.cpu.fill(0.0);
         st.tail.fill(0.0);
         st.cpu_busy.fill(0.0);
         st.stream_busy.fill(0.0);
+        let mut ends: [Result<(), SimError>; W] = std::array::from_fn(|_| Ok(()));
+        let mut tripped = 0;
         for op in &self.ops {
             let r = op.rank;
-            let cpu_before = st.cpu[r];
-            let mut kernel_span: Option<(usize, usize, f64, f64)> = None;
+            let cpu_before = get::<W>(st.cpu, r);
+            let mut kernel_span: Option<(usize, usize, [f64; W], [f64; W])> = None;
             match op.kind {
                 Kind::Cpu { dur, straggle } => {
-                    st.cpu[r] += dur * noise.instr(r, op.pc) * straggle;
+                    let f = noise.instr(r, op.pc);
+                    let cpu = lanes::<W>(st.cpu, r);
+                    for l in 0..W {
+                        cpu[l] += dur * f[l] * straggle;
+                    }
                 }
                 Kind::Kernel {
                     stream,
@@ -719,126 +871,156 @@ impl<'a> Tape<'a> {
                     ref contenders,
                 } => {
                     let f = noise.instr(r, op.pc);
-                    st.cpu[r] += p.kernel_launch_overhead;
-                    let start = st.cpu[r].max(st.tail[tail]);
-                    let end = st.contended_end(
-                        p.gpu_contention,
-                        &idx[contenders.clone()],
-                        start,
-                        dur * f * straggle * spike,
-                    );
-                    st.tail[tail] = end;
-                    st.kernels[slot] = (start, end);
+                    let cpu = lanes::<W>(st.cpu, r);
+                    add(cpu, p.kernel_launch_overhead);
+                    let start = max(*cpu, get(st.tail, tail));
+                    let end = std::array::from_fn(|l| {
+                        contended_end::<W>(
+                            (st.kstart, st.kend, l),
+                            p.gpu_contention,
+                            &idx[contenders.clone()],
+                            start[l],
+                            dur * f[l] * straggle * spike,
+                        )
+                    });
+                    *lanes(st.tail, tail) = end;
+                    *lanes(st.kstart, slot) = start;
+                    *lanes(st.kend, slot) = end;
                     kernel_span = Some((stream, tail, start, end));
                 }
                 Kind::Record { event, tail } => {
-                    st.cpu[r] += p.event_record_overhead;
+                    let cpu = lanes::<W>(st.cpu, r);
+                    add(cpu, p.event_record_overhead);
                     // The record is an in-stream marker: it completes when
                     // everything enqueued in the stream so far has
                     // completed.
-                    st.events[event] = st.tail[tail].max(st.cpu[r]);
+                    let cpu = *cpu;
+                    *lanes(st.events, event) = max(get(st.tail, tail), cpu);
                 }
                 Kind::Sync { ref events } => {
-                    let mut t = st.cpu[r] + p.event_sync_overhead;
+                    let mut t = get::<W>(st.cpu, r).map(|c| c + p.event_sync_overhead);
                     for &e in &idx[events.clone()] {
-                        t = t.max(st.events[e]);
+                        t = max(t, get(st.events, e));
                     }
-                    st.cpu[r] = t;
+                    *lanes(st.cpu, r) = t;
                 }
                 Kind::StreamWait {
                     event,
                     tail,
                     cross_gpu,
                 } => {
-                    st.cpu[r] += p.stream_wait_overhead;
-                    let mut et = st.events[event];
+                    add(lanes::<W>(st.cpu, r), p.stream_wait_overhead);
+                    let mut et = get::<W>(st.events, event);
                     if cross_gpu {
-                        et += p.cross_gpu_sync_latency;
+                        add(&mut et, p.cross_gpu_sync_latency);
                     }
-                    st.tail[tail] = st.tail[tail].max(et);
+                    let t = lanes(st.tail, tail);
+                    *t = max(*t, et);
                 }
                 Kind::Post {
                     overhead,
                     ref slots,
                 } => {
                     for &s in &idx[slots.clone()] {
-                        st.cpu[r] += overhead;
-                        st.posts[s] = st.cpu[r];
+                        let cpu = lanes::<W>(st.cpu, r);
+                        add(cpu, overhead);
+                        let cpu = *cpu;
+                        *lanes(st.posts, s) = cpu;
                     }
                 }
                 Kind::WaitRecvs { ref msgs } => {
-                    let mut t = st.cpu[r] + p.wait_overhead;
+                    let mut t = get::<W>(st.cpu, r).map(|c| c + p.wait_overhead);
                     for &m in &idx[msgs.clone()] {
-                        t = t.max(st.xfer[m].0);
+                        t = max(t, get(st.arrival, m));
                     }
-                    st.cpu[r] = t;
+                    *lanes(st.cpu, r) = t;
                 }
                 Kind::WaitSends { ref msgs } => {
-                    let mut t = st.cpu[r] + p.wait_overhead;
+                    let mut t = get::<W>(st.cpu, r).map(|c| c + p.wait_overhead);
                     for &m in &idx[msgs.clone()] {
-                        t = t.max(st.xfer[m].1);
+                        t = max(t, get(st.sent, m));
                     }
-                    st.cpu[r] = t;
+                    *lanes(st.cpu, r) = t;
                 }
                 Kind::AllReduce { ref entries, time } => {
-                    let entered = st.entries[entries.clone()]
-                        .iter()
-                        .copied()
-                        .fold(0.0, f64::max);
-                    let dur = time * noise.instr(r, op.pc);
-                    st.cpu[r] = entered.max(st.cpu[r]) + p.wait_overhead + dur;
+                    let mut entered = [0.0; W];
+                    for e in entries.clone() {
+                        entered = max(entered, get(st.entries, e));
+                    }
+                    let f = noise.instr(r, op.pc);
+                    let cpu = lanes::<W>(st.cpu, r);
+                    for l in 0..W {
+                        cpu[l] = entered[l].max(cpu[l]) + p.wait_overhead + time * f[l];
+                    }
                 }
                 Kind::DeviceSync { ref tails } => {
-                    let tail_max = st.tail[tails.clone()]
-                        .iter()
-                        .copied()
-                        .fold(0.0f64, f64::max);
-                    st.cpu[r] = st.cpu[r].max(tail_max);
+                    let mut tail_max = [0.0; W];
+                    for t in tails.clone() {
+                        tail_max = max(tail_max, get(st.tail, t));
+                    }
+                    let cpu = lanes::<W>(st.cpu, r);
+                    *cpu = max(*cpu, tail_max);
                 }
                 Kind::Transfer { msg } => {
                     let m = &self.msgs[msg];
-                    let send_post = st.posts[m.send];
-                    let mut wire = m.wire * noise.wire(m.comm, m.src, m.dst);
+                    let send_post = get::<W>(st.posts, m.send);
+                    let mut wire = noise.wire(m.comm, m.src, m.dst).map(|f| m.wire * f);
                     if let Some(extra) = m.delay {
-                        wire += extra;
+                        add(&mut wire, extra);
                     }
-                    st.xfer[msg] = if m.eager {
+                    let arrival: [f64; W] = if m.eager {
                         // Eager: payload leaves immediately and the send
                         // completes at once (buffered). The receiver's
                         // wait clamps the arrival to its own timeline,
                         // which is already past its receive post.
-                        (send_post + wire, send_post)
+                        *lanes(st.sent, msg) = send_post;
+                        std::array::from_fn(|l| send_post[l] + wire[l])
                     } else {
                         // Rendezvous: the transfer starts once both sides
                         // have posted.
-                        let arrival = send_post.max(st.posts[m.recv]) + wire;
-                        (arrival, arrival)
+                        let both = max(send_post, get(st.posts, m.recv));
+                        let arrival = std::array::from_fn(|l| both[l] + wire[l]);
+                        *lanes(st.sent, msg) = arrival;
+                        arrival
                     };
+                    *lanes(st.arrival, msg) = arrival;
                     continue;
                 }
                 Kind::Enter { slot } => {
-                    st.entries[slot] = st.cpu[r];
+                    *lanes(st.entries, slot) = cpu_before;
                     continue;
                 }
                 Kind::SweepEnd { steps } => {
                     if p.max_virtual_time > 0.0 {
-                        let vt = st.cpu.iter().copied().fold(0.0, f64::max);
-                        if vt > p.max_virtual_time {
-                            return Err(SimError::Budget {
-                                steps,
-                                detail: format!(
-                                    "virtual time {vt:.6}s exceeds limit {:.6}s",
-                                    p.max_virtual_time
-                                ),
-                            });
+                        for (l, end) in ends.iter_mut().enumerate() {
+                            let vt = (0..nr).map(|r| st.cpu[r * W + l]).fold(0.0, f64::max);
+                            if end.is_ok() && vt > p.max_virtual_time {
+                                *end = Err(SimError::Budget {
+                                    steps,
+                                    detail: format!(
+                                        "virtual time {vt:.6}s exceeds limit {:.6}s",
+                                        p.max_virtual_time
+                                    ),
+                                });
+                                tripped += 1;
+                            }
+                        }
+                        if tripped == W {
+                            return ends;
                         }
                     }
                     continue;
                 }
             }
-            st.cpu_busy[r] += st.cpu[r] - cpu_before;
+            let (cpu, busy) = (get::<W>(st.cpu, r), lanes::<W>(st.cpu_busy, r));
+            for l in 0..W {
+                busy[l] += cpu[l] - cpu_before[l];
+            }
             if let Some((_, slot, start, end)) = kernel_span {
-                st.stream_busy[slot] += end - start;
+                let busy = lanes::<W>(st.stream_busy, slot);
+                for l in 0..W {
+                    busy[l] += end[l] - start[l];
+                }
             }
             if let Some(trace) = trace.as_deref_mut() {
                 let name = &self.prog.names[op.pc];
@@ -846,76 +1028,79 @@ impl<'a> Tape<'a> {
                     rank: r,
                     name: name.clone(),
                     resource: Resource::Cpu,
-                    start: cpu_before,
-                    end: st.cpu[r],
+                    start: cpu_before[0],
+                    end: cpu[0],
                 });
                 if let Some((stream, _, start, end)) = kernel_span {
                     trace.events.push(TraceEvent {
                         rank: r,
                         name: name.clone(),
                         resource: Resource::Stream(stream),
-                        start,
-                        end,
+                        start: start[0],
+                        end: end[0],
                     });
                 }
             }
         }
-        self.end.clone()
+        ends.map(|end| end.and_then(|()| self.end.clone()))
     }
 
-    /// The last replay's per-rank finish times.
-    pub(crate) fn rank_times(&self) -> &[f64] {
-        &self.state.cpu
+    /// Lane `l`'s per-rank finish times in the last pass.
+    pub(crate) fn rank_times(&self, l: usize) -> impl Iterator<Item = f64> + '_ {
+        let w = self.state.width;
+        self.state.region(CPU).iter().skip(l).step_by(w).copied()
     }
 
-    /// The last replay's outcome.
-    fn outcome(&self) -> ExecOutcome {
-        ExecOutcome {
-            rank_times: self.state.cpu.clone(),
-        }
-    }
-
-    /// Folds the last replay's statistics into `stats`, which must be
-    /// shaped for this program.
-    pub(crate) fn fold_stats(&self, stats: &mut SimStats) {
+    /// Folds lane `l`'s statistics from the last pass into `stats`, which
+    /// must be shaped for this program.
+    pub(crate) fn fold_stats(&self, l: usize, stats: &mut SimStats) {
         stats.merge(&self.counts);
-        for (a, b) in stats.cpu_busy.iter_mut().zip(&self.state.cpu_busy) {
+        let w = self.state.width;
+        let lane = |k: usize| self.state.region(k).iter().skip(l).step_by(w);
+        for (a, b) in stats.cpu_busy.iter_mut().zip(lane(CPU_BUSY)) {
             *a += b;
         }
-        let ns = self.prog.num_streams;
-        for (r, per_rank) in stats.stream_busy.iter_mut().enumerate() {
-            for (a, b) in per_rank.iter_mut().zip(&self.state.stream_busy[r * ns..]) {
-                *a += b;
-            }
+        for (a, b) in stats
+            .stream_busy
+            .iter_mut()
+            .flatten()
+            .zip(lane(STREAM_BUSY))
+        {
+            *a += b;
         }
     }
 }
 
-impl State {
-    /// Kernel end time under the inter-stream contention model: a kernel
-    /// accrues `c` extra seconds per second of overlap with the
-    /// `contenders` (kernels already placed in other streams of the same
-    /// GPU). Solved by a short fixed point: extending the kernel can only
-    /// add bounded overlap.
-    fn contended_end(&self, c: f64, contenders: &[usize], start: f64, dur: f64) -> f64 {
-        if c == 0.0 {
-            return start + dur;
-        }
-        let mut end = start + dur;
-        for _ in 0..8 {
-            let mut overlap = 0.0;
-            for &k in contenders {
-                let (a, b) = self.kernels[k];
-                overlap += (end.min(b) - start.max(a)).max(0.0);
-            }
-            let new_end = start + dur + c * overlap;
-            if (new_end - end).abs() < 1e-12 {
-                return new_end;
-            }
-            end = new_end;
-        }
-        end
+/// Lane `l`'s kernel end time under the inter-stream contention model:
+/// a kernel accrues `c` extra seconds per second of overlap with the
+/// `contenders` (kernels already placed in other streams of the same
+/// GPU), whose intervals are read from `W`-lane `kstart` and `kend`.
+/// Solved by a short fixed point: extending the kernel can only add
+/// bounded overlap.
+fn contended_end<const W: usize>(
+    (kstart, kend, l): (&[f64], &[f64], usize),
+    c: f64,
+    contenders: &[usize],
+    start: f64,
+    dur: f64,
+) -> f64 {
+    if c == 0.0 {
+        return start + dur;
     }
+    let mut end = start + dur;
+    for _ in 0..8 {
+        let mut overlap = 0.0;
+        for &k in contenders {
+            let (a, b) = (kstart[k * W + l], kend[k * W + l]);
+            overlap += (end.min(b) - start.max(a)).max(0.0);
+        }
+        let new_end = start + dur + c * overlap;
+        if (new_end - end).abs() < 1e-12 {
+            return new_end;
+        }
+        end = new_end;
+    }
+    end
 }
 
 #[cfg(test)]
@@ -1336,7 +1521,7 @@ mod fault_tests {
         };
         let faulted = base.clone().with_faults(FaultPlan::derive(&cfg, 1));
         let t_base = execute(&prog, &base, &mut rng()).unwrap().time();
-        let (out, stats) = execute_instrumented(&prog, &faulted, &mut rng()).unwrap();
+        let (out, stats) = execute_seeded(&prog, &faulted, rng().next_u64()).unwrap();
         assert!(
             (out.time() - 3.0 * t_base).abs() < 1e-9,
             "{} vs {}",
@@ -1357,7 +1542,7 @@ mod fault_tests {
         };
         let faulted = base.clone().with_faults(FaultPlan::derive(&cfg, 1));
         let t_base = execute(&prog, &base, &mut rng()).unwrap().time();
-        let (out, stats) = execute_instrumented(&prog, &faulted, &mut rng()).unwrap();
+        let (out, stats) = execute_seeded(&prog, &faulted, rng().next_u64()).unwrap();
         assert!(out.time() >= t_base + 5e-3, "{} vs {}", out.time(), t_base);
         assert_eq!(stats.faults.delays, 2, "both directions delayed");
     }
@@ -1546,7 +1731,7 @@ mod stats_tests {
         let platform = Platform::perlmutter_like().noiseless();
         let plain = execute(&prog, &platform, &mut SmallRng::seed_from_u64(3)).unwrap();
         let (out, stats) =
-            execute_instrumented(&prog, &platform, &mut SmallRng::seed_from_u64(3)).unwrap();
+            execute_seeded(&prog, &platform, SmallRng::seed_from_u64(3).next_u64()).unwrap();
         assert_eq!(plain, out, "instrumentation must not perturb timing");
         assert_eq!(stats.runs, 1);
         assert_eq!(
@@ -1596,7 +1781,7 @@ mod stats_tests {
             w.comm_all_to_all("x", bytes);
             let prog = CompiledProgram::compile(&s, &w).unwrap();
             let (_, stats) =
-                execute_instrumented(&prog, &platform, &mut SmallRng::seed_from_u64(1)).unwrap();
+                execute_seeded(&prog, &platform, SmallRng::seed_from_u64(1).next_u64()).unwrap();
             // One message each way between the two ranks.
             if eager {
                 assert_eq!(stats.eager_msgs, 2);
@@ -1631,7 +1816,7 @@ mod stats_tests {
         let prog = CompiledProgram::compile(&s, &w).unwrap();
         let platform = Platform::perlmutter_like().noiseless();
         let (_, stats) =
-            execute_instrumented(&prog, &platform, &mut SmallRng::seed_from_u64(1)).unwrap();
+            execute_seeded(&prog, &platform, SmallRng::seed_from_u64(1).next_u64()).unwrap();
         assert_eq!(stats.collective_ops, 4, "one completion per rank");
         assert_eq!(stats.bytes_moved, 4 * 8);
     }

@@ -14,7 +14,7 @@
 //!   program DAG for a concrete problem instance;
 //! * [`CompiledProgram`] — a schedule resolved against a workload;
 //! * [`Tape`] — a compiled program lowered once for a platform and
-//!   replayed per sample without allocating;
+//!   replayed without allocating, up to eight samples per pass;
 //! * [`execute`] — one simulated invocation across all ranks, with
 //!   deadlock detection;
 //! * [`benchmark`] — the paper's measurement protocol (samples until
@@ -33,12 +33,12 @@ pub mod trace;
 mod workload;
 
 pub use bench::{
-    benchmark, benchmark_instrumented, benchmark_memo, benchmark_memo_instrumented,
-    benchmark_traced, percentile, BenchConfig, BenchResult, Percentiles,
+    benchmark, benchmark_instrumented, benchmark_memo_instrumented, percentile, BenchConfig,
+    BenchResult, Percentiles,
 };
 pub use compile::{CommTable, CompiledProgram, Instr, SimError};
 pub use dr_fault::{FaultConfig, FaultCounters, FaultPlan, MessageFault};
-pub use exec::{execute, execute_instrumented, execute_seeded, execute_traced, ExecOutcome, Tape};
+pub use exec::{execute, execute_seeded, execute_traced, ExecOutcome, Tape};
 pub use memo::SimMemo;
 pub use platform::{NoiseModel, Platform};
 pub use stats::SimStats;

@@ -3,17 +3,19 @@
 //! Every noise factor is a pure function of `(sample_seed, position
 //! key)` (see [`crate::exec`]), and the memoized bench protocol reuses
 //! the same per-cell sample seeds for every schedule (see
-//! [`crate::bench::benchmark_memo`]). The Box-Muller draw behind each
-//! factor (`ln`/`sqrt`/`cos`/`exp`) dominates short executions, so the
-//! memo tabulates factors per seed and replays them bit-identically.
+//! [`crate::bench::benchmark_memo_instrumented`]). The Box-Muller draw
+//! behind each factor (`ln`/`sqrt`/`cos`/`exp`) dominates short
+//! executions, so the memo tabulates factors per block of consecutive
+//! cell seeds and replays them bit-identically.
 
 use crate::compile::CompiledProgram;
-use crate::exec::NoiseTable;
+use crate::exec::{NoiseTable, LANES};
 use crate::platform::Platform;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes a sample seed as itself: cell seeds are already avalanched.
+/// Hashes a block's first seed as itself: cell seeds are already
+/// avalanched.
 #[derive(Debug, Default)]
 struct SeedHasher(u64);
 
@@ -31,13 +33,14 @@ impl Hasher for SeedHasher {
     }
 }
 
-/// Per-`sample_seed` noise-factor tables. A pure lookup cache: tables
-/// replay exactly what `factor_keyed` would compute, so they can never
-/// change results — only wall time. Keyed by seed because the memoized
-/// protocol cycles through a fixed set of per-cell seeds; flushed
-/// whenever the platform's noise sigma changes (one memo may serve
-/// differently-configured platforms across tests). One per worker
-/// thread, so it never needs locking.
+/// Noise-factor tables, one per block of [`LANES`] consecutive cell
+/// seeds. A pure lookup cache: tables replay exactly what `factor_keyed`
+/// would compute, so they can never change results — only wall time.
+/// Keyed by the block's first seed because the memoized protocol cycles
+/// through a fixed set of per-cell seeds; flushed whenever the platform's
+/// noise sigma changes (one memo may serve differently-configured
+/// platforms across tests). One per worker thread, so it never needs
+/// locking.
 #[derive(Debug, Default)]
 pub struct SimMemo {
     sigma: f64,
@@ -45,19 +48,20 @@ pub struct SimMemo {
 }
 
 impl SimMemo {
-    /// Number of per-seed noise-factor tables currently held.
+    /// Number of distinct sample seeds whose noise factors the memo
+    /// holds: [`LANES`] per block table.
     pub fn noise_tables(&self) -> usize {
-        self.tables.len()
+        self.tables.len() * LANES
     }
 
-    /// The table for `sample_seed` on `platform`, fitted to `prog`'s
-    /// shape; `None` when the platform is noiseless (every factor is 1.0
-    /// — a table would only add work).
+    /// The table of the block whose first seed is `block_seed` on
+    /// `platform`, fitted to `prog`'s shape; `None` when the platform is
+    /// noiseless (every factor is 1.0 — a table would only add work).
     pub(crate) fn table(
         &mut self,
         platform: &Platform,
         prog: &CompiledProgram,
-        sample_seed: u64,
+        block_seed: u64,
     ) -> Option<&mut NoiseTable> {
         let sigma = platform.noise.sigma;
         if sigma == 0.0 {
@@ -67,7 +71,7 @@ impl SimMemo {
             self.tables.clear();
             self.sigma = sigma;
         }
-        let tab = self.tables.entry(sample_seed).or_default();
+        let tab = self.tables.entry(block_seed).or_default();
         tab.fit(prog);
         Some(tab)
     }
@@ -112,17 +116,27 @@ mod tests {
         CompiledProgram::compile(&s, &w).unwrap()
     }
 
-    /// One replay of `prog` at `seed` with noise from `memo`'s table.
-    fn tabled(
+    /// One pass of `prog` over `seeds`, lanes `first..first + W` of the
+    /// block table keyed by `block`; the per-rank times of every lane.
+    fn tabled<const W: usize>(
         prog: &CompiledProgram,
         platform: &Platform,
-        seed: u64,
+        (block, first): (u64, usize),
+        seeds: [u64; W],
         memo: &mut SimMemo,
-    ) -> Vec<f64> {
+    ) -> Vec<Vec<f64>> {
         let mut tape = Tape::lower(prog, platform);
-        let noise = Noise::new(platform, seed, memo.table(platform, prog, seed));
-        tape.run(noise, None).unwrap();
-        tape.rank_times().to_vec()
+        let table = memo.table(platform, prog, block).map(|t| (t, first));
+        for end in tape.run(Noise::new(platform, seeds, table), None) {
+            end.unwrap();
+        }
+        (0..W).map(|l| tape.rank_times(l).collect()).collect()
+    }
+
+    /// The scalar replay of every seed.
+    fn direct(prog: &CompiledProgram, platform: &Platform, seeds: &[u64]) -> Vec<Vec<f64>> {
+        let run = |&seed: &u64| execute_seeded(prog, platform, seed).unwrap().0.rank_times;
+        seeds.iter().map(run).collect()
     }
 
     #[test]
@@ -130,12 +144,16 @@ mod tests {
         let prog = halo_program();
         let platform = Platform::perlmutter_like(); // noisy
         let mut memo = SimMemo::default();
-        for seed in [3u64, 4, 3, u64::MAX] {
-            let (direct, _) = execute_seeded(&prog, &platform, seed).unwrap();
-            let memoed = tabled(&prog, &platform, seed, &mut memo);
-            assert_eq!(memoed, direct.rank_times, "seed {seed} diverged");
-        }
-        assert_eq!(memo.noise_tables(), 3, "one table per distinct seed");
+        let block: [u64; 8] = std::array::from_fn(|l| 3 + l as u64);
+        // A full-width pass fills the block; narrower passes at other
+        // lanes replay its factors, and a pass over a fresh block draws.
+        let wide = tabled(&prog, &platform, (3, 0), block, &mut memo);
+        assert_eq!(wide, direct(&prog, &platform, &block));
+        let pair = tabled(&prog, &platform, (3, 6), [9, 10], &mut memo);
+        assert_eq!(pair, direct(&prog, &platform, &[9, 10]));
+        let one = tabled(&prog, &platform, (u64::MAX, 0), [u64::MAX], &mut memo);
+        assert_eq!(one, direct(&prog, &platform, &[u64::MAX]));
+        assert_eq!(memo.noise_tables(), 16, "8 seeds per block table");
     }
 
     #[test]
@@ -148,10 +166,10 @@ mod tests {
         louder.noise.sigma *= 3.0;
         let mut memo = SimMemo::default();
         for platform in [&noisy, &louder, &noisy] {
-            let (direct, _) = execute_seeded(&prog, platform, 11).unwrap();
-            let memoed = tabled(&prog, platform, 11, &mut memo);
+            let memoed = tabled(&prog, platform, (11, 0), [11, 12], &mut memo);
             assert_eq!(
-                memoed, direct.rank_times,
+                memoed,
+                direct(&prog, platform, &[11, 12]),
                 "sigma change leaked stale factors"
             );
         }
@@ -162,8 +180,8 @@ mod tests {
         let prog = halo_program();
         let platform = Platform::perlmutter_like().noiseless();
         let mut memo = SimMemo::default();
-        let (direct, _) = execute_seeded(&prog, &platform, 5).unwrap();
-        assert_eq!(tabled(&prog, &platform, 5, &mut memo), direct.rank_times);
+        let memoed = tabled(&prog, &platform, (5, 0), [5, 6, 7, 8], &mut memo);
+        assert_eq!(memoed, direct(&prog, &platform, &[5, 6, 7, 8]));
         assert_eq!(memo.noise_tables(), 0);
     }
 }

@@ -2,15 +2,16 @@
 //! and resets it in place, so replaying sample `k` after arbitrary
 //! earlier samples must equal a fresh tape's replay of `k` — outcome,
 //! statistics, fault counters and error alike — and recording a trace
-//! must not change any of them. Schedules are arbitrary traversals of a
+//! must not change any of them. A pass of `W` lanes must equal `W` such
+//! replays, lane by lane. Schedules are arbitrary traversals of a
 //! halo-exchange decision space; platforms are noiseless, noisy, under
-//! the `light` and `heavy` fault presets, or under a watchdog budget
-//! tight enough that some samples trip it and others do not.
+//! the `light`, `heavy` or `drops` fault presets, or under a watchdog
+//! budget tight enough that some samples trip it and others do not.
 
 use dr_dag::{build_schedule, CommKey, CostKey, DagBuilder, DecisionSpace, OpSpec};
 use dr_sim::{
-    execute_seeded, CompiledProgram, FaultConfig, FaultPlan, Platform, Resource, TableWorkload,
-    Tape, Trace,
+    execute_seeded, CompiledProgram, FaultConfig, FaultPlan, Platform, Resource, SimError,
+    TableWorkload, Tape, Trace,
 };
 use proptest::prelude::*;
 
@@ -60,7 +61,8 @@ fn program(pick: usize) -> CompiledProgram {
 /// Platform `kind` for `prog`, with the fault plan keyed by `eval_seed`
 /// as the pipeline derives it. The budget platform's virtual-time limit
 /// is 98–107% of the noiseless run time, so noise decides which samples
-/// trip it; half of the budget platforms also cap steps.
+/// trip it; half of the budget platforms also cap steps. Kind 5 loses
+/// messages, so some programs end in a deadlock.
 fn platform(kind: usize, eval_seed: u64, prog: &CompiledProgram) -> Platform {
     let noisy = Platform::perlmutter_like();
     match kind {
@@ -68,6 +70,7 @@ fn platform(kind: usize, eval_seed: u64, prog: &CompiledProgram) -> Platform {
         1 => noisy,
         2 => noisy.with_faults(FaultPlan::derive(&FaultConfig::light(), eval_seed)),
         3 => noisy.with_faults(FaultPlan::derive(&FaultConfig::heavy(), eval_seed)),
+        5 => noisy.with_faults(FaultPlan::derive(&FaultConfig::drops(), eval_seed)),
         _ => {
             let (clean, stats) = execute_seeded(prog, &noisy.clone().noiseless(), 0).unwrap();
             let vt = clean.time() * (98 + eval_seed % 10) as f64 / 100.0;
@@ -134,4 +137,69 @@ proptest! {
             }
         }
     }
+}
+
+/// How one replay ended.
+type Replay = Result<(dr_sim::ExecOutcome, dr_sim::SimStats), SimError>;
+
+/// One `W`-lane pass over the first `W` of `seeds` and the scalar replays
+/// of the same seeds, on one reused tape.
+fn lanes_and_scalars<const W: usize>(
+    tape: &mut Tape<'_>,
+    seeds: &[u64],
+) -> (Vec<Replay>, Vec<Replay>) {
+    let seeds: [u64; W] = seeds[..W].try_into().expect("enough seeds");
+    let pass = tape.replay_lanes(seeds).to_vec();
+    let scalar = seeds.iter().map(|&k| tape.replay(k, None)).collect();
+    (pass, scalar)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_lane_pass_equals_scalar_replays_lane_by_lane(
+        pick in 0usize..64,
+        kind in 0usize..6,
+        eval_seed in any::<u64>(),
+        seeds in proptest::collection::vec(any::<u64>(), 8),
+    ) {
+        let prog = program(pick);
+        let platform = platform(kind, eval_seed, &prog);
+        let mut tape = Tape::lower(&prog, &platform);
+        // Outcome, stats (busy times included) and error, lane by lane.
+        let (pass, scalar) = lanes_and_scalars::<2>(&mut tape, &seeds);
+        prop_assert_eq!(pass, scalar);
+        let (pass, scalar) = lanes_and_scalars::<4>(&mut tape, &seeds);
+        prop_assert_eq!(pass, scalar);
+        let (pass, scalar) = lanes_and_scalars::<8>(&mut tape, &seeds);
+        prop_assert_eq!(pass, scalar);
+    }
+}
+
+/// The lane property's rare endings occur on a fixed grid: an 8-lane pass
+/// whose lanes disagree about the virtual-time watchdog, and programs
+/// that end in the drop deadlock in every lane.
+#[test]
+fn lane_passes_cover_watchdog_trips_and_drop_deadlocks() {
+    let (mut mixed, mut deadlocked) = (0, 0);
+    for pick in 0..64 {
+        let prog = program(pick);
+        for eval_seed in 0..4u64 {
+            let seeds: Vec<u64> = (0..8).map(|l| eval_seed * 8 + l).collect();
+            for kind in [4, 5] {
+                let platform = platform(kind, eval_seed, &prog);
+                let mut tape = Tape::lower(&prog, &platform);
+                let (pass, scalar) = lanes_and_scalars::<8>(&mut tape, &seeds);
+                assert_eq!(pass, scalar, "pick {pick} kind {kind} seed {eval_seed}");
+                let watchdog = |r: &Replay| matches!(r, Err(SimError::Budget { detail, .. }) if detail.contains("virtual time"));
+                let tripped = pass.iter().filter(|r| watchdog(r)).count();
+                mixed += usize::from(tripped > 0 && tripped < 8);
+                let deadlock = |r: &Replay| matches!(r, Err(SimError::Deadlock { .. }));
+                deadlocked += usize::from(kind == 5 && pass.iter().all(deadlock));
+            }
+        }
+    }
+    assert!(mixed > 0, "no pass mixed watchdog kills with completions");
+    assert!(deadlocked > 0, "no program deadlocked on a dropped message");
 }
