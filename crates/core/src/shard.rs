@@ -952,6 +952,22 @@ mod tests {
     }
 
     #[test]
+    fn cold_mcts_shard_counts_no_store_hits() {
+        let strategy = Strategy::Mcts {
+            iterations: 24,
+            config: MctsConfig::default(),
+        };
+        let dir = scratch("mcts-cold");
+        let cold = shard(&dir, strategy, 0, 2).manifest;
+        assert_eq!(cold.store.hits, 0, "reading the records back is not a hit");
+        assert_eq!(cold.store.appended as usize, cold.records);
+        let warm = shard(&dir, strategy, 0, 2).manifest;
+        assert_eq!(warm.store.appended, 0, "a rerun simulates nothing");
+        assert_eq!(warm.fingerprint, cold.fingerprint);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn mcts_shards_merge_deterministically() {
         let (space, _, _) = setup();
         let strategy = Strategy::Mcts {

@@ -19,7 +19,7 @@
 //!
 //! The coordinator feeds every merged worker event through
 //! [`AnomalyDetector::observe`], marks lifecycle edges with
-//! [`note_spawn`]/[`note_exit`], and calls [`scan`] each poll; returned
+//! [`note_spawn`]/[`note_exit`], and calls [`scan`] each pass; returned
 //! anomalies are emitted as structured `anomaly` events and quoted as
 //! the reason for kill/re-issue decisions.
 //!
@@ -111,8 +111,9 @@ struct Track {
     beats: Vec<f64>,
     /// (worker-clock time, cumulative done) heartbeat and shard-done
     /// samples. The worker's own clock times its work exactly; arrival
-    /// times would add spawn latency and the coordinator's poll lag,
-    /// which dominate a worker that finishes in a few polls.
+    /// times would add spawn latency and the coordinator's drain lag
+    /// (it reads streams once per 50 ms tick, or sooner when a worker
+    /// exits), which dominate a worker that finishes within a few ticks.
     samples: Vec<(f64, u64)>,
     flagged: [bool; 3],
 }

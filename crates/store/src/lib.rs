@@ -441,22 +441,23 @@ impl ResultStore {
 
     /// The committed records in log order. Hash collisions (two
     /// committed traversals sharing a canonical hash) surface as
-    /// repeated entries of the later record.
+    /// repeated entries of the later record. A maintenance read: it
+    /// counts no hits or misses.
     pub fn records_in_order(&self) -> Vec<(u64, StoredRecord)> {
         let w = self.writer.lock().expect("store writer poisoned");
         w.log
             .iter()
-            .filter_map(|&h| self.cache.get(h, &h).map(|r| (h, r)))
+            .filter_map(|&h| self.cache.peek(h, &h).map(|r| (h, r)))
             .collect()
     }
 
     /// Lifetime counters: read-path hits/misses, records loaded at
     /// open, records appended since, and torn bytes dropped on open.
     pub fn stats(&self) -> StoreStats {
+        // Only `lookup` counts: `records_in_order` and `compact` read
+        // through `peek`, so `hits` is exactly the lookups the store
+        // answered (the proof that a resumed run reused it).
         let c = self.cache.stats();
-        // `records_in_order` also goes through the cache; its probes are
-        // all hits, so subtracting nothing keeps counters monotone and
-        // meaningful (lookup misses still dominate the signal).
         StoreStats {
             hits: c.hits,
             misses: c.misses,

@@ -16,6 +16,12 @@
 //! already-committed prefix instead of re-simulating — the shard
 //! manifest's `store.hits` counter proves it.
 //!
+//! Worker exits wake the coordinator: a thread per worker copies the
+//! worker's stdout+stderr pipe into its log and, at EOF, sends an exit
+//! notice. Between passes the coordinator waits for a notice or one
+//! 50 ms drain tick, whichever comes first, and it ends in the pass
+//! that settles the last shard.
+//!
 //! The merged streams also feed an online [`dr_fleet::AnomalyDetector`]
 //! (straggler / rate-collapse / silent-worker, MAD bands over heartbeat
 //! gaps and eval rates), so kill and re-issue decisions cite a
@@ -48,7 +54,9 @@ use dr_fleet::{
 use dr_obs::EventSink;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything the coordinator learned from the merged telemetry: the
@@ -62,6 +70,15 @@ pub struct FleetOutcome {
     /// The coordinator's own event-stream run id.
     pub run_id: String,
 }
+
+/// The coordinator's drain cadence: how often it reads heartbeats,
+/// checks stalls, honours backoff and repaints progress when no worker
+/// exits in between.
+const DRAIN_TICK: Duration = Duration::from_millis(50);
+
+/// A worker's exit notice, `(shard index, pid)`: sent by its log copier
+/// when the worker's stdout+stderr pipe reaches EOF.
+type ExitNotice = (usize, u32);
 
 /// Base of the re-spawn backoff, in milliseconds.
 const BACKOFF_BASE_MS: u64 = 200;
@@ -78,7 +95,8 @@ fn worker_events_path(store_root: &Path, spec: ShardSpec) -> PathBuf {
     store_root.join(format!("shard-{}.events.ndjson", spec.label()))
 }
 
-/// The per-worker captured stdout+stderr log.
+/// The per-worker captured stdout+stderr log (copied from the worker's
+/// pipe).
 fn worker_log_path(store_root: &Path, spec: ShardSpec) -> PathBuf {
     store_root.join(format!("shard-{}.log", spec.label()))
 }
@@ -139,25 +157,30 @@ fn manifest_matches(
 
 /// Spawns one shard worker: this same binary, `explore --shard i/N`,
 /// serial, streaming events (heartbeats included) to its own NDJSON
-/// file, stdout+stderr captured to a log. The worker's `DR_RUN_ID` is
-/// pinned to `run_id` so the aggregator can validate its stream, and
-/// its eager events `File::create` truncates the previous attempt's
-/// stream (the aggregator re-tails from zero on `expect_worker`). Only
-/// the shard the swarm's fault targeting names receives a `DR_FAULTS`
-/// spec; every other worker runs clean.
+/// file. Its stdout and stderr share one pipe, which a copier thread
+/// drains into the worker log; at EOF the copier sends the worker's
+/// [`ExitNotice`] on `exits`, which wakes the coordinator. The worker's
+/// `DR_RUN_ID` is pinned to `run_id` so the aggregator can validate its
+/// stream, and its eager events `File::create` truncates the previous
+/// attempt's stream (the aggregator re-tails from zero on
+/// `expect_worker`). Only the shard the swarm's fault targeting names
+/// receives a `DR_FAULTS` spec; every other worker runs clean.
 fn spawn_worker(
     opts: &CliOptions,
     store_root: &Path,
     spec: ShardSpec,
     run_id: &str,
-) -> Result<Child, String> {
+    exits: &Sender<ExitNotice>,
+) -> Result<(Child, JoinHandle<()>), String> {
     let exe =
         std::env::current_exe().map_err(|e| format!("cannot locate the dr-rules binary: {e}"))?;
-    let log = std::fs::File::create(worker_log_path(store_root, spec))
+    let mut log = std::fs::File::create(worker_log_path(store_root, spec))
         .map_err(|e| format!("cannot create worker log: {e}"))?;
-    let log_err = log
+    let (mut output, output_w) =
+        std::io::pipe().map_err(|e| format!("cannot create worker pipe: {e}"))?;
+    let output_w_err = output_w
         .try_clone()
-        .map_err(|e| format!("cannot clone worker log handle: {e}"))?;
+        .map_err(|e| format!("cannot clone worker pipe handle: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg(opts.scenario.name())
         .arg("explore")
@@ -176,8 +199,8 @@ fn spawn_worker(
         .env("DR_RUN_ID", run_id)
         .env_remove("DR_FAULTS")
         .stdin(Stdio::null())
-        .stdout(Stdio::from(log))
-        .stderr(Stdio::from(log_err));
+        .stdout(output_w)
+        .stderr(output_w_err);
     if let Some((_, faults)) = opts
         .settings
         .swarm_fault_shard
@@ -188,8 +211,50 @@ fn spawn_worker(
     if opts.random {
         cmd.arg("--random");
     }
-    cmd.spawn()
-        .map_err(|e| format!("cannot spawn shard worker {spec}: {e}"))
+    let mut child = cmd
+        .spawn()
+        .map_err(|e| format!("cannot spawn shard worker {spec}: {e}"))?;
+    // The command holds this process's copies of the pipe's write end;
+    // the copier never sees EOF while they are open.
+    drop(cmd);
+    let notice = (spec.index, child.id());
+    let exits = exits.clone();
+    let copier = std::thread::Builder::new()
+        .name(format!("shard-{}-log", spec.label()))
+        .spawn(move || {
+            // A failed log write must not close the pipe under a live
+            // worker: keep draining to EOF.
+            if std::io::copy(&mut output, &mut log).is_err() {
+                let _ = std::io::copy(&mut output, &mut std::io::sink());
+            }
+            let _ = exits.send(notice);
+        });
+    match copier {
+        Ok(copier) => Ok((child, copier)),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(format!("cannot start the log copier of shard {spec}: {e}"))
+        }
+    }
+}
+
+/// Reaps `child`, the running attempt of shard `index`, when `notices`
+/// holds its exit notice. A notice naming another pid is a killed
+/// predecessor's late EOF and leaves this attempt alone. The wait
+/// blocks, but EOF on both stdio streams means the worker is already
+/// exiting (it never closes them early), so it returns at once; a
+/// single `try_wait` here would often still see it running.
+fn reap(
+    child: &mut Child,
+    index: usize,
+    notices: &[ExitNotice],
+) -> std::io::Result<Option<ExitStatus>> {
+    if notices.contains(&(index, child.id())) {
+        child.wait().map(Some)
+    } else {
+        Ok(None)
+    }
 }
 
 /// Drains every stream through the aggregator once: feeds the anomaly
@@ -220,9 +285,12 @@ fn drain(
 /// worker stream plus its own events into one `dr-fleet/v1` sequence,
 /// SIGKILLs stalled workers (citing the anomaly that flagged them),
 /// re-issues dead shards with capped backoff, and quarantines a shard
-/// after repeated failures. Returns the merged fleet telemetry once
+/// after repeated failures. Between passes it waits for the next worker
+/// exit, at most one drain tick, and it returns from the pass that
+/// settles the last shard. Returns the merged fleet telemetry once
 /// every shard's manifest is published — the caller then merges — or an
-/// error naming the quarantined shards.
+/// error naming the quarantined shards, in both cases with every worker
+/// log complete.
 pub fn coordinate(
     opts: &CliOptions,
     store_root: &Path,
@@ -286,6 +354,9 @@ pub fn coordinate(
             failures: 0,
         });
     }
+    let (exit_tx, exit_rx) = mpsc::channel::<ExitNotice>();
+    let mut notices: Vec<ExitNotice> = Vec::new();
+    let mut copiers: Vec<JoinHandle<()>> = Vec::new();
     let result = loop {
         let mut beat_seen = vec![false; count];
         drain(&mut agg, &mut detector, &mut progress, &mut beat_seen);
@@ -315,18 +386,18 @@ pub fn coordinate(
             );
             last_anomaly[a.worker] = Some(format!("{} ({})", a.kind.name(), a.metric));
         }
-        let mut open = false;
         for shard in shards.iter_mut() {
             let spec = shard.spec;
             match &mut shard.state {
                 State::Done | State::Quarantined => continue,
                 State::Pending { ready_at } => {
-                    open = true;
                     if Instant::now() < *ready_at {
                         continue;
                     }
                     let worker_run = format!("{coord_run}.shard-{}", spec.label());
-                    let child = spawn_worker(opts, store_root, spec, &worker_run)?;
+                    let (child, copier) =
+                        spawn_worker(opts, store_root, spec, &worker_run, &exit_tx)?;
+                    copiers.push(copier);
                     agg.expect_worker(spec.index, &worker_run);
                     detector.note_spawn(spec.index, agg.now_s());
                     last_anomaly[spec.index] = None;
@@ -352,13 +423,11 @@ pub fn coordinate(
                     };
                 }
                 State::Running { child, last_beat } => {
-                    open = true;
                     if beat_seen[spec.index] {
                         *last_beat = Instant::now();
                     }
-                    let exited = child
-                        .try_wait()
-                        .map_err(|e| format!("cannot poll shard worker {spec}: {e}"))?;
+                    let exited = reap(child, spec.index, &notices)
+                        .map_err(|e| format!("cannot reap shard worker {spec}: {e}"))?;
                     let failed_how = match exited {
                         Some(status) => {
                             let manifest = manifest_matches(
@@ -463,9 +532,15 @@ pub fn coordinate(
                 }
             }
         }
+        notices.clear();
         if let Some(p) = progress.as_mut() {
             p.paint(false);
         }
+        // Decided after this pass's state changes, so the pass that
+        // settles the last shard ends the loop.
+        let open = shards
+            .iter()
+            .any(|s| matches!(s.state, State::Pending { .. } | State::Running { .. }));
         if !open {
             let quarantined: Vec<String> = shards
                 .iter()
@@ -480,16 +555,25 @@ pub fn coordinate(
                 quarantined.join(", ")
             ));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        // Wake on the next worker exit, or after one drain tick.
+        if let Ok(notice) = exit_rx.recv_timeout(DRAIN_TICK) {
+            notices.push(notice);
+        }
+        notices.extend(exit_rx.try_iter());
     };
     // Never leak children, whatever the outcome.
-    let mut leaked = vec![false; count];
     for shard in shards.iter_mut() {
         if let State::Running { child, .. } = &mut shard.state {
             let _ = child.kill();
             let _ = child.wait();
-            leaked[shard.spec.index] = true;
         }
+    }
+    // Every worker has exited or been killed: each copier reaches EOF,
+    // so joining them leaves every log complete.
+    for copier in copiers {
+        copier
+            .join()
+            .expect("a log copier only copies bytes and sends its notice");
     }
     let quarantined = shards
         .iter()
@@ -531,6 +615,24 @@ mod tests {
         assert_eq!(backoff(2), Duration::from_millis(400));
         assert_eq!(backoff(3), Duration::from_millis(800));
         assert_eq!(backoff(20), Duration::from_millis(3_000), "capped");
+    }
+
+    #[test]
+    fn exit_notices_reap_only_the_attempt_they_name() {
+        let mut child = Command::new("sleep").arg("30").spawn().unwrap();
+        let pid = child.id();
+        // A killed predecessor's late EOF, and a notice for another
+        // shard carrying this pid: the running attempt stays running,
+        // and the check does not block.
+        let started = Instant::now();
+        let stale = [(0, pid.wrapping_add(1)), (1, pid)];
+        assert!(reap(&mut child, 0, &stale).unwrap().is_none());
+        assert!(started.elapsed() < Duration::from_secs(1), "never blocks");
+        assert!(child.try_wait().unwrap().is_none(), "still running");
+        // The attempt's own notice reaps it.
+        child.kill().unwrap();
+        let status = reap(&mut child, 0, &[(0, pid)]).unwrap().expect("reaped");
+        assert!(!status.success());
     }
 
     #[test]

@@ -182,6 +182,54 @@ fn merged_stream_is_lossless_gapless_and_inert() {
     let _ = std::fs::remove_dir_all(&silent);
 }
 
+/// The coordinator wakes when a worker exits and leaves its loop in the
+/// pass that completes the last shard: `swarm-done` arrives within one
+/// drain tick (50 ms) of the last worker's `shard-done`, where a
+/// coordinator that sleeps between passes always trails by a full tick.
+#[test]
+fn swarm_ends_without_another_tick() {
+    let store = scratch("tick");
+    let store_s = store.display().to_string();
+    let fleet = store.join("fleet.ndjson");
+    let fleet_s = fleet.display().to_string();
+    run_ok(&[
+        "spmv",
+        "swarm",
+        "--workers",
+        "2",
+        "--store",
+        &store_s,
+        "--iterations",
+        ITERATIONS,
+        "--seed",
+        SEED,
+        "--fleet-events",
+        &fleet_s,
+    ]);
+    let (mut last_shard_done, mut swarm_done) = (None::<f64>, None::<f64>);
+    for line in std::fs::read_to_string(&fleet).unwrap().lines() {
+        let v = json::parse(line).expect("merged line parses");
+        let seen_s = v.get("seen_s").and_then(|t| t.as_f64()).expect("seen_s");
+        let worker = v.get("worker").filter(|w| !w.is_null());
+        match (worker, v.path(&["event", "kind"]).and_then(|k| k.as_str())) {
+            (Some(_), Some("shard-done")) => {
+                last_shard_done = Some(last_shard_done.map_or(seen_s, |t| t.max(seen_s)));
+            }
+            (None, Some("swarm-done")) => swarm_done = Some(seen_s),
+            _ => {}
+        }
+    }
+    let last_shard_done = last_shard_done.expect("workers report shard-done");
+    let swarm_done = swarm_done.expect("coordinator reports swarm-done");
+    let trail = swarm_done - last_shard_done;
+    assert!(
+        trail < 0.05,
+        "swarm-done trails the last shard-done by {:.1} ms",
+        trail * 1e3
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn compare_gates_fleet_streams_and_rejects_kind_mixes() {
     let a = scratch("cmp-a");
