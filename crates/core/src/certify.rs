@@ -5,15 +5,16 @@
 //! a fast-class ruleset lands in the fast performance class. This module
 //! checks the *safety* half of that contract statically: for each mined
 //! ruleset, the incremental space-level linter walks exactly the
-//! schedules satisfying the ruleset (the rules act as a prefix filter on
-//! the decision-space walk) and verifies each one is free of
+//! schedules satisfying the ruleset (its compiled [`Constraints`] filter
+//! the decision-space walk, which descends only into subtrees holding a
+//! satisfying schedule) and verifies each one is free of
 //! error-severity diagnostics — races, deadlocks, malformed schedules.
 //! A ruleset whose every satisfying schedule lints clean is *certified*;
 //! the first offending schedule otherwise becomes the counterexample.
 
-use crate::synthesize::violates;
+use crate::synthesize::Constraints;
 use dr_dag::DecisionSpace;
-use dr_lint::{lint_space_incremental, CommTopology, LintCounters, SpaceLintOptions};
+use dr_lint::{lint_space_incremental, CommTopology, LintCounters, SpaceLintStats};
 use dr_ml::RuleSet;
 
 /// Certification verdict of one mined ruleset.
@@ -40,8 +41,9 @@ pub struct RulesetCertificate {
     pub races: u64,
     /// MPI deadlocks among the errors.
     pub deadlocks: u64,
-    /// Certified: every satisfying schedule was checked and none had an
-    /// error-severity diagnostic.
+    /// Certified: at least one schedule satisfies the ruleset, every
+    /// satisfying schedule was checked, and none had an error-severity
+    /// diagnostic.
     pub certified: bool,
     /// The first offending schedule's first error, rendered (`None` when
     /// certified).
@@ -107,25 +109,25 @@ fn certify_one(
 ) -> RulesetCertificate {
     let mut counters = LintCounters::default();
     let mut first_counterexample: Option<String> = None;
-    let rules = &rs.rules;
-    let stats = lint_space_incremental(
-        space,
-        topo,
-        SpaceLintOptions {
+    // An unsatisfiable ruleset walks nothing and checks nothing.
+    let stats = match Constraints::compile(space, &rs.rules) {
+        Ok(constraints) => lint_space_incremental(
+            space,
+            topo,
             max_schedules,
-            prune_deadlocks: false,
-        },
-        Some(&mut |prefix, p| !violates(rules, prefix, p)),
-        &mut |i, _prefix, report| {
-            if first_counterexample.is_none() {
-                if let Some(d) = report.errors().next() {
-                    first_counterexample = Some(format!("schedule #{i}: {}", d.render()));
+            Some(&mut |prefix, p| constraints.admits(prefix, p)),
+            &mut |i, _prefix, report| {
+                if first_counterexample.is_none() {
+                    if let Some(d) = report.errors().next() {
+                        first_counterexample = Some(format!("schedule #{i}: {}", d.render()));
+                    }
                 }
-            }
-            counters.absorb(report);
-        },
-    );
-    let certified = counters.errors == 0 && !stats.truncated;
+                counters.absorb(report);
+            },
+        ),
+        Err(_) => SpaceLintStats::default(),
+    };
+    let certified = counters.errors == 0 && !stats.truncated && stats.schedules > 0;
     RulesetCertificate {
         class: rs.class,
         samples: rs.samples,
@@ -248,6 +250,29 @@ mod tests {
         let s = &cert.rulesets[1];
         assert!(s.certified, "{:?}", s.first_counterexample);
         assert_eq!(cert.uncertified_fast().count(), 1);
+    }
+
+    #[test]
+    fn unsatisfiable_rulesets_are_not_certified() {
+        let sp = kernel_space();
+        let a = sp.op_by_name("a").unwrap();
+        let b = sp.op_by_name("b").unwrap();
+        let contradiction = ruleset(
+            [true, false]
+                .into_iter()
+                .map(|value| Rule {
+                    kind: FeatureKind::Before(a, b),
+                    value,
+                })
+                .collect(),
+            0,
+        );
+        let cert = certify_rulesets(&sp, None, &[contradiction], 1, 0);
+        let c = &cert.rulesets[0];
+        assert_eq!(c.schedules_checked, 0);
+        assert!(!c.truncated);
+        assert!(!c.certified, "nothing was checked");
+        assert!(!cert.all_fast_certified);
     }
 
     #[test]

@@ -81,5 +81,5 @@ pub use shard::{
     MergeOutcome, ShardManifest, ShardRunOutcome, ShardSpec, ShardTarget, SHARD_SCHEMA,
 };
 pub use storestage::StoredEvaluator;
-pub use synthesize::{satisfies, synthesize};
+pub use synthesize::{satisfies, synthesize, Constraints};
 pub use watch::{EvalWatch, WatchedEvaluator};

@@ -14,7 +14,7 @@ use dr_dag::{DecisionSpace, OpSpec, Traversal};
 use dr_fault::{key_hash, FaultPlan, MessageFault};
 use dr_lint::{
     lint_space_incremental, lint_traversal, AggregatedDiag, CommTopology, DiagAggregator,
-    LintCounters, LintReport, SpaceLintOptions, SpaceLintStats,
+    LintCounters, LintReport, SpaceLintStats,
 };
 use dr_mcts::Evaluator;
 use dr_obs::events::EventSink;
@@ -36,7 +36,6 @@ pub struct LintTotals {
     space_schedules: AtomicU64,
     hb_expansions: AtomicU64,
     cold_hb_expansions: AtomicU64,
-    pruned_subtrees: AtomicU64,
 }
 
 impl LintTotals {
@@ -66,8 +65,6 @@ impl LintTotals {
             .fetch_add(stats.hb_expansions, Ordering::Relaxed);
         self.cold_hb_expansions
             .fetch_add(stats.cold_hb_expansions, Ordering::Relaxed);
-        self.pruned_subtrees
-            .fetch_add(stats.pruned_subtrees, Ordering::Relaxed);
     }
 
     /// Snapshot for the run report.
@@ -82,7 +79,6 @@ impl LintTotals {
             space_schedules: self.space_schedules.load(Ordering::Relaxed),
             hb_expansions: self.hb_expansions.load(Ordering::Relaxed),
             cold_hb_expansions: self.cold_hb_expansions.load(Ordering::Relaxed),
-            pruned_subtrees: self.pruned_subtrees.load(Ordering::Relaxed),
         }
     }
 
@@ -251,10 +247,7 @@ pub fn lint_space_watched(
     let stats = lint_space_incremental(
         space,
         topo,
-        SpaceLintOptions {
-            max_schedules: max_schedules as u64,
-            prune_deadlocks: false,
-        },
+        max_schedules as u64,
         None,
         &mut |i, _prefix, report| {
             agg.absorb(i, report);

@@ -194,8 +194,6 @@ pub struct LintSummary {
     /// Node expansions a cold per-schedule pass would have performed for
     /// the same schedules (the incremental engine's savings baseline).
     pub cold_hb_expansions: u64,
-    /// Subtrees the space walk skipped as provably deadlocked.
-    pub pruned_subtrees: u64,
 }
 
 impl LintSummary {
@@ -205,7 +203,7 @@ impl LintSummary {
                 "{{\"schedules\":{},\"errors\":{},\"warnings\":{},",
                 "\"races\":{},\"deadlocks\":{},\"redundant_syncs\":{},",
                 "\"space_schedules\":{},\"hb_expansions\":{},",
-                "\"cold_hb_expansions\":{},\"pruned_subtrees\":{}}}"
+                "\"cold_hb_expansions\":{}}}"
             ),
             self.schedules,
             self.errors,
@@ -215,8 +213,7 @@ impl LintSummary {
             self.redundant_syncs,
             self.space_schedules,
             self.hb_expansions,
-            self.cold_hb_expansions,
-            self.pruned_subtrees
+            self.cold_hb_expansions
         )
     }
 }
@@ -418,11 +415,8 @@ impl RunReport {
             if lint.space_schedules > 0 {
                 out.push_str(&format!(
                     "  space lint: {} schedules — {} hb expansions \
-                     (cold {}), {} pruned subtrees\n",
-                    lint.space_schedules,
-                    lint.hb_expansions,
-                    lint.cold_hb_expansions,
-                    lint.pruned_subtrees
+                     (cold {})\n",
+                    lint.space_schedules, lint.hb_expansions, lint.cold_hb_expansions
                 ));
             }
         }

@@ -46,7 +46,7 @@ pub use diag::{
 pub use hb::verify_happens_before;
 pub use redundant::find_redundant_syncs;
 pub use shrink::{shrink_diagnostic, Shrunk};
-pub use space::{lint_space_incremental, PrefixDeadlockOracle, SpaceLintOptions, SpaceLintStats};
+pub use space::{lint_space_incremental, SpaceLintStats};
 pub use topo::{CommTopology, RankTraffic};
 
 use dr_dag::{build_schedule, DecisionSpace, Schedule, Traversal};

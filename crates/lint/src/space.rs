@@ -25,20 +25,18 @@
 //! the happens-before pass expands O(distinct prefix items) node rows
 //! instead of O(schedules × items).
 //!
-//! [`PrefixDeadlockOracle`] adds the static-prune leg: a sound
-//! prefix-level test that every completion of a prefix deadlocks, usable
-//! both here (skipping provably-deadlocked subtrees) and as an MCTS
-//! expansion hook.
+//! A caller's [`PrefixFilter`] restricts the walk to a subset of the
+//! space; rule certification passes a ruleset's compiled constraints,
+//! which admit a placement only when a satisfying schedule lies below it.
 
 use crate::deadlock::detect_deadlocks;
 use crate::diag::{Diagnostic, LintReport, RuleCode};
 use crate::redundant::find_redundant_syncs;
 use crate::topo::CommTopology;
 use dr_dag::{
-    CommKey, DecisionKind, DecisionSpace, OpId, OpSpec, Placement, Prefix, ScheduleAction,
-    ScheduleBuilder, ScheduledItem,
+    DecisionKind, DecisionSpace, OpId, Placement, Prefix, ScheduleAction, ScheduleBuilder,
+    ScheduledItem,
 };
-use std::collections::BTreeSet;
 
 /// Counters of one space-level lint walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,8 +52,6 @@ pub struct SpaceLintStats {
     /// Node expansions the cold per-schedule pass would have performed
     /// for the same leaves (three per item per schedule).
     pub cold_hb_expansions: u64,
-    /// Subtrees skipped because their prefix is provably deadlocked.
-    pub pruned_subtrees: u64,
     /// Subtrees skipped by the caller's prefix filter.
     pub filtered_subtrees: u64,
 }
@@ -65,22 +61,12 @@ pub struct SpaceLintStats {
 /// `false` skips the candidate's whole subtree.
 pub type PrefixFilter<'a> = &'a mut dyn FnMut(&Prefix, Placement) -> bool;
 
-/// Options of [`lint_space_incremental`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpaceLintOptions {
-    /// Stop after this many schedules (0 = lint the whole space).
-    pub max_schedules: u64,
-    /// Skip subtrees whose prefix is provably deadlocked (every leaf
-    /// under them would report `MPI103`/`MPI104`). Pruned leaves produce
-    /// no report, so verdict streams are only bit-identical to the cold
-    /// pass when this is off.
-    pub prune_deadlocks: bool,
-}
-
 /// Lints every schedule of `space` incrementally, invoking `on_leaf`
 /// with `(schedule index, prefix, report)` for each leaf in canonical
 /// enumeration order — the same order and the same reports as linting
 /// [`DecisionSpace::enumerate`] output cold, one schedule at a time.
+/// The walk stops after `max_schedules` schedules (0 = lint the whole
+/// space).
 ///
 /// `filter` (when given) is consulted before each descent with the
 /// current prefix and the candidate placement; returning `false` skips
@@ -89,12 +75,10 @@ pub struct SpaceLintOptions {
 pub fn lint_space_incremental(
     space: &DecisionSpace,
     topo: Option<&CommTopology>,
-    opts: SpaceLintOptions,
+    max_schedules: u64,
     mut filter: Option<PrefixFilter<'_>>,
     on_leaf: &mut dyn FnMut(u64, &Prefix, &LintReport),
 ) -> SpaceLintStats {
-    let oracle = (opts.prune_deadlocks && topo.is_some())
-        .then(|| PrefixDeadlockOracle::new(space, topo.expect("checked").clone()));
     let mut engine = Engine {
         space,
         topo,
@@ -102,9 +86,8 @@ pub fn lint_space_incremental(
         hb: IncrementalHb::new(max_items_bound(space)),
         edges: static_dependency_edges(space),
         item_of_op: vec![None; space.num_ops()],
-        oracle,
         stats: SpaceLintStats::default(),
-        max_schedules: opts.max_schedules,
+        max_schedules,
     };
     let mut prefix = space.empty_prefix();
     engine.walk(&mut prefix, &mut filter, on_leaf);
@@ -172,7 +155,6 @@ struct Engine<'a> {
     hb: IncrementalHb,
     edges: Vec<StaticEdge>,
     item_of_op: Vec<Option<usize>>,
-    oracle: Option<PrefixDeadlockOracle>,
     stats: SpaceLintStats,
     max_schedules: u64,
 }
@@ -219,15 +201,7 @@ impl Engine<'_> {
             }
             debug_assert!(to > from, "every step lowers at least one item");
             self.item_of_op[p.op] = Some(to - 1);
-            let pruned = self
-                .oracle
-                .as_ref()
-                .is_some_and(|o| o.provably_deadlocked(prefix));
-            if pruned {
-                self.stats.pruned_subtrees += 1;
-            } else {
-                self.walk(prefix, filter, on_leaf);
-            }
+            self.walk(prefix, filter, on_leaf);
             self.item_of_op[p.op] = None;
             for _ in from..to {
                 self.hb.pop_item();
@@ -474,236 +448,11 @@ impl IncrementalHb {
     }
 }
 
-/// One communication instruction, by op id (SPMD: every rank executes
-/// the same list).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CommAction {
-    PostSends(CommKey),
-    PostRecvs(CommKey),
-    WaitSends(CommKey),
-    WaitRecvs(CommKey),
-    AllReduce(CommKey),
-}
-
-/// Sound prefix-level deadlock certification: decides whether *every*
-/// completion of a traversal prefix lints with a deadlock
-/// (`MPI103`/`MPI104`), using only prefix-final facts.
-///
-/// Two legs, mirroring [`detect_deadlocks`]:
-///
-/// * a placed wait whose `MPI103` condition holds is certain — the
-///   "does any matching post exist" facts range over the full op
-///   multiset, which every completion places, and lost-message facts
-///   are topology-only;
-/// * `MPI101` per placed wait is prefix-final (it looks only backward),
-///   so the detector's *unsatisfiable* skip-set restricted to the
-///   prefix is exact. Running the same round-robin abstract execution
-///   over the prefix's comm ops, if at quiescence some rank is blocked
-///   and every rank is either blocked or out of comm ops for good (the
-///   prefix already contains all of them), then no completion can make
-///   progress either — posts only come from advancing ranks — so the
-///   full detector quiesces in the same state and reports `MPI104`.
-///
-/// Both legs imply `LintReport::deadlocks() > 0` for every leaf below
-/// the prefix, which is what makes subtree pruning sound.
-pub struct PrefixDeadlockOracle {
-    topo: CommTopology,
-    comm_of_op: Vec<Option<CommAction>>,
-    exists_postsends: BTreeSet<CommKey>,
-    exists_postrecvs: BTreeSet<CommKey>,
-    total_comm: usize,
-}
-
-impl PrefixDeadlockOracle {
-    /// Builds the oracle for `space` under `topo`.
-    pub fn new(space: &DecisionSpace, topo: CommTopology) -> Self {
-        let dag = space.dag();
-        let mut comm_of_op: Vec<Option<CommAction>> = vec![None; space.num_ops()];
-        for (op, d) in space.ops().iter().enumerate() {
-            if let DecisionKind::Cpu(v) = d.kind {
-                comm_of_op[op] = match &dag.vertex(v).spec {
-                    OpSpec::PostSends(c) => Some(CommAction::PostSends(c.clone())),
-                    OpSpec::PostRecvs(c) => Some(CommAction::PostRecvs(c.clone())),
-                    OpSpec::WaitSends(c) => Some(CommAction::WaitSends(c.clone())),
-                    OpSpec::WaitRecvs(c) => Some(CommAction::WaitRecvs(c.clone())),
-                    OpSpec::AllReduce(c) => Some(CommAction::AllReduce(c.clone())),
-                    _ => None,
-                };
-            }
-        }
-        let mut exists_postsends = BTreeSet::new();
-        let mut exists_postrecvs = BTreeSet::new();
-        let mut total_comm = 0usize;
-        for c in comm_of_op.iter().flatten() {
-            total_comm += 1;
-            match c {
-                CommAction::PostSends(k) => {
-                    exists_postsends.insert(k.clone());
-                }
-                CommAction::PostRecvs(k) => {
-                    exists_postrecvs.insert(k.clone());
-                }
-                _ => {}
-            }
-        }
-        PrefixDeadlockOracle {
-            topo,
-            comm_of_op,
-            exists_postsends,
-            exists_postrecvs,
-            total_comm,
-        }
-    }
-
-    /// A `WaitSends(c)` that needs a rendezvous handshake no rank ever
-    /// posts receives for, or whose rendezvous message is lost, can
-    /// never complete — in any completion.
-    fn wait_sends_doomed(&self, c: &CommKey) -> bool {
-        let Some(pat) = self.topo.pattern(c) else {
-            return false;
-        };
-        let needs_remote_recv = pat
-            .iter()
-            .any(|t| t.sends.iter().any(|&(_, b)| !self.topo.is_eager(b)));
-        if needs_remote_recv && !self.exists_postrecvs.contains(c) {
-            return true;
-        }
-        pat.iter().enumerate().any(|(src, t)| {
-            t.sends
-                .iter()
-                .any(|&(dst, bytes)| !self.topo.is_eager(bytes) && self.topo.is_lost(c, src, dst))
-        })
-    }
-
-    /// A `WaitRecvs(c)` expecting messages no rank ever sends, or whose
-    /// expected message is lost, can never complete.
-    fn wait_recvs_doomed(&self, c: &CommKey) -> bool {
-        let Some(pat) = self.topo.pattern(c) else {
-            return false;
-        };
-        let expects_data = pat.iter().any(|t| !t.recvs.is_empty());
-        if expects_data && !self.exists_postsends.contains(c) {
-            return true;
-        }
-        pat.iter().enumerate().any(|(dst, t)| {
-            t.recvs
-                .iter()
-                .any(|&(src, _)| self.topo.is_lost(c, src, dst))
-        })
-    }
-
-    /// True when every completion of `prefix` is provably deadlocked.
-    pub fn provably_deadlocked(&self, prefix: &Prefix) -> bool {
-        let ops: Vec<&CommAction> = prefix
-            .steps()
-            .iter()
-            .filter_map(|p| self.comm_of_op[p.op].as_ref())
-            .collect();
-        let ranks = self.topo.num_ranks();
-        if ops.is_empty() || ranks == 0 {
-            return false;
-        }
-        let n = ops.len();
-
-        // Unsatisfiable waits are skipped by the detector (it reports
-        // them as MPI101/MPI103 instead of blocking); a certain MPI103
-        // alone already dooms every completion.
-        let mut unsat = vec![false; n];
-        for (j, op) in ops.iter().enumerate() {
-            match op {
-                CommAction::WaitSends(c) => {
-                    if self.wait_sends_doomed(c) {
-                        return true;
-                    }
-                    unsat[j] = !ops[..j]
-                        .iter()
-                        .any(|o| matches!(o, CommAction::PostSends(k) if k == c));
-                }
-                CommAction::WaitRecvs(c) => {
-                    if self.wait_recvs_doomed(c) {
-                        return true;
-                    }
-                    unsat[j] = !ops[..j]
-                        .iter()
-                        .any(|o| matches!(o, CommAction::PostRecvs(k) if k == c));
-                }
-                _ => {}
-            }
-        }
-
-        // Round-robin abstract execution of the prefix, mirroring the
-        // detector's semantics exactly.
-        let mut pc = vec![0usize; ranks];
-        let mut posted_sends: Vec<BTreeSet<&CommKey>> = vec![BTreeSet::new(); ranks];
-        let mut posted_recvs: Vec<BTreeSet<&CommKey>> = vec![BTreeSet::new(); ranks];
-        let blocked = |rank: usize,
-                       pc: &[usize],
-                       posted_sends: &[BTreeSet<&CommKey>],
-                       posted_recvs: &[BTreeSet<&CommKey>]|
-         -> bool {
-            if unsat[pc[rank]] {
-                return false;
-            }
-            match ops[pc[rank]] {
-                CommAction::WaitRecvs(c) => match self.topo.pattern(c) {
-                    Some(pat) => pat[rank]
-                        .recvs
-                        .iter()
-                        .map(|&(peer, _)| peer)
-                        .any(|peer| peer < ranks && !posted_sends[peer].contains(c)),
-                    None => false,
-                },
-                CommAction::WaitSends(c) => match self.topo.pattern(c) {
-                    Some(pat) => pat[rank]
-                        .sends
-                        .iter()
-                        .filter(|&&(_, bytes)| !self.topo.is_eager(bytes))
-                        .map(|&(peer, _)| peer)
-                        .any(|peer| peer < ranks && !posted_recvs[peer].contains(c)),
-                    None => false,
-                },
-                CommAction::AllReduce(_) => (0..ranks).any(|p| pc[p] < pc[rank]),
-                _ => false,
-            }
-        };
-        loop {
-            let mut progressed = false;
-            for rank in 0..ranks {
-                while pc[rank] < n {
-                    if blocked(rank, &pc, &posted_sends, &posted_recvs) {
-                        break;
-                    }
-                    match ops[pc[rank]] {
-                        CommAction::PostSends(c) => {
-                            posted_sends[rank].insert(c);
-                        }
-                        CommAction::PostRecvs(c) => {
-                            posted_recvs[rank].insert(c);
-                        }
-                        _ => {}
-                    }
-                    pc[rank] += 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-
-        let stuck = (0..ranks).filter(|&r| pc[r] < n).count();
-        // Sound only when no rank can ever act again: all ranks blocked,
-        // or the prefix already contains every comm op (finished ranks
-        // are finished for good).
-        stuck > 0 && (stuck == ranks || n == self.total_comm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lint_traversal;
-    use dr_dag::{CostKey, DagBuilder, Traversal};
+    use dr_dag::{CommKey, CostKey, DagBuilder, OpSpec, Traversal};
 
     /// The canonical exchange: post sends/recvs, waits, plus a kernel to
     /// widen the space.
@@ -734,12 +483,8 @@ mod tests {
         let topo = topo(1 << 20); // rendezvous: some orders deadlock
         let traversals: Vec<Traversal> = sp.enumerate().collect();
         let mut i = 0usize;
-        let stats = lint_space_incremental(
-            &sp,
-            Some(&topo),
-            SpaceLintOptions::default(),
-            None,
-            &mut |idx, prefix, report| {
+        let stats =
+            lint_space_incremental(&sp, Some(&topo), 0, None, &mut |idx, prefix, report| {
                 assert_eq!(idx as usize, i);
                 let t = Traversal {
                     steps: prefix.steps().to_vec(),
@@ -751,8 +496,7 @@ mod tests {
                     "schedule #{i} diverged"
                 );
                 i += 1;
-            },
-        );
+            });
         assert_eq!(stats.schedules as usize, traversals.len());
         assert!(
             stats.hb_expansions < stats.cold_hb_expansions,
@@ -767,16 +511,7 @@ mod tests {
         let sp = exchange_space();
         let topo = topo(512);
         let mut seen = 0u64;
-        let stats = lint_space_incremental(
-            &sp,
-            Some(&topo),
-            SpaceLintOptions {
-                max_schedules: 3,
-                ..Default::default()
-            },
-            None,
-            &mut |_, _, _| seen += 1,
-        );
+        let stats = lint_space_incremental(&sp, Some(&topo), 3, None, &mut |_, _, _| seen += 1);
         assert_eq!(seen, 3);
         assert_eq!(stats.schedules, 3);
         assert!(stats.truncated);
@@ -795,7 +530,7 @@ mod tests {
         let stats = lint_space_incremental(
             &sp,
             Some(&topo),
-            SpaceLintOptions::default(),
+            0,
             Some(&mut filter),
             &mut |_, prefix, _| {
                 let pos_pr = prefix.steps().iter().position(|s| s.op == pr).unwrap();
@@ -807,91 +542,5 @@ mod tests {
         assert!(total > 0);
         assert!(stats.filtered_subtrees > 0);
         assert!(total < sp.count_traversals() as u64);
-    }
-
-    #[test]
-    fn oracle_agrees_with_cold_verdicts_under_rendezvous() {
-        let sp = exchange_space();
-        let topo = topo(1 << 20);
-        let oracle = PrefixDeadlockOracle::new(&sp, topo.clone());
-        // At every complete traversal the oracle's prefix verdict must be
-        // sound: oracle-true implies the cold report deadlocks.
-        let mut oracle_fired = false;
-        for t in sp.enumerate() {
-            let mut prefix = sp.empty_prefix();
-            let mut flagged = false;
-            for &p in &t.steps {
-                sp.apply(&mut prefix, p);
-                if oracle.provably_deadlocked(&prefix) {
-                    flagged = true;
-                    break;
-                }
-            }
-            let cold = lint_traversal(&sp, &t, Some(&topo));
-            if flagged {
-                oracle_fired = true;
-                assert!(
-                    cold.deadlocks() > 0,
-                    "oracle flagged a clean schedule: {}",
-                    cold.render_text()
-                );
-            }
-        }
-        assert!(oracle_fired, "rendezvous misorders must be caught");
-    }
-
-    #[test]
-    fn pruned_walk_skips_exactly_the_deadlocked_leaves() {
-        let sp = exchange_space();
-        let topo = topo(1 << 20);
-        // Cold ground truth.
-        let mut clean = 0u64;
-        let mut deadlocked = 0u64;
-        for t in sp.enumerate() {
-            if lint_traversal(&sp, &t, Some(&topo)).deadlocks() > 0 {
-                deadlocked += 1;
-            } else {
-                clean += 1;
-            }
-        }
-        assert!(deadlocked > 0);
-        let mut visited_deadlocks = 0u64;
-        let mut visited = 0u64;
-        let stats = lint_space_incremental(
-            &sp,
-            Some(&topo),
-            SpaceLintOptions {
-                prune_deadlocks: true,
-                ..Default::default()
-            },
-            None,
-            &mut |_, _, report| {
-                visited += 1;
-                if report.deadlocks() > 0 {
-                    visited_deadlocks += 1;
-                }
-            },
-        );
-        assert!(stats.pruned_subtrees > 0, "pruning must engage");
-        assert!(visited >= clean, "pruning must never skip a clean leaf");
-        assert!(
-            visited < clean + deadlocked,
-            "pruning must skip some deadlocked leaves"
-        );
-        assert_eq!(visited - clean, visited_deadlocks);
-    }
-
-    #[test]
-    fn oracle_ignores_clean_eager_prefixes() {
-        let sp = exchange_space();
-        let topo = topo(512); // eager: nothing deadlocks
-        let oracle = PrefixDeadlockOracle::new(&sp, topo);
-        for t in sp.enumerate().take(32) {
-            let mut prefix = sp.empty_prefix();
-            for &p in &t.steps {
-                sp.apply(&mut prefix, p);
-                assert!(!oracle.provably_deadlocked(&prefix));
-            }
-        }
     }
 }

@@ -997,7 +997,7 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
                 writeln!(out, "rule: {line}").map_err(io)?;
             }
             let t = synthesize(&inst.space, &rs.rules)
-                .ok_or("rules are unsatisfiable (try more iterations)")?;
+                .map_err(|why| format!("rules are unsatisfiable: {why}"))?;
             let time = bench_traversal(&inst, &t, opts.seed).map_err(fail)?;
             let (_, hi) = result.labeling.class_ranges[0];
             writeln!(

@@ -100,3 +100,23 @@ fn one_dimensional_halo_pipeline_runs_exhaustively_sampled() {
         assert!(rs.class < result.labeling.num_classes);
     }
 }
+
+/// Runs one `dr-rules` command line, independent of the process's
+/// `DR_*` variables, and returns its output.
+fn dr_rules(line: &str) -> Result<String, String> {
+    let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+    let opts = cuda_mpi_design_rules::cli::parse(&args)?;
+    let mut out = Vec::new();
+    cuda_mpi_design_rules::cli::run(&opts, &mut out)?;
+    Ok(String::from_utf8(out).expect("utf-8 output"))
+}
+
+#[test]
+fn halo_rules_synthesize_and_certify() {
+    // Seed 5's fastest-class ruleset implies a "different stream" pair
+    // that no single rule names.
+    let s = dr_rules("halo synthesize --iterations 300 --seed 5").unwrap();
+    assert!(s.contains("synthesized implementation"), "{s}");
+    let s = dr_rules("halo verify-rules --iterations 300 --seed 0 --max-schedules 64").unwrap();
+    assert!(s.starts_with("certifying "), "{s}");
+}

@@ -11,7 +11,6 @@ use cuda_mpi_design_rules::dag::build_schedule;
 use cuda_mpi_design_rules::halo::HaloScenario;
 use cuda_mpi_design_rules::lint::{
     lint, lint_space_incremental, lint_traversal, synthesize_fix, LintReport, RuleCode,
-    SpaceLintOptions,
 };
 use cuda_mpi_design_rules::pipeline::topology_from_workload;
 use cuda_mpi_design_rules::sim::{execute, CompiledProgram};
@@ -70,7 +69,7 @@ proptest! {
         let stats = lint_space_incremental(
             &space,
             None,
-            SpaceLintOptions { max_schedules: 0, prune_deadlocks: false },
+            0,
             None,
             &mut |i, _prefix, report| inc.push((i, report.clone())),
         );
@@ -157,16 +156,9 @@ fn incremental_spmv_lint_is_bit_identical_and_measurably_cheaper() {
         .collect();
     assert_eq!(cold.len(), 1600);
     let mut inc: Vec<LintReport> = Vec::new();
-    let stats = lint_space_incremental(
-        &sc.space,
-        Some(&topo),
-        SpaceLintOptions {
-            max_schedules: 0,
-            prune_deadlocks: false,
-        },
-        None,
-        &mut |_, _, report| inc.push(report.clone()),
-    );
+    let stats = lint_space_incremental(&sc.space, Some(&topo), 0, None, &mut |_, _, report| {
+        inc.push(report.clone())
+    });
     assert_eq!(stats.schedules, 1600);
     assert!(!stats.truncated);
     assert_eq!(inc, cold, "incremental reports diverge from cold lint");
@@ -189,16 +181,9 @@ fn incremental_halo_lint_is_bit_identical_and_measurably_cheaper() {
         .map(|t| lint_traversal(&sc.space, &t, Some(&topo)))
         .collect();
     let mut inc: Vec<LintReport> = Vec::new();
-    let stats = lint_space_incremental(
-        &sc.space,
-        Some(&topo),
-        SpaceLintOptions {
-            max_schedules: 128,
-            prune_deadlocks: false,
-        },
-        None,
-        &mut |_, _, report| inc.push(report.clone()),
-    );
+    let stats = lint_space_incremental(&sc.space, Some(&topo), 128, None, &mut |_, _, report| {
+        inc.push(report.clone())
+    });
     assert_eq!(stats.schedules, 128);
     assert_eq!(inc, cold, "incremental reports diverge from cold lint");
     assert!(
