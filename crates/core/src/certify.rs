@@ -276,6 +276,36 @@ mod tests {
     }
 
     #[test]
+    fn a_cap_equal_to_the_satisfying_count_certifies() {
+        // `a before b` holds on 6 of the 12 kernel-space schedules. A cap
+        // of 6 checks all of them, so the walk is complete even though
+        // refused candidates remain after the sixth; a cap of 5 leaves a
+        // satisfying schedule unchecked.
+        let sp = kernel_space();
+        let a = sp.op_by_name("a").unwrap();
+        let b = sp.op_by_name("b").unwrap();
+        let sets = vec![ruleset(
+            vec![Rule {
+                kind: FeatureKind::Before(a, b),
+                value: true,
+            }],
+            0,
+        )];
+        let full = certify_rulesets(&sp, None, &sets, 1, 0);
+        assert_eq!(full.rulesets[0].schedules_checked, 6);
+        let at_cap = certify_rulesets(&sp, None, &sets, 1, 6);
+        let c = &at_cap.rulesets[0];
+        assert_eq!(c.schedules_checked, 6);
+        assert!(!c.truncated, "every satisfying schedule was checked");
+        assert!(c.certified);
+        let below = certify_rulesets(&sp, None, &sets, 1, 5);
+        let c = &below.rulesets[0];
+        assert_eq!(c.schedules_checked, 5);
+        assert!(c.truncated);
+        assert!(!c.certified);
+    }
+
+    #[test]
     fn truncated_walks_are_not_certified() {
         let sp = kernel_space();
         let sets = vec![ruleset(vec![], 0)];

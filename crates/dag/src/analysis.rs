@@ -1,4 +1,4 @@
-//! Static DAG analysis: critical paths and dependency depth.
+//! Static DAG analysis: critical paths.
 //!
 //! The critical path under a duration assignment is a *lower bound* on
 //! any implementation's makespan — no ordering or stream assignment can
@@ -54,18 +54,6 @@ pub fn critical_path(dag: &ProgramDag, dur: impl Fn(VertexId) -> f64) -> Critica
         length: best[dag.end()],
         vertices,
     }
-}
-
-/// Dependency depth of each vertex: the number of edges on the longest
-/// path from `Start` (Start itself has depth 0).
-pub fn depths(dag: &ProgramDag) -> Vec<usize> {
-    let mut depth = vec![0usize; dag.len()];
-    for v in dag.topo_order() {
-        for &u in dag.preds(v) {
-            depth[v] = depth[v].max(depth[u] + 1);
-        }
-    }
-    depth
 }
 
 #[cfg(test)]
@@ -126,15 +114,5 @@ mod tests {
     fn negative_durations_rejected() {
         let (dag, _) = chain_and_branch();
         critical_path(&dag, |_| -1.0);
-    }
-
-    #[test]
-    fn depths_count_longest_edge_chains() {
-        let (dag, ids) = chain_and_branch();
-        let d = depths(&dag);
-        assert_eq!(d[ids[0]], 1); // Start -> a
-        assert_eq!(d[ids[1]], 2);
-        assert_eq!(d[ids[3]], 3);
-        assert_eq!(d[dag.end()], 4);
     }
 }

@@ -30,7 +30,7 @@ mod op;
 mod space;
 pub mod sync;
 
-pub use analysis::{critical_path, depths, CriticalPath};
+pub use analysis::{critical_path, CriticalPath};
 pub use dot::{dag_to_dot, space_to_dot};
 pub use graph::{DagBuilder, DagError, ProgramDag, Vertex, VertexId};
 pub use op::{CommKey, CostKey, OpSpec, VertexKind};

@@ -76,16 +76,6 @@ impl MergedEvent {
     pub fn field_u64(&self, name: &str) -> Option<u64> {
         self.value.get(name).and_then(json::Value::as_u64)
     }
-
-    /// An `f64` field of the embedded event.
-    pub fn field_f64(&self, name: &str) -> Option<f64> {
-        self.value.get(name).and_then(json::Value::as_f64)
-    }
-
-    /// A string field of the embedded event.
-    pub fn field_str(&self, name: &str) -> Option<&str> {
-        self.value.get(name).and_then(json::Value::as_str)
-    }
 }
 
 /// Per-worker stream health, updated on every poll.

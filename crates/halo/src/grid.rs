@@ -181,12 +181,6 @@ impl LocalBlock {
         }
     }
 
-    /// Number of cells in a face orthogonal to `dim`.
-    pub fn face_len(&self, dim: usize) -> usize {
-        let others: Vec<usize> = (0..3).filter(|&d| d != dim).map(|d| self.n[d]).collect();
-        others[0] * others[1]
-    }
-
     fn face_coords(&self, dim: usize) -> impl Iterator<Item = (usize, usize)> {
         let others: Vec<usize> = (0..3).filter(|&d| d != dim).map(|d| self.n[d]).collect();
         let (na, nb) = (others[0], others[1]);
@@ -378,7 +372,7 @@ mod tests {
         // Rank 0's high-x face packed and unpacked into rank 1's low-x
         // ghost must equal rank 0's boundary cells.
         let buf = d.blocks[0].pack_face(0, 1);
-        assert_eq!(buf.len(), d.blocks[0].face_len(0));
+        assert_eq!(buf.len(), 4 * 4, "a y-z face of a 2x4x4 block");
         let mut blk1 = d.blocks[1].clone();
         blk1.unpack_face(0, -1, &buf);
         for z in 1..=2usize {

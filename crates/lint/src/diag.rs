@@ -247,11 +247,6 @@ impl LintReport {
         self.diagnostics.iter().any(|d| d.code == code)
     }
 
-    /// Number of diagnostics carrying the given code.
-    pub fn count_code(&self, code: RuleCode) -> usize {
-        self.diagnostics.iter().filter(|d| d.code == code).count()
-    }
-
     /// Happens-before races reported.
     pub fn races(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.code.is_race()).count()

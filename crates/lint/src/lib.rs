@@ -29,23 +29,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod autofix;
 mod deadlock;
 mod diag;
 mod hb;
 mod redundant;
-mod shrink;
 mod space;
 mod topo;
 
-pub use autofix::{apply_edits, synthesize_fix, Fix, FixEdit};
 pub use deadlock::detect_deadlocks;
 pub use diag::{
     AggregatedDiag, DiagAggregator, Diagnostic, LintCounters, LintReport, RuleCode, Severity,
 };
 pub use hb::verify_happens_before;
 pub use redundant::find_redundant_syncs;
-pub use shrink::{shrink_diagnostic, Shrunk};
 pub use space::{lint_space_incremental, SpaceLintStats};
 pub use topo::{CommTopology, RankTraffic};
 

@@ -43,7 +43,8 @@ use dr_dag::{
 pub struct SpaceLintStats {
     /// Schedules actually linted (leaves visited).
     pub schedules: u64,
-    /// True when the walk stopped at the schedule cap.
+    /// True when the walk stopped at the schedule cap with another
+    /// schedule (one the filter admits) still to lint.
     pub truncated: bool,
     /// Happens-before node rows expanded by the incremental engine
     /// (three per distinct prefix item, plus three per leaf for the
@@ -170,25 +171,24 @@ impl Engine<'_> {
         filter: &mut Option<PrefixFilter<'_>>,
         on_leaf: &mut dyn FnMut(u64, &Prefix, &LintReport),
     ) {
-        if self.capped() {
-            self.stats.truncated = true;
-            return;
-        }
         let elig = self.space.eligible(prefix);
         if elig.is_empty() {
             self.lint_leaf(prefix, on_leaf);
             return;
         }
         for p in elig {
-            if self.capped() {
-                self.stats.truncated = true;
-                return;
-            }
             if let Some(f) = filter.as_deref_mut() {
                 if !f(prefix, p) {
                     self.stats.filtered_subtrees += 1;
                     continue;
                 }
+            }
+            // The cap is checked after the filter, so a truncated walk
+            // means a schedule the walk would have linted was left out,
+            // not merely that refused candidates remained.
+            if self.capped() {
+                self.stats.truncated = true;
+                return;
             }
             self.space.apply(prefix, p);
             let range = self.builder.push_step(p);
@@ -208,6 +208,9 @@ impl Engine<'_> {
             }
             self.builder.pop_step();
             self.space.unapply(prefix);
+            if self.stats.truncated {
+                return;
+            }
         }
     }
 

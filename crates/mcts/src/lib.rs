@@ -14,7 +14,7 @@
 //!   batch's descents apart — with exhaustion detection;
 //! * [`Evaluator`] / [`SimEvaluator`] — measurement of rollouts via the
 //!   platform simulator;
-//! * [`random_search`] — the uniform random-sampling baseline the paper's
+//! * [`random_search_telemetry`] — the uniform random-sampling baseline the paper's
 //!   future work calls for (used by the ablation benchmark).
 
 #![warn(missing_docs)]
@@ -27,7 +27,7 @@ mod telemetry;
 mod tree;
 
 pub use eval::{Evaluator, SimEvaluator};
-pub use random::{random_rollout, random_search, random_search_telemetry, shard_root_seed};
+pub use random::{random_rollout, random_search_telemetry, shard_root_seed};
 pub use telemetry::{SearchTelemetry, TelemetryRow};
 pub use tree::{
     Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PrincipalVariation, TreeSnapshot,

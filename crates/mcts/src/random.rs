@@ -47,19 +47,9 @@ pub fn shard_root_seed(seed: u64, index: usize, count: usize) -> u64 {
 }
 
 /// Runs `iterations` random rollouts (each one is a full traversal, like
-/// one MCTS iteration) and returns the distinct explored implementations.
-pub fn random_search<E: Evaluator>(
-    space: &DecisionSpace,
-    eval: E,
-    iterations: usize,
-    seed: u64,
-) -> Result<Vec<ExploredRecord>, SimError> {
-    random_search_telemetry(space, eval, iterations, seed).map(|(records, _)| records)
-}
-
-/// Like [`random_search`], additionally recording one [`TelemetryRow`]
-/// per iteration (duplicates included: a repeated rollout still advances
-/// the iteration counter, as in MCTS).
+/// one MCTS iteration) and returns the distinct explored implementations
+/// with one [`TelemetryRow`] per iteration (duplicates included: a
+/// repeated rollout still advances the iteration counter, as in MCTS).
 pub fn random_search_telemetry<E: Evaluator>(
     space: &DecisionSpace,
     mut eval: E,
@@ -122,7 +112,7 @@ mod tests {
             .cost_all("c", 1e-5);
         let platform = Platform::perlmutter_like().noiseless();
         let eval = SimEvaluator::new(&sp, &w, &platform, BenchConfig::quick());
-        let records = random_search(&sp, eval, 200, 11).unwrap();
+        let (records, _) = random_search_telemetry(&sp, eval, 200, 11).unwrap();
         assert!(!records.is_empty());
         let set: HashSet<_> = records.iter().map(|r| &r.traversal).collect();
         assert_eq!(set.len(), records.len(), "records must be deduplicated");
@@ -170,8 +160,9 @@ mod tests {
         let platform = Platform::perlmutter_like().noiseless();
         let run = |seed| {
             let eval = SimEvaluator::new(&sp, &w, &platform, BenchConfig::quick());
-            random_search(&sp, eval, 20, seed)
+            random_search_telemetry(&sp, eval, 20, seed)
                 .unwrap()
+                .0
                 .into_iter()
                 .map(|r| r.traversal)
                 .collect::<Vec<_>>()

@@ -70,21 +70,6 @@ pub struct Labeling {
     pub class_ranges: Vec<(f64, f64)>,
 }
 
-impl Labeling {
-    /// The class a (possibly unseen) time falls into, by comparing
-    /// against the class boundaries in time space: the class whose range
-    /// contains `t`, or the nearest class if `t` falls in a gap or
-    /// outside all ranges.
-    pub fn class_of_time(&self, t: f64) -> usize {
-        for (c, &(_, hi)) in self.class_ranges.iter().enumerate() {
-            if t <= hi {
-                return c;
-            }
-        }
-        self.num_classes - 1
-    }
-}
-
 /// Labels a series of benchmark times. `times[i]` is the measured time of
 /// implementation `i`; the returned [`Labeling::labels`] is parallel to
 /// the input.
@@ -308,16 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn class_of_time_maps_ranges_and_gaps() {
-        let times = three_regimes(100);
-        let l = label_times(&times, &LabelingConfig::default());
-        assert_eq!(l.class_of_time(1.005), 0);
-        assert_eq!(l.class_of_time(1.205), 1); // inside class-1 span
-        assert_eq!(l.class_of_time(1.13), 1); // gap between 0 and 1 → next class
-        assert_eq!(l.class_of_time(9.0), 2); // beyond all ranges → slowest
-    }
-
-    #[test]
     fn prominence_threshold_screens_small_steps() {
         // One big step and many small wiggles: only the big step remains.
         let mut times = Vec::new();
@@ -337,7 +312,6 @@ mod tests {
         assert!(l.labels.is_empty());
         assert!(l.boundaries.is_empty());
         assert_eq!(l.class_ranges, vec![(0.0, 0.0)]);
-        assert_eq!(l.class_of_time(1.0), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use export::tree_to_dot;
 pub use features::{feature_universe, featurize, Feature, FeatureKind, FeatureSet};
 pub use hyper::{algorithm1, HyperSearch, SearchStep};
 pub use label::{label_times, Labeling, LabelingConfig};
-pub use metrics::{confusion_matrix, feature_importances, precision_recall};
+pub use metrics::feature_importances;
 pub use rules::{
     compare_to_canonical, extract_rulesets, render_ruleset, rulesets_for_class, Consistency, Rule,
     RuleSet,

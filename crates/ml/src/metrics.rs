@@ -1,43 +1,8 @@
-//! Classifier diagnostics: confusion matrices and Gini feature
-//! importances, used to interpret the mined rules ("which design
-//! decisions carry the discriminating power?").
+//! Classifier diagnostics: Gini feature importances, used to interpret
+//! the mined rules ("which design decisions carry the discriminating
+//! power?").
 
-use crate::bitrow::BitRow;
 use crate::tree::{DecisionTree, TrainConfig};
-
-/// `matrix[true_class][predicted_class]` counts over a labelled set.
-pub fn confusion_matrix(
-    tree: &DecisionTree,
-    x: &[BitRow],
-    y: &[usize],
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; num_classes]; num_classes];
-    for (xi, &yi) in x.iter().zip(y) {
-        m[yi][tree.predict(xi)] += 1;
-    }
-    m
-}
-
-/// Per-class precision and recall derived from a confusion matrix.
-/// Classes with no predictions (or no members) report 0.
-pub fn precision_recall(matrix: &[Vec<usize>]) -> Vec<(f64, f64)> {
-    let k = matrix.len();
-    (0..k)
-        .map(|c| {
-            let tp = matrix[c][c] as f64;
-            let predicted: usize = (0..k).map(|t| matrix[t][c]).sum();
-            let actual: usize = matrix[c].iter().sum();
-            let precision = if predicted == 0 {
-                0.0
-            } else {
-                tp / predicted as f64
-            };
-            let recall = if actual == 0 { 0.0 } else { tp / actual as f64 };
-            (precision, recall)
-        })
-        .collect()
-}
 
 /// Gini (mean-decrease-impurity) feature importances, normalized to sum
 /// to 1 (all zeros when the tree has no splits): the total weighted
@@ -71,6 +36,7 @@ pub fn feature_importances(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitrow::BitRow;
     use crate::tree::DecisionTree;
 
     fn data() -> (Vec<BitRow>, Vec<usize>) {
@@ -84,33 +50,6 @@ mod tests {
             y.push(usize::from(f0));
         }
         (x, y)
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_for_perfect_tree() {
-        let (x, y) = data();
-        let tree = DecisionTree::fit(&x, &y, 2, &TrainConfig::default());
-        let m = confusion_matrix(&tree, &x, &y, 2);
-        assert_eq!(m[0][1] + m[1][0], 0, "no confusion: {m:?}");
-        assert_eq!(m[0][0] + m[1][1], 40);
-    }
-
-    #[test]
-    fn precision_recall_perfect_is_one() {
-        let (x, y) = data();
-        let tree = DecisionTree::fit(&x, &y, 2, &TrainConfig::default());
-        let pr = precision_recall(&confusion_matrix(&tree, &x, &y, 2));
-        for (p, r) in pr {
-            assert_eq!((p, r), (1.0, 1.0));
-        }
-    }
-
-    #[test]
-    fn precision_recall_handles_empty_rows() {
-        let m = vec![vec![0, 0], vec![3, 5]];
-        let pr = precision_recall(&m);
-        assert_eq!(pr[0], (0.0, 0.0)); // class 0 never occurs / never hit
-        assert_eq!(pr[1].1, 5.0 / 8.0);
     }
 
     #[test]

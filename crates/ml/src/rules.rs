@@ -96,13 +96,6 @@ pub struct Consistency {
     pub missing: Vec<Rule>,
 }
 
-impl Consistency {
-    /// Consistent-with-canonical: no canonical condition is missing.
-    pub fn is_consistent(&self) -> bool {
-        self.missing.is_empty()
-    }
-}
-
 /// Compares `candidate` against the canonical rulesets of its class,
 /// choosing the canonical set sharing the most conditions. Returns `None`
 /// when the canonical mining produced no ruleset for that class.
@@ -267,7 +260,7 @@ mod tests {
             pure: true,
         };
         let c = compare_to_canonical(&over, &canon).unwrap();
-        assert!(c.is_consistent());
+        assert!(c.missing.is_empty());
         assert_eq!(c.extra.len(), 1);
         assert_eq!(c.shared.len(), 2);
         // Underconstrained: misses a canonical condition.
@@ -282,7 +275,6 @@ mod tests {
             pure: true,
         };
         let c = compare_to_canonical(&under, &canon).unwrap();
-        assert!(!c.is_consistent());
         assert_eq!(
             c.missing,
             vec![Rule {

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that ran the compute closure.
+    /// Lookups that found no value.
     pub misses: u64,
 }
 
@@ -59,37 +59,7 @@ impl<K: Eq + Hash, V: Clone> StripedCache<K, V> {
         }
     }
 
-    /// Returns the cached value for `key`, or runs `compute`, stores its
-    /// result, and returns it. The stripe lock is held *across* the
-    /// computation: each key is computed at most once even under
-    /// contention (so side effects like simulator statistics accrue
-    /// exactly once per key), at the price of serializing misses that
-    /// share a stripe.
-    pub fn get_or_try_insert<E>(
-        &self,
-        hash: u64,
-        key: &K,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<V, E>
-    where
-        K: Clone,
-    {
-        let stripe = &self.stripes[(hash % self.stripes.len() as u64) as usize];
-        let mut map = stripe.lock().expect("cache stripe poisoned");
-        if let Some(v) = map.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(v.clone());
-        }
-        let v = compute()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        map.insert(key.clone(), v.clone());
-        Ok(v)
-    }
-
-    /// Returns the cached value for `key` without computing anything on
-    /// a miss. Counts a hit or a miss like [`Self::get_or_try_insert`],
-    /// so lookup-only callers (e.g. a persistent result store probing
-    /// its in-memory table) contribute to the same statistics.
+    /// Returns the cached value for `key`, counting a hit or a miss.
     pub fn get(&self, hash: u64, key: &K) -> Option<V> {
         let stripe = &self.stripes[(hash % self.stripes.len() as u64) as usize];
         let map = stripe.lock().expect("cache stripe poisoned");
@@ -152,48 +122,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memoizes_and_counts() {
-        let cache: StripedCache<String, u32> = StripedCache::new(4);
-        let mut calls = 0;
-        for _ in 0..3 {
-            let v = cache
-                .get_or_try_insert::<()>(7, &"k".to_string(), || {
-                    calls += 1;
-                    Ok(41 + calls)
-                })
-                .unwrap();
-            assert_eq!(v, 42);
-        }
-        assert_eq!(calls, 1, "compute ran exactly once");
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn errors_are_not_cached() {
-        let cache: StripedCache<u8, u8> = StripedCache::new(2);
-        let r: Result<u8, &str> = cache.get_or_try_insert(0, &1, || Err("nope"));
-        assert_eq!(r.unwrap_err(), "nope");
-        assert!(cache.is_empty());
-        let v = cache.get_or_try_insert::<&str>(0, &1, || Ok(9)).unwrap();
-        assert_eq!(v, 9);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-    }
-
-    #[test]
     fn colliding_hashes_stay_correct() {
         // Same hash, different keys: both live in one stripe, equality
         // keeps them apart.
         let cache: StripedCache<u64, u64> = StripedCache::new(8);
         for k in 0..100u64 {
-            let v = cache.get_or_try_insert::<()>(5, &k, || Ok(k * k)).unwrap();
-            assert_eq!(v, k * k);
+            assert_eq!(cache.get(5, &k), None);
+            cache.preload(5, k, k * k);
         }
         for k in 0..100u64 {
-            let v = cache
-                .get_or_try_insert::<()>(5, &k, || unreachable!())
-                .unwrap();
-            assert_eq!(v, k * k);
+            assert_eq!(cache.get(5, &k), Some(k * k));
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(
@@ -203,31 +141,6 @@ mod tests {
                 misses: 100
             }
         );
-    }
-
-    #[test]
-    fn concurrent_callers_compute_each_key_once() {
-        let cache: StripedCache<u32, u32> = StripedCache::new(16);
-        let computed = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for k in 0..50u32 {
-                        let v = cache
-                            .get_or_try_insert::<()>(u64::from(k), &k, || {
-                                computed.fetch_add(1, Ordering::Relaxed);
-                                Ok(k + 1)
-                            })
-                            .unwrap();
-                        assert_eq!(v, k + 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(computed.load(Ordering::Relaxed), 50, "one compute per key");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 50);
-        assert_eq!(stats.hits + stats.misses, 200);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * there is no shrinking — a failing case panics with the assert
 //!   message (inputs are printed via the panic payload only);
 //! * `prop_assert*` are plain `assert*` (they panic instead of returning
-//!   `Err`), which is observably identical under the test harness.
+//!   `Err`), which is observably identical under the test harness;
+//! * a body returns `()`, and each case runs in its own closure, so a
+//!   `return` in a body ends that case and the next case still runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -331,6 +333,13 @@ pub fn generate_one<S: Strategy>(strategy: &S, rng: &mut TestRng) -> S::Value {
     panic!("proptest strategy rejected 1000 consecutive draws (filter too strict)");
 }
 
+/// Runs one case's body; [`proptest!`] wraps each body in a closure so a
+/// `return` inside it ends only that case.
+#[doc(hidden)]
+pub fn run_case(body: impl FnOnce()) {
+    body()
+}
+
 /// Everything the tests import.
 pub mod prelude {
     pub use crate::{
@@ -386,7 +395,7 @@ macro_rules! __proptest_items {
                 let mut __rng = $crate::TestRng::for_case(stringify!($name), __case);
                 let ($($pat,)*) =
                     ($($crate::generate_one(&($strat), &mut __rng),)*);
-                $body
+                $crate::run_case(|| $body);
             }
         }
         $crate::__proptest_items! { ($cfg) $($rest)* }
@@ -396,6 +405,7 @@ macro_rules! __proptest_items {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -431,6 +441,26 @@ mod tests {
             data.sort_unstable();
             prop_assert!(data.windows(2).all(|w| w[0] <= w[1]));
         }
+    }
+
+    static EARLY_RETURN_CASES: AtomicU64 = AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        fn returns_early_on_odd_draws(x in 0u32..100) {
+            EARLY_RETURN_CASES.fetch_add(1, Ordering::SeqCst);
+            if x % 2 == 1 {
+                return;
+            }
+            prop_assert_eq!(x % 2, 0);
+        }
+    }
+
+    #[test]
+    fn an_early_return_ends_only_its_own_case() {
+        returns_early_on_odd_draws();
+        assert_eq!(EARLY_RETURN_CASES.load(Ordering::SeqCst), 16);
     }
 
     #[test]

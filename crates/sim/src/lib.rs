@@ -42,5 +42,5 @@ pub use exec::{execute, execute_seeded, execute_traced, ExecOutcome, Tape};
 pub use memo::SimMemo;
 pub use platform::{NoiseModel, Platform};
 pub use stats::SimStats;
-pub use trace::{Resource, ResourceUtilization, Trace, TraceEvent};
+pub use trace::{Resource, Trace, TraceEvent};
 pub use workload::{CommPattern, TableWorkload, Workload};

@@ -179,32 +179,6 @@ impl Platform {
         stream / self.streams_per_gpu.max(1)
     }
 
-    /// A Summit-like node: NVLink-class interconnect (higher bandwidth,
-    /// lower effective eager threshold), slightly slower host, stronger
-    /// kernel concurrency.
-    pub fn summit_like() -> Self {
-        Platform {
-            kernel_launch_overhead: 7e-6,
-            net_latency: 2e-6,
-            net_bandwidth: 23e9,
-            eager_threshold: 4 * 1024,
-            gpu_contention: 0.15,
-            ..Platform::perlmutter_like()
-        }
-    }
-
-    /// A commodity Ethernet cluster: order-of-magnitude slower network,
-    /// large latency — communication dominates, so overlap rules carry
-    /// far more weight.
-    pub fn commodity_cluster() -> Self {
-        Platform {
-            net_latency: 40e-6,
-            net_bandwidth: 1.2e9,
-            eager_threshold: 64 * 1024,
-            ..Platform::perlmutter_like()
-        }
-    }
-
     /// The same platform with noise disabled (for deterministic tests and
     /// golden outputs).
     pub fn noiseless(mut self) -> Self {
@@ -312,31 +286,5 @@ mod tests {
         let p = Platform::perlmutter_like();
         assert!(p.is_eager(p.eager_threshold));
         assert!(!p.is_eager(p.eager_threshold + 1));
-    }
-}
-
-#[cfg(test)]
-mod preset_tests {
-    use super::*;
-
-    #[test]
-    fn presets_differ_in_the_claimed_directions() {
-        let perlmutter = Platform::perlmutter_like();
-        let summit = Platform::summit_like();
-        let commodity = Platform::commodity_cluster();
-        assert!(summit.net_bandwidth > perlmutter.net_bandwidth);
-        assert!(summit.net_latency < perlmutter.net_latency);
-        assert!(commodity.net_bandwidth < perlmutter.net_bandwidth / 5.0);
-        assert!(commodity.net_latency > perlmutter.net_latency * 5.0);
-        assert!(summit.gpu_contention < perlmutter.gpu_contention);
-    }
-
-    #[test]
-    fn presets_wire_times_order_sensibly() {
-        let bytes = 1 << 20;
-        let t_summit = Platform::summit_like().wire_time(bytes);
-        let t_perl = Platform::perlmutter_like().wire_time(bytes);
-        let t_comm = Platform::commodity_cluster().wire_time(bytes);
-        assert!(t_summit < t_perl && t_perl < t_comm);
     }
 }

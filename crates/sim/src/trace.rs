@@ -47,20 +47,6 @@ impl TraceEvent {
     }
 }
 
-/// Busy time and busy fraction of one `(rank, resource)` timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResourceUtilization {
-    /// Rank the resource belongs to.
-    pub rank: usize,
-    /// The resource (host thread or stream).
-    pub resource: Resource,
-    /// Seconds the resource was occupied by at least one span
-    /// (overlapping spans are merged, not double-counted).
-    pub busy: f64,
-    /// `busy / makespan`, in `[0, 1]` (`0` for an empty trace).
-    pub utilization: f64,
-}
-
 /// A complete invocation trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -69,53 +55,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Busy time and busy fraction per `(rank, resource)`, ordered by
-    /// rank and then CPU before streams. Overlapping spans on one
-    /// resource are merged so busy time never exceeds the makespan.
-    pub fn utilization(&self) -> Vec<ResourceUtilization> {
-        let makespan = self.makespan();
-        let mut keys: Vec<(usize, Resource)> =
-            self.events.iter().map(|e| (e.rank, e.resource)).collect();
-        keys.sort_by_key(|&(rank, res)| {
-            (
-                rank,
-                match res {
-                    Resource::Cpu => 0,
-                    Resource::Stream(s) => 1 + s,
-                },
-            )
-        });
-        keys.dedup();
-        keys.into_iter()
-            .map(|(rank, resource)| {
-                let mut intervals: Vec<(f64, f64)> = self
-                    .events
-                    .iter()
-                    .filter(|e| e.rank == rank && e.resource == resource)
-                    .map(|e| (e.start.max(0.0), e.end.min(makespan)))
-                    .filter(|&(a, b)| b > a)
-                    .collect();
-                intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("trace times are finite"));
-                let mut busy = 0.0;
-                let mut cursor = f64::NEG_INFINITY;
-                for (a, b) in intervals {
-                    let a = a.max(cursor);
-                    if b > a {
-                        busy += b - a;
-                        cursor = b;
-                    }
-                }
-                let utilization = if makespan > 0.0 { busy / makespan } else { 0.0 };
-                ResourceUtilization {
-                    rank,
-                    resource,
-                    busy,
-                    utilization,
-                }
-            })
-            .collect()
-    }
-
     /// Events of one rank.
     pub fn rank(&self, rank: usize) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.rank == rank)
@@ -428,73 +367,5 @@ mod chrome_tests {
         assert!(busy.contains(&2.0));
         // The final boundary returns to zero.
         assert!(busy.contains(&0.0));
-    }
-}
-
-#[cfg(test)]
-mod utilization_tests {
-    use super::*;
-
-    fn ev(rank: usize, resource: Resource, start: f64, end: f64) -> TraceEvent {
-        TraceEvent {
-            rank,
-            name: "x".into(),
-            resource,
-            start,
-            end,
-        }
-    }
-
-    #[test]
-    fn merged_busy_time_ignores_overlap() {
-        let t = Trace {
-            events: vec![
-                ev(0, Resource::Cpu, 0.0, 2.0),
-                ev(0, Resource::Cpu, 1.0, 3.0), // overlaps the first
-                ev(0, Resource::Stream(0), 0.0, 4.0),
-            ],
-        };
-        let u = t.utilization();
-        assert_eq!(u.len(), 2);
-        assert_eq!(u[0].resource, Resource::Cpu);
-        assert!((u[0].busy - 3.0).abs() < 1e-12, "merged [0,2]∪[1,3] = 3s");
-        assert!((u[0].utilization - 0.75).abs() < 1e-12);
-        assert_eq!(u[1].resource, Resource::Stream(0));
-        assert!((u[1].utilization - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disjoint_spans_sum_exactly() {
-        let t = Trace {
-            events: vec![
-                ev(0, Resource::Cpu, 0.0, 1.0),
-                ev(0, Resource::Cpu, 2.0, 3.0),
-                ev(1, Resource::Cpu, 0.0, 4.0),
-            ],
-        };
-        let u = t.utilization();
-        assert_eq!(u.len(), 2);
-        assert!((u[0].busy - 2.0).abs() < 1e-12);
-        assert!((u[0].utilization - 0.5).abs() < 1e-12);
-        assert_eq!(u[1].rank, 1);
-        assert!((u[1].utilization - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_trace_has_no_rows() {
-        assert!(Trace::default().utilization().is_empty());
-    }
-
-    #[test]
-    fn zero_duration_spans_contribute_nothing() {
-        let t = Trace {
-            events: vec![
-                ev(0, Resource::Cpu, 1.0, 1.0),
-                ev(0, Resource::Cpu, 0.0, 2.0),
-            ],
-        };
-        let u = t.utilization();
-        assert_eq!(u.len(), 1);
-        assert!((u[0].busy - 2.0).abs() < 1e-12);
     }
 }

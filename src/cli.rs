@@ -92,8 +92,9 @@ pub enum Command {
     /// and proves none carries an error-severity diagnostic.
     VerifyRules,
     /// Validate a completed shard set's manifests, merge its durable
-    /// stores bit-identically to the unsharded run, mine rules from the
-    /// merged records, and append a ledger entry.
+    /// stores (bit-identical to the unsharded run for exhaustive and
+    /// random shards; a deterministic hash-sorted union for MCTS shards),
+    /// mine rules from the merged records, and append a ledger entry.
     Merge,
     /// Coordinate a process swarm: spawn shard workers as child
     /// processes, watch their heartbeat streams, SIGKILL stalled
@@ -328,11 +329,13 @@ const USAGE_TAIL: &str = "  DR_* environment variables (listed in the README) fi
   spmv-paper = paper) and DR_SEED picks the seed, so entries stay
   comparable with the committed histories.
   merge validates a completed shard set (gaps, overlaps, duplicate
-  hashes, per-shard fingerprints), merges the stores bit-identically to
-  the unsharded run, mines rules from the merged records, and appends a
-  ledger entry to the shard directory (or --ledger) so `compare` can
-  gate the merged fingerprint against a single-process baseline; pass
-  the same --iterations/--seed/--random the shards ran with.
+  hashes, per-shard fingerprints), merges the stores (bit-identical to
+  the unsharded run for exhaustive and --random shards; for MCTS shards,
+  which search independently, a deterministic hash-sorted union), mines
+  rules from the merged records, and appends a ledger entry to the shard
+  directory (or --ledger) so `compare` can gate the merged fingerprint
+  against a single-process baseline; pass the same
+  --iterations/--seed/--random the shards ran with.
   swarm spawns --workers shard processes of this same binary over
   --store, merges every worker's event stream plus its own into one
   globally-sequenced dr-fleet/v1 stream (--fleet-events), runs online
@@ -1766,8 +1769,10 @@ fn certify_json(opts: &CliOptions, cert: &Certification) -> String {
 /// and cross-check drop-induced simulator deadlocks against the static
 /// linter's MPI103/MPI104 verdicts (the fault oracle).
 /// The `merge` command's body (also the tail of `swarm`): validate the
-/// shard set under `dir`, merge its stores bit-identically to the
-/// unsharded record sequence, mine rules from the merged records, and
+/// shard set under `dir`, merge its stores (bit-identical to the
+/// unsharded record sequence for exhaustive and random shards, a
+/// deterministic hash-sorted union for MCTS shards; see
+/// `dr_core::shard`), mine rules from the merged records, and
 /// append a full ledger entry — to `--ledger` when given, else to the
 /// shard directory itself — so `compare` can gate the merged fingerprint
 /// against a single-process baseline.

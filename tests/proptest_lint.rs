@@ -7,17 +7,11 @@
 mod common;
 
 use common::arb_small_space;
-use cuda_mpi_design_rules::dag::build_schedule;
 use cuda_mpi_design_rules::halo::HaloScenario;
-use cuda_mpi_design_rules::lint::{
-    lint, lint_space_incremental, lint_traversal, synthesize_fix, LintReport, RuleCode,
-};
+use cuda_mpi_design_rules::lint::{lint_space_incremental, lint_traversal, LintReport};
 use cuda_mpi_design_rules::pipeline::topology_from_workload;
-use cuda_mpi_design_rules::sim::{execute, CompiledProgram};
 use cuda_mpi_design_rules::spmv::SpmvScenario;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -84,38 +78,6 @@ proptest! {
             stats.hb_expansions,
             stats.cold_hb_expansions
         );
-    }
-
-    #[test]
-    fn autofix_repairs_manufactured_races(space in arb_small_space(5, 600)) {
-        // Stripping the lowering's cross-stream glue manufactures HB001
-        // races; every fix the synthesizer produces must verifiably
-        // reduce the error count when re-linted from scratch.
-        for t in space.enumerate().take(8) {
-            let mut s = build_schedule(&space, &t);
-            let before = s.items.len();
-            s.items.retain(|it| !it.name.contains("CSWE"));
-            if s.items.len() == before {
-                continue; // no cross-stream glue to strip
-            }
-            let base = lint(&space, &s, None);
-            let base_errors = base.errors().count();
-            for d in base.diagnostics.iter().filter(|d| d.code == RuleCode::Hb001) {
-                let Some(fix) = synthesize_fix(&space, &s, None, d) else {
-                    continue;
-                };
-                let re = lint(&space, &fix.fixed, None);
-                prop_assert!(
-                    re.errors().count() < base_errors,
-                    "fix {:?} did not reduce errors:\n{}",
-                    fix.description,
-                    re.render_text()
-                );
-                if base_errors == 1 {
-                    prop_assert_eq!(re.errors().count(), 0, "{}", re.render_text());
-                }
-            }
-        }
     }
 }
 
@@ -191,112 +153,5 @@ fn incremental_halo_lint_is_bit_identical_and_measurably_cheaper() {
         "prefix sharing saved nothing: {} vs cold {}",
         stats.hb_expansions,
         stats.cold_hb_expansions
-    );
-}
-
-#[test]
-fn autofix_agrees_with_the_simulation_oracle_on_spmv() {
-    // Manufacture an HB001 race in a real SpMV schedule by stripping the
-    // cross-stream glue, repair it, and cross-check the repaired
-    // schedule against the simulator: it must compile and execute to
-    // completion (the inserted synchronization is real, not just
-    // lint-appeasing).
-    let sc = SpmvScenario::small(3);
-    let mut repaired = 0;
-    for t in sc.space.enumerate() {
-        let mut s = build_schedule(&sc.space, &t);
-        let before = s.items.len();
-        s.items.retain(|it| !it.name.contains("CSWE"));
-        if s.items.len() == before {
-            continue;
-        }
-        let base = lint(&sc.space, &s, None);
-        let Some(d) = base
-            .diagnostics
-            .iter()
-            .find(|d| d.code == RuleCode::Hb001)
-            .cloned()
-        else {
-            continue;
-        };
-        let fix = synthesize_fix(&sc.space, &s, None, &d).expect("HB001 must be repairable");
-        let re = lint(&sc.space, &fix.fixed, None);
-        assert_eq!(re.errors().count(), 0, "{}", re.render_text());
-        let prog = CompiledProgram::compile(&fix.fixed, &sc.workload)
-            .expect("fixed schedule must compile");
-        let mut rng = SmallRng::seed_from_u64(7);
-        let outcome = execute(&prog, &sc.platform, &mut rng).expect("fixed schedule must execute");
-        assert!(outcome.time().is_finite());
-        repaired += 1;
-        if repaired >= 4 {
-            break;
-        }
-    }
-    assert!(repaired > 0, "no SpMV schedule had cross-stream glue");
-}
-
-#[test]
-fn redundant_sync_autofix_keeps_spmv_executable() {
-    // The lowering emits minimal synchronization, so SpMV schedules are
-    // RS-clean out of the box; inject an extra same-stream record+wait
-    // pair (pure overhead) to manufacture RS001. The fix must *remove*
-    // it, and the simulator must agree the pruned schedule still runs
-    // to completion.
-    use cuda_mpi_design_rules::dag::{ScheduleAction, ScheduledItem};
-    let sc = SpmvScenario::small(3);
-    let mut removed = 0;
-    for t in sc.space.enumerate().take(32) {
-        let mut s = build_schedule(&sc.space, &t);
-        let Some(at) = s.items.iter().position(
-            |it| matches!(it.action, ScheduleAction::KernelLaunch { stream, .. } if stream == 0),
-        ) else {
-            continue;
-        };
-        let event = s.num_events;
-        s.num_events += 1;
-        s.items.insert(
-            at + 1,
-            ScheduledItem {
-                name: "CER-extra".into(),
-                action: ScheduleAction::EventRecord { event, stream: 0 },
-                source: None,
-            },
-        );
-        s.items.insert(
-            at + 2,
-            ScheduledItem {
-                name: "CSWE-extra".into(),
-                action: ScheduleAction::StreamWaitEvent { stream: 0, event },
-                source: None,
-            },
-        );
-        let base = lint(&sc.space, &s, None);
-        let Some(d) = base
-            .diagnostics
-            .iter()
-            .find(|d| matches!(d.code, RuleCode::Rs001 | RuleCode::Rs002 | RuleCode::Rs004))
-            .cloned()
-        else {
-            continue;
-        };
-        let Some(fix) = synthesize_fix(&sc.space, &s, None, &d) else {
-            continue;
-        };
-        let re = lint(&sc.space, &fix.fixed, None);
-        assert_eq!(re.errors().count(), 0, "{}", re.render_text());
-        assert!(re.warnings().count() < base.warnings().count());
-        let prog = CompiledProgram::compile(&fix.fixed, &sc.workload)
-            .expect("pruned schedule must compile");
-        let mut rng = SmallRng::seed_from_u64(7);
-        let outcome = execute(&prog, &sc.platform, &mut rng).expect("pruned schedule must execute");
-        assert!(outcome.time().is_finite());
-        removed += 1;
-        if removed >= 4 {
-            break;
-        }
-    }
-    assert!(
-        removed > 0,
-        "no SpMV schedule had a removable redundant sync"
     );
 }
