@@ -183,9 +183,8 @@ impl Engine<'_> {
                     continue;
                 }
             }
-            // The cap is checked after the filter, so a truncated walk
-            // means a schedule the walk would have linted was left out,
-            // not merely that refused candidates remained.
+            // Checked after the filter: a walk is truncated only when a
+            // schedule it would have linted is left out.
             if self.capped() {
                 self.stats.truncated = true;
                 return;
