@@ -667,41 +667,95 @@ mod tests {
         .unwrap()
     }
 
-    fn record_set(records: &[ExploredRecord]) -> std::collections::HashSet<(Traversal, u64)> {
-        records
-            .iter()
-            .map(|r| (r.traversal.clone(), r.result.time().to_bits()))
-            .collect()
-    }
-
     #[test]
-    fn mcts_is_thread_count_invariant_at_exhaustion() {
-        // Above one thread records are sorted canonically, so at
-        // exhaustion not just the record set but the record *list* must
-        // be identical across thread counts, and the set must equal the
-        // one-thread (discovery-order) run's.
-        let strategy = Strategy::Mcts {
-            iterations: 200,
-            config: MctsConfig::default(),
-        };
-        let serial = run(strategy, &ExploreCtx::new(1));
-        assert!(serial.exhausted, "budget must exhaust the test space");
-        let serial_set = record_set(&serial.records);
-        let two = run(strategy, &ExploreCtx::new(2));
-        assert_eq!(record_set(&two.records), serial_set);
-        for threads in [3, 4] {
-            let par = run(strategy, &ExploreCtx::new(threads));
-            assert!(par.exhausted, "threads={threads}");
-            assert_eq!(par.records.len(), two.records.len());
-            for (a, b) in par.records.iter().zip(&two.records) {
-                assert_eq!(a.traversal, b.traversal, "threads={threads}");
-                assert_eq!(a.result, b.result, "threads={threads}");
+    fn quarantine_is_thread_count_and_observation_invariant() {
+        // Traversals fail by canonical-hash residue — an error on 0 and
+        // 2, a panic on 1 — so every run meets the same failures wherever
+        // and whenever it evaluates them.
+        let (space, w, platform) = setup();
+        let survives = |t: &Traversal| t.canonical_hash() % 4 == 3;
+        let chaotic = || {
+            let mut sim = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
+            move |t: &Traversal, seed: u64| match t.canonical_hash() % 4 {
+                0 | 2 => Err(SimError::Faulted {
+                    detail: "injected failure".into(),
+                }),
+                1 => panic!("injected panic"),
+                _ => sim.evaluate(t, seed),
             }
-            // Cache counters mirror the tree's repeat accounting.
-            assert_eq!(par.cache.misses as usize, par.records.len());
-            assert!(par.tree.is_some());
-            let (ps, ss) = (par.sim.clone().unwrap(), serial.sim.clone().unwrap());
-            assert_eq!(ps.runs, ss.runs, "each traversal simulated once");
+        };
+        let total = space.count_traversals() as usize;
+        let survivors = space.enumerate().filter(survives).count();
+        assert!(space.enumerate().any(|t| t.canonical_hash() % 4 == 1));
+        assert!(survivors > 0 && survivors < total);
+        for strategy in [
+            Strategy::Exhaustive,
+            Strategy::Random {
+                iterations: 40,
+                seed: 5,
+            },
+            Strategy::Mcts {
+                iterations: 300,
+                config: MctsConfig::default(),
+            },
+        ] {
+            let run = |threads: usize, observed: bool| {
+                let mut ctx = ExploreCtx {
+                    policy: FailurePolicy::Quarantine,
+                    ..ExploreCtx::new(threads)
+                };
+                if observed {
+                    ctx.tracer = Tracer::new();
+                    ctx.events = Some(
+                        EventSink::new("quarantine")
+                            .with_writer(Box::new(dr_obs::SharedBuf::new())),
+                    );
+                }
+                explore_parallel(&space, chaotic, strategy, &ctx).unwrap()
+            };
+            let keys = |o: &ExploreOutput| {
+                let mut records: Vec<(u64, u64)> = o
+                    .records
+                    .iter()
+                    .map(|r| (r.traversal.canonical_hash(), r.result.time().to_bits()))
+                    .collect();
+                records.sort_unstable();
+                let failed: Vec<Traversal> = o.failures.iter().map(|(t, _)| t.clone()).collect();
+                (records, failed, o.quarantined)
+            };
+            let reference = run(1, false);
+            for (threads, observed) in [(1, true), (3, false), (3, true)] {
+                let out = run(threads, observed);
+                let name = strategy.name();
+                assert_eq!(keys(&out), keys(&reference), "{name} threads={threads}");
+                // Exactly the residue-3 traversals survive, and each
+                // failure carries its injected cause: panics were
+                // contained as structured errors.
+                assert!(out.records.iter().all(|r| survives(&r.traversal)));
+                for (t, e) in &out.failures {
+                    if t.canonical_hash() % 4 == 1 {
+                        assert!(matches!(e, SimError::Panicked { .. }), "{e}");
+                    } else {
+                        assert!(!survives(t) && matches!(e, SimError::Faulted { .. }), "{e}");
+                    }
+                }
+                match strategy {
+                    Strategy::Exhaustive => {
+                        assert_eq!(out.records.len(), survivors);
+                        assert_eq!(out.failures.len(), total - survivors);
+                        assert_eq!(out.quarantined as usize, out.failures.len());
+                    }
+                    Strategy::Random { iterations, .. } => {
+                        assert_eq!(out.quarantined as usize, out.failures.len());
+                        assert_eq!(out.telemetry.len(), iterations, "one row per iteration");
+                    }
+                    Strategy::Mcts { .. } => {
+                        assert!(out.exhausted);
+                        assert_eq!(out.records.len(), survivors);
+                        assert_eq!(out.quarantined as usize, total - survivors);
+                    }
+                }
+            }
         }
     }
 

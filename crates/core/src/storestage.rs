@@ -78,47 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_run_commits_warm_run_answers_from_disk() {
-        let (space, w, platform) = setup();
-        let dir = std::env::temp_dir().join(format!("dr-storestage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let traversals: Vec<_> = space.enumerate().collect();
-
-        let store = Arc::new(ResultStore::open(&dir).unwrap());
-        let mut cold = StoredEvaluator::new(
-            SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            Some(store.clone()),
-        );
-        let cold_results: Vec<BenchResult> = traversals
-            .iter()
-            .map(|t| cold.evaluate(t, eval_seed(0xE0E0_0000, t)).unwrap())
-            .collect();
-        assert_eq!(store.stats().appended as usize, traversals.len());
-        assert_eq!(store.stats().hits, 0);
-        drop(store);
-
-        // A fresh process: same results, zero simulation.
-        let store = Arc::new(ResultStore::open(&dir).unwrap());
-        let mut warm = StoredEvaluator::new(
-            SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            Some(store.clone()),
-        );
-        for (t, expect) in traversals.iter().zip(&cold_results) {
-            let got = warm.evaluate(t, eval_seed(0xE0E0_0000, t)).unwrap();
-            assert_eq!(&got, expect);
-        }
-        let s = store.stats();
-        assert_eq!(s.hits as usize, traversals.len());
-        assert_eq!(s.appended, 0, "warm run simulates nothing");
-        assert_eq!(
-            warm.sim_stats().map_or(0, |st| st.runs),
-            0,
-            "the simulator never ran on the warm path"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn passthrough_without_a_store() {
         let (space, w, platform) = setup();
         let t = space.enumerate().next().unwrap();

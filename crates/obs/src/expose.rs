@@ -1,15 +1,10 @@
-//! Prometheus-style text exposition (format 0.0.4) for the metrics
-//! primitives.
+//! Prometheus-style text exposition (format 0.0.4), the
+//! `--metrics-text` surface.
 //!
-//! The crate deliberately has no global registry — metrics live in the
-//! structs that use them — so exposition is a push-style builder: the
-//! run-end code walks whatever it wants exported and renders one
-//! snapshot. The output is the standard `text/plain; version=0.0.4`
-//! shape (`# HELP` / `# TYPE` headers, `_bucket{le=...}` /`_sum` /
-//! `_count` series for histograms) so a future `dr-serve` scrape
-//! endpoint can return it unchanged.
-
-use crate::metrics::{Counter, Gauge, Histogram};
+//! The crate has no global registry, so exposition is a push-style
+//! builder: the run-end code walks whatever it wants exported and
+//! renders one snapshot in the standard `text/plain; version=0.0.4`
+//! shape (`# HELP` / `# TYPE` headers, one sample line per series).
 
 fn valid_name(name: &str) -> bool {
     !name.is_empty()
@@ -59,15 +54,6 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-fn merge_labels<'a>(
-    labels: &[(&'a str, &'a str)],
-    extra: (&'a str, &'a str),
-) -> Vec<(&'a str, &'a str)> {
-    let mut all = labels.to_vec();
-    all.push(extra);
-    all
-}
-
 /// Builds one Prometheus text-format snapshot.
 ///
 /// `# HELP`/`# TYPE` headers are emitted once per metric family, so the
@@ -96,42 +82,12 @@ impl TextExposition {
         self.out.push_str(&format!("# TYPE {name} {kind}\n"));
     }
 
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        self.out
-            .push_str(&format!("{name}{} {value}\n", render_labels(labels)));
-    }
-
-    /// Exposes a counter series.
-    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], c: &Counter) {
-        self.value(name, help, "counter", labels, c.get() as f64);
-    }
-
-    /// Exposes a gauge series.
-    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], g: &Gauge) {
-        self.value(name, help, "gauge", labels, g.get());
-    }
-
-    /// Exposes a raw value as the given metric kind (`counter` or
-    /// `gauge`) — for quantities tracked outside the metric structs.
+    /// Exposes one sample of a metric of the given kind (`counter` or
+    /// `gauge`).
     pub fn value(&mut self, name: &str, help: &str, kind: &str, labels: &[(&str, &str)], v: f64) {
         self.header(name, kind, help);
-        self.sample(name, labels, &number(v));
-    }
-
-    /// Exposes a histogram as cumulative `_bucket{le=...}` series plus
-    /// `_sum` and `_count`, the standard Prometheus shape.
-    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.header(name, "histogram", help);
-        let bucket = format!("{name}_bucket");
-        let mut cum = 0u64;
-        for (bound, count) in h.buckets() {
-            cum += count;
-            let le = number(bound);
-            let all = merge_labels(labels, ("le", &le));
-            self.sample(&bucket, &all, &cum.to_string());
-        }
-        self.sample(&format!("{name}_sum"), labels, &number(h.sum()));
-        self.sample(&format!("{name}_count"), labels, &h.count().to_string());
+        self.out
+            .push_str(&format!("{name}{} {}\n", render_labels(labels), number(v)));
     }
 
     /// The accumulated exposition text.
@@ -145,46 +101,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_and_values_expose_with_labels() {
-        let mut c = Counter::new();
-        c.add(7);
-        let mut g = Gauge::new();
-        g.set(2.5);
+    fn values_expose_with_headers_and_labels() {
         let mut x = TextExposition::new();
-        x.counter("dr_evals_total", "Design points evaluated.", &[], &c);
-        x.gauge("dr_tree_size", "MCTS tree size.", &[("shard", "0")], &g);
-        x.value("dr_rate", "Eval rate.", "gauge", &[("shard", "1")], 12.0);
+        x.value(
+            "dr_evals_total",
+            "Design points evaluated.",
+            "counter",
+            &[],
+            7.0,
+        );
+        x.value("dr_rate", "Eval rate.", "gauge", &[("shard", "1")], 12.5);
         let text = x.render();
         assert!(text.contains("# HELP dr_evals_total Design points evaluated.\n"));
         assert!(text.contains("# TYPE dr_evals_total counter\n"));
         assert!(text.contains("dr_evals_total 7\n"));
-        assert!(text.contains("dr_tree_size{shard=\"0\"} 2.5\n"));
-        assert!(text.contains("dr_rate{shard=\"1\"} 12\n"));
-    }
-
-    #[test]
-    fn histogram_renders_cumulative_buckets_with_inf() {
-        let mut h = Histogram::new(vec![0.1, 1.0]);
-        h.record(0.05);
-        h.record(0.5);
-        h.record(5.0);
-        let mut x = TextExposition::new();
-        x.histogram("dr_eval_seconds", "Per-eval wall time.", &[], &h);
-        let text = x.render();
-        assert!(text.contains("# TYPE dr_eval_seconds histogram\n"));
-        assert!(text.contains("dr_eval_seconds_bucket{le=\"0.1\"} 1\n"));
-        assert!(text.contains("dr_eval_seconds_bucket{le=\"1\"} 2\n"));
-        assert!(text.contains("dr_eval_seconds_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("dr_eval_seconds_count 3\n"));
-        assert!(text.contains("dr_eval_seconds_sum 5.55\n"));
+        assert!(text.contains("# TYPE dr_rate gauge\n"));
+        assert!(text.contains("dr_rate{shard=\"1\"} 12.5\n"));
     }
 
     #[test]
     fn headers_dedupe_across_series_of_one_family() {
         let mut x = TextExposition::new();
-        let c = Counter::new();
-        x.counter("dr_shard_events", "Events.", &[("shard", "0")], &c);
-        x.counter("dr_shard_events", "Events.", &[("shard", "1")], &c);
+        x.value(
+            "dr_shard_events",
+            "Events.",
+            "counter",
+            &[("shard", "0")],
+            0.0,
+        );
+        x.value(
+            "dr_shard_events",
+            "Events.",
+            "counter",
+            &[("shard", "1")],
+            0.0,
+        );
         let text = x.render();
         assert_eq!(text.matches("# HELP dr_shard_events").count(), 1);
         assert_eq!(text.matches("dr_shard_events{").count(), 2);

@@ -1,22 +1,18 @@
 //! `dr-obs` — observability core for the design-rules pipeline.
 //!
-//! Zero-dependency metrics primitives threaded through every layer of
-//! the workspace: [`metrics`] (counters, gauges, fixed-bucket
-//! histograms with percentile queries), [`timer`] (stopwatches and
-//! named phase timers), [`json`] (hand-rolled JSON formatting plus
-//! a syntax validator used by tests that assert artifacts are
-//! well-formed), [`events`] (the `dr-events/v1` structured NDJSON
-//! event stream behind `--progress`/`--events`), [`paint`] (the
-//! throttled stderr status line both `--progress` renderers paint
-//! through), and [`expose`] (Prometheus-style text exposition of metric
-//! snapshots, the `--metrics-text` surface).
+//! Zero-dependency helpers shared by every layer of the workspace:
+//! [`events`] (the `dr-events/v1` structured NDJSON event stream behind
+//! `--progress`/`--events`), [`timer`] (stopwatches and named phase
+//! timers), [`json`] (hand-rolled JSON formatting plus a syntax
+//! validator used by tests that assert artifacts are well-formed),
+//! [`paint`] (the throttled stderr status line both `--progress`
+//! renderers paint through), [`expose`] (the Prometheus text exposition
+//! behind `--metrics-text`), [`metrics`] (the robust median and MAD
+//! summaries of the noise gates), and CSV quoting.
 //!
-//! The metrics primitives are single-threaded by design, matching the
-//! simulator and the search loop: plain structs mutated through
-//! `&mut self`, no global registries. The one deliberate exception is
-//! [`events::EventSink`], which crosses worker threads and therefore
-//! owns the crate's only atomics (a shared sequence counter and a
-//! mutex-guarded writer).
+//! [`events::EventSink`] crosses worker threads and therefore owns the
+//! crate's only atomics (a shared sequence counter and a mutex-guarded
+//! writer); everything else is plain single-threaded code.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,7 +26,7 @@ pub mod timer;
 
 pub use events::{Event, EventObserver, EventSink, Field, SharedBuf, EVENTS_SCHEMA};
 pub use expose::TextExposition;
-pub use metrics::{mad, median, Counter, Gauge, Histogram};
+pub use metrics::{mad, median};
 pub use paint::LinePainter;
 pub use timer::{Phases, Stopwatch};
 

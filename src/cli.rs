@@ -578,7 +578,7 @@ fn instance(opts: &CliOptions) -> Instance {
     }
 }
 
-fn strategy(opts: &CliOptions) -> Strategy {
+pub(crate) fn strategy(opts: &CliOptions) -> Strategy {
     if opts.random {
         Strategy::Random {
             iterations: opts.iterations,

@@ -46,8 +46,8 @@
 //! [`Settings`](crate::config::Settings); workers inherit the
 //! environment and resolve their own.
 
-use crate::cli::CliOptions;
-use crate::pipeline::{shard_manifest_path, ShardManifest, ShardSpec};
+use crate::cli::{strategy, CliOptions};
+use crate::pipeline::{shard_manifest_path, strategy_identity, ShardManifest, ShardSpec};
 use dr_fleet::{
     Aggregator, AnomalyConfig, AnomalyDetector, FleetProgress, FleetStats, MergedEvent,
 };
@@ -134,11 +134,11 @@ fn manifest_matches(
     };
     let m = ShardManifest::from_json(&text)
         .map_err(|e| format!("unreadable shard manifest {}: {e}", path.display()))?;
-    let expected_strategy = if opts.random { "random" } else { "mcts" };
+    let (name, seed, iterations) = strategy_identity(&strategy(opts));
     if m.scenario != opts.scenario.name()
-        || m.strategy != expected_strategy
-        || m.seed != opts.seed
-        || m.iterations != opts.iterations as u64
+        || m.strategy != name
+        || m.seed != seed
+        || m.iterations != iterations
         || m.index != spec.index
         || m.count != spec.count
     {

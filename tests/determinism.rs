@@ -1,5 +1,6 @@
-//! Reproducibility: every stochastic component is seed-deterministic, so
-//! the whole pipeline is bit-for-bit repeatable.
+//! Seeds matter: different search seeds explore differently, and matrix
+//! generation depends on its own seed only. Same-seed reruns of the
+//! pipeline are held bit for bit by `tests/guarantee_matrix.rs`.
 
 mod common;
 
@@ -19,9 +20,10 @@ fn fast_config() -> PipelineConfig {
     }
 }
 
-fn fingerprint(seed: u64) -> (Vec<f64>, Vec<usize>, usize, f64) {
+/// The measured times of a seeded SpMV pipeline run.
+fn times(seed: u64) -> Vec<f64> {
     let sc = SpmvScenario::small(seed);
-    let result = run_pipeline(
+    run_pipeline(
         &sc.space,
         &sc.workload,
         &sc.platform,
@@ -34,25 +36,17 @@ fn fingerprint(seed: u64) -> (Vec<f64>, Vec<usize>, usize, f64) {
         },
         &fast_config(),
     )
-    .unwrap();
-    (
-        result.times(),
-        result.labeling.labels.clone(),
-        result.labeling.num_classes,
-        result.search.error,
-    )
-}
-
-#[test]
-fn pipeline_is_bit_for_bit_reproducible() {
-    assert_eq!(fingerprint(21), fingerprint(21));
+    .unwrap()
+    .times()
 }
 
 #[test]
 fn different_seeds_give_different_explorations() {
-    let a = fingerprint(21);
-    let b = fingerprint(22);
-    assert_ne!(a.0, b.0, "different seeds must explore/measure differently");
+    assert_ne!(
+        times(21),
+        times(22),
+        "different seeds must explore/measure differently"
+    );
 }
 
 #[test]
