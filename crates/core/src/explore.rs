@@ -668,98 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_is_thread_count_and_observation_invariant() {
-        // Traversals fail by canonical-hash residue — an error on 0 and
-        // 2, a panic on 1 — so every run meets the same failures wherever
-        // and whenever it evaluates them.
-        let (space, w, platform) = setup();
-        let survives = |t: &Traversal| t.canonical_hash() % 4 == 3;
-        let chaotic = || {
-            let mut sim = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-            move |t: &Traversal, seed: u64| match t.canonical_hash() % 4 {
-                0 | 2 => Err(SimError::Faulted {
-                    detail: "injected failure".into(),
-                }),
-                1 => panic!("injected panic"),
-                _ => sim.evaluate(t, seed),
-            }
-        };
-        let total = space.count_traversals() as usize;
-        let survivors = space.enumerate().filter(survives).count();
-        assert!(space.enumerate().any(|t| t.canonical_hash() % 4 == 1));
-        assert!(survivors > 0 && survivors < total);
-        for strategy in [
-            Strategy::Exhaustive,
-            Strategy::Random {
-                iterations: 40,
-                seed: 5,
-            },
-            Strategy::Mcts {
-                iterations: 300,
-                config: MctsConfig::default(),
-            },
-        ] {
-            let run = |threads: usize, observed: bool| {
-                let mut ctx = ExploreCtx {
-                    policy: FailurePolicy::Quarantine,
-                    ..ExploreCtx::new(threads)
-                };
-                if observed {
-                    ctx.tracer = Tracer::new();
-                    ctx.events = Some(
-                        EventSink::new("quarantine")
-                            .with_writer(Box::new(dr_obs::SharedBuf::new())),
-                    );
-                }
-                explore_parallel(&space, chaotic, strategy, &ctx).unwrap()
-            };
-            let keys = |o: &ExploreOutput| {
-                let mut records: Vec<(u64, u64)> = o
-                    .records
-                    .iter()
-                    .map(|r| (r.traversal.canonical_hash(), r.result.time().to_bits()))
-                    .collect();
-                records.sort_unstable();
-                let failed: Vec<Traversal> = o.failures.iter().map(|(t, _)| t.clone()).collect();
-                (records, failed, o.quarantined)
-            };
-            let reference = run(1, false);
-            for (threads, observed) in [(1, true), (3, false), (3, true)] {
-                let out = run(threads, observed);
-                let name = strategy.name();
-                assert_eq!(keys(&out), keys(&reference), "{name} threads={threads}");
-                // Exactly the residue-3 traversals survive, and each
-                // failure carries its injected cause: panics were
-                // contained as structured errors.
-                assert!(out.records.iter().all(|r| survives(&r.traversal)));
-                for (t, e) in &out.failures {
-                    if t.canonical_hash() % 4 == 1 {
-                        assert!(matches!(e, SimError::Panicked { .. }), "{e}");
-                    } else {
-                        assert!(!survives(t) && matches!(e, SimError::Faulted { .. }), "{e}");
-                    }
-                }
-                match strategy {
-                    Strategy::Exhaustive => {
-                        assert_eq!(out.records.len(), survivors);
-                        assert_eq!(out.failures.len(), total - survivors);
-                        assert_eq!(out.quarantined as usize, out.failures.len());
-                    }
-                    Strategy::Random { iterations, .. } => {
-                        assert_eq!(out.quarantined as usize, out.failures.len());
-                        assert_eq!(out.telemetry.len(), iterations, "one row per iteration");
-                    }
-                    Strategy::Mcts { .. } => {
-                        assert!(out.exhausted);
-                        assert_eq!(out.records.len(), survivors);
-                        assert_eq!(out.quarantined as usize, total - survivors);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_mcts_telemetry_is_renumbered_and_monotone() {
         let strategy = Strategy::Mcts {
             iterations: 60,

@@ -5,7 +5,9 @@
 
 use cuda_mpi_design_rules::config::{resolve, Env};
 use cuda_mpi_design_rules::dag::{CostKey, DagBuilder, DecisionSpace, OpSpec, ProgramDag};
-use cuda_mpi_design_rules::pipeline::PipelineConfig;
+use cuda_mpi_design_rules::mcts::MctsConfig;
+use cuda_mpi_design_rules::pipeline::{self, PipelineConfig};
+use cuda_mpi_design_rules::sim::{SimStats, TableWorkload};
 use proptest::prelude::*;
 
 /// The pipeline configuration this process's `DR_*` variables select
@@ -70,4 +72,45 @@ pub fn arb_small_space(max_n: usize, max_traversals: u128) -> impl Strategy<Valu
         .prop_filter("space must be enumerable", move |sp| {
             sp.count_traversals() <= max_traversals
         })
+}
+
+/// Per-op costs for a generated space.
+pub fn workload_for(space: &DecisionSpace) -> TableWorkload {
+    let mut w = TableWorkload::new(1);
+    for (i, op) in space.ops().iter().enumerate() {
+        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
+    }
+    w
+}
+
+/// One strategy of each kind for a generated space: exhaustive, random,
+/// and MCTS with a budget that exhausts the space.
+pub fn strategies(seed: u64, space: &DecisionSpace) -> [pipeline::Strategy; 3] {
+    [
+        pipeline::Strategy::Exhaustive,
+        pipeline::Strategy::Random {
+            iterations: 40,
+            seed,
+        },
+        pipeline::Strategy::Mcts {
+            iterations: 20 * space.count_traversals() as usize + 100,
+            config: MctsConfig {
+                seed,
+                ..Default::default()
+            },
+        },
+    ]
+}
+
+/// The simulator's `u64` counters (floating-point sums may differ in the
+/// last bits with summation order).
+pub fn sim_counters(s: &SimStats) -> [u64; 6] {
+    [
+        s.runs,
+        s.instructions,
+        s.eager_msgs,
+        s.rendezvous_msgs,
+        s.bytes_moved,
+        s.collective_ops,
+    ]
 }

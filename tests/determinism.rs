@@ -1,6 +1,5 @@
-//! Seeds matter: different search seeds explore differently, and matrix
-//! generation depends on its own seed only. Same-seed reruns of the
-//! pipeline are held bit for bit by `tests/guarantee_matrix.rs`.
+//! Reproducibility: every stochastic component is seed-deterministic, so
+//! the whole pipeline is bit-for-bit repeatable.
 
 mod common;
 
@@ -20,10 +19,9 @@ fn fast_config() -> PipelineConfig {
     }
 }
 
-/// The measured times of a seeded SpMV pipeline run.
-fn times(seed: u64) -> Vec<f64> {
+fn fingerprint(seed: u64) -> (Vec<f64>, Vec<usize>, usize, f64) {
     let sc = SpmvScenario::small(seed);
-    run_pipeline(
+    let result = run_pipeline(
         &sc.space,
         &sc.workload,
         &sc.platform,
@@ -36,17 +34,25 @@ fn times(seed: u64) -> Vec<f64> {
         },
         &fast_config(),
     )
-    .unwrap()
-    .times()
+    .unwrap();
+    (
+        result.times(),
+        result.labeling.labels.clone(),
+        result.labeling.num_classes,
+        result.search.error,
+    )
+}
+
+#[test]
+fn pipeline_is_bit_for_bit_reproducible() {
+    assert_eq!(fingerprint(21), fingerprint(21));
 }
 
 #[test]
 fn different_seeds_give_different_explorations() {
-    assert_ne!(
-        times(21),
-        times(22),
-        "different seeds must explore/measure differently"
-    );
+    let a = fingerprint(21);
+    let b = fingerprint(22);
+    assert_ne!(a.0, b.0, "different seeds must explore/measure differently");
 }
 
 #[test]

@@ -30,9 +30,9 @@
 
 mod common;
 
-use common::arb_small_space;
+use common::{arb_small_space, sim_counters, strategies, workload_for};
 use cuda_mpi_design_rules::dag::DecisionSpace;
-use cuda_mpi_design_rules::mcts::{ExploredRecord, MctsConfig};
+use cuda_mpi_design_rules::mcts::ExploredRecord;
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf};
 use cuda_mpi_design_rules::pipeline::{
     merge_shards, records_fingerprint, run_pipeline_stored, run_shard, InstrumentedRun,
@@ -216,19 +216,9 @@ fn run_point(
     out
 }
 
-/// The simulator's `u64` counters (floating-point sums may differ in the
-/// last bits with summation order).
-fn sim_counters(run: &InstrumentedRun) -> [u64; 6] {
-    run.report.sim.as_ref().map_or([0; 6], |s| {
-        [
-            s.runs,
-            s.instructions,
-            s.eager_msgs,
-            s.rendezvous_msgs,
-            s.bytes_moved,
-            s.collective_ops,
-        ]
-    })
+/// The simulator's `u64` counters of a pipeline run.
+fn run_counters(run: &InstrumentedRun) -> [u64; 6] {
+    run.report.sim.as_ref().map_or([0; 6], sim_counters)
 }
 
 fn sorted_by_hash(records: &[ExploredRecord]) -> Vec<ExploredRecord> {
@@ -306,11 +296,11 @@ fn check_pipeline(p: Point, strategy: Strategy, out: &Outcome, exp: &mut Expecte
     }
     // Each traversal is simulated once per run whatever the width; a
     // warm run simulates nothing.
-    let sims = sim_counters(run);
+    let sims = run_counters(run);
     if p.store == Store::Warm {
         assert_eq!(sims[0], 0, "{p:?}: a warm run ran the simulator");
     } else {
-        assert_eq!(sims, sim_counters(canonical), "{p:?}");
+        assert_eq!(sims, run_counters(canonical), "{p:?}");
     }
     match (p.lint, run.report.lint) {
         (false, lint) => assert!(lint.is_none(), "{p:?}"),
@@ -385,33 +375,6 @@ fn check_store(p: Point, out: &Outcome) {
     };
     assert_eq!(stats.hits as usize, hits, "{p:?}");
     assert_eq!(stats.appended as usize, appended, "{p:?}");
-}
-
-/// Per-op costs for a generated space.
-fn workload_for(space: &DecisionSpace) -> TableWorkload {
-    let mut w = TableWorkload::new(1);
-    for (i, op) in space.ops().iter().enumerate() {
-        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
-    }
-    w
-}
-
-/// One strategy of each kind; MCTS gets a budget that exhausts the space.
-fn strategies(seed: u64, space: &DecisionSpace) -> [Strategy; 3] {
-    [
-        Strategy::Exhaustive,
-        Strategy::Random {
-            iterations: 40,
-            seed,
-        },
-        Strategy::Mcts {
-            iterations: 20 * space.count_traversals() as usize + 100,
-            config: MctsConfig {
-                seed,
-                ..Default::default()
-            },
-        },
-    ]
 }
 
 proptest! {

@@ -1,10 +1,11 @@
 //! End-to-end exercise of the observability surface through the real
-//! `dr-rules` binary: event streams must parse line-by-line with gapless
-//! sequence numbers under `DR_THREADS=4` while `--progress` paints plain
-//! status lines, `explain` must render tree statistics and per-rule
-//! provenance (text + `dr-explain/v1` JSON), and `bench` must append
-//! comparable `BENCH_*.json` history entries that pass the `compare`
-//! regression gate against themselves.
+//! `dr-rules` binary: `--events`/`--progress` runs must produce the
+//! bit-identical record set of a silent run (observation never perturbs
+//! the search), event streams must parse line-by-line with gapless
+//! sequence numbers under `DR_THREADS=4`, `explain` must render tree
+//! statistics and per-rule provenance (text + `dr-explain/v1` JSON),
+//! and `bench` must append comparable `BENCH_*.json` history entries
+//! that pass the `compare` regression gate against themselves.
 
 use cuda_mpi_design_rules::obs::json;
 use std::path::{Path, PathBuf};
@@ -44,11 +45,74 @@ fn run_ok(args: &[&str], envs: &[(&str, &str)], cwd: &Path) -> Output {
     out
 }
 
+/// The `records.fingerprint` of the single entry in `dir`'s ledger.
+fn ledger_fingerprint(dir: &Path) -> String {
+    let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    let line = text.lines().next().expect("one ledger entry");
+    let v = json::parse(line).unwrap();
+    v.path(&["records", "fingerprint"])
+        .and_then(|f| f.as_str())
+        .expect("ledger entry carries a record fingerprint")
+        .to_string()
+}
+
+#[test]
+fn observed_runs_are_bit_identical_to_silent_runs() {
+    let dir = scratch("bit-identity");
+    let (silent, observed) = (dir.join("silent"), dir.join("observed"));
+    let events = dir.join("events.ndjson");
+    run_ok(
+        &[
+            "spmv",
+            "explore",
+            "--iterations",
+            "30",
+            "--seed",
+            "2",
+            "--ledger",
+            &silent.display().to_string(),
+        ],
+        &[],
+        &dir,
+    );
+    // The same run observed two ways at once: NDJSON stream + progress
+    // renderer. The record set must not change by a single bit.
+    let out = run_ok(
+        &[
+            "spmv",
+            "explore",
+            "--iterations",
+            "30",
+            "--seed",
+            "2",
+            "--ledger",
+            &observed.display().to_string(),
+            "--events",
+            &events.display().to_string(),
+            "--progress",
+        ],
+        &[],
+        &dir,
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("events to"), "{stdout}");
+    assert_eq!(ledger_fingerprint(&silent), ledger_fingerprint(&observed));
+    // Stderr carried plain progress lines (the test harness pipes
+    // stderr, so the renderer is in non-TTY mode — no control codes).
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("traversals"), "{stderr}");
+    assert!(
+        !stderr.contains('\x1b'),
+        "non-TTY must not emit ANSI: {stderr:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn event_stream_parses_with_gapless_seqs_under_four_threads() {
     let dir = scratch("events-threads");
     let events = dir.join("events.ndjson");
-    let out = run_ok(
+    run_ok(
         &[
             "spmv",
             "explore",
@@ -58,20 +122,9 @@ fn event_stream_parses_with_gapless_seqs_under_four_threads() {
             "3",
             "--events",
             &events.display().to_string(),
-            "--progress",
         ],
         &[("DR_THREADS", "4"), ("DR_EVENTS_RATE", "4")],
         &dir,
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("events to"), "{stdout}");
-    // Stderr carried plain progress lines (the test harness pipes
-    // stderr, so the renderer is in non-TTY mode — no control codes).
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("traversals"), "{stderr}");
-    assert!(
-        !stderr.contains('\x1b'),
-        "non-TTY must not emit ANSI: {stderr:?}"
     );
     let text = std::fs::read_to_string(&events).unwrap();
     let mut seqs: Vec<u64> = Vec::new();

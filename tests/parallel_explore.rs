@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::arb_small_space;
+use common::{arb_small_space, sim_counters, strategies, workload_for};
 use cuda_mpi_design_rules::dag::{CostKey, DagBuilder, DecisionSpace, OpSpec, Traversal};
 use cuda_mpi_design_rules::mcts::{Evaluator, ExploredRecord, MctsConfig, SimEvaluator};
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf};
@@ -173,15 +173,6 @@ fn parallel_runs_are_repeatable() {
     assert_eq!(a, b);
 }
 
-/// Per-op costs for a generated space.
-fn workload_for(space: &DecisionSpace) -> TableWorkload {
-    let mut w = TableWorkload::new(1);
-    for (i, op) in space.ops().iter().enumerate() {
-        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
-    }
-    w
-}
-
 /// Fails traversals by canonical-hash residue — an error on 0 and 2, a
 /// panic on 1 — and measures the rest, so every run meets the same
 /// failures wherever and whenever it evaluates them.
@@ -200,25 +191,6 @@ impl Evaluator for Chaotic<'_> {
 
     fn sim_stats(&self) -> Option<&SimStats> {
         self.0.sim_stats()
-    }
-}
-
-/// The drawn strategy: exhaustive, random, or MCTS with a budget large
-/// enough to exhaust the space.
-fn drawn_strategy(kind: usize, seed: u64, space: &DecisionSpace) -> Strategy {
-    match kind {
-        0 => Strategy::Exhaustive,
-        1 => Strategy::Random {
-            iterations: 40,
-            seed,
-        },
-        _ => Strategy::Mcts {
-            iterations: 20 * space.count_traversals() as usize + 100,
-            config: MctsConfig {
-                seed,
-                ..Default::default()
-            },
-        },
     }
 }
 
@@ -246,19 +218,9 @@ fn fingerprint(strategy: Strategy, records: &[ExploredRecord]) -> u64 {
     records_fingerprint(&records)
 }
 
-/// The simulator's `u64` counters (floating-point sums may differ in the
-/// last bits with summation order).
+/// The simulator's `u64` counters of an exploration.
 fn counters(out: &ExploreOutput) -> Option<[u64; 6]> {
-    out.sim.as_ref().map(|s| {
-        [
-            s.runs,
-            s.instructions,
-            s.eager_msgs,
-            s.rendezvous_msgs,
-            s.bytes_moved,
-            s.collective_ops,
-        ]
-    })
+    out.sim.as_ref().map(sim_counters)
 }
 
 proptest! {
@@ -278,7 +240,7 @@ proptest! {
     ) {
         let w = workload_for(&space);
         let platform = Platform::perlmutter_like();
-        let strategy = drawn_strategy(kind, seed, &space);
+        let strategy = strategies(seed, &space)[kind];
         let threads = if three_threads { 3 } else { 1 };
         let policy = if quarantine { FailurePolicy::Quarantine } else { FailurePolicy::Abort };
         let clean = |ctx: &ExploreCtx| {

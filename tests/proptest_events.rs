@@ -8,23 +8,15 @@
 
 mod common;
 
-use common::arb_small_space;
+use common::{arb_small_space, workload_for};
 use cuda_mpi_design_rules::mcts::MctsConfig;
 use cuda_mpi_design_rules::obs::json;
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf, EVENTS_SCHEMA};
 use cuda_mpi_design_rules::pipeline::{
     run_pipeline, run_pipeline_stored, PipelineConfig, RunCtx, Strategy,
 };
-use cuda_mpi_design_rules::sim::{Platform, TableWorkload};
+use cuda_mpi_design_rules::sim::Platform;
 use proptest::prelude::*;
-
-fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkload {
-    let mut w = TableWorkload::new(1);
-    for (i, op) in space.ops().iter().enumerate() {
-        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
-    }
-    w
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -4,21 +4,13 @@
 
 mod common;
 
-use common::arb_small_space;
+use common::{arb_small_space, workload_for};
 use cuda_mpi_design_rules::dag::eval_seed;
 use cuda_mpi_design_rules::mcts::{Evaluator, SimEvaluator};
 use cuda_mpi_design_rules::par::{par_map_stream, FailurePolicy, ItemOutcome, PoolConfig};
-use cuda_mpi_design_rules::sim::{BenchConfig, Platform, SimStats, TableWorkload};
+use cuda_mpi_design_rules::sim::{BenchConfig, Platform, SimStats};
 use cuda_mpi_design_rules::trace::Tracer;
 use proptest::prelude::*;
-
-fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkload {
-    let mut w = TableWorkload::new(1);
-    for (i, op) in space.ops().iter().enumerate() {
-        w.cost_all(op.name.clone(), 1e-5 * (i as f64 + 1.0));
-    }
-    w
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
