@@ -10,20 +10,23 @@
 //! * the incremental lowering ([`dr_dag::ScheduleBuilder`]), pushed and
 //!   popped one placement at a time;
 //! * an *ancestor-bitset* happens-before representation: per graph node
-//!   a bitset of every node that reaches it. All happens-before edges
-//!   point from earlier to later items, so each appended item's three
-//!   node rows are unions of already-final rows — rows never mutate
-//!   after creation, and rewinding is truncation. `a` happens-before
-//!   `b` iff bit `a` of `b`'s row is set, exactly the relation the cold
-//!   closure answers;
+//!   a bitset of every node that reaches it, plus the node's in-edges.
+//!   All happens-before edges point from earlier to later items, so each
+//!   appended item's three node rows are unions of already-final rows —
+//!   rows never mutate after creation, and rewinding is truncation. `a`
+//!   happens-before `b` iff bit `a` of `b`'s row is set, exactly the
+//!   relation the cold closure answers;
 //! * the op→item map feeding dependency-edge coverage.
 //!
-//! At each leaf only the terminal `End` item is appended (3 node rows),
-//! the HB001 verdicts are read off the shared rows, and the deadlock and
-//! redundant-sync passes run on the complete schedule buffer — producing
-//! a [`LintReport`] bit-identical to [`crate::lint_traversal`], while
-//! the happens-before pass expands O(distinct prefix items) node rows
-//! instead of O(schedules × items).
+//! At each leaf only the terminal `End` item is appended (3 node rows)
+//! and the HB001 verdicts are read off the shared rows. The
+//! redundant-sync pass probes each sync effect against the same rows:
+//! removing the record→waiter edges into `end(i)` can only change rows
+//! from `end(i)` on, so a probe recomputes just that suffix from the
+//! stored in-edges and checks that every dependency edge covered before
+//! is still covered. The deadlock pass runs on the complete schedule
+//! buffer. The [`LintReport`] is bit-identical to
+//! [`crate::lint_traversal`]'s.
 //!
 //! A caller's [`PrefixFilter`] restricts the walk to a subset of the
 //! space; rule certification passes a ruleset's compiled constraints,
@@ -31,11 +34,9 @@
 
 use crate::deadlock::detect_deadlocks;
 use crate::diag::{Diagnostic, LintReport, RuleCode};
-use crate::redundant::find_redundant_syncs;
 use crate::topo::CommTopology;
 use dr_dag::{
-    DecisionKind, DecisionSpace, OpId, Placement, Prefix, ScheduleAction, ScheduleBuilder,
-    ScheduledItem,
+    DecisionKind, DecisionSpace, EventId, OpId, Placement, Prefix, ScheduleAction, ScheduleBuilder,
 };
 
 /// Counters of one space-level lint walk.
@@ -46,12 +47,14 @@ pub struct SpaceLintStats {
     /// True when the walk stopped at the schedule cap with another
     /// schedule (one the filter admits) still to lint.
     pub truncated: bool,
-    /// Happens-before node rows expanded by the incremental engine
-    /// (three per distinct prefix item, plus three per leaf for the
-    /// terminal `End`).
+    /// Happens-before node rows computed by the incremental engine:
+    /// three per distinct prefix item, three per leaf for the terminal
+    /// `End`, and the suffix rows each redundant-sync probe recomputes.
     pub hb_expansions: u64,
-    /// Node expansions the cold per-schedule pass would have performed
-    /// for the same leaves (three per item per schedule).
+    /// Node rows the cold per-schedule passes would have computed for
+    /// the same leaves: three per item per happens-before build, with
+    /// one build for the race pass and `1 + k` for the redundant-sync
+    /// pass (a baseline plus one per sync effect it tests).
     pub cold_hb_expansions: u64,
     /// Subtrees skipped by the caller's prefix filter.
     pub filtered_subtrees: u64,
@@ -87,6 +90,9 @@ pub fn lint_space_incremental(
         hb: IncrementalHb::new(max_items_bound(space)),
         edges: static_dependency_edges(space),
         item_of_op: vec![None; space.num_ops()],
+        covered: Vec::new(),
+        scratch: Vec::new(),
+        events: Vec::new(),
         stats: SpaceLintStats::default(),
         max_schedules,
     };
@@ -156,6 +162,13 @@ struct Engine<'a> {
     hb: IncrementalHb,
     edges: Vec<StaticEdge>,
     item_of_op: Vec<Option<usize>>,
+    /// The current leaf's covered dependency edges as `(from, to)` node
+    /// pairs, the set a redundant-sync probe must preserve.
+    covered: Vec<(usize, usize)>,
+    /// Suffix rows of the current redundant-sync probe.
+    scratch: Vec<u64>,
+    /// Distinct events of the `EventSync` being probed.
+    events: Vec<EventId>,
     stats: SpaceLintStats,
     max_schedules: u64,
 }
@@ -192,11 +205,9 @@ impl Engine<'_> {
             self.space.apply(prefix, p);
             let range = self.builder.push_step(p);
             let (from, to) = (range.start, range.end);
-            for i in from..to {
-                // The builder's item buffer is borrowed immutably while
-                // the HB state mutates, so split via raw index.
-                let item = self.builder.items()[i].clone();
-                self.hb.append_item(i, &item, &mut self.stats.hb_expansions);
+            for (i, item) in (from..).zip(&self.builder.items()[from..to]) {
+                self.hb
+                    .append_item(i, &item.action, &mut self.stats.hb_expansions);
             }
             debug_assert!(to > from, "every step lowers at least one item");
             self.item_of_op[p.op] = Some(to - 1);
@@ -216,33 +227,29 @@ impl Engine<'_> {
     /// Produces the leaf's [`LintReport`] exactly as the cold
     /// [`crate::lint`] would: HB001 race verdicts from the shared
     /// ancestor rows (the structural `SCHED`/`HB002` diagnostics are
-    /// vacuous for schedules produced by our own lowering), then the
-    /// deadlock and redundant-sync passes over the complete schedule.
+    /// vacuous for schedules produced by our own lowering), the
+    /// deadlock pass over the complete schedule, then the redundant-sync
+    /// verdicts from probes of the shared rows.
     fn lint_leaf(&mut self, prefix: &Prefix, on_leaf: &mut dyn FnMut(u64, &Prefix, &LintReport)) {
         let end_idx = self.builder.items().len();
-        let end_item = ScheduledItem {
-            name: "End".into(),
-            action: ScheduleAction::DeviceSync,
-            source: None,
-        };
-        self.hb
-            .append_item(end_idx, &end_item, &mut self.stats.hb_expansions);
+        self.hb.append_item(
+            end_idx,
+            &ScheduleAction::DeviceSync,
+            &mut self.stats.hb_expansions,
+        );
 
         let mut diags = Vec::new();
         let end_node = end(end_idx);
+        self.covered.clear();
         for e in &self.edges {
             let iu = self.item_of_op[e.u_op].expect("all ops placed at a leaf");
-            let (covered, items) = match e.v_op {
-                None => (
-                    end(iu) == end_node || self.hb.reaches(end(iu), end_node),
-                    vec![iu],
-                ),
-                Some(v_op) => {
-                    let iv = self.item_of_op[v_op].expect("all ops placed at a leaf");
-                    (self.hb.reaches(end(iu), start(iv)), vec![iu, iv])
-                }
-            };
-            if !covered {
+            let iv = e
+                .v_op
+                .map(|v_op| self.item_of_op[v_op].expect("all ops placed at a leaf"));
+            let to = iv.map_or(end_node, start);
+            if self.hb.reaches(end(iu), to) {
+                self.covered.push((end(iu), to));
+            } else {
                 diags.push(
                     Diagnostic::new(
                         RuleCode::Hb001,
@@ -251,27 +258,107 @@ impl Engine<'_> {
                             e.name
                         ),
                     )
-                    .with_items(items),
+                    .with_items(iv.map_or_else(|| vec![iu], |iv| vec![iu, iv])),
                 );
             }
         }
 
-        let space = self.space;
-        let topo = self.topo;
-        let items_with_end = self.builder.with_complete_schedule(|s| {
-            if let Some(topo) = topo {
-                diags.extend(detect_deadlocks(s, topo));
-            }
-            diags.extend(find_redundant_syncs(space, s));
-            s.items.len()
-        });
+        if let Some(topo) = self.topo {
+            self.builder
+                .with_complete_schedule(|s| diags.extend(detect_deadlocks(s, topo)));
+        }
+        self.covered.sort_unstable_by_key(|&(_, to)| to);
+        let cold_builds = 2 + self.redundant_syncs(&mut diags);
 
         let report = LintReport::new(diags);
         let idx = self.stats.schedules;
         self.stats.schedules += 1;
-        self.stats.cold_hb_expansions += 3 * items_with_end as u64;
+        self.stats.cold_hb_expansions += 3 * (end_idx as u64 + 1) * cold_builds;
         on_leaf(idx, prefix, &report);
         self.hb.pop_item();
+    }
+
+    /// Appends the leaf's `RS001`–`RS004` diagnostics in
+    /// [`crate::find_redundant_syncs`]' order and wording: per sync item
+    /// in issue order, then every record no wait or sync consumes.
+    /// Returns how many sync effects were tested, i.e. the number of
+    /// happens-before rebuilds the cold pass makes beyond its baseline.
+    fn redundant_syncs(&mut self, diags: &mut Vec<Diagnostic>) -> u64 {
+        let items = self.builder.items();
+        let mut tested = 0;
+        let mut dominated = |i: usize, event: Option<EventId>| {
+            tested += 1;
+            self.hb.covers_without(
+                i,
+                event,
+                &self.covered,
+                &mut self.scratch,
+                &mut self.stats.hb_expansions,
+            )
+        };
+        for (i, item) in items.iter().enumerate() {
+            match &item.action {
+                ScheduleAction::StreamWaitEvent { event, .. } if dominated(i, None) => {
+                    diags.push(
+                        Diagnostic::new(
+                            RuleCode::Rs001,
+                            format!(
+                                "StreamWaitEvent {:?} (event {event}) is dominated by the \
+                                 existing partial order",
+                                item.name
+                            ),
+                        )
+                        .with_items(vec![i]),
+                    );
+                }
+                ScheduleAction::EventSync { .. } if dominated(i, None) => {
+                    diags.push(
+                        Diagnostic::new(
+                            RuleCode::Rs002,
+                            format!(
+                                "EventSync {:?} is wholly dominated by the existing \
+                                 partial order",
+                                item.name
+                            ),
+                        )
+                        .with_items(vec![i]),
+                    );
+                }
+                ScheduleAction::EventSync { events } => {
+                    self.events.clone_from(events);
+                    self.events.sort_unstable();
+                    self.events.dedup();
+                    for &ev in &self.events {
+                        if dominated(i, Some(ev)) {
+                            diags.push(
+                                Diagnostic::new(
+                                    RuleCode::Rs003,
+                                    format!("event {ev} in EventSync {:?} is redundant", item.name),
+                                )
+                                .with_items(vec![i]),
+                            );
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        for (i, item) in items.iter().enumerate() {
+            if matches!(item.action, ScheduleAction::EventRecord { .. }) && !self.hb.consumed(i) {
+                diags.push(
+                    Diagnostic::new(
+                        RuleCode::Rs004,
+                        format!(
+                            "EventRecord {:?} is never consumed by a wait or sync",
+                            item.name
+                        ),
+                    )
+                    .with_items(vec![i]),
+                );
+            }
+        }
+        tested
     }
 }
 
@@ -283,6 +370,15 @@ fn start(i: usize) -> usize {
 }
 fn end(i: usize) -> usize {
     3 * i + 2
+}
+
+/// One happens-before in-edge: its source node and, for a
+/// record→waiter edge of a `StreamWaitEvent` or `EventSync`, the event
+/// it carries.
+#[derive(Clone, Copy)]
+struct InEdge {
+    from: usize,
+    event: Option<EventId>,
 }
 
 /// Per-item rewind record of [`IncrementalHb`].
@@ -298,12 +394,18 @@ struct HbUndo {
 /// schedule), each of an item's three nodes gets an *ancestor* bitset
 /// row: the union of its in-neighbors' rows plus their bits. In-edges
 /// only ever come from already-appended nodes, so rows are final at
-/// creation and rewinding truncates.
+/// creation and rewinding truncates. Every edge targets the newest
+/// node, so the in-edges sit in one flat list, contiguous per node, and
+/// rewind by truncation too.
 struct IncrementalHb {
     words: usize,
     /// Row-major ancestor bitsets, one row per node, `words` u64 each.
     anc: Vec<u64>,
     nodes: usize,
+    /// Every node's in-edges, grouped by target node.
+    in_edges: Vec<InEdge>,
+    /// Per node: the offset of its first in-edge in `in_edges`.
+    in_start: Vec<usize>,
     /// Per appended item: whether it blocks the host (no stream).
     host_blocking: Vec<bool>,
     last_in_stream: Vec<Option<usize>>,
@@ -319,6 +421,8 @@ impl IncrementalHb {
             words,
             anc: Vec::new(),
             nodes: 0,
+            in_edges: Vec::new(),
+            in_start: Vec::new(),
             host_blocking: Vec::new(),
             last_in_stream: Vec::new(),
             latest_record: Vec::new(),
@@ -333,18 +437,39 @@ impl IncrementalHb {
         self.anc[to * self.words + from / 64] >> (from % 64) & 1 == 1
     }
 
+    /// The in-edges of `node`.
+    fn in_edges(&self, node: usize) -> &[InEdge] {
+        let hi = self
+            .in_start
+            .get(node + 1)
+            .copied()
+            .unwrap_or(self.in_edges.len());
+        &self.in_edges[self.in_start[node]..hi]
+    }
+
+    /// Whether some wait or sync resolved to the record at item `i`.
+    fn consumed(&self, i: usize) -> bool {
+        self.in_edges
+            .iter()
+            .any(|e| e.event.is_some() && e.from == end(i))
+    }
+
     /// Allocates the next node row and returns its index.
     fn push_node(&mut self) -> usize {
         let node = self.nodes;
         self.nodes += 1;
         self.anc.resize(self.nodes * self.words, 0);
+        self.in_start.push(self.in_edges.len());
         node
     }
 
-    /// Adds edge `from → to` (`from < to`): `to`'s row absorbs `from`'s
-    /// row and `from`'s bit.
-    fn edge(&mut self, from: usize, to: usize) {
+    /// Adds edge `from → to` into the newest node `to`, carrying `event`
+    /// when it is a record→waiter edge: `to`'s row absorbs `from`'s row
+    /// and `from`'s bit.
+    fn edge(&mut self, from: usize, to: usize, event: Option<EventId>) {
         debug_assert!(from < to, "happens-before edges must point forward");
+        debug_assert_eq!(to + 1, self.nodes, "edges target the newest node");
+        self.in_edges.push(InEdge { from, event });
         let w = self.words;
         let (head, tail) = self.anc.split_at_mut(to * w);
         let src = &head[from * w..from * w + w];
@@ -355,11 +480,68 @@ impl IncrementalHb {
         dst[from / 64] |= 1 << (from % 64);
     }
 
+    /// Whether every `(from, to)` pair of `covered` (sorted by `to`)
+    /// stays ordered once the record→waiter edges into `end(i)` are
+    /// removed: all of them, or only those carrying `event`. Removing
+    /// edges into `end(i)` changes no row before it, so only rows from
+    /// `end(i)` on are recomputed, into `scratch`, and only up to the
+    /// first pair lost or the last pair checked; `expansions` counts
+    /// those rows.
+    fn covers_without(
+        &self,
+        i: usize,
+        event: Option<EventId>,
+        covered: &[(usize, usize)],
+        scratch: &mut Vec<u64>,
+        expansions: &mut u64,
+    ) -> bool {
+        let base = end(i);
+        let masked = |e: &InEdge| e.event.is_some() && (event.is_none() || e.event == event);
+        if !self.in_edges(base).iter().any(masked) {
+            return true; // nothing removed, nothing lost
+        }
+        let mut pending = &covered[covered.partition_point(|&(_, to)| to < base)..];
+        let w = self.words;
+        scratch.clear();
+        scratch.resize((self.nodes - base) * w, 0);
+        for node in base..self.nodes {
+            if pending.is_empty() {
+                return true;
+            }
+            let (done, rest) = scratch.split_at_mut((node - base) * w);
+            let dst = &mut rest[..w];
+            for e in self.in_edges(node) {
+                if node == base && masked(e) {
+                    continue;
+                }
+                let src = match e.from.checked_sub(base) {
+                    Some(r) => &done[r * w..r * w + w],
+                    None => &self.anc[e.from * w..e.from * w + w],
+                };
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d |= *s;
+                }
+                dst[e.from / 64] |= 1 << (e.from % 64);
+            }
+            *expansions += 1;
+            while let Some((&(from, to), rest)) = pending.split_first() {
+                if to != node {
+                    break;
+                }
+                if dst[from / 64] >> (from % 64) & 1 == 0 {
+                    return false;
+                }
+                pending = rest;
+            }
+        }
+        true
+    }
+
     /// Appends item `i`'s three nodes, mirroring the cold `build_hb`
     /// edge construction. Items must arrive with consecutive indices and
     /// reference only already-recorded events (true for every schedule
     /// our own lowering produces).
-    fn append_item(&mut self, i: usize, item: &ScheduledItem, expansions: &mut u64) {
+    fn append_item(&mut self, i: usize, action: &ScheduleAction, expansions: &mut u64) {
         debug_assert_eq!(self.nodes, 3 * i, "items must append in order");
         let mut u = HbUndo {
             stream_prev: None,
@@ -369,13 +551,13 @@ impl IncrementalHb {
 
         let iss = self.push_node();
         if i > 0 {
-            self.edge(issue(i - 1), iss);
+            self.edge(issue(i - 1), iss, None);
             if self.host_blocking[i - 1] {
-                self.edge(end(i - 1), iss);
+                self.edge(end(i - 1), iss, None);
             }
         }
 
-        let stream = match &item.action {
+        let stream = match action {
             ScheduleAction::KernelLaunch { stream, .. }
             | ScheduleAction::EventRecord { stream, .. }
             | ScheduleAction::StreamWaitEvent { stream, .. } => Some(*stream),
@@ -383,13 +565,13 @@ impl IncrementalHb {
         };
 
         let st = self.push_node();
-        self.edge(iss, st);
+        self.edge(iss, st, None);
         if let Some(s) = stream {
             if s >= self.last_in_stream.len() {
                 self.last_in_stream.resize(s + 1, None);
             }
             if let Some(prev) = self.last_in_stream[s] {
-                self.edge(end(prev), st);
+                self.edge(end(prev), st, None);
             }
             u.stream_prev = Some((s, self.last_in_stream[s]));
             self.last_in_stream[s] = Some(i);
@@ -398,8 +580,8 @@ impl IncrementalHb {
         }
 
         let en = self.push_node();
-        self.edge(st, en);
-        match &item.action {
+        self.edge(st, en, None);
+        match action {
             ScheduleAction::EventRecord { event, .. } => {
                 if *event >= self.latest_record.len() {
                     self.latest_record.resize(event + 1, None);
@@ -409,19 +591,19 @@ impl IncrementalHb {
             }
             ScheduleAction::StreamWaitEvent { event, .. } => {
                 if let Some(rec) = self.latest_record.get(*event).copied().flatten() {
-                    self.edge(end(rec), en);
+                    self.edge(end(rec), en, Some(*event));
                 }
             }
             ScheduleAction::EventSync { events } => {
-                for ev in events {
-                    if let Some(rec) = self.latest_record.get(*ev).copied().flatten() {
-                        self.edge(end(rec), en);
+                for &ev in events {
+                    if let Some(rec) = self.latest_record.get(ev).copied().flatten() {
+                        self.edge(end(rec), en, Some(ev));
                     }
                 }
             }
             ScheduleAction::DeviceSync => {
                 for d in 0..self.device_items.len() {
-                    self.edge(end(self.device_items[d]), en);
+                    self.edge(end(self.device_items[d]), en, None);
                 }
             }
             _ => {}
@@ -447,6 +629,8 @@ impl IncrementalHb {
         self.host_blocking.pop();
         self.nodes -= 3;
         self.anc.truncate(self.nodes * self.words);
+        self.in_edges.truncate(self.in_start[self.nodes]);
+        self.in_start.truncate(self.nodes);
     }
 }
 
@@ -506,6 +690,64 @@ mod tests {
             stats.hb_expansions,
             stats.cold_hb_expansions
         );
+    }
+
+    /// A space of GPU kernels `g*` and CPU ops `c*` on two streams.
+    fn kernel_space(ops: &[&str], edges: &[(&str, &str)]) -> DecisionSpace {
+        let mut b = DagBuilder::new();
+        let ids: Vec<_> = ops
+            .iter()
+            .map(|&name| {
+                let spec = if name.starts_with('g') {
+                    OpSpec::GpuKernel(CostKey::new(name))
+                } else {
+                    OpSpec::CpuWork(CostKey::new(name))
+                };
+                b.add(name, spec)
+            })
+            .collect();
+        let id = |name: &str| ids[ops.iter().position(|&o| o == name).unwrap()];
+        for &(u, v) in edges {
+            b.edge(id(u), id(v));
+        }
+        DecisionSpace::new(b.build().unwrap(), 2).unwrap()
+    }
+
+    /// The redundant-sync probes against the cold removal analysis, leaf
+    /// for leaf, over spaces that fire each redundancy the lowering can
+    /// produce: a same-stream join `g1, g2 → c` (RS003: stream FIFO
+    /// orders g1 before g2's event), a kernel feeding a later kernel and
+    /// two CPU ops (RS001: the host already synced g1 before g2's stream
+    /// wait; RS002: the second CPU op's sync repeats the first's), and
+    /// the exchange. No lowering can produce RS004: the lowering emits a
+    /// record only as a `CER-after-*` op, which a `CES-b4-*` successor
+    /// always syncs, or glued right before the stream wait that consumes
+    /// it. Only the cold analysis's unit test on a hand-edited schedule
+    /// (`redundant::tests::unused_record_is_rs004`) exercises that rule.
+    #[test]
+    fn redundant_sync_probes_match_the_cold_analysis() {
+        let spaces = [
+            kernel_space(&["g1", "g2", "c"], &[("g1", "c"), ("g2", "c")]),
+            kernel_space(
+                &["g1", "g2", "c1", "c2"],
+                &[("g1", "g2"), ("g1", "c1"), ("g1", "c2")],
+            ),
+            exchange_space(),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for sp in &spaces {
+            let traversals: Vec<Traversal> = sp.enumerate().collect();
+            let stats = lint_space_incremental(sp, None, 0, None, &mut |idx, _, report| {
+                let cold = lint_traversal(sp, &traversals[idx as usize], None);
+                assert_eq!(report.diagnostics, cold.diagnostics, "schedule #{idx}");
+                seen.extend(report.diagnostics.iter().map(|d| d.code));
+            });
+            assert_eq!(stats.schedules as usize, traversals.len());
+            assert!(stats.hb_expansions <= stats.cold_hb_expansions);
+        }
+        for code in [RuleCode::Rs001, RuleCode::Rs002, RuleCode::Rs003] {
+            assert!(seen.contains(&code), "{code:?} never fired: {seen:?}");
+        }
     }
 
     #[test]
