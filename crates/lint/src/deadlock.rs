@@ -20,23 +20,67 @@
 //! instruction does not exist at all (`MPI103`), keys used both
 //! point-to-point and collectively (`MPI105`), and malformed collective
 //! patterns (`MPI107`).
+//!
+//! Only `MPI101` and `MPI104` depend on the order of the comm
+//! instructions; the other checks see just which instructions the
+//! schedule holds ([`order_free_checks`]). The ordered part runs on a
+//! [`CommProgram`] through one blocking predicate ([`Blocking`]), which
+//! the space walk's incremental matcher (`crate::space`) shares.
 
 use crate::diag::{Diagnostic, RuleCode};
 use crate::topo::CommTopology;
-use dr_dag::{CommKey, Schedule, ScheduleAction};
+use dr_dag::{CommKey, OpSpec, Schedule, ScheduleAction};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The communication instructions of the schedule, by item index.
+/// A communication instruction, keyed by `K`: the [`CommKey`] itself, or
+/// its index once interned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommOp<'a> {
-    PostSends(&'a CommKey),
-    PostRecvs(&'a CommKey),
-    WaitSends(&'a CommKey),
-    WaitRecvs(&'a CommKey),
-    AllReduce(&'a CommKey),
+pub(crate) enum CommOp<K> {
+    PostSends(K),
+    PostRecvs(K),
+    WaitSends(K),
+    WaitRecvs(K),
+    AllReduce(K),
 }
 
-fn comm_ops(schedule: &Schedule) -> Vec<(usize, CommOp<'_>)> {
+impl<K> CommOp<K> {
+    fn key(self) -> K {
+        match self {
+            CommOp::PostSends(k)
+            | CommOp::PostRecvs(k)
+            | CommOp::WaitSends(k)
+            | CommOp::WaitRecvs(k)
+            | CommOp::AllReduce(k) => k,
+        }
+    }
+
+    fn map<L>(self, f: impl FnOnce(K) -> L) -> CommOp<L> {
+        match self {
+            CommOp::PostSends(k) => CommOp::PostSends(f(k)),
+            CommOp::PostRecvs(k) => CommOp::PostRecvs(f(k)),
+            CommOp::WaitSends(k) => CommOp::WaitSends(f(k)),
+            CommOp::WaitRecvs(k) => CommOp::WaitRecvs(f(k)),
+            CommOp::AllReduce(k) => CommOp::AllReduce(f(k)),
+        }
+    }
+}
+
+impl<'a> CommOp<&'a CommKey> {
+    /// The comm instruction a DAG vertex lowers to, if any.
+    pub(crate) fn of_spec(spec: &'a OpSpec) -> Option<Self> {
+        Some(match spec {
+            OpSpec::PostSends(c) => CommOp::PostSends(c),
+            OpSpec::PostRecvs(c) => CommOp::PostRecvs(c),
+            OpSpec::WaitSends(c) => CommOp::WaitSends(c),
+            OpSpec::WaitRecvs(c) => CommOp::WaitRecvs(c),
+            OpSpec::AllReduce(c) => CommOp::AllReduce(c),
+            _ => return None,
+        })
+    }
+}
+
+/// The communication instructions of the schedule, by item index.
+fn comm_ops(schedule: &Schedule) -> Vec<(usize, CommOp<&CommKey>)> {
     schedule
         .items
         .iter()
@@ -57,17 +101,101 @@ fn comm_ops(schedule: &Schedule) -> Vec<(usize, CommOp<'_>)> {
 
 /// Statically detects unmatched and cyclically-blocked MPI communication.
 pub fn detect_deadlocks(schedule: &Schedule, topo: &CommTopology) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
     let ops = comm_ops(schedule);
     if ops.is_empty() {
-        return diags;
+        return Vec::new();
+    }
+    let (blocking, interned) = intern(ops.iter().map(|&(_, op)| op), topo);
+    let mut program = CommProgram::new(blocking.keys());
+    for op in interned {
+        program.push(op);
     }
 
+    let mut diags = key_checks(&ops, topo);
+    // SPMD, so one pass over the shared instruction list suffices.
+    for (j, &(i, op)) in ops.iter().enumerate() {
+        if program.waits_before_post(j) {
+            let (wait, post) = match op {
+                CommOp::WaitSends(_) => ("WaitSends", "PostSends"),
+                _ => ("WaitRecvs", "PostRecvs"),
+            };
+            let c = op.key();
+            diags.push(
+                Diagnostic::new(
+                    RuleCode::Mpi101,
+                    format!("{wait}({c}) at item {i} before any {post}({c})"),
+                )
+                .with_items(vec![i]),
+            );
+        }
+        never_satisfied(&ops, i, op, topo, &mut diags);
+    }
+
+    // Abstract round-robin execution to quiescence (MPI104). Only comm
+    // instructions matter; everything else is free progress.
+    let ranks = topo.num_ranks();
+    if ranks == 0 {
+        return diags;
+    }
+    // A wait already reported as never-satisfiable (MPI101/MPI103) would
+    // make the simulator error out rather than block; treat it as
+    // non-blocking so MPI104 reports only genuine cross-rank cycles.
+    let unsatisfiable: BTreeSet<usize> = diags
+        .iter()
+        .filter(|d| matches!(d.code, RuleCode::Mpi101 | RuleCode::Mpi103))
+        .flat_map(|d| d.items.iter().copied())
+        .collect();
+    let mut pc = vec![0usize; ranks]; // index into `ops`, not items
+    blocking.settle(&program, &mut pc, |j| unsatisfiable.contains(&ops[j].0));
+
+    let blocked: Vec<usize> = (0..ranks).filter(|&r| pc[r] < ops.len()).collect();
+    if !blocked.is_empty() {
+        let mut parts = Vec::new();
+        let mut items = Vec::new();
+        for &r in &blocked {
+            let (item_idx, _) = ops[pc[r]];
+            let peers: Vec<usize> = blocking.waiting_on(&program, r, &pc).collect();
+            parts.push(format!(
+                "rank {r} blocked at {:?} (item {item_idx}) waiting on ranks {peers:?}",
+                schedule.items[item_idx].name
+            ));
+            items.push(item_idx);
+        }
+        items.sort_unstable();
+        items.dedup();
+        diags.push(
+            Diagnostic::new(RuleCode::Mpi104, format!("deadlock: {}", parts.join("; ")))
+                .with_items(items),
+        );
+    }
+
+    diags
+}
+
+/// The checks whose verdict depends only on which comm instructions a
+/// schedule holds, not on their order: `MPI102`, `MPI103`, `MPI105`,
+/// `MPI106` and `MPI107`. `ops` pairs each instruction with the item
+/// index its diagnostics name.
+pub(crate) fn order_free_checks(
+    ops: &[(usize, CommOp<&CommKey>)],
+    topo: &CommTopology,
+) -> Vec<Diagnostic> {
+    let mut diags = key_checks(ops, topo);
+    for &(i, op) in ops {
+        never_satisfied(ops, i, op, topo, &mut diags);
+    }
+    diags
+}
+
+/// Key usage and pattern matching: `MPI105`, `MPI106`, `MPI102` and
+/// `MPI107`, in that order.
+fn key_checks(ops: &[(usize, CommOp<&CommKey>)], topo: &CommTopology) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
     // Key usage: point-to-point vs collective must not mix (MPI105), and
     // keys without topology information cannot be analyzed (MPI106).
     let mut p2p_keys: BTreeMap<&CommKey, usize> = BTreeMap::new();
     let mut coll_keys: BTreeMap<&CommKey, usize> = BTreeMap::new();
-    for &(i, op) in &ops {
+    for &(i, op) in ops {
         match op {
             CommOp::AllReduce(c) => {
                 coll_keys.entry(c).or_insert(i);
@@ -172,232 +300,319 @@ pub fn detect_deadlocks(schedule: &Schedule, topo: &CommTopology) -> Vec<Diagnos
         }
     }
 
-    // Program-order checks (MPI101) and never-posted checks (MPI103):
-    // SPMD, so one pass over the shared instruction list suffices.
-    let posted_before = |wait_idx: usize, want: &dyn Fn(CommOp<'_>) -> bool| {
-        ops.iter().any(|&(i, op)| i < wait_idx && want(op))
-    };
-    let exists = |want: &dyn Fn(CommOp<'_>) -> bool| ops.iter().any(|&(_, op)| want(op));
-    for &(i, op) in &ops {
+    diags
+}
+
+/// `MPI103` for the wait `op` at item `i`: the matching remote post never
+/// appears in `ops`, or a message the wait depends on is lost in transit.
+fn never_satisfied(
+    ops: &[(usize, CommOp<&CommKey>)],
+    i: usize,
+    op: CommOp<&CommKey>,
+    topo: &CommTopology,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let exists = |want: CommOp<&CommKey>| ops.iter().any(|&(_, o)| o == want);
+    match op {
+        CommOp::WaitSends(c) => {
+            let needs_remote_recv = topo.pattern(c).is_some_and(|pat| {
+                pat.iter()
+                    .any(|t| t.sends.iter().any(|&(_, b)| !topo.is_eager(b)))
+            });
+            if needs_remote_recv && !exists(CommOp::PostRecvs(c)) {
+                diags.push(
+                    Diagnostic::new(
+                        RuleCode::Mpi103,
+                        format!(
+                            "WaitSends({c}) at item {i} needs rendezvous receives, \
+                             but no rank ever posts PostRecvs({c})"
+                        ),
+                    )
+                    .with_items(vec![i]),
+                );
+            }
+            // A lost rendezvous send never completes its handshake,
+            // so the sender's wait can never be satisfied. Lost
+            // eager sends complete locally and do not block here.
+            if let Some(pat) = topo.pattern(c) {
+                let lost: Vec<(usize, usize)> = pat
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(src, t)| {
+                        t.sends
+                            .iter()
+                            .filter(move |&&(dst, bytes)| {
+                                !topo.is_eager(bytes) && topo.is_lost(c, src, dst)
+                            })
+                            .map(move |&(dst, _)| (src, dst))
+                    })
+                    .collect();
+                if let Some(&(src, dst)) = lost.first() {
+                    diags.push(
+                        Diagnostic::new(
+                            RuleCode::Mpi103,
+                            format!(
+                                "WaitSends({c}) at item {i}: {} rendezvous message(s) \
+                                 lost in transit (first: rank {src} -> rank {dst}); \
+                                 the wait can never complete",
+                                lost.len()
+                            ),
+                        )
+                        .with_items(vec![i]),
+                    );
+                }
+            }
+        }
+        CommOp::WaitRecvs(c) => {
+            let expects_data = topo
+                .pattern(c)
+                .is_some_and(|pat| pat.iter().any(|t| !t.recvs.is_empty()));
+            if expects_data && !exists(CommOp::PostSends(c)) {
+                diags.push(
+                    Diagnostic::new(
+                        RuleCode::Mpi103,
+                        format!(
+                            "WaitRecvs({c}) at item {i} expects messages, \
+                             but no rank ever posts PostSends({c})"
+                        ),
+                    )
+                    .with_items(vec![i]),
+                );
+            }
+            // A lost message never reaches its receiver — eager or
+            // rendezvous alike — so the receiving wait is stranded.
+            if let Some(pat) = topo.pattern(c) {
+                let lost: Vec<(usize, usize)> = pat
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(dst, t)| {
+                        t.recvs
+                            .iter()
+                            .filter(move |&&(src, _)| topo.is_lost(c, src, dst))
+                            .map(move |&(src, _)| (src, dst))
+                    })
+                    .collect();
+                if let Some(&(src, dst)) = lost.first() {
+                    diags.push(
+                        Diagnostic::new(
+                            RuleCode::Mpi103,
+                            format!(
+                                "WaitRecvs({c}) at item {i}: {} expected message(s) \
+                                 lost in transit (first: rank {src} -> rank {dst}); \
+                                 the wait can never complete",
+                                lost.len()
+                            ),
+                        )
+                        .with_items(vec![i]),
+                    );
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Interns the keys of `ops` to small indices in order of first use.
+/// Returns the blocking facts of `topo` over those keys and each op with
+/// its key interned.
+pub(crate) fn intern<'a>(
+    ops: impl IntoIterator<Item = CommOp<&'a CommKey>>,
+    topo: &CommTopology,
+) -> (Blocking, Vec<CommOp<usize>>) {
+    let mut index: BTreeMap<&CommKey, usize> = BTreeMap::new();
+    let mut keys = Vec::new();
+    let interned = ops
+        .into_iter()
+        .map(|op| {
+            op.map(|c| {
+                *index.entry(c).or_insert_with(|| {
+                    keys.push(c);
+                    keys.len() - 1
+                })
+            })
+        })
+        .collect();
+    (Blocking::new(topo, &keys), interned)
+}
+
+/// Who a wait waits for, per interned key and rank — the facts of the
+/// topology the blocking predicate reads.
+#[derive(Debug)]
+pub(crate) struct Blocking {
+    ranks: usize,
+    keys: usize,
+    /// `[key * ranks + rank]`: the peer of each message the rank
+    /// receives, which its `WaitRecvs` waits to see post its sends.
+    recv_from: Vec<Vec<usize>>,
+    /// `[key * ranks + rank]`: the peer of each *rendezvous* message the
+    /// rank sends, which its `WaitSends` waits to see post its receives.
+    rendezvous_to: Vec<Vec<usize>>,
+    /// Every rank, the peers of an `AllReduce`.
+    all_ranks: Vec<usize>,
+}
+
+impl Blocking {
+    /// Peers outside `0..num_ranks` are dropped, and a key with no
+    /// pattern blocks no wait.
+    fn new(topo: &CommTopology, keys: &[&CommKey]) -> Self {
+        let ranks = topo.num_ranks();
+        let mut recv_from = Vec::with_capacity(keys.len() * ranks);
+        let mut rendezvous_to = Vec::with_capacity(keys.len() * ranks);
+        for &key in keys {
+            let pat = topo.pattern(key);
+            for rank in 0..ranks {
+                let traffic = pat.map(|p| &p[rank]);
+                recv_from.push(
+                    traffic
+                        .iter()
+                        .flat_map(|t| &t.recvs)
+                        .map(|&(peer, _)| peer)
+                        .filter(|&peer| peer < ranks)
+                        .collect(),
+                );
+                rendezvous_to.push(
+                    traffic
+                        .iter()
+                        .flat_map(|t| &t.sends)
+                        .filter(|&&(_, bytes)| !topo.is_eager(bytes))
+                        .map(|&(peer, _)| peer)
+                        .filter(|&peer| peer < ranks)
+                        .collect(),
+                );
+            }
+        }
+        Blocking {
+            ranks,
+            keys: keys.len(),
+            recv_from,
+            rendezvous_to,
+            all_ranks: (0..ranks).collect(),
+        }
+    }
+
+    /// The number of interned keys.
+    pub(crate) fn keys(&self) -> usize {
+        self.keys
+    }
+
+    /// The ranks `rank` waits for at its current op `program[pc[rank]]`,
+    /// one per unmet message in pattern order; none when it may proceed.
+    /// This is the one statement of the blocking semantics.
+    pub(crate) fn waiting_on<'s>(
+        &'s self,
+        program: &'s CommProgram,
+        rank: usize,
+        pc: &'s [usize],
+    ) -> impl Iterator<Item = usize> + 's {
+        let op = program.ops[pc[rank]];
+        let peers: &[usize] = match op {
+            CommOp::WaitRecvs(k) => &self.recv_from[k * self.ranks + rank],
+            CommOp::WaitSends(k) => &self.rendezvous_to[k * self.ranks + rank],
+            CommOp::AllReduce(_) => &self.all_ranks,
+            CommOp::PostSends(_) | CommOp::PostRecvs(_) => &[],
+        };
+        // A peer has posted once its program counter is past the first
+        // post of the key.
+        peers.iter().copied().filter(move |&peer| match op {
+            CommOp::WaitRecvs(k) => pc[peer] <= program.first_sends[k],
+            CommOp::WaitSends(k) => pc[peer] <= program.first_recvs[k],
+            _ => pc[peer] < pc[rank],
+        })
+    }
+
+    /// Advances every rank round-robin until none can move. `exempt(j)`
+    /// lets a rank pass op `j` without blocking. Blocking is monotone —
+    /// program counters only grow, and a rank's blockers only shrink as
+    /// others advance — so the quiescent state is unique, and settling
+    /// a program extended after an earlier settle reaches the state
+    /// settling it from scratch would.
+    pub(crate) fn settle(
+        &self,
+        program: &CommProgram,
+        pc: &mut [usize],
+        exempt: impl Fn(usize) -> bool,
+    ) {
+        let n = program.len();
+        loop {
+            let mut progressed = false;
+            for rank in 0..pc.len() {
+                while pc[rank] < n
+                    && (exempt(pc[rank]) || self.waiting_on(program, rank, pc).next().is_none())
+                {
+                    pc[rank] += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+    }
+}
+
+/// An SPMD comm instruction list with interned keys, plus the position
+/// of each key's first `PostSends` and first `PostRecvs`. A rank has
+/// posted a side of a key once its program counter is past that
+/// position, so the ranks' program counters are the whole execution
+/// state. Ops push and pop at the end.
+#[derive(Debug)]
+pub(crate) struct CommProgram {
+    ops: Vec<CommOp<usize>>,
+    /// Per key: the first `PostSends` position, `usize::MAX` if none.
+    first_sends: Vec<usize>,
+    /// Per key: the first `PostRecvs` position, `usize::MAX` if none.
+    first_recvs: Vec<usize>,
+}
+
+impl CommProgram {
+    /// An empty program over `keys` interned keys.
+    pub(crate) fn new(keys: usize) -> Self {
+        CommProgram {
+            ops: Vec::new(),
+            first_sends: vec![usize::MAX; keys],
+            first_recvs: vec![usize::MAX; keys],
+        }
+    }
+
+    /// The number of ops.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Appends `op`.
+    pub(crate) fn push(&mut self, op: CommOp<usize>) {
+        let at = self.ops.len();
         match op {
-            CommOp::WaitSends(c) => {
-                if !posted_before(i, &|o| matches!(o, CommOp::PostSends(k) if k == c)) {
-                    diags.push(
-                        Diagnostic::new(
-                            RuleCode::Mpi101,
-                            format!("WaitSends({c}) at item {i} before any PostSends({c})"),
-                        )
-                        .with_items(vec![i]),
-                    );
-                }
-                let needs_remote_recv = topo.pattern(c).is_some_and(|pat| {
-                    pat.iter()
-                        .any(|t| t.sends.iter().any(|&(_, b)| !topo.is_eager(b)))
-                });
-                if needs_remote_recv && !exists(&|o| matches!(o, CommOp::PostRecvs(k) if k == c)) {
-                    diags.push(
-                        Diagnostic::new(
-                            RuleCode::Mpi103,
-                            format!(
-                                "WaitSends({c}) at item {i} needs rendezvous receives, \
-                                 but no rank ever posts PostRecvs({c})"
-                            ),
-                        )
-                        .with_items(vec![i]),
-                    );
-                }
-                // A lost rendezvous send never completes its handshake,
-                // so the sender's wait can never be satisfied. Lost
-                // eager sends complete locally and do not block here.
-                if let Some(pat) = topo.pattern(c) {
-                    let lost: Vec<(usize, usize)> = pat
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(src, t)| {
-                            t.sends
-                                .iter()
-                                .filter(move |&&(dst, bytes)| {
-                                    !topo.is_eager(bytes) && topo.is_lost(c, src, dst)
-                                })
-                                .map(move |&(dst, _)| (src, dst))
-                        })
-                        .collect();
-                    if let Some(&(src, dst)) = lost.first() {
-                        diags.push(
-                            Diagnostic::new(
-                                RuleCode::Mpi103,
-                                format!(
-                                    "WaitSends({c}) at item {i}: {} rendezvous message(s) \
-                                     lost in transit (first: rank {src} -> rank {dst}); \
-                                     the wait can never complete",
-                                    lost.len()
-                                ),
-                            )
-                            .with_items(vec![i]),
-                        );
-                    }
-                }
-            }
-            CommOp::WaitRecvs(c) => {
-                if !posted_before(i, &|o| matches!(o, CommOp::PostRecvs(k) if k == c)) {
-                    diags.push(
-                        Diagnostic::new(
-                            RuleCode::Mpi101,
-                            format!("WaitRecvs({c}) at item {i} before any PostRecvs({c})"),
-                        )
-                        .with_items(vec![i]),
-                    );
-                }
-                let expects_data = topo
-                    .pattern(c)
-                    .is_some_and(|pat| pat.iter().any(|t| !t.recvs.is_empty()));
-                if expects_data && !exists(&|o| matches!(o, CommOp::PostSends(k) if k == c)) {
-                    diags.push(
-                        Diagnostic::new(
-                            RuleCode::Mpi103,
-                            format!(
-                                "WaitRecvs({c}) at item {i} expects messages, \
-                                 but no rank ever posts PostSends({c})"
-                            ),
-                        )
-                        .with_items(vec![i]),
-                    );
-                }
-                // A lost message never reaches its receiver — eager or
-                // rendezvous alike — so the receiving wait is stranded.
-                if let Some(pat) = topo.pattern(c) {
-                    let lost: Vec<(usize, usize)> = pat
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(dst, t)| {
-                            t.recvs
-                                .iter()
-                                .filter(move |&&(src, _)| topo.is_lost(c, src, dst))
-                                .map(move |&(src, _)| (src, dst))
-                        })
-                        .collect();
-                    if let Some(&(src, dst)) = lost.first() {
-                        diags.push(
-                            Diagnostic::new(
-                                RuleCode::Mpi103,
-                                format!(
-                                    "WaitRecvs({c}) at item {i}: {} expected message(s) \
-                                     lost in transit (first: rank {src} -> rank {dst}); \
-                                     the wait can never complete",
-                                    lost.len()
-                                ),
-                            )
-                            .with_items(vec![i]),
-                        );
-                    }
-                }
-            }
+            CommOp::PostSends(k) => self.first_sends[k] = self.first_sends[k].min(at),
+            CommOp::PostRecvs(k) => self.first_recvs[k] = self.first_recvs[k].min(at),
             _ => {}
         }
+        self.ops.push(op);
     }
 
-    // Abstract round-robin execution to quiescence (MPI104). Only comm
-    // instructions matter; everything else is free progress.
-    let ranks = topo.num_ranks();
-    if ranks == 0 {
-        return diags;
-    }
-    let n = ops.len();
-    let mut pc = vec![0usize; ranks]; // index into `ops`, not items
-    let mut posted_sends: Vec<BTreeSet<&CommKey>> = vec![BTreeSet::new(); ranks];
-    let mut posted_recvs: Vec<BTreeSet<&CommKey>> = vec![BTreeSet::new(); ranks];
-
-    // A wait already reported as never-satisfiable (MPI101/MPI103) would
-    // make the simulator error out rather than block; treat it as
-    // non-blocking so MPI104 reports only genuine cross-rank cycles.
-    let unsatisfiable: BTreeSet<usize> = diags
-        .iter()
-        .filter(|d| matches!(d.code, RuleCode::Mpi101 | RuleCode::Mpi103))
-        .flat_map(|d| d.items.iter().copied())
-        .collect();
-
-    // Who `rank` is waiting for at its current op; empty = not blocked.
-    let waiting_on = |rank: usize,
-                      pc: &[usize],
-                      posted_sends: &[BTreeSet<&CommKey>],
-                      posted_recvs: &[BTreeSet<&CommKey>]|
-     -> Vec<usize> {
-        let (item_idx, op) = ops[pc[rank]];
-        if unsatisfiable.contains(&item_idx) {
-            return Vec::new();
-        }
-        match op {
-            CommOp::WaitRecvs(c) => match topo.pattern(c) {
-                Some(pat) => pat[rank]
-                    .recvs
-                    .iter()
-                    .map(|&(peer, _)| peer)
-                    .filter(|&peer| peer < ranks && !posted_sends[peer].contains(c))
-                    .collect(),
-                None => Vec::new(),
-            },
-            CommOp::WaitSends(c) => match topo.pattern(c) {
-                Some(pat) => pat[rank]
-                    .sends
-                    .iter()
-                    .filter(|&&(_, bytes)| !topo.is_eager(bytes))
-                    .map(|&(peer, _)| peer)
-                    .filter(|&peer| peer < ranks && !posted_recvs[peer].contains(c))
-                    .collect(),
-                None => Vec::new(),
-            },
-            CommOp::AllReduce(_) => (0..ranks).filter(|&p| pc[p] < pc[rank]).collect(),
-            _ => Vec::new(),
-        }
-    };
-
-    loop {
-        let mut progressed = false;
-        for rank in 0..ranks {
-            while pc[rank] < n {
-                if !waiting_on(rank, &pc, &posted_sends, &posted_recvs).is_empty() {
-                    break;
-                }
-                match ops[pc[rank]].1 {
-                    CommOp::PostSends(c) => {
-                        posted_sends[rank].insert(c);
-                    }
-                    CommOp::PostRecvs(c) => {
-                        posted_recvs[rank].insert(c);
-                    }
-                    _ => {}
-                }
-                pc[rank] += 1;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
+    /// Removes the last op.
+    pub(crate) fn pop(&mut self) {
+        let op = self.ops.pop().expect("pop on an empty comm program");
+        let at = self.ops.len();
+        let first = match op {
+            CommOp::PostSends(k) => &mut self.first_sends[k],
+            CommOp::PostRecvs(k) => &mut self.first_recvs[k],
+            _ => return,
+        };
+        if *first == at {
+            *first = usize::MAX;
         }
     }
 
-    let blocked: Vec<usize> = (0..ranks).filter(|&r| pc[r] < n).collect();
-    if !blocked.is_empty() {
-        let mut parts = Vec::new();
-        let mut items = Vec::new();
-        for &r in &blocked {
-            let (item_idx, _) = ops[pc[r]];
-            let peers = waiting_on(r, &pc, &posted_sends, &posted_recvs);
-            parts.push(format!(
-                "rank {r} blocked at {:?} (item {item_idx}) waiting on ranks {peers:?}",
-                schedule.items[item_idx].name
-            ));
-            items.push(item_idx);
+    /// Whether the op at `j` is a wait with no own matching post before
+    /// it (`MPI101`).
+    pub(crate) fn waits_before_post(&self, j: usize) -> bool {
+        match self.ops[j] {
+            CommOp::WaitSends(k) => self.first_sends[k] > j,
+            CommOp::WaitRecvs(k) => self.first_recvs[k] > j,
+            _ => false,
         }
-        items.sort_unstable();
-        items.dedup();
-        diags.push(
-            Diagnostic::new(RuleCode::Mpi104, format!("deadlock: {}", parts.join("; ")))
-                .with_items(items),
-        );
     }
-
-    diags
 }
 
 #[cfg(test)]

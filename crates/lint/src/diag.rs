@@ -404,13 +404,15 @@ impl AggregatedDiag {
     }
 }
 
-/// Sort/dedup key of an aggregated diagnostic: `(code, items, message)`.
-type DiagKey = (&'static str, Vec<usize>, String);
-
 /// Aggregation state: `(representative, schedule count, first schedule,
 /// last schedule counted)`. The trailing marker makes a diagnostic that
 /// fires several times within one schedule count that schedule once.
 type DiagSlot = (Diagnostic, u64, u64, u64);
+
+/// Slots nested by `(code, items, message)`, the sort and dedup key: a
+/// lookup borrows the diagnostic's own fields, and iteration visits the
+/// key order.
+type DiagIndex = BTreeMap<&'static str, BTreeMap<Vec<usize>, BTreeMap<String, DiagSlot>>>;
 
 /// Deduplicates diagnostics across a schedule space: the same finding
 /// (code + items + message) reports once with a schedule count instead
@@ -418,7 +420,7 @@ type DiagSlot = (Diagnostic, u64, u64, u64);
 /// `(code, items, message)`.
 #[derive(Debug, Clone, Default)]
 pub struct DiagAggregator {
-    map: BTreeMap<DiagKey, DiagSlot>,
+    map: DiagIndex,
 }
 
 impl DiagAggregator {
@@ -433,10 +435,16 @@ impl DiagAggregator {
     /// schedule once.
     pub fn absorb(&mut self, schedule: u64, report: &LintReport) {
         for d in &report.diagnostics {
-            let key = (d.code.as_str(), d.items.clone(), d.message.clone());
-            match self.map.get_mut(&key) {
+            let by_items = self.map.entry(d.code.as_str()).or_default();
+            match by_items
+                .get_mut(d.items.as_slice())
+                .and_then(|by_message| by_message.get_mut(d.message.as_str()))
+            {
                 None => {
-                    self.map.insert(key, (d.clone(), 1, schedule, schedule));
+                    by_items
+                        .entry(d.items.clone())
+                        .or_default()
+                        .insert(d.message.clone(), (d.clone(), 1, schedule, schedule));
                 }
                 Some(entry) => {
                     if entry.3 != schedule {
@@ -448,10 +456,17 @@ impl DiagAggregator {
         }
     }
 
-    /// The deduplicated findings, stably sorted by (code, items, message).
-    pub fn entries(&self) -> Vec<AggregatedDiag> {
+    /// Every slot in `(code, items, message)` order.
+    fn slots(&self) -> impl Iterator<Item = &DiagSlot> {
         self.map
             .values()
+            .flat_map(BTreeMap::values)
+            .flat_map(BTreeMap::values)
+    }
+
+    /// The deduplicated findings, stably sorted by (code, items, message).
+    pub fn entries(&self) -> Vec<AggregatedDiag> {
+        self.slots()
             .map(|(diag, schedules, first, _)| AggregatedDiag {
                 diag: diag.clone(),
                 schedules: *schedules,
@@ -462,7 +477,7 @@ impl DiagAggregator {
 
     /// Number of distinct findings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slots().count()
     }
 
     /// True when nothing fired.

@@ -5,7 +5,7 @@
 //! schedule, yet schedules sharing a traversal prefix share their entire
 //! lowering prefix — and therefore the happens-before state of every
 //! prefix item. This module walks the space's prefix tree depth-first
-//! with three checkpointed structures growing and rewinding in lockstep:
+//! with four checkpointed structures growing and rewinding in lockstep:
 //!
 //! * the incremental lowering ([`dr_dag::ScheduleBuilder`]), pushed and
 //!   popped one placement at a time;
@@ -16,7 +16,10 @@
 //!   rows never mutate after creation, and rewinding is truncation. `a`
 //!   happens-before `b` iff bit `a` of `b`'s row is set, exactly the
 //!   relation the cold closure answers;
-//! * the op→item map feeding dependency-edge coverage.
+//! * the op→item map feeding dependency-edge coverage;
+//! * with a topology, an MPI matcher: the prefix's comm instructions with
+//!   interned keys, and each rank's program counter settled to
+//!   quiescence under the cold detector's blocking predicate.
 //!
 //! At each leaf only the terminal `End` item is appended (3 node rows)
 //! and the HB001 verdicts are read off the shared rows. The
@@ -24,15 +27,19 @@
 //! removing the record→waiter edges into `end(i)` can only change rows
 //! from `end(i)` on, so a probe recomputes just that suffix from the
 //! stored in-edges and checks that every dependency edge covered before
-//! is still covered. The deadlock pass runs on the complete schedule
-//! buffer. The [`LintReport`] is bit-identical to
-//! [`crate::lint_traversal`]'s.
+//! is still covered. The deadlock pass reads the matcher: every leaf
+//! holds the same comm instructions, so the order-free MPI checks run
+//! once per walk, and a leaf that passes them, has no wait before its
+//! own post and leaves every rank finished gets no MPI diagnostic. Any
+//! other leaf runs the cold [`detect_deadlocks`] on the complete
+//! schedule buffer, so MPI diagnostic text has one producer. The
+//! [`LintReport`] is bit-identical to [`crate::lint_traversal`]'s.
 //!
 //! A caller's [`PrefixFilter`] restricts the walk to a subset of the
 //! space; rule certification passes a ruleset's compiled constraints,
 //! which admit a placement only when a satisfying schedule lies below it.
 
-use crate::deadlock::detect_deadlocks;
+use crate::deadlock::{detect_deadlocks, intern, order_free_checks, Blocking, CommOp, CommProgram};
 use crate::diag::{Diagnostic, LintReport, RuleCode};
 use crate::topo::CommTopology;
 use dr_dag::{
@@ -85,9 +92,9 @@ pub fn lint_space_incremental(
 ) -> SpaceLintStats {
     let mut engine = Engine {
         space,
-        topo,
         builder: ScheduleBuilder::new(space),
         hb: IncrementalHb::new(max_items_bound(space)),
+        mpi: topo.map(|topo| (topo, IncrementalMatch::new(space, topo))),
         edges: static_dependency_edges(space),
         item_of_op: vec![None; space.num_ops()],
         covered: Vec::new(),
@@ -157,9 +164,10 @@ fn static_dependency_edges(space: &DecisionSpace) -> Vec<StaticEdge> {
 
 struct Engine<'a> {
     space: &'a DecisionSpace,
-    topo: Option<&'a CommTopology>,
     builder: ScheduleBuilder<'a>,
     hb: IncrementalHb,
+    /// The topology and its deadlock matcher, when one is given.
+    mpi: Option<(&'a CommTopology, IncrementalMatch)>,
     edges: Vec<StaticEdge>,
     item_of_op: Vec<Option<usize>>,
     /// The current leaf's covered dependency edges as `(from, to)` node
@@ -211,7 +219,13 @@ impl Engine<'_> {
             }
             debug_assert!(to > from, "every step lowers at least one item");
             self.item_of_op[p.op] = Some(to - 1);
+            if let Some((_, mpi)) = &mut self.mpi {
+                mpi.push(p.op);
+            }
             self.walk(prefix, filter, on_leaf);
+            if let Some((_, mpi)) = &mut self.mpi {
+                mpi.pop(p.op);
+            }
             self.item_of_op[p.op] = None;
             for _ in from..to {
                 self.hb.pop_item();
@@ -228,8 +242,9 @@ impl Engine<'_> {
     /// [`crate::lint`] would: HB001 race verdicts from the shared
     /// ancestor rows (the structural `SCHED`/`HB002` diagnostics are
     /// vacuous for schedules produced by our own lowering), the
-    /// deadlock pass over the complete schedule, then the redundant-sync
-    /// verdicts from probes of the shared rows.
+    /// deadlock verdict from the matcher — the cold pass over the
+    /// complete schedule only when it may find something — then the
+    /// redundant-sync verdicts from probes of the shared rows.
     fn lint_leaf(&mut self, prefix: &Prefix, on_leaf: &mut dyn FnMut(u64, &Prefix, &LintReport)) {
         let end_idx = self.builder.items().len();
         self.hb.append_item(
@@ -263,9 +278,11 @@ impl Engine<'_> {
             }
         }
 
-        if let Some(topo) = self.topo {
-            self.builder
-                .with_complete_schedule(|s| diags.extend(detect_deadlocks(s, topo)));
+        if let Some((topo, mpi)) = self.mpi.as_ref() {
+            if !mpi.clean() {
+                self.builder
+                    .with_complete_schedule(|s| diags.extend(detect_deadlocks(s, topo)));
+            }
         }
         self.covered.sort_unstable_by_key(|&(_, to)| to);
         let cold_builds = 2 + self.redundant_syncs(&mut diags);
@@ -359,6 +376,97 @@ impl Engine<'_> {
             }
         }
         tested
+    }
+}
+
+/// Checkpointed deadlock matcher along the current lowering prefix.
+///
+/// Every schedule of a space holds the same comm instructions, one per
+/// comm op, so the order-free checks run once per walk. The ordered part
+/// follows the prefix: each placed comm op is appended to a
+/// [`CommProgram`], noted when it waits before its own post (`MPI101`),
+/// and every rank is settled to quiescence through the cold detector's
+/// [`Blocking`] predicate. Settling is monotone, so resuming from the
+/// prefix's settled state reaches the cold round-robin's final state; a
+/// pop restores the program counters saved before the push.
+struct IncrementalMatch {
+    blocking: Blocking,
+    /// Per decision op: its comm instruction with the key interned.
+    op_comm: Vec<Option<CommOp<usize>>>,
+    program: CommProgram,
+    /// Each rank's settled program counter into `program`.
+    pc: Vec<usize>,
+    /// `pc` before each op of `program`, one row of ranks per op.
+    saved: Vec<usize>,
+    /// Waits of the prefix placed before their own post (`MPI101`).
+    early_waits: usize,
+    /// Whether the space's comm instructions pass every order-free check.
+    order_free_clean: bool,
+}
+
+impl IncrementalMatch {
+    fn new(space: &DecisionSpace, topo: &CommTopology) -> Self {
+        let dag = space.dag();
+        let ops: Vec<(OpId, CommOp<_>)> = space
+            .ops()
+            .iter()
+            .enumerate()
+            .filter_map(|(op, d)| match d.kind {
+                DecisionKind::Cpu(v) => CommOp::of_spec(&dag.vertex(v).spec).map(|c| (op, c)),
+                _ => None,
+            })
+            .collect();
+        let (blocking, interned) = intern(ops.iter().map(|&(_, c)| c), topo);
+        let mut op_comm = vec![None; space.num_ops()];
+        for (&(op, _), c) in ops.iter().zip(interned) {
+            op_comm[op] = Some(c);
+        }
+        IncrementalMatch {
+            program: CommProgram::new(blocking.keys()),
+            pc: vec![0; topo.num_ranks()],
+            saved: Vec::new(),
+            early_waits: 0,
+            order_free_clean: order_free_checks(&ops, topo).is_empty(),
+            blocking,
+            op_comm,
+        }
+    }
+
+    /// Appends placed op `op`'s comm instruction, if it has one, and
+    /// settles every rank.
+    fn push(&mut self, op: OpId) {
+        let Some(c) = self.op_comm[op] else {
+            return;
+        };
+        self.saved.extend_from_slice(&self.pc);
+        self.program.push(c);
+        if self.program.waits_before_post(self.program.len() - 1) {
+            self.early_waits += 1;
+        }
+        self.blocking.settle(&self.program, &mut self.pc, |_| false);
+    }
+
+    /// Rewinds the [`IncrementalMatch::push`] of `op`.
+    fn pop(&mut self, op: OpId) {
+        if self.op_comm[op].is_none() {
+            return;
+        }
+        if self.program.waits_before_post(self.program.len() - 1) {
+            self.early_waits -= 1;
+        }
+        self.program.pop();
+        let at = self.saved.len() - self.pc.len();
+        self.pc.copy_from_slice(&self.saved[at..]);
+        self.saved.truncate(at);
+    }
+
+    /// Whether the cold detector would find nothing in the complete
+    /// schedule: every order-free check passes, no wait precedes its own
+    /// post, and every rank runs to the end.
+    fn clean(&self) -> bool {
+        self.order_free_clean
+            && self.early_waits == 0
+            && self.pc.iter().all(|&pc| pc == self.program.len())
     }
 }
 

@@ -5,7 +5,7 @@
 use cuda_mpi_design_rules::dag::{
     build_schedule, CommKey, CostKey, DagBuilder, DecisionSpace, OpSpec, Schedule, ScheduleAction,
 };
-use cuda_mpi_design_rules::lint::{lint, RuleCode};
+use cuda_mpi_design_rules::lint::{lint, lint_space_incremental, RuleCode};
 use cuda_mpi_design_rules::pipeline::topology_from_workload;
 use cuda_mpi_design_rules::sim::{execute, CompiledProgram, Platform, SimError, TableWorkload};
 use rand::rngs::SmallRng;
@@ -27,7 +27,9 @@ fn exchange_space() -> DecisionSpace {
 
 /// Every traversal of the exchange space, judged by both the lint layer
 /// and the simulator: the deadlock verdicts must agree exactly, eager and
-/// rendezvous alike.
+/// rendezvous alike — for the cold linter and for every leaf of the
+/// incremental space walk, whose prefix matcher is thereby held to the
+/// simulator's semantics directly.
 #[test]
 fn lint_deadlock_verdict_matches_the_simulator() {
     let platform = Platform::perlmutter_like().noiseless();
@@ -37,12 +39,14 @@ fn lint_deadlock_verdict_matches_the_simulator() {
         w.comm_all_to_all("x", bytes);
         let topo = topology_from_workload(&space, &w, &platform);
         let (mut clean, mut dead) = (0, 0);
+        let mut sim_verdicts = Vec::new();
         for t in space.enumerate() {
             let schedule = build_schedule(&space, &t);
             let report = lint(&space, &schedule, Some(&topo));
             let prog = CompiledProgram::compile(&schedule, &w).unwrap();
             let sim = execute(&prog, &platform, &mut SmallRng::seed_from_u64(0));
             let sim_deadlocked = matches!(sim, Err(SimError::Deadlock { .. }));
+            sim_verdicts.push(sim_deadlocked);
             assert_eq!(
                 report.deadlocks() > 0,
                 sim_deadlocked,
@@ -62,6 +66,16 @@ fn lint_deadlock_verdict_matches_the_simulator() {
         } else {
             assert_eq!(dead, 0, "eager messages never deadlock here");
         }
+        // Leaves arrive in enumeration order.
+        let walked = lint_space_incremental(&space, Some(&topo), 0, None, &mut |i, _, report| {
+            assert_eq!(
+                report.deadlocks() > 0,
+                sim_verdicts[i as usize],
+                "incremental verdict disagrees at {bytes} B on schedule #{i}:\n{}",
+                report.render_text()
+            );
+        });
+        assert_eq!(walked.schedules as usize, sim_verdicts.len());
     }
 }
 

@@ -6,7 +6,8 @@
 
 mod common;
 
-use common::arb_small_space;
+use common::{arb_comm_space, arb_small_space};
+use cuda_mpi_design_rules::dag::Traversal;
 use cuda_mpi_design_rules::halo::HaloScenario;
 use cuda_mpi_design_rules::lint::{lint_space_incremental, lint_traversal, LintReport};
 use cuda_mpi_design_rules::pipeline::topology_from_workload;
@@ -78,6 +79,23 @@ proptest! {
             stats.hb_expansions,
             stats.cold_hb_expansions
         );
+    }
+
+    #[test]
+    fn incremental_comm_space_lint_is_bit_identical_to_cold_lint(
+        (space, topo) in arb_comm_space(720),
+    ) {
+        // Random MPI programs against random topologies: the walk's
+        // prefix-incremental deadlock matcher must agree with the cold
+        // detector at every leaf, whether the leaf is clean, waits
+        // before its own post, deadlocks, or sits in a space that fails
+        // an order-free check.
+        let traversals: Vec<Traversal> = space.enumerate().collect();
+        let stats = lint_space_incremental(&space, Some(&topo), 0, None, &mut |i, _, report| {
+            let cold = lint_traversal(&space, &traversals[i as usize], Some(&topo));
+            prop_assert_eq!(report, &cold, "schedule #{}", i);
+        });
+        prop_assert_eq!(stats.schedules as usize, traversals.len());
     }
 }
 
