@@ -42,9 +42,17 @@ pub struct HaloSpec {
 }
 
 /// [`Workload`] implementation for the halo exchange.
+///
+/// Every key's per-rank cost and pattern is tabulated by
+/// [`HaloWorkload::new`], so a lookup is a comparison against a handful
+/// of key names and allocates nothing beyond the returned pattern.
 #[derive(Debug, Clone)]
 pub struct HaloWorkload {
     spec: HaloSpec,
+    /// Per cost key: its name and its cost on each rank.
+    costs: Vec<(String, Vec<f64>)>,
+    /// Per communication key: its name and each rank's pattern.
+    comms: Vec<(String, Vec<CommPattern>)>,
 }
 
 impl HaloWorkload {
@@ -52,7 +60,48 @@ impl HaloWorkload {
     /// topology exactly.
     pub fn new(spec: HaloSpec) -> Self {
         assert!((1..=3).contains(&spec.dims));
-        HaloWorkload { spec }
+        let mut w = HaloWorkload {
+            spec,
+            costs: Vec::new(),
+            comms: Vec::new(),
+        };
+        let (m, ranks) = (&w.spec.model, w.spec.topo.num_ranks());
+        let kernel =
+            |cells: usize| vec![m.kernel_fixed + cells as f64 * m.stencil_sec_per_cell; ranks];
+        let mut costs = vec![
+            (K_INTERIOR.to_string(), kernel(w.interior_cells())),
+            (K_BOUNDARY.to_string(), kernel(w.boundary_cells())),
+        ];
+        let mut comms = Vec::new();
+        for d in 0..w.spec.dims {
+            let faces = w.face_cells(d);
+            let peers: Vec<Vec<usize>> = (0..ranks)
+                .map(|rank| {
+                    [-1, 1]
+                        .iter()
+                        .filter_map(|&dir| w.spec.topo.neighbor(rank, d, dir))
+                        .collect()
+                })
+                .collect();
+            // Pack/unpack move up to two faces (one per side).
+            let copy: Vec<f64> = peers
+                .iter()
+                .map(|p| m.kernel_fixed + (faces * p.len()) as f64 * m.copy_sec_per_cell)
+                .collect();
+            costs.push((k_pack(d), copy.clone()));
+            costs.push((k_unpack(d), copy));
+            let bytes = faces as u64 * 8;
+            let patterns = peers.iter().map(|p| {
+                let faces: Vec<(usize, u64)> = p.iter().map(|&peer| (peer, bytes)).collect();
+                CommPattern {
+                    sends: faces.clone(),
+                    recvs: faces,
+                }
+            });
+            comms.push((k_halo(d), patterns.collect()));
+        }
+        (w.costs, w.comms) = (costs, comms);
+        w
     }
 
     fn face_cells(&self, dim: usize) -> usize {
@@ -83,48 +132,13 @@ impl Workload for HaloWorkload {
     }
 
     fn cost(&self, rank: usize, key: &CostKey) -> Option<f64> {
-        if rank >= self.num_ranks() {
-            return None;
-        }
-        let m = &self.spec.model;
-        if key.0 == K_INTERIOR {
-            return Some(m.kernel_fixed + self.interior_cells() as f64 * m.stencil_sec_per_cell);
-        }
-        if key.0 == K_BOUNDARY {
-            return Some(m.kernel_fixed + self.boundary_cells() as f64 * m.stencil_sec_per_cell);
-        }
-        for d in 0..self.spec.dims {
-            // Pack/unpack move up to two faces (one per side).
-            let sides = [-1isize, 1]
-                .iter()
-                .filter(|&&dir| self.spec.topo.neighbor(rank, d, dir).is_some())
-                .count();
-            let cells = (self.face_cells(d) * sides) as f64;
-            if key.0 == k_pack(d) || key.0 == k_unpack(d) {
-                return Some(m.kernel_fixed + cells * m.copy_sec_per_cell);
-            }
-        }
-        None
+        let (_, per_rank) = self.costs.iter().find(|(name, _)| *name == key.0)?;
+        per_rank.get(rank).copied()
     }
 
     fn comm(&self, rank: usize, key: &CommKey) -> Option<CommPattern> {
-        if rank >= self.num_ranks() {
-            return None;
-        }
-        for d in 0..self.spec.dims {
-            if key.0 == k_halo(d) {
-                let bytes = self.face_cells(d) as u64 * 8;
-                let mut pat = CommPattern::default();
-                for dir in [-1isize, 1] {
-                    if let Some(peer) = self.spec.topo.neighbor(rank, d, dir) {
-                        pat.sends.push((peer, bytes));
-                        pat.recvs.push((peer, bytes));
-                    }
-                }
-                return Some(pat);
-            }
-        }
-        None
+        let (_, per_rank) = self.comms.iter().find(|(name, _)| *name == key.0)?;
+        per_rank.get(rank).cloned()
     }
 }
 
@@ -192,6 +206,90 @@ mod tests {
             let pc = w.cost(corner, &CostKey::new(k_pack(d))).unwrap();
             let cc = w.cost(center, &CostKey::new(k_pack(d))).unwrap();
             assert!(cc > pc);
+        }
+    }
+
+    /// What `cost` answered by formula, per lookup, before the tables.
+    fn formula_cost(w: &HaloWorkload, rank: usize, key: &CostKey) -> Option<f64> {
+        if rank >= w.num_ranks() {
+            return None;
+        }
+        let m = &w.spec.model;
+        if key.0 == K_INTERIOR {
+            return Some(m.kernel_fixed + w.interior_cells() as f64 * m.stencil_sec_per_cell);
+        }
+        if key.0 == K_BOUNDARY {
+            return Some(m.kernel_fixed + w.boundary_cells() as f64 * m.stencil_sec_per_cell);
+        }
+        for d in 0..w.spec.dims {
+            let sides = [-1isize, 1]
+                .iter()
+                .filter(|&&dir| w.spec.topo.neighbor(rank, d, dir).is_some())
+                .count();
+            let cells = (w.face_cells(d) * sides) as f64;
+            if key.0 == k_pack(d) || key.0 == k_unpack(d) {
+                return Some(m.kernel_fixed + cells * m.copy_sec_per_cell);
+            }
+        }
+        None
+    }
+
+    /// What `comm` answered by formula, per lookup, before the tables.
+    fn formula_comm(w: &HaloWorkload, rank: usize, key: &CommKey) -> Option<CommPattern> {
+        if rank >= w.num_ranks() {
+            return None;
+        }
+        for d in 0..w.spec.dims {
+            if key.0 == k_halo(d) {
+                let bytes = w.face_cells(d) as u64 * 8;
+                let mut pat = CommPattern::default();
+                for dir in [-1isize, 1] {
+                    if let Some(peer) = w.spec.topo.neighbor(rank, d, dir) {
+                        pat.sends.push((peer, bytes));
+                        pat.recvs.push((peer, bytes));
+                    }
+                }
+                return Some(pat);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn tables_answer_what_the_formulas_do() {
+        let grid = HaloWorkload::new(HaloSpec {
+            topo: RankGrid::new([3, 2, 1]),
+            local_n: [24, 16, 8],
+            dims: 3,
+            model: StencilModel::default(),
+        });
+        let workloads = [
+            crate::HaloScenario::line2(1).workload,
+            crate::HaloScenario::cube2(1).workload,
+            grid,
+        ];
+        let mut names = vec![K_INTERIOR.to_string(), K_BOUNDARY.to_string()];
+        for d in 0..3 {
+            names.extend([k_pack(d), k_unpack(d), k_halo(d)]);
+        }
+        names.extend(["nope", "", "Pack-w", "pack-x", "halo-", "Interior "].map(String::from));
+        for w in &workloads {
+            for rank in 0..w.num_ranks() + 2 {
+                for name in &names {
+                    let key = CostKey::new(name.clone());
+                    assert_eq!(
+                        w.cost(rank, &key),
+                        formula_cost(w, rank, &key),
+                        "{name}@{rank}"
+                    );
+                    let key = CommKey::new(name.clone());
+                    assert_eq!(
+                        w.comm(rank, &key),
+                        formula_comm(w, rank, &key),
+                        "{name}@{rank}"
+                    );
+                }
+            }
         }
     }
 

@@ -80,9 +80,9 @@ impl<'a, W: Workload> SimEvaluator<'a, W> {
     }
 
     /// Number of distinct `(measurement, sample)` cell seeds whose noise
-    /// factors the memo holds: eight per block table, one table per block
-    /// of eight consecutive cells the protocol has touched, shared across
-    /// every traversal evaluated so far.
+    /// factors the memo holds: one per cell id `s · M + m` below the
+    /// highest the protocol has replayed, shared across every traversal
+    /// evaluated so far.
     pub fn noise_tables(&self) -> usize {
         self.memo.noise_tables()
     }

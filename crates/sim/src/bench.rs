@@ -7,6 +7,15 @@
 //! and reports `t_measure / n_samples`, maximized across ranks. The 1st,
 //! 10th, 50th, 90th and 99th percentile measurements are recorded with
 //! each explored sequence and used for rule generation.
+//!
+//! Two protocols share one driver. [`benchmark`] draws each sample's
+//! noise seed from a generator seeded per evaluation and replays one
+//! sample per tape pass, measurement by measurement.
+//! [`benchmark_memo_instrumented`] gives every `(measurement, sample)`
+//! cell a fixed seed and replays the cells sample-major across
+//! measurements, one lane per open measurement (up to eight) per pass;
+//! it folds samples, stats and errors in `(measurement, sample)` order,
+//! so its results equal a one-cell-at-a-time replay bit for bit.
 
 use crate::compile::{CompiledProgram, SimError};
 use crate::exec::{Noise, Tape, LANES};
@@ -150,133 +159,182 @@ pub fn benchmark_instrumented(
 /// Differs from [`benchmark`] in how per-sample noise seeds are chosen:
 /// instead of a sequential generator seeded per evaluation, each
 /// `(measurement, sample)` cell has a fixed seed shared by *every*
-/// schedule (see [`cell_seed`]). That makes the noise-factor tables in
+/// schedule (see [`cell_seed`]). That makes the noise-factor table in
 /// `memo` reusable across the whole exploration while keeping the
 /// protocol deterministic: the result is a pure function of the program
 /// and platform, bit-identical warm or cold.
 ///
 /// Because a cell's seed does not depend on earlier samples, the protocol
-/// replays up to eight samples of a measurement in one tape pass (see
-/// [`lane_width`]). Lanes past the sample that completes the measurement
-/// are discarded, so the pass width changes wall time, never results.
+/// replays the cells sample-major across measurements, up to eight per
+/// tape pass (see [`Run::next_cells`]). Lanes past the sample that
+/// completes their measurement are discarded, and every measurement and
+/// the stats are folded in `(measurement, sample)` order, so the packing
+/// changes wall time, never results.
 pub fn benchmark_memo_instrumented(
     prog: &CompiledProgram,
     platform: &Platform,
     cfg: &BenchConfig,
     memo: &mut SimMemo,
 ) -> Result<(BenchResult, SimStats), SimError> {
-    benchmark_memo_with(prog, platform, cfg, memo, lane_width)
+    benchmark_memo_with(prog, platform, cfg, memo, true)
 }
 
-/// A pass-width rule: the width of the pass that starts at a sample,
-/// given the samples the measurement is predicted to take. It must
-/// return 1, 2, 4 or 8 and keep every pass inside one block of [`LANES`]
-/// cells.
-type Widths = fn(usize, usize) -> usize;
-
-/// [`benchmark_memo_instrumented`] with the pass widths chosen by
-/// `widths`.
+/// [`benchmark_memo_instrumented`], its cells replayed sample-major in
+/// passes of up to [`LANES`] lanes if `packed`, else one at a time in
+/// `(measurement, sample)` order.
 fn benchmark_memo_with(
     prog: &CompiledProgram,
     platform: &Platform,
     cfg: &BenchConfig,
     memo: &mut SimMemo,
-    widths: Widths,
+    packed: bool,
 ) -> Result<(BenchResult, SimStats), SimError> {
     let mut stats = SimStats::for_shape(prog.num_ranks, prog.num_streams);
-    let seeds = SampleSeeds::Cells(memo, widths);
+    let seeds = SampleSeeds::Cells { memo, packed };
     let result = protocol(prog, platform, cfg, seeds, Some(&mut stats))?;
     Ok((result, stats))
 }
 
-/// The width of the memoized protocol's pass that starts at sample `s`
-/// when the measurement is predicted to take `predicted` samples: the
-/// widest of 8, 4, 2 and 1 lanes that fits in the predicted remainder and
-/// that `s` is a multiple of, so no pass crosses a block of [`LANES`]
-/// cells.
-fn lane_width(s: usize, predicted: usize) -> usize {
-    let room = predicted.saturating_sub(s).max(1);
-    let mut w = LANES;
-    while w > room || !s.is_multiple_of(w) {
-        w /= 2;
-    }
-    w
-}
-
 /// Where the protocol's per-sample noise seeds come from.
 enum SampleSeeds<'m> {
-    /// One generator seeded per evaluation, drawn once per sample; passes
-    /// are one lane wide, so no draw is made past the last sample.
+    /// One generator seeded per evaluation, drawn once per sample in
+    /// `(measurement, sample)` order; passes are one lane wide, so no
+    /// draw is made past the last sample.
     Sequential(SmallRng),
-    /// The fixed per-cell seeds, with their noise tables in the memo, and
-    /// the pass-width rule.
-    Cells(&'m mut SimMemo, Widths),
+    /// The fixed per-cell seeds, with their noise factors in the memo,
+    /// replayed sample-major and up to eight at a time if `packed`.
+    Cells { memo: &'m mut SimMemo, packed: bool },
+}
+
+/// One sample of one measurement: `(m, s)`.
+type Cell = (usize, usize);
+
+/// The protocol's progress: every measurement's accumulated samples, and
+/// which cells to replay next.
+struct Run<'c> {
+    cfg: &'c BenchConfig,
+    ranks: usize,
+    /// Per measurement, per rank: busy time accumulated over its samples.
+    accum: Vec<f64>,
+    /// Samples folded into each measurement.
+    samples: Vec<usize>,
+    /// Whether each measurement is complete.
+    done: Vec<bool>,
+    /// The earliest measurement with a failed sample, and the error of
+    /// its first failed sample.
+    failed: Option<(usize, SimError)>,
+    /// The next cell id, `s · M + m`, the packed order has not passed.
+    cursor: usize,
+    /// Folded samples' busy times, one [`Tape::busy`] row each, in the
+    /// order folded, tagged with their measurement; `None` without stats.
+    busy: Option<(Vec<f64>, Vec<usize>)>,
+}
+
+impl Run<'_> {
+    /// Whether measurement `m` still needs samples: it is neither
+    /// complete nor after the earliest failure, which decides the result.
+    fn open(&self, m: usize) -> bool {
+        !self.done[m] && self.failed.as_ref().is_none_or(|&(f, _)| m < f)
+    }
+
+    /// Fills `cells` with the next cells to replay and returns how many,
+    /// 0 once every measurement is complete or the result is an error.
+    ///
+    /// Packed, it takes the next cells in sample-major order `s · M + m`
+    /// whose measurement is open, as many as there are open measurements
+    /// rounded up to a power of two, at most [`LANES`]. The first of them
+    /// are the next sample of each open measurement, all needed; the
+    /// rounding may add a later sample of one, which the fold discards if
+    /// an earlier one completes its measurement. Unpacked, it takes the
+    /// next sample of the first open measurement, one at a time.
+    fn next_cells(&mut self, packed: bool, cells: &mut [Cell; LANES]) -> usize {
+        let measurements = self.cfg.num_measurements;
+        if !packed {
+            return match (0..measurements).find(|&m| self.open(m)) {
+                Some(m) => {
+                    cells[0] = (m, self.samples[m]);
+                    1
+                }
+                None => 0,
+            };
+        }
+        let open = (0..measurements).filter(|&m| self.open(m)).count();
+        if open == 0 {
+            return 0;
+        }
+        let width = open.min(LANES).next_power_of_two();
+        // A measurement always takes at least one sample.
+        let end = measurements * self.cfg.max_samples.max(1);
+        let mut n = 0;
+        while n < width && self.cursor < end {
+            let cell = (self.cursor % measurements, self.cursor / measurements);
+            self.cursor += 1;
+            if self.open(cell.0) {
+                cells[n] = cell;
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Folds lane `l` of the last pass, replayed for `cell` and ended as
+    /// `end`, into its measurement; a lane whose measurement is no longer
+    /// open is discarded with its error and stats.
+    fn fold(&mut self, tape: &Tape<'_>, l: usize, (m, s): Cell, end: Result<(), SimError>) {
+        if !self.open(m) {
+            return;
+        }
+        debug_assert_eq!(s, self.samples[m], "samples fold in order");
+        if let Err(e) = end {
+            self.failed = Some((m, e));
+            return;
+        }
+        let accum = &mut self.accum[m * self.ranks..][..self.ranks];
+        for (a, t) in accum.iter_mut().zip(tape.rank_times(l)) {
+            *a += t;
+        }
+        self.samples[m] += 1;
+        if let Some((rows, tags)) = &mut self.busy {
+            rows.extend(tape.busy(l));
+            tags.push(m);
+        }
+        let elapsed = accum.iter().copied().fold(0.0, f64::max);
+        self.done[m] = elapsed >= self.cfg.t_measure || self.samples[m] >= self.cfg.max_samples;
+    }
 }
 
 impl SampleSeeds<'_> {
-    /// The noise of the `W`-lane pass over samples `s..s + W` of
-    /// measurement `m`.
-    fn noise<const W: usize>(
-        &mut self,
-        platform: &Platform,
-        prog: &CompiledProgram,
-        m: usize,
-        s: usize,
-    ) -> Noise<'_, W> {
-        match self {
-            SampleSeeds::Sequential(rng) => {
-                Noise::new(platform, std::array::from_fn(|_| rng.next_u64()), None)
-            }
-            SampleSeeds::Cells(memo, _) => {
-                let first = s % LANES;
-                let table = memo.table(platform, prog, cell_seed(m, s - first));
-                let seeds = std::array::from_fn(|l| cell_seed(m, s + l));
-                Noise::new(platform, seeds, table.map(|t| (t, first)))
-            }
-        }
-    }
-}
-
-/// One measurement in progress.
-struct Measurement {
-    /// Per-rank accumulated busy time across its samples.
-    accum: Vec<f64>,
-    samples: usize,
-    /// The slowest rank's accumulated time.
-    elapsed: f64,
-}
-
-impl Measurement {
-    /// Replays one pass and folds its lanes in sample order, stopping at
-    /// the sample that completes the measurement: later lanes are
-    /// discarded with their errors and stats. Returns whether the
-    /// measurement is complete.
+    /// Replays the first `n` of `cells` in one pass of `W` ≥ `n` lanes,
+    /// the lanes past `n` repeating the last cell, and folds them.
     fn pass<const W: usize>(
         &mut self,
-        tape: &mut Tape<'_>,
-        noise: Noise<'_, W>,
-        cfg: &BenchConfig,
-        mut stats: Option<&mut SimStats>,
-    ) -> Result<bool, SimError> {
-        for (l, end) in tape.run(noise, None).into_iter().enumerate() {
-            end?;
-            if let Some(stats) = stats.as_deref_mut() {
-                tape.fold_stats(l, stats);
+        (tape, platform, prog): (&mut Tape<'_>, &Platform, &CompiledProgram),
+        cells: &[Cell; LANES],
+        n: usize,
+        run: &mut Run<'_>,
+    ) {
+        let cells: [Cell; W] = std::array::from_fn(|l| cells[l.min(n - 1)]);
+        let ends = match self {
+            SampleSeeds::Sequential(rng) => {
+                let noise = Noise::new(platform, std::array::from_fn(|_| rng.next_u64()), None);
+                tape.run(noise, None)
             }
-            for (a, t) in self.accum.iter_mut().zip(tape.rank_times(l)) {
-                *a += t;
+            SampleSeeds::Cells { memo, .. } => {
+                let measurements = run.cfg.num_measurements;
+                let ids = cells.map(|(m, s)| s * measurements + m);
+                let table = memo.table(platform, prog, measurements, ids[W - 1] + 1);
+                let seeds = cells.map(|(m, s)| cell_seed(m, s));
+                tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None)
             }
-            self.samples += 1;
-            self.elapsed = self.accum.iter().copied().fold(0.0, f64::max);
-            if self.elapsed >= cfg.t_measure || self.samples >= cfg.max_samples {
-                return Ok(true);
-            }
+        };
+        for (l, end) in ends.into_iter().enumerate().take(n) {
+            run.fold(tape, l, cells[l], end);
         }
-        Ok(false)
     }
 }
 
-/// The protocol: lowers `prog` once, then replays it pass by pass.
+/// The protocol: lowers `prog` once, then replays it pass by pass until
+/// every measurement is complete or one has failed.
 fn protocol(
     prog: &CompiledProgram,
     platform: &Platform,
@@ -285,44 +343,62 @@ fn protocol(
     mut stats: Option<&mut SimStats>,
 ) -> Result<BenchResult, SimError> {
     let mut tape = Tape::lower(prog, platform);
-    let mut measurements = Vec::with_capacity(cfg.num_measurements);
-    let mut meas = Measurement {
-        accum: vec![0.0; prog.num_ranks],
-        samples: 0,
-        elapsed: 0.0,
+    let (measurements, ranks) = (cfg.num_measurements, prog.num_ranks);
+    let mut run = Run {
+        cfg,
+        ranks,
+        accum: vec![0.0; measurements * ranks],
+        samples: vec![0; measurements],
+        done: vec![false; measurements],
+        failed: None,
+        cursor: 0,
+        busy: stats.is_some().then(Default::default),
     };
-    for m in 0..cfg.num_measurements {
-        // Before its first sample, a measurement is predicted to take as
-        // many samples as the previous one.
-        let mut predicted = meas.samples;
-        meas.accum.fill(0.0);
-        meas.samples = 0;
-        loop {
-            let s = meas.samples;
-            let width = match &seeds {
-                SampleSeeds::Sequential(_) => 1,
-                SampleSeeds::Cells(_, widths) => widths(s, predicted),
-            };
-            let stats = stats.as_deref_mut();
-            let done = match width {
-                1 => meas.pass::<1>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
-                2 => meas.pass::<2>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
-                4 => meas.pass::<4>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
-                8 => meas.pass::<8>(&mut tape, seeds.noise(platform, prog, m, s), cfg, stats),
-                _ => unreachable!("pass widths are 1, 2, 4 or 8"),
-            }?;
-            if done {
-                break;
-            }
-            let rate = cfg.t_measure * meas.samples as f64 / meas.elapsed;
-            predicted = (rate.ceil() as usize).min(cfg.max_samples);
+    let packed = matches!(seeds, SampleSeeds::Cells { packed: true, .. });
+    let mut cells = [(0, 0); LANES];
+    loop {
+        let n = run.next_cells(packed, &mut cells);
+        let at = (&mut tape, platform, prog);
+        match n {
+            0 => break,
+            1 => seeds.pass::<1>(at, &cells, n, &mut run),
+            2 => seeds.pass::<2>(at, &cells, n, &mut run),
+            3 | 4 => seeds.pass::<4>(at, &cells, n, &mut run),
+            _ => seeds.pass::<8>(at, &cells, n, &mut run),
         }
-        // Estimate: max over ranks of (elapsed on that rank / n_samples).
-        let mut est = meas
-            .accum
+    }
+    if let Some((_, e)) = run.failed {
+        return Err(e);
+    }
+    if let (Some(stats), Some((rows, tags))) = (stats.as_deref_mut(), &run.busy) {
+        // Busy times fold in (measurement, sample) order: a counting
+        // sort by measurement, stable because each measurement's rows
+        // were folded in sample order.
+        let mut next: Vec<usize> = run
+            .samples
             .iter()
-            .map(|a| a / meas.samples as f64)
-            .fold(0.0, f64::max);
+            .scan(0, |start, &n| Some(std::mem::replace(start, *start + n)))
+            .collect();
+        let mut order = vec![0; tags.len()];
+        for (i, &m) in tags.iter().enumerate() {
+            order[next[m]] = i;
+            next[m] += 1;
+        }
+        let width = ranks * (1 + prog.num_streams);
+        let mut sums = vec![0.0; width];
+        for i in order {
+            for (sum, b) in sums.iter_mut().zip(&rows[i * width..][..width]) {
+                *sum += b;
+            }
+        }
+        // The stats start at zero, so adding the sums adds each row in
+        // order.
+        tape.fold_stats(tags.len() as u64, sums, stats);
+    }
+    let mut measurements = Vec::with_capacity(cfg.num_measurements);
+    for (accum, &samples) in run.accum.chunks(ranks.max(1)).zip(&run.samples) {
+        // Estimate: max over ranks of (elapsed on that rank / n_samples).
+        let mut est = accum.iter().map(|a| a / samples as f64).fold(0.0, f64::max);
         // Heavy-tailed timer contamination from the fault plan: the
         // whole measurement (not an individual sample) reads high, which
         // is how wall-clock outliers present in real benchmark output.
@@ -534,7 +610,7 @@ mod tests {
     }
 
     /// The tightest virtual-time limit, to a femtosecond, under which
-    /// the one-lane schedule of `cfg` completes on `platform`: just above
+    /// the one-lane protocol of `cfg` completes on `platform`: just above
     /// the slowest kept sample, so only discarded lanes can trip it.
     fn tightest_limit(prog: &CompiledProgram, platform: &Platform, cfg: &BenchConfig) -> f64 {
         let (mut lo, mut hi) = (0.0, 1.0);
@@ -542,7 +618,7 @@ mod tests {
             let mid = (lo + hi) / 2.0;
             let budget = platform.clone().with_budget(0, mid);
             let mut memo = SimMemo::default();
-            match benchmark_memo_with(prog, &budget, cfg, &mut memo, |_, _| 1) {
+            match benchmark_memo_with(prog, &budget, cfg, &mut memo, false) {
                 Ok(_) => hi = mid,
                 Err(_) => lo = mid,
             }
@@ -551,25 +627,33 @@ mod tests {
     }
 
     #[test]
-    fn pass_widths_never_change_results() {
-        // Lanes are pure functions of their cell seed and lanes past the
-        // stopping sample are discarded, so every width schedule gives
-        // the one-lane schedule's measurements, stats and errors.
-        let schedules: [(&str, Widths); 3] = [
-            ("all-8", |_, _| 8),
-            ("alternating", |s, _| [8, 1, 4, 2][s / LANES % 4]),
-            ("production", lane_width),
-        ];
+    fn packed_passes_equal_the_one_lane_protocol() {
+        // Lanes are pure functions of their cell seed, lanes past their
+        // measurement's stopping sample are discarded, and samples and
+        // stats fold in (measurement, sample) order, so the packed
+        // protocol gives the one-lane protocol's measurements, stats and
+        // errors.
         let capped = BenchConfig {
             t_measure: 1e-3,
             num_measurements: 5,
             max_samples: 13,
         };
-        // About two samples per measurement of the exchange programs.
-        let short = BenchConfig {
+        // About two samples per measurement of the exchange programs,
+        // with fewer, exactly eight and more measurements than lanes.
+        let short = |num_measurements| BenchConfig {
             t_measure: 2e-4,
+            num_measurements,
             ..BenchConfig::quick()
         };
+        let configs = [
+            BenchConfig::quick(),
+            capped,
+            short(1),
+            short(3),
+            short(8),
+            short(9),
+            short(20),
+        ];
         let noisy = Platform::perlmutter_like();
         let programs = [
             one_op_program(1e-4),
@@ -581,7 +665,7 @@ mod tests {
         ];
         let (mut errors, mut oks) = (0, 0);
         for prog in &programs {
-            for cfg in [BenchConfig::quick(), capped, short] {
+            for cfg in configs {
                 // Watchdog limits at and just under the tightest one the
                 // kept samples pass: noise decides which samples trip.
                 let tightest = tightest_limit(prog, &noisy, &cfg);
@@ -598,18 +682,17 @@ mod tests {
                     noisy.clone().with_budget(0, tightest * 0.999),
                 ];
                 for platform in &platforms {
-                    // One memo per case, shared by every schedule, so
-                    // tables filled at one width are read at another.
+                    // One memo per case, shared by both protocols, so
+                    // factors tabulated by one are read by the other.
                     let mut memo = SimMemo::default();
-                    let mut run = |widths| {
-                        benchmark_memo_with(prog, platform, &cfg, &mut memo, widths)
+                    let mut run = |packed| {
+                        benchmark_memo_with(prog, platform, &cfg, &mut memo, packed)
                             .map(|(result, stats)| (result, stats.to_json()))
+                            .map_err(|e| e.to_string())
                     };
-                    let scalar = run(|_, _| 1);
-                    for (name, widths) in schedules {
-                        assert_eq!(run(widths), scalar, "{name} schedule diverged");
-                    }
-                    if scalar.is_ok() {
+                    let one_lane = run(false);
+                    assert_eq!(run(true), one_lane, "packed protocol diverged");
+                    if one_lane.is_ok() {
                         oks += 1;
                     } else {
                         errors += 1;
@@ -621,14 +704,31 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_fits_the_prediction_and_stays_aligned() {
-        assert_eq!(lane_width(0, 0), 1, "no prediction: one lane");
-        assert_eq!(lane_width(0, 28), 8);
-        assert_eq!(lane_width(24, 28), 4);
-        assert_eq!(lane_width(28, 28), 1, "past the prediction: one lane");
-        assert_eq!(lane_width(0, 2), 2);
-        assert_eq!(lane_width(2, 3), 1);
-        assert_eq!(lane_width(6, 50), 2, "aligned to its own width");
-        assert_eq!(lane_width(12, 50), 4);
+    fn the_earliest_failing_measurement_decides_the_error() {
+        // About twelve samples per measurement, and watchdog limits that
+        // a few samples in a hundred exceed: packed, a later measurement's
+        // early sample fails in a pass before an earlier measurement's
+        // later sample does, and the reported error (whose text carries
+        // the failing sample's virtual time) must still be the one-lane
+        // protocol's.
+        let prog = kernel_exchange_program(8e-4, 6e-4);
+        let noisy = Platform::perlmutter_like();
+        let cfg = BenchConfig {
+            t_measure: 1e-2,
+            num_measurements: 9,
+            max_samples: 50,
+        };
+        let tightest = tightest_limit(&prog, &noisy, &cfg);
+        for limit in [0.9, 0.95, 0.97, 0.98, 0.99, 0.995].map(|f| f * tightest) {
+            let platform = noisy.clone().with_budget(0, limit);
+            let run = |packed| {
+                benchmark_memo_with(&prog, &platform, &cfg, &mut SimMemo::default(), packed)
+                    .map(|(result, _)| result)
+                    .map_err(|e| e.to_string())
+            };
+            let one_lane = run(false);
+            assert!(one_lane.is_err(), "limit {limit} kills no sample");
+            assert_eq!(run(true), one_lane, "limit {limit}");
+        }
     }
 }

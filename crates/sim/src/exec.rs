@@ -62,12 +62,11 @@ fn wire_key(comm: usize, src: usize, dst: usize) -> u64 {
     NK_WIRE | ((comm as u64) << 32) | ((src as u64) << 16) | dst as u64
 }
 
-/// The widest replay pass, and the number of consecutive sample seeds one
-/// [`NoiseTable`] block holds.
+/// The widest replay pass.
 pub(crate) const LANES: usize = 8;
 
-/// A dense cache of position-keyed noise factors for one block of
-/// [`LANES`] sample seeds.
+/// A dense cache of position-keyed noise factors, addressed by noise key
+/// and by the memoized protocol's cell id.
 ///
 /// [`NoiseModel::factor_keyed`] is a pure function of `(seed, key)`, so
 /// its draws can be tabulated once and replayed bit-identically — and the
@@ -77,75 +76,114 @@ pub(crate) const LANES: usize = 8;
 /// never returns NaN: its `u1` uniform is clamped above zero, so the
 /// Box-Muller draw is always finite).
 ///
-/// Cells are lane-interleaved: instruction cell `rank * stride + pc` and
-/// wire cell `(comm * ranks + src) * ranks + dst` each hold the factors
-/// of the block's [`LANES`] seeds contiguously, so a pass reads one slice
-/// per op. The factor for a given `(rank, pc)` cell depends only on the
-/// key, not the instruction occupying it, so tables are shared across
-/// sibling schedules of one decision space — including schedules of
-/// *different lengths* (stream-binding choices change how many sync
-/// instructions lowering inserts), which is why [`fit`] grows tables in
-/// place instead of resetting them.
+/// The slots are grouped in blocks of [`LANES`] consecutive cell ids.
+/// Within a block, each key owns one row of [`LANES`] slots: instruction
+/// rows `rank * stride + pc` first, then wire rows
+/// `(comm * ranks + src) * ranks + dst`. A pass over consecutive ids of
+/// one block reads one contiguous slice per op and walks the block's
+/// rows in order; a pass whose ids straddle blocks or skip ids (the
+/// cells of measurements already complete) gathers lane by lane. Each
+/// block is its own allocation, so a shape change copies one block at a
+/// time. The factor for a given
+/// `(rank, pc)` row depends only on the key, not the instruction
+/// occupying it, so tables are shared across sibling schedules of one
+/// decision space — including schedules of *different lengths*
+/// (stream-binding choices change how many sync instructions lowering
+/// inserts), which is why [`fit`] grows the table in place instead of
+/// resetting it.
 ///
 /// [`fit`]: NoiseTable::fit
 #[derive(Debug, Default)]
 pub(crate) struct NoiseTable {
-    instr: Vec<f64>,
+    /// One slot array per block, `rows` rows of [`LANES`] slots each.
+    blocks: Vec<Vec<f64>>,
+    rows: usize,
+    /// The program shape the rows cover: ranks, instruction rows per
+    /// rank and communication patterns.
+    ranks: usize,
     stride: usize,
-    wire: Vec<f64>,
-    wire_ranks: usize,
+    comms: usize,
 }
 
 impl NoiseTable {
-    /// Grows the table to cover `prog`'s shape, keeping every factor
-    /// already drawn (cells are key-addressed, so entries stay valid
-    /// across programs of any shape with the same rank count). Only a
+    /// Grows the table to cover `prog`'s shape and every cell id below
+    /// `cells`, keeping every factor already drawn (rows are
+    /// key-addressed, so entries stay valid across programs of any shape
+    /// with the same rank count; new blocks are appended). Only a
     /// rank-count change — which never happens within one exploration —
-    /// invalidates the wire layout and resets that half.
-    pub(crate) fn fit(&mut self, prog: &CompiledProgram) {
-        let (ranks, n) = (prog.num_ranks, prog.names.len());
-        let row = (self.stride * LANES).max(1);
-        let rows = self.instr.len() / row;
-        if rows < ranks || self.stride < n {
-            let stride = self.stride.max(n);
-            let mut instr = vec![f64::NAN; rows.max(ranks) * stride * LANES];
-            for (r, cells) in self.instr.chunks(row).enumerate() {
-                instr[r * stride * LANES..][..cells.len()].copy_from_slice(cells);
-            }
-            self.instr = instr;
-            self.stride = stride;
+    /// renumbers the rows and resets the table.
+    pub(crate) fn fit(&mut self, prog: &CompiledProgram, cells: usize) {
+        let ranks = prog.num_ranks;
+        if ranks != self.ranks {
+            *self = NoiseTable {
+                ranks,
+                ..NoiseTable::default()
+            };
         }
-        let wire_len = prog.comms.len() * ranks * ranks * LANES;
-        if self.wire_ranks != ranks {
-            self.wire_ranks = ranks;
-            self.wire = vec![f64::NAN; wire_len];
-        } else if self.wire.len() < wire_len {
-            self.wire.resize(wire_len, f64::NAN);
+        let (stride, comms) = (
+            prog.names.len().max(self.stride),
+            prog.comms.len().max(self.comms),
+        );
+        if stride > self.stride || comms > self.comms {
+            let (old, rows) = (self.stride, ranks * stride + comms * ranks * ranks);
+            // Instruction row `r * old + pc` moves to `r * stride + pc`;
+            // wire rows keep their order after the instruction rows.
+            let at = |i: usize| match i.checked_sub(ranks * old) {
+                None => i / old * stride + i % old,
+                Some(wire) => ranks * stride + wire,
+            };
+            for block in &mut self.blocks {
+                let mut grown = vec![f64::NAN; rows * LANES];
+                for (i, row) in block.chunks(LANES).enumerate() {
+                    grown[at(i) * LANES..][..LANES].copy_from_slice(row);
+                }
+                *block = grown;
+            }
+            (self.rows, self.stride, self.comms) = (rows, stride, comms);
+        }
+        let blocks = cells.div_ceil(LANES);
+        while self.blocks.len() < blocks {
+            self.blocks.push(vec![f64::NAN; self.rows * LANES]);
         }
     }
 }
 
 /// The noise source of one `W`-lane pass: each lane's sample seed, plus
-/// the memo's block table and the block lane of `seeds[0]` when there is
-/// one. The table is purely a fast path — it replays exactly what
-/// `factor_keyed` would return.
+/// the memo's table and each lane's place in it when there is one. The
+/// table is purely a fast path — it replays exactly what `factor_keyed`
+/// would return.
 pub(crate) struct Noise<'n, const W: usize> {
     model: NoiseModel,
     seeds: [u64; W],
-    table: Option<(&'n mut NoiseTable, usize)>,
+    table: Option<Tabled<'n, W>>,
+}
+
+/// A pass's view of the table.
+struct Tabled<'n, const W: usize> {
+    tab: &'n mut NoiseTable,
+    /// Lane `l`'s block and slot in the block's rows.
+    at: [(usize, usize); W],
+    /// Whether the lanes' slots are consecutive, inside one block.
+    run: bool,
 }
 
 impl<'n, const W: usize> Noise<'n, W> {
-    /// Noise for `seeds` on `platform`, looked up in the block table from
-    /// lane `first` on if given.
+    /// Noise for `seeds` on `platform`, lane `l` looked up in the table
+    /// at cell id `ids[l]` if given.
     pub(crate) fn new(
         platform: &Platform,
         seeds: [u64; W],
-        table: Option<(&'n mut NoiseTable, usize)>,
+        table: Option<(&'n mut NoiseTable, [usize; W])>,
     ) -> Self {
-        if let Some((_, first)) = table {
-            assert!(first + W <= LANES, "a pass stays inside its block");
-        }
+        let table = table.map(|(tab, ids)| {
+            assert!(
+                ids.iter().all(|&c| c < tab.blocks.len() * LANES),
+                "a pass's cells fit the table"
+            );
+            let at = ids.map(|c| (c / LANES, c % LANES));
+            let run = ids.windows(2).all(|w| w[1] == w[0] + 1) && at[0].1 + W <= LANES;
+            Tabled { tab, at, run }
+        });
         Noise {
             model: platform.noise,
             seeds,
@@ -159,9 +197,9 @@ impl<'n, const W: usize> Noise<'n, W> {
         let key = instr_key(r, pc);
         match self.table.as_mut() {
             None => draw(self.model, &self.seeds, key),
-            Some((tab, first)) => {
-                let at = (r * tab.stride + pc) * LANES + *first;
-                cached(&mut tab.instr[at..at + W], self.model, &self.seeds, key)
+            Some(t) => {
+                let row = r * t.tab.stride + pc;
+                t.cached(row, self.model, &self.seeds, key)
             }
         }
     }
@@ -172,12 +210,41 @@ impl<'n, const W: usize> Noise<'n, W> {
         let key = wire_key(comm, src, dst);
         match self.table.as_mut() {
             None => draw(self.model, &self.seeds, key),
-            Some((tab, first)) => {
-                let cell = (comm * tab.wire_ranks + src) * tab.wire_ranks + dst;
-                let at = cell * LANES + *first;
-                cached(&mut tab.wire[at..at + W], self.model, &self.seeds, key)
+            Some(t) => {
+                let ranks = t.tab.ranks;
+                let row = ranks * t.tab.stride + (comm * ranks + src) * ranks + dst;
+                t.cached(row, self.model, &self.seeds, key)
             }
         }
+    }
+}
+
+impl<const W: usize> Tabled<'_, W> {
+    /// The factors of `key` from its row, drawing the lanes not yet
+    /// tabulated.
+    #[inline]
+    fn cached(&mut self, row: usize, model: NoiseModel, seeds: &[u64; W], key: u64) -> [f64; W] {
+        let blocks = &mut self.tab.blocks;
+        if self.run {
+            let (block, slot) = self.at[0];
+            let cells: &mut [f64; W] = (&mut blocks[block][row * LANES + slot..][..W])
+                .try_into()
+                .expect("W lanes");
+            for (cell, &seed) in cells.iter_mut().zip(seeds) {
+                if cell.is_nan() {
+                    *cell = model.factor_keyed(seed, key);
+                }
+            }
+            return *cells;
+        }
+        std::array::from_fn(|l| {
+            let (block, slot) = self.at[l];
+            let cell = &mut blocks[block][row * LANES + slot];
+            if cell.is_nan() {
+                *cell = model.factor_keyed(seeds[l], key);
+            }
+            *cell
+        })
     }
 }
 
@@ -185,24 +252,6 @@ impl<'n, const W: usize> Noise<'n, W> {
 #[inline]
 fn draw<const W: usize>(model: NoiseModel, seeds: &[u64; W], key: u64) -> [f64; W] {
     std::array::from_fn(|l| model.factor_keyed(seeds[l], key))
-}
-
-/// The factors of `key` from a table slice, drawing the lanes not yet
-/// tabulated.
-#[inline]
-fn cached<const W: usize>(
-    cells: &mut [f64],
-    model: NoiseModel,
-    seeds: &[u64; W],
-    key: u64,
-) -> [f64; W] {
-    let cells: &mut [f64; W] = cells.try_into().expect("one cell per lane");
-    for (cell, &seed) in cells.iter_mut().zip(seeds) {
-        if cell.is_nan() {
-            *cell = model.factor_keyed(seed, key);
-        }
-    }
-    *cells
 }
 
 /// Completion times of one simulated program invocation.
@@ -824,7 +873,7 @@ impl<'a> Tape<'a> {
     /// Lane `l` of the last pass: its outcome and statistics.
     fn lane(&self, l: usize) -> (ExecOutcome, SimStats) {
         let mut stats = SimStats::for_shape(self.prog.num_ranks, self.prog.num_streams);
-        self.fold_stats(l, &mut stats);
+        self.fold_stats(1, self.busy(l), &mut stats);
         let rank_times = self.rank_times(l).collect();
         (ExecOutcome { rank_times }, stats)
     }
@@ -874,15 +923,13 @@ impl<'a> Tape<'a> {
                     let cpu = lanes::<W>(st.cpu, r);
                     add(cpu, p.kernel_launch_overhead);
                     let start = max(*cpu, get(st.tail, tail));
-                    let end = std::array::from_fn(|l| {
-                        contended_end::<W>(
-                            (st.kstart, st.kend, l),
-                            p.gpu_contention,
-                            &idx[contenders.clone()],
-                            start[l],
-                            dur * f[l] * straggle * spike,
-                        )
-                    });
+                    let end = contended_end(
+                        (st.kstart, st.kend),
+                        p.gpu_contention,
+                        &idx[contenders.clone()],
+                        start,
+                        f.map(|f| dur * f * straggle * spike),
+                    );
                     *lanes(st.tail, tail) = end;
                     *lanes(st.kstart, slot) = start;
                     *lanes(st.kend, slot) = end;
@@ -1048,57 +1095,78 @@ impl<'a> Tape<'a> {
     /// Lane `l`'s per-rank finish times in the last pass.
     pub(crate) fn rank_times(&self, l: usize) -> impl Iterator<Item = f64> + '_ {
         let w = self.state.width;
-        self.state.region(CPU).iter().skip(l).step_by(w).copied()
+        self.state.region(CPU).chunks_exact(w).map(move |c| c[l])
     }
 
-    /// Folds lane `l`'s statistics from the last pass into `stats`, which
-    /// must be shaped for this program.
-    pub(crate) fn fold_stats(&self, l: usize, stats: &mut SimStats) {
-        stats.merge(&self.counts);
+    /// Lane `l`'s busy times in the last pass: per-rank CPU busy time,
+    /// then per-rank, per-stream kernel time.
+    pub(crate) fn busy(&self, l: usize) -> impl Iterator<Item = f64> + '_ {
         let w = self.state.width;
-        let lane = |k: usize| self.state.region(k).iter().skip(l).step_by(w);
-        for (a, b) in stats.cpu_busy.iter_mut().zip(lane(CPU_BUSY)) {
-            *a += b;
+        let lane = move |k: usize| self.state.region(k).chunks_exact(w).map(move |c| c[l]);
+        lane(CPU_BUSY).chain(lane(STREAM_BUSY))
+    }
+
+    /// Folds `runs` runs' statistics into `stats`, which must be shaped
+    /// for this program: the counts every run shares, once per run, and
+    /// `busy`, the runs' summed [`busy`](Tape::busy) times.
+    pub(crate) fn fold_stats(
+        &self,
+        runs: u64,
+        busy: impl IntoIterator<Item = f64>,
+        stats: &mut SimStats,
+    ) {
+        for _ in 0..runs {
+            stats.merge(&self.counts);
         }
-        for (a, b) in stats
-            .stream_busy
+        let cells = stats
+            .cpu_busy
             .iter_mut()
-            .flatten()
-            .zip(lane(STREAM_BUSY))
-        {
+            .chain(stats.stream_busy.iter_mut().flatten());
+        for (a, b) in cells.zip(busy) {
             *a += b;
         }
     }
 }
 
-/// Lane `l`'s kernel end time under the inter-stream contention model:
-/// a kernel accrues `c` extra seconds per second of overlap with the
-/// `contenders` (kernels already placed in other streams of the same
+/// The kernel end time of every lane under the inter-stream contention
+/// model: a kernel accrues `c` extra seconds per second of overlap with
+/// the `contenders` (kernels already placed in other streams of the same
 /// GPU), whose intervals are read from `W`-lane `kstart` and `kend`.
 /// Solved by a short fixed point: extending the kernel can only add
-/// bounded overlap.
+/// bounded overlap. All lanes iterate together; a lane that has
+/// converged is masked, so each lane performs the float operations of a
+/// one-lane solve in the same order and stops at the same iteration.
 fn contended_end<const W: usize>(
-    (kstart, kend, l): (&[f64], &[f64], usize),
+    (kstart, kend): (&[f64], &[f64]),
     c: f64,
     contenders: &[usize],
-    start: f64,
-    dur: f64,
-) -> f64 {
+    start: [f64; W],
+    dur: [f64; W],
+) -> [f64; W] {
+    let mut end: [f64; W] = std::array::from_fn(|l| start[l] + dur[l]);
     if c == 0.0 {
-        return start + dur;
+        return end;
     }
-    let mut end = start + dur;
+    let mut open = [true; W];
     for _ in 0..8 {
-        let mut overlap = 0.0;
+        let mut overlap = [0.0; W];
         for &k in contenders {
-            let (a, b) = (kstart[k * W + l], kend[k * W + l]);
-            overlap += (end.min(b) - start.max(a)).max(0.0);
+            let (a, b) = (get::<W>(kstart, k), get::<W>(kend, k));
+            for l in 0..W {
+                overlap[l] += (end[l].min(b[l]) - start[l].max(a[l])).max(0.0);
+            }
         }
-        let new_end = start + dur + c * overlap;
-        if (new_end - end).abs() < 1e-12 {
-            return new_end;
+        for l in 0..W {
+            if open[l] {
+                let new_end = start[l] + dur[l] + c * overlap[l];
+                let converged = (new_end - end[l]).abs() < 1e-12;
+                open[l] = !converged;
+                end[l] = new_end;
+            }
         }
-        end = new_end;
+        if !open.contains(&true) {
+            break;
+        }
     }
     end
 }
@@ -1421,6 +1489,81 @@ mod tests {
         let a = execute(&p, &platform, &mut rng()).unwrap();
         let b = execute(&p, &platform, &mut rng()).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The one-lane fixed point that the lane-parallel `contended_end`
+    /// replaced, solving lane `l` alone; also whether it hit the
+    /// iteration cap.
+    fn scalar_contended_end<const W: usize>(
+        (kstart, kend, l): (&[f64], &[f64], usize),
+        c: f64,
+        contenders: &[usize],
+        start: f64,
+        dur: f64,
+    ) -> (f64, bool) {
+        if c == 0.0 {
+            return (start + dur, false);
+        }
+        let mut end = start + dur;
+        for _ in 0..8 {
+            let mut overlap = 0.0;
+            for &k in contenders {
+                let (a, b) = (kstart[k * W + l], kend[k * W + l]);
+                overlap += (end.min(b) - start.max(a)).max(0.0);
+            }
+            let new_end = start + dur + c * overlap;
+            if (new_end - end).abs() < 1e-12 {
+                return (new_end, false);
+            }
+            end = new_end;
+        }
+        (end, true)
+    }
+
+    #[test]
+    fn lane_parallel_contention_equals_the_scalar_fixed_point() {
+        const W: usize = 8;
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut unit = move || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let (mut capped, mut converged) = (0, 0);
+        for case in 0..300 {
+            // Up to six placed kernels per lane, some long enough to
+            // keep a slow fixed point from converging in eight steps.
+            let kernels = case % 7;
+            let kstart: Vec<f64> = (0..kernels * W).map(|_| unit() * 1e-3).collect();
+            let kend: Vec<f64> = kstart
+                .iter()
+                .map(|&a| a + unit() * if case % 3 == 0 { 1e-2 } else { 1e-3 })
+                .collect();
+            let contenders: Vec<usize> = (0..kernels).filter(|_| unit() < 0.7).collect();
+            let c = match case % 5 {
+                0 => 0.0,
+                1 => 0.99,
+                _ => unit(),
+            };
+            let start: [f64; W] = std::array::from_fn(|_| unit() * 1e-3);
+            let dur: [f64; W] = std::array::from_fn(|_| unit() * 1e-3);
+            let lanes = contended_end((&kstart, &kend), c, &contenders, start, dur);
+            for l in 0..W {
+                let (end, cap) = scalar_contended_end::<W>(
+                    (&kstart, &kend, l),
+                    c,
+                    &contenders,
+                    start[l],
+                    dur[l],
+                );
+                assert_eq!(lanes[l].to_bits(), end.to_bits(), "case {case} lane {l}");
+                if cap {
+                    capped += 1;
+                } else if c != 0.0 && !contenders.is_empty() {
+                    converged += 1;
+                }
+            }
+        }
+        assert!(
+            capped > 0 && converged > 0,
+            "{capped} capped, {converged} converged"
+        );
     }
 
     #[test]

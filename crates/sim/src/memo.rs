@@ -5,75 +5,64 @@
 //! the same per-cell sample seeds for every schedule (see
 //! [`crate::bench::benchmark_memo_instrumented`]). The Box-Muller draw
 //! behind each factor (`ln`/`sqrt`/`cos`/`exp`) dominates short
-//! executions, so the memo tabulates factors per block of consecutive
-//! cell seeds and replays them bit-identically.
+//! executions, so the memo tabulates factors by cell id and replays them
+//! bit-identically.
 
 use crate::compile::CompiledProgram;
-use crate::exec::{NoiseTable, LANES};
+use crate::exec::NoiseTable;
 use crate::platform::Platform;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hashes a block's first seed as itself: cell seeds are already
-/// avalanched.
-#[derive(Debug, Default)]
-struct SeedHasher(u64);
-
-impl Hasher for SeedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("only u64 seeds are hashed")
-    }
-
-    fn write_u64(&mut self, seed: u64) {
-        self.0 = seed;
-    }
-}
-
-/// Noise-factor tables, one per block of [`LANES`] consecutive cell
-/// seeds. A pure lookup cache: tables replay exactly what `factor_keyed`
-/// would compute, so they can never change results — only wall time.
-/// Keyed by the block's first seed because the memoized protocol cycles
-/// through a fixed set of per-cell seeds; flushed whenever the platform's
-/// noise sigma changes (one memo may serve differently-configured
+/// The noise-factor table of the memoized protocol's cells, addressed by
+/// cell id `s · M + m` (sample `s` of measurement `m`, `M` measurements).
+/// A pure lookup cache: the table replays exactly what `factor_keyed`
+/// would compute, so it can never change results — only wall time. A
+/// cell id names the same seed for every schedule measured with the same
+/// `M`; the table is flushed whenever `M` or the platform's noise sigma
+/// changes (one memo may serve differently-configured protocols and
 /// platforms across tests). One per worker thread, so it never needs
 /// locking.
 #[derive(Debug, Default)]
 pub struct SimMemo {
     sigma: f64,
-    tables: HashMap<u64, NoiseTable, BuildHasherDefault<SeedHasher>>,
+    measurements: usize,
+    /// Cell ids `0..cells` have been replayed through the table.
+    cells: usize,
+    table: NoiseTable,
 }
 
 impl SimMemo {
     /// Number of distinct sample seeds whose noise factors the memo
-    /// holds: [`LANES`] per block table.
+    /// holds: one per cell id below the highest the protocol has
+    /// replayed.
     pub fn noise_tables(&self) -> usize {
-        self.tables.len() * LANES
+        self.cells
     }
 
-    /// The table of the block whose first seed is `block_seed` on
-    /// `platform`, fitted to `prog`'s shape; `None` when the platform is
-    /// noiseless (every factor is 1.0 — a table would only add work).
+    /// The table for cell ids below `cells` of a protocol with
+    /// `measurements` measurements on `platform`, fitted to `prog`'s
+    /// shape; `None` when the platform is noiseless (every factor is 1.0
+    /// — a table would only add work).
     pub(crate) fn table(
         &mut self,
         platform: &Platform,
         prog: &CompiledProgram,
-        block_seed: u64,
+        measurements: usize,
+        cells: usize,
     ) -> Option<&mut NoiseTable> {
         let sigma = platform.noise.sigma;
         if sigma == 0.0 {
             return None;
         }
-        if sigma != self.sigma {
-            self.tables.clear();
-            self.sigma = sigma;
+        if sigma != self.sigma || measurements != self.measurements {
+            *self = SimMemo {
+                sigma,
+                measurements,
+                ..SimMemo::default()
+            };
         }
-        let tab = self.tables.entry(block_seed).or_default();
-        tab.fit(prog);
-        Some(tab)
+        self.cells = self.cells.max(cells);
+        self.table.fit(prog, cells);
+        Some(&mut self.table)
     }
 }
 
@@ -116,18 +105,20 @@ mod tests {
         CompiledProgram::compile(&s, &w).unwrap()
     }
 
-    /// One pass of `prog` over `seeds`, lanes `first..first + W` of the
-    /// block table keyed by `block`; the per-rank times of every lane.
+    /// One pass of `prog` over `seeds`, lane `l` at cell id `ids[l]` of
+    /// the memo's table for `measurements`-measurement protocols; the
+    /// per-rank times of every lane.
     fn tabled<const W: usize>(
         prog: &CompiledProgram,
         platform: &Platform,
-        (block, first): (u64, usize),
+        (measurements, ids): (usize, [usize; W]),
         seeds: [u64; W],
         memo: &mut SimMemo,
     ) -> Vec<Vec<f64>> {
         let mut tape = Tape::lower(prog, platform);
-        let table = memo.table(platform, prog, block).map(|t| (t, first));
-        for end in tape.run(Noise::new(platform, seeds, table), None) {
+        let cells = ids.iter().max().map_or(0, |&c| c + 1);
+        let table = memo.table(platform, prog, measurements, cells);
+        for end in tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None) {
             end.unwrap();
         }
         (0..W).map(|l| tape.rank_times(l).collect()).collect()
@@ -144,33 +135,65 @@ mod tests {
         let prog = halo_program();
         let platform = Platform::perlmutter_like(); // noisy
         let mut memo = SimMemo::default();
-        let block: [u64; 8] = std::array::from_fn(|l| 3 + l as u64);
-        // A full-width pass fills the block; narrower passes at other
-        // lanes replay its factors, and a pass over a fresh block draws.
-        let wide = tabled(&prog, &platform, (3, 0), block, &mut memo);
-        assert_eq!(wide, direct(&prog, &platform, &block));
-        let pair = tabled(&prog, &platform, (3, 6), [9, 10], &mut memo);
+        // Cell id `c` holds seed `3 + c`. A full-width pass fills ids
+        // 0..8; a narrower pass replays two of them, gathering passes
+        // mix tabulated and fresh ids, one of them across two blocks,
+        // and a far id grows the table.
+        let ids: [usize; 8] = std::array::from_fn(|l| l);
+        let wide = tabled(
+            &prog,
+            &platform,
+            (9, ids),
+            ids.map(|c| 3 + c as u64),
+            &mut memo,
+        );
+        assert_eq!(wide, direct(&prog, &platform, &[3, 4, 5, 6, 7, 8, 9, 10]));
+        let pair = tabled(&prog, &platform, (9, [6, 7]), [9, 10], &mut memo);
         assert_eq!(pair, direct(&prog, &platform, &[9, 10]));
-        let one = tabled(&prog, &platform, (u64::MAX, 0), [u64::MAX], &mut memo);
-        assert_eq!(one, direct(&prog, &platform, &[u64::MAX]));
-        assert_eq!(memo.noise_tables(), 16, "8 seeds per block table");
+        let gather = tabled(
+            &prog,
+            &platform,
+            (9, [1, 4, 11, 12]),
+            [4, 7, 14, 15],
+            &mut memo,
+        );
+        assert_eq!(gather, direct(&prog, &platform, &[4, 7, 14, 15]));
+        let straddle = tabled(
+            &prog,
+            &platform,
+            (9, [6, 7, 8, 9]),
+            [9, 10, 11, 12],
+            &mut memo,
+        );
+        assert_eq!(straddle, direct(&prog, &platform, &[9, 10, 11, 12]));
+        let far = tabled(&prog, &platform, (9, [40]), [43], &mut memo);
+        assert_eq!(far, direct(&prog, &platform, &[43]));
+        assert_eq!(memo.noise_tables(), 41, "ids 0..=40 replayed");
     }
 
     #[test]
-    fn noise_tables_flush_when_sigma_changes() {
-        // One memo serving platforms with different noise sigmas must not
-        // replay factors drawn under the other sigma.
+    fn noise_tables_flush_when_sigma_or_measurements_change() {
+        // One memo serving platforms with different noise sigmas, or
+        // protocols whose cell ids name different seeds, must not replay
+        // factors drawn under the other setting.
         let prog = halo_program();
         let noisy = Platform::perlmutter_like();
         let mut louder = Platform::perlmutter_like();
         louder.noise.sigma *= 3.0;
         let mut memo = SimMemo::default();
-        for platform in [&noisy, &louder, &noisy] {
-            let memoed = tabled(&prog, platform, (11, 0), [11, 12], &mut memo);
+        let cases = [
+            (&noisy, 9, 11),
+            (&louder, 9, 11),
+            (&noisy, 9, 11),
+            (&noisy, 5, 21),
+        ];
+        for (platform, measurements, seed) in cases {
+            let seeds = [seed, seed + 1];
+            let memoed = tabled(&prog, platform, (measurements, [0, 1]), seeds, &mut memo);
             assert_eq!(
                 memoed,
-                direct(&prog, platform, &[11, 12]),
-                "sigma change leaked stale factors"
+                direct(&prog, platform, &seeds),
+                "a setting change leaked stale factors"
             );
         }
     }
@@ -180,7 +203,7 @@ mod tests {
         let prog = halo_program();
         let platform = Platform::perlmutter_like().noiseless();
         let mut memo = SimMemo::default();
-        let memoed = tabled(&prog, &platform, (5, 0), [5, 6, 7, 8], &mut memo);
+        let memoed = tabled(&prog, &platform, (9, [0, 1, 2, 3]), [5, 6, 7, 8], &mut memo);
         assert_eq!(memoed, direct(&prog, &platform, &[5, 6, 7, 8]));
         assert_eq!(memo.noise_tables(), 0);
     }
