@@ -79,12 +79,10 @@ pub(crate) const LANES: usize = 8;
 /// The slots are grouped in blocks of [`LANES`] consecutive cell ids.
 /// Within a block, each key owns one row of [`LANES`] slots: instruction
 /// rows `rank * stride + pc` first, then wire rows
-/// `(comm * ranks + src) * ranks + dst`. A pass over consecutive ids of
-/// one block reads one contiguous slice per op and walks the block's
-/// rows in order; a pass whose ids straddle blocks or skip ids (the
-/// cells of measurements already complete) gathers lane by lane. Each
-/// block is its own allocation, so a shape change copies one block at a
-/// time. The factor for a given
+/// `(comm * ranks + src) * ranks + dst`. A pass reads each lane's slot
+/// of the op's row; most passes cover consecutive ids of one block, so
+/// their lanes share one row. Each block is its own allocation, so a
+/// shape change copies one block at a time. The factor for a given
 /// `(rank, pc)` row depends only on the key, not the instruction
 /// occupying it, so tables are shared across sibling schedules of one
 /// decision space — including schedules of *different lengths*
@@ -163,8 +161,6 @@ struct Tabled<'n, const W: usize> {
     tab: &'n mut NoiseTable,
     /// Lane `l`'s block and slot in the block's rows.
     at: [(usize, usize); W],
-    /// Whether the lanes' slots are consecutive, inside one block.
-    run: bool,
 }
 
 impl<'n, const W: usize> Noise<'n, W> {
@@ -181,8 +177,7 @@ impl<'n, const W: usize> Noise<'n, W> {
                 "a pass's cells fit the table"
             );
             let at = ids.map(|c| (c / LANES, c % LANES));
-            let run = ids.windows(2).all(|w| w[1] == w[0] + 1) && at[0].1 + W <= LANES;
-            Tabled { tab, at, run }
+            Tabled { tab, at }
         });
         Noise {
             model: platform.noise,
@@ -225,18 +220,6 @@ impl<const W: usize> Tabled<'_, W> {
     #[inline]
     fn cached(&mut self, row: usize, model: NoiseModel, seeds: &[u64; W], key: u64) -> [f64; W] {
         let blocks = &mut self.tab.blocks;
-        if self.run {
-            let (block, slot) = self.at[0];
-            let cells: &mut [f64; W] = (&mut blocks[block][row * LANES + slot..][..W])
-                .try_into()
-                .expect("W lanes");
-            for (cell, &seed) in cells.iter_mut().zip(seeds) {
-                if cell.is_nan() {
-                    *cell = model.factor_keyed(seed, key);
-                }
-            }
-            return *cells;
-        }
         std::array::from_fn(|l| {
             let (block, slot) = self.at[l];
             let cell = &mut blocks[block][row * LANES + slot];
