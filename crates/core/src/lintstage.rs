@@ -377,10 +377,7 @@ mod tests {
         let (mut dropping, mut clean) = (0u32, 0u32);
         for seed in 0..24u64 {
             let plan = FaultPlan::derive(&cfg, seed);
-            let faulted = platform
-                .clone()
-                .with_faults(plan)
-                .with_budget(1_000_000, 0.0);
+            let faulted = platform.clone().with_faults(plan).with_budget(1_000_000);
             let sim = dr_sim::benchmark_instrumented(
                 &prog,
                 &faulted,

@@ -400,7 +400,7 @@ mod tests {
     fn retries_accumulate_deterministic_delay_totals() {
         let (space, w, platform) = setup();
         let t = space.enumerate().next().unwrap();
-        let platform = platform.with_budget(1, 0.0);
+        let platform = platform.with_budget(1);
         let run = || {
             let totals = Arc::new(ResilienceTotals::default());
             let mut eval = ResilientEvaluator::new(
@@ -487,7 +487,7 @@ mod tests {
         let t = space.enumerate().next().unwrap();
         let totals = Arc::new(ResilienceTotals::default());
         // A one-step budget kills every attempt regardless of the plan.
-        let platform = platform.with_budget(1, 0.0);
+        let platform = platform.with_budget(1);
         let mut eval = ResilientEvaluator::new(
             &space,
             &w,

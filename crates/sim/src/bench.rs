@@ -14,8 +14,10 @@
 //! [`benchmark_memo_instrumented`] gives every `(measurement, sample)`
 //! cell a fixed seed and replays the cells sample-major across
 //! measurements, one lane per open measurement (up to eight) per pass;
-//! it folds samples, stats and errors in `(measurement, sample)` order,
-//! so its results equal a one-cell-at-a-time replay bit for bit.
+//! it folds samples and stats in `(measurement, sample)` order, so its
+//! results equal a one-cell-at-a-time replay bit for bit. Every
+//! simulator error is decided when the program is lowered, before any
+//! sample is replayed.
 
 use crate::compile::{CompiledProgram, SimError};
 use crate::exec::{Noise, Tape, LANES};
@@ -159,14 +161,14 @@ pub fn benchmark_instrumented(
 /// Differs from [`benchmark`] in how per-sample noise seeds are chosen:
 /// instead of a sequential generator seeded per evaluation, each
 /// `(measurement, sample)` cell has a fixed seed shared by *every*
-/// schedule (see [`cell_seed`]). That makes the noise-factor table in
+/// schedule (see `cell_seed`). That makes the noise-factor table in
 /// `memo` reusable across the whole exploration while keeping the
 /// protocol deterministic: the result is a pure function of the program
 /// and platform, bit-identical warm or cold.
 ///
 /// Because a cell's seed does not depend on earlier samples, the protocol
 /// replays the cells sample-major across measurements, up to eight per
-/// tape pass (see [`Run::next_cells`]). Lanes past the sample that
+/// tape pass (see `Run::next_cells`). Lanes past the sample that
 /// completes their measurement are discarded, and every measurement and
 /// the stats are folded in `(measurement, sample)` order, so the packing
 /// changes wall time, never results.
@@ -220,9 +222,6 @@ struct Run<'c> {
     samples: Vec<usize>,
     /// Whether each measurement is complete.
     done: Vec<bool>,
-    /// The earliest measurement with a failed sample, and the error of
-    /// its first failed sample.
-    failed: Option<(usize, SimError)>,
     /// The next cell id, `s · M + m`, the packed order has not passed.
     cursor: usize,
     /// Folded samples' busy times, one [`Tape::busy`] row each, in the
@@ -231,14 +230,8 @@ struct Run<'c> {
 }
 
 impl Run<'_> {
-    /// Whether measurement `m` still needs samples: it is neither
-    /// complete nor after the earliest failure, which decides the result.
-    fn open(&self, m: usize) -> bool {
-        !self.done[m] && self.failed.as_ref().is_none_or(|&(f, _)| m < f)
-    }
-
     /// Fills `cells` with the next cells to replay and returns how many,
-    /// 0 once every measurement is complete or the result is an error.
+    /// 0 once every measurement is complete.
     ///
     /// Packed, it takes the next cells in sample-major order `s · M + m`
     /// whose measurement is open, as many as there are open measurements
@@ -250,7 +243,7 @@ impl Run<'_> {
     fn next_cells(&mut self, packed: bool, cells: &mut [Cell; LANES]) -> usize {
         let measurements = self.cfg.num_measurements;
         if !packed {
-            return match (0..measurements).find(|&m| self.open(m)) {
+            return match (0..measurements).find(|&m| !self.done[m]) {
                 Some(m) => {
                     cells[0] = (m, self.samples[m]);
                     1
@@ -258,7 +251,7 @@ impl Run<'_> {
                 None => 0,
             };
         }
-        let open = (0..measurements).filter(|&m| self.open(m)).count();
+        let open = self.done.iter().filter(|&&done| !done).count();
         if open == 0 {
             return 0;
         }
@@ -269,7 +262,7 @@ impl Run<'_> {
         while n < width && self.cursor < end {
             let cell = (self.cursor % measurements, self.cursor / measurements);
             self.cursor += 1;
-            if self.open(cell.0) {
+            if !self.done[cell.0] {
                 cells[n] = cell;
                 n += 1;
             }
@@ -277,18 +270,14 @@ impl Run<'_> {
         n
     }
 
-    /// Folds lane `l` of the last pass, replayed for `cell` and ended as
-    /// `end`, into its measurement; a lane whose measurement is no longer
-    /// open is discarded with its error and stats.
-    fn fold(&mut self, tape: &Tape<'_>, l: usize, (m, s): Cell, end: Result<(), SimError>) {
-        if !self.open(m) {
+    /// Folds lane `l` of the last pass, replayed for `cell`, into its
+    /// measurement; a lane whose measurement is already complete is
+    /// discarded with its stats.
+    fn fold(&mut self, tape: &Tape<'_>, l: usize, (m, s): Cell) {
+        if self.done[m] {
             return;
         }
         debug_assert_eq!(s, self.samples[m], "samples fold in order");
-        if let Err(e) = end {
-            self.failed = Some((m, e));
-            return;
-        }
         let accum = &mut self.accum[m * self.ranks..][..self.ranks];
         for (a, t) in accum.iter_mut().zip(tape.rank_times(l)) {
             *a += t;
@@ -314,27 +303,27 @@ impl SampleSeeds<'_> {
         run: &mut Run<'_>,
     ) {
         let cells: [Cell; W] = std::array::from_fn(|l| cells[l.min(n - 1)]);
-        let ends = match self {
+        match self {
             SampleSeeds::Sequential(rng) => {
-                let noise = Noise::new(platform, std::array::from_fn(|_| rng.next_u64()), None);
-                tape.run(noise, None)
+                let seeds: [u64; W] = std::array::from_fn(|_| rng.next_u64());
+                tape.run(Noise::new(platform, seeds, None), None);
             }
             SampleSeeds::Cells { memo, .. } => {
                 let measurements = run.cfg.num_measurements;
                 let ids = cells.map(|(m, s)| s * measurements + m);
                 let table = memo.table(platform, prog, measurements, ids[W - 1] + 1);
                 let seeds = cells.map(|(m, s)| cell_seed(m, s));
-                tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None)
+                tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None);
             }
-        };
-        for (l, end) in ends.into_iter().enumerate().take(n) {
-            run.fold(tape, l, cells[l], end);
+        }
+        for (l, &cell) in cells.iter().enumerate().take(n) {
+            run.fold(tape, l, cell);
         }
     }
 }
 
-/// The protocol: lowers `prog` once, then replays it pass by pass until
-/// every measurement is complete or one has failed.
+/// The protocol: lowers `prog` once, failing there if it cannot run,
+/// then replays it pass by pass until every measurement is complete.
 fn protocol(
     prog: &CompiledProgram,
     platform: &Platform,
@@ -342,7 +331,7 @@ fn protocol(
     mut seeds: SampleSeeds<'_>,
     mut stats: Option<&mut SimStats>,
 ) -> Result<BenchResult, SimError> {
-    let mut tape = Tape::lower(prog, platform);
+    let mut tape = Tape::lower(prog, platform)?;
     let (measurements, ranks) = (cfg.num_measurements, prog.num_ranks);
     let mut run = Run {
         cfg,
@@ -350,7 +339,6 @@ fn protocol(
         accum: vec![0.0; measurements * ranks],
         samples: vec![0; measurements],
         done: vec![false; measurements],
-        failed: None,
         cursor: 0,
         busy: stats.is_some().then(Default::default),
     };
@@ -366,9 +354,6 @@ fn protocol(
             3 | 4 => seeds.pass::<4>(at, &cells, n, &mut run),
             _ => seeds.pass::<8>(at, &cells, n, &mut run),
         }
-    }
-    if let Some((_, e)) = run.failed {
-        return Err(e);
     }
     if let (Some(stats), Some((rows, tags))) = (stats.as_deref_mut(), &run.busy) {
         // Busy times fold in (measurement, sample) order: a counting
@@ -609,23 +594,6 @@ mod tests {
         CompiledProgram::compile(&build_schedule(&sp, &t), &w).unwrap()
     }
 
-    /// The tightest virtual-time limit, to a femtosecond, under which
-    /// the one-lane protocol of `cfg` completes on `platform`: just above
-    /// the slowest kept sample, so only discarded lanes can trip it.
-    fn tightest_limit(prog: &CompiledProgram, platform: &Platform, cfg: &BenchConfig) -> f64 {
-        let (mut lo, mut hi) = (0.0, 1.0);
-        while hi - lo > 1e-15 {
-            let mid = (lo + hi) / 2.0;
-            let budget = platform.clone().with_budget(0, mid);
-            let mut memo = SimMemo::default();
-            match benchmark_memo_with(prog, &budget, cfg, &mut memo, false) {
-                Ok(_) => hi = mid,
-                Err(_) => lo = mid,
-            }
-        }
-        hi
-    }
-
     #[test]
     fn packed_passes_equal_the_one_lane_protocol() {
         // Lanes are pure functions of their cell seed, lanes past their
@@ -665,10 +633,10 @@ mod tests {
         ];
         let (mut errors, mut oks) = (0, 0);
         for prog in &programs {
+            // A step budget the program exhausts, and lost messages that
+            // deadlock the exchange programs.
+            let steps = prog.instrs.iter().map(Vec::len).sum::<usize>() as u64 - 1;
             for cfg in configs {
-                // Watchdog limits at and just under the tightest one the
-                // kept samples pass: noise decides which samples trip.
-                let tightest = tightest_limit(prog, &noisy, &cfg);
                 let platforms = [
                     noisy.clone().noiseless(),
                     noisy.clone(),
@@ -678,8 +646,10 @@ mod tests {
                     noisy
                         .clone()
                         .with_faults(FaultPlan::derive(&FaultConfig::heavy(), 3)),
-                    noisy.clone().with_budget(0, tightest),
-                    noisy.clone().with_budget(0, tightest * 0.999),
+                    noisy.clone().with_budget(steps),
+                    noisy
+                        .clone()
+                        .with_faults(FaultPlan::derive(&FaultConfig::drops(), 3)),
                 ];
                 for platform in &platforms {
                     // One memo per case, shared by both protocols, so
@@ -700,35 +670,29 @@ mod tests {
                 }
             }
         }
-        assert!(oks > 0 && errors > 0, "{oks} ok, {errors} watchdog kills");
+        assert!(oks > 0 && errors > 0, "{oks} ok, {errors} errors");
     }
 
     #[test]
-    fn the_earliest_failing_measurement_decides_the_error() {
-        // About twelve samples per measurement, and watchdog limits that
-        // a few samples in a hundred exceed: packed, a later measurement's
-        // early sample fails in a pass before an earlier measurement's
-        // later sample does, and the reported error (whose text carries
-        // the failing sample's virtual time) must still be the one-lane
-        // protocol's.
-        let prog = kernel_exchange_program(8e-4, 6e-4);
-        let noisy = Platform::perlmutter_like();
-        let cfg = BenchConfig {
-            t_measure: 1e-2,
-            num_measurements: 9,
-            max_samples: 50,
+    fn a_deadlocked_program_fails_before_it_touches_the_memo() {
+        // Every error is decided when the program is lowered, so a lost
+        // message fails the memoized protocol with the sequential one's
+        // error before a single sample tabulates noise.
+        let prog = kernel_exchange_program(8e-5, 6e-5);
+        let drop_all = FaultConfig {
+            drop_prob: 1.0,
+            ..FaultConfig::clean()
         };
-        let tightest = tightest_limit(&prog, &noisy, &cfg);
-        for limit in [0.9, 0.95, 0.97, 0.98, 0.99, 0.995].map(|f| f * tightest) {
-            let platform = noisy.clone().with_budget(0, limit);
-            let run = |packed| {
-                benchmark_memo_with(&prog, &platform, &cfg, &mut SimMemo::default(), packed)
-                    .map(|(result, _)| result)
-                    .map_err(|e| e.to_string())
-            };
-            let one_lane = run(false);
-            assert!(one_lane.is_err(), "limit {limit} kills no sample");
-            assert_eq!(run(true), one_lane, "limit {limit}");
-        }
+        let platform = Platform::perlmutter_like().with_faults(FaultPlan::derive(&drop_all, 1));
+        let cfg = BenchConfig::quick();
+        let mut memo = SimMemo::default();
+        let memoed = benchmark_memo_instrumented(&prog, &platform, &cfg, &mut memo);
+        let sequential = benchmark(&prog, &platform, &cfg, 1);
+        assert!(
+            matches!(sequential, Err(SimError::Deadlock { .. })),
+            "{sequential:?}"
+        );
+        assert_eq!(memoed.map(|_| ()), sequential.map(|_| ()));
+        assert_eq!(memo.noise_tables(), 0, "no sample tabulated noise");
     }
 }

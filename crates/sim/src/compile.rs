@@ -65,8 +65,8 @@ pub enum SimError {
         rank: usize,
     },
     /// The execution watchdog fired: the run exceeded the platform's
-    /// step or virtual-time budget (a fault-induced livelock or runaway
-    /// schedule) and was killed instead of spinning.
+    /// step budget (a fault-induced livelock or runaway schedule) and
+    /// was killed instead of spinning.
     Budget {
         /// Instructions retired when the watchdog fired.
         steps: u64,

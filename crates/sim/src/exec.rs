@@ -14,10 +14,11 @@
 //!   split, every fault-plan decision (stragglers and spikes are keyed by
 //!   rank and pc, delays and drops by message), every integer
 //!   [`SimStats`] count and the `WaitBeforePost`, `Deadlock` and
-//!   step-budget errors are functions of the program alone. The pass
-//!   records the retirement order as a flat tape of ops with pre-resolved
-//!   rank, stream, event and message slots and constant durations, wire
-//!   times and fault factors.
+//!   step-budget errors are functions of the program alone, so lowering
+//!   returns every error and a replay cannot fail. The pass records the
+//!   retirement order as a flat tape of ops with pre-resolved rank,
+//!   stream, event and message slots and constant durations, wire times
+//!   and fault factors.
 //! * **Replay** ([`Tape::replay`]) is one simulated invocation: it walks
 //!   the tape over flat per-rank state that is reset in place, so a
 //!   multi-sample protocol lowers once and then replays without
@@ -32,10 +33,7 @@
 //! `(comm, src, dst)` for wire times. Replay therefore draws the same
 //! factors in tape order as the round-robin interleaving would, and it
 //! performs the same floating-point operations in the same order, so a
-//! replay is bit-identical to executing the ranks round-robin. The
-//! virtual-time watchdog is the one check that needs times: the tape
-//! marks the end of every round-robin sweep, and replay checks the
-//! watchdog exactly there, lane by lane.
+//! replay is bit-identical to executing the ranks round-robin.
 
 use crate::compile::{CompiledProgram, Instr, SimError};
 use crate::platform::{NoiseModel, Platform};
@@ -269,7 +267,7 @@ pub fn execute_traced(
     rng: &mut SmallRng,
 ) -> Result<(ExecOutcome, Trace), SimError> {
     let mut trace = Trace::default();
-    let (outcome, _) = Tape::lower(prog, platform).replay(rng.next_u64(), Some(&mut trace))?;
+    let (outcome, _) = Tape::lower(prog, platform)?.replay(rng.next_u64(), Some(&mut trace));
     Ok((outcome, trace))
 }
 
@@ -283,11 +281,11 @@ pub fn execute_seeded(
     platform: &Platform,
     sample_seed: u64,
 ) -> Result<(ExecOutcome, SimStats), SimError> {
-    Tape::lower(prog, platform).replay(sample_seed, None)
+    Ok(Tape::lower(prog, platform)?.replay(sample_seed, None))
 }
 
 /// One tape entry. Instruction ops retire the instruction at `pc` of
-/// `rank`; `Transfer`, `Enter` and `SweepEnd` are bookkeeping.
+/// `rank`; `Transfer` and `Enter` are bookkeeping.
 #[derive(Debug)]
 struct Op {
     rank: usize,
@@ -341,8 +339,6 @@ enum Kind {
     Transfer { msg: usize },
     /// The rank entered a collective: its entry time is its current time.
     Enter { slot: usize },
-    /// A round-robin sweep ended with `steps` instructions retired.
-    SweepEnd { steps: u64 },
 }
 
 /// One point-to-point message `(comm, src, dst)`.
@@ -475,15 +471,14 @@ pub struct Tape<'a> {
     msgs: Vec<Msg>,
     /// One run's counters (busy vectors empty, `runs` = 1).
     counts: SimStats,
-    /// How the run ends once the tape is replayed.
-    end: Result<(), SimError>,
     state: State,
 }
 
 impl<'a> Tape<'a> {
     /// Plays the round-robin control flow of `prog` on `platform` and
-    /// records it.
-    pub fn lower(prog: &'a CompiledProgram, platform: &'a Platform) -> Self {
+    /// records it, or returns the error every replay would end in: a
+    /// wait before its post, a deadlock or an exhausted step budget.
+    pub fn lower(prog: &'a CompiledProgram, platform: &'a Platform) -> Result<Self, SimError> {
         let (nr, ns, ne) = (prog.num_ranks, prog.num_streams, prog.num_events);
         let nc = prog.comms.len();
         let plan = platform.faults.as_ref();
@@ -541,18 +536,17 @@ impl<'a> Tape<'a> {
         let mut moved = vec![false; msgs.len()];
         let mut launched: Vec<Vec<usize>> = vec![Vec::new(); nr * ns];
         let mut kernels = 0usize;
-        let mut steps = 0u64;
         let mut noted_progress = false;
 
-        let end = 'run: loop {
+        loop {
             let mut progressed = false;
             let mut all_done = true;
             for r in 0..nr {
                 while pcs[r] < prog.instrs[r].len() {
                     let pc = pcs[r];
-                    if platform.max_steps > 0 && steps >= platform.max_steps {
-                        break 'run Err(SimError::Budget {
-                            steps,
+                    if platform.max_steps > 0 && counts.instructions >= platform.max_steps {
+                        return Err(SimError::Budget {
+                            steps: counts.instructions,
                             detail: format!("step limit {} reached", platform.max_steps),
                         });
                     }
@@ -562,7 +556,7 @@ impl<'a> Tape<'a> {
                     let blocked = match *instr {
                         Instr::WaitRecvs { comm } => {
                             if !received[r * nc + comm] {
-                                break 'run Err(SimError::WaitBeforePost {
+                                return Err(SimError::WaitBeforePost {
                                     rank: r,
                                     name: prog.names[pc].clone(),
                                 });
@@ -576,7 +570,7 @@ impl<'a> Tape<'a> {
                         }
                         Instr::WaitSends { comm } => {
                             if !sent[r * nc + comm] {
-                                break 'run Err(SimError::WaitBeforePost {
+                                return Err(SimError::WaitBeforePost {
                                     rank: r,
                                     name: prog.names[pc].clone(),
                                 });
@@ -770,31 +764,25 @@ impl<'a> Tape<'a> {
                         },
                     };
                     ops.push(Op { rank: r, pc, kind });
-                    steps += 1;
                     counts.instructions += 1;
                     pcs[r] += 1;
                     progressed = true;
                 }
             }
             if all_done {
-                break Ok(());
+                break;
             }
-            ops.push(Op {
-                rank: 0,
-                pc: 0,
-                kind: Kind::SweepEnd { steps },
-            });
             progressed |= std::mem::take(&mut noted_progress);
             if !progressed {
                 let blocked: Vec<String> = (0..nr)
                     .filter(|&r| pcs[r] < prog.instrs[r].len())
                     .map(|r| format!("rank {r} at {}", prog.names[pcs[r]]))
                     .collect();
-                break Err(SimError::Deadlock {
+                return Err(SimError::Deadlock {
                     detail: blocked.join("; "),
                 });
             }
-        };
+        }
 
         let slots = [
             nr,
@@ -814,16 +802,15 @@ impl<'a> Tape<'a> {
             width: 1,
             buf: vec![0.0; slots.iter().sum()],
         };
-        Tape {
+        Ok(Tape {
             prog,
             platform,
             ops,
             idx,
             msgs,
             counts,
-            end,
             state,
-        }
+        })
     }
 
     /// One invocation whose noise is entirely determined by
@@ -834,9 +821,9 @@ impl<'a> Tape<'a> {
         &mut self,
         sample_seed: u64,
         trace: Option<&mut Trace>,
-    ) -> Result<(ExecOutcome, SimStats), SimError> {
-        let [end] = self.run(Noise::new(self.platform, [sample_seed], None), trace);
-        end.map(|()| self.lane(0))
+    ) -> (ExecOutcome, SimStats) {
+        self.run(Noise::new(self.platform, [sample_seed], None), trace);
+        self.lane(0)
     }
 
     /// `W` invocations in one pass, lane `l` under `sample_seeds[l]`:
@@ -844,13 +831,9 @@ impl<'a> Tape<'a> {
     pub fn replay_lanes<const W: usize>(
         &mut self,
         sample_seeds: [u64; W],
-    ) -> [Result<(ExecOutcome, SimStats), SimError>; W] {
-        let ends = self.run(Noise::new(self.platform, sample_seeds, None), None);
-        let mut l = 0;
-        ends.map(|end| {
-            l += 1;
-            end.map(|()| self.lane(l - 1))
-        })
+    ) -> [(ExecOutcome, SimStats); W] {
+        self.run(Noise::new(self.platform, sample_seeds, None), None);
+        std::array::from_fn(|l| self.lane(l))
     }
 
     /// Lane `l` of the last pass: its outcome and statistics.
@@ -863,24 +846,20 @@ impl<'a> Tape<'a> {
 
     /// The allocation-free core of [`replay`](Tape::replay): one pass of
     /// `W` invocations under `noise`, leaving their results in the tape's
-    /// state and returning how each lane ended. Only a one-lane pass
-    /// records a trace.
+    /// state. Only a one-lane pass records a trace.
     pub(crate) fn run<const W: usize>(
         &mut self,
         mut noise: Noise<'_, W>,
         mut trace: Option<&mut Trace>,
-    ) -> [Result<(), SimError>; W] {
+    ) {
         assert!(W == 1 || trace.is_none(), "a trace records one lane");
         let p = self.platform;
         let idx = &self.idx;
-        let nr = self.prog.num_ranks;
         let st = self.state.pass::<W>();
         st.cpu.fill(0.0);
         st.tail.fill(0.0);
         st.cpu_busy.fill(0.0);
         st.stream_busy.fill(0.0);
-        let mut ends: [Result<(), SimError>; W] = std::array::from_fn(|_| Ok(()));
-        let mut tripped = 0;
         for op in &self.ops {
             let r = op.rank;
             let cpu_before = get::<W>(st.cpu, r);
@@ -1020,27 +999,6 @@ impl<'a> Tape<'a> {
                     *lanes(st.entries, slot) = cpu_before;
                     continue;
                 }
-                Kind::SweepEnd { steps } => {
-                    if p.max_virtual_time > 0.0 {
-                        for (l, end) in ends.iter_mut().enumerate() {
-                            let vt = (0..nr).map(|r| st.cpu[r * W + l]).fold(0.0, f64::max);
-                            if end.is_ok() && vt > p.max_virtual_time {
-                                *end = Err(SimError::Budget {
-                                    steps,
-                                    detail: format!(
-                                        "virtual time {vt:.6}s exceeds limit {:.6}s",
-                                        p.max_virtual_time
-                                    ),
-                                });
-                                tripped += 1;
-                            }
-                        }
-                        if tripped == W {
-                            return ends;
-                        }
-                    }
-                    continue;
-                }
             }
             let (cpu, busy) = (get::<W>(st.cpu, r), lanes::<W>(st.cpu_busy, r));
             for l in 0..W {
@@ -1072,7 +1030,6 @@ impl<'a> Tape<'a> {
                 }
             }
         }
-        ends.map(|end| end.and_then(|()| self.end.clone()))
     }
 
     /// Lane `l`'s per-rank finish times in the last pass.
@@ -1714,21 +1671,9 @@ mod fault_tests {
     #[test]
     fn step_budget_kills_long_runs() {
         let prog = cpu_program(1e-3);
-        let platform = Platform::perlmutter_like().noiseless().with_budget(1, 0.0);
+        let platform = Platform::perlmutter_like().noiseless().with_budget(1);
         match execute(&prog, &platform, &mut rng()) {
             Err(SimError::Budget { steps, .. }) => assert_eq!(steps, 1),
-            other => panic!("expected budget kill, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn virtual_time_budget_kills_slow_runs() {
-        let prog = exchange_program(1 << 20);
-        let platform = Platform::perlmutter_like().noiseless().with_budget(0, 1e-9);
-        match execute(&prog, &platform, &mut rng()) {
-            Err(SimError::Budget { detail, .. }) => {
-                assert!(detail.contains("virtual time"), "{detail}");
-            }
             other => panic!("expected budget kill, got {other:?}"),
         }
     }
@@ -1737,7 +1682,7 @@ mod fault_tests {
     fn generous_budget_does_not_perturb_results() {
         let prog = exchange_program(1 << 16);
         let base = Platform::perlmutter_like();
-        let budgeted = base.clone().with_budget(1_000_000, 1e6);
+        let budgeted = base.clone().with_budget(1_000_000);
         let a = execute(&prog, &base, &mut SmallRng::seed_from_u64(3)).unwrap();
         let b = execute(&prog, &budgeted, &mut SmallRng::seed_from_u64(3)).unwrap();
         assert_eq!(a, b);

@@ -115,12 +115,10 @@ mod tests {
         seeds: [u64; W],
         memo: &mut SimMemo,
     ) -> Vec<Vec<f64>> {
-        let mut tape = Tape::lower(prog, platform);
+        let mut tape = Tape::lower(prog, platform).unwrap();
         let cells = ids.iter().max().map_or(0, |&c| c + 1);
         let table = memo.table(platform, prog, measurements, cells);
-        for end in tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None) {
-            end.unwrap();
-        }
+        tape.run(Noise::new(platform, seeds, table.map(|t| (t, ids))), None);
         (0..W).map(|l| tape.rank_times(l).collect()).collect()
     }
 

@@ -126,10 +126,6 @@ pub struct Platform {
     /// before it is killed with [`SimError::Budget`](crate::SimError);
     /// `0` = unlimited.
     pub max_steps: u64,
-    /// Watchdog: maximum virtual seconds a single execution may span
-    /// before it is killed with [`SimError::Budget`](crate::SimError);
-    /// `0.0` = unlimited.
-    pub max_virtual_time: f64,
 }
 
 impl Platform {
@@ -155,7 +151,6 @@ impl Platform {
             noise: NoiseModel { sigma: 0.02 },
             faults: None,
             max_steps: 0,
-            max_virtual_time: 0.0,
         }
     }
 
@@ -166,11 +161,9 @@ impl Platform {
     }
 
     /// The same platform with a watchdog budget: at most `max_steps`
-    /// retired instructions and `max_virtual_time` simulated seconds per
-    /// execution (`0` / `0.0` = unlimited).
-    pub fn with_budget(mut self, max_steps: u64, max_virtual_time: f64) -> Self {
+    /// retired instructions per execution (`0` = unlimited).
+    pub fn with_budget(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
-        self.max_virtual_time = max_virtual_time;
         self
     }
 

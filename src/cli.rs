@@ -1998,7 +1998,7 @@ fn run_chaos(
             .platform
             .clone()
             .with_faults(plan)
-            .with_budget(1_000_000, 0.0);
+            .with_budget(1_000_000);
         let sim_deadlocked = match benchmark(&prog, &faulted, &BenchConfig::quick(), s) {
             Ok(_) => false,
             Err(SimError::Deadlock { .. } | SimError::Budget { .. }) => true,
