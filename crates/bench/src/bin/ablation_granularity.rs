@@ -5,7 +5,7 @@
 //! orders of magnitude, so a fixed MCTS budget covers proportionally less
 //! of it.
 
-use dr_core::{run_pipeline, Strategy};
+use dr_core::{run_pipeline, PipelineConfig, Strategy};
 use dr_mcts::MctsConfig;
 use dr_spmv::SpmvScenario;
 
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         ..Default::default()
                     },
                 },
-                &dr_bench::pipeline_config(),
+                &PipelineConfig::default(),
             )?;
             let best = result.times().into_iter().fold(f64::INFINITY, f64::min);
             row.push_str(&format!(

@@ -5,7 +5,7 @@
 //! designed to find a single *optimum* — this harness quantifies the
 //! difference on both axes.
 
-use dr_core::{labeling_accuracy, mine_rules, run_pipeline, Strategy};
+use dr_core::{labeling_accuracy, mine_rules, run_pipeline, PipelineConfig, Strategy};
 use dr_mcts::{Exploitation, MctsConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|r| (r.traversal.clone(), r.result.time()))
         .collect();
-    let canonical = mine_rules(&sc.space, records, &dr_bench::pipeline_config());
+    let canonical = mine_rules(&sc.space, records, &PipelineConfig::default());
     let true_fastest = canonical.labeling.class_ranges[0].0;
 
     let policies = [
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         ..Default::default()
                     },
                 },
-                &dr_bench::pipeline_config(),
+                &PipelineConfig::default(),
             )?;
             let report = labeling_accuracy(&sc.space, &result, &ground_truth, 0.02);
             let best = result.times().into_iter().fold(f64::INFINITY, f64::min);

@@ -2,7 +2,7 @@
 //! uniform random sampling at equal rollout budgets, scored by Fig.-7
 //! labeling accuracy and by coverage of the fastest class.
 
-use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, Strategy};
+use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, PipelineConfig, Strategy};
 use dr_mcts::MctsConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|r| (r.traversal.clone(), r.result.time()))
         .collect();
-    let canonical = mine_rules(&sc.space, records, &dr_bench::pipeline_config());
+    let canonical = mine_rules(&sc.space, records, &PipelineConfig::default());
     let fastest_hi = canonical.labeling.class_ranges[0].1;
 
     println!("== Ablation: MCTS vs uniform random sampling ==");
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &sc.workload,
                 &sc.platform,
                 strategy,
-                &dr_bench::pipeline_config(),
+                &PipelineConfig::default(),
             )?;
             // The per-iteration telemetry is the convergence curve
             // (best_time vs iteration) used by EXPERIMENTS.md.

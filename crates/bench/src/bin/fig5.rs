@@ -1,13 +1,13 @@
 //! Figure 5: training error and tree depth during the Algorithm 1
 //! hyperparameter search (smallest leaf budget minimizing the error).
 
-use dr_core::mine_rules;
+use dr_core::{mine_rules, PipelineConfig};
 
 fn main() {
     let sc = dr_bench::scenario();
     eprintln!("benchmarking the full space …");
     let records = dr_bench::exhaustive_records(&sc);
-    let result = mine_rules(&sc.space, records, &dr_bench::pipeline_config());
+    let result = mine_rules(&sc.space, records, &PipelineConfig::default());
 
     println!("== Figure 5: decision-tree hyperparameter search ==");
     println!(

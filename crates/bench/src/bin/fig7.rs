@@ -4,7 +4,7 @@
 //! whose exhaustively-measured time falls inside the predicted class's
 //! performance range.
 
-use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, Strategy};
+use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, PipelineConfig, Strategy};
 use dr_mcts::MctsConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let budgets = [50usize, 100, 200, 400, 800, total];
     for &budget in &budgets {
         let result = if budget >= total {
-            mine_rules(&sc.space, records.clone(), &dr_bench::pipeline_config())
+            mine_rules(&sc.space, records.clone(), &PipelineConfig::default())
         } else {
             let strategy = Strategy::Mcts {
                 iterations: budget,
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &sc.workload,
                 &sc.platform,
                 strategy,
-                &dr_bench::pipeline_config(),
+                &PipelineConfig::default(),
             )?;
             dr_bench::write_artifact(&format!("fig7_report_{budget}.json"), &run.report.to_json());
             dr_bench::write_artifact(

@@ -4,8 +4,9 @@
 //! tree whose feature vectors include *input features*. The harness
 //! reports whether the tree actually needs them.
 
-use dr_core::{explore, mine_rules_multi, InputFeature, InputRun, Strategy};
+use dr_core::{explore, mine_rules_multi, InputFeature, InputRun, PipelineConfig, Strategy};
 use dr_mcts::{MctsConfig, SimEvaluator};
+use dr_sim::BenchConfig;
 use dr_spmv::{banded_matrix, BandedSpec, DistributedSpmv, GpuModel, SpmvDagConfig, SpmvScenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &sc.space,
             &sc.workload,
             &sc.platform,
-            dr_bench::bench_config(),
+            BenchConfig::default(),
         );
         let records = explore(
             &sc.space,
@@ -85,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let space = reference_space.ok_or("no inputs were explored")?;
 
-    let result = mine_rules_multi(&space, &runs, &dr_bench::pipeline_config());
+    let result = mine_rules_multi(&space, &runs, &PipelineConfig::default());
     println!("== Multi-input rule generalization ==");
     for (run, labeling) in runs.iter().zip(&result.labelings) {
         println!(

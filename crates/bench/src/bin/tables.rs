@@ -7,7 +7,7 @@
 //! * `missing:`  — underconstrained: a canonical condition the budgeted
 //!   ruleset lacks (red / "insufficient rules" in the paper).
 
-use dr_core::{mine_rules, run_pipeline_instrumented, PipelineResult, Strategy};
+use dr_core::{mine_rules, run_pipeline_instrumented, PipelineConfig, PipelineResult, Strategy};
 use dr_mcts::MctsConfig;
 use dr_ml::{compare_to_canonical, rulesets_for_class};
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = sc.space.count_traversals() as usize;
     eprintln!("building the canonical exhaustive dataset ({total} implementations) …");
     let records = dr_bench::exhaustive_records(&sc);
-    let canonical = mine_rules(&sc.space, records, &dr_bench::pipeline_config());
+    let canonical = mine_rules(&sc.space, records, &PipelineConfig::default());
     let num_classes = canonical.labeling.num_classes;
 
     let budgets = [50usize, 100, 200, 400];
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &sc.workload,
             &sc.platform,
             strategy,
-            &dr_bench::pipeline_config(),
+            &PipelineConfig::default(),
         )?;
         dr_bench::write_artifact(
             &format!("tables_report_{budget}.json"),

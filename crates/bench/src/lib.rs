@@ -16,7 +16,7 @@
 
 pub mod harness;
 
-use dr_core::{explore, PipelineConfig, Strategy};
+use dr_core::{explore, Strategy};
 use dr_mcts::{ExploredRecord, SimEvaluator};
 use dr_sim::BenchConfig;
 use dr_spmv::SpmvScenario;
@@ -53,22 +53,6 @@ pub fn scale() -> &'static str {
 /// `DR_SCALE=small` for the fast variant.
 pub fn scenario() -> SpmvScenario {
     harness::scenario_for(scale(), seed())
-}
-
-/// The measurement protocol used by the harness: the paper's 0.01 s
-/// measurements, 50 per implementation.
-pub fn bench_config() -> BenchConfig {
-    BenchConfig::default()
-}
-
-/// The pipeline configuration used by the harness. Linting is on so the
-/// run reports written to `DR_ARTIFACTS` carry static-analysis counters.
-pub fn pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        bench: bench_config(),
-        lint: true,
-        ..Default::default()
-    }
 }
 
 /// Writes an observability artifact (run report, telemetry CSV) into the
@@ -148,7 +132,12 @@ pub fn append_history(
 /// Collects the exhaustive record set of the scenario — the canonical
 /// dataset every figure derives from.
 pub fn exhaustive_records(sc: &SpmvScenario) -> Vec<ExploredRecord> {
-    let eval = SimEvaluator::new(&sc.space, &sc.workload, &sc.platform, bench_config());
+    let eval = SimEvaluator::new(
+        &sc.space,
+        &sc.workload,
+        &sc.platform,
+        BenchConfig::default(),
+    );
     explore(&sc.space, eval, Strategy::Exhaustive).expect("SpMV scenario always executes")
 }
 

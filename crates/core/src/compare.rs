@@ -6,7 +6,7 @@
 //! * **structural** — when the two head entries share a run identity
 //!   (scenario, strategy, seed, iteration budget), the record-set
 //!   fingerprints must match exactly (the engine is deterministic), the
-//!   mined rule sets must agree, and lint/resilience counters must not
+//!   mined rule sets must agree, and resilience counters must not
 //!   drift;
 //! * **statistical** — per-phase wall-clock medians are compared with a
 //!   noise band derived from the baseline history's MAD (median absolute
@@ -447,10 +447,10 @@ fn phases_of(e: &Value) -> Vec<(String, f64)> {
     }
 }
 
-/// A counter block (`lint` or `resilience`) flattened to `(key, value)`
-/// pairs, or `None` when the entry recorded `null`.
-fn counters(e: &Value, block: &str) -> Option<Vec<(String, u64)>> {
-    match e.get(block) {
+/// The `resilience` counter block flattened to `(key, value)` pairs, or
+/// `None` when the entry recorded `null`.
+pub(crate) fn resilience_counters(e: &Value) -> Option<Vec<(String, u64)>> {
+    match e.get("resilience") {
         Some(Value::Obj(members)) => Some(
             members
                 .iter()
@@ -580,40 +580,37 @@ pub fn compare_ledgers(a: &[Value], b: &[Value], opts: &CompareOptions) -> Compa
         }
     }
 
-    // Structural: lint and resilience counter drift. Resilience
-    // presence flipping (clean run vs fault injection) is itself drift
-    // worth failing on — it means the two runs measured different
-    // conditions.
-    for block in ["lint", "resilience"] {
-        let ca = counters(ha, block);
-        let cb = counters(hb, block);
-        match (&ca, &cb) {
-            (None, None) => report.lines.push(format!("{block}: absent in both")),
-            (Some(x), Some(y)) if x == y => {
-                report.lines.push(format!("{block}: counters identical"));
-            }
-            (Some(x), Some(y)) => {
-                let mut drift = Vec::new();
-                for (k, va) in x {
-                    let vb = y
-                        .iter()
-                        .find(|(kb, _)| kb == k)
-                        .map(|(_, v)| *v)
-                        .unwrap_or_default();
-                    if *va != vb {
-                        drift.push(format!("{k} {va} -> {vb}"));
-                    }
+    // Structural: resilience counter drift. Resilience presence
+    // flipping (clean run vs fault injection) is itself drift worth
+    // failing on — it means the two runs measured different conditions.
+    let ca = resilience_counters(ha);
+    let cb = resilience_counters(hb);
+    match (&ca, &cb) {
+        (None, None) => report.lines.push("resilience: absent in both".into()),
+        (Some(x), Some(y)) if x == y => {
+            report.lines.push("resilience: counters identical".into());
+        }
+        (Some(x), Some(y)) => {
+            let mut drift = Vec::new();
+            for (k, va) in x {
+                let vb = y
+                    .iter()
+                    .find(|(kb, _)| kb == k)
+                    .map(|(_, v)| *v)
+                    .unwrap_or_default();
+                if *va != vb {
+                    drift.push(format!("{k} {va} -> {vb}"));
                 }
-                report
-                    .regressions
-                    .push(format!("{block} counters drifted: {}", drift.join(", ")));
             }
-            _ => {
-                report.regressions.push(format!(
-                    "{block} drift: present in {} only",
-                    if ca.is_some() { "a" } else { "b" }
-                ));
-            }
+            report
+                .regressions
+                .push(format!("resilience counters drifted: {}", drift.join(", ")));
+        }
+        _ => {
+            report.regressions.push(format!(
+                "resilience drift: present in {} only",
+                if ca.is_some() { "a" } else { "b" }
+            ));
         }
     }
 
@@ -691,10 +688,10 @@ mod tests {
                 "{{\"schema\":\"dr-ledger/v1\",",
                 "\"provenance\":{{\"run_id\":\"r{}\",\"git\":\"abc\",\"created_unix\":1}},",
                 "\"scenario\":\"spmv\",\"strategy\":\"exhaustive\",\"seed\":{},\"iterations\":0,",
-                "\"threads\":1,\"config\":{{\"lint\":false,\"faults_active\":{}}},",
+                "\"threads\":1,\"config\":{{\"faults_active\":{}}},",
                 "\"phases\":{{\"explore\":{},\"train\":0.001}},",
                 "\"records\":{{\"count\":8,\"fingerprint\":\"{}\"}},",
-                "\"lint\":null,\"resilience\":{},",
+                "\"resilience\":{},",
                 "\"rules\":[{{\"class\":0,\"samples\":4,\"pure\":true,\"rules\":[\"x\"],",
                 "\"support\":[0],\"class_split\":[4,0]}}]}}"
             ),

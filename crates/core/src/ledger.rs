@@ -2,7 +2,7 @@
 //!
 //! Every instrumented run can be distilled into one self-describing
 //! JSON line — provenance, configuration, per-phase timings, search
-//! telemetry summary, resilience/lint counters, a fingerprint of the
+//! telemetry summary, resilience counters, a fingerprint of the
 //! record set, and the mined rule set with per-rule provenance (which
 //! explored implementations support each ruleset, split by class).
 //! Lines append to `ledger.jsonl` inside the directory named by the
@@ -96,13 +96,6 @@ pub fn ledger_entry_json(
         ",\"records\":{{\"count\":{},\"fingerprint\":\"{:016x}\"}}",
         run.result.records.len(),
         records_fingerprint(&run.result.records)
-    ));
-    out.push_str(&format!(
-        ",\"lint\":{}",
-        report
-            .lint
-            .as_ref()
-            .map_or("null".to_string(), |l| l.to_json())
     ));
     out.push_str(&format!(
         ",\"resilience\":{}",

@@ -58,17 +58,14 @@ pub use ledger::{
     append_entry, ledger_entry_json, records_fingerprint, LedgerContext, LEDGER_FILE, LEDGER_SCHEMA,
 };
 pub use lintstage::{
-    apply_fault_plan, lint_space, lint_space_watched, topology_from_workload, LintTotals,
-    LintingEvaluator, SpaceLint,
+    apply_fault_plan, lint_space, lint_space_watched, topology_from_workload, SpaceLint,
 };
 pub use multi_input::{mine_rules_multi, InputFeature, InputRun, MultiInputResult};
 pub use pipeline::{
     mine_rules, mine_rules_timed, run_pipeline, run_pipeline_instrumented, run_pipeline_stored,
     InstrumentedRun, PipelineConfig, PipelineResult, RunCtx,
 };
-pub use report::{
-    LintSummary, MiningSummary, Provenance, ResilienceSummary, RunReport, SearchSummary,
-};
+pub use report::{MiningSummary, Provenance, ResilienceSummary, RunReport, SearchSummary};
 pub use resilient::{
     backoff_delay_ms, retry_seed, ResilienceTotals, ResilientEvaluator, RetrySchedule,
     DEFAULT_BACKOFF_BASE_MS, DEFAULT_BACKOFF_CAP_MS, DEFAULT_MAX_RETRIES, WATCHDOG_MAX_STEPS,

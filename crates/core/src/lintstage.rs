@@ -1,129 +1,22 @@
-//! The opt-in lint stage: static schedule analysis threaded through the
-//! exploration pipeline.
+//! Static schedule analysis wired to the simulator's inputs: the glue
+//! the `lint`, `verify-rules` and `chaos` commands share.
 //!
-//! With [`PipelineConfig::lint`](crate::PipelineConfig) enabled, every
-//! evaluated traversal is first checked by `dr-lint` (happens-before
-//! verification, MPI deadlock detection, redundant-sync analysis) before
-//! the simulator measures it. Findings never fail an evaluation — the
-//! simulator remains the ground truth for *time* — but they accumulate
-//! into shared [`LintTotals`] surfaced in the run's
-//! [`RunReport`](crate::RunReport).
+//! [`topology_from_workload`] derives the linter's communication
+//! topology from the same workload and platform the simulator measures
+//! with, [`apply_fault_plan`] marks the sends a fault plan drops, and
+//! [`lint_space`] runs `dr-lint`'s incremental engine (happens-before
+//! verification, MPI deadlock detection, redundant-sync analysis) over
+//! an enumerated decision space.
 
-use crate::report::LintSummary;
-use dr_dag::{DecisionSpace, OpSpec, Traversal};
+use dr_dag::{DecisionSpace, OpSpec};
 use dr_fault::{key_hash, FaultPlan, MessageFault};
 use dr_lint::{
-    lint_space_incremental, lint_traversal, AggregatedDiag, CommTopology, DiagAggregator,
-    LintCounters, LintReport, SpaceLintStats,
+    lint_space_incremental, AggregatedDiag, CommTopology, DiagAggregator, LintCounters,
+    SpaceLintStats,
 };
-use dr_mcts::Evaluator;
 use dr_obs::events::EventSink;
-use dr_sim::{BenchResult, Platform, SimError, SimStats, Workload};
+use dr_sim::{Platform, Workload};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Thread-safe lint counters shared by every exploration worker.
-#[derive(Debug, Default)]
-pub struct LintTotals {
-    schedules: AtomicU64,
-    errors: AtomicU64,
-    warnings: AtomicU64,
-    races: AtomicU64,
-    deadlocks: AtomicU64,
-    redundant_syncs: AtomicU64,
-    nanos: AtomicU64,
-    space_schedules: AtomicU64,
-    hb_expansions: AtomicU64,
-    cold_hb_expansions: AtomicU64,
-}
-
-impl LintTotals {
-    /// Folds one schedule's report (and the time spent producing it) in.
-    pub fn absorb(&self, report: &LintReport, nanos: u64) {
-        self.schedules.fetch_add(1, Ordering::Relaxed);
-        self.errors
-            .fetch_add(report.errors().count() as u64, Ordering::Relaxed);
-        self.warnings
-            .fetch_add(report.warnings().count() as u64, Ordering::Relaxed);
-        self.races
-            .fetch_add(report.races() as u64, Ordering::Relaxed);
-        self.deadlocks
-            .fetch_add(report.deadlocks() as u64, Ordering::Relaxed);
-        self.redundant_syncs
-            .fetch_add(report.redundant_syncs() as u64, Ordering::Relaxed);
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Folds in the statistics of a space-level incremental lint pass.
-    /// Space-lint schedules are counted separately from the per-traversal
-    /// `schedules` counter (the two passes cover different populations).
-    pub fn absorb_space(&self, stats: &SpaceLintStats) {
-        self.space_schedules
-            .fetch_add(stats.schedules, Ordering::Relaxed);
-        self.hb_expansions
-            .fetch_add(stats.hb_expansions, Ordering::Relaxed);
-        self.cold_hb_expansions
-            .fetch_add(stats.cold_hb_expansions, Ordering::Relaxed);
-    }
-
-    /// Snapshot for the run report.
-    pub fn summary(&self) -> LintSummary {
-        LintSummary {
-            schedules: self.schedules.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            warnings: self.warnings.load(Ordering::Relaxed),
-            races: self.races.load(Ordering::Relaxed),
-            deadlocks: self.deadlocks.load(Ordering::Relaxed),
-            redundant_syncs: self.redundant_syncs.load(Ordering::Relaxed),
-            space_schedules: self.space_schedules.load(Ordering::Relaxed),
-            hb_expansions: self.hb_expansions.load(Ordering::Relaxed),
-            cold_hb_expansions: self.cold_hb_expansions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total wall-clock seconds spent linting (summed across workers).
-    pub fn seconds(&self) -> f64 {
-        self.nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-}
-
-/// Evaluator wrapper that lints each traversal before the inner evaluator
-/// measures it. Placed *outside* the durable store, so each distinct
-/// traversal is linted exactly once per run, cold or warm. With lint off
-/// (`None`) the wrapper is a pass-through, so one stack serves both.
-pub struct LintingEvaluator<'a, E> {
-    inner: E,
-    space: &'a DecisionSpace,
-    lint: Option<(&'a CommTopology, Arc<LintTotals>)>,
-}
-
-impl<'a, E> LintingEvaluator<'a, E> {
-    /// Wraps `inner`, checking each schedule against the topology and
-    /// accumulating findings into the shared totals; `None` disables it.
-    pub fn new(
-        inner: E,
-        space: &'a DecisionSpace,
-        lint: Option<(&'a CommTopology, Arc<LintTotals>)>,
-    ) -> Self {
-        LintingEvaluator { inner, space, lint }
-    }
-}
-
-impl<E: Evaluator> Evaluator for LintingEvaluator<'_, E> {
-    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        if let Some((topo, totals)) = &self.lint {
-            let start = std::time::Instant::now();
-            let report = lint_traversal(self.space, t, Some(topo));
-            totals.absorb(&report, start.elapsed().as_nanos() as u64);
-        }
-        self.inner.evaluate(t, seed)
-    }
-
-    fn sim_stats(&self) -> Option<&SimStats> {
-        self.inner.sim_stats()
-    }
-}
 
 /// Builds the lint-side communication topology from the pipeline's own
 /// ingredients: one [`RankTraffic`](dr_lint::RankTraffic) entry per comm
@@ -293,7 +186,8 @@ pub fn lint_space_watched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_dag::{CommKey, CostKey, DagBuilder};
+    use dr_dag::{CommKey, DagBuilder};
+    use dr_lint::lint_traversal;
     use dr_sim::TableWorkload;
 
     fn exchange_space() -> DecisionSpace {
@@ -406,27 +300,5 @@ mod tests {
         }
         assert!(dropping > 0, "sweep never dropped a message");
         assert!(clean > 0, "sweep never left a plan clean");
-    }
-
-    #[test]
-    fn linting_evaluator_counts_without_changing_results() {
-        let mut b = DagBuilder::new();
-        b.add("k", OpSpec::GpuKernel(CostKey::new("k")));
-        let space = DecisionSpace::new(b.build().unwrap(), 1).unwrap();
-        let mut w = TableWorkload::new(1);
-        w.cost_all("k", 1e-4);
-        let platform = Platform::perlmutter_like().noiseless();
-        let topo = topology_from_workload(&space, &w, &platform);
-        let totals = Arc::new(LintTotals::default());
-        let inner = dr_mcts::SimEvaluator::new(&space, &w, &platform, dr_sim::BenchConfig::quick());
-        let mut eval = LintingEvaluator::new(inner, &space, Some((&topo, totals.clone())));
-        let t = space.enumerate().next().unwrap();
-        let res = eval.evaluate(&t, 7).unwrap();
-        assert!(res.time() >= 1e-4);
-        let summary = totals.summary();
-        assert_eq!(summary.schedules, 1);
-        assert_eq!(summary.errors, 0);
-        assert!(totals.seconds() >= 0.0);
-        assert!(eval.sim_stats().is_some());
     }
 }

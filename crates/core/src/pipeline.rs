@@ -2,7 +2,6 @@
 //! featurize → train → extract rules.
 
 use crate::explore::{explore_parallel, ExploreCtx, Strategy, DEFAULT_EVENTS_RATE};
-use crate::lintstage::{lint_space_watched, topology_from_workload, LintTotals, LintingEvaluator};
 use crate::report::{RunReport, SearchSummary};
 use crate::resilient::{Chaos, Measure, RetrySchedule};
 use crate::shard::DEFAULT_HEARTBEAT_MS;
@@ -10,7 +9,6 @@ use crate::storestage::StoredEvaluator;
 use crate::watch::{EvalWatch, WatchedEvaluator};
 use dr_dag::{DecisionSpace, Traversal};
 use dr_fault::FaultConfig;
-use dr_lint::CommTopology;
 use dr_mcts::{ExploredRecord, SearchTelemetry};
 use dr_ml::{
     algorithm1, extract_rulesets, featurize, label_times, FeatureSet, HyperSearch, Labeling,
@@ -38,10 +36,6 @@ pub struct PipelineConfig {
     pub bench: BenchConfig,
     /// Exploration worker threads (default 1; `0` is treated as `1`).
     pub threads: usize,
-    /// Statically lint every evaluated schedule before simulating it,
-    /// surfacing counters in the run report. Findings never fail an
-    /// evaluation; off by default.
-    pub lint: bool,
     /// Deterministic fault injection (chaos mode). Inactive (clean) by
     /// default. An active config measures with the resilient evaluator
     /// (retry-with-reseed under a watchdog budget, panic isolation),
@@ -66,7 +60,6 @@ impl Default for PipelineConfig {
             train: TrainConfig::default(),
             bench: BenchConfig::default(),
             threads: 1,
-            lint: false,
             faults: FaultConfig::clean(),
             retry: RetrySchedule::default(),
             events_rate: DEFAULT_EVENTS_RATE,
@@ -158,9 +151,6 @@ pub fn run_pipeline_instrumented<W: Workload + Sync>(
     run_pipeline_stored(space, workload, platform, strategy, &RunCtx::new(*cfg))
 }
 
-/// Schedule cap of the pipeline's space-level lint pass.
-const LINT_SPACE_CAP: usize = 4096;
-
 /// Everything a run needs besides the problem and the strategy: the
 /// resolved configuration plus the run's observation and persistence
 /// channels. A disabled tracer, a `None` or disabled sink, and a `None`
@@ -195,11 +185,10 @@ impl RunCtx {
     }
 }
 
-/// One worker's evaluator stack, outermost first: watch → lint → store
-/// → measure. The watch layer's `evaluate` span and `eval` wall time
-/// cover store lookups, lint, fault retries, and the simulator run.
-pub(crate) type EvalStack<'a, W> =
-    WatchedEvaluator<LintingEvaluator<'a, StoredEvaluator<Measure<'a, W>>>>;
+/// One worker's evaluator stack, outermost first: watch → store →
+/// measure. The watch layer's `evaluate` span and `eval` wall time cover
+/// store lookups, fault retries, and the simulator run.
+pub(crate) type EvalStack<'a, W> = WatchedEvaluator<StoredEvaluator<Measure<'a, W>>>;
 
 /// What every worker's [`EvalStack`] is built from. Each optional part
 /// switches its layer off when absent, leaving a pass-through.
@@ -210,8 +199,6 @@ pub(crate) struct StackParts<'a, W: Workload> {
     pub bench: BenchConfig,
     /// Fault injection: selects the resilient measuring layer.
     pub chaos: Option<Chaos>,
-    /// Per-evaluation lint against this topology, into these totals.
-    pub lint: Option<(CommTopology, Arc<LintTotals>)>,
     pub store: Option<Arc<dr_store::ResultStore>>,
     pub watch: Option<EvalWatch>,
 }
@@ -226,16 +213,8 @@ impl<W: Workload> StackParts<'_, W> {
             self.bench,
             self.chaos.as_ref(),
         );
-        let lint = self
-            .lint
-            .as_ref()
-            .map(|(topo, totals)| (topo, totals.clone()));
         WatchedEvaluator::new(
-            LintingEvaluator::new(
-                StoredEvaluator::new(measure, self.store.clone()),
-                self.space,
-                lint,
-            ),
+            StoredEvaluator::new(measure, self.store.clone()),
             lane,
             self.watch.clone(),
         )
@@ -271,9 +250,9 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
 ///   measurement to disk before returning it, so a re-run over the same
 ///   store answers every already-measured traversal from disk
 ///   (`store.stats().hits` proves it) and a crash mid-run loses at most
-///   the in-flight record. The store sits *inside* the lint and watch
-///   layers, so observability counters are identical between cold and
-///   warm runs; only the simulator is skipped.
+///   the in-flight record. The store sits *inside* the watch layer, so
+///   observability counters are identical between cold and warm runs;
+///   only the simulator is skipped.
 ///
 /// # Errors
 /// The first failed evaluation under [`FailurePolicy::Abort`], or
@@ -341,10 +320,6 @@ pub fn run_pipeline_stored<W: Workload + Sync>(
                 main.annotate("quarantined", r.quarantined);
                 main.annotate("retries", r.retries);
             }
-            if let Some(l) = &run.report.lint {
-                main.annotate("lint_errors", l.errors);
-                main.annotate("lint_warnings", l.warnings);
-            }
         }
         Err(e) => main.annotate("error", e),
     }
@@ -380,17 +355,10 @@ fn run_pipeline_spanned<W: Workload + Sync>(
         platform,
         bench: cfg.bench,
         chaos,
-        lint: cfg.lint.then(|| {
-            (
-                topology_from_workload(space, workload, platform),
-                Arc::new(LintTotals::default()),
-            )
-        }),
         store: ctx.store.clone(),
         watch: events.map(|s| EvalWatch::new(s.clone(), cfg.events_rate)),
     };
     main.annotate("threads", threads);
-    main.annotate("lint", cfg.lint);
     main.annotate("faults_active", resilience.is_some());
     main.enter("explore");
     let ctx = ExploreCtx {
@@ -455,32 +423,6 @@ fn run_pipeline_spanned<W: Workload + Sync>(
             ),
         ],
     );
-    if let Some((topo, totals)) = &parts.lint {
-        phases.add("lint", totals.seconds());
-        // The space-level pass: incremental full-space verification with
-        // checkpointed happens-before state, bounded by LINT_SPACE_CAP
-        // schedules.
-        main.enter("lint-space");
-        emit(events, "phase-start", &[("phase", "lint-space".into())]);
-        let sw = Stopwatch::start();
-        let sl = lint_space_watched(space, Some(topo), LINT_SPACE_CAP, events);
-        phases.add("lint-space", sw.elapsed());
-        main.annotate("space_schedules", sl.stats.schedules);
-        main.annotate("hb_expansions", sl.stats.hb_expansions);
-        main.annotate("distinct_diags", sl.diags.len());
-        main.exit();
-        emit(
-            events,
-            "phase-end",
-            &[
-                ("phase", "lint-space".into()),
-                ("seconds", sw.elapsed().into()),
-                ("schedules", sl.stats.schedules.into()),
-                ("distinct_diags", sl.diags.len().into()),
-            ],
-        );
-        totals.absorb_space(&sl.stats);
-    }
     if let Some(totals) = &resilience {
         totals.note_quarantined(explored.quarantined);
     }
@@ -519,7 +461,6 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     if let Some(sink) = events {
         report.provenance.run_id = sink.run_id().to_string();
     }
-    report.lint = parts.lint.map(|(_, totals)| totals.summary());
     report.resilience = resilience.map(|totals| totals.summary());
     Ok(InstrumentedRun {
         result,
@@ -771,44 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn lint_stage_surfaces_counters_in_the_report() {
-        let (space, w, platform) = setup();
-        let run = run_pipeline_instrumented(
-            &space,
-            &w,
-            &platform,
-            Strategy::Exhaustive,
-            &PipelineConfig {
-                lint: true,
-                ..PipelineConfig::quick()
-            },
-        )
-        .unwrap();
-        let lint = run.report.lint.expect("lint summary present");
-        // Exhaustive exploration lints each enumerated schedule once.
-        assert_eq!(lint.schedules as usize, run.result.records.len());
-        assert_eq!(lint.errors, 0, "build_schedule output must verify clean");
-        assert_eq!(lint.races, 0);
-        assert_eq!(lint.deadlocks, 0);
-        assert!(run.report.phases.get("lint").is_some());
-        let json = run.report.to_json();
-        dr_obs::json::validate(&json).unwrap();
-        assert!(json.contains("\"lint\":{\"schedules\":"));
-        assert!(run.report.render_text().contains("lint:"));
-        // Without the flag, the report says so explicitly.
-        let off = run_pipeline_instrumented(
-            &space,
-            &w,
-            &platform,
-            Strategy::Exhaustive,
-            &PipelineConfig::quick(),
-        )
-        .unwrap();
-        assert!(off.report.lint.is_none());
-        assert!(off.report.to_json().contains("\"lint\":null"));
-    }
-
-    #[test]
     fn chaos_pipeline_reports_resilience() {
         let (space, w, platform) = setup();
         let cfg = PipelineConfig {
@@ -844,26 +747,6 @@ mod tests {
         .unwrap();
         assert!(clean.report.resilience.is_none());
         assert!(clean.report.to_json().contains("\"resilience\":null"));
-    }
-
-    #[test]
-    fn chaos_pipeline_with_lint_keeps_both_reports() {
-        let (space, w, platform) = setup();
-        let run = run_pipeline_instrumented(
-            &space,
-            &w,
-            &platform,
-            Strategy::Exhaustive,
-            &PipelineConfig {
-                lint: true,
-                faults: dr_fault::FaultConfig::light().with_seed(3),
-                ..PipelineConfig::quick()
-            },
-        )
-        .unwrap();
-        let lint = run.report.lint.expect("lint summary present");
-        assert_eq!(lint.schedules as usize, run.result.records.len());
-        assert!(run.report.resilience.is_some());
     }
 
     #[test]

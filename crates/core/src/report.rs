@@ -171,53 +171,6 @@ impl SearchSummary {
     }
 }
 
-/// Aggregate static-analysis counters of one run's lint stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LintSummary {
-    /// Distinct schedules linted.
-    pub schedules: u64,
-    /// Error-severity diagnostics (races, deadlocks, malformed schedules).
-    pub errors: u64,
-    /// Warning-severity diagnostics (mostly redundant synchronization).
-    pub warnings: u64,
-    /// Happens-before races (`HB*` codes).
-    pub races: u64,
-    /// MPI deadlocks (`MPI103`/`MPI104`).
-    pub deadlocks: u64,
-    /// Redundant synchronizations (`RS*` codes).
-    pub redundant_syncs: u64,
-    /// Schedules covered by the space-level incremental lint pass
-    /// (counted separately from the per-traversal `schedules`).
-    pub space_schedules: u64,
-    /// Happens-before node expansions the incremental engine performed.
-    pub hb_expansions: u64,
-    /// Node expansions a cold per-schedule pass would have performed for
-    /// the same schedules (the incremental engine's savings baseline).
-    pub cold_hb_expansions: u64,
-}
-
-impl LintSummary {
-    pub(crate) fn to_json(self) -> String {
-        format!(
-            concat!(
-                "{{\"schedules\":{},\"errors\":{},\"warnings\":{},",
-                "\"races\":{},\"deadlocks\":{},\"redundant_syncs\":{},",
-                "\"space_schedules\":{},\"hb_expansions\":{},",
-                "\"cold_hb_expansions\":{}}}"
-            ),
-            self.schedules,
-            self.errors,
-            self.warnings,
-            self.races,
-            self.deadlocks,
-            self.redundant_syncs,
-            self.space_schedules,
-            self.hb_expansions,
-            self.cold_hb_expansions
-        )
-    }
-}
-
 /// Aggregate resilience counters of one chaos run (absent unless fault
 /// injection was active).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -287,8 +240,6 @@ pub struct RunReport {
     pub search: SearchSummary,
     /// Mined-rule outcomes.
     pub mining: MiningSummary,
-    /// Lint-stage counters (absent unless the run enabled linting).
-    pub lint: Option<LintSummary>,
     /// Resilience counters (absent unless fault injection was active).
     pub resilience: Option<ResilienceSummary>,
 }
@@ -313,21 +264,19 @@ impl RunReport {
                 tree_error: result.search.error,
                 num_rulesets: result.rulesets.len(),
             },
-            lint: None,
             resilience: None,
         }
     }
 
     /// The run's configuration block (also a ledger entry's `config`):
-    /// whether lint and fault injection engaged, then the resolved
-    /// settings that can change the run.
+    /// whether fault injection engaged, then the resolved settings that
+    /// can change the run.
     pub fn config_json(&self) -> String {
         let c = &self.config;
         format!(
-            "{{\"lint\":{},\"faults_active\":{},\"threads\":{},\"faults\":\"{}\",\
+            "{{\"faults_active\":{},\"threads\":{},\"faults\":\"{}\",\
              \"retry\":{{\"max_retries\":{},\"backoff_base_ms\":{},\"backoff_cap_ms\":{}}},\
              \"events_rate\":{},\"heartbeat_ms\":{}}}",
-            self.lint.is_some(),
             self.resilience.is_some(),
             c.threads.max(1),
             json::escape(&c.faults.to_string()),
@@ -342,7 +291,7 @@ impl RunReport {
     /// Renders the report as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"provenance\":{},\"config\":{},\"phases\":{},\"sim\":{},\"search\":{},\"mining\":{{\"num_classes\":{},\"tree_error\":{},\"num_rulesets\":{}}},\"lint\":{},\"resilience\":{}}}",
+            "{{\"provenance\":{},\"config\":{},\"phases\":{},\"sim\":{},\"search\":{},\"mining\":{{\"num_classes\":{},\"tree_error\":{},\"num_rulesets\":{}}},\"resilience\":{}}}",
             self.provenance.to_json(),
             self.config_json(),
             self.phases.to_json(),
@@ -351,9 +300,6 @@ impl RunReport {
             self.mining.num_classes,
             json::number(self.mining.tree_error),
             self.mining.num_rulesets,
-            self.lint
-                .as_ref()
-                .map_or("null".to_string(), |l| l.to_json()),
             self.resilience
                 .map_or("null".to_string(), |r| r.to_json())
         )
@@ -400,25 +346,6 @@ impl RunReport {
                 "  sync ops: {} CER, {} CES, {} CSWE; {} collective\n",
                 sim.sync_cer, sim.sync_ces, sim.sync_cswe, sim.collective_ops
             ));
-        }
-        if let Some(lint) = &self.lint {
-            out.push_str(&format!(
-                "lint: {} schedules — {} errors ({} races, {} deadlocks), \
-                 {} warnings ({} redundant syncs)\n",
-                lint.schedules,
-                lint.errors,
-                lint.races,
-                lint.deadlocks,
-                lint.warnings,
-                lint.redundant_syncs
-            ));
-            if lint.space_schedules > 0 {
-                out.push_str(&format!(
-                    "  space lint: {} schedules — {} hb expansions \
-                     (cold {})\n",
-                    lint.space_schedules, lint.hb_expansions, lint.cold_hb_expansions
-                ));
-            }
         }
         if let Some(r) = &self.resilience {
             out.push_str(&format!(

@@ -10,7 +10,7 @@
 //! (and exit status) agrees with `compare` on the same entries by
 //! construction.
 
-use crate::compare::{compare_ledgers, CompareOptions, CompareReport};
+use crate::compare::{compare_ledgers, resilience_counters, CompareOptions, CompareReport};
 use dr_obs::json::Value;
 use dr_obs::{mad, median};
 
@@ -109,18 +109,6 @@ pub fn summary_line(index: usize, e: &Value) -> String {
     )
 }
 
-fn counter_block(e: &Value, block: &str) -> Option<Vec<(String, u64)>> {
-    match e.get(block) {
-        Some(Value::Obj(members)) => Some(
-            members
-                .iter()
-                .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-                .collect(),
-        ),
-        _ => None,
-    }
-}
-
 /// Full text view of one entry, for `runs show`.
 pub fn show_entry(index: usize, e: &Value) -> String {
     let mut out = String::new();
@@ -146,11 +134,9 @@ pub fn show_entry(index: usize, e: &Value) -> String {
             hits as f64 / (hits + misses) as f64 * 100.0
         ));
     }
-    for block in ["lint", "resilience"] {
-        if let Some(counters) = counter_block(e, block) {
-            let body: Vec<String> = counters.iter().map(|(k, v)| format!("{k} {v}")).collect();
-            out.push_str(&format!("  {block}: {}\n", body.join(", ")));
-        }
+    if let Some(counters) = resilience_counters(e) {
+        let body: Vec<String> = counters.iter().map(|(k, v)| format!("{k} {v}")).collect();
+        out.push_str(&format!("  resilience: {}\n", body.join(", ")));
     }
     if let Some(rules) = e.get("rules").and_then(Value::as_arr) {
         for rs in rules {
@@ -231,7 +217,7 @@ pub fn trend_lines(entries: &[&Value]) -> Vec<String> {
     let mut quarantined = 0u64;
     let mut faulted = 0usize;
     for e in entries {
-        if let Some(counters) = counter_block(e, "resilience") {
+        if let Some(counters) = resilience_counters(e) {
             faulted += 1;
             for (k, v) in counters {
                 match k.as_str() {
@@ -269,11 +255,11 @@ mod tests {
                 "{{\"schema\":\"dr-ledger/v1\",",
                 "\"provenance\":{{\"run_id\":\"{}\",\"git\":\"{}\",\"created_unix\":1}},",
                 "\"scenario\":\"{}\",\"strategy\":\"exhaustive\",\"seed\":{},\"iterations\":0,",
-                "\"threads\":1,\"config\":{{\"lint\":false,\"faults_active\":false}},",
+                "\"threads\":1,\"config\":{{\"faults_active\":false}},",
                 "\"phases\":{{\"explore\":{},\"train\":0.001}},",
                 "\"cache\":{{\"hits\":3,\"misses\":1}},",
                 "\"records\":{{\"count\":8,\"fingerprint\":\"{}\"}},",
-                "\"lint\":null,\"resilience\":null,",
+                "\"resilience\":null,",
                 "\"rules\":[{{\"class\":0,\"samples\":4,\"pure\":true,\"rules\":[\"x\"],",
                 "\"support\":[0],\"class_split\":[4,0]}}]}}"
             ),

@@ -384,7 +384,6 @@ pub fn run_shard<W: Workload + Sync>(
         platform,
         bench: cfg.bench,
         chaos,
-        lint: None,
         store: Some(store.clone()),
         watch: None,
     };

@@ -10,9 +10,9 @@
 //! every already-committed traversal from disk and only simulates the
 //! remainder, with the store's hit counters as the proof.
 //!
-//! In the evaluator stack (watch → lint → store → measure) the
-//! store sits *inside* the lint stage, so static-analysis counters are
-//! identical between cold and warm runs; only simulator work is elided.
+//! In the evaluator stack (watch → store → measure) the store sits
+//! *inside* the watch layer, so observability counters are identical
+//! between cold and warm runs; only simulator work is elided.
 
 use dr_dag::Traversal;
 use dr_mcts::Evaluator;

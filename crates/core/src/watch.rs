@@ -50,7 +50,7 @@ impl EvalWatch {
 /// An [`Evaluator`] adapter that records `evaluate` spans and emits
 /// sampled `eval` events. Place it outermost in the stack so the span
 /// and the measured wall time cover the whole stack (store lookups,
-/// linting, resilience retries, and the simulation).
+/// resilience retries, and the simulation).
 #[derive(Debug)]
 pub struct WatchedEvaluator<E> {
     inner: E,

@@ -31,24 +31,12 @@ impl NoiseModel {
     pub const NONE: NoiseModel = NoiseModel { sigma: 0.0 };
 
     /// Draws a multiplicative noise factor `exp(sigma · z)`, `z ~ N(0,1)`,
-    /// using the Box-Muller transform on two uniform draws.
-    pub fn factor(&self, rng: &mut impl rand::Rng) -> f64 {
-        if self.sigma == 0.0 {
-            return 1.0;
-        }
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        (self.sigma * z).exp()
-    }
-
-    /// Position-keyed variant of [`factor`](NoiseModel::factor): the same
-    /// log-normal factor, but derived purely from `(seed, key)` with a
-    /// splitmix64 avalanche instead of a sequential generator. Because
-    /// the draw is a pure function of its position key, it is independent
-    /// of execution interleaving — the property that lets a replay tape
-    /// draw factors in its own order and still reproduce round-robin
-    /// execution bit for bit.
+    /// by the Box-Muller transform on two uniforms derived purely from
+    /// `(seed, key)` with a splitmix64 avalanche. Because the draw is a
+    /// pure function of its position key, it is independent of execution
+    /// interleaving — the property that lets a replay tape draw factors
+    /// in its own order and still reproduce round-robin execution bit for
+    /// bit.
     pub fn factor_keyed(&self, seed: u64, key: u64) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
@@ -210,41 +198,6 @@ impl Default for Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn zero_sigma_noise_is_identity() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(NoiseModel::NONE.factor(&mut rng), 1.0);
-    }
-
-    #[test]
-    fn noise_is_positive_and_near_one() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let nm = NoiseModel { sigma: 0.05 };
-        let mut sum = 0.0;
-        for _ in 0..10_000 {
-            let f = nm.factor(&mut rng);
-            assert!(f > 0.0);
-            sum += f;
-        }
-        let mean = sum / 10_000.0;
-        assert!(
-            (mean - 1.0).abs() < 0.01,
-            "lognormal mean ~ exp(sigma^2/2): {mean}"
-        );
-    }
-
-    #[test]
-    fn noise_is_deterministic_per_seed() {
-        let nm = NoiseModel { sigma: 0.1 };
-        let mut a = SmallRng::seed_from_u64(42);
-        let mut b = SmallRng::seed_from_u64(42);
-        for _ in 0..100 {
-            assert_eq!(nm.factor(&mut a), nm.factor(&mut b));
-        }
-    }
 
     #[test]
     fn keyed_noise_is_pure_positive_and_near_one() {

@@ -6,7 +6,8 @@
 //! worker wrote appears in it exactly once, verbatim, under a gapless
 //! global sequence. Also covers `compare` on fleet streams and the
 //! `runs` ledger-analytics commands, whose `diff` exit status must
-//! match `compare` on the same entries.
+//! match `compare` on the same entries, and which still read entries
+//! written in an earlier `dr-ledger/v1` layout.
 
 use cuda_mpi_design_rules::obs::json;
 use std::collections::HashMap;
@@ -344,6 +345,82 @@ fn runs_commands_query_the_ledger_with_compare_parity() {
         cmp.status.success(),
         "runs diff and compare disagree on the same entries"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The counter block of an entry written while the pipeline still had a
+/// per-evaluation lint stage.
+const OLD_LINT_BLOCK: &str = concat!(
+    "{\"schedules\":30,\"errors\":0,\"warnings\":0,\"races\":0,",
+    "\"deadlocks\":0,\"redundant_syncs\":0,\"space_schedules\":1600,",
+    "\"hb_expansions\":34230,\"cold_hb_expansions\":261600}"
+);
+
+#[test]
+fn runs_and_compare_read_entries_with_a_lint_block() {
+    // Ledgers are append-only across versions. An entry in the earlier
+    // `dr-ledger/v1` layout carries a `lint` flag in its config and a
+    // `lint` counter block; readers ignore both keys, so it lists, shows
+    // and compares like the current entry it was derived from.
+    let dir = scratch("old-ledger");
+    let ledger = dir.join("ledger");
+    let ledger_s = ledger.display().to_string();
+    run_ok(&[
+        "spmv",
+        "explore",
+        "--iterations",
+        "30",
+        "--seed",
+        "2",
+        "--ledger",
+        &ledger_s,
+    ]);
+    let new = std::fs::read_to_string(ledger.join("ledger.jsonl")).unwrap();
+    let new = new.trim_end();
+    assert!(!new.contains("\"lint\""), "{new}");
+    let old = new
+        .replacen("\"config\":{", "\"config\":{\"lint\":false,", 1)
+        .replacen(
+            ",\"resilience\":",
+            &format!(",\"lint\":{OLD_LINT_BLOCK},\"resilience\":"),
+            1,
+        );
+    assert_eq!(old.matches("\"lint\":").count(), 2, "{old}");
+    json::validate(&old).unwrap();
+    std::fs::write(ledger.join("ledger.jsonl"), format!("{old}\n{new}\n")).unwrap();
+
+    let out = run_ok(&["spmv", "runs", "list", "--ledger", &ledger_s]);
+    assert!(out.contains("2 of 2 ledger entries match"), "{out}");
+    let old_view = run_ok(&["spmv", "runs", "show", "0", "--ledger", &ledger_s]);
+    assert!(old_view.contains("phase explore:"), "{old_view}");
+    let new_view = run_ok(&["spmv", "runs", "show", "1", "--ledger", &ledger_s]);
+    assert_eq!(
+        old_view.replacen("[0]", "[1]", 1),
+        new_view,
+        "the old layout shows like the new one"
+    );
+
+    // No structural drift, through `runs diff` and through `compare`.
+    let out = run_ok(&["spmv", "runs", "diff", "0", "1", "--ledger", &ledger_s]);
+    assert!(out.contains("records: identical"), "{out}");
+    assert!(out.contains("verdict: OK"), "{out}");
+    let (ca, cb) = (dir.join("old"), dir.join("new"));
+    std::fs::create_dir_all(&ca).unwrap();
+    std::fs::create_dir_all(&cb).unwrap();
+    std::fs::write(ca.join("ledger.jsonl"), format!("{old}\n")).unwrap();
+    std::fs::write(cb.join("ledger.jsonl"), format!("{new}\n")).unwrap();
+    let out = run_ok(&[
+        "spmv",
+        "compare",
+        &ca.display().to_string(),
+        &cb.display().to_string(),
+    ]);
+    assert!(out.contains("records: identical"), "{out}");
+    assert!(out.contains("rules: identical"), "{out}");
+    assert!(out.contains("resilience: absent in both"), "{out}");
+    assert!(!out.contains("drift"), "{out}");
+    assert!(out.contains("verdict: OK"), "{out}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

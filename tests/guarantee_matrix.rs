@@ -1,11 +1,10 @@
 //! The guarantee matrix. The design rules are learned from one dataset,
 //! the `(traversal, time)` record set exploration collects, and every
 //! layer wrapped around exploration promises not to change it. This
-//! property runs random decision spaces through all 96 points of
+//! property runs random decision spaces through all 48 points of
 //!
 //! * threads {1, 4}
 //! * store {none, cold, warm}
-//! * lint {off, on}
 //! * observation {silent, events + trace}
 //! * shards {1, 3 merged}
 //! * faults {clean, `light` at a fixed seed}
@@ -36,7 +35,7 @@ use cuda_mpi_design_rules::mcts::ExploredRecord;
 use cuda_mpi_design_rules::obs::{EventSink, SharedBuf};
 use cuda_mpi_design_rules::pipeline::{
     merge_shards, records_fingerprint, run_pipeline_stored, run_shard, InstrumentedRun,
-    LintSummary, PipelineConfig, RunCtx, ShardSpec, ShardTarget, Strategy,
+    PipelineConfig, RunCtx, ShardSpec, ShardTarget, Strategy,
 };
 use cuda_mpi_design_rules::sim::{FaultConfig, Platform, TableWorkload};
 use cuda_mpi_design_rules::store::{ResultStore, StoreStats};
@@ -65,32 +64,28 @@ enum Store {
 struct Point {
     threads: usize,
     store: Store,
-    lint: bool,
     observed: bool,
     shards: usize,
     faults: bool,
 }
 
 impl Point {
-    /// All 96 points. The store varies fastest, so each cold point runs
+    /// All 48 points. The store varies fastest, so each cold point runs
     /// right before the warm point that reuses its store.
     fn all() -> Vec<Point> {
         let mut points = Vec::new();
         for faults in [false, true] {
             for shards in [1, 3] {
                 for threads in [1, 4] {
-                    for lint in [false, true] {
-                        for observed in [false, true] {
-                            for store in [Store::None, Store::Cold, Store::Warm] {
-                                points.push(Point {
-                                    threads,
-                                    store,
-                                    lint,
-                                    observed,
-                                    shards,
-                                    faults,
-                                });
-                            }
+                    for observed in [false, true] {
+                        for store in [Store::None, Store::Cold, Store::Warm] {
+                            points.push(Point {
+                                threads,
+                                store,
+                                observed,
+                                shards,
+                                faults,
+                            });
                         }
                     }
                 }
@@ -104,7 +99,6 @@ impl Point {
         Point {
             threads: 1,
             store: Store::None,
-            lint: false,
             observed: false,
             shards: 1,
             faults,
@@ -119,7 +113,6 @@ impl Point {
         };
         let mut ctx = RunCtx::new(PipelineConfig {
             threads: self.threads,
-            lint: self.lint,
             faults,
             ..PipelineConfig::quick()
         });
@@ -140,8 +133,8 @@ impl Point {
             "kept"
         };
         root.join(format!(
-            "t{}-l{}-o{}-s{}-f{}-{persisted}",
-            self.threads, self.lint as u8, self.observed as u8, self.shards, self.faults as u8
+            "t{}-o{}-s{}-f{}-{persisted}",
+            self.threads, self.observed as u8, self.shards, self.faults as u8
         ))
     }
 }
@@ -239,9 +232,6 @@ struct Expected {
     /// The first 4-thread MCTS run: an MCTS trajectory, and with it the
     /// telemetry, is only comparable at equal batch width.
     wide: Option<InstrumentedRun>,
-    /// Lint counters of the first linted run at each width (serial
-    /// trajectory, 4-thread MCTS trajectory).
-    lint: [Option<LintSummary>; 2],
     /// The merged fingerprint of the MCTS × shards cell.
     mcts_shards: Option<u64>,
 }
@@ -258,7 +248,6 @@ impl Expected {
                 .collect(),
             canonical,
             wide: None,
-            lint: [None, None],
             mcts_shards: None,
         }
     }
@@ -301,14 +290,6 @@ fn check_pipeline(p: Point, strategy: Strategy, out: &Outcome, exp: &mut Expecte
         assert_eq!(sims[0], 0, "{p:?}: a warm run ran the simulator");
     } else {
         assert_eq!(sims, run_counters(canonical), "{p:?}");
-    }
-    match (p.lint, run.report.lint) {
-        (false, lint) => assert!(lint.is_none(), "{p:?}"),
-        (true, None) => panic!("{p:?}: lint counters missing"),
-        (true, Some(lint)) => {
-            let expected = exp.lint[usize::from(wide_mcts)].get_or_insert(lint);
-            assert_eq!(&lint, expected, "{p:?}");
-        }
     }
     check_store(p, out);
 }
@@ -388,7 +369,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let points = Point::all();
-        prop_assert_eq!(points.len(), 96);
+        prop_assert_eq!(points.len(), 48);
         let w = workload_for(&space);
         // Noise stays on, and the faulty points draw their outliers from
         // each evaluation's seed, so seed drift shows in their time bits.
